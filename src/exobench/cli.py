@@ -4,6 +4,10 @@ Conventions: data goes to stdout (or the --out target), diagnostics go to
 stderr. Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 safety abort. All outputs are deterministic for a fixed seed; file
 formats carry schema-version headers.
+
+``exobench.outcomes``, and scipy with it, is imported only by the commands
+that use the statistics (``gen cohort`` and ``analyze``), so the others
+start without paying for it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 
 from exobench import config as config_mod
 from exobench import controller, intent as intent_mod, protocol, signals
-from exobench.outcomes import golden, model, report
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import Subject, preset_subject
 from exobench import subject as subject_mod
@@ -235,6 +238,8 @@ def cmd_gen_load(args, cfg) -> int:
 
 
 def cmd_gen_cohort(args, cfg) -> int:
+    from exobench.outcomes import golden
+
     del cfg
     _emit(golden.golden_cohort_csv(), args.out)
     return 0
@@ -342,6 +347,8 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_analyze(args, cfg) -> int:
+    from exobench.outcomes import model, report
+
     q = args.q if args.q is not None else _fraction(str(_pick(None, cfg, "q", "0.05")))
     cohort = model.load_cohort_csv(args.csv)
     result = report.analyze_cohort(cohort, q=q)
@@ -384,8 +391,7 @@ def main(argv=None) -> int:
     except controller.SafetyAbort as exc:
         print(f"safety abort: {exc.diagnostic}", file=sys.stderr)
         return 3
-    except (model.CohortFormatError, config_mod.ConfigError, protocol.CalibrationError,
-            ValueError, OSError) as exc:
+    except (config_mod.ConfigError, protocol.CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

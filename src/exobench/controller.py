@@ -12,15 +12,25 @@ Sign conventions: joint angles are degrees of flexion (0 = straight),
 motor excursion is millimeters of cable paid out (0 = fully retracted =
 fingers pulled open). Retracting the motor extends the fingers; releasing
 cable lets finger tone and voluntary flexion close the hand.
+
+One engine runs every episode. ``run_episodes`` steps any number of
+episodes in lockstep on plain arrays, and ``run_episode`` is its
+one-episode case. Plant parameters are validated once, when a
+``HandPlant`` is built, never per tick. The safety invariants are checked
+on every tick for every episode, and an episode that breaks one stops
+alone. Trajectories are recorded, as columns, only when the caller gets
+the logs back. The per-tick functions ``pid_step``, ``step_motor``,
+``step_plant`` and ``select_setpoint`` remain as the scalar reference the
+engine matches bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -144,7 +154,6 @@ class MotorParams:
     spool_radius_mm: float = 2.0
     time_constant_s: float = 0.025
     travel_mm: float = 55.0
-    tension_cap_n: float = TENSION_CAP_N
 
     @property
     def max_speed_mm_s(self) -> float:
@@ -358,16 +367,81 @@ class TrajectoryTick:
     effort: float
 
 
+_LABELS = tuple(IntentLabel)
+_LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
+_OPEN, _RELAX, _CLOSE = (_LABEL_CODE[label] for label in
+                         (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
+# Each hold state follows its move state: settling adds 1 to the code.
+_IDLE, _EXTENDING, _HOLD_OPEN, _RELEASING, _HOLD_CLOSED = range(len(FSM_STATES))
+
+
+def _tick(t, intent, fsm, setpoint, excursion, tension, angles, velocity, effort) -> TrajectoryTick:
+    return TrajectoryTick(
+        t=t,
+        intent=_LABELS[intent],
+        fsm=FSM_STATES[fsm],
+        setpoint_mm=None if setpoint != setpoint else setpoint,  # NaN: no command yet
+        excursion_mm=excursion,
+        tension_n=tension,
+        angles_deg=tuple(angles),
+        velocity_mm_s=velocity,
+        effort=effort,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryColumns(Sequence):
+    """A recorded trajectory as per-tick columns; item i is tick i as a TrajectoryTick.
+
+    ``intent`` and ``fsm`` hold indices into ``IntentLabel`` and
+    ``FSM_STATES``, ``setpoint_mm`` is NaN before the first command, and
+    ``angles_deg`` is (ticks, 8) in ``DIGITS`` x ``JOINTS`` order.
+    """
+
+    t: np.ndarray
+    intent: np.ndarray
+    fsm: np.ndarray
+    setpoint_mm: np.ndarray
+    excursion_mm: np.ndarray
+    tension_n: np.ndarray
+    angles_deg: np.ndarray
+    velocity_mm_s: np.ndarray
+    effort: np.ndarray
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.t, self.intent, self.fsm, self.setpoint_mm, self.excursion_mm,
+                self.tension_n, self.angles_deg, self.velocity_mm_s, self.effort)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return _tick(*(column[i].tolist() for column in self._columns()))
+
+    def __iter__(self):
+        for row in zip(*(column.tolist() for column in self._columns())):
+            yield _tick(*row)
+
+
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass
 class TrajectoryLog:
+    """One episode's ticks: a list of TrajectoryTick, or TrajectoryColumns from the engine."""
+
     dt: float
-    ticks: list[TrajectoryTick] = field(default_factory=list)
+    ticks: Sequence[TrajectoryTick] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         header = {"schema": TRAJECTORY_SCHEMA, "dt_s": self.dt, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
-        lines = [json.dumps(header, separators=(",", ":"))]
+        encode = _COMPACT_JSON.encode
+        lines = [encode(header)]
         for tick in self.ticks:
-            lines.append(json.dumps(
+            lines.append(encode(
                 {
                     "t": tick.t,
                     "intent": str(tick.intent),
@@ -377,12 +451,247 @@ class TrajectoryLog:
                     "F": tick.tension_n,
                     "q": list(tick.angles_deg),
                 },
-                separators=(",", ":"),
             ))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl())
+
+
+@dataclass(frozen=True)
+class Episode:
+    """One episode for ``run_episodes``: its intent stream, length and hand.
+
+    ``plant`` defaults to ``default_plant()``; ``initial_motor`` defaults to
+    the motor parked at the plant's cable take-up (slack cable), clipped to
+    the travel. ``voluntary_nmm`` is a joint torque, constant or a function
+    of time.
+    """
+
+    intents: Sequence[tuple[float, IntentLabel]]
+    duration_s: float
+    rom: RomCalibration
+    plant: HandPlant | None = None
+    voluntary_nmm: float | Callable[[float], float] = 0.0
+    initial_motor: MotorState | None = None
+
+    def __post_init__(self) -> None:
+        if self.duration_s <= 0.0:
+            raise ValueError("duration must be positive")
+
+
+def _commands(
+    intents: Sequence[tuple[float, IntentLabel]], t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per tick, the latest label with timestamp <= t and the command it holds.
+
+    Labels are RELAX before the first event; the held command is the latest
+    OPEN or CLOSE label so far, RELAX before the first.
+    """
+    events = sorted(intents, key=lambda e: e[0])
+    times = np.array([-math.inf] + [e[0] for e in events], dtype=float)
+    codes = np.array([_RELAX] + [_LABEL_CODE[e[1]] for e in events], dtype=np.int8)
+    labels = codes[np.searchsorted(times, t, side="right") - 1]
+    # Index of the latest command; before the first, tick 0, which is RELAX.
+    last = np.maximum.accumulate(np.where(labels != _RELAX, np.arange(len(t)), 0))
+    return labels, labels[last]
+
+
+def run_episodes(
+    episodes: Sequence[Episode],
+    gains: PidGains = DEFAULT_GAINS,
+    motor_params: MotorParams | None = None,
+    dt: float = CONTROL_DT_S,
+    record: bool = True,
+) -> list[TrajectoryLog | SafetyAbort | None]:
+    """Run E episodes of the control loop in lockstep; one outcome per episode.
+
+    State is held in (E, 4, 2) joint-angle and (E,) motor, PID and FSM
+    arrays, updated in the float order of ``pid_step``, ``step_motor``,
+    ``step_plant`` and ``select_setpoint``, so each episode matches those
+    primitives bit for bit. Setpoints depend only on the intent stream and
+    are worked out before the loop: OPEN retracts, CLOSE extends, RELAX
+    holds the last command.
+
+    Every live episode is checked on every tick for non-finite state, the
+    tension cap and the hyperextension block. One that fails stops at that
+    tick and its outcome is a ``SafetyAbort``; the others run on. Otherwise
+    the outcome is its ``TrajectoryLog`` when ``record`` is set and None
+    when not. Trajectories are kept only when ``record`` is set, so an
+    abort's log is empty without it.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    motor_params = motor_params if motor_params is not None else MotorParams()
+    n_episodes = len(episodes)
+    if n_episodes == 0:
+        return []
+    plants = [ep.plant if ep.plant is not None else default_plant() for ep in episodes]
+    steps = [int(round(ep.duration_s / dt)) for ep in episodes]
+    n_max = max(steps)
+    t_col = np.arange(n_max) * dt
+
+    # Commands per tick, (E, n_max), and their setpoints (NaN before the
+    # first command).
+    labels, held = (np.stack(c) for c in zip(*(_commands(ep.intents, t_col) for ep in episodes)))
+    setpoints = np.full(held.shape, np.nan)
+    np.copyto(setpoints, np.array([[ep.rom.retracted_mm] for ep in episodes]), where=held == _OPEN)
+    np.copyto(setpoints, np.array([[ep.rom.extended_mm] for ep in episodes]), where=held == _CLOSE)
+    commanded = held != _RELAX
+    changed = np.diff(held, axis=1, prepend=np.int8(_RELAX)) != 0
+    any_changed = changed.any(axis=0).tolist()
+
+    # Plant parameters, validated once when each HandPlant was built.
+    angles = np.stack([p.angles_deg for p in plants])
+    arm = np.stack([p.moment_arm_mm for p in plants])
+    rest = np.stack([p.rest_deg for p in plants])
+    q_max = np.stack([p.max_deg for p in plants])
+    stiffness = np.stack([p.stiffness_nmm_deg for p in plants])
+    damping = np.stack([p.damping_nmm_s_deg for p in plants])
+    tendon = np.array([[p.tendon_stiffness_n_mm] for p in plants])
+
+    motors = [
+        ep.initial_motor if ep.initial_motor is not None else MotorState(
+            excursion_mm=min(p.cable_take_up_mm().max(), motor_params.travel_mm))
+        for ep, p in zip(episodes, plants)
+    ]
+    x = np.array([m.excursion_mm for m in motors], dtype=float)
+    velocity = np.array([m.velocity_mm_s for m in motors], dtype=float)
+    fsm = np.full(n_episodes, _IDLE, dtype=np.int8)
+    integral = np.zeros(n_episodes)
+    prev_error = np.zeros(n_episodes)
+    has_prev = np.zeros(n_episodes, dtype=bool)
+    voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
+                          for ep in episodes], dtype=float)
+    disturbed = [e for e, ep in enumerate(episodes) if callable(ep.voluntary_nmm)]
+
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    i_clamp, o_clamp = gains.integral_clamp, gains.output_clamp
+    max_speed = motor_params.max_speed_mm_s
+    tau, travel = motor_params.time_constant_s, motor_params.travel_mm
+
+    if record:
+        x_col = np.empty((n_episodes, n_max))
+        tension_col = np.empty((n_episodes, n_max))
+        velocity_col = np.empty((n_episodes, n_max))
+        effort_col = np.empty((n_episodes, n_max))
+        fsm_col = np.empty((n_episodes, n_max), dtype=np.int8)
+        angles_col = np.empty((n_episodes, n_max, len(DIGITS), len(JOINTS)))
+
+    live = np.ones(n_episodes, dtype=bool)
+    ends: dict[int, list[int]] = {}
+    for e, n in enumerate(steps):
+        ends.setdefault(n, []).append(e)
+    length = list(steps)
+    aborts: dict[int, str] = {}
+    n_live = n_episodes
+    for i in range(n_max):
+        if i in ends:
+            n_live -= int(live[ends[i]].sum())
+            live[ends[i]] = False
+        if n_live == 0:
+            break
+        t = i * dt
+        for e in disturbed:
+            if live[e]:
+                voluntary[e] = episodes[e].voluntary_nmm(t)
+        setpoint = setpoints[:, i]
+        if any_changed[i]:  # select_setpoint: a new command starts a move
+            moves = np.where(held[:, i] == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
+            fsm = np.where(changed[:, i], moves, fsm)
+
+        # PID (pid_step). Before its first command an episode has no
+        # setpoint: effort 0 and the PID state untouched.
+        error = setpoint - x
+        derivative = np.where(has_prev, (error - prev_error) / dt, 0.0)
+        candidate = np.minimum(np.maximum(integral + error * dt, -i_clamp), i_clamp)
+        unsat = kp * error + ki * candidate + kd * derivative
+        saturating = (np.abs(unsat) > o_clamp) & (unsat * error > 0.0)
+        kept = np.where(saturating, integral, candidate)  # conditional integration
+        out = kp * error + ki * kept + kd * derivative
+        active = commanded[:, i]
+        effort = np.where(active, np.minimum(np.maximum(out, -o_clamp), o_clamp), 0.0)
+        integral = np.where(active, kept, integral)
+        prev_error = np.where(active, error, prev_error)
+        has_prev |= active
+
+        # Motor (step_motor).
+        target = effort * max_speed
+        velocity = velocity + (target - velocity) * dt / tau
+        x = x + velocity * dt
+        below, beyond = x < 0.0, x > travel
+        if below.any() or beyond.any():
+            x = np.where(below, 0.0, np.where(beyond, travel, x))
+            velocity = np.where(below | beyond, 0.0, velocity)
+
+        # Plant (step_plant).
+        take_up = (arm * angles * _DEG2RAD).sum(axis=-1)
+        tension = tendon * np.maximum(take_up - x[:, None], 0.0)
+        total = tension.sum(axis=-1)
+        over = total > TENSION_CAP_N
+        if over.any():
+            tension[over] = tension[over] * (TENSION_CAP_N / total[over])[:, None]
+            total[over] = TENSION_CAP_N
+        torque = (
+            -tension[:, :, None] * arm
+            + stiffness * (rest - angles)
+            + voluntary[:, None, None]
+        )
+        rate = torque / damping
+        angles = np.clip(angles + rate * dt, 0.0, q_max)
+
+        # FSM settle (_settle_fsm): a move that reaches its setpoint holds.
+        moving = (fsm == _EXTENDING) | (fsm == _RELEASING)
+        fsm = fsm + (moving & (np.abs(x - setpoint) <= SETPOINT_TOL_MM))
+
+        if record:
+            x_col[:, i] = x
+            tension_col[:, i] = total
+            velocity_col[:, i] = velocity
+            effort_col[:, i] = effort
+            fsm_col[:, i] = fsm
+            angles_col[:, i] = angles
+
+        # Safety invariants, per live episode, in order. The screen passes on
+        # almost every tick: a NaN or inf anywhere makes its sum non-finite.
+        if (math.isfinite(angles.sum() + x.sum()) and angles.min() >= -1e-9
+                and total.max() <= TENSION_CAP_N + 1e-9):
+            continue
+        non_finite = ~(np.isfinite(angles).all(axis=(1, 2)) & np.isfinite(x))
+        over_cap = total > TENSION_CAP_N + 1e-9
+        hyperextended = (angles < -1e-9).any(axis=(1, 2))
+        for e in np.flatnonzero(live & (non_finite | over_cap | hyperextended)).tolist():
+            if non_finite[e]:
+                aborts[e] = f"non-finite state at t={t:.3f}"
+            elif over_cap[e]:
+                aborts[e] = f"tension cap breached at t={t:.3f}: {total[e]:.2f} N"
+            else:
+                aborts[e] = f"hyperextension block breached at t={t:.3f}"
+            live[e] = False
+            length[e] = i + 1
+            n_live -= 1
+
+    outcomes: list[TrajectoryLog | SafetyAbort | None] = []
+    for e in range(n_episodes):
+        log = None
+        if record:
+            n = length[e]
+            log = TrajectoryLog(dt=dt, ticks=TrajectoryColumns(
+                t=t_col[:n],
+                intent=labels[e, :n],
+                fsm=fsm_col[e, :n],
+                setpoint_mm=setpoints[e, :n],
+                excursion_mm=x_col[e, :n],
+                tension_n=tension_col[e, :n],
+                angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
+                velocity_mm_s=velocity_col[e, :n],
+                effort=effort_col[e, :n],
+            ))
+        if e in aborts:
+            outcomes.append(SafetyAbort(aborts[e], log if log is not None else TrajectoryLog(dt=dt)))
+        else:
+            outcomes.append(log)
+    return outcomes
 
 
 def run_episode(
@@ -396,65 +705,18 @@ def run_episode(
     voluntary_nmm: float | Callable[[float], float] = 0.0,
     initial_motor: MotorState | None = None,
 ) -> TrajectoryLog:
-    """Run the control loop over a timestamped intent stream.
+    """Run the control loop over a timestamped intent stream: ``run_episodes`` for one.
 
-    ``intents`` is consumed as an ordered stream; at each tick the latest
-    label with timestamp <= t applies (RELAX before the first event). The
-    pull-based consumption gives natural backpressure when the stream comes
-    from a live producer. Raises SafetyAbort (with the partial log attached)
-    if the state goes non-finite or breaches the tension cap or the
+    At each tick the latest label with timestamp <= t applies (RELAX before
+    the first event). Raises SafetyAbort (with the partial log attached) if
+    the state goes non-finite or breaches the tension cap or the
     hyperextension block.
     """
-    if duration_s <= 0.0:
-        raise ValueError("duration must be positive")
-    plant = plant if plant is not None else default_plant()
-    motor_params = motor_params if motor_params is not None else MotorParams()
-    motor = initial_motor if initial_motor is not None else MotorState(
-        excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm)
-    )
-    voluntary = voluntary_nmm if callable(voluntary_nmm) else (lambda _t, v=voluntary_nmm: v)
-
-    events = sorted(intents, key=lambda e: e[0])
-    state = ControllerState()
-    log = TrajectoryLog(dt=dt)
-    n = int(round(duration_s / dt))
-    ev = 0
-    intent = IntentLabel.RELAX
-    for i in range(n):
-        t = i * dt
-        while ev < len(events) and events[ev][0] <= t:
-            intent = events[ev][1]
-            ev += 1
-        state = select_setpoint(intent, state, rom)
-        if state.setpoint_mm is None:
-            effort = 0.0
-        else:
-            effort, pid = pid_step(gains, state.setpoint_mm, motor.excursion_mm, dt, state.pid)
-            state = replace(state, pid=pid)
-        motor = step_motor(motor, effort, motor_params, dt)
-        plant, motor = step_plant(plant, motor, dt, voluntary(t))
-        state = _settle_fsm(state, motor, rom)
-
-        log.ticks.append(TrajectoryTick(
-            t=t,
-            intent=intent,
-            fsm=state.fsm,
-            setpoint_mm=state.setpoint_mm,
-            excursion_mm=motor.excursion_mm,
-            tension_n=motor.tension_n,
-            angles_deg=tuple(plant.flat_angles()),
-            velocity_mm_s=motor.velocity_mm_s,
-            effort=effort,
-        ))
-
-        angles = plant.angles_deg
-        if not (np.all(np.isfinite(angles)) and math.isfinite(motor.excursion_mm)):
-            raise SafetyAbort(f"non-finite state at t={t:.3f}", log)
-        if motor.tension_n > TENSION_CAP_N + 1e-9:
-            raise SafetyAbort(f"tension cap breached at t={t:.3f}: {motor.tension_n:.2f} N", log)
-        if np.any(angles < -1e-9):
-            raise SafetyAbort(f"hyperextension block breached at t={t:.3f}", log)
-    return log
+    episode = Episode(intents, duration_s, rom, plant, voluntary_nmm, initial_motor)
+    (outcome,) = run_episodes([episode], gains, motor_params, dt)
+    if isinstance(outcome, SafetyAbort):
+        raise outcome
+    return outcome
 
 
 def count_direction_reversals(log: TrajectoryLog, min_speed_mm_s: float = 0.5) -> int:

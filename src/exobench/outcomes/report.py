@@ -130,13 +130,10 @@ def _group_homogeneity(
 def analyze_cohort(
     cohort: Sequence[SubjectOutcomes],
     q: float | str | Fraction = Fraction(1, 20),
-    two_sided: bool = True,
 ) -> CohortReport:
     """Run the full primary and secondary analysis over a cohort."""
     if not cohort:
         raise ValueError("cohort is empty")
-    if not two_sided:
-        raise NotImplementedError("one-sided primary analysis is not wired up")
     q = Fraction(str(q)) if isinstance(q, (str, float)) else Fraction(q)
 
     warnings: list[str] = []

@@ -358,11 +358,12 @@ def run_session(
     """Execute one session: calibration, ordered tasks, budget accounting.
 
     Each task runs one controller episode (a grasp-release cycle through
-    the subject's intent interface); a safety abort is logged as a device
-    adjustment and the task resumes. Active time comes from the duration
-    model. The session ends after the task during which the active budget
-    is reached (overflow flag set), or, when the protocol finishes early,
-    with one aggregate free-training event covering the remainder.
+    the subject's intent interface); the session's episodes run together in
+    one batched ``controller.run_episodes`` call. A safety abort is logged
+    as a device adjustment and the task resumes. Active time comes from the
+    duration model. The session ends after the task during which the active
+    budget is reached (overflow flag set), or, when the protocol finishes
+    early, with one aggregate free-training event covering the remainder.
     """
     log = SessionLog(subject_id=plan.subject_id, session_index=plan.session_index,
                      session_date=plan.session_date)
@@ -385,17 +386,32 @@ def run_session(
     plant = controller.default_plant(subject.hand_size,
                                      controller.MAS_STIFFNESS[subject.mas])
 
+    # The duration model alone decides which tasks run: the session stops
+    # after the task during which the active budget is reached.
+    durations: list[float] = []
+    active_s = 0.0
     for task in plan.tasks:
+        durations.append(duration_model(task))
+        active_s += durations[-1]
+        if active_s >= plan.active_budget_s:
+            break
+    tasks = plan.tasks[:len(durations)]
+
+    aborts: list[controller.SafetyAbort | None] = [None] * len(tasks)
+    if simulate_episodes:
+        episodes = [
+            controller.Episode(*task_intent_stream(subject, bundle, plan.session_index, task),
+                               rom=bundle.rom, plant=plant)
+            for task in tasks
+        ]
+        aborts = controller.run_episodes(episodes, record=False)
+
+    for task, task_s, abort in zip(tasks, durations, aborts):
         log.events.append(SessionEvent(wall, "task_start", {"task": task.task_id}))
-        if simulate_episodes:
-            stream, episode_s = task_intent_stream(subject, bundle, plan.session_index, task)
-            try:
-                controller.run_episode(stream, episode_s, bundle.rom, plant=plant)
-            except controller.SafetyAbort as abort:
-                log.events.append(SessionEvent(wall, "adjustment",
-                                               {"task": task.task_id, "reason": abort.diagnostic}))
-                wall += 120.0
-        task_s = duration_model(task)
+        if abort is not None:
+            log.events.append(SessionEvent(wall, "adjustment",
+                                           {"task": task.task_id, "reason": abort.diagnostic}))
+            wall += 120.0
         wall += task_s
         log.active_s += task_s
         log.last_completed_task = task.task_id
@@ -405,8 +421,7 @@ def run_session(
             log.overflow = True
             log.events.append(SessionEvent(wall, "budget_reached",
                                            {"active_s": log.active_s, "task": task.task_id}))
-            break
-        if rng.random() < _BREAK_PROBABILITY:
+        elif rng.random() < _BREAK_PROBABILITY:
             log.events.append(SessionEvent(wall, "break", {"duration_s": BREAK_S}))
             wall += BREAK_S
 

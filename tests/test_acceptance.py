@@ -21,11 +21,14 @@ import exobench
 from exobench import intent as intent_mod, signals
 from exobench.controller import (
     TENSION_CAP_N,
+    Episode,
+    SafetyAbort,
     calibrate_rom,
     count_direction_reversals,
     default_plant,
     flexed_plant,
     run_episode,
+    run_episodes,
     time_to_open,
 )
 from exobench.intent import ShConfig, ShDetector, detect_trace, screening_script
@@ -230,20 +233,24 @@ def test_criterion_5_controller_timing_and_safety():
 
     rng = np.random.default_rng(55)
     labels = (OPEN, RELAX, CLOSE)
-    tension_violations = 0
-    angle_violations = 0
+    episodes = []
     for _ in range(1000):
         stiffness = float(rng.uniform(1.0, 4.0))
         plant = flexed_plant("M", stiffness) if rng.random() < 0.5 else default_plant("M", stiffness)
         n_events = int(rng.integers(1, 5))
         times = np.sort(rng.uniform(0.0, 1.8, size=n_events))
         script = [(float(t), labels[int(rng.integers(0, 3))]) for t in times]
-        episode = run_episode(script, 2.0, rom, plant=plant)
-        for tick in episode.ticks:
-            if tick.tension_n > TENSION_CAP_N + 1e-9:
-                tension_violations += 1
-            if min(tick.angles_deg) < 0.0:
-                angle_violations += 1
+        episodes.append(Episode(script, 2.0, rom, plant=plant))
+    tension_violations = 0
+    angle_violations = 0
+    ticks_checked = 0
+    for outcome in run_episodes(episodes):
+        assert not isinstance(outcome, SafetyAbort), outcome.diagnostic
+        ticks = outcome.ticks
+        tension_violations += int(np.count_nonzero(ticks.tension_n > TENSION_CAP_N + 1e-9))
+        angle_violations += int(np.count_nonzero(ticks.angles_deg.min(axis=1) < 0.0))
+        ticks_checked += len(ticks)
+    assert ticks_checked == 1000 * 400
     assert tension_violations == 0
     assert angle_violations == 0
     print(

@@ -1,9 +1,14 @@
 """Command-line interface: happy paths, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exobench
 from exobench import cli, signals
 from exobench.outcomes import golden
 
@@ -200,6 +205,29 @@ class TestProtocolCommand:
         assert lines[-1].startswith("bimanual-8")
         assert sum("[supported]" in line for line in lines) == 5
         assert sum("[unsupported]" in line for line in lines) == 5
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv, statistics", [
+        (["protocol", "list-tasks"], False),
+        (["episode", "--intent-script", "open:0.1"], False),
+        (["gen", "cohort"], True),
+    ])
+    def test_scipy_is_imported_only_for_statistics(self, tmp_path, argv, statistics):
+        probe = (
+            "import sys\n"
+            "from exobench import cli\n"
+            f"code = cli.main({argv + ['--out', 'out.txt']!r})\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env.pop("EXO_CONFIG", None)
+        src = str(Path(exobench.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"0 {statistics}\n"
 
 
 class TestConfig:

@@ -1,16 +1,20 @@
 """Actuation: PID, motor, finger plant, safety envelope, episode loop."""
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exobench import controller
 from exobench.controller import (
+    CONTROL_DT_S,
     DEFAULT_GAINS,
     TENSION_CAP_N,
     ControllerState,
+    Episode,
     HandPlant,
     MotorParams,
     MotorState,
@@ -27,6 +31,7 @@ from exobench.controller import (
     passive_energy,
     pid_step,
     run_episode,
+    run_episodes,
     select_setpoint,
     step_motor,
     step_plant,
@@ -288,3 +293,174 @@ class TestReversalCounting:
 
     def test_slow_crossing_between_fast_legs_ignored(self):
         assert count_direction_reversals(self._log([2.0, 0.1, 2.0])) == 0
+
+
+def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
+                      initial_motor=None, motor_params=MotorParams(), dt=CONTROL_DT_S):
+    """The scalar tick loop, built from the primitives: (ticks, abort diagnostic or None)."""
+    motor = initial_motor if initial_motor is not None else MotorState(
+        excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm)
+    )
+    voluntary = voluntary_nmm if callable(voluntary_nmm) else (lambda _t, v=voluntary_nmm: v)
+    events = sorted(intents, key=lambda e: e[0])
+    state = ControllerState()
+    ticks = []
+    ev = 0
+    intent = RELAX
+    for i in range(int(round(duration_s / dt))):
+        t = i * dt
+        while ev < len(events) and events[ev][0] <= t:
+            intent = events[ev][1]
+            ev += 1
+        state = select_setpoint(intent, state, rom)
+        if state.setpoint_mm is None:
+            effort = 0.0
+        else:
+            effort, pid = pid_step(gains, state.setpoint_mm, motor.excursion_mm, dt, state.pid)
+            state = replace(state, pid=pid)
+        motor = step_motor(motor, effort, motor_params, dt)
+        plant, motor = step_plant(plant, motor, dt, voluntary(t))
+        state = controller._settle_fsm(state, motor, rom)
+        ticks.append(TrajectoryTick(
+            t=t, intent=intent, fsm=state.fsm, setpoint_mm=state.setpoint_mm,
+            excursion_mm=motor.excursion_mm, tension_n=motor.tension_n,
+            angles_deg=tuple(plant.flat_angles()), velocity_mm_s=motor.velocity_mm_s,
+            effort=effort,
+        ))
+        angles = plant.angles_deg
+        if not (np.all(np.isfinite(angles)) and math.isfinite(motor.excursion_mm)):
+            return ticks, f"non-finite state at t={t:.3f}"
+        if motor.tension_n > TENSION_CAP_N + 1e-9:
+            return ticks, f"tension cap breached at t={t:.3f}: {motor.tension_n:.2f} N"
+        if np.any(angles < -1e-9):
+            return ticks, f"hyperextension block breached at t={t:.3f}"
+    return ticks, None
+
+
+def _bits(value):
+    """A float's bit pattern (every NaN alike); other values as they are."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    return value
+
+
+def _tick_bits(tick):
+    return tuple(_bits(getattr(tick, name)) for name in TrajectoryTick.__dataclass_fields__)
+
+
+def _outcome_bits(outcome):
+    """(diagnostic or None, ticks as bit patterns) of an engine outcome."""
+    if isinstance(outcome, SafetyAbort):
+        return outcome.diagnostic, [_tick_bits(tick) for tick in outcome.log.ticks]
+    return None, [_tick_bits(tick) for tick in outcome.ticks]
+
+
+def _reference_bits(episode, gains):
+    plant = episode.plant if episode.plant is not None else default_plant()
+    ticks, diagnostic = reference_episode(
+        episode.intents, episode.duration_s, episode.rom, gains, plant,
+        episode.voluntary_nmm, episode.initial_motor,
+    )
+    return diagnostic, [_tick_bits(tick) for tick in ticks]
+
+
+def _nan_after(t0, torque):
+    return lambda t: math.nan if t > t0 else torque
+
+
+_TIMES = st.sampled_from([0.0, 0.005, 0.05, 0.1, 0.25]) | st.floats(0.0, 0.7)
+
+
+@st.composite
+def _episodes(draw):
+    size = draw(st.sampled_from(["S", "M", "L"]))
+    stiffness = draw(st.floats(0.5, 4.0))
+    plant = (flexed_plant if draw(st.booleans()) else default_plant)(size, stiffness)
+    script = draw(st.lists(st.tuples(_TIMES, st.sampled_from([OPEN, RELAX, CLOSE])), max_size=6))
+    torque = draw(st.just(0.0) | st.floats(-400.0, 400.0))
+    nan_at = draw(st.none() | st.floats(0.0, 0.6))
+    motor = draw(st.none() | st.builds(MotorState, excursion_mm=st.floats(0.0, 55.0),
+                                        velocity_mm_s=st.floats(-20.0, 20.0)))
+    return Episode(
+        intents=script,
+        duration_s=draw(st.integers(0, 160)) * CONTROL_DT_S + 0.002,  # rounds to 0-160 ticks
+        rom=calibrate_rom(size),
+        plant=plant,
+        voluntary_nmm=torque if nan_at is None else _nan_after(nan_at, torque),
+        initial_motor=motor,
+    )
+
+
+_GAINS = st.builds(
+    PidGains,
+    kp=st.floats(0.05, 2.0),
+    ki=st.just(0.0) | st.floats(0.0, 5.0),
+    kd=st.just(0.0) | st.floats(0.0, 0.05),
+)
+
+
+class TestBatchedEngine:
+    @settings(max_examples=40)
+    @given(st.lists(_episodes(), min_size=1, max_size=5), _GAINS)
+    def test_matches_scalar_reference_bit_for_bit(self, episodes, gains):
+        outcomes = run_episodes(episodes, gains=gains)
+        assert len(outcomes) == len(episodes)
+        for episode, outcome in zip(episodes, outcomes):
+            assert _outcome_bits(outcome) == _reference_bits(episode, gains)
+
+    def test_nan_episode_aborts_alone(self):
+        rom = calibrate_rom("M")
+        script = [(0.0, OPEN), (0.6, CLOSE)]
+        episodes = [
+            Episode(script, 1.0, rom, plant=flexed_plant("M")),
+            Episode(script, 1.0, rom, plant=flexed_plant("M"), voluntary_nmm=_nan_after(0.5, 0.0)),
+            Episode([(0.1, CLOSE)], 0.8, calibrate_rom("L"), plant=default_plant("L", 2.0)),
+        ]
+        outcomes = run_episodes(episodes)
+        assert isinstance(outcomes[1], SafetyAbort)
+        assert outcomes[1].diagnostic == "non-finite state at t=0.505"
+        assert len(outcomes[1].log.ticks) == 102
+        for episode, outcome in zip(episodes, outcomes):
+            assert _outcome_bits(outcome) == _reference_bits(episode, DEFAULT_GAINS)
+        for i in (0, 2):
+            alone = run_episodes([episodes[i]])[0]
+            assert _outcome_bits(alone) == _outcome_bits(outcomes[i])
+        with pytest.raises(SafetyAbort) as excinfo:
+            run_episode(script, 1.0, rom, plant=flexed_plant("M"), voluntary_nmm=_nan_after(0.5, 0.0))
+        assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
+
+    def test_without_recording_only_aborts_are_returned(self):
+        rom = calibrate_rom("M")
+        episodes = [
+            Episode([(0.0, OPEN)], 0.5, rom),
+            Episode([(0.0, OPEN)], 0.5, rom, voluntary_nmm=_nan_after(0.2, 0.0)),
+        ]
+        kept, aborted = run_episodes(episodes, record=False)
+        assert kept is None
+        assert aborted.diagnostic == "non-finite state at t=0.205"
+        assert len(aborted.log.ticks) == 0
+
+    def test_empty_batch(self):
+        assert run_episodes([]) == []
+
+    def test_rejects_non_positive_dt(self):
+        with pytest.raises(ValueError, match="dt"):
+            run_episodes([Episode([], 1.0, calibrate_rom("M"))], dt=0.0)
+
+    def test_episode_jsonl_is_unchanged(self):
+        rom = calibrate_rom("M")
+        script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
+        log = run_episode(script, 7.0, rom, plant=flexed_plant("M", 2.0))
+        ticks, _ = reference_episode(script, 7.0, rom, DEFAULT_GAINS, flexed_plant("M", 2.0))
+        assert log.to_jsonl() == TrajectoryLog(dt=CONTROL_DT_S, ticks=ticks).to_jsonl()
+
+    def test_tick_columns_index_like_a_list(self):
+        log = run_episode([(0.0, OPEN)], 0.05, calibrate_rom("M"), plant=flexed_plant("M"))
+        ticks = list(log.ticks)
+        assert len(ticks) == len(log.ticks) == 10
+        assert log.ticks[-1] == ticks[-1]
+        assert log.ticks[2:5] == ticks[2:5]
+        with pytest.raises(IndexError):
+            log.ticks[10]

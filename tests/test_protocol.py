@@ -1,11 +1,13 @@
 """Training protocol: task inventory, scheduling, session execution."""
 
 import json
+import math
+from dataclasses import replace
 from datetime import date
 
 import pytest
 
-from exobench import protocol
+from exobench import controller, protocol
 from exobench.protocol import (
     ACTIVE_BUDGET_S,
     ProtocolPhase,
@@ -216,3 +218,31 @@ class TestSessionExecution:
         assert len(completed) == 23
         assert log.overflow is False
         assert any(e.kind == "free_training" for e in log.events)
+
+    def test_duration_model_runs_once_per_task_until_the_budget(self):
+        subject = Subject(subject_id="S13", group="SH", seed=4)
+        plan = replace(build_session_plans(subject.subject_id)[0], active_budget_s=100.0)
+        asked = []
+
+        def duration(task):
+            asked.append(task.task_id)
+            return 30.0
+
+        log = run_session(plan, subject, duration_model=duration)
+        completed = [e.detail["task"] for e in log.events if e.kind == "task_complete"]
+        assert asked == completed == [task.task_id for task in plan.tasks[:4]]
+        assert log.overflow is True
+
+    def test_aborted_episode_logs_an_adjustment(self, monkeypatch):
+        subject = Subject(subject_id="S13", group="SH", seed=4)
+        plan = replace(build_session_plans(subject.subject_id)[0], active_budget_s=100.0)
+        plain = run_session(plan, subject, duration_model=lambda task: 30.0, simulate_episodes=False)
+        # A NaN stiffness makes every episode's state non-finite on its first tick.
+        monkeypatch.setitem(controller.MAS_STIFFNESS, subject.mas, math.nan)
+        aborted = run_session(plan, subject, duration_model=lambda task: 30.0)
+        adjustments = [e for e in aborted.events if e.kind == "adjustment"]
+        assert [e.detail["task"] for e in adjustments] == [task.task_id for task in plan.tasks[:4]]
+        assert {e.detail["reason"] for e in adjustments} == {"non-finite state at t=0.000"}
+        assert [e.kind for e in aborted.events if e.kind != "adjustment"] == [e.kind for e in plain.events]
+        assert aborted.active_s == plain.active_s
+        assert aborted.events[-1].t_s == plain.events[-1].t_s + 4 * 120.0
