@@ -11,9 +11,7 @@ tests, Benjamini-Hochberg correction).
 __version__ = "0.1.0"
 
 from exobench.signals import (
-    EmgFrame,
     IntentLabel,
-    LoadCellSample,
     ShoulderPosture,
     SignalProfile,
     SignalTrace,
@@ -22,9 +20,7 @@ from exobench.signals import (
 )
 
 __all__ = [
-    "EmgFrame",
     "IntentLabel",
-    "LoadCellSample",
     "ShoulderPosture",
     "SignalProfile",
     "SignalTrace",

@@ -45,11 +45,7 @@ _KEYS = {
         ConfigKey("noise_std", float, "EMG noise standard deviation"),
         ConfigKey("crosstalk", float, "EMG channel mixing fraction"),
         ConfigKey("drift_rate", float, "EMG mean decay per second"),
-        ConfigKey("sh_noise_n", float, "harness load-cell noise, newtons"),
         ConfigKey("q", str, "false discovery rate, as a decimal string"),
-        ConfigKey("window_s", float, "feature window length, seconds"),
-        ConfigKey("hop_s", float, "feature hop, seconds"),
-        ConfigKey("vote_k", int, "majority vote window, decisions"),
         ConfigKey("arm_support", _parse_bool, "passive arm support in use"),
     )
 }

@@ -36,7 +36,6 @@ from exobench.signals import (
 )
 
 DEFAULT_WINDOW_S = 0.15
-DEFAULT_HOP_S = 0.02
 DEFAULT_VOTE_K = 5
 
 #: Minimum continuous correct hold per screening attempt, seconds.
@@ -44,17 +43,17 @@ HOLD_REQUIREMENT_S = 2.0
 ATTEMPTS_PER_CONDITION = 3
 
 CLASS_ORDER = (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE)
+_RELAX = CLASS_ORDER.index(IntentLabel.RELAX)
 
-CLASSIFIER_SCHEMA = "exobench/classifier-v1"
+CLASSIFIER_SCHEMA = "exobench/classifier-v2"
 SCREENING_SCHEMA = "exobench/screening-v1"
 
 
-def extract_features(frames: Sequence) -> np.ndarray:
-    """Mean absolute value per channel over a window of EMG frames."""
-    if len(frames) == 0:
+def extract_features(window) -> np.ndarray:
+    """Mean absolute value per channel over a ``(w, 8)`` window of EMG samples."""
+    if len(window) == 0:
         raise ValueError("feature window must contain at least one frame")
-    arr = np.asarray([f.channels for f in frames], dtype=float)
-    return np.abs(arr).mean(axis=0)
+    return np.abs(np.asarray(window, dtype=float)).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class EmgClassifier:
     covariance: np.ndarray
     priors: Mapping[IntentLabel, float]
     window_s: float = DEFAULT_WINDOW_S
-    hop_s: float = DEFAULT_HOP_S
     vote_k: int = DEFAULT_VOTE_K
     separable: bool = True
 
@@ -78,12 +76,13 @@ class EmgClassifier:
         if cov.shape != (EMG_CHANNELS, EMG_CHANNELS):
             raise ValueError("covariance must be 8x8")
         inv = np.linalg.inv(cov)
-        object.__setattr__(self, "_cov_inv", inv)
         consts = {}
         for label in CLASS_ORDER:
             mu = np.asarray(self.class_means[label], dtype=float)
             consts[label] = (inv @ mu, -0.5 * float(mu @ inv @ mu) + math.log(self.priors[label]))
         object.__setattr__(self, "_discriminants", consts)
+        object.__setattr__(self, "_weights", np.column_stack([w for w, _b in consts.values()]))
+        object.__setattr__(self, "_biases", np.array([b for _w, b in consts.values()]))
 
     def scores(self, features: np.ndarray) -> dict[IntentLabel, float]:
         """Per-class discriminant scores (monotone in posterior probability)."""
@@ -94,6 +93,15 @@ class EmgClassifier:
             raise ValueError("feature vector contains non-finite values")
         return {label: float(w @ f) + b for label, (w, b) in self._discriminants.items()}
 
+    def _decide(self, features: np.ndarray) -> np.ndarray:
+        """``classify`` for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
+
+        The scores are one matrix product; exact ties resolve toward RELAX.
+        """
+        scores = features @ self._weights + self._biases
+        best = scores == scores.max(axis=1, keepdims=True)
+        return np.where(best[:, _RELAX], _RELAX, best.argmax(axis=1))
+
     def to_json(self) -> str:
         doc = {
             "schema": CLASSIFIER_SCHEMA,
@@ -102,7 +110,6 @@ class EmgClassifier:
             "covariance": [[float(v) for v in row] for row in np.asarray(self.covariance)],
             "priors": {label.value: float(self.priors[label]) for label in CLASS_ORDER},
             "window_s": self.window_s,
-            "hop_s": self.hop_s,
             "vote_k": self.vote_k,
             "separable": self.separable,
         }
@@ -121,7 +128,6 @@ class EmgClassifier:
             covariance=np.asarray(doc["covariance"], dtype=float),
             priors={IntentLabel(k): float(v) for k, v in doc["priors"].items()},
             window_s=float(doc["window_s"]),
-            hop_s=float(doc["hop_s"]),
             vote_k=int(doc["vote_k"]),
             separable=bool(doc["separable"]),
         )
@@ -134,7 +140,6 @@ class EmgClassifier:
 def train_classifier(
     labeled_features: Sequence[tuple[np.ndarray, IntentLabel]],
     window_s: float = DEFAULT_WINDOW_S,
-    hop_s: float = DEFAULT_HOP_S,
     vote_k: int = DEFAULT_VOTE_K,
     ridge: float = 1e-3,
 ) -> EmgClassifier:
@@ -176,7 +181,6 @@ def train_classifier(
         covariance=cov,
         priors=priors,
         window_s=window_s,
-        hop_s=hop_s,
         vote_k=vote_k,
         separable=separable,
     )
@@ -221,54 +225,55 @@ def smooth_intents(labels: Iterable[IntentLabel], k: int = DEFAULT_VOTE_K) -> li
     return [smoother.push(label) for label in labels]
 
 
+def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trailing-window MAV of every frame, and the label of each full window.
+
+    Window offsets are added oldest first onto zero padding, the float order
+    of ``extract_features``. A label is the CLASS_ORDER index of the ground
+    truth at both ends of a full window when the two agree, else -1.
+    """
+    if trace.kind != "emg":
+        raise ValueError("EMG trace required")
+    n = len(trace.samples)
+    win = max(1, int(round(window_s * trace.rate_hz)))
+    padded = np.zeros((n + win - 1, EMG_CHANNELS))
+    padded[win - 1:] = np.abs(trace.samples)
+    total = padded[:n].copy()
+    for offset in range(1, win):
+        total += padded[offset:offset + n]
+    mav = total / np.minimum(np.arange(1, n + 1), win)[:, None]
+
+    codes = np.array([CLASS_ORDER.index(label) for _t0, _t1, label in trace.annotations] + [-1])
+    truth = codes[trace.annotation_index(trace.t)]
+    labels = np.full(n, -1)
+    first, last = truth[:max(n - win + 1, 0)], truth[win - 1:]
+    labels[win - 1:] = np.where(first == last, last, -1)
+    return mav, labels
+
+
 def labeled_windows(
     trace: SignalTrace,
     window_s: float = DEFAULT_WINDOW_S,
 ) -> list[tuple[np.ndarray, IntentLabel]]:
     """Feature vectors for every frame whose full window sits inside one annotation."""
-    if trace.kind != "emg":
-        raise ValueError("EMG trace required")
-    frames = trace.samples
-    win = max(1, int(round(window_s * trace.rate_hz)))
-    out = []
-    for i in range(win - 1, len(frames)):
-        window = frames[i - win + 1 : i + 1]
-        label = trace.label_at(window[0].t)
-        if label is not None and label is trace.label_at(frames[i].t):
-            out.append((extract_features(window), label))
-    return out
+    mav, labels = _windows(trace, window_s)
+    return [(mav[i], CLASS_ORDER[labels[i]]) for i in np.flatnonzero(labels >= 0)]
 
 
 def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> list[tuple[float, IntentLabel]]:
     """Raw per-frame decisions over a trace, using trailing (possibly partial) windows."""
-    if trace.kind != "emg":
-        raise ValueError("EMG trace required")
-    frames = trace.samples
-    win = max(1, int(round(classifier.window_s * trace.rate_hz)))
-    out = []
-    for i, frame in enumerate(frames):
-        window = frames[max(0, i - win + 1) : i + 1]
-        out.append((frame.t, classify(classifier, extract_features(window))))
-    return out
+    mav, _labels = _windows(trace, classifier.window_s)
+    return list(zip(trace.t.tolist(), [CLASS_ORDER[c] for c in classifier._decide(mav)]))
 
 
 def trace_accuracy(classifier: EmgClassifier, trace: SignalTrace) -> float:
     """Fraction of fully-in-window frames whose raw decision matches ground truth."""
-    win = max(1, int(round(classifier.window_s * trace.rate_hz)))
-    frames = trace.samples
-    hits = 0
-    total = 0
-    for i in range(win - 1, len(frames)):
-        window = frames[i - win + 1 : i + 1]
-        label = trace.label_at(window[0].t)
-        if label is None or label is not trace.label_at(frames[i].t):
-            continue
-        total += 1
-        if classify(classifier, extract_features(window)) is label:
-            hits += 1
+    mav, labels = _windows(trace, classifier.window_s)
+    scored = labels >= 0
+    total = int(np.count_nonzero(scored))
     if total == 0:
         raise ValueError("trace has no scoreable frames")
-    return hits / total
+    return int(np.count_nonzero(classifier._decide(mav)[scored] == labels[scored])) / total
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +325,9 @@ def tensions_by_posture(trace: SignalTrace) -> dict[ShoulderPosture, list[float]
     """Split a load trace's samples by annotated posture."""
     if trace.kind != "load":
         raise ValueError("load trace required")
-    out: dict[ShoulderPosture, list[float]] = {p: [] for p in ShoulderPosture}
-    for s in trace.samples:
-        posture = trace.label_at(s.t)
-        if posture is not None:
-            out[posture].append(s.tension)
-    return out
+    index = trace.annotation_index(trace.t)
+    postures = np.array([p for _t0, _t1, p in trace.annotations] + [None], dtype=object)[index]
+    return {p: trace.samples[postures == p].tolist() for p in ShoulderPosture}
 
 
 def sh_detect(tension: float, config: ShConfig, prev: IntentLabel) -> IntentLabel:
@@ -352,7 +354,9 @@ class ShDetector:
 
 def detect_trace(config: ShConfig, trace: SignalTrace) -> list[tuple[float, IntentLabel]]:
     detector = ShDetector(config)
-    return [(s.t, detector.push(s.tension)) for s in trace.samples]
+    return [
+        (t, detector.push(tension)) for t, tension in zip(trace.t.tolist(), trace.samples.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

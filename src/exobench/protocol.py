@@ -257,7 +257,7 @@ def session_calibration(subject: Subject, session_index: int) -> CalibrationBund
             depressed_n=subject.sh_depress_n,
             noise_std=subject.sh_noise_n, seed=seed + i,
         )
-        postures[posture] = [s.tension for s in trace.samples]
+        postures[posture] = trace.samples.tolist()
     try:
         sh = intent_mod.calibrate_sh(
             rest=postures[ShoulderPosture.REST],

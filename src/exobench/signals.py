@@ -9,6 +9,10 @@ serialization. Two impairment knobs are built into the EMG model:
 * crosstalk: uniform cross-channel leakage toward the channel mean
   (spastic co-contraction smearing the spatial pattern).
 
+A trace is two columns, sample times and sample values, built by the
+generators on whole arrays and validated once by ``SignalTrace`` itself, which
+also guards traces read back from files.
+
 Serialized traces are JSON lines: one metadata header, then one object per
 sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``).
 """
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,32 +60,6 @@ class ShoulderPosture(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class EmgFrame:
-    """One EMG sample: timestamp in seconds plus 8 normalized activations."""
-
-    t: float
-    channels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.channels) != EMG_CHANNELS:
-            raise ValueError(f"expected {EMG_CHANNELS} channels, got {len(self.channels)}")
-        if not all(math.isfinite(c) and 0.0 <= c <= 1.0 for c in self.channels):
-            raise ValueError("EMG activations must be finite and in [0, 1]")
-
-
-@dataclass(frozen=True)
-class LoadCellSample:
-    """One harness load-cell sample: timestamp in seconds, tension in newtons."""
-
-    t: float
-    tension: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tension) or self.tension < 0.0:
-            raise ValueError("tension must be finite and non-negative")
 
 
 def _freeze8(values: Sequence[float]) -> tuple[float, ...]:
@@ -191,23 +169,56 @@ def distorted_profile(seed: int = 0) -> SignalProfile:
     )
 
 
-@dataclass(frozen=True)
+def _sample_array(kind: str, values) -> np.ndarray:
+    """``values`` as a float array with one row per sample, or ValueError."""
+    row = (EMG_CHANNELS,) if kind == "emg" else ()
+    expected = f"expected {EMG_CHANNELS} channels" if row else "expected one tension"
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        raise ValueError(f"{expected} per sample: {exc}") from None
+    if arr.shape == (0,):
+        arr = arr.reshape((0,) + row)
+    if arr.ndim != 1 + len(row) or arr.shape[1:] != row:
+        raise ValueError(f"{expected} per sample, got shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class SignalTrace:
     """Immutable sampled signal plus ground-truth annotation intervals.
 
-    ``annotations`` is a tuple of (t_start, t_end, label) half-open intervals
-    that never overlap. ``kind`` is "emg" or "load".
+    ``kind`` is "emg" or "load". ``t`` holds the sample times in seconds,
+    shape ``(N,)``; ``samples`` holds the values, shape ``(N, 8)`` normalized
+    activations for EMG or ``(N,)`` tensions in newtons for load. Both are
+    read-only float arrays. ``annotations`` is a tuple of (t_start, t_end,
+    label) half-open intervals that never overlap.
     """
 
     kind: str
     rate_hz: float
-    samples: tuple
+    t: np.ndarray
+    samples: np.ndarray
     annotations: tuple
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("emg", "load"):
             raise ValueError(f"unknown trace kind {self.kind!r}")
+        samples = _sample_array(self.kind, self.samples)
+        t = np.array(self.t, dtype=float)
+        if t.shape != (len(samples),):
+            raise ValueError(f"t and samples must have the same length: {t.shape}, {samples.shape}")
+        if self.kind == "emg":
+            # NaN fails both comparisons, so this also rejects non-finite values.
+            if not np.all((samples >= 0.0) & (samples <= 1.0)):
+                raise ValueError("EMG activations must be finite and in [0, 1]")
+        elif not (np.all(np.isfinite(samples)) and np.all(samples >= 0.0)):
+            raise ValueError("tension must be finite and non-negative")
+        t.flags.writeable = False
+        samples.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "samples", samples)
         prev_end = None
         for t0, t1, _label in self.annotations:
             if t1 <= t0:
@@ -220,12 +231,18 @@ class SignalTrace:
     def duration_s(self) -> float:
         return len(self.samples) / self.rate_hz
 
+    def annotation_index(self, times) -> np.ndarray:
+        """Index into ``annotations`` of the interval holding each time, -1 between them."""
+        times = np.asarray(times, dtype=float)
+        # A NaN row after the last interval stands for "no interval": NaN <= t is False.
+        bounds = np.array([a[:2] for a in self.annotations] + [(math.nan, math.nan)], dtype=float)
+        k = np.searchsorted(bounds[:-1, 1], times, side="right")
+        return np.where(bounds[k, 0] <= times, k, -1)
+
     def label_at(self, t: float):
         """Ground-truth label at time t, or None between annotations."""
-        for t0, t1, label in self.annotations:
-            if t0 <= t < t1:
-                return label
-        return None
+        k = int(self.annotation_index(t))
+        return None if k < 0 else self.annotations[k][2]
 
     def to_jsonl(self) -> str:
         header = {
@@ -235,13 +252,12 @@ class SignalTrace:
             "annotations": [[t0, t1, str(label)] for t0, t1, label in self.annotations],
             "meta": dict(self.meta),
         }
+        key = "emg" if self.kind == "emg" else "tension"
         lines = [json.dumps(header, separators=(",", ":"))]
-        if self.kind == "emg":
-            for s in self.samples:
-                lines.append(json.dumps({"t": s.t, "emg": list(s.channels)}, separators=(",", ":")))
-        else:
-            for s in self.samples:
-                lines.append(json.dumps({"t": s.t, "tension": s.tension}, separators=(",", ":")))
+        lines += [
+            json.dumps({"t": t, key: value}, separators=(",", ":"))
+            for t, value in zip(self.t.tolist(), self.samples.tolist())
+        ]
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
@@ -260,17 +276,13 @@ class SignalTrace:
         annotations = tuple(
             (float(t0), float(t1), label_type(lab)) for t0, t1, lab in header["annotations"]
         )
-        samples: list = []
-        for ln in lines[1:]:
-            obj = json.loads(ln)
-            if kind == "emg":
-                samples.append(EmgFrame(t=float(obj["t"]), channels=tuple(obj["emg"])))
-            else:
-                samples.append(LoadCellSample(t=float(obj["t"]), tension=float(obj["tension"])))
+        key = "emg" if kind == "emg" else "tension"
+        rows = [json.loads(ln) for ln in lines[1:]]
         return SignalTrace(
             kind=kind,
             rate_hz=float(header["rate_hz"]),
-            samples=tuple(samples),
+            t=[row["t"] for row in rows],
+            samples=[row[key] for row in rows],
             annotations=annotations,
             meta=header.get("meta", {}),
         )
@@ -295,6 +307,24 @@ def _check_script(script: Sequence[tuple], enum_type) -> list[tuple]:
     return checked
 
 
+def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Annotations of a checked script, the sample times, and each sample's segment.
+
+    Sample n sits at t = n / rate_hz and belongs to the segment whose
+    half-open interval contains it; samples past the last end stay in it.
+    """
+    if rate_hz <= 0:
+        raise ValueError("rate_hz must be positive")
+    annotations = []
+    t0 = 0.0
+    for label, duration in segments:
+        annotations.append((t0, t0 + duration, label))
+        t0 += duration
+    times = np.arange(int(round(t0 * rate_hz))) / rate_hz
+    segment = np.searchsorted([t1 for _t0, t1, _label in annotations[:-1]], times, side="right")
+    return annotations, times, segment
+
+
 def gen_emg_trace(
     profile: SignalProfile,
     script: Sequence[tuple[IntentLabel, float]],
@@ -308,39 +338,23 @@ def gen_emg_trace(
     belongs to the segment whose half-open interval contains its timestamp.
     """
     segments = _check_script(script, IntentLabel)
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
+    annotations, times, segment = _timeline(segments, rate_hz)
     rng = np.random.default_rng(profile.seed)
 
-    annotations = []
-    t0 = 0.0
-    for label, duration in segments:
-        annotations.append((t0, t0 + duration, label))
-        t0 += duration
-    total = t0
-
-    n = int(round(total * rate_hz))
-    times = np.arange(n) / rate_hz
-    means = {lab: np.asarray(profile.means[lab]) for lab in IntentLabel}
-    stds = {lab: np.sqrt(np.asarray(profile.variances[lab])) for lab in IntentLabel}
-
-    seg_idx = 0
-    frames = []
-    for t in times:
-        while t >= annotations[seg_idx][1] and seg_idx < len(annotations) - 1:
-            seg_idx += 1
-        label = annotations[seg_idx][2]
-        fade = max(0.0, 1.0 - profile.drift_rate * t)
-        x = means[label] * fade + rng.standard_normal(EMG_CHANNELS) * stds[label]
-        if profile.crosstalk > 0.0:
-            x = (1.0 - profile.crosstalk) * x + profile.crosstalk * x.mean()
-        x = np.clip(x, 0.0, 1.0)
-        frames.append(EmgFrame(t=float(t), channels=tuple(float(v) for v in x)))
+    labels = [label for _t0, _t1, label in annotations]
+    means = np.array([profile.means[label] for label in labels])[segment]
+    stds = np.sqrt(np.array([profile.variances[label] for label in labels]))[segment]
+    fade = 1.0 - profile.drift_rate * times
+    fade = np.where(fade > 0.0, fade, 0.0)
+    x = means * fade[:, None] + rng.standard_normal((len(times), EMG_CHANNELS)) * stds
+    if profile.crosstalk > 0.0:
+        x = (1.0 - profile.crosstalk) * x + profile.crosstalk * x.mean(axis=1, keepdims=True)
 
     return SignalTrace(
         kind="emg",
         rate_hz=rate_hz,
-        samples=tuple(frames),
+        t=times,
+        samples=np.clip(x, 0.0, 1.0),
         annotations=tuple(annotations),
         meta={"profile": profile.to_meta(), "script": [[str(l), d] for l, d in segments]},
     )
@@ -365,8 +379,7 @@ def gen_load_trace(
     and gaussian noise ride on top; output is clipped at zero.
     """
     segments = _check_script(script, ShoulderPosture)
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
+    annotations, times, segment = _timeline(segments, rate_hz)
     levels = {
         ShoulderPosture.REST: float(rest_n),
         ShoulderPosture.ELEVATED: float(elevated_n),
@@ -374,43 +387,25 @@ def gen_load_trace(
     }
     rng = np.random.default_rng(seed)
 
-    annotations = []
-    t0 = 0.0
-    for posture, duration in segments:
-        annotations.append((t0, t0 + duration, posture))
-        t0 += duration
-    total = t0
-
-    n = int(round(total * rate_hz))
-    samples = []
-    seg_idx = 0
-    prev_level = levels[segments[0][0]]
-    seg_start = 0.0
-    seg_level = prev_level
-    for i in range(n):
-        t = i / rate_hz
-        while t >= annotations[seg_idx][1] and seg_idx < len(annotations) - 1:
-            prev_level = levels[annotations[seg_idx][2]]
-            seg_idx += 1
-            seg_start = annotations[seg_idx][0]
-            seg_level = levels[annotations[seg_idx][2]]
-        ramp = min(ramp_s, annotations[seg_idx][1] - seg_start)
-        if ramp > 0 and t - seg_start < ramp:
-            frac = (t - seg_start) / ramp
-            base = prev_level + (seg_level - prev_level) * frac
-        else:
-            base = seg_level
-        tension = base
-        if dither_amp:
-            tension += dither_amp * math.sin(2.0 * math.pi * dither_hz * t)
-        if noise_std:
-            tension += noise_std * rng.standard_normal()
-        samples.append(LoadCellSample(t=float(t), tension=float(max(0.0, tension))))
+    level = np.array([levels[posture] for _t0, _t1, posture in annotations])
+    start = np.array([t0 for t0, _t1, _posture in annotations])[segment]
+    ramp = np.array([min(ramp_s, t1 - t0) for t0, t1, _posture in annotations])[segment]
+    prev = np.concatenate((level[:1], level[:-1]))[segment]
+    tension = level[segment]
+    since = times - start
+    on_ramp = (ramp > 0) & (since < ramp)
+    lo, hi = prev[on_ramp], tension[on_ramp]
+    tension[on_ramp] = lo + (hi - lo) * (since[on_ramp] / ramp[on_ramp])
+    if dither_amp:
+        tension = tension + dither_amp * np.sin(2.0 * math.pi * dither_hz * times)
+    if noise_std:
+        tension = tension + noise_std * rng.standard_normal(len(times))
 
     return SignalTrace(
         kind="load",
         rate_hz=rate_hz,
-        samples=tuple(samples),
+        t=times,
+        samples=np.where(tension > 0.0, tension, 0.0),
         annotations=tuple(annotations),
         meta={
             "script": [[str(p), d] for p, d in segments],

@@ -5,6 +5,8 @@ per criterion. Each test prints its verdict so the mapping from criterion
 to result stays visible in captured output as well.
 """
 
+import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -391,6 +393,10 @@ DOCUMENTED_INVOCATIONS = (
 # The package this process imported; criterion 9's children must run it too.
 EXOBENCH_INIT = Path(exobench.__file__).resolve()
 
+# sha256 of stdout and of every file of each documented invocation, as the
+# benchmark records them (bench/record_digests.py).
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
 
 def _cli_env() -> dict[str, str]:
     """Environment for CLI children: the checkout under test first on the path.
@@ -446,6 +452,20 @@ def _run_documented_invocations(workdir: Path, env: dict[str, str]) -> dict[str,
     return outputs
 
 
+def _assert_outputs_match_digests(outputs: dict[str, bytes]) -> None:
+    """Fail on any byte change against the recorded digests, naming the output."""
+    records = json.loads(DIGESTS.read_text())["invocations"]
+    assert [r["argv"] for r in records] == [list(argv) for argv in DOCUMENTED_INVOCATIONS]
+    recorded_files = set()
+    for index, (argv, record) in enumerate(zip(DOCUMENTED_INVOCATIONS, records)):
+        stdout = outputs[f"stdout:{index}:{argv[0]}"]
+        assert hashlib.sha256(stdout).hexdigest() == record["stdout"], f"{argv}: stdout changed"
+        for name, digest in record["files"].items():
+            assert hashlib.sha256(outputs[name]).hexdigest() == digest, f"{argv}: {name} changed"
+        recorded_files.update(record["files"])
+    assert recorded_files == {name for name in outputs if not name.startswith("stdout:")}
+
+
 def test_criterion_9_cli_determinism(tmp_path):
     env = _cli_env()
     _assert_children_import_checkout(tmp_path, env)
@@ -455,6 +475,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert len(first) >= 9
     for name in first:
         assert first[name] == second[name], f"output differs between runs: {name}"
+    _assert_outputs_match_digests(first)
     shutil.rmtree(tmp_path / "run1")
     shutil.rmtree(tmp_path / "run2")
-    print(f"criterion 9 (CLI determinism): PASS, {len(first)} files bit-identical")
+    print(f"criterion 9 (CLI determinism): PASS, {len(first)} files bit-identical and as recorded")

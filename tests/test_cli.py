@@ -10,6 +10,7 @@ import pytest
 
 import exobench
 from exobench import cli, signals
+from exobench import config as config_mod
 from exobench.outcomes import golden
 
 
@@ -65,8 +66,7 @@ class TestGen:
         )
         assert code == 0
         trace = signals.SignalTrace.from_jsonl(out)
-        tensions = [s.tension for s in trace.samples]
-        assert all(18.0 - 1e-9 <= t <= 22.0 + 1e-9 for t in tensions)
+        assert all(18.0 - 1e-9 <= t <= 22.0 + 1e-9 for t in trace.samples)
 
     def test_cohort_matches_reference(self, capsys):
         code, out, _err = run_cli(capsys, "gen", "cohort")
@@ -269,6 +269,18 @@ class TestConfig:
         )
         assert code == 2
         assert "sedd" in err
+
+    @pytest.mark.parametrize("key", ["window_s", "hop_s", "vote_k", "sh_noise_n"])
+    def test_unread_keys_are_unknown(self, capsys, tmp_path, key):
+        with pytest.raises(config_mod.ConfigError, match=f"unknown key '{key}'"):
+            config_mod.parse_config(f"{key} = 1\n")
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _out, err = run_cli(
+            capsys, "gen", "emg", "--intent-script", "open:1", "--config", str(cfg)
+        )
+        assert code == 2
+        assert f"unknown key '{key}'" in err
 
     def test_malformed_line_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "exo.cfg"

@@ -1,5 +1,8 @@
 """Intent inferral: classifier, vote smoothing, harness detector, screening."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +30,7 @@ from exobench.intent import (
     trace_accuracy,
     train_classifier,
 )
-from exobench.signals import EmgFrame, IntentLabel, ShoulderPosture
+from exobench.signals import IntentLabel, ShoulderPosture, SignalTrace
 from exobench.subject import preset_subject
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
@@ -35,26 +38,23 @@ OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 labels_st = st.sampled_from([OPEN, RELAX, CLOSE])
 
 
-def _frames(values, n=5):
-    return [EmgFrame(t=i * 0.02, channels=tuple(values)) for i in range(n)]
+def _window(values, n=5):
+    return np.tile(np.asarray(values, dtype=float), (n, 1))
 
 
 class TestFeatures:
     def test_mav_of_constant_window_is_exact(self):
         values = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-        feats = extract_features(_frames(values))
+        feats = extract_features(_window(values))
         assert np.array_equal(feats, np.asarray(values))
 
     def test_mav_averages_over_frames(self):
-        frames = [
-            EmgFrame(t=0.0, channels=(0.0,) * 8),
-            EmgFrame(t=0.02, channels=(1.0,) * 8),
-        ]
-        assert np.allclose(extract_features(frames), 0.5)
+        window = np.array([[0.0] * 8, [1.0] * 8])
+        assert np.allclose(extract_features(window), 0.5)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="at least one frame"):
-            extract_features([])
+            extract_features(np.empty((0, 8)))
 
 
 class TestClassifier:
@@ -97,6 +97,10 @@ class TestClassifier:
         scores = clf.scores(midpoint)
         assert scores[OPEN] == scores[CLOSE] > scores[RELAX]
         assert classify(clf, midpoint) is OPEN
+        # The same tie, decided for every frame of a trace at once.
+        trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.arange(12) / 50.0,
+                            samples=_window(midpoint, 12), annotations=())
+        assert [label for _t, label in classify_trace(clf, trace)] == [OPEN] * 12
 
     def test_argmax_invariant_to_feature_scale_direction(self, separable_classifier):
         # Doubling activation toward a class centroid must not flip away from it.
@@ -115,6 +119,23 @@ class TestClassifier:
     def test_json_schema_guard(self):
         with pytest.raises(ValueError, match="schema"):
             EmgClassifier.from_json('{"schema": "exobench/classifier-v9"}')
+
+    def test_json_has_no_hop(self, separable_classifier):
+        doc = json.loads(separable_classifier.to_json())
+        assert doc["schema"] == "exobench/classifier-v2"
+        assert "hop_s" not in doc
+        assert not hasattr(separable_classifier, "hop_s")
+
+    def test_v1_file_with_hop_is_rejected(self, separable_classifier):
+        doc = json.loads(separable_classifier.to_json())
+        doc.update(schema="exobench/classifier-v1", hop_s=0.02)
+        with pytest.raises(ValueError, match="classifier-v1"):
+            EmgClassifier.from_json(json.dumps(doc))
+
+    def test_train_classifier_takes_no_hop(self):
+        feats = [(np.full(8, 0.1 * (i + 1)), label) for i, label in enumerate(CLASS_ORDER)]
+        with pytest.raises(TypeError, match="hop_s"):
+            train_classifier(feats, hop_s=0.02)
 
     def test_rejects_non_finite_features(self, separable_classifier):
         bad = np.full(8, np.nan)
@@ -311,4 +332,98 @@ class TestWindowing:
         trace = signals.gen_emg_trace(subject.emg_profile("c"), [(RELAX, 1.0)])
         decisions = classify_trace(separable_classifier, trace)
         assert len(decisions) == len(trace.samples)
-        assert decisions[0][0] == trace.samples[0].t
+        assert decisions[0][0] == trace.t[0]
+
+    def test_adjacent_same_label_segments_form_one_window(self):
+        subject = preset_subject("separable", seed=2)
+        trace = signals.gen_emg_trace(subject.emg_profile("w"), [(RELAX, 1.0), (RELAX, 1.0)])
+        # 100 frames, 8-frame window: labels compare by value across the seam.
+        assert len(labeled_windows(trace)) == 93
+
+    def test_label_at_matches_annotation_scan(self):
+        trace = signals.gen_emg_trace(
+            signals.separable_profile(0), [(OPEN, 0.5), (RELAX, 0.5), (RELAX, 0.25)]
+        )
+        for t in [-0.1, 0.0, 0.49, 0.5, 0.99, 1.0, 1.2499, 1.25, 9.0]:
+            expected = next((lab for t0, t1, lab in trace.annotations if t0 <= t < t1), None)
+            assert trace.label_at(t) is expected
+
+
+# ---------------------------------------------------------------------------
+# The per-frame windowing loops, kept as the references for the array
+# pipeline: one slice, one feature vector and one scalar ``classify`` per frame.
+
+
+def _win(trace, window_s):
+    return max(1, int(round(window_s * trace.rate_hz)))
+
+
+def _reference_labeled_windows(trace, window_s):
+    frames, times, win = trace.samples, trace.t, _win(trace, window_s)
+    out = []
+    for i in range(win - 1, len(frames)):
+        label = trace.label_at(times[i - win + 1])
+        if label is not None and label is trace.label_at(times[i]):
+            out.append((extract_features(frames[i - win + 1 : i + 1]), label))
+    return out
+
+
+def _reference_classify_trace(classifier, trace):
+    frames, win = trace.samples, _win(trace, classifier.window_s)
+    return [
+        (float(trace.t[i]), classify(classifier, extract_features(frames[max(0, i - win + 1) : i + 1])))
+        for i in range(len(frames))
+    ]
+
+
+def _reference_trace_accuracy(classifier, trace):
+    pairs = _reference_labeled_windows(trace, classifier.window_s)
+    if not pairs:
+        raise ValueError("trace has no scoreable frames")
+    return sum(classify(classifier, f) is label for f, label in pairs) / len(pairs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _classifiers():
+    subject = preset_subject("distorted", seed=4)
+    script = [(label, 2.0) for label in CLASS_ORDER]
+    trace = signals.gen_emg_trace(subject.emg_profile("screen:train"), script)
+    inseparable = [(np.full(8, 0.5), label) for label in CLASS_ORDER for _ in range(4)]
+    return [train_classifier(labeled_windows(trace)), train_classifier(inseparable)]
+
+
+CLASSIFIERS = _classifiers()
+
+
+class TestArrayPipelineMatchesReference:
+    @given(
+        script=st.lists(
+            st.tuples(labels_st, st.sampled_from([0.05, 0.1, 0.3, 0.5]) | st.floats(0.01, 0.6)),
+            min_size=1, max_size=5,
+        ),
+        rate_hz=st.sampled_from([20.0, 37.0, 50.0, 1000.0]),
+        noise=st.floats(0.0, 1.0),
+        drift=st.floats(0.0, 1.0),
+        crosstalk=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        window_s=st.sampled_from([0.01, 0.05, intent.DEFAULT_WINDOW_S, 0.3]),
+        which=st.sampled_from([0, 0, 0, 1]),
+    )
+    def test_decisions_windows_and_accuracy(self, script, rate_hz, noise, drift, crosstalk,
+                                            seed, window_s, which):
+        profile = signals.make_profile(noise_std=noise, drift_rate=drift, crosstalk=crosstalk, seed=seed)
+        trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
+        clf = dataclasses.replace(CLASSIFIERS[which], window_s=window_s)
+
+        assert classify_trace(clf, trace) == _reference_classify_trace(clf, trace)
+        got = labeled_windows(trace, window_s)
+        want = _reference_labeled_windows(trace, window_s)
+        assert [label for _f, label in got] == [label for _f, label in want]
+        assert all(np.array_equal(f, g) for (f, _), (g, _) in zip(got, want))
+        assert _outcome(trace_accuracy, clf, trace) == _outcome(_reference_trace_accuracy, clf, trace)

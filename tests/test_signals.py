@@ -1,5 +1,6 @@
 """Signal model and trace serialization tests."""
 
+import json
 import math
 
 import numpy as np
@@ -8,31 +9,79 @@ from hypothesis import given, strategies as st
 
 from exobench import signals
 from exobench.signals import (
-    EmgFrame,
+    EMG_CHANNELS,
     IntentLabel,
-    LoadCellSample,
     ShoulderPosture,
     SignalProfile,
     SignalTrace,
 )
 
+_ROW = [0.1] * EMG_CHANNELS
 
-class TestFrames:
-    def test_emg_frame_requires_eight_channels(self):
+#: (kind, rows, error) for columns that the trace must reject. Each row is one
+#: sample: a list of eight activations for EMG, a tension for load.
+BAD_COLUMNS = {
+    "seven_channel_row": ("emg", [_ROW, [0.1] * 7], "8 channels"),
+    "activation_above_one": ("emg", [_ROW, [1.5] + [0.1] * 7], "finite"),
+    "nan_activation": ("emg", [[math.nan] + [0.1] * 7, _ROW], "finite"),
+    "negative_tension": ("load", [20.0, -1.0], "non-negative"),
+    "nan_tension": ("load", [20.0, math.nan], "finite"),
+}
+
+
+def _trace(kind, rows, t=None):
+    return SignalTrace(
+        kind=kind,
+        rate_hz=50.0,
+        t=[i / 50.0 for i in range(len(rows))] if t is None else t,
+        samples=rows,
+        annotations=(),
+    )
+
+
+def _jsonl(kind, rows, times=None):
+    """A trace file written by hand, one line per row, bypassing SignalTrace."""
+    key = "emg" if kind == "emg" else "tension"
+    times = [i / 50.0 for i in range(len(rows))] if times is None else times
+    header = {"schema": signals.TRACE_SCHEMA, "kind": kind, "rate_hz": 50.0,
+              "annotations": [], "meta": {}}
+    lines = [json.dumps(header)] + [json.dumps({"t": t, key: row}) for t, row in zip(times, rows)]
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnValidation:
+    @pytest.mark.parametrize("kind, rows, error", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
+    def test_constructor_rejects(self, kind, rows, error):
+        with pytest.raises(ValueError, match=error):
+            _trace(kind, rows)
+
+    @pytest.mark.parametrize("kind, rows, error", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
+    def test_from_jsonl_rejects(self, kind, rows, error):
+        with pytest.raises(ValueError, match=error):
+            SignalTrace.from_jsonl(_jsonl(kind, rows))
+
+    def test_every_row_needs_eight_channels(self):
         with pytest.raises(ValueError, match="8 channels"):
-            EmgFrame(t=0.0, channels=(0.1, 0.2))
+            _trace("emg", [[0.1] * 7, [0.1] * 7])
 
-    def test_emg_frame_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="finite"):
-            EmgFrame(t=0.0, channels=(1.5,) + (0.1,) * 7)
+    def test_t_and_samples_lengths_must_match(self):
+        with pytest.raises(ValueError, match="same length"):
+            _trace("load", [20.0, 21.0], t=[0.0, 0.02, 0.04])
+        with pytest.raises(ValueError, match="same length"):
+            _trace("emg", [_ROW, _ROW, _ROW], t=[0.0, 0.02])
 
-    def test_emg_frame_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            EmgFrame(t=0.0, channels=(math.nan,) + (0.1,) * 7)
+    def test_columns_are_read_only_arrays(self):
+        trace = _trace("emg", [_ROW, _ROW])
+        assert trace.t.shape == (2,) and trace.samples.shape == (2, EMG_CHANNELS)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.samples[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            trace.t[0] = 1.0
 
-    def test_load_sample_rejects_negative_tension(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            LoadCellSample(t=0.0, tension=-1.0)
+    def test_empty_trace_round_trips(self):
+        trace = signals.gen_emg_trace(signals.separable_profile(0), [(IntentLabel.OPEN, 0.001)])
+        assert trace.samples.shape == (0, EMG_CHANNELS)
+        assert SignalTrace.from_jsonl(trace.to_jsonl()).samples.shape == (0, EMG_CHANNELS)
 
 
 class TestProfiles:
@@ -106,10 +155,10 @@ class TestLoadTrace:
         ]
         trace = signals.gen_load_trace(script, seed=0)
         by_posture: dict[ShoulderPosture, list[float]] = {p: [] for p in ShoulderPosture}
-        for s in trace.samples:
-            label = trace.label_at(s.t)
+        for t, tension in zip(trace.t, trace.samples):
+            label = trace.label_at(t)
             if label is not None:
-                by_posture[label].append(s.tension)
+                by_posture[label].append(tension)
         # Steady-state medians sit on the configured per-posture levels.
         assert np.median(by_posture[ShoulderPosture.REST]) == pytest.approx(20.0, abs=1.0)
         assert np.median(by_posture[ShoulderPosture.ELEVATED]) == pytest.approx(40.0, abs=1.0)
@@ -119,7 +168,7 @@ class TestLoadTrace:
         trace = signals.gen_load_trace(
             [(ShoulderPosture.REST, 4.0)], rest_n=27.0, dither_amp=2.0, seed=3
         )
-        tensions = [s.tension for s in trace.samples]
+        tensions = trace.samples
         assert min(tensions) >= 25.0 - 1e-9
         assert max(tensions) <= 29.0 + 1e-9
 
@@ -165,17 +214,129 @@ class TestSerialization:
             SignalTrace.from_jsonl("")
 
     def test_rejects_overlapping_annotations(self):
-        samples = tuple(LoadCellSample(t=i / 50.0, tension=20.0) for i in range(50))
         with pytest.raises(ValueError, match="overlap"):
             SignalTrace(
                 kind="load",
                 rate_hz=50.0,
-                samples=samples,
+                t=np.arange(50) / 50.0,
+                samples=np.full(50, 20.0),
                 annotations=(
                     (0.0, 0.6, ShoulderPosture.REST),
                     (0.5, 1.0, ShoulderPosture.ELEVATED),
                 ),
             )
+
+
+# ---------------------------------------------------------------------------
+# The per-sample generator loops, kept as the references for the array
+# generators: same RNG draws, same float operations, one sample at a time.
+
+
+def _script_annotations(script):
+    annotations = []
+    t0 = 0.0
+    for label, duration in script:
+        annotations.append((t0, t0 + duration, label))
+        t0 += duration
+    return annotations, t0
+
+
+def _reference_emg(profile, script, rate_hz):
+    rng = np.random.default_rng(profile.seed)
+    annotations, total = _script_annotations(script)
+    means = {lab: np.asarray(profile.means[lab]) for lab in IntentLabel}
+    stds = {lab: np.sqrt(np.asarray(profile.variances[lab])) for lab in IntentLabel}
+    seg_idx = 0
+    times, rows = [], []
+    for t in np.arange(int(round(total * rate_hz))) / rate_hz:
+        while t >= annotations[seg_idx][1] and seg_idx < len(annotations) - 1:
+            seg_idx += 1
+        label = annotations[seg_idx][2]
+        fade = max(0.0, 1.0 - profile.drift_rate * t)
+        x = means[label] * fade + rng.standard_normal(EMG_CHANNELS) * stds[label]
+        if profile.crosstalk > 0.0:
+            x = (1.0 - profile.crosstalk) * x + profile.crosstalk * x.mean()
+        x = np.clip(x, 0.0, 1.0)
+        times.append(float(t))
+        rows.append([float(v) for v in x])
+    return times, rows
+
+
+def _reference_load(script, rate_hz, levels, ramp_s, noise_std, dither_amp, dither_hz, seed):
+    rng = np.random.default_rng(seed)
+    annotations, total = _script_annotations(script)
+    times, tensions = [], []
+    seg_idx = 0
+    prev_level = levels[script[0][0]]
+    seg_start = 0.0
+    seg_level = prev_level
+    for i in range(int(round(total * rate_hz))):
+        t = i / rate_hz
+        while t >= annotations[seg_idx][1] and seg_idx < len(annotations) - 1:
+            prev_level = levels[annotations[seg_idx][2]]
+            seg_idx += 1
+            seg_start = annotations[seg_idx][0]
+            seg_level = levels[annotations[seg_idx][2]]
+        ramp = min(ramp_s, annotations[seg_idx][1] - seg_start)
+        if ramp > 0 and t - seg_start < ramp:
+            base = prev_level + (seg_level - prev_level) * ((t - seg_start) / ramp)
+        else:
+            base = seg_level
+        tension = base
+        if dither_amp:
+            tension += dither_amp * math.sin(2.0 * math.pi * dither_hz * t)
+        if noise_std:
+            tension += noise_std * rng.standard_normal()
+        times.append(float(t))
+        tensions.append(float(max(0.0, tension)))
+    return times, tensions
+
+
+RATES = st.sampled_from([20.0, 37.0, 50.0, 1000.0])
+DURATIONS = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.7, 1.0]) | st.floats(0.01, 0.8)
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestArrayGeneratorsMatchReference:
+    @given(
+        script=st.lists(st.tuples(st.sampled_from(list(IntentLabel)), DURATIONS), min_size=1, max_size=5),
+        rate_hz=RATES,
+        noise=UNIT,
+        drift=UNIT,
+        crosstalk=UNIT | st.just(0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_emg_bit_for_bit(self, script, rate_hz, noise, drift, crosstalk, seed):
+        profile = signals.make_profile(noise_std=noise, drift_rate=drift, crosstalk=crosstalk, seed=seed)
+        trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
+        times, rows = _reference_emg(profile, script, rate_hz)
+        assert trace.t.tolist() == times
+        assert trace.samples.tolist() == rows
+
+    @given(
+        script=st.lists(st.tuples(st.sampled_from(list(ShoulderPosture)), DURATIONS), min_size=1, max_size=5),
+        rate_hz=RATES,
+        levels=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
+        ramp_s=st.sampled_from([0.0, 0.3, 5.0]) | st.floats(-1.0, 2.0),
+        noise_std=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 20.0),
+        dither_amp=st.sampled_from([0.0, 1.5]) | st.floats(-30.0, 30.0),
+        dither_hz=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_load_bit_for_bit(self, script, rate_hz, levels, ramp_s, noise_std, dither_amp,
+                              dither_hz, seed):
+        rest, elevated, depressed = levels
+        trace = signals.gen_load_trace(
+            script, rate_hz=rate_hz, rest_n=rest, elevated_n=elevated, depressed_n=depressed,
+            ramp_s=ramp_s, noise_std=noise_std, dither_amp=dither_amp, dither_hz=dither_hz,
+            seed=seed,
+        )
+        by_posture = {ShoulderPosture.REST: rest, ShoulderPosture.ELEVATED: elevated,
+                      ShoulderPosture.DEPRESSED: depressed}
+        times, tensions = _reference_load(script, rate_hz, by_posture, ramp_s, noise_std,
+                                          dither_amp, dither_hz, seed)
+        assert trace.t.tolist() == times
+        assert trace.samples.tolist() == tensions
 
 
 @given(st.integers(min_value=0, max_value=10_000))
