@@ -51,10 +51,6 @@ _KEYS = {
 }
 
 
-def known_keys() -> tuple[str, ...]:
-    return tuple(sorted(_KEYS))
-
-
 def parse_config(text: str) -> dict[str, object]:
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -18,23 +18,23 @@ episodes in lockstep on plain arrays, and ``run_episode`` is its
 one-episode case. Plant parameters are validated once, when a
 ``HandPlant`` is built, never per tick. The safety invariants are checked
 on every tick for every episode, and an episode that breaks one stops
-alone. Trajectories are recorded, as columns, only when the caller gets
-the logs back. The per-tick functions ``pid_step``, ``step_motor``,
+alone. A trajectory is one set of columns, one array per quantity with a
+row per tick, recorded only when the caller gets the logs back; its JSONL
+form and its summaries (time to open, motor reversals) are read straight
+from the columns. The per-tick functions ``pid_step``, ``step_motor``,
 ``step_plant`` and ``select_setpoint`` remain as the scalar reference the
 engine matches bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from exobench.signals import IntentLabel
+from exobench.signals import COMPACT_JSON, IntentLabel
 
 CONTROL_DT_S = 0.005
 TENSION_CAP_N = 100.0
@@ -205,9 +205,6 @@ class HandPlant:
         """Cable length absorbed by each digit's flexion."""
         return (self.moment_arm_mm * self.angles_deg * _DEG2RAD).sum(axis=1)
 
-    def flat_angles(self) -> list[float]:
-        return [float(v) for v in self.angles_deg.reshape(-1)]
-
 
 _DIGIT_SCALE = np.array([1.0, 1.05, 0.95, 0.85])
 _JOINT_SCALE = np.array([0.88, 1.0])  # fingertip component enlarges the PIP arm
@@ -354,44 +351,18 @@ def _settle_fsm(state: ControllerState, motor: MotorState, rom: RomCalibration) 
     return state
 
 
-@dataclass(frozen=True)
-class TrajectoryTick:
-    t: float
-    intent: IntentLabel
-    fsm: str
-    setpoint_mm: float | None
-    excursion_mm: float
-    tension_n: float
-    angles_deg: tuple[float, ...]
-    velocity_mm_s: float
-    effort: float
-
-
 _LABELS = tuple(IntentLabel)
 _LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
+_LABEL_NAMES = tuple(str(label) for label in _LABELS)
 _OPEN, _RELAX, _CLOSE = (_LABEL_CODE[label] for label in
                          (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 # Each hold state follows its move state: settling adds 1 to the code.
 _IDLE, _EXTENDING, _HOLD_OPEN, _RELEASING, _HOLD_CLOSED = range(len(FSM_STATES))
 
 
-def _tick(t, intent, fsm, setpoint, excursion, tension, angles, velocity, effort) -> TrajectoryTick:
-    return TrajectoryTick(
-        t=t,
-        intent=_LABELS[intent],
-        fsm=FSM_STATES[fsm],
-        setpoint_mm=None if setpoint != setpoint else setpoint,  # NaN: no command yet
-        excursion_mm=excursion,
-        tension_n=tension,
-        angles_deg=tuple(angles),
-        velocity_mm_s=velocity,
-        effort=effort,
-    )
-
-
 @dataclass(frozen=True, eq=False)
-class TrajectoryColumns(Sequence):
-    """A recorded trajectory as per-tick columns; item i is tick i as a TrajectoryTick.
+class TrajectoryColumns:
+    """A recorded trajectory: one array per quantity, one row per tick.
 
     ``intent`` and ``fsm`` hold indices into ``IntentLabel`` and
     ``FSM_STATES``, ``setpoint_mm`` is NaN before the first command, and
@@ -408,54 +379,37 @@ class TrajectoryColumns(Sequence):
     velocity_mm_s: np.ndarray
     effort: np.ndarray
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.t, self.intent, self.fsm, self.setpoint_mm, self.excursion_mm,
-                self.tension_n, self.angles_deg, self.velocity_mm_s, self.effort)
-
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        return _tick(*(column[i].tolist() for column in self._columns()))
-
-    def __iter__(self):
-        for row in zip(*(column.tolist() for column in self._columns())):
-            yield _tick(*row)
-
-
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass
 class TrajectoryLog:
-    """One episode's ticks: a list of TrajectoryTick, or TrajectoryColumns from the engine."""
+    """One episode's trajectory: the tick period and the recorded columns."""
 
     dt: float
-    ticks: Sequence[TrajectoryTick] = field(default_factory=list)
+    ticks: TrajectoryColumns
 
     def to_jsonl(self) -> str:
         header = {"schema": TRAJECTORY_SCHEMA, "dt_s": self.dt, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
-        encode = _COMPACT_JSON.encode
+        encode = COMPACT_JSON.encode
+        cols = self.ticks
         lines = [encode(header)]
-        for tick in self.ticks:
-            lines.append(encode(
-                {
-                    "t": tick.t,
-                    "intent": str(tick.intent),
-                    "fsm": tick.fsm,
-                    "sp": tick.setpoint_mm,
-                    "x": tick.excursion_mm,
-                    "F": tick.tension_n,
-                    "q": list(tick.angles_deg),
-                },
-            ))
+        lines += [
+            encode({
+                "t": t,
+                "intent": _LABEL_NAMES[intent],
+                "fsm": FSM_STATES[fsm],
+                "sp": None if sp != sp else sp,  # NaN: no command yet
+                "x": x,
+                "F": tension,
+                "q": q,
+            })
+            for t, intent, fsm, sp, x, tension, q in zip(
+                cols.t.tolist(), cols.intent.tolist(), cols.fsm.tolist(), cols.setpoint_mm.tolist(),
+                cols.excursion_mm.tolist(), cols.tension_n.tolist(), cols.angles_deg.tolist())
+        ]
         return "\n".join(lines) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
 
 
 @dataclass(frozen=True)
@@ -518,7 +472,7 @@ def run_episodes(
     tick and its outcome is a ``SafetyAbort``; the others run on. Otherwise
     the outcome is its ``TrajectoryLog`` when ``record`` is set and None
     when not. Trajectories are kept only when ``record`` is set, so an
-    abort's log is empty without it.
+    abort's log has no ticks without it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -570,13 +524,13 @@ def run_episodes(
     max_speed = motor_params.max_speed_mm_s
     tau, travel = motor_params.time_constant_s, motor_params.travel_mm
 
-    if record:
-        x_col = np.empty((n_episodes, n_max))
-        tension_col = np.empty((n_episodes, n_max))
-        velocity_col = np.empty((n_episodes, n_max))
-        effort_col = np.empty((n_episodes, n_max))
-        fsm_col = np.empty((n_episodes, n_max), dtype=np.int8)
-        angles_col = np.empty((n_episodes, n_max, len(DIGITS), len(JOINTS)))
+    width = n_max if record else 0
+    x_col = np.empty((n_episodes, width))
+    tension_col = np.empty((n_episodes, width))
+    velocity_col = np.empty((n_episodes, width))
+    effort_col = np.empty((n_episodes, width))
+    fsm_col = np.empty((n_episodes, width), dtype=np.int8)
+    angles_col = np.empty((n_episodes, width, len(DIGITS), len(JOINTS)))
 
     live = np.ones(n_episodes, dtype=bool)
     ends: dict[int, list[int]] = {}
@@ -673,24 +627,22 @@ def run_episodes(
 
     outcomes: list[TrajectoryLog | SafetyAbort | None] = []
     for e in range(n_episodes):
-        log = None
-        if record:
-            n = length[e]
-            log = TrajectoryLog(dt=dt, ticks=TrajectoryColumns(
-                t=t_col[:n],
-                intent=labels[e, :n],
-                fsm=fsm_col[e, :n],
-                setpoint_mm=setpoints[e, :n],
-                excursion_mm=x_col[e, :n],
-                tension_n=tension_col[e, :n],
-                angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
-                velocity_mm_s=velocity_col[e, :n],
-                effort=effort_col[e, :n],
-            ))
+        n = min(length[e], width)
+        log = TrajectoryLog(dt=dt, ticks=TrajectoryColumns(
+            t=t_col[:n],
+            intent=labels[e, :n],
+            fsm=fsm_col[e, :n],
+            setpoint_mm=setpoints[e, :n],
+            excursion_mm=x_col[e, :n],
+            tension_n=tension_col[e, :n],
+            angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
+            velocity_mm_s=velocity_col[e, :n],
+            effort=effort_col[e, :n],
+        ))
         if e in aborts:
-            outcomes.append(SafetyAbort(aborts[e], log if log is not None else TrajectoryLog(dt=dt)))
+            outcomes.append(SafetyAbort(aborts[e], log))
         else:
-            outcomes.append(log)
+            outcomes.append(log if record else None)
     return outcomes
 
 
@@ -720,23 +672,20 @@ def run_episode(
 
 
 def count_direction_reversals(log: TrajectoryLog, min_speed_mm_s: float = 0.5) -> int:
-    """Number of motor direction flips, ignoring speeds below the dead band."""
-    reversals = 0
-    last_sign = 0
-    for tick in log.ticks:
-        v = tick.velocity_mm_s
-        if abs(v) < min_speed_mm_s:
-            continue
-        sign = 1 if v > 0 else -1
-        if last_sign and sign != last_sign:
-            reversals += 1
-        last_sign = sign
-    return reversals
+    """Number of motor direction flips, ignoring speeds below the dead band.
+
+    A speed outside the band that is not positive (zero or NaN) counts as
+    the reverse direction.
+    """
+    v = log.ticks.velocity_mm_s
+    forward = v[~(np.abs(v) < min_speed_mm_s)] > 0.0
+    return int(np.count_nonzero(forward[1:] != forward[:-1]))
 
 
 def time_to_open(log: TrajectoryLog, threshold_deg: float = OPEN_THRESHOLD_DEG) -> float | None:
-    """First time every joint stays below the open threshold, if reached."""
-    for tick in log.ticks:
-        if max(tick.angles_deg) < threshold_deg:
-            return tick.t
-    return None
+    """First time every joint is below the open threshold, if reached.
+
+    A tick with a NaN joint angle never counts as open.
+    """
+    opened = np.flatnonzero((log.ticks.angles_deg < threshold_deg).all(axis=1))
+    return float(log.ticks.t[opened[0]]) if len(opened) else None

@@ -93,12 +93,23 @@ class EmgClassifier:
             raise ValueError("feature vector contains non-finite values")
         return {label: float(w @ f) + b for label, (w, b) in self._discriminants.items()}
 
+    def _score_rows(self, features: np.ndarray) -> np.ndarray:
+        """``scores`` for every row of an ``(N, 8)`` feature array, in CLASS_ORDER columns.
+
+        One matrix product, bit for bit equal to ``scores`` row by row. A
+        one-row product would take numpy's matrix-vector path, which rounds
+        differently, so a single row is scored as two.
+        """
+        if len(features) == 1:
+            return self._score_rows(np.repeat(features, 2, axis=0))[:1]
+        return features @ self._weights + self._biases
+
     def _decide(self, features: np.ndarray) -> np.ndarray:
         """``classify`` for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
 
-        The scores are one matrix product; exact ties resolve toward RELAX.
+        Exact ties resolve toward RELAX.
         """
-        scores = features @ self._weights + self._biases
+        scores = self._score_rows(features)
         best = scores == scores.max(axis=1, keepdims=True)
         return np.where(best[:, _RELAX], _RELAX, best.argmax(axis=1))
 

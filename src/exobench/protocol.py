@@ -13,7 +13,6 @@ logged as a single aggregate event.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -306,8 +305,9 @@ class SessionLog:
             "overflow": self.overflow,
             "free_training_s": self.free_training_s,
         }
-        lines = [json.dumps(header, separators=(",", ":"))]
-        lines += [json.dumps(e.to_doc(), separators=(",", ":")) for e in self.events]
+        encode = signals.COMPACT_JSON.encode
+        lines = [encode(header)]
+        lines += [encode(e.to_doc()) for e in self.events]
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:

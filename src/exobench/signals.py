@@ -39,6 +39,10 @@ DEFAULT_DEPRESSED_TENSION_N = 8.0
 
 TRACE_SCHEMA = "exobench/trace-v1"
 
+#: The encoder behind every JSONL line the package writes: compact
+#: separators, built once rather than on every ``json.dumps`` call.
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 class IntentLabel(Enum):
     """Hand intent classes shared by both control interfaces."""
@@ -253,11 +257,9 @@ class SignalTrace:
             "meta": dict(self.meta),
         }
         key = "emg" if self.kind == "emg" else "tension"
-        lines = [json.dumps(header, separators=(",", ":"))]
-        lines += [
-            json.dumps({"t": t, key: value}, separators=(",", ":"))
-            for t, value in zip(self.t.tolist(), self.samples.tolist())
-        ]
+        encode = COMPACT_JSON.encode
+        lines = [encode(header)]
+        lines += [encode({"t": t, key: value}) for t, value in zip(self.t.tolist(), self.samples.tolist())]
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:

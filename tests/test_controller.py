@@ -1,8 +1,10 @@
 """Actuation: PID, motor, finger plant, safety envelope, episode loop."""
 
+import json
 import math
 import struct
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from exobench import controller
 from exobench.controller import (
     CONTROL_DT_S,
     DEFAULT_GAINS,
+    FSM_STATES,
     TENSION_CAP_N,
     ControllerState,
     Episode,
@@ -22,8 +25,8 @@ from exobench.controller import (
     PidState,
     RomCalibration,
     SafetyAbort,
+    TrajectoryColumns,
     TrajectoryLog,
-    TrajectoryTick,
     calibrate_rom,
     count_direction_reversals,
     default_plant,
@@ -40,6 +43,7 @@ from exobench.controller import (
 from exobench.signals import IntentLabel
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
+_LABELS = tuple(IntentLabel)
 
 
 class TestRom:
@@ -214,9 +218,8 @@ class TestEpisode:
     def test_safety_envelope_holds_throughout(self):
         rom = calibrate_rom("M")
         log = run_episode([(0.0, OPEN), (2.5, CLOSE)], 5.0, rom, plant=flexed_plant("M", 4.0))
-        for tick in log.ticks:
-            assert tick.tension_n <= TENSION_CAP_N + 1e-9
-            assert min(tick.angles_deg) >= 0.0
+        assert np.all(log.ticks.tension_n <= TENSION_CAP_N + 1e-9)
+        assert np.all(log.ticks.angles_deg.min(axis=1) >= 0.0)
 
     def test_round_trip_has_single_reversal(self):
         rom = calibrate_rom("M")
@@ -226,11 +229,10 @@ class TestEpisode:
     def test_relax_only_parks_the_motor(self):
         rom = calibrate_rom("M")
         log = run_episode([(0.0, RELAX)], 1.0, rom, plant=flexed_plant("M"))
-        xs = {tick.excursion_mm for tick in log.ticks}
-        assert len(xs) == 1
+        assert len(set(log.ticks.excursion_mm.tolist())) == 1
         assert count_direction_reversals(log) == 0
-        assert all(tick.effort == 0.0 for tick in log.ticks)
-        assert all(tick.fsm == "IDLE" for tick in log.ticks)
+        assert np.all(log.ticks.effort == 0.0)
+        assert {FSM_STATES[f] for f in log.ticks.fsm.tolist()} == {"IDLE"}
 
     def test_episode_is_deterministic(self):
         rom = calibrate_rom("L")
@@ -241,8 +243,8 @@ class TestEpisode:
     def test_settles_into_hold_states(self):
         rom = calibrate_rom("M")
         log = run_episode([(0.0, OPEN), (2.5, CLOSE)], 5.0, rom, plant=flexed_plant("M"))
-        assert log.ticks[-1].fsm == "HOLD_CLOSED"
-        assert any(tick.fsm == "HOLD_OPEN" for tick in log.ticks)
+        assert FSM_STATES[log.ticks.fsm[-1]] == "HOLD_CLOSED"
+        assert "HOLD_OPEN" in {FSM_STATES[f] for f in log.ticks.fsm.tolist()}
 
     def test_non_finite_disturbance_aborts_with_partial_log(self):
         rom = calibrate_rom("M")
@@ -253,7 +255,7 @@ class TestEpisode:
         with pytest.raises(SafetyAbort, match="non-finite") as excinfo:
             run_episode([(0.0, OPEN)], 2.0, rom, plant=flexed_plant("M"), voluntary_nmm=disturbance)
         assert len(excinfo.value.log.ticks) > 0
-        assert excinfo.value.log.ticks[-1].t >= 0.5
+        assert excinfo.value.log.ticks.t[-1] >= 0.5
 
     def test_close_never_opens(self):
         rom = calibrate_rom("M")
@@ -273,26 +275,52 @@ class TestEpisode:
         assert '"schema": "exobench/trajectory-v1"' in lines[0].replace('":"', '": "')
 
 
-class TestReversalCounting:
-    def _log(self, velocities):
-        ticks = [
-            TrajectoryTick(
-                t=i * 0.005, intent=RELAX, fsm="IDLE", setpoint_mm=None,
-                excursion_mm=0.0, tension_n=0.0, angles_deg=(0.0,) * 8,
-                velocity_mm_s=v, effort=0.0,
-            )
-            for i, v in enumerate(velocities)
-        ]
-        return TrajectoryLog(dt=0.005, ticks=ticks)
+def _columns_log(velocity=None, angles=None):
+    """A log built from columns: the given velocities or (ticks, 8) angles, zeros elsewhere."""
+    n = len(velocity) if velocity is not None else len(angles)
+    zeros = np.zeros(n)
+    return TrajectoryLog(dt=CONTROL_DT_S, ticks=TrajectoryColumns(
+        t=np.arange(n) * CONTROL_DT_S,
+        intent=np.zeros(n, dtype=np.int8),
+        fsm=np.zeros(n, dtype=np.int8),
+        setpoint_mm=np.full(n, np.nan),
+        excursion_mm=zeros,
+        tension_n=zeros,
+        angles_deg=np.zeros((n, 8)) if angles is None else np.asarray(angles, dtype=float),
+        velocity_mm_s=zeros if velocity is None else np.asarray(velocity, dtype=float),
+        effort=zeros,
+    ))
 
+
+class TestReversalCounting:
     def test_dead_band_suppresses_dither(self):
-        assert count_direction_reversals(self._log([0.3, -0.3, 0.4, -0.2])) == 0
+        assert count_direction_reversals(_columns_log([0.3, -0.3, 0.4, -0.2])) == 0
 
     def test_counts_real_flips(self):
-        assert count_direction_reversals(self._log([1.0, 1.2, -1.0, 0.9])) == 2
+        assert count_direction_reversals(_columns_log([1.0, 1.2, -1.0, 0.9])) == 2
 
     def test_slow_crossing_between_fast_legs_ignored(self):
-        assert count_direction_reversals(self._log([2.0, 0.1, 2.0])) == 0
+        assert count_direction_reversals(_columns_log([2.0, 0.1, 2.0])) == 0
+
+    def test_edge_of_band_nan_and_zero_count_as_reverse(self):
+        assert count_direction_reversals(_columns_log([1.0, -0.5, 1.0]), 0.5) == 2
+        assert count_direction_reversals(_columns_log([1.0, 0.0, 1.0]), 0.0) == 2
+        assert count_direction_reversals(_columns_log([1.0, math.nan, 1.0])) == 2
+        assert count_direction_reversals(_columns_log([])) == 0
+
+
+class RefTick(NamedTuple):
+    """One tick of the scalar reference loop, as a row."""
+
+    t: float
+    intent: IntentLabel
+    fsm: str
+    setpoint_mm: float | None
+    excursion_mm: float
+    tension_n: float
+    angles_deg: tuple[float, ...]
+    velocity_mm_s: float
+    effort: float
 
 
 def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
@@ -321,11 +349,11 @@ def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
         motor = step_motor(motor, effort, motor_params, dt)
         plant, motor = step_plant(plant, motor, dt, voluntary(t))
         state = controller._settle_fsm(state, motor, rom)
-        ticks.append(TrajectoryTick(
+        ticks.append(RefTick(
             t=t, intent=intent, fsm=state.fsm, setpoint_mm=state.setpoint_mm,
             excursion_mm=motor.excursion_mm, tension_n=motor.tension_n,
-            angles_deg=tuple(plant.flat_angles()), velocity_mm_s=motor.velocity_mm_s,
-            effort=effort,
+            angles_deg=tuple(plant.angles_deg.reshape(-1).tolist()),
+            velocity_mm_s=motor.velocity_mm_s, effort=effort,
         ))
         angles = plant.angles_deg
         if not (np.all(np.isfinite(angles)) and math.isfinite(motor.excursion_mm)):
@@ -335,6 +363,58 @@ def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
         if np.any(angles < -1e-9):
             return ticks, f"hyperextension block breached at t={t:.3f}"
     return ticks, None
+
+
+def reference_jsonl(dt, ticks):
+    """The trajectory JSONL written from per-tick rows, one ``json.dumps`` per line."""
+    def dumps(doc):
+        return json.dumps(doc, separators=(",", ":"))
+
+    header = {"schema": controller.TRAJECTORY_SCHEMA, "dt_s": dt,
+              "joints": [f"{d}_{j}" for d in controller.DIGITS for j in controller.JOINTS]}
+    lines = [dumps(header)]
+    for tick in ticks:
+        lines.append(dumps({
+            "t": tick.t, "intent": str(tick.intent), "fsm": tick.fsm, "sp": tick.setpoint_mm,
+            "x": tick.excursion_mm, "F": tick.tension_n, "q": list(tick.angles_deg),
+        }))
+    return "\n".join(lines) + "\n"
+
+
+def reference_reversals(ticks, min_speed_mm_s=0.5):
+    """Motor direction flips, counted tick by tick."""
+    reversals = 0
+    last_sign = 0
+    for tick in ticks:
+        v = tick.velocity_mm_s
+        if abs(v) < min_speed_mm_s:
+            continue
+        sign = 1 if v > 0 else -1
+        if last_sign and sign != last_sign:
+            reversals += 1
+        last_sign = sign
+    return reversals
+
+
+def reference_time_to_open(ticks, threshold_deg=controller.OPEN_THRESHOLD_DEG):
+    """First tick time whose largest joint angle is below the threshold."""
+    for tick in ticks:
+        if max(tick.angles_deg) < threshold_deg:
+            return tick.t
+    return None
+
+
+def rows(columns):
+    """The recorded columns as RefTick rows, row by row."""
+    return [
+        RefTick(t, _LABELS[intent], FSM_STATES[fsm],
+                None if math.isnan(sp) else sp, x, tension, tuple(q), v, effort)
+        for t, intent, fsm, sp, x, tension, q, v, effort in zip(
+            columns.t.tolist(), columns.intent.tolist(), columns.fsm.tolist(),
+            columns.setpoint_mm.tolist(), columns.excursion_mm.tolist(),
+            columns.tension_n.tolist(), columns.angles_deg.tolist(),
+            columns.velocity_mm_s.tolist(), columns.effort.tolist())
+    ]
 
 
 def _bits(value):
@@ -347,14 +427,14 @@ def _bits(value):
 
 
 def _tick_bits(tick):
-    return tuple(_bits(getattr(tick, name)) for name in TrajectoryTick.__dataclass_fields__)
+    return tuple(_bits(value) for value in tick)
 
 
 def _outcome_bits(outcome):
     """(diagnostic or None, ticks as bit patterns) of an engine outcome."""
     if isinstance(outcome, SafetyAbort):
-        return outcome.diagnostic, [_tick_bits(tick) for tick in outcome.log.ticks]
-    return None, [_tick_bits(tick) for tick in outcome.ticks]
+        return outcome.diagnostic, [_tick_bits(tick) for tick in rows(outcome.log.ticks)]
+    return None, [_tick_bits(tick) for tick in rows(outcome.ticks)]
 
 
 def _reference_bits(episode, gains):
@@ -454,13 +534,41 @@ class TestBatchedEngine:
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
         log = run_episode(script, 7.0, rom, plant=flexed_plant("M", 2.0))
         ticks, _ = reference_episode(script, 7.0, rom, DEFAULT_GAINS, flexed_plant("M", 2.0))
-        assert log.to_jsonl() == TrajectoryLog(dt=CONTROL_DT_S, ticks=ticks).to_jsonl()
+        assert log.to_jsonl() == reference_jsonl(CONTROL_DT_S, ticks)
 
-    def test_tick_columns_index_like_a_list(self):
-        log = run_episode([(0.0, OPEN)], 0.05, calibrate_rom("M"), plant=flexed_plant("M"))
-        ticks = list(log.ticks)
-        assert len(ticks) == len(log.ticks) == 10
-        assert log.ticks[-1] == ticks[-1]
-        assert log.ticks[2:5] == ticks[2:5]
-        with pytest.raises(IndexError):
-            log.ticks[10]
+
+_SPEEDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, math.nan]) | st.floats(-5.0, 5.0)
+
+
+class TestSummariesMatchTickLoops:
+    @settings(max_examples=40)
+    @given(st.lists(_episodes(), min_size=1, max_size=4), st.booleans())
+    def test_engine_logs(self, episodes, record):
+        for episode, outcome in zip(episodes, run_episodes(episodes, record=record)):
+            if outcome is None:
+                continue
+            log = outcome.log if isinstance(outcome, SafetyAbort) else outcome
+            ticks = rows(log.ticks)
+            assert log.to_jsonl() == reference_jsonl(log.dt, ticks)
+            for band in (0.0, 0.5, 3.0):
+                assert count_direction_reversals(log, band) == reference_reversals(ticks, band)
+            for threshold in (controller.OPEN_THRESHOLD_DEG, 60.0):
+                assert time_to_open(log, threshold) == reference_time_to_open(ticks, threshold)
+
+    @given(st.lists(_SPEEDS, max_size=30), st.sampled_from([0.0, 0.5, 3.0]))
+    def test_reversals_at_band_edges_and_nan(self, speeds, band):
+        log = _columns_log(speeds)
+        assert count_direction_reversals(log, band) == reference_reversals(rows(log.ticks), band)
+
+    @given(st.lists(st.lists(st.sampled_from([0.0, 4.9, 5.0, 30.0, math.nan]),
+                             min_size=8, max_size=8), max_size=20))
+    def test_time_to_open_with_nan_rows(self, angles):
+        # The engine's NaN rows are NaN in every joint, as here.
+        angles = np.array(angles).reshape(-1, 8)
+        angles[np.isnan(angles).any(axis=1)] = np.nan
+        log = _columns_log(angles=angles)
+        assert time_to_open(log) == reference_time_to_open(rows(log.ticks))
+
+    def test_nan_anywhere_in_a_row_is_not_open(self):
+        log = _columns_log(angles=[[0.0] * 7 + [math.nan], [math.nan] + [0.0] * 7, [1.0] * 8])
+        assert time_to_open(log) == 2 * CONTROL_DT_S

@@ -427,3 +427,35 @@ class TestArrayPipelineMatchesReference:
         assert [label for _f, label in got] == [label for _f, label in want]
         assert all(np.array_equal(f, g) for (f, _), (g, _) in zip(got, want))
         assert _outcome(trace_accuracy, clf, trace) == _outcome(_reference_trace_accuracy, clf, trace)
+
+
+def _mirrored_classifier(rng):
+    """OPEN and CLOSE means and the covariance are mirrored across channels 0
+    and 1, so a feature vector with equal first channels often ties them."""
+    swap = np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]]
+    a = rng.normal(size=(8, 8))
+    cov = a @ a.T + 8.0 * np.eye(8)
+    mean = rng.uniform(0.0, 1.0, 8)
+    return EmgClassifier(
+        class_means={OPEN: mean, CLOSE: swap @ mean, RELAX: np.full(8, -10.0)},
+        covariance=(cov + swap @ cov @ swap.T) / 2.0,
+        priors={label: 1 / 3 for label in CLASS_ORDER},
+    )
+
+
+class TestOneRowScoring:
+    def test_one_row_matches_scalar_scores_and_classify(self):
+        rng = np.random.default_rng(5)
+        ties = 0
+        for _ in range(20):
+            clf = _mirrored_classifier(rng)
+            for f in rng.uniform(0.0, 1.0, size=(20, 8)):
+                f[1] = f[0]
+                trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.zeros(1),
+                                    samples=f[None, :], annotations=())
+                assert classify_trace(clf, trace) == [(0.0, classify(clf, f))]
+                scores = clf.scores(f)
+                want = np.array([[scores[label] for label in CLASS_ORDER]])
+                assert clf._score_rows(f[None, :]).tobytes() == want.tobytes()
+                ties += scores[OPEN] == scores[CLOSE]
+        assert ties > 100
