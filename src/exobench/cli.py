@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from exobench import config as config_mod
 from exobench import controller, intent as intent_mod, protocol, signals
 from exobench.signals import IntentLabel, ShoulderPosture
@@ -82,11 +84,16 @@ def _fraction(text: str) -> Fraction:
 def build_parser() -> _Parser:
     parser = _Parser(prog="exobench", description="Hand-orthosis study workbench.")
     parser.set_defaults(func=None)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    common.add_argument("--config", default=None,
+    # Each command takes only the flags it reads: every one writes --out, the
+    # generators and simulate draw from --seed, and a command that reads
+    # settings takes --config (and only such a command loads $EXO_CONFIG).
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file or directory")
+    config = argparse.ArgumentParser(add_help=False, parents=[out])
+    config.add_argument("--config", default=None,
                         help="key = value config file (default: $EXO_CONFIG if set)")
-    common.add_argument("--out", default=None, help="output file or directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
+    seeded.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
 
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -94,14 +101,14 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=None)
     gen_sub = gen.add_subparsers(dest="what", parser_class=_Parser)
 
-    g_emg = gen_sub.add_parser("emg", parents=[common], help="annotated EMG trace")
+    g_emg = gen_sub.add_parser("emg", parents=[seeded], help="annotated EMG trace")
     g_emg.add_argument("--intent-script", type=_intent_script, required=True,
                        metavar="SCRIPT", help='e.g. "open:2,relax:2,close:2"')
     g_emg.add_argument("--profile", choices=("separable", "distorted", "clean"), default="separable")
     g_emg.add_argument("--rate", type=float, default=None, help="sample rate in Hz (default 50)")
     g_emg.set_defaults(func=cmd_gen_emg)
 
-    g_load = gen_sub.add_parser("load", parents=[common], help="harness load-cell trace")
+    g_load = gen_sub.add_parser("load", parents=[seeded], help="harness load-cell trace")
     g_load.add_argument("--script", type=_posture_script, required=True,
                         metavar="SCRIPT", help='e.g. "rest:2,elevated:1,rest:1,depressed:1"')
     g_load.add_argument("--rate", type=float, default=None, help="sample rate in Hz (default 50)")
@@ -111,23 +118,23 @@ def build_parser() -> _Parser:
     g_load.add_argument("--dither-hz", type=float, default=1.5, help="sway frequency")
     g_load.set_defaults(func=cmd_gen_load)
 
-    g_cohort = gen_sub.add_parser("cohort", parents=[common],
+    g_cohort = gen_sub.add_parser("cohort", parents=[out],
                                   help="reference 11-subject outcome CSV")
     g_cohort.set_defaults(func=cmd_gen_cohort)
 
-    g_screen = gen_sub.add_parser("screening", parents=[common],
+    g_screen = gen_sub.add_parser("screening", parents=[seeded],
                                   help="training trace plus the six screening conditions")
     g_screen.add_argument("--subject", choices=("separable", "distorted", "table_bound"),
                           default="separable")
     g_screen.set_defaults(func=cmd_gen_screening)
 
-    p_screen = sub.add_parser("screen", parents=[common],
+    p_screen = sub.add_parser("screen", parents=[out],
                               help="run the control-interface screening over a trace directory")
     p_screen.add_argument("dir", help="directory holding train.jsonl and the six condition traces")
     p_screen.add_argument("--format", choices=("text", "json"), default="text")
     p_screen.set_defaults(func=cmd_screen)
 
-    p_episode = sub.add_parser("episode", parents=[common],
+    p_episode = sub.add_parser("episode", parents=[config],
                                help="run one controller episode from an intent script")
     p_episode.add_argument("--intent-script", type=_intent_script, required=True,
                            metavar="SCRIPT", help='e.g. "open:3,relax:1,close:3"')
@@ -135,7 +142,7 @@ def build_parser() -> _Parser:
     p_episode.add_argument("--mas", choices=subject_mod.MAS_GRADES, default=None)
     p_episode.set_defaults(func=cmd_episode)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[seeded],
                            help="simulate a subject's training sessions")
     p_sim.add_argument("--group", choices=("EMG", "SH"), default=None)
     p_sim.add_argument("--subject-id", default="S01")
@@ -146,7 +153,7 @@ def build_parser() -> _Parser:
                        help="task duration multiplier (default 1.0)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
+    p_analyze = sub.add_parser("analyze", parents=[config],
                                help="analyze an outcome CSV")
     p_analyze.add_argument("csv", help="cohort scores, CSV")
     p_analyze.add_argument("--q", type=_fraction, default=None,
@@ -157,7 +164,7 @@ def build_parser() -> _Parser:
     p_proto = sub.add_parser("protocol", help="protocol inspection")
     p_proto.set_defaults(func=None)
     proto_sub = p_proto.add_subparsers(dest="what", parser_class=_Parser)
-    p_tasks = proto_sub.add_parser("list-tasks", parents=[common],
+    p_tasks = proto_sub.add_parser("list-tasks", parents=[out],
                                    help="list the training tasks in order")
     p_tasks.set_defaults(func=cmd_protocol_tasks)
 
@@ -169,7 +176,10 @@ def build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> dict:
-    path = args.config if getattr(args, "config", None) else os.environ.get("EXO_CONFIG")
+    """Settings for a command that takes --config: that file, else $EXO_CONFIG, else none."""
+    if not hasattr(args, "config"):
+        return {}
+    path = args.config or os.environ.get("EXO_CONFIG")
     if not path:
         return {}
     return config_mod.load_config(path)
@@ -297,11 +307,12 @@ def cmd_episode(args, cfg) -> int:
     rom = controller.calibrate_rom(hand_size)
     plant = controller.flexed_plant(hand_size, controller.MAS_STIFFNESS[mas])
     t = 0.0
-    events = []
+    times, codes = [], []
     for label, seconds in args.intent_script:
-        events.append((t, label))
+        times.append(t)
+        codes.append(intent_mod.CLASS_ORDER.index(label))
         t += seconds
-    log = controller.run_episode(events, t, rom, plant=plant)
+    log = controller.run_episode((np.array(times), np.array(codes)), t, rom, plant=plant)
     _emit(log.to_jsonl(), args.out)
     return 0
 

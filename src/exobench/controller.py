@@ -21,16 +21,19 @@ on every tick for every episode, and an episode that breaks one stops
 alone. A trajectory is one set of columns, one array per quantity with a
 row per tick, recorded only when the caller gets the logs back; its JSONL
 form and its summaries (time to open, motor reversals) are read straight
-from the columns. The per-tick functions ``pid_step``, ``step_motor``,
-``step_plant`` and ``select_setpoint`` remain as the scalar reference the
-engine matches bit for bit.
+from the columns. The scalar reference the engine matches bit for bit,
+one tick of PID, motor, plant and setpoint at a time, lives with the tests
+in ``tests/reference.py``.
+
+An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
+being indices into ``IntentLabel``; the events need not be sorted.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,45 +107,12 @@ class PidGains:
             raise ValueError("clamps must be positive")
 
 
-@dataclass(frozen=True)
-class PidState:
-    integral: float = 0.0
-    prev_error: float | None = None
-
-
 # Tuned once against the M-size plant so a full retraction lands on the
 # 1.8 s device figure; the loop is type 1 (motor integrates velocity), so
 # proportional action alone settles with zero steady-state error, and kp
 # keeps the velocity-lag pole pair at critical damping so the approach
 # never overshoots. ki/kd stay available for experiments.
 DEFAULT_GAINS = PidGains(kp=0.4, ki=0.0, kd=0.0)
-
-
-def pid_step(
-    gains: PidGains,
-    setpoint: float,
-    measured: float,
-    dt: float,
-    state: PidState,
-) -> tuple[float, PidState]:
-    """One clamped PID update. Returns (effort in [-clamp, clamp], new state).
-
-    Anti-windup is conditional integration: the integral freezes whenever the
-    unsaturated output already exceeds the clamp in the error's direction.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    error = setpoint - measured
-    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
-    candidate = min(max(state.integral + error * dt, -gains.integral_clamp), gains.integral_clamp)
-    unsat = gains.kp * error + gains.ki * candidate + gains.kd * derivative
-    if abs(unsat) > gains.output_clamp and unsat * error > 0.0:
-        integral = state.integral  # would push further into saturation
-    else:
-        integral = candidate
-    out = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    effort = min(max(out, -gains.output_clamp), gains.output_clamp)
-    return effort, PidState(integral=integral, prev_error=error)
 
 
 @dataclass(frozen=True)
@@ -247,66 +217,6 @@ def flexed_plant(hand_size: str = "M", stiffness_scale: float = 1.0) -> HandPlan
     return replace(p, angles_deg=p.max_deg.copy())
 
 
-def step_plant(
-    plant: HandPlant,
-    motor: MotorState,
-    dt: float,
-    voluntary_nmm: float = 0.0,
-) -> tuple[HandPlant, MotorState]:
-    """Advance the finger plant one tick under the current cable excursion.
-
-    Per digit, cable stretch is take-up minus paid-out excursion; positive
-    stretch makes tension through the series cable stiffness. Total tension
-    is capped at the force limit and redistributed pro rata. Per joint:
-    torque = -tension * moment arm + stiffness * (rest - angle) + voluntary,
-    first-order rate = torque / damping, then integrate and clamp to
-    [0, max] (hyperextension block at zero, flexion stop at max).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    take_up = plant.cable_take_up_mm()
-    stretch = take_up - motor.excursion_mm
-    tension = plant.tendon_stiffness_n_mm * np.maximum(stretch, 0.0)
-    total = float(tension.sum())
-    cap = TENSION_CAP_N
-    if total > cap:
-        tension *= cap / total
-        total = cap
-
-    torque = (
-        -tension[:, None] * plant.moment_arm_mm
-        + plant.stiffness_nmm_deg * (plant.rest_deg - plant.angles_deg)
-        + voluntary_nmm
-    )
-    rate = torque / plant.damping_nmm_s_deg
-    angles = np.clip(plant.angles_deg + rate * dt, 0.0, plant.max_deg)
-    return replace(plant, angles_deg=angles), replace(motor, tension_n=total)
-
-
-def step_motor(motor: MotorState, effort: float, params: MotorParams, dt: float) -> MotorState:
-    """First-order velocity response toward effort * max speed, travel-limited."""
-    target = effort * params.max_speed_mm_s
-    velocity = motor.velocity_mm_s + (target - motor.velocity_mm_s) * dt / params.time_constant_s
-    excursion = motor.excursion_mm + velocity * dt
-    if excursion < 0.0:
-        excursion, velocity = 0.0, 0.0
-    elif excursion > params.travel_mm:
-        excursion, velocity = params.travel_mm, 0.0
-    return replace(motor, excursion_mm=excursion, velocity_mm_s=velocity, effort=effort)
-
-
-def passive_energy(plant: HandPlant, motor: MotorState) -> float:
-    """Lyapunov functional for the passive plant (fixed excursion, no inputs).
-
-    Joint-tone term plus cable-stretch term in consistent units; first-order
-    damped dynamics descend this function, which the passivity test checks.
-    """
-    tone = 0.5 * plant.stiffness_nmm_deg * (plant.angles_deg - plant.rest_deg) ** 2
-    stretch = np.maximum(plant.cable_take_up_mm() - motor.excursion_mm, 0.0)
-    cable = 0.5 * plant.tendon_stiffness_n_mm * stretch**2 / _DEG2RAD
-    return float(tone.sum() + cable.sum())
-
-
 # ---------------------------------------------------------------------------
 # Intent-to-setpoint state machine
 
@@ -316,45 +226,9 @@ FSM_STATES = ("IDLE", "EXTENDING", "HOLD_OPEN", "RELEASING", "HOLD_CLOSED")
 SETPOINT_TOL_MM = 0.25
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    fsm: str = "IDLE"
-    setpoint_mm: float | None = None
-    pid: PidState = field(default_factory=PidState)
-
-
-def select_setpoint(
-    intent: IntentLabel,
-    state: ControllerState,
-    rom: RomCalibration,
-) -> ControllerState:
-    """Map an intent to a setpoint: OPEN retracts, CLOSE extends, RELAX holds."""
-    if intent is IntentLabel.OPEN:
-        if state.setpoint_mm != rom.retracted_mm:
-            return replace(state, fsm="EXTENDING", setpoint_mm=rom.retracted_mm)
-        return state
-    if intent is IntentLabel.CLOSE:
-        if state.setpoint_mm != rom.extended_mm:
-            return replace(state, fsm="RELEASING", setpoint_mm=rom.extended_mm)
-        return state
-    return state  # RELAX: hold whatever was commanded
-
-
-def _settle_fsm(state: ControllerState, motor: MotorState, rom: RomCalibration) -> ControllerState:
-    if state.setpoint_mm is None:
-        return state
-    if abs(motor.excursion_mm - state.setpoint_mm) <= SETPOINT_TOL_MM:
-        if state.setpoint_mm == rom.retracted_mm and state.fsm == "EXTENDING":
-            return replace(state, fsm="HOLD_OPEN")
-        if state.setpoint_mm == rom.extended_mm and state.fsm == "RELEASING":
-            return replace(state, fsm="HOLD_CLOSED")
-    return state
-
-
 _LABELS = tuple(IntentLabel)
-_LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
 _LABEL_NAMES = tuple(str(label) for label in _LABELS)
-_OPEN, _RELAX, _CLOSE = (_LABEL_CODE[label] for label in
+_OPEN, _RELAX, _CLOSE = (_LABELS.index(label) for label in
                          (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 # Each hold state follows its move state: settling adds 1 to the code.
 _IDLE, _EXTENDING, _HOLD_OPEN, _RELEASING, _HOLD_CLOSED = range(len(FSM_STATES))
@@ -416,13 +290,14 @@ class TrajectoryLog:
 class Episode:
     """One episode for ``run_episodes``: its intent stream, length and hand.
 
-    ``plant`` defaults to ``default_plant()``; ``initial_motor`` defaults to
-    the motor parked at the plant's cable take-up (slack cable), clipped to
-    the travel. ``voluntary_nmm`` is a joint torque, constant or a function
-    of time.
+    ``intents`` is a ``(t, codes)`` stream: event times in seconds and their
+    indices into ``IntentLabel``. ``plant`` defaults to ``default_plant()``;
+    ``initial_motor`` defaults to the motor parked at the plant's cable
+    take-up (slack cable), clipped to the travel. ``voluntary_nmm`` is a
+    joint torque, constant or a function of time.
     """
 
-    intents: Sequence[tuple[float, IntentLabel]]
+    intents: tuple[np.ndarray, np.ndarray]
     duration_s: float
     rom: RomCalibration
     plant: HandPlant | None = None
@@ -432,19 +307,25 @@ class Episode:
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
+        t, codes = self.intents
+        if np.shape(t) != np.shape(codes) or np.ndim(t) != 1:
+            raise ValueError("an intent stream needs one code per event time")
 
 
 def _commands(
-    intents: Sequence[tuple[float, IntentLabel]], t: np.ndarray,
+    intents: tuple[np.ndarray, np.ndarray], t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per tick, the latest label with timestamp <= t and the command it holds.
 
-    Labels are RELAX before the first event; the held command is the latest
-    OPEN or CLOSE label so far, RELAX before the first.
+    Events are put in time order by a stable sort, so events at the same
+    time apply in their stream order and the last of them holds. Labels are
+    RELAX before the first event; the held command is the latest OPEN or
+    CLOSE label so far, RELAX before the first.
     """
-    events = sorted(intents, key=lambda e: e[0])
-    times = np.array([-math.inf] + [e[0] for e in events], dtype=float)
-    codes = np.array([_RELAX] + [_LABEL_CODE[e[1]] for e in events], dtype=np.int8)
+    event_t, event_codes = intents
+    order = np.argsort(event_t, kind="stable")
+    times = np.concatenate(([-math.inf], event_t[order]))
+    codes = np.concatenate(([_RELAX], event_codes[order])).astype(np.int8)
     labels = codes[np.searchsorted(times, t, side="right") - 1]
     # Index of the latest command; before the first, tick 0, which is RELAX.
     last = np.maximum.accumulate(np.where(labels != _RELAX, np.arange(len(t)), 0))
@@ -461,9 +342,8 @@ def run_episodes(
     """Run E episodes of the control loop in lockstep; one outcome per episode.
 
     State is held in (E, 4, 2) joint-angle and (E,) motor, PID and FSM
-    arrays, updated in the float order of ``pid_step``, ``step_motor``,
-    ``step_plant`` and ``select_setpoint``, so each episode matches those
-    primitives bit for bit. Setpoints depend only on the intent stream and
+    arrays, updated in the float order of the scalar reference's PID, motor,
+    plant and setpoint steps, so each episode matches it bit for bit. Setpoints depend only on the intent stream and
     are worked out before the loop: OPEN retracts, CLOSE extends, RELAX
     holds the last command.
 
@@ -550,11 +430,11 @@ def run_episodes(
             if live[e]:
                 voluntary[e] = episodes[e].voluntary_nmm(t)
         setpoint = setpoints[:, i]
-        if any_changed[i]:  # select_setpoint: a new command starts a move
+        if any_changed[i]:  # a new command starts a move
             moves = np.where(held[:, i] == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
             fsm = np.where(changed[:, i], moves, fsm)
 
-        # PID (pid_step). Before its first command an episode has no
+        # PID. Before its first command an episode has no
         # setpoint: effort 0 and the PID state untouched.
         error = setpoint - x
         derivative = np.where(has_prev, (error - prev_error) / dt, 0.0)
@@ -569,7 +449,7 @@ def run_episodes(
         prev_error = np.where(active, error, prev_error)
         has_prev |= active
 
-        # Motor (step_motor).
+        # Motor: first-order velocity lag, travel-limited.
         target = effort * max_speed
         velocity = velocity + (target - velocity) * dt / tau
         x = x + velocity * dt
@@ -578,7 +458,7 @@ def run_episodes(
             x = np.where(below, 0.0, np.where(beyond, travel, x))
             velocity = np.where(below | beyond, 0.0, velocity)
 
-        # Plant (step_plant).
+        # Plant: capped cable tension, tone and voluntary torque, clamped angles.
         take_up = (arm * angles * _DEG2RAD).sum(axis=-1)
         tension = tendon * np.maximum(take_up - x[:, None], 0.0)
         total = tension.sum(axis=-1)
@@ -594,7 +474,7 @@ def run_episodes(
         rate = torque / damping
         angles = np.clip(angles + rate * dt, 0.0, q_max)
 
-        # FSM settle (_settle_fsm): a move that reaches its setpoint holds.
+        # FSM settle: a move that reaches its setpoint holds.
         moving = (fsm == _EXTENDING) | (fsm == _RELEASING)
         fsm = fsm + (moving & (np.abs(x - setpoint) <= SETPOINT_TOL_MM))
 
@@ -647,7 +527,7 @@ def run_episodes(
 
 
 def run_episode(
-    intents: Sequence[tuple[float, IntentLabel]],
+    intents: tuple[np.ndarray, np.ndarray],
     duration_s: float,
     rom: RomCalibration,
     gains: PidGains = DEFAULT_GAINS,
@@ -657,7 +537,7 @@ def run_episode(
     voluntary_nmm: float | Callable[[float], float] = 0.0,
     initial_motor: MotorState | None = None,
 ) -> TrajectoryLog:
-    """Run the control loop over a timestamped intent stream: ``run_episodes`` for one.
+    """Run the control loop over a ``(t, codes)`` intent stream: ``run_episodes`` for one.
 
     At each tick the latest label with timestamp <= t applies (RELAX before
     the first event). Raises SafetyAbort (with the partial log attached) if

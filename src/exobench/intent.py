@@ -1,9 +1,15 @@
 """Intent inferral for both control interfaces.
 
+An intent stream is one pair of arrays, ``(t, codes)``: the time of every
+decision and its code, the label's index in ``CLASS_ORDER`` (which is also
+its index in ``IntentLabel``). Every stage below takes and returns that
+pair, whole traces at a time.
+
 EMG route: mean-absolute-value features over a sliding window feed a linear
 discriminant classifier (per-class means, one shared regularized covariance),
 and raw frame decisions pass through a majority-vote smoother. Ties at every
-stage break toward RELAX, the safe state.
+stage break toward RELAX, the safe state; a tied vote holds the previous
+output.
 
 Shoulder-harness route: a dual-threshold detector on load-cell tension with
 hysteresis. Shoulder elevation pushes tension above the close threshold,
@@ -21,19 +27,13 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from exobench.signals import (
-    EMG_CHANNELS,
-    IntentLabel,
-    ShoulderPosture,
-    SignalTrace,
-)
+from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
 
 DEFAULT_WINDOW_S = 0.15
 DEFAULT_VOTE_K = 5
@@ -43,17 +43,10 @@ HOLD_REQUIREMENT_S = 2.0
 ATTEMPTS_PER_CONDITION = 3
 
 CLASS_ORDER = (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE)
-_RELAX = CLASS_ORDER.index(IntentLabel.RELAX)
+_OPEN, _RELAX, _CLOSE = range(len(CLASS_ORDER))
 
 CLASSIFIER_SCHEMA = "exobench/classifier-v2"
 SCREENING_SCHEMA = "exobench/screening-v1"
-
-
-def extract_features(window) -> np.ndarray:
-    """Mean absolute value per channel over a ``(w, 8)`` window of EMG samples."""
-    if len(window) == 0:
-        raise ValueError("feature window must contain at least one frame")
-    return np.abs(np.asarray(window, dtype=float)).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,10 @@ class EmgClassifier:
         return features @ self._weights + self._biases
 
     def _decide(self, features: np.ndarray) -> np.ndarray:
-        """``classify`` for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
+        """The decision for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
 
-        Exact ties resolve toward RELAX.
+        The argmax of ``scores``; exact ties resolve toward RELAX, and a tie
+        between OPEN and CLOSE alone takes OPEN, the first in CLASS_ORDER.
         """
         scores = self._score_rows(features)
         best = scores == scores.max(axis=1, keepdims=True)
@@ -197,51 +191,30 @@ def train_classifier(
     )
 
 
-def classify(classifier: EmgClassifier, features: np.ndarray) -> IntentLabel:
-    """Argmax over discriminant scores; exact ties resolve toward RELAX."""
-    scores = classifier.scores(features)
-    best = max(scores.values())
-    tied = [label for label in CLASS_ORDER if scores[label] == best]
-    if IntentLabel.RELAX in tied:
-        return IntentLabel.RELAX
-    return tied[0]
+def smooth_intents(codes: np.ndarray, k: int = DEFAULT_VOTE_K) -> np.ndarray:
+    """Majority vote over the last k codes of a stream; a tie repeats the last output.
 
-
-class IntentSmoother:
-    """Majority vote over the last k raw decisions; ties hold the previous output."""
-
-    def __init__(self, k: int = DEFAULT_VOTE_K):
-        if k < 1:
-            raise ValueError("vote window k must be >= 1")
-        self.k = k
-        self._window: deque[IntentLabel] = deque(maxlen=k)
-        self._last: IntentLabel | None = None
-
-    def push(self, label: IntentLabel) -> IntentLabel:
-        self._window.append(label)
-        counts = Counter(self._window)
-        top = max(counts.values())
-        winners = [lab for lab, c in counts.items() if c == top]
-        if len(winners) == 1:
-            self._last = winners[0]
-        elif self._last is None:
-            # Tie before any emission: fall back to the safe state.
-            self._last = IntentLabel.RELAX if IntentLabel.RELAX in winners else winners[0]
-        return self._last
-
-
-def smooth_intents(labels: Iterable[IntentLabel], k: int = DEFAULT_VOTE_K) -> list[IntentLabel]:
-    """Apply majority-vote smoothing to a label stream. k=1 is the identity."""
-    smoother = IntentSmoother(k)
-    return [smoother.push(label) for label in labels]
+    Window counts come from a cumulative sum of one-hot codes. The first
+    window holds one code, so it always has a single winner. k=1 is the
+    identity.
+    """
+    if k < 1:
+        raise ValueError("vote window k must be >= 1")
+    n = len(codes)
+    totals = np.zeros((n + 1, len(CLASS_ORDER)), dtype=np.int64)
+    np.cumsum(codes[:, None] == np.arange(len(CLASS_ORDER)), axis=0, out=totals[1:])
+    counts = totals[1:] - totals[np.maximum(np.arange(n) + 1 - k, 0)]
+    single = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) == 1
+    last = np.maximum.accumulate(np.where(single, np.arange(n), 0))
+    return counts.argmax(axis=1)[last]
 
 
 def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-window MAV of every frame, and the label of each full window.
 
     Window offsets are added oldest first onto zero padding, the float order
-    of ``extract_features``. A label is the CLASS_ORDER index of the ground
-    truth at both ends of a full window when the two agree, else -1.
+    of a mean over one window slice. A label is the CLASS_ORDER index of the
+    ground truth at both ends of a full window when the two agree, else -1.
     """
     if trace.kind != "emg":
         raise ValueError("EMG trace required")
@@ -271,10 +244,13 @@ def labeled_windows(
     return [(mav[i], CLASS_ORDER[labels[i]]) for i in np.flatnonzero(labels >= 0)]
 
 
-def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> list[tuple[float, IntentLabel]]:
-    """Raw per-frame decisions over a trace, using trailing (possibly partial) windows."""
+def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Raw per-frame decisions over a trace, using trailing (possibly partial) windows.
+
+    Returns the stream ``(trace.t, codes)``.
+    """
     mav, _labels = _windows(trace, classifier.window_s)
-    return list(zip(trace.t.tolist(), [CLASS_ORDER[c] for c in classifier._decide(mav)]))
+    return trace.t, classifier._decide(mav)
 
 
 def trace_accuracy(classifier: EmgClassifier, trace: SignalTrace) -> float:
@@ -332,42 +308,19 @@ def calibrate_sh(
     )
 
 
-def tensions_by_posture(trace: SignalTrace) -> dict[ShoulderPosture, list[float]]:
-    """Split a load trace's samples by annotated posture."""
-    if trace.kind != "load":
-        raise ValueError("load trace required")
-    index = trace.annotation_index(trace.t)
-    postures = np.array([p for _t0, _t1, p in trace.annotations] + [None], dtype=object)[index]
-    return {p: trace.samples[postures == p].tolist() for p in ShoulderPosture}
+def detect_trace(config: ShConfig, trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The hysteresis rule over a load trace: the stream ``(trace.t, codes)``.
 
-
-def sh_detect(tension: float, config: ShConfig, prev: IntentLabel) -> IntentLabel:
-    """Hysteresis rule: >= t_close commands CLOSE, <= t_open commands OPEN,
-    the dead band in between holds the previous command."""
-    if tension >= config.t_close:
-        return IntentLabel.CLOSE
-    if tension <= config.t_open:
-        return IntentLabel.OPEN
-    return prev
-
-
-class ShDetector:
-    """Stateful wrapper around sh_detect; starts in RELAX (no command yet)."""
-
-    def __init__(self, config: ShConfig, initial: IntentLabel = IntentLabel.RELAX):
-        self.config = config
-        self.state = initial
-
-    def push(self, tension: float) -> IntentLabel:
-        self.state = sh_detect(tension, self.config, self.state)
-        return self.state
-
-
-def detect_trace(config: ShConfig, trace: SignalTrace) -> list[tuple[float, IntentLabel]]:
-    detector = ShDetector(config)
-    return [
-        (t, detector.push(tension)) for t, tension in zip(trace.t.tolist(), trace.samples.tolist())
-    ]
+    A tension at or above t_close commands CLOSE, one at or below t_open
+    commands OPEN, and any other value (NaN too) holds the previous command,
+    so each sample takes the code of the last crossing. The stream starts at
+    RELAX, before any crossing.
+    """
+    tension = trace.samples
+    crossing = np.select([tension >= config.t_close, tension <= config.t_open],
+                         [_CLOSE, _OPEN], -1)
+    last = np.maximum.accumulate(np.where(crossing >= 0, np.arange(len(tension)), -1))
+    return trace.t, np.where(last >= 0, crossing[last], _RELAX)
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +365,25 @@ class ScreeningReport:
 
 
 def max_hold_runs(
-    decisions: Sequence[tuple[float, IntentLabel]],
+    decisions: tuple[np.ndarray, np.ndarray],
     rate_hz: float,
     attempts: Sequence[tuple[float, float]],
     intent: IntentLabel,
 ) -> list[float]:
     """Longest continuous correct run inside each attempt interval, seconds.
 
-    Each decision frame counts for one sample period, so n consecutive
-    correct frames hold for n / rate_hz seconds.
+    ``decisions`` is a ``(t, codes)`` stream. Frames outside an attempt are
+    skipped, not counted as misses. Each decision frame counts for one sample
+    period, so n consecutive correct frames hold for n / rate_hz seconds.
     """
+    t, codes = decisions
+    correct = codes == CLASS_ORDER.index(intent)
     holds = []
     for t0, t1 in attempts:
-        best = 0
-        run = 0
-        for t, label in decisions:
-            if not t0 <= t < t1:
-                continue
-            if label is intent:
-                run += 1
-                best = max(best, run)
-            else:
-                run = 0
-        holds.append(best / rate_hz)
+        # Pad with misses so that every run has a start and an end edge.
+        edges = np.diff(np.concatenate(([0], correct[(t0 <= t) & (t < t1)], [0])).astype(np.int8))
+        runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+        holds.append(int(runs.max(initial=0)) / rate_hz)
     return holds
 
 
@@ -468,9 +417,8 @@ def screen_emg_eligibility(
                 f"condition {condition} must contain {ATTEMPTS_PER_CONDITION} "
                 f"attempts, found {len(attempts)}"
             )
-        raw = classify_trace(classifier, trace)
-        smoothed = smooth_intents([label for _t, label in raw], classifier.vote_k)
-        decisions = [(t, lab) for (t, _), lab in zip(raw, smoothed)]
+        t, raw = classify_trace(classifier, trace)
+        decisions = (t, smooth_intents(raw, classifier.vote_k))
         holds = max_hold_runs(decisions, trace.rate_hz, attempts, intent)
         results.append(
             ConditionResult(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -148,20 +148,6 @@ def build_session_plans(
             tasks=tasks,
         ))
     return plans
-
-
-def plan_to_text(plans: Sequence[SessionPlan]) -> str:
-    """Declarative plan listing: one header block, one line per session."""
-    if not plans:
-        raise ValueError("no sessions to serialize")
-    lines = [
-        f"subject = {plans[0].subject_id}",
-        f"active_minutes = {plans[0].active_budget_s / 60:g}",
-        f"tasks_per_session = {len(plans[0].tasks)}",
-    ]
-    for plan in plans:
-        lines.append(f"session {plan.session_index} = {plan.session_date.isoformat()}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +318,16 @@ def task_intent_stream(
     bundle: CalibrationBundle,
     session_index: int,
     task: TrainingTask,
-) -> tuple[list[tuple[float, IntentLabel]], float]:
-    """One representative grasp-release cycle through the group's interface."""
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """One representative grasp-release cycle through the group's interface.
+
+    Returns the ``(t, codes)`` intent stream and the cycle's duration.
+    """
     context = f"task:{session_index}:{task.task_id}"
     if subject.group == "EMG":
         trace = signals.gen_emg_trace(subject.emg_profile(context), list(_GRASP_SCRIPT))
-        raw = intent_mod.classify_trace(bundle.classifier, trace)
-        smoothed = intent_mod.smooth_intents([lab for _t, lab in raw], bundle.classifier.vote_k)
-        return [(t, lab) for (t, _), lab in zip(raw, smoothed)], trace.duration_s
+        t, raw = intent_mod.classify_trace(bundle.classifier, trace)
+        return (t, intent_mod.smooth_intents(raw, bundle.classifier.vote_k)), trace.duration_s
     trace = signals.gen_load_trace(
         list(_SH_TASK_SCRIPT),
         rest_n=subject.sh_rest_n, elevated_n=subject.sh_shrug_n,
@@ -353,7 +341,6 @@ def run_session(
     plan: SessionPlan,
     subject: Subject,
     duration_model: Callable[[TrainingTask], float] | None = None,
-    simulate_episodes: bool = True,
 ) -> SessionLog:
     """Execute one session: calibration, ordered tasks, budget accounting.
 
@@ -397,14 +384,12 @@ def run_session(
             break
     tasks = plan.tasks[:len(durations)]
 
-    aborts: list[controller.SafetyAbort | None] = [None] * len(tasks)
-    if simulate_episodes:
-        episodes = [
-            controller.Episode(*task_intent_stream(subject, bundle, plan.session_index, task),
-                               rom=bundle.rom, plant=plant)
-            for task in tasks
-        ]
-        aborts = controller.run_episodes(episodes, record=False)
+    episodes = [
+        controller.Episode(*task_intent_stream(subject, bundle, plan.session_index, task),
+                           rom=bundle.rom, plant=plant)
+        for task in tasks
+    ]
+    aborts = controller.run_episodes(episodes, record=False)
 
     for task, task_s, abort in zip(tasks, durations, aborts):
         log.events.append(SessionEvent(wall, "task_start", {"task": task.task_id}))

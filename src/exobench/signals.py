@@ -113,16 +113,6 @@ class SignalProfile:
             "seed": self.seed,
         }
 
-    @staticmethod
-    def from_meta(meta: Mapping) -> "SignalProfile":
-        return SignalProfile(
-            means={IntentLabel(k): tuple(v) for k, v in meta["means"].items()},
-            variances={IntentLabel(k): tuple(v) for k, v in meta["variances"].items()},
-            drift_rate=float(meta["drift_rate"]),
-            crosstalk=float(meta["crosstalk"]),
-            seed=int(meta["seed"]),
-        )
-
 
 #: Canonical class mean patterns: OPEN loads the extensor-side channels,
 #: CLOSE the flexor side, RELAX sits near the noise floor everywhere.
@@ -242,11 +232,6 @@ class SignalTrace:
         bounds = np.array([a[:2] for a in self.annotations] + [(math.nan, math.nan)], dtype=float)
         k = np.searchsorted(bounds[:-1, 1], times, side="right")
         return np.where(bounds[k, 0] <= times, k, -1)
-
-    def label_at(self, t: float):
-        """Ground-truth label at time t, or None between annotations."""
-        k = int(self.annotation_index(t))
-        return None if k < 0 else self.annotations[k][2]
 
     def to_jsonl(self) -> str:
         header = {

@@ -1,0 +1,302 @@
+"""Scalar references that the array code in ``exobench`` must match.
+
+Each function here is the one-sample or one-tick loop that the package once
+ran, kept so that property tests can check the array paths against it bit
+for bit. Nothing in ``src/`` imports this module.
+
+- Controller: the PID, motor, plant and setpoint primitives of one tick.
+- LDA: the feature vector and decision of one window.
+- Intent streams: the per-label vote smoother, the per-sample hysteresis
+  detector and the per-frame hold-run scan, on ``(t, IntentLabel)`` events.
+- Signals: the ground-truth label at one time.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from exobench.controller import (
+    _DEG2RAD,
+    SETPOINT_TOL_MM,
+    TENSION_CAP_N,
+    HandPlant,
+    MotorParams,
+    MotorState,
+    PidGains,
+    RomCalibration,
+)
+from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, EmgClassifier, ShConfig
+from exobench.signals import IntentLabel, SignalTrace
+
+# ---------------------------------------------------------------------------
+# Intent streams as (t, IntentLabel) events
+
+
+def stream(events: Iterable[tuple[float, IntentLabel]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(t, codes)`` arrays of ``(t, label)`` events, in the given order."""
+    events = list(events)
+    t = np.array([t for t, _label in events], dtype=float)
+    codes = np.array([CLASS_ORDER.index(label) for _t, label in events], dtype=np.int64)
+    return t, codes
+
+
+def events(intents: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, IntentLabel]]:
+    """The ``(t, label)`` events of a ``(t, codes)`` stream, in its order."""
+    t, codes = intents
+    return [(float(ti), CLASS_ORDER[int(c)]) for ti, c in zip(t, codes)]
+
+
+# ---------------------------------------------------------------------------
+# Controller primitives
+
+
+@dataclass(frozen=True)
+class PidState:
+    integral: float = 0.0
+    prev_error: float | None = None
+
+
+def pid_step(
+    gains: PidGains,
+    setpoint: float,
+    measured: float,
+    dt: float,
+    state: PidState,
+) -> tuple[float, PidState]:
+    """One clamped PID update. Returns (effort in [-clamp, clamp], new state).
+
+    Anti-windup is conditional integration: the integral freezes whenever the
+    unsaturated output already exceeds the clamp in the error's direction.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    error = setpoint - measured
+    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
+    candidate = min(max(state.integral + error * dt, -gains.integral_clamp), gains.integral_clamp)
+    unsat = gains.kp * error + gains.ki * candidate + gains.kd * derivative
+    if abs(unsat) > gains.output_clamp and unsat * error > 0.0:
+        integral = state.integral  # would push further into saturation
+    else:
+        integral = candidate
+    out = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    effort = min(max(out, -gains.output_clamp), gains.output_clamp)
+    return effort, PidState(integral=integral, prev_error=error)
+
+
+def step_plant(
+    plant: HandPlant,
+    motor: MotorState,
+    dt: float,
+    voluntary_nmm: float = 0.0,
+) -> tuple[HandPlant, MotorState]:
+    """Advance the finger plant one tick under the current cable excursion.
+
+    Per digit, cable stretch is take-up minus paid-out excursion; positive
+    stretch makes tension through the series cable stiffness. Total tension
+    is capped at the force limit and redistributed pro rata. Per joint:
+    torque = -tension * moment arm + stiffness * (rest - angle) + voluntary,
+    first-order rate = torque / damping, then integrate and clamp to
+    [0, max] (hyperextension block at zero, flexion stop at max).
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    take_up = plant.cable_take_up_mm()
+    stretch = take_up - motor.excursion_mm
+    tension = plant.tendon_stiffness_n_mm * np.maximum(stretch, 0.0)
+    total = float(tension.sum())
+    cap = TENSION_CAP_N
+    if total > cap:
+        tension *= cap / total
+        total = cap
+
+    torque = (
+        -tension[:, None] * plant.moment_arm_mm
+        + plant.stiffness_nmm_deg * (plant.rest_deg - plant.angles_deg)
+        + voluntary_nmm
+    )
+    rate = torque / plant.damping_nmm_s_deg
+    angles = np.clip(plant.angles_deg + rate * dt, 0.0, plant.max_deg)
+    return replace(plant, angles_deg=angles), replace(motor, tension_n=total)
+
+
+def step_motor(motor: MotorState, effort: float, params: MotorParams, dt: float) -> MotorState:
+    """First-order velocity response toward effort * max speed, travel-limited."""
+    target = effort * params.max_speed_mm_s
+    velocity = motor.velocity_mm_s + (target - motor.velocity_mm_s) * dt / params.time_constant_s
+    excursion = motor.excursion_mm + velocity * dt
+    if excursion < 0.0:
+        excursion, velocity = 0.0, 0.0
+    elif excursion > params.travel_mm:
+        excursion, velocity = params.travel_mm, 0.0
+    return replace(motor, excursion_mm=excursion, velocity_mm_s=velocity, effort=effort)
+
+
+def passive_energy(plant: HandPlant, motor: MotorState) -> float:
+    """Lyapunov functional for the passive plant (fixed excursion, no inputs).
+
+    Joint-tone term plus cable-stretch term in consistent units; first-order
+    damped dynamics descend this function, which the passivity test checks.
+    """
+    tone = 0.5 * plant.stiffness_nmm_deg * (plant.angles_deg - plant.rest_deg) ** 2
+    stretch = np.maximum(plant.cable_take_up_mm() - motor.excursion_mm, 0.0)
+    cable = 0.5 * plant.tendon_stiffness_n_mm * stretch**2 / _DEG2RAD
+    return float(tone.sum() + cable.sum())
+
+
+@dataclass(frozen=True)
+class ControllerState:
+    fsm: str = "IDLE"
+    setpoint_mm: float | None = None
+    pid: PidState = field(default_factory=PidState)
+
+
+def select_setpoint(
+    intent: IntentLabel,
+    state: ControllerState,
+    rom: RomCalibration,
+) -> ControllerState:
+    """Map an intent to a setpoint: OPEN retracts, CLOSE extends, RELAX holds."""
+    if intent is IntentLabel.OPEN:
+        if state.setpoint_mm != rom.retracted_mm:
+            return replace(state, fsm="EXTENDING", setpoint_mm=rom.retracted_mm)
+        return state
+    if intent is IntentLabel.CLOSE:
+        if state.setpoint_mm != rom.extended_mm:
+            return replace(state, fsm="RELEASING", setpoint_mm=rom.extended_mm)
+        return state
+    return state  # RELAX: hold whatever was commanded
+
+
+def settle_fsm(state: ControllerState, motor: MotorState, rom: RomCalibration) -> ControllerState:
+    if state.setpoint_mm is None:
+        return state
+    if abs(motor.excursion_mm - state.setpoint_mm) <= SETPOINT_TOL_MM:
+        if state.setpoint_mm == rom.retracted_mm and state.fsm == "EXTENDING":
+            return replace(state, fsm="HOLD_OPEN")
+        if state.setpoint_mm == rom.extended_mm and state.fsm == "RELEASING":
+            return replace(state, fsm="HOLD_CLOSED")
+    return state
+
+
+# ---------------------------------------------------------------------------
+# LDA on one window
+
+
+def extract_features(window) -> np.ndarray:
+    """Mean absolute value per channel over a ``(w, 8)`` window of EMG samples."""
+    if len(window) == 0:
+        raise ValueError("feature window must contain at least one frame")
+    return np.abs(np.asarray(window, dtype=float)).mean(axis=0)
+
+
+def classify(classifier: EmgClassifier, features: np.ndarray) -> IntentLabel:
+    """Argmax over discriminant scores; exact ties resolve toward RELAX."""
+    scores = classifier.scores(features)
+    best = max(scores.values())
+    tied = [label for label in CLASS_ORDER if scores[label] == best]
+    if IntentLabel.RELAX in tied:
+        return IntentLabel.RELAX
+    return tied[0]
+
+
+# ---------------------------------------------------------------------------
+# Vote smoother, hysteresis detector and hold runs, one label at a time
+
+
+class IntentSmoother:
+    """Majority vote over the last k raw decisions; ties hold the previous output."""
+
+    def __init__(self, k: int = DEFAULT_VOTE_K):
+        if k < 1:
+            raise ValueError("vote window k must be >= 1")
+        self.k = k
+        self._window: deque[IntentLabel] = deque(maxlen=k)
+        self._last: IntentLabel | None = None
+
+    def push(self, label: IntentLabel) -> IntentLabel:
+        self._window.append(label)
+        counts = Counter(self._window)
+        top = max(counts.values())
+        winners = [lab for lab, c in counts.items() if c == top]
+        if len(winners) == 1:
+            self._last = winners[0]
+        elif self._last is None:
+            # Tie before any emission: fall back to the safe state.
+            self._last = IntentLabel.RELAX if IntentLabel.RELAX in winners else winners[0]
+        return self._last
+
+
+def smooth_intents(labels: Iterable[IntentLabel], k: int = DEFAULT_VOTE_K) -> list[IntentLabel]:
+    """Apply majority-vote smoothing to a label stream. k=1 is the identity."""
+    smoother = IntentSmoother(k)
+    return [smoother.push(label) for label in labels]
+
+
+def sh_detect(tension: float, config: ShConfig, prev: IntentLabel) -> IntentLabel:
+    """Hysteresis rule: >= t_close commands CLOSE, <= t_open commands OPEN,
+    the dead band in between holds the previous command."""
+    if tension >= config.t_close:
+        return IntentLabel.CLOSE
+    if tension <= config.t_open:
+        return IntentLabel.OPEN
+    return prev
+
+
+class ShDetector:
+    """Stateful wrapper around sh_detect; starts in RELAX (no command yet)."""
+
+    def __init__(self, config: ShConfig, initial: IntentLabel = IntentLabel.RELAX):
+        self.config = config
+        self.state = initial
+
+    def push(self, tension: float) -> IntentLabel:
+        self.state = sh_detect(tension, self.config, self.state)
+        return self.state
+
+
+def detect_trace(config: ShConfig, trace: SignalTrace) -> list[tuple[float, IntentLabel]]:
+    detector = ShDetector(config)
+    return [
+        (t, detector.push(tension)) for t, tension in zip(trace.t.tolist(), trace.samples.tolist())
+    ]
+
+
+def max_hold_runs(
+    decisions: Sequence[tuple[float, IntentLabel]],
+    rate_hz: float,
+    attempts: Sequence[tuple[float, float]],
+    intent: IntentLabel,
+) -> list[float]:
+    """Longest continuous correct run inside each attempt interval, seconds.
+
+    Each decision frame counts for one sample period, so n consecutive
+    correct frames hold for n / rate_hz seconds.
+    """
+    holds = []
+    for t0, t1 in attempts:
+        best = 0
+        run = 0
+        for t, label in decisions:
+            if not t0 <= t < t1:
+                continue
+            if label is intent:
+                run += 1
+                best = max(best, run)
+            else:
+                run = 0
+        holds.append(best / rate_hz)
+    return holds
+
+
+# ---------------------------------------------------------------------------
+# Ground truth at one time
+
+
+def label_at(trace: SignalTrace, t: float):
+    """Ground-truth label at time t, or None between annotations."""
+    k = int(trace.annotation_index(t))
+    return None if k < 0 else trace.annotations[k][2]

@@ -33,7 +33,7 @@ from exobench.controller import (
     run_episodes,
     time_to_open,
 )
-from exobench.intent import ShConfig, ShDetector, detect_trace, screening_script
+from exobench.intent import CLASS_ORDER, ShConfig, detect_trace, screening_script
 from exobench.outcomes import golden, report
 from exobench.outcomes.model import display_round
 from exobench.outcomes.stats import bh_procedure, exact_wilcoxon_p, paired_t
@@ -228,7 +228,8 @@ def test_criterion_4_paired_t_reference():
 
 def test_criterion_5_controller_timing_and_safety():
     rom = calibrate_rom("M")
-    log = run_episode([(0.0, OPEN)], 2.5, rom, plant=flexed_plant("M"))
+    log = run_episode((np.zeros(1), np.array([CLASS_ORDER.index(OPEN)])), 2.5, rom,
+                      plant=flexed_plant("M"))
     opened = time_to_open(log)
     assert opened is not None
     assert 1.8 * 0.9 <= opened <= 1.8 * 1.1
@@ -241,8 +242,8 @@ def test_criterion_5_controller_timing_and_safety():
         plant = flexed_plant("M", stiffness) if rng.random() < 0.5 else default_plant("M", stiffness)
         n_events = int(rng.integers(1, 5))
         times = np.sort(rng.uniform(0.0, 1.8, size=n_events))
-        script = [(float(t), labels[int(rng.integers(0, 3))]) for t in times]
-        episodes.append(Episode(script, 2.0, rom, plant=plant))
+        codes = [CLASS_ORDER.index(labels[int(rng.integers(0, 3))]) for _t in times]
+        episodes.append(Episode((times, np.array(codes)), 2.0, rom, plant=plant))
     tension_violations = 0
     angle_violations = 0
     ticks_checked = 0
@@ -265,13 +266,15 @@ def test_criterion_6_hysteresis_and_dither():
     config = ShConfig(t_open=14.0, t_close=30.0)
 
     # Any trace confined to the open interval leaves the detector constant.
+    relax = CLASS_ORDER.index(RELAX)
     rng = np.random.default_rng(66)
     for _ in range(200):
         n = int(rng.integers(1, 300))
         tensions = rng.uniform(14.0 + 1e-6, 30.0 - 1e-6, size=n)
-        detector = ShDetector(config)
-        outputs = {detector.push(float(t)) for t in tensions}
-        assert outputs == {RELAX}
+        trace = signals.SignalTrace(kind="load", rate_hz=50.0, t=np.arange(n) / 50.0,
+                                    samples=tensions, annotations=())
+        _t, codes = detect_trace(config, trace)
+        assert set(codes.tolist()) == {relax}
 
     # Scripted dither: +/- 2 N sway around 3 N below the close threshold,
     # well inside the 16 N wide band, end to end through detection and the
@@ -283,7 +286,7 @@ def test_criterion_6_hysteresis_and_dither():
         seed=6,
     )
     decisions = detect_trace(config, trace)
-    assert {label for _t, label in decisions} == {RELAX}
+    assert set(decisions[1].tolist()) == {relax}
 
     rom = calibrate_rom("M")
     log = run_episode(decisions, trace.duration_s, rom, plant=flexed_plant("M"))

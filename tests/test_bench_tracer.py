@@ -14,6 +14,7 @@ import pytest
 
 from exobench.controller import Episode, SafetyAbort, calibrate_rom, run_episode, run_episodes
 from exobench.signals import IntentLabel
+from reference import stream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,14 +35,14 @@ def test_every_traced_name_resolves(tracer):
 
 
 def test_tick_counters_read_an_episode_log(tracer):
-    log = run_episode([(0.0, IntentLabel.OPEN)], 0.5, calibrate_rom("M"))
+    log = run_episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"))
     assert len(log.ticks) == 100
     assert tracer._ticks_of_self((log,), None) == 100
     assert tracer._ticks_of_result((), log) == 100
 
 
 def test_tick_counters_read_zero_for_an_unrecorded_abort(tracer):
-    episode = Episode([(0.0, IntentLabel.OPEN)], 0.5, calibrate_rom("M"),
+    episode = Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"),
                       voluntary_nmm=lambda t: math.nan if t > 0.2 else 0.0)
     (abort,) = run_episodes([episode], record=False)
     assert isinstance(abort, SafetyAbort)

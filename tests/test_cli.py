@@ -292,6 +292,50 @@ class TestConfig:
         assert "line 1" in err
 
 
+#: Commands that read no seed, as argv templates; ``{root}`` holds their inputs.
+UNSEEDED = {
+    "episode": ["episode", "--intent-script", "open:0.1"],
+    "analyze": ["analyze", "{root}/cohort.csv"],
+    "screen": ["screen", "{root}/screening"],
+    "gen cohort": ["gen", "cohort"],
+    "protocol list-tasks": ["protocol", "list-tasks"],
+}
+#: Commands that read no settings.
+UNCONFIGURED = ("screen", "gen cohort", "protocol list-tasks")
+
+
+class TestUnreadFlags:
+    """A command takes only the flags it reads."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        assert cli.main(["gen", "screening", "--out", str(root / "screening")]) == 0
+        (root / "cohort.csv").write_text(golden.golden_cohort_csv())
+        return root
+
+    @pytest.mark.parametrize("name", UNSEEDED)
+    def test_seed_is_rejected(self, capsys, root, name):
+        argv = [arg.format(root=root) for arg in UNSEEDED[name]]
+        assert run_cli(capsys, *argv)[0] == 0
+        code, _out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 1
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("name", UNCONFIGURED)
+    def test_config_is_rejected_and_env_is_not_read(self, capsys, root, tmp_path, monkeypatch,
+                                                    name):
+        argv = [arg.format(root=root) for arg in UNSEEDED[name]]
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text("seed 7\n")
+        code, _out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert "--config" in err
+        monkeypatch.setenv("EXO_CONFIG", str(cfg))
+        assert run_cli(capsys, "gen", "emg", "--intent-script", "open:1")[0] == 2  # control
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 class TestTopLevel:
     def test_no_arguments_prints_usage(self, capsys):
         code, _out, err = run_cli(capsys)

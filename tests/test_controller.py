@@ -16,13 +16,10 @@ from exobench.controller import (
     DEFAULT_GAINS,
     FSM_STATES,
     TENSION_CAP_N,
-    ControllerState,
     Episode,
-    HandPlant,
     MotorParams,
     MotorState,
     PidGains,
-    PidState,
     RomCalibration,
     SafetyAbort,
     TrajectoryColumns,
@@ -31,16 +28,23 @@ from exobench.controller import (
     count_direction_reversals,
     default_plant,
     flexed_plant,
-    passive_energy,
-    pid_step,
     run_episode,
     run_episodes,
-    select_setpoint,
-    step_motor,
-    step_plant,
     time_to_open,
 )
 from exobench.signals import IntentLabel
+from reference import (
+    ControllerState,
+    PidState,
+    events,
+    passive_energy,
+    pid_step,
+    select_setpoint,
+    settle_fsm,
+    step_motor,
+    step_plant,
+    stream,
+)
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 _LABELS = tuple(IntentLabel)
@@ -210,25 +214,26 @@ class TestSetpointSelection:
 class TestEpisode:
     def test_default_open_time_hits_device_figure(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, OPEN)], 2.5, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, OPEN)]), 2.5, rom, plant=flexed_plant("M"))
         opened = time_to_open(log)
         assert opened is not None
         assert 1.62 <= opened <= 1.98
 
     def test_safety_envelope_holds_throughout(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, OPEN), (2.5, CLOSE)], 5.0, rom, plant=flexed_plant("M", 4.0))
+        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+                          plant=flexed_plant("M", 4.0))
         assert np.all(log.ticks.tension_n <= TENSION_CAP_N + 1e-9)
         assert np.all(log.ticks.angles_deg.min(axis=1) >= 0.0)
 
     def test_round_trip_has_single_reversal(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, OPEN), (2.5, CLOSE)], 5.0, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom, plant=flexed_plant("M"))
         assert count_direction_reversals(log) == 1
 
     def test_relax_only_parks_the_motor(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, RELAX)], 1.0, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, RELAX)]), 1.0, rom, plant=flexed_plant("M"))
         assert len(set(log.ticks.excursion_mm.tolist())) == 1
         assert count_direction_reversals(log) == 0
         assert np.all(log.ticks.effort == 0.0)
@@ -236,13 +241,13 @@ class TestEpisode:
 
     def test_episode_is_deterministic(self):
         rom = calibrate_rom("L")
-        a = run_episode([(0.0, OPEN), (2.0, CLOSE)], 4.0, rom, plant=flexed_plant("L", 2.0))
-        b = run_episode([(0.0, OPEN), (2.0, CLOSE)], 4.0, rom, plant=flexed_plant("L", 2.0))
+        a = run_episode(stream([(0.0, OPEN), (2.0, CLOSE)]), 4.0, rom, plant=flexed_plant("L", 2.0))
+        b = run_episode(stream([(0.0, OPEN), (2.0, CLOSE)]), 4.0, rom, plant=flexed_plant("L", 2.0))
         assert a.to_jsonl() == b.to_jsonl()
 
     def test_settles_into_hold_states(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, OPEN), (2.5, CLOSE)], 5.0, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom, plant=flexed_plant("M"))
         assert FSM_STATES[log.ticks.fsm[-1]] == "HOLD_CLOSED"
         assert "HOLD_OPEN" in {FSM_STATES[f] for f in log.ticks.fsm.tolist()}
 
@@ -253,22 +258,27 @@ class TestEpisode:
             return math.nan if t > 0.5 else 0.0
 
         with pytest.raises(SafetyAbort, match="non-finite") as excinfo:
-            run_episode([(0.0, OPEN)], 2.0, rom, plant=flexed_plant("M"), voluntary_nmm=disturbance)
+            run_episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M"),
+                        voluntary_nmm=disturbance)
         assert len(excinfo.value.log.ticks) > 0
         assert excinfo.value.log.ticks.t[-1] >= 0.5
 
     def test_close_never_opens(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, CLOSE)], 1.0, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, CLOSE)]), 1.0, rom, plant=flexed_plant("M"))
         assert time_to_open(log) is None
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError, match="duration"):
-            run_episode([], 0.0, calibrate_rom("M"))
+            run_episode(stream([]), 0.0, calibrate_rom("M"))
+
+    def test_rejects_unpaired_stream(self):
+        with pytest.raises(ValueError, match="one code per event time"):
+            run_episode((np.zeros(2), np.zeros(3, dtype=np.int64)), 1.0, calibrate_rom("M"))
 
     def test_trajectory_jsonl_round_numbers(self):
         rom = calibrate_rom("M")
-        log = run_episode([(0.0, OPEN)], 0.1, rom, plant=flexed_plant("M"))
+        log = run_episode(stream([(0.0, OPEN)]), 0.1, rom, plant=flexed_plant("M"))
         text = log.to_jsonl()
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(log.ticks)
@@ -330,15 +340,15 @@ def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
         excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm)
     )
     voluntary = voluntary_nmm if callable(voluntary_nmm) else (lambda _t, v=voluntary_nmm: v)
-    events = sorted(intents, key=lambda e: e[0])
+    ordered = sorted(intents, key=lambda e: e[0])
     state = ControllerState()
     ticks = []
     ev = 0
     intent = RELAX
     for i in range(int(round(duration_s / dt))):
         t = i * dt
-        while ev < len(events) and events[ev][0] <= t:
-            intent = events[ev][1]
+        while ev < len(ordered) and ordered[ev][0] <= t:
+            intent = ordered[ev][1]
             ev += 1
         state = select_setpoint(intent, state, rom)
         if state.setpoint_mm is None:
@@ -348,7 +358,7 @@ def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
             state = replace(state, pid=pid)
         motor = step_motor(motor, effort, motor_params, dt)
         plant, motor = step_plant(plant, motor, dt, voluntary(t))
-        state = controller._settle_fsm(state, motor, rom)
+        state = settle_fsm(state, motor, rom)
         ticks.append(RefTick(
             t=t, intent=intent, fsm=state.fsm, setpoint_mm=state.setpoint_mm,
             excursion_mm=motor.excursion_mm, tension_n=motor.tension_n,
@@ -440,7 +450,7 @@ def _outcome_bits(outcome):
 def _reference_bits(episode, gains):
     plant = episode.plant if episode.plant is not None else default_plant()
     ticks, diagnostic = reference_episode(
-        episode.intents, episode.duration_s, episode.rom, gains, plant,
+        events(episode.intents), episode.duration_s, episode.rom, gains, plant,
         episode.voluntary_nmm, episode.initial_motor,
     )
     return diagnostic, [_tick_bits(tick) for tick in ticks]
@@ -464,7 +474,7 @@ def _episodes(draw):
     motor = draw(st.none() | st.builds(MotorState, excursion_mm=st.floats(0.0, 55.0),
                                         velocity_mm_s=st.floats(-20.0, 20.0)))
     return Episode(
-        intents=script,
+        intents=stream(script),
         duration_s=draw(st.integers(0, 160)) * CONTROL_DT_S + 0.002,  # rounds to 0-160 ticks
         rom=calibrate_rom(size),
         plant=plant,
@@ -494,9 +504,10 @@ class TestBatchedEngine:
         rom = calibrate_rom("M")
         script = [(0.0, OPEN), (0.6, CLOSE)]
         episodes = [
-            Episode(script, 1.0, rom, plant=flexed_plant("M")),
-            Episode(script, 1.0, rom, plant=flexed_plant("M"), voluntary_nmm=_nan_after(0.5, 0.0)),
-            Episode([(0.1, CLOSE)], 0.8, calibrate_rom("L"), plant=default_plant("L", 2.0)),
+            Episode(stream(script), 1.0, rom, plant=flexed_plant("M")),
+            Episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
+                    voluntary_nmm=_nan_after(0.5, 0.0)),
+            Episode(stream([(0.1, CLOSE)]), 0.8, calibrate_rom("L"), plant=default_plant("L", 2.0)),
         ]
         outcomes = run_episodes(episodes)
         assert isinstance(outcomes[1], SafetyAbort)
@@ -508,31 +519,41 @@ class TestBatchedEngine:
             alone = run_episodes([episodes[i]])[0]
             assert _outcome_bits(alone) == _outcome_bits(outcomes[i])
         with pytest.raises(SafetyAbort) as excinfo:
-            run_episode(script, 1.0, rom, plant=flexed_plant("M"), voluntary_nmm=_nan_after(0.5, 0.0))
+            run_episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
+                        voluntary_nmm=_nan_after(0.5, 0.0))
         assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
 
     def test_without_recording_only_aborts_are_returned(self):
         rom = calibrate_rom("M")
         episodes = [
-            Episode([(0.0, OPEN)], 0.5, rom),
-            Episode([(0.0, OPEN)], 0.5, rom, voluntary_nmm=_nan_after(0.2, 0.0)),
+            Episode(stream([(0.0, OPEN)]), 0.5, rom),
+            Episode(stream([(0.0, OPEN)]), 0.5, rom, voluntary_nmm=_nan_after(0.2, 0.0)),
         ]
         kept, aborted = run_episodes(episodes, record=False)
         assert kept is None
         assert aborted.diagnostic == "non-finite state at t=0.205"
         assert len(aborted.log.ticks) == 0
 
+    def test_unsorted_stream_with_tied_times(self):
+        script = [(0.3, CLOSE), (0.0, OPEN), (0.3, RELAX), (0.1, CLOSE), (0.1, OPEN), (0.0, RELAX)]
+        episode = Episode(stream(script), 0.6, calibrate_rom("M"), plant=flexed_plant("M"))
+        (outcome,) = run_episodes([episode])
+        assert _outcome_bits(outcome) == _reference_bits(episode, DEFAULT_GAINS)
+        # Events at one time apply in stream order, so the last of them holds.
+        labels = [_LABELS[c] for c in outcome.ticks.intent[[10, 30, 100]].tolist()]
+        assert labels == [RELAX, OPEN, RELAX]
+
     def test_empty_batch(self):
         assert run_episodes([]) == []
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            run_episodes([Episode([], 1.0, calibrate_rom("M"))], dt=0.0)
+            run_episodes([Episode(stream([]), 1.0, calibrate_rom("M"))], dt=0.0)
 
     def test_episode_jsonl_is_unchanged(self):
         rom = calibrate_rom("M")
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
-        log = run_episode(script, 7.0, rom, plant=flexed_plant("M", 2.0))
+        log = run_episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0))
         ticks, _ = reference_episode(script, 7.0, rom, DEFAULT_GAINS, flexed_plant("M", 2.0))
         assert log.to_jsonl() == reference_jsonl(CONTROL_DT_S, ticks)
 

@@ -2,40 +2,61 @@
 
 import dataclasses
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from exobench import intent, signals
 from exobench.intent import (
     CLASS_ORDER,
     EmgClassifier,
-    IntentSmoother,
     ShConfig,
-    ShDetector,
     attempt_passes,
     calibrate_sh,
-    classify,
     classify_trace,
     detect_trace,
-    extract_features,
     labeled_windows,
     max_hold_runs,
     screen_emg_eligibility,
     screening_script,
-    sh_detect,
     smooth_intents,
-    tensions_by_posture,
     trace_accuracy,
     train_classifier,
 )
 from exobench.signals import IntentLabel, ShoulderPosture, SignalTrace
 from exobench.subject import preset_subject
+from reference import classify, events, extract_features, label_at, stream
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 
 labels_st = st.sampled_from([OPEN, RELAX, CLOSE])
+
+
+def _codes(labels):
+    return np.array([CLASS_ORDER.index(label) for label in labels], dtype=np.int64)
+
+
+def _smoothed(labels, k):
+    """``smooth_intents`` over a label list, as labels."""
+    return [CLASS_ORDER[c] for c in smooth_intents(_codes(labels), k).tolist()]
+
+
+def _tensions(values, rate_hz=50.0):
+    """A stand-in load trace: the ``t`` and ``samples`` columns ``detect_trace`` reads.
+
+    Unlike a ``SignalTrace`` it can carry NaN tensions.
+    """
+    values = np.asarray(values, dtype=float)
+    return SimpleNamespace(t=np.arange(len(values)) / rate_hz, samples=values)
+
+
+def _detected(config, values):
+    """``detect_trace`` over a tension list, as labels."""
+    return [CLASS_ORDER[c] for c in detect_trace(config, _tensions(values))[1].tolist()]
 
 
 def _window(values, n=5):
@@ -100,7 +121,7 @@ class TestClassifier:
         # The same tie, decided for every frame of a trace at once.
         trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.arange(12) / 50.0,
                             samples=_window(midpoint, 12), annotations=())
-        assert [label for _t, label in classify_trace(clf, trace)] == [OPEN] * 12
+        assert classify_trace(clf, trace)[1].tolist() == [CLASS_ORDER.index(OPEN)] * 12
 
     def test_argmax_invariant_to_feature_scale_direction(self, separable_classifier):
         # Doubling activation toward a class centroid must not flip away from it.
@@ -145,28 +166,24 @@ class TestClassifier:
 
 class TestSmoothing:
     def test_majority_vote_with_tie_hold(self):
-        smoother = IntentSmoother(k=4)
         seq = [OPEN, CLOSE, OPEN, CLOSE, CLOSE, OPEN]
-        out = [smoother.push(x) for x in seq]
         # Fourth input produces a 2-2 tie, held at the previous OPEN output.
-        assert out == [OPEN, OPEN, OPEN, OPEN, CLOSE, CLOSE]
+        assert _smoothed(seq, 4) == [OPEN, OPEN, OPEN, OPEN, CLOSE, CLOSE]
 
     def test_initial_tie_prefers_relax_when_tied(self):
-        smoother = IntentSmoother(k=2)
-        assert smoother.push(RELAX) is RELAX
-        assert smoother.push(CLOSE) is RELAX
+        assert _smoothed([RELAX, CLOSE], 2) == [RELAX, RELAX]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k"):
-            IntentSmoother(k=0)
+            smooth_intents(np.array([1]), k=0)
 
     @given(st.lists(labels_st, min_size=1, max_size=40))
     def test_k1_is_identity(self, seq):
-        assert smooth_intents(seq, k=1) == seq
+        assert _smoothed(seq, 1) == seq
 
     @given(st.lists(labels_st, min_size=1, max_size=40), st.integers(1, 7))
     def test_never_invents_labels(self, seq, k):
-        out = smooth_intents(seq, k)
+        out = _smoothed(seq, k)
         assert len(out) == len(seq)
         prev = None
         for i, decided in enumerate(out):
@@ -175,14 +192,14 @@ class TestSmoothing:
             assert decided in allowed
             prev = decided
 
-    @given(st.lists(labels_st, min_size=1, max_size=40), st.integers(1, 7))
+    @given(st.lists(labels_st, max_size=60), st.integers(1, 8))
     def test_matches_stateful_detector(self, seq, k):
-        smoother = IntentSmoother(k=k)
-        assert smooth_intents(seq, k) == [smoother.push(x) for x in seq]
+        # The per-label vote of tests/reference.py, empty streams included.
+        assert _smoothed(seq, k) == reference.smooth_intents(seq, k)
 
     @given(labels_st, st.integers(1, 7), st.integers(1, 20))
     def test_constant_input_is_constant_output(self, label, k, n):
-        assert smooth_intents([label] * n, k) == [label] * n
+        assert _smoothed([label] * n, k) == [label] * n
 
 
 class TestHarnessCalibration:
@@ -217,25 +234,20 @@ class TestHysteresis:
     CONFIG = ShConfig(t_open=14.0, t_close=30.0)
 
     def test_threshold_boundaries_command(self):
-        assert sh_detect(30.0, self.CONFIG, RELAX) is CLOSE
-        assert sh_detect(14.0, self.CONFIG, CLOSE) is OPEN
-        assert sh_detect(29.999, self.CONFIG, OPEN) is OPEN
-        assert sh_detect(14.001, self.CONFIG, CLOSE) is CLOSE
+        # Exactly on a threshold commands; just inside the band holds.
+        tensions = [30.0, 14.0, 29.999, 30.0, 14.001]
+        assert _detected(self.CONFIG, tensions) == [CLOSE, OPEN, OPEN, CLOSE, CLOSE]
 
     @given(st.lists(st.floats(min_value=14.01, max_value=29.99), min_size=1, max_size=200))
     def test_in_band_trace_is_constant(self, tensions):
-        detector = ShDetector(self.CONFIG)
-        out = [detector.push(t) for t in tensions]
-        assert set(out) == {RELAX}
+        assert set(_detected(self.CONFIG, tensions)) == {RELAX}
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=2, max_size=200),
     )
     def test_output_changes_only_in_command_zones(self, tensions):
-        detector = ShDetector(self.CONFIG)
-        prev = detector.state
-        for tension in tensions:
-            decided = detector.push(tension)
+        prev = RELAX
+        for tension, decided in zip(tensions, _detected(self.CONFIG, tensions)):
             if decided is not prev:
                 assert tension >= self.CONFIG.t_close or tension <= self.CONFIG.t_open
             prev = decided
@@ -248,31 +260,61 @@ class TestHysteresis:
             (ShoulderPosture.DEPRESSED, 1.0),
         ]
         trace = signals.gen_load_trace(script, seed=0)
-        decisions = detect_trace(self.CONFIG, trace)
         by_label = {}
-        for t, decided in decisions:
-            by_label.setdefault(trace.label_at(t), []).append(decided)
+        for t, decided in events(detect_trace(self.CONFIG, trace)):
+            by_label.setdefault(label_at(trace, t), []).append(decided)
         assert by_label[ShoulderPosture.ELEVATED][-1] is CLOSE
         assert by_label[ShoulderPosture.DEPRESSED][-1] is OPEN
 
-    def test_tensions_by_posture_requires_load_kind(self):
-        subject = preset_subject("separable", seed=0)
-        emg = signals.gen_emg_trace(subject.emg_profile("x"), [(OPEN, 0.5)])
-        with pytest.raises(ValueError, match="load trace"):
-            tensions_by_posture(emg)
+
+_THRESHOLDS = st.tuples(st.floats(0.0, 40.0), st.floats(0.5, 30.0)).map(
+    lambda pair: ShConfig(t_open=pair[0], t_close=pair[0] + pair[1]))
+
+
+class TestStreamsMatchReference:
+    """The array detector and hold-run scan against the per-sample loops of
+    tests/reference.py, bit for bit."""
+
+    @given(_THRESHOLDS, st.lists(
+        st.sampled_from(["open", "close", math.nan, 0.0]) | st.floats(0.0, 80.0), max_size=60))
+    def test_detect_trace(self, config, draws):
+        # "open" and "close" stand for a tension exactly on that threshold.
+        values = [config.t_open if v == "open" else config.t_close if v == "close" else v
+                  for v in draws]
+        trace = _tensions(values)
+        t, codes = detect_trace(config, trace)
+        assert t is trace.t
+        assert events((t, codes)) == reference.detect_trace(config, trace)
+
+    @given(
+        st.lists(labels_st, max_size=80),
+        st.lists(st.tuples(st.integers(-5, 85), st.integers(0, 40)), max_size=4),
+        labels_st,
+        st.sampled_from([20.0, 37.0, 50.0]),
+        st.booleans(),
+    )
+    def test_max_hold_runs(self, labels, windows, intent_label, rate, shuffle):
+        times = np.arange(len(labels)) / rate
+        if shuffle:  # frames out of time order: an attempt keeps the stream order
+            times = np.random.default_rng(len(labels)).permutation(times)
+        decisions = (times, _codes(labels))
+        # Attempt windows start and end anywhere, so they cut runs.
+        attempts = [(start / rate, (start + length) / rate) for start, length in windows]
+        assert max_hold_runs(decisions, rate, attempts, intent_label) == reference.max_hold_runs(
+            events(decisions), rate, attempts, intent_label)
 
 
 class TestScreening:
     def test_hold_run_measurement(self):
         rate = 50.0
-        decisions = [(i / rate, OPEN if i < 100 else RELAX) for i in range(150)]
+        decisions = stream((i / rate, OPEN if i < 100 else RELAX) for i in range(150))
         holds = max_hold_runs(decisions, rate, [(0.0, 3.0)], OPEN)
         assert holds == [2.0]
 
     def test_interruption_resets_run(self):
         rate = 50.0
         labels = [OPEN] * 60 + [RELAX] + [OPEN] * 70
-        decisions = [(i / rate, lab) for i, lab in enumerate(labels)]
+        decisions = stream((i / rate, lab) for i, lab in enumerate(labels))
         holds = max_hold_runs(decisions, rate, [(0.0, 10.0)], OPEN)
         assert holds == [1.4]
 
@@ -330,9 +372,9 @@ class TestWindowing:
     def test_classify_trace_covers_every_frame(self, separable_classifier):
         subject = preset_subject("separable", seed=3)
         trace = signals.gen_emg_trace(subject.emg_profile("c"), [(RELAX, 1.0)])
-        decisions = classify_trace(separable_classifier, trace)
+        t, decisions = classify_trace(separable_classifier, trace)
         assert len(decisions) == len(trace.samples)
-        assert decisions[0][0] == trace.t[0]
+        assert t[0] == trace.t[0]
 
     def test_adjacent_same_label_segments_form_one_window(self):
         subject = preset_subject("separable", seed=2)
@@ -346,7 +388,7 @@ class TestWindowing:
         )
         for t in [-0.1, 0.0, 0.49, 0.5, 0.99, 1.0, 1.2499, 1.25, 9.0]:
             expected = next((lab for t0, t1, lab in trace.annotations if t0 <= t < t1), None)
-            assert trace.label_at(t) is expected
+            assert label_at(trace, t) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +404,8 @@ def _reference_labeled_windows(trace, window_s):
     frames, times, win = trace.samples, trace.t, _win(trace, window_s)
     out = []
     for i in range(win - 1, len(frames)):
-        label = trace.label_at(times[i - win + 1])
-        if label is not None and label is trace.label_at(times[i]):
+        label = label_at(trace, times[i - win + 1])
+        if label is not None and label is label_at(trace, times[i]):
             out.append((extract_features(frames[i - win + 1 : i + 1]), label))
     return out
 
@@ -421,7 +463,7 @@ class TestArrayPipelineMatchesReference:
         trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
         clf = dataclasses.replace(CLASSIFIERS[which], window_s=window_s)
 
-        assert classify_trace(clf, trace) == _reference_classify_trace(clf, trace)
+        assert events(classify_trace(clf, trace)) == _reference_classify_trace(clf, trace)
         got = labeled_windows(trace, window_s)
         want = _reference_labeled_windows(trace, window_s)
         assert [label for _f, label in got] == [label for _f, label in want]
@@ -453,7 +495,7 @@ class TestOneRowScoring:
                 f[1] = f[0]
                 trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.zeros(1),
                                     samples=f[None, :], annotations=())
-                assert classify_trace(clf, trace) == [(0.0, classify(clf, f))]
+                assert events(classify_trace(clf, trace)) == [(0.0, classify(clf, f))]
                 scores = clf.scores(f)
                 want = np.array([[scores[label] for label in CLASS_ORDER]])
                 assert clf._score_rows(f[None, :]).tobytes() == want.tobytes()
