@@ -15,13 +15,20 @@ cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode. ``run_episodes`` steps any number of
 episodes in lockstep on plain arrays, and ``run_episode`` is its
-one-episode case. Plant parameters are validated once, when a
-``HandPlant`` is built, never per tick. The safety invariants are checked
-on every tick for every episode, and an episode that breaks one stops
-alone. A trajectory is one set of columns, one array per quantity with a
-row per tick, recorded only when the caller gets the logs back; its JSONL
-form and its summaries (time to open, motor reversals) are read straight
-from the columns. The scalar reference the engine matches bit for bit,
+one-episode case. Plant, motor and gain parameters are validated once,
+when a ``HandPlant``, ``MotorParams`` or ``PidGains`` is built, never per
+tick. The engine's cost is per array call, not per episode, so what each
+tick does is decided before the loop where it can be: a command once given
+is held, so the ticks on which every episode is commanded (most of them)
+skip the PID's per-episode masks. The safety invariants are checked on
+every tick for every episode through one merged screen: the min and max of
+the excursions decide the travel clamp, the max of the tensions decides
+the cap, and with the min and sum of the joint angles they show at once
+whether any episode needs its exact check. An episode that breaks an
+invariant stops alone. A trajectory is one set of columns, one array per
+quantity with a row per tick, recorded only when the caller gets the logs
+back; its JSONL form and its summaries (time to open, motor reversals) are
+read straight from the columns. The scalar reference the engine matches bit for bit,
 one tick of PID, motor, plant and setpoint at a time, lives with the tests
 in ``tests/reference.py``.
 
@@ -101,10 +108,15 @@ class PidGains:
     output_clamp: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.kp, self.ki, self.kd) < 0.0:
+        gains = (self.kp, self.ki, self.kd)
+        if not all(math.isfinite(g) for g in gains):
+            raise ValueError(f"PID gains must be finite, got {gains}")
+        if min(gains) < 0.0:
             raise ValueError("PID gains must be non-negative")
-        if self.integral_clamp <= 0.0 or self.output_clamp <= 0.0:
-            raise ValueError("clamps must be positive")
+        for name in ("integral_clamp", "output_clamp"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"clamps must be positive and finite: {name}={value!r}")
 
 
 # Tuned once against the M-size plant so a full retraction lands on the
@@ -124,6 +136,12 @@ class MotorParams:
     spool_radius_mm: float = 2.0
     time_constant_s: float = 0.025
     travel_mm: float = 55.0
+
+    def __post_init__(self) -> None:
+        for name in ("gear_ratio", "no_load_rpm", "spool_radius_mm", "time_constant_s", "travel_mm"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def max_speed_mm_s(self) -> float:
@@ -230,7 +248,8 @@ _LABELS = tuple(IntentLabel)
 _LABEL_NAMES = tuple(str(label) for label in _LABELS)
 _OPEN, _RELAX, _CLOSE = (_LABELS.index(label) for label in
                          (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
-# Each hold state follows its move state: settling adds 1 to the code.
+# Each hold state follows its move state: settling adds 1 to the code, and
+# the move states are the odd codes.
 _IDLE, _EXTENDING, _HOLD_OPEN, _RELEASING, _HOLD_CLOSED = range(len(FSM_STATES))
 
 
@@ -305,8 +324,8 @@ class Episode:
     initial_motor: MotorState | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
+        if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
+            raise ValueError(f"duration must be positive and finite, got {self.duration_s!r}")
         t, codes = self.intents
         if np.shape(t) != np.shape(codes) or np.ndim(t) != 1:
             raise ValueError("an intent stream needs one code per event time")
@@ -343,13 +362,17 @@ def run_episodes(
 
     State is held in (E, 4, 2) joint-angle and (E,) motor, PID and FSM
     arrays, updated in the float order of the scalar reference's PID, motor,
-    plant and setpoint steps, so each episode matches it bit for bit. Setpoints depend only on the intent stream and
-    are worked out before the loop: OPEN retracts, CLOSE extends, RELAX
-    holds the last command.
+    plant and setpoint steps, so each episode matches it bit for bit.
+    Setpoints depend only on the intent stream and are worked out before the
+    loop: OPEN retracts, CLOSE extends, RELAX holds the last command. So are
+    the per-tick branches: a new command, any or every episode commanded,
+    every episode commanded on the tick before.
 
     Every live episode is checked on every tick for non-finite state, the
-    tension cap and the hyperextension block. One that fails stops at that
-    tick and its outcome is a ``SafetyAbort``; the others run on. Otherwise
+    tension cap and the hyperextension block, in that order. A tick whose
+    merged screen passes has no breach; otherwise each episode is checked
+    exactly. One that fails stops at that tick and its outcome is a
+    ``SafetyAbort``; the others run on. Otherwise
     the outcome is its ``TrajectoryLog`` when ``record`` is set and None
     when not. Trajectories are kept only when ``record`` is set, so an
     abort's log has no ticks without it.
@@ -373,7 +396,21 @@ def run_episodes(
     np.copyto(setpoints, np.array([[ep.rom.extended_mm] for ep in episodes]), where=held == _CLOSE)
     commanded = held != _RELAX
     changed = np.diff(held, axis=1, prepend=np.int8(_RELAX)) != 0
+
+    # Per-tick rows, (n_max, E), and the per-tick branches, decided here.
+    # A command once given is held, so `commanded` never falls back along a
+    # row: an episode commanded on the last tick has PID history, and a
+    # tick where every episode is commanded needs none of the masks below.
+    setpoint_rows = np.ascontiguousarray(setpoints.T)
+    commanded_rows = np.ascontiguousarray(commanded.T)
+    had_command_rows = np.zeros_like(commanded_rows)
+    had_command_rows[1:] = commanded_rows[:-1]
+    changed_rows = np.ascontiguousarray(changed.T)
+    move_rows = np.where(held.T == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
     any_changed = changed.any(axis=0).tolist()
+    any_active = commanded.any(axis=0).tolist()
+    all_active = commanded.all(axis=0).tolist()
+    all_had_command = had_command_rows.all(axis=1).tolist()
 
     # Plant parameters, validated once when each HandPlant was built.
     angles = np.stack([p.angles_deg for p in plants])
@@ -394,15 +431,24 @@ def run_episodes(
     fsm = np.full(n_episodes, _IDLE, dtype=np.int8)
     integral = np.zeros(n_episodes)
     prev_error = np.zeros(n_episodes)
-    has_prev = np.zeros(n_episodes, dtype=bool)
+    no_effort = np.zeros(n_episodes)
     voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
                           for ep in episodes], dtype=float)
-    disturbed = [e for e, ep in enumerate(episodes) if callable(ep.voluntary_nmm)]
+    voluntary_3d = voluntary[:, None, None]  # a view: disturbances write through
+    disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(episodes)
+                 if callable(ep.voluntary_nmm)]
 
-    kp, ki, kd = gains.kp, gains.ki, gains.kd
-    i_clamp, o_clamp = gains.integral_clamp, gains.output_clamp
-    max_speed = motor_params.max_speed_mm_s
-    tau, travel = motor_params.time_constant_s, motor_params.travel_mm
+    # Constants as 0-d arrays (dt_arr is dt): a ufunc call with a Python or
+    # numpy scalar operand costs about half as much again as one with arrays.
+    (kp, ki, kd, i_clamp, neg_i_clamp, o_clamp, neg_o_clamp, max_speed, tau, travel, dt_arr,
+     deg2rad, cap, tol, zero) = (np.asarray(v, dtype=float) for v in (
+        gains.kp, gains.ki, gains.kd, gains.integral_clamp, -gains.integral_clamp,
+        gains.output_clamp, -gains.output_clamp, motor_params.max_speed_mm_s,
+        motor_params.time_constant_s, motor_params.travel_mm, dt, _DEG2RAD, TENSION_CAP_N,
+        SETPOINT_TOL_MM, 0.0))
+    move_bit = np.asarray(1, dtype=np.int8)
+    where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
+    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
     width = n_max if record else 0
     x_col = np.empty((n_episodes, width))
@@ -426,57 +472,64 @@ def run_episodes(
         if n_live == 0:
             break
         t = i * dt
-        for e in disturbed:
+        for e, torque in disturbed:
             if live[e]:
-                voluntary[e] = episodes[e].voluntary_nmm(t)
-        setpoint = setpoints[:, i]
+                voluntary[e] = torque(t)
+        setpoint = setpoint_rows[i]
         if any_changed[i]:  # a new command starts a move
-            moves = np.where(held[:, i] == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
-            fsm = np.where(changed[:, i], moves, fsm)
+            fsm = where(changed_rows[i], move_rows[i], fsm)
 
         # PID. Before its first command an episode has no
         # setpoint: effort 0 and the PID state untouched.
-        error = setpoint - x
-        derivative = np.where(has_prev, (error - prev_error) / dt, 0.0)
-        candidate = np.minimum(np.maximum(integral + error * dt, -i_clamp), i_clamp)
-        unsat = kp * error + ki * candidate + kd * derivative
-        saturating = (np.abs(unsat) > o_clamp) & (unsat * error > 0.0)
-        kept = np.where(saturating, integral, candidate)  # conditional integration
-        out = kp * error + ki * kept + kd * derivative
-        active = commanded[:, i]
-        effort = np.where(active, np.minimum(np.maximum(out, -o_clamp), o_clamp), 0.0)
-        integral = np.where(active, kept, integral)
-        prev_error = np.where(active, error, prev_error)
-        has_prev |= active
+        if any_active[i]:
+            error = setpoint - x
+            derivative = (error - prev_error) / dt_arr
+            if not all_had_command[i]:
+                derivative = where(had_command_rows[i], derivative, zero)
+            candidate = minimum(maximum(integral + error * dt_arr, neg_i_clamp), i_clamp)
+            kp_error, kd_derivative = kp * error, kd * derivative
+            unsat = kp_error + ki * candidate + kd_derivative
+            saturating = (abs(unsat) > o_clamp) & (unsat * error > zero)
+            kept = where(saturating, integral, candidate)  # conditional integration
+            effort = minimum(maximum(kp_error + ki * kept + kd_derivative, neg_o_clamp), o_clamp)
+            if all_active[i]:
+                integral, prev_error = kept, error
+            else:
+                active = commanded_rows[i]
+                effort = where(active, effort, zero)
+                integral = where(active, kept, integral)
+                prev_error = where(active, error, prev_error)
+        else:
+            effort = no_effort
 
-        # Motor: first-order velocity lag, travel-limited.
-        target = effort * max_speed
-        velocity = velocity + (target - velocity) * dt / tau
-        x = x + velocity * dt
-        below, beyond = x < 0.0, x > travel
-        if below.any() or beyond.any():
-            x = np.where(below, 0.0, np.where(beyond, travel, x))
-            velocity = np.where(below | beyond, 0.0, velocity)
+        # Motor: first-order velocity lag, travel-limited. One min/max pair
+        # decides the clamp and screens x: after it, x is finite or NaN.
+        velocity = velocity + (effort * max_speed - velocity) * dt_arr / tau
+        x = x + velocity * dt_arr
+        x_min, x_max = min_reduce(x), max_reduce(x)
+        if not (x_min >= 0.0 and x_max <= motor_params.travel_mm):
+            below, beyond = x < zero, x > travel
+            x = where(below, zero, where(beyond, travel, x))
+            velocity = where(below | beyond, zero, velocity)
+        x_finite = x_min == x_min
 
-        # Plant: capped cable tension, tone and voluntary torque, clamped angles.
-        take_up = (arm * angles * _DEG2RAD).sum(axis=-1)
-        tension = tendon * np.maximum(take_up - x[:, None], 0.0)
-        total = tension.sum(axis=-1)
-        over = total > TENSION_CAP_N
-        if over.any():
-            tension[over] = tension[over] * (TENSION_CAP_N / total[over])[:, None]
-            total[over] = TENSION_CAP_N
-        torque = (
-            -tension[:, :, None] * arm
-            + stiffness * (rest - angles)
-            + voluntary[:, None, None]
-        )
-        rate = torque / damping
-        angles = np.clip(angles + rate * dt, 0.0, q_max)
+        # Plant: capped cable tension, tone and voluntary torque, clamped
+        # angles. The cap's max propagates NaN, so a NaN sibling cannot
+        # stop another episode being capped.
+        take_up = add_reduce(arm * angles * deg2rad, axis=-1)
+        tension = tendon * maximum(take_up - x[:, None], zero)
+        total = add_reduce(tension, axis=-1)
+        total_max = max_reduce(total)
+        if not total_max <= TENSION_CAP_N:
+            over = total > cap
+            tension[over] = tension[over] * (cap / total[over])[:, None]
+            total[over] = cap
+            total_max = max_reduce(total)
+        torque = -tension[:, :, None] * arm + stiffness * (rest - angles) + voluntary_3d
+        angles = (angles + torque / damping * dt_arr).clip(zero, q_max)
 
-        # FSM settle: a move that reaches its setpoint holds.
-        moving = (fsm == _EXTENDING) | (fsm == _RELEASING)
-        fsm = fsm + (moving & (np.abs(x - setpoint) <= SETPOINT_TOL_MM))
+        # FSM settle: a move (the odd codes) that reaches its setpoint holds.
+        fsm = fsm + ((fsm & move_bit) & (abs(x - setpoint) <= tol))
 
         if record:
             x_col[:, i] = x
@@ -487,9 +540,11 @@ def run_episodes(
             angles_col[:, i] = angles
 
         # Safety invariants, per live episode, in order. The screen passes on
-        # almost every tick: a NaN or inf anywhere makes its sum non-finite.
-        if (math.isfinite(angles.sum() + x.sum()) and angles.min() >= -1e-9
-                and total.max() <= TENSION_CAP_N + 1e-9):
+        # almost every tick: the angles' min catches NaN and hyperextension,
+        # their sum NaN and +inf.
+        flat = angles.reshape(-1)
+        if (x_finite and total_max <= TENSION_CAP_N + 1e-9 and min_reduce(flat) >= -1e-9
+                and math.isfinite(add_reduce(flat))):
             continue
         non_finite = ~(np.isfinite(angles).all(axis=(1, 2)) & np.isfinite(x))
         over_cap = total > TENSION_CAP_N + 1e-9

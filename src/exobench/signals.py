@@ -203,6 +203,8 @@ class SignalTrace:
         t = np.array(self.t, dtype=float)
         if t.shape != (len(samples),):
             raise ValueError(f"t and samples must have the same length: {t.shape}, {samples.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1])):
+            raise ValueError("sample times must be finite and non-decreasing")
         if self.kind == "emg":
             # NaN fails both comparisons, so this also rejects non-finite values.
             if not np.all((samples >= 0.0) & (samples <= 1.0)):

@@ -96,6 +96,18 @@ class TestPid:
         with pytest.raises(ValueError, match="non-negative"):
             PidGains(kp=-0.1)
 
+    @pytest.mark.parametrize("field", ["kp", "ki", "kd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_gains(self, field, value):
+        with pytest.raises(ValueError, match="PID gains must be finite"):
+            PidGains(**{"kp": 0.4, field: value})
+
+    @pytest.mark.parametrize("field", ["integral_clamp", "output_clamp"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_clamps(self, field, value):
+        with pytest.raises(ValueError, match=f"clamps must be positive and finite: {field}="):
+            PidGains(kp=0.4, **{field: value})
+
     def test_default_gains_are_proportional_only(self):
         assert DEFAULT_GAINS.ki == 0.0
         assert DEFAULT_GAINS.kd == 0.0
@@ -110,6 +122,13 @@ class TestMotor:
 
     def test_gear_ratio_pinned(self):
         assert MotorParams().gear_ratio == 47.0
+
+    @pytest.mark.parametrize("field", ["gear_ratio", "no_load_rpm", "spool_radius_mm",
+                                       "time_constant_s", "travel_mm"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, -5.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_params(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            MotorParams(**{field: value})
 
     def test_velocity_lag_approaches_target(self):
         params = MotorParams()
@@ -271,6 +290,11 @@ class TestEpisode:
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError, match="duration"):
             run_episode(stream([]), 0.0, calibrate_rom("M"))
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match=f"duration must be positive and finite, got {duration!r}"):
+            Episode(stream([(0.0, OPEN)]), duration, calibrate_rom("M"))
 
     def test_rejects_unpaired_stream(self):
         with pytest.raises(ValueError, match="one code per event time"):
@@ -471,7 +495,9 @@ def _episodes(draw):
     script = draw(st.lists(st.tuples(_TIMES, st.sampled_from([OPEN, RELAX, CLOSE])), max_size=6))
     torque = draw(st.just(0.0) | st.floats(-400.0, 400.0))
     nan_at = draw(st.none() | st.floats(0.0, 0.6))
-    motor = draw(st.none() | st.builds(MotorState, excursion_mm=st.floats(0.0, 55.0),
+    # Initial motors may start outside the 0-55 mm travel, on either side.
+    excursion = st.sampled_from([-2.0, 0.0, 55.0, 58.0]) | st.floats(-5.0, 60.0)
+    motor = draw(st.none() | st.builds(MotorState, excursion_mm=excursion,
                                         velocity_mm_s=st.floats(-20.0, 20.0)))
     return Episode(
         intents=stream(script),
@@ -522,6 +548,56 @@ class TestBatchedEngine:
             run_episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
                         voluntary_nmm=_nan_after(0.5, 0.0))
         assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
+
+    def _assert_matches_reference(self, episodes, gains=DEFAULT_GAINS):
+        outcomes = run_episodes(episodes, gains=gains)
+        for episode, outcome in zip(episodes, outcomes):
+            assert _outcome_bits(outcome) == _reference_bits(episode, gains)
+        return outcomes
+
+    def test_every_episode_commanded_from_the_first_tick(self):
+        # Motors near the OPEN setpoint and derivative action, so that the
+        # first tick's derivative (zero: no history yet) shows in the effort.
+        episodes = [Episode(stream([(0.0, OPEN), (0.3, CLOSE)]), 0.6, calibrate_rom(size),
+                            plant=flexed_plant(size, 2.0), initial_motor=MotorState(excursion))
+                    for size, excursion in (("S", 0.5), ("M", 1.0), ("L", 0.0))]
+        self._assert_matches_reference(episodes, PidGains(kp=0.4, ki=2.0, kd=0.002))
+
+    def test_never_commanded_episode_beside_commanded_ones(self):
+        rom = calibrate_rom("M")
+        episodes = [
+            Episode(stream([(0.0, OPEN)]), 0.5, rom, plant=flexed_plant("M")),
+            Episode(stream([(0.0, RELAX), (0.2, RELAX)]), 0.5, rom, plant=flexed_plant("M")),
+            Episode(stream([(0.2, CLOSE)]), 0.5, rom, initial_motor=MotorState(10.0, 5.0)),
+        ]
+        outcomes = self._assert_matches_reference(episodes, PidGains(kp=0.4, ki=2.0, kd=0.02))
+        assert np.all(outcomes[1].ticks.effort == 0.0)
+
+    def test_cap_applies_beside_a_nan_episode(self):
+        rom = calibrate_rom("M")
+        episodes = [
+            Episode(stream([(0.0, OPEN)]), 0.3, rom, plant=flexed_plant("M", 4.0),
+                    initial_motor=MotorState(0.0)),
+            Episode(stream([(0.0, OPEN)]), 0.3, rom, initial_motor=MotorState(math.nan)),
+        ]
+        capped, aborted = self._assert_matches_reference(episodes)
+        assert aborted.diagnostic == "non-finite state at t=0.000"
+        # The NaN sibling's tension is NaN on the very tick the cap first binds.
+        assert capped.ticks.tension_n[0] == TENSION_CAP_N
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the aborted episode runs on as inf/NaN
+    def test_infinite_angles_abort(self):
+        # With no flexion stop, an infinite torque makes every angle +inf: not
+        # NaN and not below zero, so only a finiteness check sees it.
+        plant = replace(default_plant("M"), max_deg=np.full((4, 2), math.inf))
+        rom = calibrate_rom("M")
+        episodes = [
+            Episode(stream([(0.0, OPEN)]), 0.2, rom, plant=plant, voluntary_nmm=math.inf),
+            Episode(stream([(0.0, OPEN)]), 0.2, rom),
+        ]
+        aborted, _ = self._assert_matches_reference(episodes)
+        assert aborted.diagnostic == "non-finite state at t=0.000"
+        assert np.all(aborted.log.ticks.angles_deg == math.inf)
 
     def test_without_recording_only_aborts_are_returned(self):
         rom = calibrate_rom("M")

@@ -28,6 +28,13 @@ BAD_COLUMNS = {
     "nan_tension": ("load", [20.0, math.nan], "finite"),
 }
 
+#: Sample times that the trace must reject, for three samples.
+BAD_TIMES = {
+    "nan_time": [0.0, math.nan, 0.04],
+    "inf_time": [0.0, 0.02, math.inf],
+    "decreasing_time": [0.0, 0.04, 0.02],
+}
+
 
 def _trace(kind, rows, t=None):
     return SignalTrace(
@@ -59,6 +66,17 @@ class TestColumnValidation:
     def test_from_jsonl_rejects(self, kind, rows, error):
         with pytest.raises(ValueError, match=error):
             SignalTrace.from_jsonl(_jsonl(kind, rows))
+
+    @pytest.mark.parametrize("kind, rows", [("emg", [_ROW] * 3), ("load", [20.0] * 3)])
+    @pytest.mark.parametrize("times", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+    def test_rejects_bad_sample_times(self, kind, rows, times):
+        with pytest.raises(ValueError, match="sample times must be finite and non-decreasing"):
+            _trace(kind, rows, t=times)
+        with pytest.raises(ValueError, match="sample times must be finite and non-decreasing"):
+            SignalTrace.from_jsonl(_jsonl(kind, rows, times))
+
+    def test_tied_sample_times_are_accepted(self):
+        assert _trace("load", [20.0] * 3, t=[0.0, 0.02, 0.02]).t.tolist() == [0.0, 0.02, 0.02]
 
     def test_every_row_needs_eight_channels(self):
         with pytest.raises(ValueError, match="8 channels"):
