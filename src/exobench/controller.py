@@ -153,8 +153,6 @@ class MotorParams:
 class MotorState:
     excursion_mm: float
     velocity_mm_s: float = 0.0
-    effort: float = 0.0
-    tension_n: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -181,13 +179,16 @@ class HandPlant:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (len(DIGITS), len(JOINTS)):
                 raise ValueError(f"{name} must have shape (4, 2)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         if np.any(self.angles_deg < 0.0) or np.any(self.angles_deg > self.max_deg):
             raise ValueError("joint angles outside [0, max]")
         if np.any(self.stiffness_nmm_deg < 0.0) or np.any(self.damping_nmm_s_deg <= 0.0):
             raise ValueError("stiffness must be >= 0 and damping > 0")
-        if self.tendon_stiffness_n_mm <= 0.0:
-            raise ValueError("tendon stiffness must be positive")
+        if not (self.tendon_stiffness_n_mm > 0.0 and math.isfinite(self.tendon_stiffness_n_mm)):
+            raise ValueError(f"tendon stiffness must be positive and finite, "
+                             f"got {self.tendon_stiffness_n_mm!r}")
 
     def cable_take_up_mm(self) -> np.ndarray:
         """Cable length absorbed by each digit's flexion."""
@@ -377,8 +378,8 @@ def run_episodes(
     when not. Trajectories are kept only when ``record`` is set, so an
     abort's log has no ticks without it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     motor_params = motor_params if motor_params is not None else MotorParams()
     n_episodes = len(episodes)
     if n_episodes == 0:

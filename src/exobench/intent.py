@@ -9,12 +9,15 @@ EMG route: mean-absolute-value features over a sliding window feed a linear
 discriminant classifier (per-class means, one shared regularized covariance),
 and raw frame decisions pass through a majority-vote smoother. Ties at every
 stage break toward RELAX, the safe state; a tied vote holds the previous
-output.
+output. Calibration runs on arrays too: training data is ``(features (M, 8),
+codes (M,))`` and the classifier keeps its class means as one ``(3, 8)`` array
+with a row per class in CLASS_ORDER.
 
 Shoulder-harness route: a dual-threshold detector on load-cell tension with
 hysteresis. Shoulder elevation pushes tension above the close threshold,
 depression drops it below the open threshold, and anything in between holds
-the previous command so dither near one threshold cannot chatter.
+the previous command so dither near one threshold cannot chatter. Its
+thresholds come from the medians of three posture recordings, one array each.
 
 Eligibility screening runs the EMG pipeline over six recorded conditions
 (three intents, forearm on and off the table, three attempts each) and
@@ -24,11 +27,10 @@ the subject to the harness interface.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import statistics
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,53 +47,53 @@ ATTEMPTS_PER_CONDITION = 3
 CLASS_ORDER = (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE)
 _OPEN, _RELAX, _CLOSE = range(len(CLASS_ORDER))
 
-CLASSIFIER_SCHEMA = "exobench/classifier-v2"
 SCREENING_SCHEMA = "exobench/screening-v1"
 
+#: Ridge on the pooled covariance, as a fraction of its mean variance.
+RIDGE = 1e-3
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EmgClassifier:
     """Linear discriminant over MAV features with a shared covariance.
 
-    ``separable`` is False when training data gave identical class centroids;
-    such a classifier still runs but decides RELAX everywhere.
+    ``means`` is ``(3, 8)``, one class centroid per row in CLASS_ORDER, and
+    ``priors`` is ``(3,)`` in the same order. ``separable`` is False when
+    training data gave identical class centroids; such a classifier still
+    runs but decides RELAX everywhere.
     """
 
-    class_means: Mapping[IntentLabel, np.ndarray]
+    means: np.ndarray
     covariance: np.ndarray
-    priors: Mapping[IntentLabel, float]
+    priors: np.ndarray
     window_s: float = DEFAULT_WINDOW_S
     vote_k: int = DEFAULT_VOTE_K
     separable: bool = True
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (EMG_CHANNELS, EMG_CHANNELS):
-            raise ValueError("covariance must be 8x8")
-        inv = np.linalg.inv(cov)
-        consts = {}
-        for label in CLASS_ORDER:
-            mu = np.asarray(self.class_means[label], dtype=float)
-            consts[label] = (inv @ mu, -0.5 * float(mu @ inv @ mu) + math.log(self.priors[label]))
-        object.__setattr__(self, "_discriminants", consts)
-        object.__setattr__(self, "_weights", np.column_stack([w for w, _b in consts.values()]))
-        object.__setattr__(self, "_biases", np.array([b for _w, b in consts.values()]))
-
-    def scores(self, features: np.ndarray) -> dict[IntentLabel, float]:
-        """Per-class discriminant scores (monotone in posterior probability)."""
-        f = np.asarray(features, dtype=float)
-        if f.shape != (EMG_CHANNELS,):
-            raise ValueError("feature vector must have 8 components")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("feature vector contains non-finite values")
-        return {label: float(w @ f) + b for label, (w, b) in self._discriminants.items()}
+        n_classes = len(CLASS_ORDER)
+        for name, shape in (("means", (n_classes, EMG_CHANNELS)),
+                            ("covariance", (EMG_CHANNELS, EMG_CHANNELS)),
+                            ("priors", (n_classes,))):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        inv = np.linalg.inv(self.covariance)
+        # One matrix-vector product per class: a single ``inv @ means.T``
+        # takes a different float path.
+        weights = [inv @ mu for mu in self.means]
+        biases = [-0.5 * float(mu @ inv @ mu) + math.log(p) for mu, p in zip(self.means, self.priors)]
+        object.__setattr__(self, "_weights", np.column_stack(weights))
+        object.__setattr__(self, "_biases", np.array(biases))
 
     def _score_rows(self, features: np.ndarray) -> np.ndarray:
-        """``scores`` for every row of an ``(N, 8)`` feature array, in CLASS_ORDER columns.
+        """Discriminant scores for every row of an ``(N, 8)`` feature array, in CLASS_ORDER columns.
 
-        One matrix product, bit for bit equal to ``scores`` row by row. A
-        one-row product would take numpy's matrix-vector path, which rounds
-        differently, so a single row is scored as two.
+        The scores are monotone in posterior probability. One matrix product. A one-row product would take numpy's
+        matrix-vector path, which rounds differently, so a single row is
+        scored as two.
         """
         if len(features) == 1:
             return self._score_rows(np.repeat(features, 2, axis=0))[:1]
@@ -100,95 +102,42 @@ class EmgClassifier:
     def _decide(self, features: np.ndarray) -> np.ndarray:
         """The decision for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
 
-        The argmax of ``scores``; exact ties resolve toward RELAX, and a tie
+        The argmax of the scores; exact ties resolve toward RELAX, and a tie
         between OPEN and CLOSE alone takes OPEN, the first in CLASS_ORDER.
         """
         scores = self._score_rows(features)
         best = scores == scores.max(axis=1, keepdims=True)
         return np.where(best[:, _RELAX], _RELAX, best.argmax(axis=1))
 
-    def to_json(self) -> str:
-        doc = {
-            "schema": CLASSIFIER_SCHEMA,
-            "classes": [label.value for label in CLASS_ORDER],
-            "means": {label.value: [float(v) for v in self.class_means[label]] for label in CLASS_ORDER},
-            "covariance": [[float(v) for v in row] for row in np.asarray(self.covariance)],
-            "priors": {label.value: float(self.priors[label]) for label in CLASS_ORDER},
-            "window_s": self.window_s,
-            "vote_k": self.vote_k,
-            "separable": self.separable,
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+def train_classifier(labeled: tuple[np.ndarray, np.ndarray]) -> EmgClassifier:
+    """Fit the shared-covariance discriminant from ``(features (M, 8), codes (M,))``.
 
-    @staticmethod
-    def from_json(text: str) -> "EmgClassifier":
-        doc = json.loads(text)
-        if doc.get("schema") != CLASSIFIER_SCHEMA:
-            raise ValueError(f"unsupported classifier schema {doc.get('schema')!r}")
-        return EmgClassifier(
-            class_means={IntentLabel(k): np.asarray(v, dtype=float) for k, v in doc["means"].items()},
-            covariance=np.asarray(doc["covariance"], dtype=float),
-            priors={IntentLabel(k): float(v) for k, v in doc["priors"].items()},
-            window_s=float(doc["window_s"]),
-            vote_k=int(doc["vote_k"]),
-            separable=bool(doc["separable"]),
-        )
-
-    @staticmethod
-    def load(path: str | Path) -> "EmgClassifier":
-        return EmgClassifier.from_json(Path(path).read_text())
-
-
-def train_classifier(
-    labeled_features: Sequence[tuple[np.ndarray, IntentLabel]],
-    window_s: float = DEFAULT_WINDOW_S,
-    vote_k: int = DEFAULT_VOTE_K,
-    ridge: float = 1e-3,
-) -> EmgClassifier:
-    """Fit the shared-covariance discriminant from labeled feature vectors.
-
-    The pooled within-class covariance gets a ridge of
-    ``ridge * trace / 8`` (plus a tiny absolute floor) so zero-spread
-    training data still yields an invertible model.
+    Codes are CLASS_ORDER indices, as ``labeled_windows`` returns them. The
+    pooled within-class covariance gets a ridge of ``RIDGE * trace / 8``
+    (plus a tiny absolute floor) so zero-spread training data still yields
+    an invertible model.
     """
-    by_class: dict[IntentLabel, list[np.ndarray]] = {label: [] for label in CLASS_ORDER}
-    for features, label in labeled_features:
-        f = np.asarray(features, dtype=float)
-        if f.shape != (EMG_CHANNELS,):
-            raise ValueError("feature vectors must have 8 components")
-        by_class[label].append(f)
-    missing = [label.value for label in CLASS_ORDER if not by_class[label]]
+    features, codes = np.asarray(labeled[0], dtype=float), np.asarray(labeled[1])
+    if features.ndim != 2 or features.shape[1] != EMG_CHANNELS or codes.shape != features.shape[:1]:
+        raise ValueError(f"training data must be (M, {EMG_CHANNELS}) features and (M,) codes, "
+                         f"got {features.shape} and {codes.shape}")
+    by_class = [features[codes == c] for c in range(len(CLASS_ORDER))]
+    missing = [label.value for label, rows in zip(CLASS_ORDER, by_class) if len(rows) == 0]
     if missing:
         raise ValueError(f"insufficient training data: no samples for {', '.join(missing)}")
 
-    n_total = sum(len(v) for v in by_class.values())
-    means = {label: np.mean(np.asarray(v), axis=0) for label, v in by_class.items()}
+    counts = np.array([len(rows) for rows in by_class])
+    n_total = int(counts.sum())
+    means = np.array([np.mean(rows, axis=0) for rows in by_class])
     scatter = np.zeros((EMG_CHANNELS, EMG_CHANNELS))
-    for label, vectors in by_class.items():
-        centered = np.asarray(vectors) - means[label]
+    for rows, mu in zip(by_class, means):
+        centered = rows - mu  # one array on both sides keeps numpy's A.T @ A (syrk) path
         scatter += centered.T @ centered
-    dof = max(n_total - len(CLASS_ORDER), 1)
-    cov = scatter / dof
-    reg = ridge * np.trace(cov) / EMG_CHANNELS + 1e-9
-    cov = cov + reg * np.eye(EMG_CHANNELS)
-
-    priors = {label: len(by_class[label]) / n_total for label in CLASS_ORDER}
-    separable = any(
-        not np.allclose(means[a], means[b])
-        for i, a in enumerate(CLASS_ORDER)
-        for b in CLASS_ORDER[i + 1:]
-    )
-    return EmgClassifier(
-        class_means=means,
-        covariance=cov,
-        priors=priors,
-        window_s=window_s,
-        vote_k=vote_k,
-        separable=separable,
-    )
+    cov = scatter / max(n_total - len(CLASS_ORDER), 1)
+    cov = cov + (RIDGE * np.trace(cov) / EMG_CHANNELS + 1e-9) * np.eye(EMG_CHANNELS)
+    separable = any(not np.allclose(a, b) for a, b in itertools.combinations(means, 2))
+    return EmgClassifier(means=means, covariance=cov, priors=counts / n_total, separable=separable)
 
 
 def smooth_intents(codes: np.ndarray, k: int = DEFAULT_VOTE_K) -> np.ndarray:
@@ -235,13 +184,12 @@ def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarra
     return mav, labels
 
 
-def labeled_windows(
-    trace: SignalTrace,
-    window_s: float = DEFAULT_WINDOW_S,
-) -> list[tuple[np.ndarray, IntentLabel]]:
-    """Feature vectors for every frame whose full window sits inside one annotation."""
+def labeled_windows(trace: SignalTrace, window_s: float = DEFAULT_WINDOW_S) -> tuple[np.ndarray, np.ndarray]:
+    """``(features (M, 8), codes (M,))`` for every frame whose full window sits
+    inside one annotation; codes are CLASS_ORDER indices."""
     mav, labels = _windows(trace, window_s)
-    return [(mav[i], CLASS_ORDER[labels[i]]) for i in np.flatnonzero(labels >= 0)]
+    keep = labels >= 0
+    return mav[keep], labels[keep]
 
 
 def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -281,31 +229,25 @@ class ShConfig:
             raise ValueError("t_open must be strictly below t_close")
 
 
-def calibrate_sh(
-    rest: Sequence[float],
-    shrug: Sequence[float],
-    depress: Sequence[float],
-) -> ShConfig:
-    """Thresholds from per-posture tension recordings.
+def calibrate_sh(rest: np.ndarray, shrug: np.ndarray, depress: np.ndarray) -> ShConfig:
+    """Thresholds from per-posture tension recordings, one array each.
 
     t_close is the midpoint of the rest and shrug medians, t_open the midpoint
-    of the depress and rest medians. The posture medians must be strictly
-    ordered (depress < rest < shrug) or the harness is uncalibratable.
+    of the depress and rest medians; an even-length median is the midpoint of
+    the two middle values. The posture medians must be strictly ordered
+    (depress < rest < shrug) or the harness is uncalibratable.
     """
-    if not rest or not shrug or not depress:
+    if 0 in (len(rest), len(shrug), len(depress)):
         raise ValueError("uncalibratable harness: empty posture recording")
-    med_rest = statistics.median(rest)
-    med_shrug = statistics.median(shrug)
-    med_depress = statistics.median(depress)
+    # The middle one or two sorted values; np.median would also import numpy.ma.
+    med_rest, med_shrug, med_depress = (
+        float(np.sort(x)[(len(x) - 1) // 2:len(x) // 2 + 1].mean()) for x in (rest, shrug, depress))
     if not med_depress < med_rest < med_shrug:
         raise ValueError(
             "uncalibratable harness: posture medians not ordered "
             f"(depress {med_depress:.3g}, rest {med_rest:.3g}, shrug {med_shrug:.3g})"
         )
-    return ShConfig(
-        t_open=(med_depress + med_rest) / 2.0,
-        t_close=(med_rest + med_shrug) / 2.0,
-    )
+    return ShConfig(t_open=(med_depress + med_rest) / 2.0, t_close=(med_rest + med_shrug) / 2.0)
 
 
 def detect_trace(config: ShConfig, trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:

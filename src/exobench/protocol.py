@@ -242,7 +242,7 @@ def session_calibration(subject: Subject, session_index: int) -> CalibrationBund
             depressed_n=subject.sh_depress_n,
             noise_std=subject.sh_noise_n, seed=seed + i,
         )
-        postures[posture] = trace.samples.tolist()
+        postures[posture] = trace.samples
     try:
         sh = intent_mod.calibrate_sh(
             rest=postures[ShoulderPosture.REST],

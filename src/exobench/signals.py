@@ -11,7 +11,9 @@ serialization. Two impairment knobs are built into the EMG model:
 
 A trace is two columns, sample times and sample values, built by the
 generators on whole arrays and validated once by ``SignalTrace`` itself, which
-also guards traces read back from files.
+also guards traces read back from files. A subject's ``SignalProfile`` holds
+its class means and variances the same way: two ``(3, 8)`` arrays, one row per
+``IntentLabel``.
 
 Serialized traces are JSON lines: one metadata header, then one object per
 sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``).
@@ -66,48 +68,46 @@ class ShoulderPosture(Enum):
         return self.value
 
 
-def _freeze8(values: Sequence[float]) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) != EMG_CHANNELS:
-        raise ValueError(f"expected {EMG_CHANNELS} values, got {len(out)}")
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalProfile:
     """Per-intent EMG statistics for one synthetic subject.
 
-    means/variances map each intent to 8 per-channel values. ``drift_rate``
+    ``means`` and ``variances`` are read-only ``(3, 8)`` float arrays, one row
+    of per-channel values per ``IntentLabel`` in enum order. ``drift_rate``
     scales the class means by ``max(0, 1 - drift_rate * t)``; ``crosstalk``
     mixes each channel toward the across-channel mean with weight in [0, 1].
     """
 
-    means: Mapping[IntentLabel, tuple[float, ...]]
-    variances: Mapping[IntentLabel, tuple[float, ...]]
+    means: np.ndarray
+    variances: np.ndarray
     drift_rate: float = 0.0
     crosstalk: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for label in IntentLabel:
-            if label not in self.means or label not in self.variances:
-                raise ValueError(f"profile missing statistics for {label.value}")
-        object.__setattr__(self, "means", {k: _freeze8(v) for k, v in self.means.items()})
-        object.__setattr__(self, "variances", {k: _freeze8(v) for k, v in self.variances.items()})
-        for label in IntentLabel:
-            if not all(0.0 <= m <= 1.0 for m in self.means[label]):
-                raise ValueError("class means must lie in [0, 1]")
-            if not all(v >= 0.0 for v in self.variances[label]):
-                raise ValueError("variances must be non-negative")
+        shape = (len(IntentLabel), EMG_CHANNELS)
+        means = np.array(self.means, dtype=float)
+        variances = np.array(self.variances, dtype=float)
+        if means.shape != shape or variances.shape != shape:
+            raise ValueError(f"means and variances must have shape {shape}")
+        # NaN fails every comparison, so these also reject non-finite means.
+        if not np.all((means >= 0.0) & (means <= 1.0)):
+            raise ValueError("class means must lie in [0, 1]")
+        if not np.all(variances >= 0.0):
+            raise ValueError("variances must be non-negative")
         if not 0.0 <= self.crosstalk <= 1.0:
             raise ValueError("crosstalk must lie in [0, 1]")
         if self.drift_rate < 0.0:
             raise ValueError("drift_rate must be non-negative")
+        means.flags.writeable = False
+        variances.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
 
     def to_meta(self) -> dict:
         return {
-            "means": {k.value: list(v) for k, v in self.means.items()},
-            "variances": {k.value: list(v) for k, v in self.variances.items()},
+            "means": {label.value: row for label, row in zip(IntentLabel, self.means.tolist())},
+            "variances": {label.value: row for label, row in zip(IntentLabel, self.variances.tolist())},
             "drift_rate": self.drift_rate,
             "crosstalk": self.crosstalk,
             "seed": self.seed,
@@ -128,14 +128,9 @@ def make_profile(
     seed: int = 0,
 ) -> SignalProfile:
     """Build a subject profile from the canonical class patterns."""
-    var = tuple(noise_std * noise_std for _ in range(EMG_CHANNELS))
     return SignalProfile(
-        means={
-            IntentLabel.OPEN: _OPEN_MEANS,
-            IntentLabel.RELAX: _RELAX_MEANS,
-            IntentLabel.CLOSE: _CLOSE_MEANS,
-        },
-        variances={label: var for label in IntentLabel},
+        means=(_OPEN_MEANS, _RELAX_MEANS, _CLOSE_MEANS),
+        variances=np.full((len(IntentLabel), EMG_CHANNELS), noise_std * noise_std),
         drift_rate=drift_rate,
         crosstalk=crosstalk,
         seed=seed,
@@ -302,8 +297,8 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
     Sample n sits at t = n / rate_hz and belongs to the segment whose
     half-open interval contains it; samples past the last end stay in it.
     """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
+    if not (rate_hz > 0.0 and math.isfinite(rate_hz)):
+        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz!r}")
     annotations = []
     t0 = 0.0
     for label, duration in segments:
@@ -330,9 +325,9 @@ def gen_emg_trace(
     annotations, times, segment = _timeline(segments, rate_hz)
     rng = np.random.default_rng(profile.seed)
 
-    labels = [label for _t0, _t1, label in annotations]
-    means = np.array([profile.means[label] for label in labels])[segment]
-    stds = np.sqrt(np.array([profile.variances[label] for label in labels]))[segment]
+    rows = np.array([list(IntentLabel).index(label) for _t0, _t1, label in annotations])[segment]
+    means = profile.means[rows]
+    stds = np.sqrt(profile.variances)[rows]
     fade = 1.0 - profile.drift_rate * times
     fade = np.where(fade > 0.0, fade, 0.0)
     x = means * fade[:, None] + rng.standard_normal((len(times), EMG_CHANNELS)) * stds

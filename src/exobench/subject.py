@@ -11,6 +11,7 @@ SHA-256 so every generated artifact is reproducible in isolation.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from exobench.signals import SignalProfile, make_profile
@@ -50,8 +51,8 @@ class Subject:
             raise ValueError(f"unknown hand size {self.hand_size!r}")
         if self.mas not in MAS_GRADES:
             raise ValueError(f"unknown spasticity grade {self.mas!r}")
-        if self.duration_scale <= 0:
-            raise ValueError("duration scale must be positive")
+        if not (self.duration_scale > 0.0 and math.isfinite(self.duration_scale)):
+            raise ValueError(f"duration scale must be positive and finite, got {self.duration_scale!r}")
 
     def emg_profile(self, context: str, off_table: bool = False) -> SignalProfile:
         crosstalk = min(1.0, self.crosstalk + (self.off_table_crosstalk if off_table else 0.0))

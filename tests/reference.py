@@ -4,8 +4,10 @@ Each function here is the one-sample or one-tick loop that the package once
 ran, kept so that property tests can check the array paths against it bit
 for bit. Nothing in ``src/`` imports this module.
 
-- Controller: the PID, motor, plant and setpoint primitives of one tick.
-- LDA: the feature vector and decision of one window.
+- Controller: the PID, motor, plant and setpoint primitives of one tick, on
+  a motor record that also keeps the last effort and tension.
+- LDA: the fit from a list of labeled feature vectors, and the feature
+  vector, per-class scores and decision of one window.
 - Intent streams: the per-label vote smoother, the per-sample hysteresis
   detector and the per-frame hold-run scan, on ``(t, IntentLabel)`` events.
 - Signals: the ground-truth label at one time.
@@ -13,6 +15,8 @@ for bit. Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import copy
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -25,12 +29,11 @@ from exobench.controller import (
     TENSION_CAP_N,
     HandPlant,
     MotorParams,
-    MotorState,
     PidGains,
     RomCalibration,
 )
-from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, EmgClassifier, ShConfig
-from exobench.signals import IntentLabel, SignalTrace
+from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, RIDGE, EmgClassifier, ShConfig
+from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
 
 # ---------------------------------------------------------------------------
 # Intent streams as (t, IntentLabel) events
@@ -52,6 +55,17 @@ def events(intents: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, IntentLa
 
 # ---------------------------------------------------------------------------
 # Controller primitives
+
+
+@dataclass(frozen=True)
+class MotorRecord:
+    """The motor as the scalar loop carries it: the engine's state plus the
+    last effort and the cable tension."""
+
+    excursion_mm: float
+    velocity_mm_s: float = 0.0
+    effort: float = 0.0
+    tension_n: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -89,10 +103,10 @@ def pid_step(
 
 def step_plant(
     plant: HandPlant,
-    motor: MotorState,
+    motor: MotorRecord,
     dt: float,
     voluntary_nmm: float = 0.0,
-) -> tuple[HandPlant, MotorState]:
+) -> tuple[HandPlant, MotorRecord]:
     """Advance the finger plant one tick under the current cable excursion.
 
     Per digit, cable stretch is take-up minus paid-out excursion; positive
@@ -120,10 +134,14 @@ def step_plant(
     )
     rate = torque / plant.damping_nmm_s_deg
     angles = np.clip(plant.angles_deg + rate * dt, 0.0, plant.max_deg)
-    return replace(plant, angles_deg=angles), replace(motor, tension_n=total)
+    # The plant's parameters were validated when it was built; like the
+    # engine, the loop does not check them again on every tick.
+    stepped = copy.copy(plant)
+    object.__setattr__(stepped, "angles_deg", angles)
+    return stepped, replace(motor, tension_n=total)
 
 
-def step_motor(motor: MotorState, effort: float, params: MotorParams, dt: float) -> MotorState:
+def step_motor(motor: MotorRecord, effort: float, params: MotorParams, dt: float) -> MotorRecord:
     """First-order velocity response toward effort * max speed, travel-limited."""
     target = effort * params.max_speed_mm_s
     velocity = motor.velocity_mm_s + (target - motor.velocity_mm_s) * dt / params.time_constant_s
@@ -135,7 +153,7 @@ def step_motor(motor: MotorState, effort: float, params: MotorParams, dt: float)
     return replace(motor, excursion_mm=excursion, velocity_mm_s=velocity, effort=effort)
 
 
-def passive_energy(plant: HandPlant, motor: MotorState) -> float:
+def passive_energy(plant: HandPlant, motor: MotorRecord) -> float:
     """Lyapunov functional for the passive plant (fixed excursion, no inputs).
 
     Joint-tone term plus cable-stretch term in consistent units; first-order
@@ -171,7 +189,7 @@ def select_setpoint(
     return state  # RELAX: hold whatever was commanded
 
 
-def settle_fsm(state: ControllerState, motor: MotorState, rom: RomCalibration) -> ControllerState:
+def settle_fsm(state: ControllerState, motor: MotorRecord, rom: RomCalibration) -> ControllerState:
     if state.setpoint_mm is None:
         return state
     if abs(motor.excursion_mm - state.setpoint_mm) <= SETPOINT_TOL_MM:
@@ -193,11 +211,55 @@ def extract_features(window) -> np.ndarray:
     return np.abs(np.asarray(window, dtype=float)).mean(axis=0)
 
 
+def fit_lda(labeled_features: Sequence[tuple[np.ndarray, IntentLabel]]):
+    """The shared-covariance fit, one feature vector at a time.
+
+    Returns (class means by label, covariance, priors by label, separable).
+    """
+    by_class: dict[IntentLabel, list[np.ndarray]] = {label: [] for label in CLASS_ORDER}
+    for features, label in labeled_features:
+        by_class[label].append(np.asarray(features, dtype=float))
+    n_total = sum(len(v) for v in by_class.values())
+    means = {label: np.mean(np.asarray(v), axis=0) for label, v in by_class.items()}
+    scatter = np.zeros((EMG_CHANNELS, EMG_CHANNELS))
+    for label, vectors in by_class.items():
+        centered = np.asarray(vectors) - means[label]
+        scatter += centered.T @ centered
+    dof = max(n_total - len(CLASS_ORDER), 1)
+    cov = scatter / dof
+    reg = RIDGE * np.trace(cov) / EMG_CHANNELS + 1e-9
+    cov = cov + reg * np.eye(EMG_CHANNELS)
+    priors = {label: len(by_class[label]) / n_total for label in CLASS_ORDER}
+    separable = any(
+        not np.allclose(means[a], means[b])
+        for i, a in enumerate(CLASS_ORDER)
+        for b in CLASS_ORDER[i + 1:]
+    )
+    return means, cov, priors, separable
+
+
+def scores(classifier: EmgClassifier, features: np.ndarray) -> dict[IntentLabel, float]:
+    """Per-class discriminant scores of one feature vector (monotone in posterior
+    probability), from the classifier's means, covariance and priors."""
+    f = np.asarray(features, dtype=float)
+    if f.shape != (EMG_CHANNELS,):
+        raise ValueError("feature vector must have 8 components")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("feature vector contains non-finite values")
+    inv = np.linalg.inv(classifier.covariance)
+    out = {}
+    for label, mu, prior in zip(CLASS_ORDER, classifier.means, classifier.priors):
+        w = inv @ mu
+        b = -0.5 * float(mu @ inv @ mu) + math.log(prior)
+        out[label] = float(w @ f) + b
+    return out
+
+
 def classify(classifier: EmgClassifier, features: np.ndarray) -> IntentLabel:
     """Argmax over discriminant scores; exact ties resolve toward RELAX."""
-    scores = classifier.scores(features)
-    best = max(scores.values())
-    tied = [label for label in CLASS_ORDER if scores[label] == best]
+    by_label = scores(classifier, features)
+    best = max(by_label.values())
+    tied = [label for label in CLASS_ORDER if by_label[label] == best]
     if IntentLabel.RELAX in tied:
         return IntentLabel.RELAX
     return tied[0]

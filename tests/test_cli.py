@@ -157,6 +157,35 @@ class TestSimulate:
         assert "1..12" in err
 
 
+class TestNonFiniteNumbers:
+    """A NaN or infinite number on the command line is a clean error, exit 2."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("gen", "emg", "--intent-script", "open:1", "--rate"),
+        ("gen", "load", "--script", "rest:1", "--rate"),
+    ], ids=["gen-emg", "gen-load"])
+    def test_rate(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 2
+        assert out == ""
+        assert f"rate_hz must be positive and finite, got {float(value)!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_duration_scale(self, capsys, tmp_path, value):
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(
+            capsys, "simulate", "--group", "SH", "--sessions", "1",
+            "--duration-scale", value, "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"duration scale must be positive and finite, got {float(value)!r}" in err
+        assert "Traceback" not in err
+        assert not any(out_dir.iterdir())
+
+
 class TestAnalyze:
     @pytest.fixture()
     def cohort_csv(self, tmp_path):

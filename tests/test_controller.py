@@ -35,6 +35,7 @@ from exobench.controller import (
 from exobench.signals import IntentLabel
 from reference import (
     ControllerState,
+    MotorRecord,
     PidState,
     events,
     passive_energy,
@@ -132,19 +133,19 @@ class TestMotor:
 
     def test_velocity_lag_approaches_target(self):
         params = MotorParams()
-        motor = MotorState(excursion_mm=10.0)
+        motor = MotorRecord(excursion_mm=10.0)
         for _ in range(200):
             motor = step_motor(motor, 0.5, params, 0.005)
         assert motor.velocity_mm_s == pytest.approx(0.5 * params.max_speed_mm_s, rel=1e-3)
 
     def test_travel_stops(self):
         params = MotorParams()
-        motor = MotorState(excursion_mm=0.5)
+        motor = MotorRecord(excursion_mm=0.5)
         for _ in range(100):
             motor = step_motor(motor, -1.0, params, 0.005)
         assert motor.excursion_mm == 0.0
         assert motor.velocity_mm_s == 0.0
-        motor = MotorState(excursion_mm=params.travel_mm - 0.5)
+        motor = MotorRecord(excursion_mm=params.travel_mm - 0.5)
         for _ in range(100):
             motor = step_motor(motor, 1.0, params, 0.005)
         assert motor.excursion_mm == params.travel_mm
@@ -153,14 +154,14 @@ class TestMotor:
 class TestPlant:
     def test_rest_pose_with_slack_cable_is_equilibrium(self):
         plant = default_plant("M")
-        motor = MotorState(excursion_mm=float(plant.cable_take_up_mm().max()))
+        motor = MotorRecord(excursion_mm=float(plant.cable_take_up_mm().max()))
         stepped, stepped_motor = step_plant(plant, motor, 0.005)
         assert np.array_equal(stepped.angles_deg, plant.angles_deg)
         assert stepped_motor.tension_n == 0.0
 
     def test_tension_cap_is_exact_and_pro_rata(self):
         plant = flexed_plant("M", 4.0)
-        motor = MotorState(excursion_mm=0.0)
+        motor = MotorRecord(excursion_mm=0.0)
         take_up = plant.cable_take_up_mm()
         raw = plant.tendon_stiffness_n_mm * np.maximum(take_up, 0.0)
         assert raw.sum() > TENSION_CAP_N
@@ -169,7 +170,7 @@ class TestPlant:
 
     def test_hyperextension_block(self):
         plant = default_plant("M", angles_deg=np.full((4, 2), 1.0))
-        motor = MotorState(excursion_mm=0.0)
+        motor = MotorRecord(excursion_mm=0.0)
         for _ in range(400):
             plant, motor = step_plant(plant, motor, 0.005, voluntary_nmm=-5000.0)
         assert np.all(plant.angles_deg >= 0.0)
@@ -177,10 +178,25 @@ class TestPlant:
 
     def test_flexion_stop(self):
         plant = default_plant("M")
-        motor = MotorState(excursion_mm=float(plant.cable_take_up_mm().max()))
+        motor = MotorRecord(excursion_mm=float(plant.cable_take_up_mm().max()))
         for _ in range(400):
             plant, motor = step_plant(plant, motor, 0.005, voluntary_nmm=5000.0)
         assert np.all(plant.angles_deg <= plant.max_deg)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tendon_stiffness(self, value):
+        with pytest.raises(ValueError, match=f"tendon stiffness must be positive and finite, got {value!r}"):
+            replace(default_plant("M"), tendon_stiffness_n_mm=value)
+
+    @pytest.mark.parametrize("field", ["angles_deg", "rest_deg", "max_deg", "stiffness_nmm_deg",
+                                       "damping_nmm_s_deg", "moment_arm_mm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, field, value):
+        plant = default_plant("M")
+        arr = getattr(plant, field).copy()
+        arr[2, 1] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(plant, **{field: arr})
 
     def test_spasticity_scales_stiffness(self):
         mild = default_plant("M", stiffness_scale=1.0)
@@ -193,7 +209,7 @@ class TestPlant:
         angles = rng.uniform(0.0, 88.0, size=(4, 2))
         angles[:, 1] = np.minimum(angles[:, 1], 98.0)
         plant = default_plant("M", float(rng.uniform(1.0, 4.0)), angles_deg=angles)
-        motor = MotorState(excursion_mm=float(rng.uniform(0.0, 50.0)))
+        motor = MotorRecord(excursion_mm=float(rng.uniform(0.0, 50.0)))
         energy = passive_energy(plant, motor)
         for _ in range(20):
             plant, motor = step_plant(plant, motor, 0.005)
@@ -360,9 +376,10 @@ class RefTick(NamedTuple):
 def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
                       initial_motor=None, motor_params=MotorParams(), dt=CONTROL_DT_S):
     """The scalar tick loop, built from the primitives: (ticks, abort diagnostic or None)."""
-    motor = initial_motor if initial_motor is not None else MotorState(
-        excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm)
-    )
+    if initial_motor is not None:
+        motor = MotorRecord(initial_motor.excursion_mm, initial_motor.velocity_mm_s)
+    else:
+        motor = MotorRecord(excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm))
     voluntary = voluntary_nmm if callable(voluntary_nmm) else (lambda _t, v=voluntary_nmm: v)
     ordered = sorted(intents, key=lambda e: e[0])
     state = ControllerState()
@@ -589,7 +606,10 @@ class TestBatchedEngine:
     def test_infinite_angles_abort(self):
         # With no flexion stop, an infinite torque makes every angle +inf: not
         # NaN and not below zero, so only a finiteness check sees it.
-        plant = replace(default_plant("M"), max_deg=np.full((4, 2), math.inf))
+        # HandPlant rejects an infinite stop, so the test sets it past that
+        # check to reach the engine's own screen.
+        plant = default_plant("M")
+        object.__setattr__(plant, "max_deg", np.full((4, 2), math.inf))
         rom = calibrate_rom("M")
         episodes = [
             Episode(stream([(0.0, OPEN)]), 0.2, rom, plant=plant, voluntary_nmm=math.inf),
@@ -625,6 +645,12 @@ class TestBatchedEngine:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             run_episodes([Episode(stream([]), 1.0, calibrate_rom("M"))], dt=0.0)
+
+    @pytest.mark.parametrize("dt", [-0.005, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_dt(self, dt):
+        episode = Episode(stream([(0.0, OPEN)]), 0.1, calibrate_rom("M"))
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
+            run_episodes([episode], dt=dt)
 
     def test_episode_jsonl_is_unchanged(self):
         rom = calibrate_rom("M")

@@ -1,8 +1,8 @@
 """Intent inferral: classifier, vote smoothing, harness detector, screening."""
 
 import dataclasses
-import json
 import math
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +29,7 @@ from exobench.intent import (
 )
 from exobench.signals import IntentLabel, ShoulderPosture, SignalTrace
 from exobench.subject import preset_subject
-from reference import classify, events, extract_features, label_at, stream
+from reference import classify, events, extract_features, label_at, scores, stream
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 
@@ -63,6 +63,11 @@ def _window(values, n=5):
     return np.tile(np.asarray(values, dtype=float), (n, 1))
 
 
+def _identical_centroids(per_class=4):
+    """Training data whose three classes share one feature vector."""
+    return np.full((3 * per_class, 8), 0.5), np.repeat(np.arange(3), per_class)
+
+
 class TestFeatures:
     def test_mav_of_constant_window_is_exact(self):
         values = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -86,22 +91,55 @@ class TestClassifier:
         assert trace_accuracy(separable_classifier, trace) >= 0.9
 
     def test_insufficient_training_data_names_classes(self):
-        feats = [(np.full(8, 0.5), OPEN)]
         with pytest.raises(ValueError, match="no samples for relax, close"):
-            train_classifier(feats)
+            train_classifier((np.full((1, 8), 0.5), np.array([CLASS_ORDER.index(OPEN)])))
+
+    @pytest.mark.parametrize("features, codes", [
+        (np.zeros((3, 7)), np.arange(3)),
+        (np.zeros(8), np.arange(1)),
+        (np.zeros((3, 8)), np.arange(2)),
+    ])
+    def test_training_data_shapes_checked(self, features, codes):
+        with pytest.raises(ValueError, match=r"training data must be \(M, 8\) features"):
+            train_classifier((features, codes))
+
+    def test_class_rows_follow_class_order(self, separable_classifier):
+        subject = preset_subject("separable", seed=0)
+        script = [(label, 4.0) for label in CLASS_ORDER]
+        features, codes = labeled_windows(
+            signals.gen_emg_trace(subject.emg_profile("screen:train"), script))
+        for row, label in enumerate(CLASS_ORDER):
+            rows = features[codes == row]
+            assert np.array_equal(separable_classifier.means[row], rows.mean(axis=0))
+            assert separable_classifier.priors[row] == len(rows) / len(codes)
+        # OPEN loads the extensor channels 0-3, CLOSE the flexor channels 4-7.
+        open_row, close_row = (separable_classifier.means[CLASS_ORDER.index(label)]
+                               for label in (OPEN, CLOSE))
+        assert open_row[:4].sum() > open_row[4:].sum()
+        assert close_row[4:].sum() > close_row[:4].sum()
 
     def test_identical_centroids_marked_inseparable(self):
-        feats = [(np.full(8, 0.5), label) for label in CLASS_ORDER for _ in range(4)]
-        clf = train_classifier(feats)
+        clf = train_classifier(_identical_centroids())
         assert clf.separable is False
         assert classify(clf, np.full(8, 0.7)) is RELAX
 
+    @pytest.mark.parametrize("field, shape", [("means", (3, 7)), ("means", (8,)),
+                                              ("covariance", (8, 7)), ("priors", (2,))])
+    def test_classifier_shapes_checked(self, separable_classifier, field, shape):
+        with pytest.raises(ValueError, match=f"{field} must have shape"):
+            dataclasses.replace(separable_classifier, **{field: np.ones(shape)})
+
+    def test_classifier_arrays_are_read_only(self, separable_classifier):
+        for arr in (separable_classifier.means, separable_classifier.covariance,
+                    separable_classifier.priors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_exact_three_way_tie_resolves_to_relax(self):
-        mu = np.full(8, 0.5)
         clf = EmgClassifier(
-            class_means={label: mu for label in CLASS_ORDER},
+            means=np.full((3, 8), 0.5),
             covariance=np.eye(8),
-            priors={label: 1 / 3 for label in CLASS_ORDER},
+            priors=np.full(3, 1 / 3),
         )
         assert classify(clf, np.full(8, 0.25)) is RELAX
 
@@ -110,13 +148,13 @@ class TestClassifier:
         e1[0] = 1.0
         e2[1] = 1.0
         clf = EmgClassifier(
-            class_means={OPEN: e1, CLOSE: e2, RELAX: np.full(8, -10.0)},
+            means=np.array([e1, np.full(8, -10.0), e2]),  # OPEN, RELAX, CLOSE
             covariance=np.eye(8),
-            priors={label: 1 / 3 for label in CLASS_ORDER},
+            priors=np.full(3, 1 / 3),
         )
         midpoint = (e1 + e2) / 2.0
-        scores = clf.scores(midpoint)
-        assert scores[OPEN] == scores[CLOSE] > scores[RELAX]
+        by_label = scores(clf, midpoint)
+        assert by_label[OPEN] == by_label[CLOSE] > by_label[RELAX]
         assert classify(clf, midpoint) is OPEN
         # The same tie, decided for every frame of a trace at once.
         trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.arange(12) / 50.0,
@@ -125,43 +163,25 @@ class TestClassifier:
 
     def test_argmax_invariant_to_feature_scale_direction(self, separable_classifier):
         # Doubling activation toward a class centroid must not flip away from it.
-        mu_open = separable_classifier.class_means[OPEN]
+        mu_open = separable_classifier.means[CLASS_ORDER.index(OPEN)]
         assert classify(separable_classifier, mu_open) is OPEN
 
-    def test_json_round_trip_preserves_decisions(self, separable_classifier, tmp_path):
-        path = tmp_path / "clf.json"
-        separable_classifier.save(path)
-        again = EmgClassifier.load(path)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            f = rng.uniform(0.0, 1.0, size=8)
-            assert classify(again, f) is classify(separable_classifier, f)
-
-    def test_json_schema_guard(self):
-        with pytest.raises(ValueError, match="schema"):
-            EmgClassifier.from_json('{"schema": "exobench/classifier-v9"}')
-
-    def test_json_has_no_hop(self, separable_classifier):
-        doc = json.loads(separable_classifier.to_json())
-        assert doc["schema"] == "exobench/classifier-v2"
-        assert "hop_s" not in doc
+    def test_classifier_has_no_hop(self, separable_classifier):
         assert not hasattr(separable_classifier, "hop_s")
-
-    def test_v1_file_with_hop_is_rejected(self, separable_classifier):
-        doc = json.loads(separable_classifier.to_json())
-        doc.update(schema="exobench/classifier-v1", hop_s=0.02)
-        with pytest.raises(ValueError, match="classifier-v1"):
-            EmgClassifier.from_json(json.dumps(doc))
+        with pytest.raises(TypeError, match="hop_s"):
+            dataclasses.replace(separable_classifier, hop_s=0.02)
 
     def test_train_classifier_takes_no_hop(self):
-        feats = [(np.full(8, 0.1 * (i + 1)), label) for i, label in enumerate(CLASS_ORDER)]
+        feats = (np.arange(1, 4)[:, None] * np.full((3, 8), 0.1), np.arange(3))
         with pytest.raises(TypeError, match="hop_s"):
             train_classifier(feats, hop_s=0.02)
 
     def test_rejects_non_finite_features(self, separable_classifier):
+        # The reference scores check their input; the array path never sees
+        # a non-finite feature, because traces hold activations in [0, 1].
         bad = np.full(8, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            separable_classifier.scores(bad)
+            scores(separable_classifier, bad)
 
 
 class TestSmoothing:
@@ -202,28 +222,42 @@ class TestSmoothing:
         assert _smoothed([label] * n, k) == [label] * n
 
 
+def _postures(rest, shrug, depress):
+    return {name: np.array(values, dtype=float)
+            for name, values in (("rest", rest), ("shrug", shrug), ("depress", depress))}
+
+
 class TestHarnessCalibration:
     def test_reference_midpoints(self):
-        config = calibrate_sh(rest=[20.0], shrug=[40.0], depress=[8.0])
+        config = calibrate_sh(**_postures([20.0], [40.0], [8.0]))
         assert config.t_open == 14.0
         assert config.t_close == 30.0
 
     def test_uses_medians_not_means(self):
-        config = calibrate_sh(
-            rest=[19.0, 20.0, 90.0],
-            shrug=[40.0, 40.0, 41.0],
-            depress=[7.0, 8.0, 9.0],
-        )
+        config = calibrate_sh(**_postures([19.0, 20.0, 90.0], [40.0, 40.0, 41.0], [7.0, 8.0, 9.0]))
         assert config.t_open == 14.0
         assert config.t_close == 30.0
 
+    @given(*[st.lists(st.floats(0.0, 1e6), min_size=1, max_size=9) for _ in range(3)])
+    def test_midpoints_match_statistics_median(self, rest, shrug, depress):
+        med_rest, med_shrug, med_depress = map(statistics.median, (rest, shrug, depress))
+        try:
+            config = calibrate_sh(**_postures(rest, shrug, depress))
+        except ValueError as exc:
+            assert "not ordered" in str(exc)
+            assert not med_depress < med_rest < med_shrug
+            return
+        assert (config.t_open, config.t_close) == (
+            (med_depress + med_rest) / 2.0, (med_rest + med_shrug) / 2.0)
+        assert type(config.t_open) is float and type(config.t_close) is float
+
     def test_unordered_medians_fail(self):
         with pytest.raises(ValueError, match="uncalibratable"):
-            calibrate_sh(rest=[20.0], shrug=[10.0], depress=[8.0])
+            calibrate_sh(**_postures([20.0], [10.0], [8.0]))
 
     def test_empty_recording_fails(self):
         with pytest.raises(ValueError, match="uncalibratable"):
-            calibrate_sh(rest=[], shrug=[40.0], depress=[8.0])
+            calibrate_sh(**_postures([], [40.0], [8.0]))
 
     def test_config_requires_ordered_thresholds(self):
         with pytest.raises(ValueError, match="strictly below"):
@@ -364,10 +398,11 @@ class TestWindowing:
     def test_labeled_windows_skip_boundary_straddles(self):
         subject = preset_subject("separable", seed=2)
         trace = signals.gen_emg_trace(subject.emg_profile("w"), [(OPEN, 1.0), (CLOSE, 1.0)])
-        pairs = labeled_windows(trace)
+        features, codes = labeled_windows(trace)
         # 100 frames, 8-frame window: 93 full windows minus 7 straddling the switch.
-        assert len(pairs) == 86
-        assert {label for _, label in pairs} == {OPEN, CLOSE}
+        assert features.shape == (86, 8)
+        assert codes.shape == (86,)
+        assert {CLASS_ORDER[c] for c in codes.tolist()} == {OPEN, CLOSE}
 
     def test_classify_trace_covers_every_frame(self, separable_classifier):
         subject = preset_subject("separable", seed=3)
@@ -380,7 +415,7 @@ class TestWindowing:
         subject = preset_subject("separable", seed=2)
         trace = signals.gen_emg_trace(subject.emg_profile("w"), [(RELAX, 1.0), (RELAX, 1.0)])
         # 100 frames, 8-frame window: labels compare by value across the seam.
-        assert len(labeled_windows(trace)) == 93
+        assert len(labeled_windows(trace)[1]) == 93
 
     def test_label_at_matches_annotation_scan(self):
         trace = signals.gen_emg_trace(
@@ -436,8 +471,7 @@ def _classifiers():
     subject = preset_subject("distorted", seed=4)
     script = [(label, 2.0) for label in CLASS_ORDER]
     trace = signals.gen_emg_trace(subject.emg_profile("screen:train"), script)
-    inseparable = [(np.full(8, 0.5), label) for label in CLASS_ORDER for _ in range(4)]
-    return [train_classifier(labeled_windows(trace)), train_classifier(inseparable)]
+    return [train_classifier(labeled_windows(trace)), train_classifier(_identical_centroids())]
 
 
 CLASSIFIERS = _classifiers()
@@ -464,11 +498,34 @@ class TestArrayPipelineMatchesReference:
         clf = dataclasses.replace(CLASSIFIERS[which], window_s=window_s)
 
         assert events(classify_trace(clf, trace)) == _reference_classify_trace(clf, trace)
-        got = labeled_windows(trace, window_s)
+        features, codes = labeled_windows(trace, window_s)
         want = _reference_labeled_windows(trace, window_s)
-        assert [label for _f, label in got] == [label for _f, label in want]
-        assert all(np.array_equal(f, g) for (f, _), (g, _) in zip(got, want))
+        assert features.shape == (len(want), 8)
+        assert [CLASS_ORDER[c] for c in codes.tolist()] == [label for _f, label in want]
+        assert all(np.array_equal(f, g) for f, (g, _) in zip(features, want))
         assert _outcome(trace_accuracy, clf, trace) == _outcome(_reference_trace_accuracy, clf, trace)
+
+
+class TestTrainingMatchesReference:
+    @given(
+        order=st.permutations(list(CLASS_ORDER)),
+        extra=st.lists(st.tuples(labels_st, st.floats(0.05, 0.6)), max_size=3),
+        rate_hz=st.sampled_from([20.0, 50.0, 1000.0]),
+        noise=st.floats(0.0, 0.3),
+        crosstalk=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        window_s=st.sampled_from([0.01, intent.DEFAULT_WINDOW_S]),
+    )
+    def test_fit_bit_for_bit(self, order, extra, rate_hz, noise, crosstalk, seed, window_s):
+        script = [(label, 0.5) for label in order] + extra
+        profile = signals.make_profile(noise_std=noise, crosstalk=crosstalk, seed=seed)
+        trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
+        clf = train_classifier(labeled_windows(trace, window_s))
+        means, cov, priors, separable = reference.fit_lda(_reference_labeled_windows(trace, window_s))
+        assert clf.means.tobytes() == np.array([means[label] for label in CLASS_ORDER]).tobytes()
+        assert clf.covariance.tobytes() == cov.tobytes()
+        assert clf.priors.tolist() == [priors[label] for label in CLASS_ORDER]
+        assert clf.separable is separable
 
 
 def _mirrored_classifier(rng):
@@ -479,9 +536,9 @@ def _mirrored_classifier(rng):
     cov = a @ a.T + 8.0 * np.eye(8)
     mean = rng.uniform(0.0, 1.0, 8)
     return EmgClassifier(
-        class_means={OPEN: mean, CLOSE: swap @ mean, RELAX: np.full(8, -10.0)},
+        means=np.array([mean, np.full(8, -10.0), swap @ mean]),  # OPEN, RELAX, CLOSE
         covariance=(cov + swap @ cov @ swap.T) / 2.0,
-        priors={label: 1 / 3 for label in CLASS_ORDER},
+        priors=np.full(3, 1 / 3),
     )
 
 
@@ -496,8 +553,8 @@ class TestOneRowScoring:
                 trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.zeros(1),
                                     samples=f[None, :], annotations=())
                 assert events(classify_trace(clf, trace)) == [(0.0, classify(clf, f))]
-                scores = clf.scores(f)
-                want = np.array([[scores[label] for label in CLASS_ORDER]])
+                by_label = scores(clf, f)
+                want = np.array([[by_label[label] for label in CLASS_ORDER]])
                 assert clf._score_rows(f[None, :]).tobytes() == want.tobytes()
-                ties += scores[OPEN] == scores[CLOSE]
+                ties += by_label[OPEN] == by_label[CLOSE]
         assert ties > 100

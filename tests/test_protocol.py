@@ -1,10 +1,12 @@
 """Training protocol: task inventory, scheduling, session execution."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 from datetime import date
 
+import numpy as np
 import pytest
 
 from exobench import controller, protocol
@@ -18,6 +20,7 @@ from exobench.protocol import (
     lognormal_task_durations,
     run_session,
     session_calibration,
+    task_intent_stream,
 )
 from exobench.subject import Subject, preset_subject
 
@@ -150,6 +153,50 @@ class TestCalibration:
         assert a.thumb_extension_n == b.thumb_extension_n
 
 
+#: sha256 of ``run_session(plan, Subject("S01", group, mas=mas, seed=3)).to_jsonl()``
+#: for the first two plans of S01, recorded before the classifier moved to
+#: (3, 8) arrays. No abort happens in these sessions, so an EMG log does not
+#: depend on the classifier's decisions; _EMG_STREAM_PINS covers those.
+_SESSION_PINS = {
+    ("EMG", "0", 1): "a66d066452c94bbed18297194d936ad92426ed3c5f74db24fc116e838cf7e4fe",
+    ("EMG", "0", 2): "e213c778b35616a76fa382cdb467054e4c1ef09e8d1f389a116ca1009d4fdac1",
+    ("EMG", "2", 1): "a66d066452c94bbed18297194d936ad92426ed3c5f74db24fc116e838cf7e4fe",
+    ("EMG", "2", 2): "e213c778b35616a76fa382cdb467054e4c1ef09e8d1f389a116ca1009d4fdac1",
+    ("SH", "0", 1): "54af18f58c6271dd98aa464bea1044e477af161439690a25124516f94d0ce5d6",
+    ("SH", "0", 2): "73a956d02a2a2e5bbf0d1ac9059001d6d1172d825e16d90edc21258a7ac662fc",
+    ("SH", "2", 1): "54af18f58c6271dd98aa464bea1044e477af161439690a25124516f94d0ce5d6",
+    ("SH", "2", 2): "73a956d02a2a2e5bbf0d1ac9059001d6d1172d825e16d90edc21258a7ac662fc",
+}
+
+#: sha256 of the calibration classifier's weight and bias bytes, then each
+#: task's intent stream (time bytes, int64 code bytes, repr of the duration),
+#: for the first two EMG sessions of Subject("S01", "EMG", seed=3).
+_EMG_STREAM_PINS = {
+    1: "d378c376546e6db268c5e06f6541a43c5ea2e525523d9a4ce46f5fc3f749f232",
+    2: "b06e43951f6791ff748e9ed269ed2c1952d916bd1ebc5cfef207f765450cac01",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("group, mas, session", sorted(_SESSION_PINS))
+    def test_session_log(self, group, mas, session):
+        plan = build_session_plans("S01")[session - 1]
+        log = run_session(plan, Subject("S01", group, mas=mas, seed=3))
+        assert hashlib.sha256(log.to_jsonl().encode()).hexdigest() == _SESSION_PINS[group, mas, session]
+
+    @pytest.mark.parametrize("session", sorted(_EMG_STREAM_PINS))
+    def test_emg_calibration_and_intent_streams(self, session):
+        subject = Subject("S01", "EMG", seed=3)
+        plan = build_session_plans("S01")[session - 1]
+        bundle = session_calibration(subject, session)
+        weights, biases = bundle.classifier._weights, bundle.classifier._biases
+        digest = hashlib.sha256(weights.tobytes() + biases.tobytes())
+        for task in plan.tasks:
+            (t, codes), duration = task_intent_stream(subject, bundle, session, task)
+            digest.update(t.tobytes() + codes.astype("<i8").tobytes() + repr(duration).encode())
+        assert digest.hexdigest() == _EMG_STREAM_PINS[session]
+
+
 @pytest.fixture(scope="module")
 def completed():
     subject = Subject(subject_id="S10", group="SH", seed=21)
@@ -230,8 +277,11 @@ class TestSessionExecution:
         subject = Subject(subject_id="S13", group="SH", seed=4)
         plan = replace(build_session_plans(subject.subject_id)[0], active_budget_s=100.0)
         plain = run_session(plan, subject, duration_model=lambda task: 30.0)
-        # A NaN stiffness makes every episode's state non-finite on its first tick.
-        monkeypatch.setitem(controller.MAS_STIFFNESS, subject.mas, math.nan)
+        # A NaN stiffness makes every episode's state non-finite on its first
+        # tick. HandPlant rejects one, so the test sets it past that check.
+        nan_plant = controller.default_plant(subject.hand_size)
+        object.__setattr__(nan_plant, "stiffness_nmm_deg", np.full((4, 2), math.nan))
+        monkeypatch.setattr(controller, "default_plant", lambda *_args: nan_plant)
         aborted = run_session(plan, subject, duration_model=lambda task: 30.0)
         adjustments = [e for e in aborted.events if e.kind == "adjustment"]
         assert [e.detail["task"] for e in adjustments] == [task.task_id for task in plan.tasks[:4]]

@@ -102,12 +102,17 @@ class TestColumnValidation:
         assert SignalTrace.from_jsonl(trace.to_jsonl()).samples.shape == (0, EMG_CHANNELS)
 
 
+def _row(label):
+    """A label's row in a profile's (3, 8) arrays: its place in the enum."""
+    return list(IntentLabel).index(label)
+
+
 class TestProfiles:
     def test_separable_profile_orders_channels(self):
         profile = signals.separable_profile(0)
-        open_means = profile.means[IntentLabel.OPEN]
-        close_means = profile.means[IntentLabel.CLOSE]
-        relax_means = profile.means[IntentLabel.RELAX]
+        open_means = profile.means[_row(IntentLabel.OPEN)]
+        close_means = profile.means[_row(IntentLabel.CLOSE)]
+        relax_means = profile.means[_row(IntentLabel.RELAX)]
         # Extensor channels dominate on open, flexor channels on close.
         assert sum(open_means[:4]) > sum(open_means[4:])
         assert sum(close_means[4:]) > sum(close_means[:4])
@@ -116,6 +121,44 @@ class TestProfiles:
     def test_crosstalk_bounds_enforced(self):
         with pytest.raises(ValueError, match="crosstalk"):
             signals.make_profile(crosstalk=1.5)
+
+    def test_statistics_are_read_only_arrays(self):
+        profile = signals.make_profile(noise_std=0.03)
+        assert profile.means.shape == profile.variances.shape == (3, EMG_CHANNELS)
+        assert np.all(profile.variances == 0.03 * 0.03)
+        for arr in (profile.means, profile.variances):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.5
+
+    @pytest.mark.parametrize("means, variances, error", [
+        (np.full((3, 7), 0.5), np.zeros((3, 8)), "shape"),
+        (np.full((2, 8), 0.5), np.zeros((2, 8)), "shape"),
+        (np.full((3, 8), 0.5), np.zeros(8), "shape"),
+        (np.full((3, 8), 1.5), np.zeros((3, 8)), r"\[0, 1\]"),
+        (np.full((3, 8), -0.1), np.zeros((3, 8)), r"\[0, 1\]"),
+        (np.full((3, 8), math.nan), np.zeros((3, 8)), r"\[0, 1\]"),
+        (np.full((3, 8), 0.5), np.full((3, 8), -1e-6), "non-negative"),
+        (np.full((3, 8), 0.5), np.full((3, 8), math.nan), "non-negative"),
+    ])
+    def test_rejects_bad_statistics(self, means, variances, error):
+        with pytest.raises(ValueError, match=error):
+            signals.SignalProfile(means=means, variances=variances)
+
+    def test_meta_maps_each_label_to_its_row(self):
+        profile = signals.make_profile(noise_std=0.05, drift_rate=0.01, crosstalk=0.2, seed=4)
+        meta = profile.to_meta()
+        assert list(meta["means"]) == list(meta["variances"]) == ["open", "relax", "close"]
+        for label in IntentLabel:
+            assert meta["means"][label.value] == profile.means[_row(label)].tolist()
+            assert meta["variances"][label.value] == [0.05 * 0.05] * EMG_CHANNELS
+        assert (meta["drift_rate"], meta["crosstalk"], meta["seed"]) == (0.01, 0.2, 4)
+
+    @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan, math.inf])
+    def test_generators_reject_bad_rates(self, rate):
+        with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
+            signals.gen_emg_trace(signals.separable_profile(0), [(IntentLabel.OPEN, 1.0)], rate_hz=rate)
+        with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
+            signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], rate_hz=rate)
 
 
 class TestEmgTrace:
@@ -257,8 +300,8 @@ def _script_annotations(script):
 def _reference_emg(profile, script, rate_hz):
     rng = np.random.default_rng(profile.seed)
     annotations, total = _script_annotations(script)
-    means = {lab: np.asarray(profile.means[lab]) for lab in IntentLabel}
-    stds = {lab: np.sqrt(np.asarray(profile.variances[lab])) for lab in IntentLabel}
+    means = {lab: profile.means[_row(lab)] for lab in IntentLabel}
+    stds = {lab: np.sqrt(profile.variances[_row(lab)]) for lab in IntentLabel}
     seg_idx = 0
     times, rows = [], []
     for t in np.arange(int(round(total * rate_hz))) / rate_hz:
