@@ -9,22 +9,3 @@ tests, Benjamini-Hochberg correction).
 """
 
 __version__ = "0.1.0"
-
-from exobench.signals import (
-    IntentLabel,
-    ShoulderPosture,
-    SignalProfile,
-    SignalTrace,
-    gen_emg_trace,
-    gen_load_trace,
-)
-
-__all__ = [
-    "IntentLabel",
-    "ShoulderPosture",
-    "SignalProfile",
-    "SignalTrace",
-    "gen_emg_trace",
-    "gen_load_trace",
-    "__version__",
-]

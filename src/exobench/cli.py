@@ -5,9 +5,9 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 safety abort. All outputs are deterministic for a fixed seed; file
 formats carry schema-version headers.
 
-``exobench.outcomes``, and scipy with it, is imported only by the commands
-that use the statistics (``gen cohort`` and ``analyze``), so the others
-start without paying for it.
+``exobench.outcomes`` is imported only by ``gen cohort`` and ``analyze``,
+and scipy (through ``outcomes.stats``) only by ``analyze``, the one command
+that runs the statistics; the others start without paying for it.
 """
 
 from __future__ import annotations
@@ -318,7 +318,6 @@ def cmd_episode(args, cfg) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
-    out = _out_dir(args)
     group = _pick(args.group, cfg, "group", None)
     if group is None:
         raise UsageError("--group is required (EMG or SH)")
@@ -334,6 +333,7 @@ def cmd_simulate(args, cfg) -> int:
         uses_arm_support=bool(_pick(None, cfg, "arm_support", False)),
         seed=int(_pick(args.seed, cfg, "seed", 0)),
     )
+    out = _out_dir(args)
     plans = protocol.build_session_plans(subject.subject_id)[:sessions]
     summary = [
         f"subject {subject.subject_id}  group {subject.group}  "

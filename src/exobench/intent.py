@@ -67,7 +67,6 @@ class EmgClassifier:
     covariance: np.ndarray
     priors: np.ndarray
     window_s: float = DEFAULT_WINDOW_S
-    vote_k: int = DEFAULT_VOTE_K
     separable: bool = True
 
     def __post_init__(self) -> None:
@@ -360,7 +359,7 @@ def screen_emg_eligibility(
                 f"attempts, found {len(attempts)}"
             )
         t, raw = classify_trace(classifier, trace)
-        decisions = (t, smooth_intents(raw, classifier.vote_k))
+        decisions = (t, smooth_intents(raw))
         holds = max_hold_runs(decisions, trace.rate_hz, attempts, intent)
         results.append(
             ConditionResult(

@@ -1,54 +1,1 @@
 """Clinical outcome measures, gain computation, and the statistical pipeline."""
-
-from exobench.outcomes.model import (
-    Comparison,
-    GainResult,
-    Group,
-    Measure,
-    SubjectOutcomes,
-    CohortFormatError,
-    compute_gains,
-    load_cohort_csv,
-    write_cohort_csv,
-)
-from exobench.outcomes.stats import (
-    BhDecision,
-    ShapiroResult,
-    TTestResult,
-    WilcoxonResult,
-    bh_procedure,
-    levene,
-    paired_t,
-    shapiro_wilk,
-    wilcoxon_signed_rank,
-)
-from exobench.outcomes.report import CohortReport, TestResult, analyze_cohort, render_json, render_text
-from exobench.outcomes.golden import golden_cohort, golden_cohort_csv
-
-__all__ = [
-    "BhDecision",
-    "CohortFormatError",
-    "CohortReport",
-    "Comparison",
-    "GainResult",
-    "Group",
-    "Measure",
-    "ShapiroResult",
-    "SubjectOutcomes",
-    "TTestResult",
-    "TestResult",
-    "WilcoxonResult",
-    "analyze_cohort",
-    "bh_procedure",
-    "compute_gains",
-    "golden_cohort",
-    "golden_cohort_csv",
-    "levene",
-    "load_cohort_csv",
-    "paired_t",
-    "render_json",
-    "render_text",
-    "shapiro_wilk",
-    "wilcoxon_signed_rank",
-    "write_cohort_csv",
-]

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-log = logging.getLogger(__name__)
 
 
 class Group(Enum):
@@ -174,8 +171,8 @@ def compute_gains(
 ) -> GainResult:
     """Integer gains (minuend - subtrahend) per subject.
 
-    Subjects missing either phase are excluded with a logged warning and
-    reported in the result rather than silently dropped.
+    Subjects missing either phase are excluded and listed in the result
+    rather than silently dropped.
     """
     gains: dict[str, int] = {}
     excluded: list[str] = []
@@ -186,11 +183,6 @@ def compute_gains(
             excluded.append(subject.subject_id)
         else:
             gains[subject.subject_id] = a - b
-    if excluded:
-        log.warning(
-            "%s (%s): excluded %d subject(s) missing a phase: %s",
-            measure, comparison.name, len(excluded), ", ".join(excluded),
-        )
     return GainResult(measure=measure, comparison=comparison, gains=gains, excluded=tuple(excluded))
 
 

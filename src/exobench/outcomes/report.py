@@ -14,7 +14,7 @@ applies only at render time; comparisons use unrounded values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,7 +30,6 @@ from exobench.outcomes.model import (
     GainResult,
     Group,
     Measure,
-    Phase,
     SubjectOutcomes,
     compute_gains,
     display_round,
@@ -49,7 +48,7 @@ NORMALITY_ALPHA = 0.05
 
 #: Primary test grid in table order.
 PRIMARY_FM_ROWS = (FM_DISTAL, FM_PROXIMAL, FM_TOTAL)
-PRIMARY_ARAT_ROWS = (ARAT_SUBSCALES[0], ARAT_SUBSCALES[1], ARAT_SUBSCALES[2], ARAT_SUBSCALES[3], ARAT_TOTAL)
+PRIMARY_ARAT_ROWS = ARAT_SUBSCALES + (ARAT_TOTAL,)
 
 
 def row_label(measure: Measure, comparison: Comparison) -> str:
@@ -65,13 +64,13 @@ class TestResult:
     comparison: Comparison
     n: int
     mean_gain: Fraction | None
-    kind: str | None            # "PAIRED_T" | "WILCOXON"
-    statistic: float | None
-    shapiro_p: float | None
-    p: float | None
-    rank: int | None
-    threshold: Fraction | None
-    significant: bool | None
+    kind: str | None = None     # "PAIRED_T" | "WILCOXON"
+    statistic: float | None = None
+    shapiro_p: float | None = None
+    p: float | None = None
+    rank: int | None = None
+    threshold: Fraction | None = None
+    significant: bool | None = None
     homogeneity_p: float | None = None
     error: str | None = None
 
@@ -95,21 +94,6 @@ class CohortReport:
     warnings: tuple[str, ...] = ()
 
 
-def _phase_vectors(
-    cohort: Sequence[SubjectOutcomes],
-    measure: Measure,
-    comparison: Comparison,
-) -> tuple[list[float], list[float]]:
-    xs, ys = [], []
-    for subject in cohort:
-        a = subject.score(measure, comparison.minuend)
-        b = subject.score(measure, comparison.subtrahend)
-        if a is not None and b is not None:
-            xs.append(float(a))
-            ys.append(float(b))
-    return xs, ys
-
-
 def _group_homogeneity(
     cohort: Sequence[SubjectOutcomes],
     gains: GainResult,
@@ -127,6 +111,51 @@ def _group_homogeneity(
     return p
 
 
+def _primary_row(cohort: Sequence[SubjectOutcomes], gains: GainResult) -> TestResult:
+    """One primary test before the BH pass: normality gate, then paired t or Wilcoxon."""
+    row = TestResult(
+        label=row_label(gains.measure, gains.comparison),
+        measure=gains.measure,
+        comparison=gains.comparison,
+        n=gains.n,
+        mean_gain=gains.mean if gains.n else None,
+        homogeneity_p=_group_homogeneity(cohort, gains),
+    )
+    values = gains.values()
+    if gains.n < 3:
+        return replace(row, error="too few subjects with both phases")
+    try:
+        residuals = [v - sum(values) / len(values) for v in values]
+        sw = shapiro_wilk(residuals)
+    except ValueError as exc:
+        return replace(row, error=f"normality gate failed: {exc}")
+    row = replace(row, shapiro_p=sw.p)
+    try:
+        if sw.p >= NORMALITY_ALPHA:
+            res = paired_t(values)
+            return replace(row, kind="PAIRED_T", statistic=res.t, p=res.p)
+        res = wilcoxon_signed_rank(values)
+        return replace(row, kind="WILCOXON", statistic=res.statistic, p=res.p)
+    except ValueError as exc:
+        return replace(row, error=str(exc))
+
+
+def _mean_table(
+    partition: Mapping[str, Sequence[SubjectOutcomes]],
+    rows: Sequence[tuple[str, Measure, Comparison]],
+) -> dict[str, GroupMeans]:
+    """Exact mean gains per labelled row for each member list of a partition."""
+    table = {}
+    for key, members in partition.items():
+        means = {}
+        for label, measure, comparison in rows:
+            gains = compute_gains(members, measure, comparison)
+            if gains.n:
+                means[label] = gains.mean
+        table[key] = GroupMeans(n=len(members), means=means)
+    return table
+
+
 def analyze_cohort(
     cohort: Sequence[SubjectOutcomes],
     q: float | str | Fraction = Fraction(1, 20),
@@ -136,102 +165,34 @@ def analyze_cohort(
         raise ValueError("cohort is empty")
     q = Fraction(str(q)) if isinstance(q, (str, float)) else Fraction(q)
 
-    warnings: list[str] = []
-    rows: list[dict] = []
-    grid = [(m, Comparison.A) for m in PRIMARY_FM_ROWS]
-    grid += [(m, c) for m in PRIMARY_ARAT_ROWS for c in Comparison]
+    fm_rows = [(row_label(m, Comparison.A), m, Comparison.A) for m in PRIMARY_FM_ROWS]
+    arat_rows = [(row_label(m, c), m, c) for m in PRIMARY_ARAT_ROWS for c in Comparison]
 
-    for measure, comparison in grid:
-        label = row_label(measure, comparison)
+    warnings: list[str] = []
+    primary: list[TestResult] = []
+    for label, measure, comparison in fm_rows + arat_rows:
         gains = compute_gains(cohort, measure, comparison)
         if gains.excluded:
             warnings.append(f"{label}: excluded {len(gains.excluded)} subject(s): {', '.join(gains.excluded)}")
-        row: dict = {
-            "label": label, "measure": measure, "comparison": comparison,
-            "n": gains.n, "mean": gains.mean if gains.n else None,
-            "homogeneity": _group_homogeneity(cohort, gains),
-        }
-        values = gains.values()
-        if gains.n < 3:
-            row["error"] = "too few subjects with both phases"
-            rows.append(row)
-            continue
-        try:
-            residuals = [v - sum(values) / len(values) for v in values]
-            sw = shapiro_wilk(residuals)
-            row["shapiro_p"] = sw.p
-        except ValueError as exc:
-            row["error"] = f"normality gate failed: {exc}"
-            rows.append(row)
-            continue
-        xs, ys = _phase_vectors(cohort, measure, comparison)
-        try:
-            if sw.p >= NORMALITY_ALPHA:
-                res = paired_t(xs, ys)
-                row.update(kind="PAIRED_T", statistic=res.t, p=res.p)
-            else:
-                res = wilcoxon_signed_rank(xs, ys)
-                row.update(kind="WILCOXON", statistic=res.statistic, p=res.p)
-        except ValueError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+        primary.append(_primary_row(cohort, gains))
 
-    testable = [(r["label"], r["p"]) for r in rows if r.get("p") is not None]
+    testable = [(r.label, r.p) for r in primary if r.p is not None]
     decisions = {d.label: d for d in bh_procedure(testable, q)} if testable else {}
-
-    primary = []
-    for r in rows:
-        d = decisions.get(r["label"])
-        primary.append(TestResult(
-            label=r["label"],
-            measure=r["measure"],
-            comparison=r["comparison"],
-            n=r["n"],
-            mean_gain=r.get("mean"),
-            kind=r.get("kind"),
-            statistic=r.get("statistic"),
-            shapiro_p=r.get("shapiro_p"),
-            p=r.get("p"),
-            rank=d.rank if d else None,
-            threshold=d.threshold if d else None,
-            significant=d.significant if d else None,
-            homogeneity_p=r.get("homogeneity"),
-            error=r.get("error"),
-        ))
+    primary = [
+        replace(r, rank=d.rank, threshold=d.threshold, significant=d.significant)
+        if (d := decisions.get(r.label)) else r
+        for r in primary
+    ]
 
     by_group: dict[str, list[SubjectOutcomes]] = {g.value: [] for g in Group}
-    for s in cohort:
-        by_group[s.group.value].append(s)
-
-    def group_table(measures_comparisons) -> dict[str, GroupMeans]:
-        out = {}
-        for gname, members in by_group.items():
-            means = {}
-            for measure, comparison in measures_comparisons:
-                g = compute_gains(members, measure, comparison)
-                if g.n:
-                    means[row_label(measure, comparison)] = g.mean
-            out[gname] = GroupMeans(n=len(members), means=means)
-        return out
-
-    fm_by_group = group_table([(m, Comparison.A) for m in PRIMARY_FM_ROWS])
-    arat_by_group = group_table([(m, c) for m in PRIMARY_ARAT_ROWS for c in Comparison])
-
     functional: dict[str, list[SubjectOutcomes]] = {"functional": [], "non_functional": []}
     for s in cohort:
+        by_group[s.group.value].append(s)
         flag = s.functional_at_baseline
         if flag is None:
             warnings.append(f"{s.subject_id}: no baseline box-and-block count; omitted from functionality split")
         else:
             functional["functional" if flag else "non_functional"].append(s)
-    bbt_by_functionality = {}
-    for key, members in functional.items():
-        means = {}
-        for comparison in Comparison:
-            g = compute_gains(members, BBT, comparison)
-            if g.n:
-                means[f"BBT ({comparison.name})"] = g.mean
-        bbt_by_functionality[key] = GroupMeans(n=len(members), means=means)
 
     return CohortReport(
         n_subjects=len(cohort),
@@ -239,9 +200,9 @@ def analyze_cohort(
         q=q,
         m=len(testable),
         primary=tuple(primary),
-        fm_by_group=fm_by_group,
-        arat_by_group=arat_by_group,
-        bbt_by_functionality=bbt_by_functionality,
+        fm_by_group=_mean_table(by_group, fm_rows),
+        arat_by_group=_mean_table(by_group, arat_rows),
+        bbt_by_functionality=_mean_table(functional, [(f"BBT ({c.name})", BBT, c) for c in Comparison]),
         warnings=tuple(warnings),
     )
 

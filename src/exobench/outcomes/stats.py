@@ -165,16 +165,14 @@ def levene(*groups: Sequence[float]) -> tuple[float, float]:
 # Paired t
 
 
-def paired_t(x: Sequence[float], y: Sequence[float]) -> TTestResult:
-    """Two-sided paired t test on x - y."""
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("paired samples must be 1-d and equally sized")
-    n = a.size
+def paired_t(d: Sequence[float]) -> TTestResult:
+    """Two-sided paired t test on the paired differences ``d``."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ValueError("paired differences must be 1-d")
+    n = d.size
     if n < 2:
         raise ValueError("paired t requires at least two pairs")
-    d = a - b
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise ValueError("degenerate pairs: all differences identical")
@@ -226,28 +224,19 @@ def _exact_signed_rank_p(doubled_ranks: Sequence[int], w_plus_doubled: int) -> F
     return min(p, Fraction(1))
 
 
-def wilcoxon_signed_rank(
-    x: Sequence[float],
-    y: Sequence[float] | None = None,
-    method: str = "auto",
-) -> WilcoxonResult:
-    """Two-sided Wilcoxon signed-rank test on paired differences.
+def wilcoxon_signed_rank(d: Sequence[float], method: str = "auto") -> WilcoxonResult:
+    """Two-sided Wilcoxon signed-rank test on the paired differences ``d``.
 
-    With ``y`` omitted, ``x`` is treated as the differences directly. Zero
-    differences are dropped; if all are zero the test is undefined. Under
-    ``method="auto"`` the exact distribution is used up to n = 20 and the
-    tie-corrected normal approximation (with continuity correction) beyond.
+    Zero differences are dropped; if all are zero the test is undefined.
+    Under ``method="auto"`` the exact distribution is used up to n = 20 and
+    the tie-corrected normal approximation (with continuity correction)
+    beyond.
     """
     if method not in ("auto", "exact", "approx"):
         raise ValueError(f"unknown method {method!r}")
-    a = np.asarray(x, dtype=float)
-    if y is not None:
-        b = np.asarray(y, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("paired samples must be 1-d and equally sized")
-        d = a - b
-    else:
-        d = a
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ValueError("paired differences must be 1-d")
     d = d[d != 0.0]
     n = d.size
     if n == 0:
@@ -258,11 +247,8 @@ def wilcoxon_signed_rank(
     w_minus = sum(ranks) - w_plus
     statistic = min(w_plus, w_minus)
 
-    exact = method == "exact" or (method == "auto" and n <= EXACT_WILCOXON_MAX_N)
-    if exact:
-        doubled = [int(round(2 * r)) for r in ranks]
-        p = float(_exact_signed_rank_p(doubled, int(round(2 * w_plus))))
-        return WilcoxonResult(statistic=statistic, p=p, n_used=n, exact=True)
+    if method == "exact" or (method == "auto" and n <= EXACT_WILCOXON_MAX_N):
+        return WilcoxonResult(statistic=statistic, p=float(exact_wilcoxon_p(d)), n_used=n, exact=True)
 
     mu = n * (n + 1) / 4.0
     tie_term = 0.0

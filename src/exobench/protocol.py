@@ -327,7 +327,7 @@ def task_intent_stream(
     if subject.group == "EMG":
         trace = signals.gen_emg_trace(subject.emg_profile(context), list(_GRASP_SCRIPT))
         t, raw = intent_mod.classify_trace(bundle.classifier, trace)
-        return (t, intent_mod.smooth_intents(raw, bundle.classifier.vote_k)), trace.duration_s
+        return (t, intent_mod.smooth_intents(raw)), trace.duration_s
     trace = signals.gen_load_trace(
         list(_SH_TASK_SCRIPT),
         rest_n=subject.sh_rest_n, elevated_n=subject.sh_shrug_n,

@@ -216,7 +216,7 @@ def test_criterion_3_wilcoxon_enumeration():
 
 
 def test_criterion_4_paired_t_reference():
-    result = paired_t([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    result = paired_t(np.subtract([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]))
     assert result.t == pytest.approx(3.464, abs=1e-3)
     assert result.df == 2
     # t-distribution oracle, exact for 2 degrees of freedom.

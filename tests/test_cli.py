@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env() -> dict[str, str]:
+    """Environment for a CLI child process: this checkout first, no $EXO_CONFIG."""
+    env = dict(os.environ)
+    env.pop("EXO_CONFIG", None)
+    src = str(Path(exobench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestGen:
     def test_emg_trace_to_stdout(self, capsys):
         code, out, _err = run_cli(capsys, "gen", "emg", "--intent-script", "open:1,close:1")
@@ -135,6 +144,7 @@ class TestSimulate:
         code, _out, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "sim"))
         assert code == 1
         assert "--group" in err
+        assert not (tmp_path / "sim").exists()
 
     def test_one_session_writes_log(self, capsys, tmp_path):
         out_dir = tmp_path / "sim"
@@ -155,6 +165,7 @@ class TestSimulate:
         )
         assert code == 1
         assert "1..12" in err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestNonFiniteNumbers:
@@ -183,7 +194,7 @@ class TestNonFiniteNumbers:
         assert out == ""
         assert f"duration scale must be positive and finite, got {float(value)!r}" in err
         assert "Traceback" not in err
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
 
 class TestAnalyze:
@@ -218,6 +229,18 @@ class TestAnalyze:
         code, _out, err = run_cli(capsys, "analyze", str(tmp_path / "absent.csv"))
         assert code == 2
 
+    def test_exclusions_reach_only_the_report(self, tmp_path, irregular_cohort):
+        from exobench.outcomes import model
+
+        (tmp_path / "cohort.csv").write_text(model.write_cohort_csv(irregular_cohort))
+        result = subprocess.run(
+            [sys.executable, "-m", "exobench.cli", "analyze", "cohort.csv", "--out", "report.txt"],
+            cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == "wrote report.txt\n"
+        assert "  FM-distal: excluded 1 subject(s): R4\n" in (tmp_path / "report.txt").read_text()
+
     def test_bad_q_rejected(self, capsys, cohort_csv):
         code, _out, err = run_cli(capsys, "analyze", str(cohort_csv), "--q", "1.5")
         assert code == 1
@@ -237,26 +260,34 @@ class TestProtocolCommand:
 
 
 class TestImports:
+    # The nine documented invocations (each gets "--out out.txt"): only
+    # analyze uses the statistics, so only analyze may load scipy.
     @pytest.mark.parametrize("argv, statistics", [
         (["protocol", "list-tasks"], False),
         (["episode", "--intent-script", "open:0.1"], False),
-        (["gen", "cohort"], True),
+        (["gen", "cohort"], False),
+        (["gen", "emg", "--intent-script", "open:2,relax:2,close:2", "--seed", "7"], False),
+        (["gen", "load", "--script", "rest:2,elevated:2,rest:2,depressed:2",
+          "--noise-std", "0.4", "--dither-amp", "1.5", "--seed", "11"], False),
+        (["gen", "screening", "--subject", "separable", "--seed", "0"], False),
+        (["screen", "screening", "--format", "json"], False),
+        (["simulate", "--group", "SH", "--subject-id", "S01", "--sessions", "2", "--seed", "3"], False),
+        (["analyze", "cohort.csv", "--q", "0.05", "--format", "json"], True),
     ])
-    def test_scipy_is_imported_only_for_statistics(self, tmp_path, argv, statistics):
+    def test_scipy_is_imported_only_for_statistics(self, capsys, tmp_path, argv, statistics):
+        (tmp_path / "cohort.csv").write_text(golden.golden_cohort_csv())
+        if argv[0] == "screen":
+            run_cli(capsys, "gen", "screening", "--out", str(tmp_path / "screening"))
         probe = (
             "import sys\n"
             "from exobench import cli\n"
             f"code = cli.main({argv + ['--out', 'out.txt']!r})\n"
             "print(code, 'scipy' in sys.modules)\n"
         )
-        env = dict(os.environ)
-        env.pop("EXO_CONFIG", None)
-        src = str(Path(exobench.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_child_env(),
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == f"0 {statistics}\n"
+        assert result.stdout.splitlines()[-1] == f"0 {statistics}"
 
 
 class TestConfig:

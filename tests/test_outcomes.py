@@ -1,5 +1,6 @@
 """Outcome model, CSV ingestion, golden cohort, and the full analysis report."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -366,3 +367,24 @@ class TestAnalysis:
         assert by_label["FM-distal"].p is not None
         assert by_label["ARAT-grasp (A)"].error is not None
         assert result.m == 1
+
+    def test_irregular_cohort_report_is_pinned(self, irregular_cohort):
+        result = report.analyze_cohort(irregular_cohort, q=Fraction(1, 10))
+        text = report.render_text(result)
+        routes = {r.label: r.kind or r.error for r in result.primary}
+        assert routes["FM-distal"] == routes["ARAT-grip (A)"] == "PAIRED_T"
+        assert routes["ARAT-grasp (B)"] == routes["ARAT-gross (A)"] == "WILCOXON"
+        assert routes["FM-proximal"].startswith("normality gate failed: zero variance")
+        assert routes["ARAT-gross (B)"] == "too few subjects with both phases"
+        assert "FM-distal: excluded 1 subject(s): R4" in result.warnings
+        assert len(result.warnings) == 7
+        for warning in result.warnings:
+            assert text.count(warning) == 1
+        # sha256 of both renderings, recorded before the gain path was refactored.
+        json_text = report.render_json(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5f60d1f0de7083f2029e93724789166ec5e31e48e6538d269a35b91970eaf7f7"
+        )
+        assert hashlib.sha256(json_text.encode()).hexdigest() == (
+            "b51f62ae07c948eab30f3a6d7ebed89d2959b7303dba141d26651103a879638c"
+        )
