@@ -75,9 +75,9 @@ def _fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(f"q must be a rational number, got {text!r}")
     if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("q must lie strictly between 0 and 1")
+        raise argparse.ArgumentTypeError(f"q must lie strictly between 0 and 1, got {text!r}")
     return value
 
 
@@ -304,6 +304,8 @@ def cmd_screen(args, cfg) -> int:
 def cmd_episode(args, cfg) -> int:
     hand_size = _pick(args.hand_size, cfg, "hand_size", "M")
     mas = _pick(args.mas, cfg, "mas", "0")
+    if mas not in controller.MAS_STIFFNESS:
+        raise ValueError(f"unknown spasticity grade {mas!r}")
     rom = controller.calibrate_rom(hand_size)
     plant = controller.flexed_plant(hand_size, controller.MAS_STIFFNESS[mas])
     t = 0.0
@@ -360,7 +362,12 @@ def cmd_simulate(args, cfg) -> int:
 def cmd_analyze(args, cfg) -> int:
     from exobench.outcomes import model, report
 
-    q = args.q if args.q is not None else _fraction(str(_pick(None, cfg, "q", "0.05")))
+    q = args.q
+    if q is None:
+        try:
+            q = _fraction(str(_pick(None, cfg, "q", "0.05")))
+        except argparse.ArgumentTypeError as exc:  # a bad config value, not bad usage
+            raise ValueError(str(exc)) from None
     cohort = model.load_cohort_csv(args.csv)
     result = report.analyze_cohort(cohort, q=q)
     text = report.render_json(result) if args.format == "json" else report.render_text(result)

@@ -2,8 +2,8 @@
 
 A single geared motor tensions one cable network that extends all four
 fingers (the thumb is statically splinted and not modeled). Intent commands
-select between two calibrated excursion setpoints; a PID position loop with
-output saturation and conditional anti-windup drives the motor; the plant is
+select between two calibrated excursion setpoints; one saturated
+proportional step drives the motor toward the setpoint; the plant is
 quasi-static-plus-damping per joint (no inertia matrix), with MCP and PIP
 joints per digit, hard stops at zero extension (the hyperextension block)
 and at the flexion limits, and a tension cap at the cable force limit.
@@ -14,23 +14,23 @@ fingers pulled open). Retracting the motor extends the fingers; releasing
 cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode. ``run_episodes`` steps any number of
-episodes in lockstep on plain arrays, and ``run_episode`` is its
-one-episode case. Plant, motor and gain parameters are validated once,
-when a ``HandPlant``, ``MotorParams`` or ``PidGains`` is built, never per
-tick. The engine's cost is per array call, not per episode, so what each
-tick does is decided before the loop where it can be: a command once given
-is held, so the ticks on which every episode is commanded (most of them)
-skip the PID's per-episode masks. The safety invariants are checked on
-every tick for every episode through one merged screen: the min and max of
-the excursions decide the travel clamp, the max of the tensions decides
-the cap, and with the min and sum of the joint angles they show at once
-whether any episode needs its exact check. An episode that breaks an
+episodes in lockstep on plain arrays, every ``CONTROL_DT_S``, and
+``run_episode`` is its one-episode case. The gain and the drive are module
+constants, the drive's checked once at import, and plant parameters are
+validated once, when a ``HandPlant`` is built, never per tick. The engine's cost is per array call, not per
+episode, so what each tick does is decided before the loop where it can
+be: a command once given is held, so the ticks on which every episode is
+commanded (most of them) skip the effort mask. The safety invariants are
+checked on every tick for every episode through one merged screen: the min
+and max of the excursions decide the travel clamp, the max of the tensions
+decides the cap, and with the min and sum of the joint angles they show at
+once whether any episode needs its exact check. An episode that breaks an
 invariant stops alone. A trajectory is one set of columns, one array per
 quantity with a row per tick, recorded only when the caller gets the logs
 back; its JSONL form and its summaries (time to open, motor reversals) are
-read straight from the columns. The scalar reference the engine matches bit for bit,
-one tick of PID, motor, plant and setpoint at a time, lives with the tests
-in ``tests/reference.py``.
+read straight from the columns. The scalar reference the engine matches bit
+for bit, one tick of proportional step, motor, plant and setpoint at a
+time, lives with the tests in ``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
 being indices into ``IntentLabel``; the events need not be sorted.
@@ -99,54 +99,31 @@ def calibrate_rom(hand_size: str) -> RomCalibration:
         raise ValueError(f"unknown hand size {hand_size!r}; expected one of S, M, L") from None
 
 
-@dataclass(frozen=True)
-class PidGains:
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-    integral_clamp: float = 20.0
-    output_clamp: float = 1.0
+# The position loop is one saturated proportional step,
+# effort = clip(KP * (setpoint - x), -1, 1). KP was tuned once against the
+# M-size plant so a full retraction lands on the 1.8 s device figure. The
+# loop is type 1 (the motor integrates velocity), so proportional action
+# alone settles with zero steady-state error, and KP keeps the velocity-lag
+# pole pair at critical damping so the approach never overshoots.
+KP = 0.4
 
-    def __post_init__(self) -> None:
-        gains = (self.kp, self.ki, self.kd)
-        if not all(math.isfinite(g) for g in gains):
-            raise ValueError(f"PID gains must be finite, got {gains}")
-        if min(gains) < 0.0:
-            raise ValueError("PID gains must be non-negative")
-        for name in ("integral_clamp", "output_clamp"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"clamps must be positive and finite: {name}={value!r}")
+def _drive_param(name: str, value: float) -> float:
+    """A spool drive value, checked once at import: the speed derivation and
+    the motor lag divide by them, so a zero or NaN would only show as NaN state."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
-# Tuned once against the M-size plant so a full retraction lands on the
-# 1.8 s device figure; the loop is type 1 (motor integrates velocity), so
-# proportional action alone settles with zero steady-state error, and kp
-# keeps the velocity-lag pole pair at critical damping so the approach
-# never overshoots. ki/kd stay available for experiments.
-DEFAULT_GAINS = PidGains(kp=0.4, ki=0.0, kd=0.0)
-
-
-@dataclass(frozen=True)
-class MotorParams:
-    """Spool drive parameters; peak cable speed derives from the gearmotor."""
-
-    gear_ratio: float = 47.0
-    no_load_rpm: float = 5400.0
-    spool_radius_mm: float = 2.0
-    time_constant_s: float = 0.025
-    travel_mm: float = 55.0
-
-    def __post_init__(self) -> None:
-        for name in ("gear_ratio", "no_load_rpm", "spool_radius_mm", "time_constant_s", "travel_mm"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-    @property
-    def max_speed_mm_s(self) -> float:
-        output_rps = self.no_load_rpm / self.gear_ratio / 60.0
-        return output_rps * 2.0 * math.pi * self.spool_radius_mm
+# Spool drive: a 5400 rpm (no load) gearmotor through 47:1 turns the 2 mm
+# spool, which sets the peak cable speed (24.06 mm/s). The cable speed
+# follows effort * peak speed with a first-order lag, over 0-55 mm of travel.
+GEAR_RATIO = _drive_param("gear_ratio", 47.0)
+NO_LOAD_RPM = _drive_param("no_load_rpm", 5400.0)
+SPOOL_RADIUS_MM = _drive_param("spool_radius_mm", 2.0)
+MAX_SPEED_MM_S = NO_LOAD_RPM / GEAR_RATIO / 60.0 * 2.0 * math.pi * SPOOL_RADIUS_MM
+MOTOR_TIME_CONSTANT_S = _drive_param("time_constant_s", 0.025)
+TRAVEL_MM = _drive_param("travel_mm", 55.0)
 
 
 @dataclass(frozen=True)
@@ -353,21 +330,16 @@ def _commands(
 
 
 def run_episodes(
-    episodes: Sequence[Episode],
-    gains: PidGains = DEFAULT_GAINS,
-    motor_params: MotorParams | None = None,
-    dt: float = CONTROL_DT_S,
-    record: bool = True,
+    episodes: Sequence[Episode], record: bool = True,
 ) -> list[TrajectoryLog | SafetyAbort | None]:
     """Run E episodes of the control loop in lockstep; one outcome per episode.
 
-    State is held in (E, 4, 2) joint-angle and (E,) motor, PID and FSM
-    arrays, updated in the float order of the scalar reference's PID, motor,
-    plant and setpoint steps, so each episode matches it bit for bit.
+    State is held in (E, 4, 2) joint-angle and (E,) motor and FSM arrays,
+    updated in the float order of the scalar reference's proportional,
+    motor, plant and setpoint steps, so each episode matches it bit for bit.
     Setpoints depend only on the intent stream and are worked out before the
     loop: OPEN retracts, CLOSE extends, RELAX holds the last command. So are
-    the per-tick branches: a new command, any or every episode commanded,
-    every episode commanded on the tick before.
+    the per-tick branches: a new command, any or every episode commanded.
 
     Every live episode is checked on every tick for non-finite state, the
     tension cap and the hyperextension block, in that order. A tick whose
@@ -378,16 +350,13 @@ def run_episodes(
     when not. Trajectories are kept only when ``record`` is set, so an
     abort's log has no ticks without it.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    motor_params = motor_params if motor_params is not None else MotorParams()
     n_episodes = len(episodes)
     if n_episodes == 0:
         return []
     plants = [ep.plant if ep.plant is not None else default_plant() for ep in episodes]
-    steps = [int(round(ep.duration_s / dt)) for ep in episodes]
+    steps = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
     n_max = max(steps)
-    t_col = np.arange(n_max) * dt
+    t_col = np.arange(n_max) * CONTROL_DT_S
 
     # Commands per tick, (E, n_max), and their setpoints (NaN before the
     # first command).
@@ -399,19 +368,15 @@ def run_episodes(
     changed = np.diff(held, axis=1, prepend=np.int8(_RELAX)) != 0
 
     # Per-tick rows, (n_max, E), and the per-tick branches, decided here.
-    # A command once given is held, so `commanded` never falls back along a
-    # row: an episode commanded on the last tick has PID history, and a
-    # tick where every episode is commanded needs none of the masks below.
+    # A command once given is held, so once every episode is commanded no
+    # tick needs the effort mask below.
     setpoint_rows = np.ascontiguousarray(setpoints.T)
     commanded_rows = np.ascontiguousarray(commanded.T)
-    had_command_rows = np.zeros_like(commanded_rows)
-    had_command_rows[1:] = commanded_rows[:-1]
     changed_rows = np.ascontiguousarray(changed.T)
     move_rows = np.where(held.T == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
     any_changed = changed.any(axis=0).tolist()
     any_active = commanded.any(axis=0).tolist()
     all_active = commanded.all(axis=0).tolist()
-    all_had_command = had_command_rows.all(axis=1).tolist()
 
     # Plant parameters, validated once when each HandPlant was built.
     angles = np.stack([p.angles_deg for p in plants])
@@ -424,14 +389,12 @@ def run_episodes(
 
     motors = [
         ep.initial_motor if ep.initial_motor is not None else MotorState(
-            excursion_mm=min(p.cable_take_up_mm().max(), motor_params.travel_mm))
+            excursion_mm=min(p.cable_take_up_mm().max(), TRAVEL_MM))
         for ep, p in zip(episodes, plants)
     ]
     x = np.array([m.excursion_mm for m in motors], dtype=float)
     velocity = np.array([m.velocity_mm_s for m in motors], dtype=float)
     fsm = np.full(n_episodes, _IDLE, dtype=np.int8)
-    integral = np.zeros(n_episodes)
-    prev_error = np.zeros(n_episodes)
     no_effort = np.zeros(n_episodes)
     voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
                           for ep in episodes], dtype=float)
@@ -439,14 +402,12 @@ def run_episodes(
     disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(episodes)
                  if callable(ep.voluntary_nmm)]
 
-    # Constants as 0-d arrays (dt_arr is dt): a ufunc call with a Python or
-    # numpy scalar operand costs about half as much again as one with arrays.
-    (kp, ki, kd, i_clamp, neg_i_clamp, o_clamp, neg_o_clamp, max_speed, tau, travel, dt_arr,
-     deg2rad, cap, tol, zero) = (np.asarray(v, dtype=float) for v in (
-        gains.kp, gains.ki, gains.kd, gains.integral_clamp, -gains.integral_clamp,
-        gains.output_clamp, -gains.output_clamp, motor_params.max_speed_mm_s,
-        motor_params.time_constant_s, motor_params.travel_mm, dt, _DEG2RAD, TENSION_CAP_N,
-        SETPOINT_TOL_MM, 0.0))
+    # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
+    # operand costs about half as much again as one with arrays.
+    (kp, one, neg_one, max_speed, tau, travel, dt, deg2rad, cap, tol, zero) = (
+        np.asarray(v, dtype=float) for v in (
+            KP, 1.0, -1.0, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S,
+            _DEG2RAD, TENSION_CAP_N, SETPOINT_TOL_MM, 0.0))
     move_bit = np.asarray(1, dtype=np.int8)
     where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
@@ -472,7 +433,7 @@ def run_episodes(
             live[ends[i]] = False
         if n_live == 0:
             break
-        t = i * dt
+        t = i * CONTROL_DT_S
         for e, torque in disturbed:
             if live[e]:
                 voluntary[e] = torque(t)
@@ -480,35 +441,21 @@ def run_episodes(
         if any_changed[i]:  # a new command starts a move
             fsm = where(changed_rows[i], move_rows[i], fsm)
 
-        # PID. Before its first command an episode has no
-        # setpoint: effort 0 and the PID state untouched.
+        # Saturated proportional step. Before its first command an episode
+        # has no setpoint and makes no effort.
         if any_active[i]:
-            error = setpoint - x
-            derivative = (error - prev_error) / dt_arr
-            if not all_had_command[i]:
-                derivative = where(had_command_rows[i], derivative, zero)
-            candidate = minimum(maximum(integral + error * dt_arr, neg_i_clamp), i_clamp)
-            kp_error, kd_derivative = kp * error, kd * derivative
-            unsat = kp_error + ki * candidate + kd_derivative
-            saturating = (abs(unsat) > o_clamp) & (unsat * error > zero)
-            kept = where(saturating, integral, candidate)  # conditional integration
-            effort = minimum(maximum(kp_error + ki * kept + kd_derivative, neg_o_clamp), o_clamp)
-            if all_active[i]:
-                integral, prev_error = kept, error
-            else:
-                active = commanded_rows[i]
-                effort = where(active, effort, zero)
-                integral = where(active, kept, integral)
-                prev_error = where(active, error, prev_error)
+            effort = minimum(maximum(kp * (setpoint - x), neg_one), one)
+            if not all_active[i]:
+                effort = where(commanded_rows[i], effort, zero)
         else:
             effort = no_effort
 
         # Motor: first-order velocity lag, travel-limited. One min/max pair
         # decides the clamp and screens x: after it, x is finite or NaN.
-        velocity = velocity + (effort * max_speed - velocity) * dt_arr / tau
-        x = x + velocity * dt_arr
+        velocity = velocity + (effort * max_speed - velocity) * dt / tau
+        x = x + velocity * dt
         x_min, x_max = min_reduce(x), max_reduce(x)
-        if not (x_min >= 0.0 and x_max <= motor_params.travel_mm):
+        if not (x_min >= 0.0 and x_max <= TRAVEL_MM):
             below, beyond = x < zero, x > travel
             x = where(below, zero, where(beyond, travel, x))
             velocity = where(below | beyond, zero, velocity)
@@ -527,7 +474,7 @@ def run_episodes(
             total[over] = cap
             total_max = max_reduce(total)
         torque = -tension[:, :, None] * arm + stiffness * (rest - angles) + voluntary_3d
-        angles = (angles + torque / damping * dt_arr).clip(zero, q_max)
+        angles = (angles + torque / damping * dt).clip(zero, q_max)
 
         # FSM settle: a move (the odd codes) that reaches its setpoint holds.
         fsm = fsm + ((fsm & move_bit) & (abs(x - setpoint) <= tol))
@@ -564,7 +511,7 @@ def run_episodes(
     outcomes: list[TrajectoryLog | SafetyAbort | None] = []
     for e in range(n_episodes):
         n = min(length[e], width)
-        log = TrajectoryLog(dt=dt, ticks=TrajectoryColumns(
+        log = TrajectoryLog(dt=CONTROL_DT_S, ticks=TrajectoryColumns(
             t=t_col[:n],
             intent=labels[e, :n],
             fsm=fsm_col[e, :n],
@@ -586,10 +533,7 @@ def run_episode(
     intents: tuple[np.ndarray, np.ndarray],
     duration_s: float,
     rom: RomCalibration,
-    gains: PidGains = DEFAULT_GAINS,
     plant: HandPlant | None = None,
-    motor_params: MotorParams | None = None,
-    dt: float = CONTROL_DT_S,
     voluntary_nmm: float | Callable[[float], float] = 0.0,
     initial_motor: MotorState | None = None,
 ) -> TrajectoryLog:
@@ -601,7 +545,7 @@ def run_episode(
     hyperextension block.
     """
     episode = Episode(intents, duration_s, rom, plant, voluntary_nmm, initial_motor)
-    (outcome,) = run_episodes([episode], gains, motor_params, dt)
+    (outcome,) = run_episodes([episode])
     if isinstance(outcome, SafetyAbort):
         raise outcome
     return outcome

@@ -337,11 +337,7 @@ def task_intent_stream(
     return intent_mod.detect_trace(bundle.sh_config, trace), trace.duration_s
 
 
-def run_session(
-    plan: SessionPlan,
-    subject: Subject,
-    duration_model: Callable[[TrainingTask], float] | None = None,
-) -> SessionLog:
+def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     """Execute one session: calibration, ordered tasks, budget accounting.
 
     Each task runs one controller episode (a grasp-release cycle through
@@ -354,7 +350,7 @@ def run_session(
     """
     log = SessionLog(subject_id=plan.subject_id, session_index=plan.session_index,
                      session_date=plan.session_date)
-    duration_model = duration_model or lognormal_task_durations(subject, plan.session_index)
+    duration_model = lognormal_task_durations(subject, plan.session_index)
     rng = np.random.default_rng(derive_seed(subject.seed, f"session:{plan.session_index}"))
 
     wall = 0.0

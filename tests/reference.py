@@ -4,8 +4,8 @@ Each function here is the one-sample or one-tick loop that the package once
 ran, kept so that property tests can check the array paths against it bit
 for bit. Nothing in ``src/`` imports this module.
 
-- Controller: the PID, motor, plant and setpoint primitives of one tick, on
-  a motor record that also keeps the last effort and tension.
+- Controller: the proportional step, motor, plant and setpoint primitives of
+  one tick, on a motor record that also keeps the last effort and tension.
 - LDA: the fit from a list of labeled feature vectors, and the feature
   vector, per-class scores and decision of one window.
 - Intent streams: the per-label vote smoother, the per-sample hysteresis
@@ -18,18 +18,21 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from exobench.controller import (
     _DEG2RAD,
+    CONTROL_DT_S,
+    KP,
+    MAX_SPEED_MM_S,
+    MOTOR_TIME_CONSTANT_S,
     SETPOINT_TOL_MM,
     TENSION_CAP_N,
+    TRAVEL_MM,
     HandPlant,
-    MotorParams,
-    PidGains,
     RomCalibration,
 )
 from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, RIDGE, EmgClassifier, ShConfig
@@ -68,46 +71,17 @@ class MotorRecord:
     tension_n: float = 0.0
 
 
-@dataclass(frozen=True)
-class PidState:
-    integral: float = 0.0
-    prev_error: float | None = None
-
-
-def pid_step(
-    gains: PidGains,
-    setpoint: float,
-    measured: float,
-    dt: float,
-    state: PidState,
-) -> tuple[float, PidState]:
-    """One clamped PID update. Returns (effort in [-clamp, clamp], new state).
-
-    Anti-windup is conditional integration: the integral freezes whenever the
-    unsaturated output already exceeds the clamp in the error's direction.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    error = setpoint - measured
-    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
-    candidate = min(max(state.integral + error * dt, -gains.integral_clamp), gains.integral_clamp)
-    unsat = gains.kp * error + gains.ki * candidate + gains.kd * derivative
-    if abs(unsat) > gains.output_clamp and unsat * error > 0.0:
-        integral = state.integral  # would push further into saturation
-    else:
-        integral = candidate
-    out = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    effort = min(max(out, -gains.output_clamp), gains.output_clamp)
-    return effort, PidState(integral=integral, prev_error=error)
+def proportional_step(setpoint: float, measured: float) -> float:
+    """One saturated proportional update: KP times the error, clipped to [-1, 1]."""
+    return min(max(KP * (setpoint - measured), -1.0), 1.0)
 
 
 def step_plant(
     plant: HandPlant,
     motor: MotorRecord,
-    dt: float,
     voluntary_nmm: float = 0.0,
 ) -> tuple[HandPlant, MotorRecord]:
-    """Advance the finger plant one tick under the current cable excursion.
+    """Advance the finger plant one ``CONTROL_DT_S`` tick under the current cable excursion.
 
     Per digit, cable stretch is take-up minus paid-out excursion; positive
     stretch makes tension through the series cable stiffness. Total tension
@@ -116,8 +90,6 @@ def step_plant(
     first-order rate = torque / damping, then integrate and clamp to
     [0, max] (hyperextension block at zero, flexion stop at max).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     take_up = plant.cable_take_up_mm()
     stretch = take_up - motor.excursion_mm
     tension = plant.tendon_stiffness_n_mm * np.maximum(stretch, 0.0)
@@ -133,7 +105,7 @@ def step_plant(
         + voluntary_nmm
     )
     rate = torque / plant.damping_nmm_s_deg
-    angles = np.clip(plant.angles_deg + rate * dt, 0.0, plant.max_deg)
+    angles = np.clip(plant.angles_deg + rate * CONTROL_DT_S, 0.0, plant.max_deg)
     # The plant's parameters were validated when it was built; like the
     # engine, the loop does not check them again on every tick.
     stepped = copy.copy(plant)
@@ -141,15 +113,16 @@ def step_plant(
     return stepped, replace(motor, tension_n=total)
 
 
-def step_motor(motor: MotorRecord, effort: float, params: MotorParams, dt: float) -> MotorRecord:
-    """First-order velocity response toward effort * max speed, travel-limited."""
-    target = effort * params.max_speed_mm_s
-    velocity = motor.velocity_mm_s + (target - motor.velocity_mm_s) * dt / params.time_constant_s
+def step_motor(motor: MotorRecord, effort: float) -> MotorRecord:
+    """One tick of first-order velocity response toward effort * max speed, travel-limited."""
+    dt = CONTROL_DT_S
+    target = effort * MAX_SPEED_MM_S
+    velocity = motor.velocity_mm_s + (target - motor.velocity_mm_s) * dt / MOTOR_TIME_CONSTANT_S
     excursion = motor.excursion_mm + velocity * dt
     if excursion < 0.0:
         excursion, velocity = 0.0, 0.0
-    elif excursion > params.travel_mm:
-        excursion, velocity = params.travel_mm, 0.0
+    elif excursion > TRAVEL_MM:
+        excursion, velocity = TRAVEL_MM, 0.0
     return replace(motor, excursion_mm=excursion, velocity_mm_s=velocity, effort=effort)
 
 
@@ -169,7 +142,6 @@ def passive_energy(plant: HandPlant, motor: MotorRecord) -> float:
 class ControllerState:
     fsm: str = "IDLE"
     setpoint_mm: float | None = None
-    pid: PidState = field(default_factory=PidState)
 
 
 def select_setpoint(

@@ -138,6 +138,12 @@ class TestEpisode:
         assert code == 1
         assert "required" in err
 
+    def test_unknown_config_mas_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text("mas = 3\n")
+        code, out, err = run_cli(capsys, "episode", "--intent-script", "open:0.1", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: unknown spasticity grade '3'\n")
+
 
 class TestSimulate:
     def test_requires_group(self, capsys, tmp_path):
@@ -245,6 +251,15 @@ class TestAnalyze:
         code, _out, err = run_cli(capsys, "analyze", str(cohort_csv), "--q", "1.5")
         assert code == 1
         assert "between 0 and 1" in err
+
+    @pytest.mark.parametrize("value", ["2", "abc"])
+    def test_bad_config_q_exit_2(self, capsys, tmp_path, cohort_csv, value):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"q = {value}\n")
+        code, out, err = run_cli(capsys, "analyze", str(cohort_csv), "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q must ")
+        assert f"got {value!r}" in err
 
 
 class TestProtocolCommand:

@@ -1,9 +1,10 @@
-"""Actuation: PID, motor, finger plant, safety envelope, episode loop."""
+"""Actuation: proportional step, motor, finger plant, safety envelope, episode loop."""
 
+import hashlib
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import astuple, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -13,13 +14,11 @@ from hypothesis import given, settings, strategies as st
 from exobench import controller
 from exobench.controller import (
     CONTROL_DT_S,
-    DEFAULT_GAINS,
     FSM_STATES,
+    KP,
     TENSION_CAP_N,
     Episode,
-    MotorParams,
     MotorState,
-    PidGains,
     RomCalibration,
     SafetyAbort,
     TrajectoryColumns,
@@ -36,10 +35,9 @@ from exobench.signals import IntentLabel
 from reference import (
     ControllerState,
     MotorRecord,
-    PidState,
     events,
     passive_energy,
-    pid_step,
+    proportional_step,
     select_setpoint,
     settle_fsm,
     step_motor,
@@ -64,98 +62,74 @@ class TestRom:
 
 
 class TestPid:
+    """The position loop: the proportional term of a PID, with no I or D."""
+
     def test_proportional_only_effort(self):
-        gains = PidGains(kp=1.0)
-        effort, _state = pid_step(gains, setpoint=1.0, measured=0.5, dt=0.005, state=PidState())
-        assert effort == 0.5
+        assert proportional_step(setpoint=1.0, measured=0.5) == KP * 0.5
 
     def test_output_clamp(self):
-        gains = PidGains(kp=10.0, output_clamp=1.0)
-        effort, _state = pid_step(gains, 1.0, 0.0, 0.005, PidState())
-        assert effort == 1.0
-        effort, _state = pid_step(gains, -1.0, 0.0, 0.005, PidState())
-        assert effort == -1.0
-
-    def test_conditional_integration_freezes_when_saturated(self):
-        gains = PidGains(kp=10.0, ki=1.0, output_clamp=1.0)
-        state = PidState()
-        for _ in range(200):
-            _effort, state = pid_step(gains, 1.0, 0.0, 0.005, state)
-        # Saturated in the error's direction the whole time: no windup at all.
-        assert state.integral == 0.0
-
-    def test_integral_accumulates_when_unsaturated(self):
-        gains = PidGains(kp=0.1, ki=1.0)
-        _effort, state = pid_step(gains, 1.0, 0.5, 0.01, PidState())
-        assert state.integral == pytest.approx(0.005)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            pid_step(PidGains(kp=1.0), 0.0, 0.0, 0.0, PidState())
-
-    def test_rejects_negative_gains(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            PidGains(kp=-0.1)
-
-    @pytest.mark.parametrize("field", ["kp", "ki", "kd"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite_gains(self, field, value):
-        with pytest.raises(ValueError, match="PID gains must be finite"):
-            PidGains(**{"kp": 0.4, field: value})
-
-    @pytest.mark.parametrize("field", ["integral_clamp", "output_clamp"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_clamps(self, field, value):
-        with pytest.raises(ValueError, match=f"clamps must be positive and finite: {field}="):
-            PidGains(kp=0.4, **{field: value})
+        assert proportional_step(10.0, 0.0) == 1.0
+        assert proportional_step(-10.0, 0.0) == -1.0
 
     def test_default_gains_are_proportional_only(self):
-        assert DEFAULT_GAINS.ki == 0.0
-        assert DEFAULT_GAINS.kd == 0.0
+        # The engine's effort on each tick is the saturated proportional step
+        # on that tick's setpoint and the excursion the tick starts from;
+        # before the first command it is 0. No other term adds to it.
+        rom = calibrate_rom("M")
+        start = MotorState(20.0, 3.0)
+        log = run_episode(stream([(0.2, OPEN), (1.5, CLOSE), (2.0, RELAX), (2.1, OPEN)]), 3.0,
+                          rom, plant=flexed_plant("M"), initial_motor=start)
+        ticks = log.ticks
+        x_before = np.concatenate(([start.excursion_mm], ticks.excursion_mm[:-1]))
+        commanded = ~np.isnan(ticks.setpoint_mm)
+        assert commanded.any() and not commanded.all()
+        assert np.all(ticks.effort[~commanded] == 0.0)
+        expected = [proportional_step(sp, x) for sp, x in
+                    zip(ticks.setpoint_mm[commanded].tolist(), x_before[commanded].tolist())]
+        assert ticks.effort[commanded].tolist() == expected
+        assert np.any(np.abs(ticks.effort) == 1.0) and np.any(np.abs(ticks.effort[commanded]) < 1.0)
 
 
 class TestMotor:
     def test_max_speed_from_drivetrain(self):
-        params = MotorParams()
-        expected = params.no_load_rpm / params.gear_ratio / 60.0 * 2.0 * math.pi * params.spool_radius_mm
-        assert params.max_speed_mm_s == pytest.approx(expected)
-        assert params.max_speed_mm_s == pytest.approx(24.0633, abs=1e-3)
+        expected = (controller.NO_LOAD_RPM / controller.GEAR_RATIO / 60.0 * 2.0 * math.pi
+                    * controller.SPOOL_RADIUS_MM)
+        assert controller.MAX_SPEED_MM_S == pytest.approx(expected)
+        assert controller.MAX_SPEED_MM_S == pytest.approx(24.0633, abs=1e-3)
 
     def test_gear_ratio_pinned(self):
-        assert MotorParams().gear_ratio == 47.0
+        assert controller.GEAR_RATIO == 47.0
 
     @pytest.mark.parametrize("field", ["gear_ratio", "no_load_rpm", "spool_radius_mm",
                                        "time_constant_s", "travel_mm"])
     @pytest.mark.parametrize("value", [0.0, -0.01, -5.0, math.nan, math.inf])
     def test_rejects_non_positive_or_non_finite_params(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            MotorParams(**{field: value})
+            controller._drive_param(field, value)
 
     def test_velocity_lag_approaches_target(self):
-        params = MotorParams()
         motor = MotorRecord(excursion_mm=10.0)
         for _ in range(200):
-            motor = step_motor(motor, 0.5, params, 0.005)
-        assert motor.velocity_mm_s == pytest.approx(0.5 * params.max_speed_mm_s, rel=1e-3)
+            motor = step_motor(motor, 0.5)
+        assert motor.velocity_mm_s == pytest.approx(0.5 * controller.MAX_SPEED_MM_S, rel=1e-3)
 
     def test_travel_stops(self):
-        params = MotorParams()
         motor = MotorRecord(excursion_mm=0.5)
         for _ in range(100):
-            motor = step_motor(motor, -1.0, params, 0.005)
+            motor = step_motor(motor, -1.0)
         assert motor.excursion_mm == 0.0
         assert motor.velocity_mm_s == 0.0
-        motor = MotorRecord(excursion_mm=params.travel_mm - 0.5)
+        motor = MotorRecord(excursion_mm=controller.TRAVEL_MM - 0.5)
         for _ in range(100):
-            motor = step_motor(motor, 1.0, params, 0.005)
-        assert motor.excursion_mm == params.travel_mm
+            motor = step_motor(motor, 1.0)
+        assert motor.excursion_mm == controller.TRAVEL_MM
 
 
 class TestPlant:
     def test_rest_pose_with_slack_cable_is_equilibrium(self):
         plant = default_plant("M")
         motor = MotorRecord(excursion_mm=float(plant.cable_take_up_mm().max()))
-        stepped, stepped_motor = step_plant(plant, motor, 0.005)
+        stepped, stepped_motor = step_plant(plant, motor)
         assert np.array_equal(stepped.angles_deg, plant.angles_deg)
         assert stepped_motor.tension_n == 0.0
 
@@ -165,14 +139,14 @@ class TestPlant:
         take_up = plant.cable_take_up_mm()
         raw = plant.tendon_stiffness_n_mm * np.maximum(take_up, 0.0)
         assert raw.sum() > TENSION_CAP_N
-        _plant, stepped = step_plant(plant, motor, 0.005)
+        _plant, stepped = step_plant(plant, motor)
         assert stepped.tension_n == TENSION_CAP_N
 
     def test_hyperextension_block(self):
         plant = default_plant("M", angles_deg=np.full((4, 2), 1.0))
         motor = MotorRecord(excursion_mm=0.0)
         for _ in range(400):
-            plant, motor = step_plant(plant, motor, 0.005, voluntary_nmm=-5000.0)
+            plant, motor = step_plant(plant, motor, voluntary_nmm=-5000.0)
         assert np.all(plant.angles_deg >= 0.0)
         assert np.any(plant.angles_deg == 0.0)
 
@@ -180,7 +154,7 @@ class TestPlant:
         plant = default_plant("M")
         motor = MotorRecord(excursion_mm=float(plant.cable_take_up_mm().max()))
         for _ in range(400):
-            plant, motor = step_plant(plant, motor, 0.005, voluntary_nmm=5000.0)
+            plant, motor = step_plant(plant, motor, voluntary_nmm=5000.0)
         assert np.all(plant.angles_deg <= plant.max_deg)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -212,7 +186,7 @@ class TestPlant:
         motor = MotorRecord(excursion_mm=float(rng.uniform(0.0, 50.0)))
         energy = passive_energy(plant, motor)
         for _ in range(20):
-            plant, motor = step_plant(plant, motor, 0.005)
+            plant, motor = step_plant(plant, motor)
             next_energy = passive_energy(plant, motor)
             assert next_energy <= energy + 1e-9
             energy = next_energy
@@ -260,6 +234,25 @@ class TestEpisode:
                           plant=flexed_plant("M", 4.0))
         assert np.all(log.ticks.tension_n <= TENSION_CAP_N + 1e-9)
         assert np.all(log.ticks.angles_deg.min(axis=1) >= 0.0)
+
+    def test_no_overshoot_past_either_setpoint(self):
+        # The claim beside KP: the approach to either setpoint never
+        # overshoots, for every glove size, spasticity grade and start pose.
+        toggle = [(0.15 * k, OPEN if k % 2 else CLOSE) for k in range(14)]
+        scripts = [[(0.0, OPEN), (2.5, CLOSE)], [(0.0, CLOSE), (2.5, OPEN)], toggle]
+        episodes = [
+            Episode(stream(script), 5.0, calibrate_rom(size), plant=make(size, scale))
+            for size in ("S", "M", "L")
+            for scale in controller.MAS_STIFFNESS.values()
+            for make in (default_plant, flexed_plant)
+            for script in scripts
+        ]
+        for episode, log in zip(episodes, run_episodes(episodes)):
+            x = log.ticks.excursion_mm
+            # The travel stop would clamp an overshoot past the open
+            # setpoint to exactly 0, so that side must stay above it.
+            assert x.min() > 0.0
+            assert x.max() <= episode.rom.extended_mm
 
     def test_round_trip_has_single_reversal(self):
         rom = calibrate_rom("M")
@@ -373,21 +366,20 @@ class RefTick(NamedTuple):
     effort: float
 
 
-def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
-                      initial_motor=None, motor_params=MotorParams(), dt=CONTROL_DT_S):
+def reference_episode(intents, duration_s, rom, plant, voluntary_nmm=0.0, initial_motor=None):
     """The scalar tick loop, built from the primitives: (ticks, abort diagnostic or None)."""
     if initial_motor is not None:
         motor = MotorRecord(initial_motor.excursion_mm, initial_motor.velocity_mm_s)
     else:
-        motor = MotorRecord(excursion_mm=min(plant.cable_take_up_mm().max(), motor_params.travel_mm))
+        motor = MotorRecord(excursion_mm=min(plant.cable_take_up_mm().max(), controller.TRAVEL_MM))
     voluntary = voluntary_nmm if callable(voluntary_nmm) else (lambda _t, v=voluntary_nmm: v)
     ordered = sorted(intents, key=lambda e: e[0])
     state = ControllerState()
     ticks = []
     ev = 0
     intent = RELAX
-    for i in range(int(round(duration_s / dt))):
-        t = i * dt
+    for i in range(int(round(duration_s / CONTROL_DT_S))):
+        t = i * CONTROL_DT_S
         while ev < len(ordered) and ordered[ev][0] <= t:
             intent = ordered[ev][1]
             ev += 1
@@ -395,10 +387,9 @@ def reference_episode(intents, duration_s, rom, gains, plant, voluntary_nmm=0.0,
         if state.setpoint_mm is None:
             effort = 0.0
         else:
-            effort, pid = pid_step(gains, state.setpoint_mm, motor.excursion_mm, dt, state.pid)
-            state = replace(state, pid=pid)
-        motor = step_motor(motor, effort, motor_params, dt)
-        plant, motor = step_plant(plant, motor, dt, voluntary(t))
+            effort = proportional_step(state.setpoint_mm, motor.excursion_mm)
+        motor = step_motor(motor, effort)
+        plant, motor = step_plant(plant, motor, voluntary(t))
         state = settle_fsm(state, motor, rom)
         ticks.append(RefTick(
             t=t, intent=intent, fsm=state.fsm, setpoint_mm=state.setpoint_mm,
@@ -488,10 +479,10 @@ def _outcome_bits(outcome):
     return None, [_tick_bits(tick) for tick in rows(outcome.ticks)]
 
 
-def _reference_bits(episode, gains):
+def _reference_bits(episode):
     plant = episode.plant if episode.plant is not None else default_plant()
     ticks, diagnostic = reference_episode(
-        events(episode.intents), episode.duration_s, episode.rom, gains, plant,
+        events(episode.intents), episode.duration_s, episode.rom, plant,
         episode.voluntary_nmm, episode.initial_motor,
     )
     return diagnostic, [_tick_bits(tick) for tick in ticks]
@@ -526,22 +517,14 @@ def _episodes(draw):
     )
 
 
-_GAINS = st.builds(
-    PidGains,
-    kp=st.floats(0.05, 2.0),
-    ki=st.just(0.0) | st.floats(0.0, 5.0),
-    kd=st.just(0.0) | st.floats(0.0, 0.05),
-)
-
-
 class TestBatchedEngine:
     @settings(max_examples=40)
-    @given(st.lists(_episodes(), min_size=1, max_size=5), _GAINS)
-    def test_matches_scalar_reference_bit_for_bit(self, episodes, gains):
-        outcomes = run_episodes(episodes, gains=gains)
+    @given(st.lists(_episodes(), min_size=1, max_size=5))
+    def test_matches_scalar_reference_bit_for_bit(self, episodes):
+        outcomes = run_episodes(episodes)
         assert len(outcomes) == len(episodes)
         for episode, outcome in zip(episodes, outcomes):
-            assert _outcome_bits(outcome) == _reference_bits(episode, gains)
+            assert _outcome_bits(outcome) == _reference_bits(episode)
 
     def test_nan_episode_aborts_alone(self):
         rom = calibrate_rom("M")
@@ -557,7 +540,7 @@ class TestBatchedEngine:
         assert outcomes[1].diagnostic == "non-finite state at t=0.505"
         assert len(outcomes[1].log.ticks) == 102
         for episode, outcome in zip(episodes, outcomes):
-            assert _outcome_bits(outcome) == _reference_bits(episode, DEFAULT_GAINS)
+            assert _outcome_bits(outcome) == _reference_bits(episode)
         for i in (0, 2):
             alone = run_episodes([episodes[i]])[0]
             assert _outcome_bits(alone) == _outcome_bits(outcomes[i])
@@ -566,19 +549,19 @@ class TestBatchedEngine:
                         voluntary_nmm=_nan_after(0.5, 0.0))
         assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
 
-    def _assert_matches_reference(self, episodes, gains=DEFAULT_GAINS):
-        outcomes = run_episodes(episodes, gains=gains)
+    def _assert_matches_reference(self, episodes):
+        outcomes = run_episodes(episodes)
         for episode, outcome in zip(episodes, outcomes):
-            assert _outcome_bits(outcome) == _reference_bits(episode, gains)
+            assert _outcome_bits(outcome) == _reference_bits(episode)
         return outcomes
 
     def test_every_episode_commanded_from_the_first_tick(self):
-        # Motors near the OPEN setpoint and derivative action, so that the
-        # first tick's derivative (zero: no history yet) shows in the effort.
+        # Motors near the OPEN setpoint, so that unsaturated effort shows
+        # from the first tick on, when no tick needs the effort mask.
         episodes = [Episode(stream([(0.0, OPEN), (0.3, CLOSE)]), 0.6, calibrate_rom(size),
                             plant=flexed_plant(size, 2.0), initial_motor=MotorState(excursion))
                     for size, excursion in (("S", 0.5), ("M", 1.0), ("L", 0.0))]
-        self._assert_matches_reference(episodes, PidGains(kp=0.4, ki=2.0, kd=0.002))
+        self._assert_matches_reference(episodes)
 
     def test_never_commanded_episode_beside_commanded_ones(self):
         rom = calibrate_rom("M")
@@ -587,7 +570,7 @@ class TestBatchedEngine:
             Episode(stream([(0.0, RELAX), (0.2, RELAX)]), 0.5, rom, plant=flexed_plant("M")),
             Episode(stream([(0.2, CLOSE)]), 0.5, rom, initial_motor=MotorState(10.0, 5.0)),
         ]
-        outcomes = self._assert_matches_reference(episodes, PidGains(kp=0.4, ki=2.0, kd=0.02))
+        outcomes = self._assert_matches_reference(episodes)
         assert np.all(outcomes[1].ticks.effort == 0.0)
 
     def test_cap_applies_beside_a_nan_episode(self):
@@ -634,7 +617,7 @@ class TestBatchedEngine:
         script = [(0.3, CLOSE), (0.0, OPEN), (0.3, RELAX), (0.1, CLOSE), (0.1, OPEN), (0.0, RELAX)]
         episode = Episode(stream(script), 0.6, calibrate_rom("M"), plant=flexed_plant("M"))
         (outcome,) = run_episodes([episode])
-        assert _outcome_bits(outcome) == _reference_bits(episode, DEFAULT_GAINS)
+        assert _outcome_bits(outcome) == _reference_bits(episode)
         # Events at one time apply in stream order, so the last of them holds.
         labels = [_LABELS[c] for c in outcome.ticks.intent[[10, 30, 100]].tolist()]
         assert labels == [RELAX, OPEN, RELAX]
@@ -642,22 +625,68 @@ class TestBatchedEngine:
     def test_empty_batch(self):
         assert run_episodes([]) == []
 
-    def test_rejects_non_positive_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            run_episodes([Episode(stream([]), 1.0, calibrate_rom("M"))], dt=0.0)
-
-    @pytest.mark.parametrize("dt", [-0.005, math.nan, math.inf])
-    def test_rejects_negative_or_non_finite_dt(self, dt):
-        episode = Episode(stream([(0.0, OPEN)]), 0.1, calibrate_rom("M"))
-        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
-            run_episodes([episode], dt=dt)
-
     def test_episode_jsonl_is_unchanged(self):
         rom = calibrate_rom("M")
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
         log = run_episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0))
-        ticks, _ = reference_episode(script, 7.0, rom, DEFAULT_GAINS, flexed_plant("M", 2.0))
+        ticks, _ = reference_episode(script, 7.0, rom, flexed_plant("M", 2.0))
         assert log.to_jsonl() == reference_jsonl(CONTROL_DT_S, ticks)
+
+
+def _pinned_batches(seed=20261018, n_batches=16):
+    """Seeded batches of 1-8 random episodes: unsorted streams, either plant,
+    constant or NaN-after disturbances, initial motors in and out of travel."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_batches):
+        episodes = []
+        for _ in range(int(rng.integers(1, 9))):
+            size = str(rng.choice(["S", "M", "L"]))
+            make = flexed_plant if rng.random() < 0.5 else default_plant
+            n_ticks = int(rng.integers(1, 300))
+            n_events = int(rng.integers(0, 7))
+            if rng.random() < 0.3:
+                t = rng.choice([0.0, 0.1, 0.25], n_events)
+            else:
+                t = rng.uniform(0.0, 1.2, n_events)
+            torque = 0.0 if rng.random() < 0.5 else float(rng.uniform(-400.0, 400.0))
+            motor = None
+            if rng.random() < 0.5:
+                x = float(rng.choice([-2.0, -0.0, 0.0, 55.0, 58.0, rng.uniform(-5.0, 60.0)]))
+                motor = MotorState(x, float(rng.uniform(-20.0, 20.0)))
+            if rng.random() < 0.2:
+                torque = _nan_after(float(rng.uniform(0.0, 1.5)), torque)
+            episodes.append(Episode(
+                intents=(t, rng.integers(0, 3, n_events)),
+                duration_s=n_ticks * CONTROL_DT_S,
+                rom=calibrate_rom(size),
+                plant=make(size, float(rng.uniform(0.5, 4.0))),
+                voluntary_nmm=torque,
+                initial_motor=motor,
+            ))
+        yield episodes
+
+
+def test_engine_bits_are_pinned():
+    # The sha256 of every recorded column (NaNs made alike) and of each
+    # abort's diagnostic, over 95 episodes with 16 aborts. The value was
+    # recorded from the earlier PID engine, whose integral and derivative
+    # gains were zero, so it also pins that the proportional step gives the
+    # same bits.
+    digest = hashlib.sha256()
+    n_aborts = 0
+    for episodes in _pinned_batches():
+        for outcome in run_episodes(episodes):
+            log = outcome
+            if isinstance(outcome, SafetyAbort):
+                n_aborts += 1
+                digest.update(outcome.diagnostic.encode())
+                log = outcome.log
+            for col in astuple(log.ticks):
+                if col.dtype.kind == "f":
+                    col = np.where(np.isnan(col), np.nan, col)
+                digest.update(np.ascontiguousarray(col).tobytes())
+    assert n_aborts == 16
+    assert digest.hexdigest() == "304a40cb9aa8c01d76cdf4df2ed023af66cce10c6fdd59c8af701523fff86b80"
 
 
 _SPEEDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, math.nan]) | st.floats(-5.0, 5.0)

@@ -204,6 +204,11 @@ def completed():
     return run_session(plan, subject)
 
 
+def _use_duration_model(monkeypatch, duration):
+    """Make ``run_session`` draw every task's active time from ``duration``."""
+    monkeypatch.setattr(protocol, "lognormal_task_durations", lambda _subject, _session: duration)
+
+
 class TestSessionExecution:
     def test_session_is_deterministic(self, completed):
         subject = Subject(subject_id="S10", group="SH", seed=21)
@@ -250,16 +255,17 @@ class TestSessionExecution:
         assert header["subject_id"] == "S10"
         assert len(lines) == 1 + len(completed.events)
 
-    def test_duration_model_override_skips_episodes(self):
+    def test_duration_model_override_skips_episodes(self, monkeypatch):
         subject = Subject(subject_id="S12", group="SH", seed=2)
         plan = build_session_plans(subject.subject_id)[0]
-        log = run_session(plan, subject, duration_model=lambda task: 10.0)
+        _use_duration_model(monkeypatch, lambda task: 10.0)
+        log = run_session(plan, subject)
         completed = [e for e in log.events if e.kind == "task_complete"]
         assert len(completed) == 23
         assert log.overflow is False
         assert any(e.kind == "free_training" for e in log.events)
 
-    def test_duration_model_runs_once_per_task_until_the_budget(self):
+    def test_duration_model_runs_once_per_task_until_the_budget(self, monkeypatch):
         subject = Subject(subject_id="S13", group="SH", seed=4)
         plan = replace(build_session_plans(subject.subject_id)[0], active_budget_s=100.0)
         asked = []
@@ -268,7 +274,8 @@ class TestSessionExecution:
             asked.append(task.task_id)
             return 30.0
 
-        log = run_session(plan, subject, duration_model=duration)
+        _use_duration_model(monkeypatch, duration)
+        log = run_session(plan, subject)
         completed = [e.detail["task"] for e in log.events if e.kind == "task_complete"]
         assert asked == completed == [task.task_id for task in plan.tasks[:4]]
         assert log.overflow is True
@@ -276,13 +283,14 @@ class TestSessionExecution:
     def test_aborted_episode_logs_an_adjustment(self, monkeypatch):
         subject = Subject(subject_id="S13", group="SH", seed=4)
         plan = replace(build_session_plans(subject.subject_id)[0], active_budget_s=100.0)
-        plain = run_session(plan, subject, duration_model=lambda task: 30.0)
+        _use_duration_model(monkeypatch, lambda task: 30.0)
+        plain = run_session(plan, subject)
         # A NaN stiffness makes every episode's state non-finite on its first
         # tick. HandPlant rejects one, so the test sets it past that check.
         nan_plant = controller.default_plant(subject.hand_size)
         object.__setattr__(nan_plant, "stiffness_nmm_deg", np.full((4, 2), math.nan))
         monkeypatch.setattr(controller, "default_plant", lambda *_args: nan_plant)
-        aborted = run_session(plan, subject, duration_model=lambda task: 30.0)
+        aborted = run_session(plan, subject)
         adjustments = [e for e in aborted.events if e.kind == "adjustment"]
         assert [e.detail["task"] for e in adjustments] == [task.task_id for task in plan.tasks[:4]]
         assert {e.detail["reason"] for e in adjustments} == {"non-finite state at t=0.000"}
