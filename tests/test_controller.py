@@ -689,6 +689,26 @@ def test_engine_bits_are_pinned():
     assert digest.hexdigest() == "304a40cb9aa8c01d76cdf4df2ed023af66cce10c6fdd59c8af701523fff86b80"
 
 
+def _engine_plant_arrays(plant):
+    """A plant's arrays as the engine reads them: angles, stiffness, arms,
+    rest pose, flexion stop, damping and tendon stiffness."""
+    return (plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, plant.rest_deg,
+            plant.max_deg, plant.damping_nmm_s_deg, plant.tendon_stiffness_n_mm)
+
+
+def test_plant_bits_are_pinned():
+    # The sha256 of every plant that src/ builds: 3 glove sizes x 4 MAS
+    # grades x rest or flexed pose. The engine pin draws continuous
+    # stiffness scales, so it may miss the exact grades.
+    digest = hashlib.sha256()
+    for size in ("S", "M", "L"):
+        for scale in controller.MAS_STIFFNESS.values():
+            for make in (default_plant, flexed_plant):
+                for arr in _engine_plant_arrays(make(size, scale)):
+                    digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    assert digest.hexdigest() == "772f4ab21835865a1fe1876212505cd959f0f2a4df2df8ccca954445525ce8bb"
+
+
 _SPEEDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, math.nan]) | st.floats(-5.0, 5.0)
 
 
