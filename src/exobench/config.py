@@ -7,7 +7,6 @@ an error rather than a silent ignore so typos surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -25,29 +24,20 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"not a boolean: {raw!r}")
 
 
-@dataclass(frozen=True)
-class ConfigKey:
-    name: str
-    parse: Callable[[str], object]
-    description: str
-
-
-_KEYS = {
-    key.name: key
-    for key in (
-        ConfigKey("seed", int, "base RNG seed"),
-        ConfigKey("rate_hz", float, "signal sample rate"),
-        ConfigKey("group", str, "interface group, EMG or SH"),
-        ConfigKey("hand_size", str, "glove size, S, M, or L"),
-        ConfigKey("mas", str, "spasticity grade, 0, 1, 1+, or 2"),
-        ConfigKey("sessions", int, "number of training sessions"),
-        ConfigKey("duration_scale", float, "task duration multiplier"),
-        ConfigKey("noise_std", float, "EMG noise standard deviation"),
-        ConfigKey("crosstalk", float, "EMG channel mixing fraction"),
-        ConfigKey("drift_rate", float, "EMG mean decay per second"),
-        ConfigKey("q", str, "false discovery rate, as a decimal string"),
-        ConfigKey("arm_support", _parse_bool, "passive arm support in use"),
-    )
+#: Each registered key and the parser of its value; README lists what they mean.
+_KEYS: dict[str, Callable[[str], object]] = {
+    "seed": int,
+    "rate_hz": float,
+    "group": str,
+    "hand_size": str,
+    "mas": str,
+    "sessions": int,
+    "duration_scale": float,
+    "noise_std": float,
+    "crosstalk": float,
+    "drift_rate": float,
+    "q": str,
+    "arm_support": _parse_bool,
 }
 
 
@@ -69,7 +59,7 @@ def parse_config(text: str) -> dict[str, object]:
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {name!r}")
         try:
-            values[name] = _KEYS[name].parse(raw)
+            values[name] = _KEYS[name](raw)
         except ConfigError:
             raise
         except ValueError as exc:

@@ -15,11 +15,13 @@ cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode. ``run_episodes`` steps any number of
 episodes in lockstep on plain arrays, every ``CONTROL_DT_S``, and
-``run_episode`` is its one-episode case. The gain and the drive are module
-constants, the drive's checked once at import, and plant parameters are
-validated once, when a ``HandPlant`` is built, never per tick. The engine's cost is per array call, not per
-episode, so what each tick does is decided before the loop where it can
-be: a command once given is held, so the ticks on which every episode is
+``run_episode`` is its one-episode case. The gain, the drive and what
+every hand shares (rest pose, flexion stops, damping, tendon stiffness) are
+module constants, the drive's checked once at import. A ``HandPlant`` holds
+only what differs between hands, the pose, the tone and the glove's moment
+arms, validated once when it is built, never per tick. The engine's cost is
+per array call, not per episode, so what each tick does is decided before
+the loop where it can be: a command once given is held, so the ticks on which every episode is
 commanded (most of them) skip the effort mask. The safety invariants are
 checked on every tick for every episode through one merged screen: the min
 and max of the excursions decide the travel clamp, the max of the tensions
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,40 +134,41 @@ class MotorState:
     velocity_mm_s: float = 0.0
 
 
+# What every hand shares: per joint, as (MCP, PIP) for each digit, the flexed
+# rest pose that stands in for resting flexor tone, the flexion stops and the
+# damping; and the series stiffness of the cable. The arrays are read-only
+# views, so no plant writes through them.
+REST_DEG = np.broadcast_to([55.0, 65.0], (len(DIGITS), len(JOINTS)))
+MAX_DEG = np.broadcast_to([90.0, 100.0], (len(DIGITS), len(JOINTS)))
+DAMPING_NMM_S_DEG = np.broadcast_to([2.2, 1.8], (len(DIGITS), len(JOINTS)))
+TENDON_STIFFNESS_N_MM = 40.0
+
+
 @dataclass(frozen=True)
 class HandPlant:
-    """Four-digit tendon-finger system: parameters plus current joint angles.
+    """One hand in the four-digit tendon-finger system: its pose, tone and arms.
 
     Arrays are shaped (4 digits, 2 joints) ordered index..little x (MCP, PIP).
-    Stiffness acts about the flexed rest pose, which stands in for resting
-    flexor tone: multiplying ``stiffness_nmm_deg`` models higher spasticity
-    grades resisting extension harder.
+    Stiffness acts about ``REST_DEG``: multiplying ``stiffness_nmm_deg``
+    models higher spasticity grades resisting extension harder.
     """
 
     angles_deg: np.ndarray
-    rest_deg: np.ndarray
-    max_deg: np.ndarray
     stiffness_nmm_deg: np.ndarray
-    damping_nmm_s_deg: np.ndarray
     moment_arm_mm: np.ndarray
-    tendon_stiffness_n_mm: float = 40.0
 
     def __post_init__(self) -> None:
-        for name in ("angles_deg", "rest_deg", "max_deg", "stiffness_nmm_deg",
-                     "damping_nmm_s_deg", "moment_arm_mm"):
+        for name in ("angles_deg", "stiffness_nmm_deg", "moment_arm_mm"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (len(DIGITS), len(JOINTS)):
                 raise ValueError(f"{name} must have shape (4, 2)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        if np.any(self.angles_deg < 0.0) or np.any(self.angles_deg > self.max_deg):
+        if np.any(self.angles_deg < 0.0) or np.any(self.angles_deg > MAX_DEG):
             raise ValueError("joint angles outside [0, max]")
-        if np.any(self.stiffness_nmm_deg < 0.0) or np.any(self.damping_nmm_s_deg <= 0.0):
-            raise ValueError("stiffness must be >= 0 and damping > 0")
-        if not (self.tendon_stiffness_n_mm > 0.0 and math.isfinite(self.tendon_stiffness_n_mm)):
-            raise ValueError(f"tendon stiffness must be positive and finite, "
-                             f"got {self.tendon_stiffness_n_mm!r}")
+        if np.any(self.stiffness_nmm_deg < 0.0):
+            raise ValueError("stiffness must be >= 0")
 
     def cable_take_up_mm(self) -> np.ndarray:
         """Cable length absorbed by each digit's flexion."""
@@ -180,37 +183,23 @@ _BASE_ARM_MM = {"S": 11.0, "M": 13.0, "L": 15.0}
 MAS_STIFFNESS = {"0": 1.0, "1": 2.0, "1+": 3.0, "2": 4.0}
 
 
-def default_plant(
-    hand_size: str = "M",
-    stiffness_scale: float = 1.0,
-    angles_deg: np.ndarray | None = None,
-) -> HandPlant:
+def default_plant(hand_size: str = "M", stiffness_scale: float = 1.0,
+                  angles_deg: np.ndarray = REST_DEG) -> HandPlant:
     """Nominal plant for a glove size, optionally scaled for spasticity grade."""
     if hand_size not in _BASE_ARM_MM:
         raise ValueError(f"unknown hand size {hand_size!r}; expected one of S, M, L")
     if stiffness_scale <= 0.0:
         raise ValueError("stiffness scale must be positive")
-    arm = _BASE_ARM_MM[hand_size] * np.outer(_DIGIT_SCALE, _JOINT_SCALE)
-    rest = np.tile(np.array([55.0, 65.0]), (len(DIGITS), 1))
-    qmax = np.tile(np.array([90.0, 100.0]), (len(DIGITS), 1))
-    stiffness = stiffness_scale * np.tile(np.array([1.3, 1.1]), (len(DIGITS), 1))
-    damping = np.tile(np.array([2.2, 1.8]), (len(DIGITS), 1))
-    if angles_deg is None:
-        angles_deg = rest.copy()
     return HandPlant(
-        angles_deg=np.asarray(angles_deg, dtype=float),
-        rest_deg=rest,
-        max_deg=qmax,
-        stiffness_nmm_deg=stiffness,
-        damping_nmm_s_deg=damping,
-        moment_arm_mm=arm,
+        angles_deg=angles_deg,
+        stiffness_nmm_deg=stiffness_scale * np.tile(np.array([1.3, 1.1]), (len(DIGITS), 1)),
+        moment_arm_mm=_BASE_ARM_MM[hand_size] * np.outer(_DIGIT_SCALE, _JOINT_SCALE),
     )
 
 
 def flexed_plant(hand_size: str = "M", stiffness_scale: float = 1.0) -> HandPlant:
     """Plant with every joint at its flexion stop."""
-    p = default_plant(hand_size, stiffness_scale)
-    return replace(p, angles_deg=p.max_deg.copy())
+    return default_plant(hand_size, stiffness_scale, MAX_DEG)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +245,12 @@ class TrajectoryColumns:
 
 @dataclass
 class TrajectoryLog:
-    """One episode's trajectory: the tick period and the recorded columns."""
+    """One episode's trajectory: the recorded columns, one row per ``CONTROL_DT_S`` tick."""
 
-    dt: float
     ticks: TrajectoryColumns
 
     def to_jsonl(self) -> str:
-        header = {"schema": TRAJECTORY_SCHEMA, "dt_s": self.dt, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
+        header = {"schema": TRAJECTORY_SCHEMA, "dt_s": CONTROL_DT_S, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
         encode = COMPACT_JSON.encode
         cols = self.ticks
         lines = [encode(header)]
@@ -378,14 +366,14 @@ def run_episodes(
     any_active = commanded.any(axis=0).tolist()
     all_active = commanded.all(axis=0).tolist()
 
-    # Plant parameters, validated once when each HandPlant was built.
+    # Each hand's arrays, validated once when its HandPlant was built, and
+    # the shared joint constants tiled to (E, 4, 2) once, so no tick
+    # broadcasts them.
     angles = np.stack([p.angles_deg for p in plants])
     arm = np.stack([p.moment_arm_mm for p in plants])
-    rest = np.stack([p.rest_deg for p in plants])
-    q_max = np.stack([p.max_deg for p in plants])
     stiffness = np.stack([p.stiffness_nmm_deg for p in plants])
-    damping = np.stack([p.damping_nmm_s_deg for p in plants])
-    tendon = np.array([[p.tendon_stiffness_n_mm] for p in plants])
+    rest, q_max, damping = (np.tile(c, (n_episodes, 1, 1))
+                            for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
     motors = [
         ep.initial_motor if ep.initial_motor is not None else MotorState(
@@ -404,10 +392,10 @@ def run_episodes(
 
     # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
     # operand costs about half as much again as one with arrays.
-    (kp, one, neg_one, max_speed, tau, travel, dt, deg2rad, cap, tol, zero) = (
+    (kp, one, neg_one, max_speed, tau, travel, dt, deg2rad, tendon, cap, tol, zero) = (
         np.asarray(v, dtype=float) for v in (
             KP, 1.0, -1.0, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S,
-            _DEG2RAD, TENSION_CAP_N, SETPOINT_TOL_MM, 0.0))
+            _DEG2RAD, TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM, 0.0))
     move_bit = np.asarray(1, dtype=np.int8)
     where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
@@ -511,7 +499,7 @@ def run_episodes(
     outcomes: list[TrajectoryLog | SafetyAbort | None] = []
     for e in range(n_episodes):
         n = min(length[e], width)
-        log = TrajectoryLog(dt=CONTROL_DT_S, ticks=TrajectoryColumns(
+        log = TrajectoryLog(TrajectoryColumns(
             t=t_col[:n],
             intent=labels[e, :n],
             fsm=fsm_col[e, :n],

@@ -32,6 +32,10 @@ TOTAL_SESSIONS = 12
 
 SESSION_SCHEMA = "exobench/session-v1"
 
+#: Harness load-cell noise (standard deviation, N) on every simulated
+#: trace; the posture levels are ``gen_load_trace``'s defaults.
+SH_NOISE_N = 0.6
+
 
 class ProtocolPhase(Enum):
     CONTROLS = "controls"
@@ -230,25 +234,12 @@ def session_calibration(subject: Subject, session_index: int) -> CalibrationBund
                                  thumb_abduction_n=thumb_abduction, classifier=clf)
 
     seed = derive_seed(subject.seed, f"sh_calibration:{session_index}")
-    postures = {}
-    for i, (posture, level) in enumerate((
-        (ShoulderPosture.REST, subject.sh_rest_n),
-        (ShoulderPosture.ELEVATED, subject.sh_shrug_n),
-        (ShoulderPosture.DEPRESSED, subject.sh_depress_n),
-    )):
-        trace = signals.gen_load_trace(
-            [(posture, 3.0)],
-            rest_n=subject.sh_rest_n, elevated_n=subject.sh_shrug_n,
-            depressed_n=subject.sh_depress_n,
-            noise_std=subject.sh_noise_n, seed=seed + i,
-        )
-        postures[posture] = trace.samples
+    rest, shrug, depress = (
+        signals.gen_load_trace([(posture, 3.0)], noise_std=SH_NOISE_N, seed=seed + i).samples
+        for i, posture in enumerate((ShoulderPosture.REST, ShoulderPosture.ELEVATED,
+                                     ShoulderPosture.DEPRESSED)))
     try:
-        sh = intent_mod.calibrate_sh(
-            rest=postures[ShoulderPosture.REST],
-            shrug=postures[ShoulderPosture.ELEVATED],
-            depress=postures[ShoulderPosture.DEPRESSED],
-        )
+        sh = intent_mod.calibrate_sh(rest=rest, shrug=shrug, depress=depress)
     except ValueError as exc:
         raise CalibrationError(str(exc)) from exc
     return CalibrationBundle(rom=rom, thumb_extension_n=thumb_extension,
@@ -328,12 +319,8 @@ def task_intent_stream(
         trace = signals.gen_emg_trace(subject.emg_profile(context), list(_GRASP_SCRIPT))
         t, raw = intent_mod.classify_trace(bundle.classifier, trace)
         return (t, intent_mod.smooth_intents(raw)), trace.duration_s
-    trace = signals.gen_load_trace(
-        list(_SH_TASK_SCRIPT),
-        rest_n=subject.sh_rest_n, elevated_n=subject.sh_shrug_n,
-        depressed_n=subject.sh_depress_n, noise_std=subject.sh_noise_n,
-        seed=derive_seed(subject.seed, context),
-    )
+    trace = signals.gen_load_trace(list(_SH_TASK_SCRIPT), noise_std=SH_NOISE_N,
+                                   seed=derive_seed(subject.seed, context))
     return intent_mod.detect_trace(bundle.sh_config, trace), trace.duration_s
 
 

@@ -121,6 +121,12 @@ _CLOSE_MEANS = (0.11, 0.09, 0.12, 0.10, 0.57, 0.61, 0.55, 0.52)
 _RELAX_MEANS = (0.05, 0.05, 0.04, 0.06, 0.05, 0.04, 0.05, 0.05)
 
 
+def _check_noise_std(noise_std: float) -> None:
+    """Reject a noise level whose sign the variance ``noise_std**2`` would drop."""
+    if not (noise_std >= 0.0 and math.isfinite(noise_std)):
+        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+
+
 def make_profile(
     noise_std: float = 0.02,
     drift_rate: float = 0.0,
@@ -128,6 +134,7 @@ def make_profile(
     seed: int = 0,
 ) -> SignalProfile:
     """Build a subject profile from the canonical class patterns."""
+    _check_noise_std(noise_std)
     return SignalProfile(
         means=(_OPEN_MEANS, _RELAX_MEANS, _CLOSE_MEANS),
         variances=np.full((len(IntentLabel), EMG_CHANNELS), noise_std * noise_std),
@@ -360,8 +367,15 @@ def gen_load_trace(
 
     Tension ramps linearly from the previous posture level over ``ramp_s``
     (clipped to the segment length) then holds. Optional sinusoidal dither
-    and gaussian noise ride on top; output is clipped at zero.
+    and gaussian noise ride on top; output is clipped at zero. Every number
+    must be finite and ``noise_std`` non-negative (a negative ``ramp_s``
+    steps straight to each level).
     """
+    _check_noise_std(noise_std)
+    for name, value in (("rest_n", rest_n), ("elevated_n", elevated_n), ("depressed_n", depressed_n),
+                        ("ramp_s", ramp_s), ("dither_amp", dither_amp), ("dither_hz", dither_hz)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     segments = _check_script(script, ShoulderPosture)
     annotations, times, segment = _timeline(segments, rate_hz)
     levels = {

@@ -2,8 +2,9 @@
 
 A Subject bundles everything the simulators need: control group, glove
 size, spasticity grade (stiffness multiplier), EMG signal quality (leakage
-and fatigue, with extra distortion when the forearm leaves the table),
-harness tension landmarks, and a pace factor for the task duration model.
+and fatigue, with extra distortion when the forearm leaves the table), and
+a pace factor for the task duration model. Every subject shares the harness
+tension levels and noise (``protocol.SH_NOISE_N``).
 Sub-seeds are derived from the subject seed and a context string through
 SHA-256 so every generated artifact is reproducible in isolation.
 """
@@ -36,10 +37,6 @@ class Subject:
     drift_rate: float = 0.0
     off_table_crosstalk: float = 0.05
     off_table_drift: float = 0.0
-    sh_rest_n: float = 20.0
-    sh_shrug_n: float = 40.0
-    sh_depress_n: float = 8.0
-    sh_noise_n: float = 0.6
     duration_scale: float = 1.0
     uses_arm_support: bool = False
     seed: int = 0

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from exobench import controller
 from exobench.controller import (
     _DEG2RAD,
     CONTROL_DT_S,
@@ -88,11 +89,13 @@ def step_plant(
     is capped at the force limit and redistributed pro rata. Per joint:
     torque = -tension * moment arm + stiffness * (rest - angle) + voluntary,
     first-order rate = torque / damping, then integrate and clamp to
-    [0, max] (hyperextension block at zero, flexion stop at max).
+    [0, max] (hyperextension block at zero, flexion stop at max). The
+    shared hand constants are read from ``controller`` on each call, so a
+    test may patch them.
     """
     take_up = plant.cable_take_up_mm()
     stretch = take_up - motor.excursion_mm
-    tension = plant.tendon_stiffness_n_mm * np.maximum(stretch, 0.0)
+    tension = controller.TENDON_STIFFNESS_N_MM * np.maximum(stretch, 0.0)
     total = float(tension.sum())
     cap = TENSION_CAP_N
     if total > cap:
@@ -101,13 +104,13 @@ def step_plant(
 
     torque = (
         -tension[:, None] * plant.moment_arm_mm
-        + plant.stiffness_nmm_deg * (plant.rest_deg - plant.angles_deg)
+        + plant.stiffness_nmm_deg * (controller.REST_DEG - plant.angles_deg)
         + voluntary_nmm
     )
-    rate = torque / plant.damping_nmm_s_deg
-    angles = np.clip(plant.angles_deg + rate * CONTROL_DT_S, 0.0, plant.max_deg)
-    # The plant's parameters were validated when it was built; like the
-    # engine, the loop does not check them again on every tick.
+    rate = torque / controller.DAMPING_NMM_S_DEG
+    angles = np.clip(plant.angles_deg + rate * CONTROL_DT_S, 0.0, controller.MAX_DEG)
+    # The plant was validated when it was built; like the engine, the loop
+    # does not check it again on every tick.
     stepped = copy.copy(plant)
     object.__setattr__(stepped, "angles_deg", angles)
     return stepped, replace(motor, tension_n=total)
@@ -132,9 +135,9 @@ def passive_energy(plant: HandPlant, motor: MotorRecord) -> float:
     Joint-tone term plus cable-stretch term in consistent units; first-order
     damped dynamics descend this function, which the passivity test checks.
     """
-    tone = 0.5 * plant.stiffness_nmm_deg * (plant.angles_deg - plant.rest_deg) ** 2
+    tone = 0.5 * plant.stiffness_nmm_deg * (plant.angles_deg - controller.REST_DEG) ** 2
     stretch = np.maximum(plant.cable_take_up_mm() - motor.excursion_mm, 0.0)
-    cable = 0.5 * plant.tendon_stiffness_n_mm * stretch**2 / _DEG2RAD
+    cable = 0.5 * controller.TENDON_STIFFNESS_N_MM * stretch**2 / _DEG2RAD
     return float(tone.sum() + cable.sum())
 
 

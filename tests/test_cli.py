@@ -189,6 +189,30 @@ class TestNonFiniteNumbers:
         assert f"rate_hz must be positive and finite, got {float(value)!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--noise-std", "nan"), "noise_std must be non-negative and finite, got nan"),
+        (("--noise-std", "-1"), "noise_std must be non-negative and finite, got -1.0"),
+        (("--dither-amp", "nan"), "dither_amp must be finite, got nan"),
+        (("--dither-hz", "inf", "--dither-amp", "1"), "dither_hz must be finite, got inf"),
+    ], ids=["noise-nan", "noise-negative", "dither-amp-nan", "dither-hz-inf"])
+    def test_gen_load_noise_and_dither(self, capsys, flags, message):
+        # The clip at zero would otherwise hide the NaN as an all-zero trace.
+        code, out, err = run_cli(capsys, "gen", "load", "--script", "rest:1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_gen_emg_config_noise_std(self, capsys, tmp_path, value):
+        # A negative value would otherwise write its absolute value's bytes.
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"noise_std = {value}\n")
+        code, out, err = run_cli(capsys, "gen", "emg", "--profile", "clean",
+                                 "--intent-script", "open:1", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: noise_std must be non-negative and finite, got {float(value)!r}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_duration_scale(self, capsys, tmp_path, value):
         out_dir = tmp_path / "sim"

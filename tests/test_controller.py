@@ -137,7 +137,7 @@ class TestPlant:
         plant = flexed_plant("M", 4.0)
         motor = MotorRecord(excursion_mm=0.0)
         take_up = plant.cable_take_up_mm()
-        raw = plant.tendon_stiffness_n_mm * np.maximum(take_up, 0.0)
+        raw = controller.TENDON_STIFFNESS_N_MM * np.maximum(take_up, 0.0)
         assert raw.sum() > TENSION_CAP_N
         _plant, stepped = step_plant(plant, motor)
         assert stepped.tension_n == TENSION_CAP_N
@@ -155,15 +155,9 @@ class TestPlant:
         motor = MotorRecord(excursion_mm=float(plant.cable_take_up_mm().max()))
         for _ in range(400):
             plant, motor = step_plant(plant, motor, voluntary_nmm=5000.0)
-        assert np.all(plant.angles_deg <= plant.max_deg)
+        assert np.all(plant.angles_deg <= controller.MAX_DEG)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_tendon_stiffness(self, value):
-        with pytest.raises(ValueError, match=f"tendon stiffness must be positive and finite, got {value!r}"):
-            replace(default_plant("M"), tendon_stiffness_n_mm=value)
-
-    @pytest.mark.parametrize("field", ["angles_deg", "rest_deg", "max_deg", "stiffness_nmm_deg",
-                                       "damping_nmm_s_deg", "moment_arm_mm"])
+    @pytest.mark.parametrize("field", ["angles_deg", "stiffness_nmm_deg", "moment_arm_mm"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, field, value):
         plant = default_plant("M")
@@ -322,7 +316,7 @@ def _columns_log(velocity=None, angles=None):
     """A log built from columns: the given velocities or (ticks, 8) angles, zeros elsewhere."""
     n = len(velocity) if velocity is not None else len(angles)
     zeros = np.zeros(n)
-    return TrajectoryLog(dt=CONTROL_DT_S, ticks=TrajectoryColumns(
+    return TrajectoryLog(TrajectoryColumns(
         t=np.arange(n) * CONTROL_DT_S,
         intent=np.zeros(n, dtype=np.int8),
         fsm=np.zeros(n, dtype=np.int8),
@@ -407,12 +401,12 @@ def reference_episode(intents, duration_s, rom, plant, voluntary_nmm=0.0, initia
     return ticks, None
 
 
-def reference_jsonl(dt, ticks):
+def reference_jsonl(ticks):
     """The trajectory JSONL written from per-tick rows, one ``json.dumps`` per line."""
     def dumps(doc):
         return json.dumps(doc, separators=(",", ":"))
 
-    header = {"schema": controller.TRAJECTORY_SCHEMA, "dt_s": dt,
+    header = {"schema": controller.TRAJECTORY_SCHEMA, "dt_s": CONTROL_DT_S,
               "joints": [f"{d}_{j}" for d in controller.DIGITS for j in controller.JOINTS]}
     lines = [dumps(header)]
     for tick in ticks:
@@ -586,16 +580,15 @@ class TestBatchedEngine:
         assert capped.ticks.tension_n[0] == TENSION_CAP_N
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the aborted episode runs on as inf/NaN
-    def test_infinite_angles_abort(self):
+    def test_infinite_angles_abort(self, monkeypatch):
         # With no flexion stop, an infinite torque makes every angle +inf: not
-        # NaN and not below zero, so only a finiteness check sees it.
-        # HandPlant rejects an infinite stop, so the test sets it past that
-        # check to reach the engine's own screen.
-        plant = default_plant("M")
-        object.__setattr__(plant, "max_deg", np.full((4, 2), math.inf))
+        # NaN and not below zero, so only a finiteness check sees it. The
+        # stop is a module constant, which the engine and the reference both
+        # read when they run.
+        monkeypatch.setattr(controller, "MAX_DEG", np.full((4, 2), math.inf))
         rom = calibrate_rom("M")
         episodes = [
-            Episode(stream([(0.0, OPEN)]), 0.2, rom, plant=plant, voluntary_nmm=math.inf),
+            Episode(stream([(0.0, OPEN)]), 0.2, rom, voluntary_nmm=math.inf),
             Episode(stream([(0.0, OPEN)]), 0.2, rom),
         ]
         aborted, _ = self._assert_matches_reference(episodes)
@@ -630,7 +623,7 @@ class TestBatchedEngine:
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
         log = run_episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0))
         ticks, _ = reference_episode(script, 7.0, rom, flexed_plant("M", 2.0))
-        assert log.to_jsonl() == reference_jsonl(CONTROL_DT_S, ticks)
+        assert log.to_jsonl() == reference_jsonl(ticks)
 
 
 def _pinned_batches(seed=20261018, n_batches=16):
@@ -692,14 +685,16 @@ def test_engine_bits_are_pinned():
 def _engine_plant_arrays(plant):
     """A plant's arrays as the engine reads them: angles, stiffness, arms,
     rest pose, flexion stop, damping and tendon stiffness."""
-    return (plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, plant.rest_deg,
-            plant.max_deg, plant.damping_nmm_s_deg, plant.tendon_stiffness_n_mm)
+    return (plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, controller.REST_DEG,
+            controller.MAX_DEG, controller.DAMPING_NMM_S_DEG, controller.TENDON_STIFFNESS_N_MM)
 
 
 def test_plant_bits_are_pinned():
     # The sha256 of every plant that src/ builds: 3 glove sizes x 4 MAS
     # grades x rest or flexed pose. The engine pin draws continuous
-    # stiffness scales, so it may miss the exact grades.
+    # stiffness scales, so it may miss the exact grades. The value was
+    # recorded when the rest pose, stop, damping and tendon stiffness were
+    # still per-plant fields.
     digest = hashlib.sha256()
     for size in ("S", "M", "L"):
         for scale in controller.MAS_STIFFNESS.values():
@@ -707,6 +702,15 @@ def test_plant_bits_are_pinned():
                 for arr in _engine_plant_arrays(make(size, scale)):
                     digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     assert digest.hexdigest() == "772f4ab21835865a1fe1876212505cd959f0f2a4df2df8ccca954445525ce8bb"
+
+
+def test_hand_constants_are_read_only():
+    # A flexed plant's angles are the stop itself, so no plant can move it.
+    flexed = flexed_plant("M").angles_deg
+    for const in (controller.REST_DEG, controller.MAX_DEG, controller.DAMPING_NMM_S_DEG, flexed):
+        assert const.shape == (4, 2) and not const.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            const[0, 0] = 0.0
 
 
 _SPEEDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, math.nan]) | st.floats(-5.0, 5.0)
@@ -721,7 +725,7 @@ class TestSummariesMatchTickLoops:
                 continue
             log = outcome.log if isinstance(outcome, SafetyAbort) else outcome
             ticks = rows(log.ticks)
-            assert log.to_jsonl() == reference_jsonl(log.dt, ticks)
+            assert log.to_jsonl() == reference_jsonl(ticks)
             for band in (0.0, 0.5, 3.0):
                 assert count_direction_reversals(log, band) == reference_reversals(ticks, band)
             for threshold in (controller.OPEN_THRESHOLD_DEG, 60.0):

@@ -122,6 +122,13 @@ class TestProfiles:
         with pytest.raises(ValueError, match="crosstalk"):
             signals.make_profile(crosstalk=1.5)
 
+    @pytest.mark.parametrize("noise_std", [-1.0, -1e-9, math.nan, math.inf])
+    def test_make_profile_rejects_bad_noise(self, noise_std):
+        # The variances are noise_std**2, which would drop the sign.
+        with pytest.raises(ValueError,
+                           match=f"noise_std must be non-negative and finite, got {noise_std!r}"):
+            signals.make_profile(noise_std=noise_std)
+
     def test_statistics_are_read_only_arrays(self):
         profile = signals.make_profile(noise_std=0.03)
         assert profile.means.shape == profile.variances.shape == (3, EMG_CHANNELS)
@@ -227,6 +234,28 @@ class TestLoadTrace:
         tensions = trace.samples
         assert min(tensions) >= 25.0 - 1e-9
         assert max(tensions) <= 29.0 + 1e-9
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("noise_std", math.nan, "non-negative and finite"),
+        ("noise_std", math.inf, "non-negative and finite"),
+        ("noise_std", -0.5, "non-negative and finite"),
+        ("dither_amp", math.nan, "finite"),
+        ("dither_amp", -math.inf, "finite"),
+        ("dither_hz", math.inf, "finite"),
+        ("dither_hz", math.nan, "finite"),
+        ("ramp_s", math.nan, "finite"),
+        ("rest_n", math.inf, "finite"),
+        ("elevated_n", math.nan, "finite"),
+        ("depressed_n", -math.inf, "finite"),
+    ])
+    def test_rejects_bad_numbers_before_generating(self, monkeypatch, name, value, message):
+        # Past generation, the clip at zero would hide a NaN as an all-zero trace.
+        def never(*_args):
+            raise AssertionError("generated before validating")
+
+        monkeypatch.setattr(signals, "_timeline", never)
+        with pytest.raises(ValueError, match=f"{name} must be {message}, got {value!r}"):
+            signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], **{name: value})
 
     def test_noise_is_seed_deterministic(self):
         script = [(ShoulderPosture.REST, 1.0)]
