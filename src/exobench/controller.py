@@ -15,24 +15,24 @@ cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode. ``run_episodes`` steps any number of
 episodes in lockstep on plain arrays, every ``CONTROL_DT_S``, and
-``run_episode`` is its one-episode case. The gain, the drive and what
-every hand shares (rest pose, flexion stops, damping, tendon stiffness) are
+``run_episode`` is its one-episode case. The gain, the drive and what every
+hand shares (rest pose, flexion stops, damping, tendon stiffness) are
 module constants, the drive's checked once at import. A ``HandPlant`` holds
 only what differs between hands, the pose, the tone and the glove's moment
 arms, validated once when it is built, never per tick. The engine's cost is
 per array call, not per episode, so what each tick does is decided before
-the loop where it can be: a command once given is held, so the ticks on which every episode is
-commanded (most of them) skip the effort mask. The safety invariants are
-checked on every tick for every episode through one merged screen: the min
-and max of the excursions decide the travel clamp, the max of the tensions
-decides the cap, and with the min and sum of the joint angles they show at
-once whether any episode needs its exact check. An episode that breaks an
-invariant stops alone. A trajectory is one set of columns, one array per
-quantity with a row per tick, recorded only when the caller gets the logs
-back; its JSONL form and its summaries (time to open, motor reversals) are
-read straight from the columns. The scalar reference the engine matches bit
-for bit, one tick of proportional step, motor, plant and setpoint at a
-time, lives with the tests in ``tests/reference.py``.
+the loop where it can be: a command once given is held, so the ticks on
+which every episode is commanded (most of them) skip the effort mask. The
+safety invariants are checked on every tick for every episode through one
+merged screen: the min and max of the excursions decide the travel clamp,
+the max of the tensions decides the cap, and with the min and sum of the
+joint angles they show at once whether any episode needs its exact check.
+An episode that breaks an invariant stops alone. A trajectory is one set of
+columns, one array per quantity with a row per tick, recorded only when the
+caller gets the logs back; its JSONL form and its summaries (time to open,
+motor reversals) are read straight from the columns. The scalar reference
+the engine matches bit for bit, one tick of proportional step, motor, plant
+and setpoint at a time, lives with the tests in ``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
 being indices into ``IntentLabel``; the events need not be sorted.
