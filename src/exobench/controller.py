@@ -212,7 +212,6 @@ SETPOINT_TOL_MM = 0.25
 
 
 _LABELS = tuple(IntentLabel)
-_LABEL_NAMES = tuple(str(label) for label in _LABELS)
 _OPEN, _RELAX, _CLOSE = (_LABELS.index(label) for label in
                          (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 # Each hold state follows its move state: settling adds 1 to the code, and
@@ -243,6 +242,16 @@ class TrajectoryColumns:
         return len(self.t)
 
 
+#: One trajectory line. Fields 1 and 2 take the intent and state names as
+#: JSON strings; ``_FLOAT_FIELDS`` are where the float columns t, sp, x, F
+#: and the angles go, in that order.
+_TICK_ROW = ('{"t":%s,"intent":%s,"fsm":%s,"sp":%s,"x":%s,"F":%s,"q":['
+             + ",".join(["%s"] * (len(DIGITS) * len(JOINTS))) + "]}\n")
+_FLOAT_FIELDS = np.array([0, 3, 4, 5, *range(6, 6 + len(DIGITS) * len(JOINTS))])
+_INTENT_JSON = np.array([COMPACT_JSON.encode(str(label)) for label in _LABELS], dtype=object)
+_FSM_JSON = np.array([COMPACT_JSON.encode(name) for name in FSM_STATES], dtype=object)
+
+
 @dataclass
 class TrajectoryLog:
     """One episode's trajectory: the recorded columns, one row per ``CONTROL_DT_S`` tick."""
@@ -250,25 +259,30 @@ class TrajectoryLog:
     ticks: TrajectoryColumns
 
     def to_jsonl(self) -> str:
+        """The header line, then one line per tick: time, intent, state,
+        setpoint (``sp``), excursion (``x``), tension (``F``) and angles (``q``).
+
+        The tick lines come from one ``%`` over the row template repeated
+        once per tick, and hold the bytes that one ``json`` call per line
+        would write. ``%s`` of a finite float is ``float.__repr__``, which is
+        how ``json`` spells it; the values it spells otherwise (a setpoint
+        before the first command, an aborted tick's NaN or inf) are put in
+        as ``json`` writes them, the NaN setpoint as ``null``.
+        """
         header = {"schema": TRAJECTORY_SCHEMA, "dt_s": CONTROL_DT_S, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
-        encode = COMPACT_JSON.encode
         cols = self.ticks
-        lines = [encode(header)]
-        lines += [
-            encode({
-                "t": t,
-                "intent": _LABEL_NAMES[intent],
-                "fsm": FSM_STATES[fsm],
-                "sp": None if sp != sp else sp,  # NaN: no command yet
-                "x": x,
-                "F": tension,
-                "q": q,
-            })
-            for t, intent, fsm, sp, x, tension, q in zip(
-                cols.t.tolist(), cols.intent.tolist(), cols.fsm.tolist(), cols.setpoint_mm.tolist(),
-                cols.excursion_mm.tolist(), cols.tension_n.tolist(), cols.angles_deg.tolist())
-        ]
-        return "\n".join(lines) + "\n"
+        floats = np.column_stack((cols.t, cols.setpoint_mm, cols.excursion_mm, cols.tension_n, cols.angles_deg))
+        fields = np.empty((len(cols), len(_FLOAT_FIELDS) + 2), dtype=object)
+        fields[:, _FLOAT_FIELDS] = floats
+        fields[:, 1] = _INTENT_JSON[cols.intent]
+        fields[:, 2] = _FSM_JSON[cols.fsm]
+        row, col = np.nonzero(~np.isfinite(floats))
+        odd = floats[row, col]
+        fields[row, _FLOAT_FIELDS[col]] = np.where(
+            np.isnan(odd), np.where(col == 1, "null", "NaN"),  # float column 1 is sp
+            np.where(odd > 0.0, "Infinity", "-Infinity"))
+        rows = (_TICK_ROW * len(cols)) % tuple(fields.ravel().tolist())
+        return COMPACT_JSON.encode(header) + "\n" + rows
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ its class means and variances the same way: two ``(3, 8)`` arrays, one row per
 ``IntentLabel``.
 
 Serialized traces are JSON lines: one metadata header, then one object per
-sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``).
+sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``),
+written with one string format and read back with one JSON parse.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ TRACE_SCHEMA = "exobench/trace-v1"
 #: The encoder behind every JSONL line the package writes: compact
 #: separators, built once rather than on every ``json.dumps`` call.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+#: One serialized sample row per trace kind, filled from ``t`` and the values.
+_ROW_TEMPLATES = {
+    "emg": '{"t":%r,"emg":[' + ",".join(["%r"] * EMG_CHANNELS) + ']}\n',
+    "load": '{"t":%r,"tension":%r}\n',
+}
 
 
 class IntentLabel(Enum):
@@ -97,8 +104,8 @@ class SignalProfile:
             raise ValueError("variances must be non-negative")
         if not 0.0 <= self.crosstalk <= 1.0:
             raise ValueError("crosstalk must lie in [0, 1]")
-        if self.drift_rate < 0.0:
-            raise ValueError("drift_rate must be non-negative")
+        if not (self.drift_rate >= 0.0 and math.isfinite(self.drift_rate)):
+            raise ValueError(f"drift_rate must be non-negative and finite, got {self.drift_rate!r}")
         means.flags.writeable = False
         variances.flags.writeable = False
         object.__setattr__(self, "means", means)
@@ -238,6 +245,13 @@ class SignalTrace:
         return np.where(bounds[k, 0] <= times, k, -1)
 
     def to_jsonl(self) -> str:
+        """The header line, then one ``{"t": ..., "emg"|"tension": ...}`` line per sample.
+
+        The sample lines come from one ``%`` over the row template repeated
+        once per sample, and hold the bytes that one ``json`` call per line
+        would write: ``%r`` of a float is ``float.__repr__``, which is how
+        ``json`` spells every finite float, and a trace holds no other.
+        """
         header = {
             "schema": TRACE_SCHEMA,
             "kind": self.kind,
@@ -245,35 +259,61 @@ class SignalTrace:
             "annotations": [[t0, t1, str(label)] for t0, t1, label in self.annotations],
             "meta": dict(self.meta),
         }
-        key = "emg" if self.kind == "emg" else "tension"
-        encode = COMPACT_JSON.encode
-        lines = [encode(header)]
-        lines += [encode({"t": t, key: value}) for t, value in zip(self.t.tolist(), self.samples.tolist())]
-        return "\n".join(lines) + "\n"
+        values = np.column_stack((self.t, self.samples)).ravel().tolist()
+        rows = (_ROW_TEMPLATES[self.kind] * len(self.t)) % tuple(values)
+        return COMPACT_JSON.encode(header) + "\n" + rows
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl())
 
     @staticmethod
     def from_jsonl(text: str) -> "SignalTrace":
+        """Read ``to_jsonl`` text back: any JSON, one value per non-blank line.
+
+        The sample lines are parsed together, as the items of one JSON array.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty trace file")
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError(f"trace header must be a JSON object, got {lines[0]!r}")
         if header.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"unsupported trace schema {header.get('schema')!r}")
+        missing = [name for name in ("kind", "rate_hz", "annotations") if name not in header]
+        if missing:
+            raise ValueError(f"trace header lacks {', '.join(missing)}")
         kind = header["kind"]
+        if kind not in ("emg", "load"):
+            raise ValueError(f"unknown trace kind {kind!r}")
         label_type = IntentLabel if kind == "emg" else ShoulderPosture
-        annotations = tuple(
-            (float(t0), float(t1), label_type(lab)) for t0, t1, lab in header["annotations"]
-        )
+        try:
+            rate_hz = float(header["rate_hz"])
+            annotations = tuple(
+                (float(t0), float(t1), label_type(lab)) for t0, t1, lab in header["annotations"]
+            )
+        except TypeError:
+            raise ValueError("trace header needs a number rate_hz and "
+                             "[t_start, t_end, label] annotations") from None
         key = "emg" if kind == "emg" else "tension"
-        rows = [json.loads(ln) for ln in lines[1:]]
+        body = lines[1:]
+        rows = json.loads("[" + ",".join(body) + "]")
+        if len(rows) != len(body):
+            raise ValueError("each sample line must hold exactly one JSON value")
+        try:
+            t = [row["t"] for row in rows]
+            samples = [row[key] for row in rows]
+        except (KeyError, TypeError):
+            n = next(i for i, row in enumerate(rows)
+                     if not (isinstance(row, dict) and "t" in row and key in row))
+            raise ValueError(
+                f"sample {n} must be an object with keys 't' and {key!r}, got {body[n]!r}"
+            ) from None
         return SignalTrace(
             kind=kind,
-            rate_hz=float(header["rate_hz"]),
-            t=[row["t"] for row in rows],
-            samples=[row[key] for row in rows],
+            rate_hz=rate_hz,
+            t=t,
+            samples=samples,
             annotations=annotations,
             meta=header.get("meta", {}),
         )

@@ -10,12 +10,14 @@ for bit. Nothing in ``src/`` imports this module.
   vector, per-class scores and decision of one window.
 - Intent streams: the per-label vote smoother, the per-sample hysteresis
   detector and the per-frame hold-run scan, on ``(t, IntentLabel)`` events.
-- Signals: the ground-truth label at one time.
+- Signals: the ground-truth label at one time, and the trace JSONL writer
+  that encodes one line at a time.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -37,7 +39,7 @@ from exobench.controller import (
     RomCalibration,
 )
 from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, RIDGE, EmgClassifier, ShConfig
-from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
+from exobench.signals import EMG_CHANNELS, TRACE_SCHEMA, IntentLabel, SignalTrace
 
 # ---------------------------------------------------------------------------
 # Intent streams as (t, IntentLabel) events
@@ -337,3 +339,25 @@ def label_at(trace: SignalTrace, t: float):
     """Ground-truth label at time t, or None between annotations."""
     k = int(trace.annotation_index(t))
     return None if k < 0 else trace.annotations[k][2]
+
+
+# ---------------------------------------------------------------------------
+# Trace JSONL, one line at a time
+
+
+def trace_jsonl(trace: SignalTrace) -> str:
+    """The trace's JSONL text: the header, then one ``json`` encode per sample."""
+    def dumps(doc):
+        return json.dumps(doc, separators=(",", ":"))
+
+    header = {
+        "schema": TRACE_SCHEMA,
+        "kind": trace.kind,
+        "rate_hz": trace.rate_hz,
+        "annotations": [[t0, t1, str(label)] for t0, t1, label in trace.annotations],
+        "meta": dict(trace.meta),
+    }
+    key = "emg" if trace.kind == "emg" else "tension"
+    lines = [dumps(header)]
+    lines += [dumps({"t": t, key: value}) for t, value in zip(trace.t.tolist(), trace.samples.tolist())]
+    return "\n".join(lines) + "\n"

@@ -121,6 +121,26 @@ class TestScreen:
         assert doc["verdict"] == "SH"
         assert len(doc["conditions"]) == 6
 
+    @pytest.mark.parametrize("line, text, error", [
+        (1, '{"t":0.0}', "sample 0 must be an object with keys 't' and 'emg', got '{\"t\":0.0}'"),
+        (1, "[1,2]", "sample 0 must be an object with keys 't' and 'emg', got '[1,2]'"),
+        (1, "null", "sample 0 must be an object with keys 't' and 'emg', got 'null'"),
+        (0, "[]", "trace header must be a JSON object, got '[]'"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "rate_hz": 50.0, "annotations": []}),
+         "trace header lacks kind"),
+    ], ids=["row-without-value", "row-list", "row-null", "header-list", "header-without-kind"])
+    def test_malformed_trace_exit_2(self, capsys, tmp_path, line, text, error):
+        out_dir = tmp_path / "scr"
+        run_cli(capsys, "gen", "screening", "--subject", "separable", "--out", str(out_dir))
+        path = out_dir / "close_off_table.jsonl"
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "screen", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}\n"
+
 
 class TestEpisode:
     def test_trajectory_on_stdout(self, capsys):
@@ -212,6 +232,17 @@ class TestNonFiniteNumbers:
         assert code == 2
         assert out == ""
         assert err == f"error: noise_std must be non-negative and finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_gen_emg_config_drift_rate(self, capsys, tmp_path, value):
+        # The fade is clipped at zero, so NaN or inf would write all-zero activations.
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"drift_rate = {value}\n")
+        code, out, err = run_cli(capsys, "gen", "emg", "--profile", "clean",
+                                 "--intent-script", "open:1", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: drift_rate must be non-negative and finite, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_duration_scale(self, capsys, tmp_path, value):

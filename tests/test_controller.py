@@ -625,6 +625,46 @@ class TestBatchedEngine:
         ticks, _ = reference_episode(script, 7.0, rom, flexed_plant("M", 2.0))
         assert log.to_jsonl() == reference_jsonl(ticks)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the infinite torque runs on as inf/NaN
+    def test_aborted_jsonl_spells_non_finite_values_as_json(self, monkeypatch):
+        # An aborted log ends on the tick that broke the invariant. json
+        # writes its values as NaN or Infinity, where repr writes nan or inf.
+        rom = calibrate_rom("M")
+        (nan_abort,) = run_episodes([Episode(stream([(0.0, OPEN)]), 0.5, rom,
+                                             voluntary_nmm=_nan_after(0.2, 0.0))])
+        monkeypatch.setattr(controller, "MAX_DEG", np.full((4, 2), math.inf))
+        (inf_abort,) = run_episodes([Episode(stream([(0.0, OPEN)]), 0.2, rom, voluntary_nmm=math.inf)])
+        for abort, q in ((nan_abort, "NaN"), (inf_abort, "Infinity")):
+            text = abort.log.to_jsonl()
+            assert text.splitlines()[-1].endswith('"q":[' + ",".join([q] * 8) + "]}")
+            assert text == reference_jsonl(rows(abort.log.ticks))
+
+    def test_jsonl_of_every_non_finite_spelling(self):
+        # Columns no engine run gives: an infinite setpoint is written as
+        # json writes it, only a NaN setpoint means "no command" (null).
+        inf, nan = math.inf, math.nan
+        n = 4
+        log = TrajectoryLog(TrajectoryColumns(
+            t=np.array([-0.0, 5e-324, 1e-07, 1e16]),
+            intent=np.array([0, 1, 2, 0]),
+            fsm=np.array([0, 1, 2, 4]),
+            setpoint_mm=np.array([nan, inf, -inf, -0.0]),
+            excursion_mm=np.array([inf, -inf, nan, 1.5]),
+            tension_n=np.array([-inf, nan, inf, 0.0]),
+            angles_deg=np.array([[nan, inf, -inf, 0.0, -0.0, 1e-05, 2.5e-310, 90.0]] * n),
+            velocity_mm_s=np.zeros(n),
+            effort=np.zeros(n),
+        ))
+        text = log.to_jsonl()
+        assert '"sp":null' in text and '"sp":Infinity' in text and '"sp":-Infinity' in text
+        assert text == reference_jsonl(rows(log.ticks))
+
+    def test_empty_log_jsonl_is_its_header(self):
+        (aborted,) = run_episodes([Episode(stream([(0.0, OPEN)]), 0.5, calibrate_rom("M"),
+                                           voluntary_nmm=_nan_after(0.0, 0.0))], record=False)
+        assert len(aborted.log.ticks) == 0
+        assert aborted.log.to_jsonl() == reference_jsonl([])
+
 
 def _pinned_batches(seed=20261018, n_batches=16):
     """Seeded batches of 1-8 random episodes: unsorted streams, either plant,

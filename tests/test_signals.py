@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from exobench import signals
 from exobench.signals import (
@@ -14,7 +14,7 @@ from exobench.signals import (
     ShoulderPosture,
     SignalTrace,
 )
-from reference import label_at
+from reference import label_at, trace_jsonl
 
 _ROW = [0.1] * EMG_CHANNELS
 
@@ -121,6 +121,13 @@ class TestProfiles:
     def test_crosstalk_bounds_enforced(self):
         with pytest.raises(ValueError, match="crosstalk"):
             signals.make_profile(crosstalk=1.5)
+
+    @pytest.mark.parametrize("drift_rate", [-0.01, math.nan, math.inf])
+    def test_rejects_bad_drift_rate(self, drift_rate):
+        # A NaN or infinite fade would be clipped to an all-zero trace.
+        with pytest.raises(ValueError,
+                           match=f"drift_rate must be non-negative and finite, got {drift_rate!r}"):
+            signals.make_profile(drift_rate=drift_rate)
 
     @pytest.mark.parametrize("noise_std", [-1.0, -1e-9, math.nan, math.inf])
     def test_make_profile_rejects_bad_noise(self, noise_std):
@@ -290,6 +297,14 @@ class TestSerialization:
         trace.save(path)
         assert SignalTrace.load(path).to_jsonl() == trace.to_jsonl()
 
+    def test_spaces_and_key_order_are_read(self):
+        header = {"schema": signals.TRACE_SCHEMA, "kind": "load", "rate_hz": 50.0,
+                  "annotations": [], "meta": {}}
+        text = json.dumps(header) + '\n{"tension": 20.5, "t": 0.0}\n\n  {"t" : 0.02 ,"tension":21}\n'
+        trace = SignalTrace.from_jsonl(text)
+        assert trace.t.tolist() == [0.0, 0.02]
+        assert trace.samples.tolist() == [20.5, 21.0]
+
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             SignalTrace.from_jsonl('{"schema": "exobench/other-v9"}\n')
@@ -297,6 +312,39 @@ class TestSerialization:
     def test_rejects_empty_text(self):
         with pytest.raises(ValueError, match="empty"):
             SignalTrace.from_jsonl("")
+
+    @pytest.mark.parametrize("row, error", [
+        ('{"t":0.0}', "sample 1 must be an object with keys 't' and 'tension'"),
+        ('{"tension":20.0}', "sample 1 must be an object with keys 't' and 'tension'"),
+        ("[1,2]", "sample 1 must be an object"),
+        ("null", "sample 1 must be an object"),
+        ('"t"', "sample 1 must be an object"),
+        ('{"t":0.02,"tension":20.0},{"t":0.04,"tension":20.0}', "exactly one JSON value"),
+        ('{"t":0.02,', "Expecting"),
+    ], ids=["no-value", "no-time", "list", "null", "string", "two-values", "truncated"])
+    def test_rejects_malformed_sample_rows(self, row, error):
+        lines = _jsonl("load", [20.0, 20.0, 20.0]).splitlines()
+        lines[2] = row
+        with pytest.raises(ValueError, match=error):
+            SignalTrace.from_jsonl("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("header, error", [
+        ("[]", "header must be a JSON object"),
+        ("null", "header must be a JSON object"),
+        ({"rate_hz": 50.0, "annotations": []}, "header lacks kind"),
+        ({"kind": "load"}, "header lacks rate_hz, annotations"),
+        ({"kind": "force", "rate_hz": 50.0, "annotations": []}, "unknown trace kind 'force'"),
+        ({"kind": ["emg"], "rate_hz": 50.0, "annotations": []}, r"unknown trace kind \['emg'\]"),
+        ({"kind": "load", "rate_hz": None, "annotations": []}, "number rate_hz"),
+        ({"kind": "load", "rate_hz": 50.0, "annotations": 3}, r"\[t_start, t_end, label\]"),
+    ], ids=["list", "null", "no-kind", "no-rate-or-annotations", "bad-kind", "list-kind",
+            "null-rate", "number-annotations"])
+    def test_rejects_malformed_headers(self, header, error):
+        if isinstance(header, dict):
+            header = json.dumps({"schema": signals.TRACE_SCHEMA, **header})
+        text = header + "\n" + "\n".join(_jsonl("load", [20.0]).splitlines()[1:]) + "\n"
+        with pytest.raises(ValueError, match=error):
+            SignalTrace.from_jsonl(text)
 
     def test_rejects_overlapping_annotations(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -422,3 +470,55 @@ class TestArrayGeneratorsMatchReference:
                                           dither_amp, dither_hz, seed)
         assert trace.t.tolist() == times
         assert trace.samples.tolist() == tensions
+
+
+# ---------------------------------------------------------------------------
+# The one-call writer and reader against the per-line encoder
+
+
+#: Finite floats with the spellings that differ most: signed zero,
+#: subnormals and values that print in exponent form.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-07, 1e-05, 1e+16, 1.7976931348623157e+308]
+_TIMES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS + [-1e+16])
+_ACTIVATIONS = st.floats(0.0, 1.0) | st.sampled_from([v for v in _EDGE_FLOATS if v <= 1.0])
+_TENSIONS = st.floats(0.0, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def _traces(draw, kind):
+    value = st.lists(_ACTIVATIONS, min_size=EMG_CHANNELS, max_size=EMG_CHANNELS) if kind == "emg" else _TENSIONS
+    samples = draw(st.lists(value, max_size=12))
+    times = sorted(draw(st.lists(_TIMES, min_size=len(samples), max_size=len(samples))))
+    return _trace(kind, samples, t=times)
+
+
+def _assert_round_trip(trace):
+    text = trace.to_jsonl()
+    assert text == trace_jsonl(trace)
+    again = SignalTrace.from_jsonl(text)
+    # The bytes, not the values: -0.0 == 0.0, but its sign must survive.
+    assert again.t.tobytes() == trace.t.tobytes()
+    assert again.samples.tobytes() == trace.samples.tobytes()
+    assert again.samples.shape == trace.samples.shape
+
+
+class TestJsonlMatchesPerLineEncoder:
+    @given(_traces("emg"))
+    @example(_trace("emg", []))
+    @example(_trace("emg", [[-0.0, 5e-324, 1e-07, 1.0, 0.0, 0.1, 1e-05, 0.3]], t=[1e+16]))
+    def test_emg(self, trace):
+        _assert_round_trip(trace)
+
+    @given(_traces("load"))
+    @example(_trace("load", []))
+    @example(_trace("load", [-0.0], t=[-0.0]))
+    @example(_trace("load", [1e+16, 5e-324], t=[1e-07, 1e-05]))
+    def test_load(self, trace):
+        _assert_round_trip(trace)
+
+    def test_generated_traces_with_annotations_and_meta(self):
+        emg = signals.gen_emg_trace(signals.distorted_profile(5), [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
+        load = signals.gen_load_trace([(ShoulderPosture.REST, 1.0), (ShoulderPosture.ELEVATED, 1.0)],
+                                      noise_std=0.3, dither_amp=1.0, seed=2)
+        for trace in (emg, load):
+            _assert_round_trip(trace)
