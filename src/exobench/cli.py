@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from exobench import config as config_mod
 from exobench import controller, intent as intent_mod, protocol, signals
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import Subject, preset_subject
-from exobench import subject as subject_mod
 
 
 class UsageError(Exception):
@@ -71,102 +69,72 @@ def _parse_script(text: str, enum_type):
     return segments
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"q must be a rational number, got {text!r}")
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"q must lie strictly between 0 and 1, got {text!r}")
-    return value
+def _command(subparsers, name: str, func, help: str) -> _Parser:
+    """The parser of command ``name``: --out, and, if it reads settings,
+    --config and the flag of each setting it reads."""
+    parser = subparsers.add_parser(name.split()[-1], help=help)
+    parser.add_argument("--out", default=None, help="output file or directory")
+    settings = config_mod.settings_of(name)
+    if settings:
+        parser.add_argument("--config", default=None,
+                            help="key = value config file (default: $EXO_CONFIG if set)")
+    for setting in settings:
+        if setting.flag:
+            parser.add_argument(setting.flag, dest=setting.key, type=setting.parse,
+                                choices=setting.choices, help=setting.help)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="exobench", description="Hand-orthosis study workbench.")
     parser.set_defaults(func=None)
-    # Each command takes only the flags it reads: every one writes --out, the
-    # generators and simulate draw from --seed, and a command that reads
-    # settings takes --config (and only such a command loads $EXO_CONFIG).
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="output file or directory")
-    config = argparse.ArgumentParser(add_help=False, parents=[out])
-    config.add_argument("--config", default=None,
-                        help="key = value config file (default: $EXO_CONFIG if set)")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
-    seeded.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate synthetic inputs")
-    gen.set_defaults(func=None)
-    gen_sub = gen.add_subparsers(dest="what", parser_class=_Parser)
+    gen_sub = gen.add_subparsers(parser_class=_Parser)
 
-    g_emg = gen_sub.add_parser("emg", parents=[seeded], help="annotated EMG trace")
+    g_emg = _command(gen_sub, "gen emg", cmd_gen_emg, "annotated EMG trace")
     g_emg.add_argument("--intent-script", type=_intent_script, required=True,
                        metavar="SCRIPT", help='e.g. "open:2,relax:2,close:2"')
     g_emg.add_argument("--profile", choices=("separable", "distorted", "clean"), default="separable")
-    g_emg.add_argument("--rate", type=float, default=None, help="sample rate in Hz (default 50)")
-    g_emg.set_defaults(func=cmd_gen_emg)
 
-    g_load = gen_sub.add_parser("load", parents=[seeded], help="harness load-cell trace")
+    g_load = _command(gen_sub, "gen load", cmd_gen_load, "harness load-cell trace")
     g_load.add_argument("--script", type=_posture_script, required=True,
                         metavar="SCRIPT", help='e.g. "rest:2,elevated:1,rest:1,depressed:1"')
-    g_load.add_argument("--rate", type=float, default=None, help="sample rate in Hz (default 50)")
     g_load.add_argument("--noise-std", type=float, default=0.0, help="gaussian noise, newtons")
     g_load.add_argument("--dither-amp", type=float, default=0.0,
                         help="postural sway amplitude, newtons")
     g_load.add_argument("--dither-hz", type=float, default=1.5, help="sway frequency")
-    g_load.set_defaults(func=cmd_gen_load)
 
-    g_cohort = gen_sub.add_parser("cohort", parents=[out],
-                                  help="reference 11-subject outcome CSV")
-    g_cohort.set_defaults(func=cmd_gen_cohort)
+    _command(gen_sub, "gen cohort", cmd_gen_cohort, "reference 11-subject outcome CSV")
 
-    g_screen = gen_sub.add_parser("screening", parents=[seeded],
-                                  help="training trace plus the six screening conditions")
+    g_screen = _command(gen_sub, "gen screening", cmd_gen_screening,
+                        "training trace plus the six screening conditions")
     g_screen.add_argument("--subject", choices=("separable", "distorted", "table_bound"),
                           default="separable")
-    g_screen.set_defaults(func=cmd_gen_screening)
 
-    p_screen = sub.add_parser("screen", parents=[out],
-                              help="run the control-interface screening over a trace directory")
+    p_screen = _command(sub, "screen", cmd_screen,
+                        "run the control-interface screening over a trace directory")
     p_screen.add_argument("dir", help="directory holding train.jsonl and the six condition traces")
     p_screen.add_argument("--format", choices=("text", "json"), default="text")
-    p_screen.set_defaults(func=cmd_screen)
 
-    p_episode = sub.add_parser("episode", parents=[config],
-                               help="run one controller episode from an intent script")
+    p_episode = _command(sub, "episode", cmd_episode,
+                         "run one controller episode from an intent script")
     p_episode.add_argument("--intent-script", type=_intent_script, required=True,
                            metavar="SCRIPT", help='e.g. "open:3,relax:1,close:3"')
-    p_episode.add_argument("--hand-size", choices=subject_mod.HAND_SIZES, default=None)
-    p_episode.add_argument("--mas", choices=subject_mod.MAS_GRADES, default=None)
-    p_episode.set_defaults(func=cmd_episode)
 
-    p_sim = sub.add_parser("simulate", parents=[seeded],
-                           help="simulate a subject's training sessions")
-    p_sim.add_argument("--group", choices=("EMG", "SH"), default=None)
+    p_sim = _command(sub, "simulate", cmd_simulate, "simulate a subject's training sessions")
     p_sim.add_argument("--subject-id", default="S01")
-    p_sim.add_argument("--hand-size", choices=subject_mod.HAND_SIZES, default=None)
-    p_sim.add_argument("--mas", choices=subject_mod.MAS_GRADES, default=None)
-    p_sim.add_argument("--sessions", type=int, default=None, help="number of sessions (default 12)")
-    p_sim.add_argument("--duration-scale", type=float, default=None,
-                       help="task duration multiplier (default 1.0)")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_analyze = sub.add_parser("analyze", parents=[config],
-                               help="analyze an outcome CSV")
+    p_analyze = _command(sub, "analyze", cmd_analyze, "analyze an outcome CSV")
     p_analyze.add_argument("csv", help="cohort scores, CSV")
-    p_analyze.add_argument("--q", type=_fraction, default=None,
-                           help="false discovery rate (default 0.05)")
     p_analyze.add_argument("--format", choices=("text", "json"), default="text")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_proto = sub.add_parser("protocol", help="protocol inspection")
-    p_proto.set_defaults(func=None)
-    proto_sub = p_proto.add_subparsers(dest="what", parser_class=_Parser)
-    p_tasks = proto_sub.add_parser("list-tasks", parents=[out],
-                                   help="list the training tasks in order")
-    p_tasks.set_defaults(func=cmd_protocol_tasks)
+    proto_sub = p_proto.add_subparsers(parser_class=_Parser)
+    _command(proto_sub, "protocol list-tasks", cmd_protocol_tasks,
+             "list the training tasks in order")
 
     return parser
 
@@ -175,22 +143,21 @@ def build_parser() -> _Parser:
 # Shared helpers
 
 
-def _load_cfg(args) -> dict:
-    """Settings for a command that takes --config: that file, else $EXO_CONFIG, else none."""
-    if not hasattr(args, "config"):
-        return {}
+def _resolve(args) -> None:
+    """Set each setting the command reads: from its flag, else the --config
+    file (else $EXO_CONFIG), else the command's default."""
+    settings = config_mod.settings_of(args.command)
+    if not settings:
+        return
     path = args.config or os.environ.get("EXO_CONFIG")
-    if not path:
-        return {}
-    return config_mod.load_config(path)
-
-
-def _pick(args_value, cfg: dict, key: str, fallback):
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        return cfg[key]
-    return fallback
+    values = config_mod.parse_config(Path(path).read_text()) if path else {}
+    for setting in settings:
+        value = getattr(args, setting.key, None)
+        if value is None:
+            value = values.get(setting.key, setting.defaults[args.command])
+        if value is config_mod.REQUIRED:
+            raise UsageError(f"{setting.flag} is required ({' or '.join(setting.choices)})")
+        setattr(args, setting.key, value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -213,52 +180,42 @@ def _out_dir(args) -> Path:
 # Subcommands
 
 
-def cmd_gen_emg(args, cfg) -> int:
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    rate = float(_pick(args.rate, cfg, "rate_hz", signals.DEFAULT_EMG_RATE_HZ))
+def cmd_gen_emg(args) -> int:
     if args.profile == "distorted":
-        profile = signals.distorted_profile(seed)
+        profile = signals.distorted_profile(args.seed)
     elif args.profile == "clean":
-        profile = signals.make_profile(
-            noise_std=float(_pick(None, cfg, "noise_std", 0.0)),
-            drift_rate=float(_pick(None, cfg, "drift_rate", 0.0)),
-            crosstalk=float(_pick(None, cfg, "crosstalk", 0.0)),
-            seed=seed,
-        )
+        profile = signals.make_profile(noise_std=args.noise_std, drift_rate=args.drift_rate,
+                                       crosstalk=args.crosstalk, seed=args.seed)
     else:
-        profile = signals.separable_profile(seed)
-    trace = signals.gen_emg_trace(profile, args.intent_script, rate_hz=rate)
+        profile = signals.separable_profile(args.seed)
+    trace = signals.gen_emg_trace(profile, args.intent_script, rate_hz=args.rate_hz)
     _emit(trace.to_jsonl(), args.out)
     return 0
 
 
-def cmd_gen_load(args, cfg) -> int:
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    rate = float(_pick(args.rate, cfg, "rate_hz", signals.DEFAULT_LOAD_RATE_HZ))
+def cmd_gen_load(args) -> int:
     trace = signals.gen_load_trace(
         args.script,
-        rate_hz=rate,
+        rate_hz=args.rate_hz,
         noise_std=args.noise_std,
         dither_amp=args.dither_amp,
         dither_hz=args.dither_hz,
-        seed=seed,
+        seed=args.seed,
     )
     _emit(trace.to_jsonl(), args.out)
     return 0
 
 
-def cmd_gen_cohort(args, cfg) -> int:
+def cmd_gen_cohort(args) -> int:
     from exobench.outcomes import golden
 
-    del cfg
     _emit(golden.golden_cohort_csv(), args.out)
     return 0
 
 
-def cmd_gen_screening(args, cfg) -> int:
-    seed = int(_pick(args.seed, cfg, "seed", 0))
+def cmd_gen_screening(args) -> int:
     out = _out_dir(args)
-    subject = preset_subject(args.subject, seed=seed)
+    subject = preset_subject(args.subject, seed=args.seed)
     train_script = [(label, 4.0) for label in intent_mod.CLASS_ORDER]
     train = signals.gen_emg_trace(subject.emg_profile("screen:train"), train_script)
     train.save(out / "train.jsonl")
@@ -273,8 +230,7 @@ def cmd_gen_screening(args, cfg) -> int:
     return 0
 
 
-def cmd_screen(args, cfg) -> int:
-    del cfg
+def cmd_screen(args) -> int:
     root = Path(args.dir)
     wanted = ["train.jsonl"] + [f"{c}.jsonl" for c in intent_mod.SCREENING_CONDITIONS]
     missing = [name for name in wanted if not (root / name).is_file()]
@@ -301,13 +257,9 @@ def cmd_screen(args, cfg) -> int:
     return 0
 
 
-def cmd_episode(args, cfg) -> int:
-    hand_size = _pick(args.hand_size, cfg, "hand_size", "M")
-    mas = _pick(args.mas, cfg, "mas", "0")
-    if mas not in controller.MAS_STIFFNESS:
-        raise ValueError(f"unknown spasticity grade {mas!r}")
-    rom = controller.calibrate_rom(hand_size)
-    plant = controller.flexed_plant(hand_size, controller.MAS_STIFFNESS[mas])
+def cmd_episode(args) -> int:
+    rom = controller.calibrate_rom(args.hand_size)
+    plant = controller.flexed_plant(args.hand_size, controller.MAS_STIFFNESS[args.mas])
     t = 0.0
     times, codes = [], []
     for label, seconds in args.intent_script:
@@ -319,24 +271,18 @@ def cmd_episode(args, cfg) -> int:
     return 0
 
 
-def cmd_simulate(args, cfg) -> int:
-    group = _pick(args.group, cfg, "group", None)
-    if group is None:
-        raise UsageError("--group is required (EMG or SH)")
-    sessions = int(_pick(args.sessions, cfg, "sessions", protocol.TOTAL_SESSIONS))
-    if not 1 <= sessions <= protocol.TOTAL_SESSIONS:
-        raise UsageError(f"--sessions must be 1..{protocol.TOTAL_SESSIONS}")
+def cmd_simulate(args) -> int:
     subject = Subject(
         subject_id=args.subject_id,
-        group=group,
-        hand_size=_pick(args.hand_size, cfg, "hand_size", "M"),
-        mas=_pick(args.mas, cfg, "mas", "1"),
-        duration_scale=float(_pick(args.duration_scale, cfg, "duration_scale", 1.0)),
-        uses_arm_support=bool(_pick(None, cfg, "arm_support", False)),
-        seed=int(_pick(args.seed, cfg, "seed", 0)),
+        group=args.group,
+        hand_size=args.hand_size,
+        mas=args.mas,
+        duration_scale=args.duration_scale,
+        uses_arm_support=args.arm_support,
+        seed=args.seed,
     )
     out = _out_dir(args)
-    plans = protocol.build_session_plans(subject.subject_id)[:sessions]
+    plans = protocol.build_session_plans(subject.subject_id)[:args.sessions]
     summary = [
         f"subject {subject.subject_id}  group {subject.group}  "
         f"hand {subject.hand_size}  spasticity {subject.mas}"
@@ -359,24 +305,17 @@ def cmd_simulate(args, cfg) -> int:
     return 0
 
 
-def cmd_analyze(args, cfg) -> int:
+def cmd_analyze(args) -> int:
     from exobench.outcomes import model, report
 
-    q = args.q
-    if q is None:
-        try:
-            q = _fraction(str(_pick(None, cfg, "q", "0.05")))
-        except argparse.ArgumentTypeError as exc:  # a bad config value, not bad usage
-            raise ValueError(str(exc)) from None
     cohort = model.load_cohort_csv(args.csv)
-    result = report.analyze_cohort(cohort, q=q)
+    result = report.analyze_cohort(cohort, q=args.q)
     text = report.render_json(result) if args.format == "json" else report.render_text(result)
     _emit(text, args.out)
     return 0
 
 
-def cmd_protocol_tasks(args, cfg) -> int:
-    del cfg
+def cmd_protocol_tasks(args) -> int:
     lines = []
     for task in protocol.build_protocol():
         support = f"  [{task.support.value}]" if task.support is not protocol.Support.NA else ""
@@ -401,8 +340,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _load_cfg(args)
-        return args.func(args, cfg)
+        _resolve(args)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,44 +1,95 @@
-"""Flat key = value configuration files.
+"""The command settings, and flat key = value configuration files.
 
-One assignment per line, `#` starts a comment (units and notes live in
-comments, not in values). Keys are registered up front; an unknown key is
-an error rather than a silent ignore so typos surface immediately.
+``SETTINGS`` declares every setting once: its file key, its flag if it has
+one, the one parser that turns its text into a value (argparse calls it for
+the flag, ``parse_config`` for the file) and the default of each command
+that reads it. A command takes a setting from its flag, else the file, else
+that default.
+
+A file holds one assignment per line, `#` starts a comment (units and notes
+live in comments, not in values). Every value in it is parsed, and a key
+that no setting declares is an error rather than a silent ignore, so typos
+surface immediately. A key the running command does not read is ignored, so
+one file can serve several commands.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable
+import argparse
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from exobench.protocol import TOTAL_SESSIONS
+from exobench.signals import DEFAULT_EMG_RATE_HZ, DEFAULT_LOAD_RATE_HZ
+from exobench.subject import HAND_SIZES, MAS_GRADES
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+#: The default of a setting that a command cannot run without.
+REQUIRED = object()
 
 
-#: Each registered key and the parser of its value; README lists what they mean.
-_KEYS: dict[str, Callable[[str], object]] = {
-    "seed": int,
-    "rate_hz": float,
-    "group": str,
-    "hand_size": str,
-    "mas": str,
-    "sessions": int,
-    "duration_scale": float,
-    "noise_std": float,
-    "crosstalk": float,
-    "drift_rate": float,
-    "q": str,
-    "arm_support": _parse_bool,
-}
+class Setting(NamedTuple):
+    key: str
+    defaults: dict[str, object]  # the default of each command that reads the setting
+    flag: str | None = None
+    cast: Callable[[str], object] = float
+    what: str = "a number"
+    ok: Callable[[object], bool] = lambda value: True
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    def parse(self, text: str) -> object:
+        """The value ``text`` stands for, or an error that names the setting."""
+        try:
+            value = self.cast(text)
+        except (ValueError, KeyError, ZeroDivisionError):
+            pass
+        else:
+            if self.ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{self.key} must be {self.what}, got {text!r}")
+
+
+def _choice(key: str, choices: tuple[str, ...], defaults: dict, flag: str) -> Setting:
+    return Setting(key, defaults, flag, cast=str, what=f"one of {', '.join(choices)}",
+                   ok=choices.__contains__, choices=choices)
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+_SEEDED = ("gen emg", "gen load", "gen screening", "simulate")
+
+#: Every setting by key; README lists what each means and which commands read it.
+SETTINGS = {setting.key: setting for setting in (
+    Setting("seed", dict.fromkeys(_SEEDED, 0), "--seed", int, "a non-negative integer",
+            lambda value: value >= 0, help="base RNG seed (default 0)"),
+    Setting("rate_hz", {"gen emg": DEFAULT_EMG_RATE_HZ, "gen load": DEFAULT_LOAD_RATE_HZ},
+            "--rate", help="sample rate in Hz (default 50)"),
+    _choice("group", ("EMG", "SH"), {"simulate": REQUIRED}, "--group"),
+    _choice("hand_size", HAND_SIZES, {"episode": "M", "simulate": "M"}, "--hand-size"),
+    _choice("mas", MAS_GRADES, {"episode": "0", "simulate": "1"}, "--mas"),
+    Setting("sessions", {"simulate": TOTAL_SESSIONS}, "--sessions", int,
+            f"an integer in 1..{TOTAL_SESSIONS}", lambda value: 1 <= value <= TOTAL_SESSIONS,
+            help=f"number of sessions (default {TOTAL_SESSIONS})"),
+    Setting("duration_scale", {"simulate": 1.0}, "--duration-scale",
+            help="task duration multiplier (default 1.0)"),
+    Setting("noise_std", {"gen emg": 0.0}),
+    Setting("crosstalk", {"gen emg": 0.0}),
+    Setting("drift_rate", {"gen emg": 0.0}),
+    Setting("q", {"analyze": Fraction("0.05")}, "--q", Fraction,
+            "a rational number strictly between 0 and 1", lambda value: 0 < value < 1,
+            help="false discovery rate (default 0.05)"),
+    Setting("arm_support", {"simulate": False}, None, lambda text: _BOOLEANS[text.lower()],
+            f"a boolean ({', '.join(_BOOLEANS)})"),
+)}
+
+
+def settings_of(command: str) -> list[Setting]:
+    return [setting for setting in SETTINGS.values() if command in setting.defaults]
 
 
 def parse_config(text: str) -> dict[str, object]:
@@ -48,24 +99,16 @@ def parse_config(text: str) -> dict[str, object]:
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
-        name, _, raw = body.partition("=")
-        name = name.strip()
-        raw = raw.strip()
-        if name not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+            raise ConfigError(f"expected 'key = value', got {body!r} (line {lineno})")
+        name, _, raw = (part.strip() for part in body.partition("="))
+        if name not in SETTINGS:
+            raise ConfigError(f"unknown key {name!r} (line {lineno})")
         if not raw:
-            raise ConfigError(f"line {lineno}: empty value for {name!r}")
+            raise ConfigError(f"empty value for {name!r} (line {lineno})")
         if name in values:
-            raise ConfigError(f"line {lineno}: duplicate key {name!r}")
+            raise ConfigError(f"duplicate key {name!r} (line {lineno})")
         try:
-            values[name] = _KEYS[name](raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {name!r}: {exc}") from exc
+            values[name] = SETTINGS[name].parse(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{exc} (line {lineno})") from None
     return values
-
-
-def load_config(path: str | Path) -> dict[str, object]:
-    return parse_config(Path(path).read_text())

@@ -38,7 +38,6 @@ SH_NOISE_N = 0.6
 
 
 class ProtocolPhase(Enum):
-    CONTROLS = "controls"
     REPETITIVE_DRILL = "repetitive_drill"
     TRAY = "tray"
     IRREGULAR = "irregular"
@@ -163,7 +162,6 @@ _PHASE_REP_S = {
     ProtocolPhase.TRAY: 40.0,
     ProtocolPhase.IRREGULAR: 15.0,
     ProtocolPhase.BIMANUAL: 45.0,
-    ProtocolPhase.CONTROLS: 60.0,
 }
 
 _LOGNORMAL_SIGMA = 0.22

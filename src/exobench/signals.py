@@ -295,9 +295,21 @@ class SignalTrace:
         except TypeError:
             raise ValueError("trace header needs a number rate_hz and "
                              "[t_start, t_end, label] annotations") from None
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"trace header meta must be a JSON object, got {meta!r}")
         key = "emg" if kind == "emg" else "tension"
         body = lines[1:]
-        rows = json.loads("[" + ",".join(body) + "]")
+        try:
+            rows = json.loads("[" + ",".join(body) + "]")
+        except json.JSONDecodeError:  # name the first bad line; only an error pays for it
+            for n, line in enumerate(body):
+                try:
+                    json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"sample {n} is not valid JSON "
+                                     f"({exc.msg} at column {exc.colno}), got {line!r}") from None
+            raise
         if len(rows) != len(body):
             raise ValueError("each sample line must hold exactly one JSON value")
         try:
@@ -315,7 +327,7 @@ class SignalTrace:
             t=t,
             samples=samples,
             annotations=annotations,
-            meta=header.get("meta", {}),
+            meta=meta,
         )
 
     @staticmethod

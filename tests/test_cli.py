@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, exit codes, config handling."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -128,7 +129,13 @@ class TestScreen:
         (0, "[]", "trace header must be a JSON object, got '[]'"),
         (0, json.dumps({"schema": signals.TRACE_SCHEMA, "rate_hz": 50.0, "annotations": []}),
          "trace header lacks kind"),
-    ], ids=["row-without-value", "row-list", "row-null", "header-list", "header-without-kind"])
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": 50.0,
+                        "annotations": [], "meta": 5}),
+         "trace header meta must be a JSON object, got 5"),
+        (2, '{"t":0.04,', "sample 1 is not valid JSON (Expecting property name enclosed in "
+                          "double quotes at column 11), got '{\"t\":0.04,'"),
+    ], ids=["row-without-value", "row-list", "row-null", "header-list", "header-without-kind",
+            "header-number-meta", "row-truncated"])
     def test_malformed_trace_exit_2(self, capsys, tmp_path, line, text, error):
         out_dir = tmp_path / "scr"
         run_cli(capsys, "gen", "screening", "--subject", "separable", "--out", str(out_dir))
@@ -162,7 +169,7 @@ class TestEpisode:
         cfg = tmp_path / "exo.cfg"
         cfg.write_text("mas = 3\n")
         code, out, err = run_cli(capsys, "episode", "--intent-script", "open:0.1", "--config", str(cfg))
-        assert (code, out, err) == (2, "", "error: unknown spasticity grade '3'\n")
+        assert (code, out, err) == (2, "", "error: mas must be one of 0, 1, 1+, 2, got '3' (line 1)\n")
 
 
 class TestSimulate:
@@ -480,3 +487,175 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code, _out, err = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# Every setting of every command, through its flag and through a config file.
+
+#: Each command that reads settings: its argv (``{root}`` holds its inputs,
+#: ``{out}`` is a fresh output directory) and the settings it passes by flag
+#: to stay short. A case drops the one setting it tests from them.
+SETTING_COMMANDS = {
+    "gen emg": (["gen", "emg", "--intent-script", "open:0.5,close:0.5", "--profile", "clean"], {}),
+    "gen load": (["gen", "load", "--script", "rest:1,elevated:1", "--noise-std", "0.3"], {}),
+    "gen screening": (["gen", "screening", "--out", "{out}"], {}),
+    "episode": (["episode", "--intent-script", "open:0.2,close:0.2"], {}),
+    "simulate": (["simulate", "--out", "{out}"],
+                 {"group": "SH", "sessions": "1", "duration_scale": "0.1"}),
+    "analyze": (["analyze", "{root}/cohort.csv"], {}),
+}
+#: Per setting, a good value that no command has as its default, and a bad one.
+SETTING_VALUES = {
+    "seed": ("7", "-1"),
+    "rate_hz": ("40", "fast"),
+    "group": ("EMG", "XX"),
+    "hand_size": ("L", "XL"),
+    "mas": ("2", "3"),
+    "sessions": ("2", "13"),
+    "duration_scale": ("0.2", "slow"),
+    "noise_std": ("0.1", "loud"),
+    "crosstalk": ("0.2", "some"),
+    "drift_rate": ("0.05", "some"),
+    "q": ("0.1", "2"),
+    "arm_support": ("yes", "maybe"),
+}
+SETTING_CASES = [(command, setting.key) for command in SETTING_COMMANDS
+                 for setting in config_mod.settings_of(command)]
+FLAG_CASES = [(command, key) for command, key in SETTING_CASES if config_mod.SETTINGS[key].flag]
+
+#: Each command's option strings, as they were before the settings table.
+OPTION_STRINGS = {
+    "gen emg": ["--config", "--help", "--intent-script", "--out", "--profile", "--rate",
+                "--seed", "-h"],
+    "gen load": ["--config", "--dither-amp", "--dither-hz", "--help", "--noise-std", "--out",
+                 "--rate", "--script", "--seed", "-h"],
+    "gen cohort": ["--help", "--out", "-h"],
+    "gen screening": ["--config", "--help", "--out", "--seed", "--subject", "-h"],
+    "screen": ["--format", "--help", "--out", "-h"],
+    "episode": ["--config", "--hand-size", "--help", "--intent-script", "--mas", "--out", "-h"],
+    "simulate": ["--config", "--duration-scale", "--group", "--hand-size", "--help", "--mas",
+                 "--out", "--seed", "--sessions", "--subject-id", "-h"],
+    "analyze": ["--config", "--format", "--help", "--out", "--q", "-h"],
+    "protocol list-tasks": ["--help", "--out", "-h"],
+}
+#: The value each command used for each setting it reads when given none, as
+#: it was before the settings table (simulate's group has none: it is required).
+RESOLVED_DEFAULTS = {
+    "gen emg": {"seed": "0", "rate_hz": "50.0", "noise_std": "0.0", "crosstalk": "0.0",
+                "drift_rate": "0.0"},
+    "gen load": {"seed": "0", "rate_hz": "50.0"},
+    "gen screening": {"seed": "0"},
+    "episode": {"hand_size": "'M'", "mas": "'0'"},
+    "simulate": {"group": "'SH'", "seed": "0", "hand_size": "'M'", "mas": "'1'",
+                 "sessions": "12", "duration_scale": "1.0", "arm_support": "False"},
+    "analyze": {"q": "Fraction(1, 20)"},
+}
+
+
+def _command_parsers(parser, prefix=()):
+    """Each command's name and parser, walking the subcommand tree."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(prefix), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _command_parsers(child, (*prefix, name))
+
+
+class TestSettings:
+    """Each setting is parsed once, the same way from a flag and from a file."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        (root / "cohort.csv").write_text(golden.golden_cohort_csv())
+        return root
+
+    @pytest.fixture(autouse=True)
+    def no_env_config(self, monkeypatch):
+        monkeypatch.delenv("EXO_CONFIG", raising=False)
+
+    @staticmethod
+    def _run(capsys, root, out, command, key, extra):
+        """Run ``command`` with ``extra`` argv; its exit code, stdout, stderr and files."""
+        argv, fixed = SETTING_COMMANDS[command]
+        for name, value in fixed.items():
+            if name != key:
+                argv = argv + [config_mod.SETTINGS[name].flag, value]
+        argv = [arg.format(root=root, out=out) for arg in argv] + list(extra)
+        code, stdout, err = run_cli(capsys, *argv)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+        return code, stdout, err, files
+
+    def test_every_command_and_setting_is_covered(self):
+        readers = {command for s in config_mod.SETTINGS.values() for command in s.defaults}
+        assert readers == set(SETTING_COMMANDS)
+        assert set(SETTING_VALUES) == set(config_mod.SETTINGS)
+
+    @pytest.mark.parametrize("command, key", FLAG_CASES)
+    def test_bad_flag_value_exits_1(self, capsys, root, tmp_path, command, key):
+        setting = config_mod.SETTINGS[key]
+        out = tmp_path / "out"
+        code, stdout, err, _files = self._run(capsys, root, out, command, key,
+                                              [setting.flag, SETTING_VALUES[key][1]])
+        assert (code, stdout) == (1, "")
+        assert f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", SETTING_CASES)
+    def test_bad_file_value_exits_2(self, capsys, root, tmp_path, command, key):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"{key} = {SETTING_VALUES[key][1]}\n")
+        out = tmp_path / "out"
+        code, stdout, err, _files = self._run(capsys, root, out, command, key,
+                                              ["--config", str(cfg)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {key} must be ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", SETTING_CASES)
+    def test_good_file_value_is_read(self, capsys, root, tmp_path, command, key):
+        good = SETTING_VALUES[key][0]
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"{key} = {good}\n")
+        from_file = self._run(capsys, root, tmp_path / "file", command, key,
+                              ["--config", str(cfg)])
+        assert from_file[0] == 0
+        setting = config_mod.SETTINGS[key]
+        if setting.flag:
+            from_flag = self._run(capsys, root, tmp_path / "flag", command, key,
+                                  [setting.flag, good])
+            assert (from_flag[0], from_flag[1], from_flag[3]) == (0, from_file[1], from_file[3])
+        if setting.defaults[command] is not config_mod.REQUIRED:
+            default = self._run(capsys, root, tmp_path / "default", command, key, [])
+            assert (default[1], default[3]) != (from_file[1], from_file[3])
+
+    def test_option_strings(self):
+        found = {name: sorted(o for a in parser._actions for o in a.option_strings)
+                 for name, parser in _command_parsers(cli.build_parser())}
+        assert found == OPTION_STRINGS
+
+    @pytest.mark.parametrize("command", RESOLVED_DEFAULTS)
+    def test_resolved_defaults(self, capsys, root, tmp_path, monkeypatch, command):
+        seen = []
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        argv = [arg.format(root=root, out=tmp_path) for arg in SETTING_COMMANDS[command][0]]
+        if command == "simulate":
+            argv += ["--group", "SH"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert {s.key for s in config_mod.settings_of(command)} == set(RESOLVED_DEFAULTS[command])
+        resolved = {key: repr(getattr(seen[0], key)) for key in RESOLVED_DEFAULTS[command]}
+        assert resolved == RESOLVED_DEFAULTS[command]
+
+    def test_readme_lists_every_key_and_its_commands(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| key | commands | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines()[1:]:
+            key, commands, _meaning = (cell.strip() for cell in row.strip("|").split("|"))
+            listed[key.strip("`")] = {c.strip().strip("`") for c in commands.split(",")}
+        assert listed == {key: set(s.defaults) for key, s in config_mod.SETTINGS.items()}

@@ -320,7 +320,8 @@ class TestSerialization:
         ("null", "sample 1 must be an object"),
         ('"t"', "sample 1 must be an object"),
         ('{"t":0.02,"tension":20.0},{"t":0.04,"tension":20.0}', "exactly one JSON value"),
-        ('{"t":0.02,', "Expecting"),
+        ('{"t":0.02,', r"sample 1 is not valid JSON \(Expecting property name .* at column 11\), "
+                       r"got '\{\"t\":0.02,'"),
     ], ids=["no-value", "no-time", "list", "null", "string", "two-values", "truncated"])
     def test_rejects_malformed_sample_rows(self, row, error):
         lines = _jsonl("load", [20.0, 20.0, 20.0]).splitlines()
@@ -337,8 +338,12 @@ class TestSerialization:
         ({"kind": ["emg"], "rate_hz": 50.0, "annotations": []}, r"unknown trace kind \['emg'\]"),
         ({"kind": "load", "rate_hz": None, "annotations": []}, "number rate_hz"),
         ({"kind": "load", "rate_hz": 50.0, "annotations": 3}, r"\[t_start, t_end, label\]"),
+        ({"kind": "load", "rate_hz": 50.0, "annotations": [], "meta": 5},
+         "header meta must be a JSON object, got 5"),
+        ({"kind": "load", "rate_hz": 50.0, "annotations": [], "meta": ["a"]},
+         r"header meta must be a JSON object, got \['a'\]"),
     ], ids=["list", "null", "no-kind", "no-rate-or-annotations", "bad-kind", "list-kind",
-            "null-rate", "number-annotations"])
+            "null-rate", "number-annotations", "number-meta", "list-meta"])
     def test_rejects_malformed_headers(self, header, error):
         if isinstance(header, dict):
             header = json.dumps({"schema": signals.TRACE_SCHEMA, **header})
