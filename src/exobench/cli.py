@@ -5,9 +5,14 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 safety abort. All outputs are deterministic for a fixed seed; file
 formats carry schema-version headers.
 
-``exobench.outcomes`` is imported only by ``gen cohort`` and ``analyze``,
-and scipy (through ``outcomes.stats``) only by ``analyze``, the one command
-that runs the statistics; the others start without paying for it.
+Each command imports only the modules it runs, inside its ``cmd_``
+function, and a script flag's parser imports its enum, so importing this
+module loads ``exobench.config`` and no numpy. ``gen cohort`` starts without
+numpy, only ``analyze`` loads scipy (through ``outcomes.stats``), and only
+``episode``, ``simulate`` and ``protocol list-tasks`` (``protocol`` imports
+it) load ``controller``. Start-up is most of a short command's time, more so
+on hosts that set ``PYTHONDONTWRITEBYTECODE``, where each process compiles
+every module it imports from source.
 """
 
 from __future__ import annotations
@@ -17,12 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from exobench import config as config_mod
-from exobench import controller, intent as intent_mod, protocol, signals
-from exobench.signals import IntentLabel, ShoulderPosture
-from exobench.subject import Subject, preset_subject
 
 
 class UsageError(Exception):
@@ -36,11 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _intent_script(text: str) -> list[tuple[IntentLabel, float]]:
+def _intent_script(text: str) -> list[tuple]:
+    from exobench.signals import IntentLabel
+
     return _parse_script(text, IntentLabel)
 
 
-def _posture_script(text: str) -> list[tuple[ShoulderPosture, float]]:
+def _posture_script(text: str) -> list[tuple]:
+    from exobench.signals import ShoulderPosture
+
     return _parse_script(text, ShoulderPosture)
 
 
@@ -102,7 +106,6 @@ def build_parser() -> _Parser:
     g_load = _command(gen_sub, "gen load", cmd_gen_load, "harness load-cell trace")
     g_load.add_argument("--script", type=_posture_script, required=True,
                         metavar="SCRIPT", help='e.g. "rest:2,elevated:1,rest:1,depressed:1"')
-    g_load.add_argument("--noise-std", type=float, default=0.0, help="gaussian noise, newtons")
     g_load.add_argument("--dither-amp", type=float, default=0.0,
                         help="postural sway amplitude, newtons")
     g_load.add_argument("--dither-hz", type=float, default=1.5, help="sway frequency")
@@ -150,7 +153,10 @@ def _resolve(args) -> None:
     if not settings:
         return
     path = args.config or os.environ.get("EXO_CONFIG")
-    values = config_mod.parse_config(Path(path).read_text()) if path else {}
+    try:
+        values = config_mod.parse_config(Path(path).read_text()) if path else {}
+    except config_mod.ConfigError as exc:
+        raise config_mod.ConfigError(f"{path}: {exc}") from None
     for setting in settings:
         value = getattr(args, setting.key, None)
         if value is None:
@@ -181,6 +187,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen_emg(args) -> int:
+    from exobench import signals
+
     if args.profile == "distorted":
         profile = signals.distorted_profile(args.seed)
     elif args.profile == "clean":
@@ -194,6 +202,8 @@ def cmd_gen_emg(args) -> int:
 
 
 def cmd_gen_load(args) -> int:
+    from exobench import signals
+
     trace = signals.gen_load_trace(
         args.script,
         rate_hz=args.rate_hz,
@@ -214,6 +224,10 @@ def cmd_gen_cohort(args) -> int:
 
 
 def cmd_gen_screening(args) -> int:
+    from exobench import intent as intent_mod, signals
+    from exobench.signals import IntentLabel
+    from exobench.subject import preset_subject
+
     out = _out_dir(args)
     subject = preset_subject(args.subject, seed=args.seed)
     train_script = [(label, 4.0) for label in intent_mod.CLASS_ORDER]
@@ -231,6 +245,8 @@ def cmd_gen_screening(args) -> int:
 
 
 def cmd_screen(args) -> int:
+    from exobench import intent as intent_mod, signals
+
     root = Path(args.dir)
     wanted = ["train.jsonl"] + [f"{c}.jsonl" for c in intent_mod.SCREENING_CONDITIONS]
     missing = [name for name in wanted if not (root / name).is_file()]
@@ -258,20 +274,33 @@ def cmd_screen(args) -> int:
 
 
 def cmd_episode(args) -> int:
+    import numpy as np
+
+    from exobench import controller
+    from exobench.signals import IntentLabel
+
     rom = controller.calibrate_rom(args.hand_size)
     plant = controller.flexed_plant(args.hand_size, controller.MAS_STIFFNESS[args.mas])
+    order = list(IntentLabel)  # intent.CLASS_ORDER, without loading intent
     t = 0.0
     times, codes = [], []
     for label, seconds in args.intent_script:
         times.append(t)
-        codes.append(intent_mod.CLASS_ORDER.index(label))
+        codes.append(order.index(label))
         t += seconds
-    log = controller.run_episode((np.array(times), np.array(codes)), t, rom, plant=plant)
+    try:
+        log = controller.run_episode((np.array(times), np.array(codes)), t, rom, plant=plant)
+    except controller.SafetyAbort as exc:
+        print(f"safety abort: {exc.diagnostic}", file=sys.stderr)
+        return 3
     _emit(log.to_jsonl(), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from exobench import protocol
+    from exobench.subject import Subject
+
     subject = Subject(
         subject_id=args.subject_id,
         group=args.group,
@@ -316,6 +345,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_protocol_tasks(args) -> int:
+    from exobench import protocol
+
     lines = []
     for task in protocol.build_protocol():
         support = f"  [{task.support.value}]" if task.support is not protocol.Support.NA else ""
@@ -345,10 +376,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except controller.SafetyAbort as exc:
-        print(f"safety abort: {exc.diagnostic}", file=sys.stderr)
-        return 3
-    except (config_mod.ConfigError, protocol.CalibrationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, CalibrationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,12 +16,12 @@ one file can serve several commands.
 from __future__ import annotations
 
 import argparse
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from exobench.protocol import TOTAL_SESSIONS
-from exobench.signals import DEFAULT_EMG_RATE_HZ, DEFAULT_LOAD_RATE_HZ
-from exobench.subject import HAND_SIZES, MAS_GRADES
+from exobench import (DEFAULT_EMG_RATE_HZ, DEFAULT_LOAD_RATE_HZ, HAND_SIZES, MAS_GRADES,
+                      TOTAL_SESSIONS)
 
 
 class ConfigError(ValueError):
@@ -59,6 +59,14 @@ def _choice(key: str, choices: tuple[str, ...], defaults: dict, flag: str) -> Se
                    ok=choices.__contains__, choices=choices)
 
 
+#: The ``what`` and ``ok`` of the float settings: the ranges that ``signals``
+#: and ``Subject`` check.
+_POSITIVE = dict(what="positive and finite",
+                 ok=lambda value: value > 0.0 and math.isfinite(value))
+_NON_NEGATIVE = dict(what="non-negative and finite",
+                     ok=lambda value: value >= 0.0 and math.isfinite(value))
+_UNIT = dict(what="a number in [0, 1]", ok=lambda value: 0.0 <= value <= 1.0)
+
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
              "false": False, "no": False, "0": False, "off": False}
 _SEEDED = ("gen emg", "gen load", "gen screening", "simulate")
@@ -68,18 +76,19 @@ SETTINGS = {setting.key: setting for setting in (
     Setting("seed", dict.fromkeys(_SEEDED, 0), "--seed", int, "a non-negative integer",
             lambda value: value >= 0, help="base RNG seed (default 0)"),
     Setting("rate_hz", {"gen emg": DEFAULT_EMG_RATE_HZ, "gen load": DEFAULT_LOAD_RATE_HZ},
-            "--rate", help="sample rate in Hz (default 50)"),
+            "--rate", **_POSITIVE, help="sample rate in Hz (default 50)"),
     _choice("group", ("EMG", "SH"), {"simulate": REQUIRED}, "--group"),
     _choice("hand_size", HAND_SIZES, {"episode": "M", "simulate": "M"}, "--hand-size"),
     _choice("mas", MAS_GRADES, {"episode": "0", "simulate": "1"}, "--mas"),
     Setting("sessions", {"simulate": TOTAL_SESSIONS}, "--sessions", int,
             f"an integer in 1..{TOTAL_SESSIONS}", lambda value: 1 <= value <= TOTAL_SESSIONS,
             help=f"number of sessions (default {TOTAL_SESSIONS})"),
-    Setting("duration_scale", {"simulate": 1.0}, "--duration-scale",
+    Setting("duration_scale", {"simulate": 1.0}, "--duration-scale", **_POSITIVE,
             help="task duration multiplier (default 1.0)"),
-    Setting("noise_std", {"gen emg": 0.0}),
-    Setting("crosstalk", {"gen emg": 0.0}),
-    Setting("drift_rate", {"gen emg": 0.0}),
+    Setting("noise_std", {"gen emg": 0.0, "gen load": 0.0}, "--noise-std", **_NON_NEGATIVE,
+            help="gaussian noise standard deviation (default 0.0)"),
+    Setting("crosstalk", {"gen emg": 0.0}, **_UNIT),
+    Setting("drift_rate", {"gen emg": 0.0}, **_NON_NEGATIVE),
     Setting("q", {"analyze": Fraction("0.05")}, "--q", Fraction,
             "a rational number strictly between 0 and 1", lambda value: 0 < value < 1,
             help="false discovery rate (default 0.05)"),

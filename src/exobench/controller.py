@@ -350,7 +350,8 @@ def run_episodes(
     ``SafetyAbort``; the others run on. Otherwise
     the outcome is its ``TrajectoryLog`` when ``record`` is set and None
     when not. Trajectories are kept only when ``record`` is set, so an
-    abort's log has no ticks without it.
+    abort's log has no ticks without it; the FSM, which feeds only its
+    trajectory column, is stepped only then too.
     """
     n_episodes = len(episodes)
     if n_episodes == 0:
@@ -440,7 +441,7 @@ def run_episodes(
             if live[e]:
                 voluntary[e] = torque(t)
         setpoint = setpoint_rows[i]
-        if any_changed[i]:  # a new command starts a move
+        if record and any_changed[i]:  # a new command starts a move
             fsm = where(changed_rows[i], move_rows[i], fsm)
 
         # Saturated proportional step. Before its first command an episode
@@ -478,10 +479,9 @@ def run_episodes(
         torque = -tension[:, :, None] * arm + stiffness * (rest - angles) + voluntary_3d
         angles = (angles + torque / damping * dt).clip(zero, q_max)
 
-        # FSM settle: a move (the odd codes) that reaches its setpoint holds.
-        fsm = fsm + ((fsm & move_bit) & (abs(x - setpoint) <= tol))
-
         if record:
+            # FSM settle: a move (the odd codes) that reaches its setpoint holds.
+            fsm = fsm + ((fsm & move_bit) & (abs(x - setpoint) <= tol))
             x_col[:, i] = x
             tension_col[:, i] = total
             velocity_col[:, i] = velocity

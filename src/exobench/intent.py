@@ -44,7 +44,8 @@ DEFAULT_VOTE_K = 5
 HOLD_REQUIREMENT_S = 2.0
 ATTEMPTS_PER_CONDITION = 3
 
-CLASS_ORDER = (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE)
+#: The classifier's code order: OPEN, RELAX, CLOSE, the enum's own order.
+CLASS_ORDER = tuple(IntentLabel)
 _OPEN, _RELAX, _CLOSE = range(len(CLASS_ORDER))
 
 SCREENING_SCHEMA = "exobench/screening-v1"

@@ -22,13 +22,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from exobench import controller, intent as intent_mod, signals
+from exobench import TOTAL_SESSIONS, controller, intent as intent_mod, signals
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import Subject, derive_seed
 
 ACTIVE_BUDGET_S = 1800.0
 SESSIONS_PER_WEEK = 3
-TOTAL_SESSIONS = 12
 
 SESSION_SCHEMA = "exobench/session-v1"
 
@@ -190,8 +189,8 @@ BREAK_S = 90.0
 _BREAK_PROBABILITY = 0.12
 
 
-class CalibrationError(RuntimeError):
-    pass
+class CalibrationError(ValueError):
+    """A session's calibration recordings cannot set up its intent interface."""
 
 
 @dataclass(frozen=True)

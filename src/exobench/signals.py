@@ -31,9 +31,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from exobench import DEFAULT_EMG_RATE_HZ, DEFAULT_LOAD_RATE_HZ
+
 EMG_CHANNELS = 8
-DEFAULT_EMG_RATE_HZ = 50.0
-DEFAULT_LOAD_RATE_HZ = 50.0
 
 #: Nominal harness tension by shoulder posture, newtons.
 DEFAULT_REST_TENSION_N = 20.0

@@ -15,10 +15,8 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
+from exobench import HAND_SIZES, MAS_GRADES
 from exobench.signals import SignalProfile, make_profile
-
-HAND_SIZES = ("S", "M", "L")
-MAS_GRADES = ("0", "1", "1+", "2")
 
 
 def derive_seed(base_seed: int, context: str) -> int:

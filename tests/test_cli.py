@@ -169,7 +169,8 @@ class TestEpisode:
         cfg = tmp_path / "exo.cfg"
         cfg.write_text("mas = 3\n")
         code, out, err = run_cli(capsys, "episode", "--intent-script", "open:0.1", "--config", str(cfg))
-        assert (code, out, err) == (2, "", "error: mas must be one of 0, 1, 1+, 2, got '3' (line 1)\n")
+        assert (code, out, err) == (
+            2, "", f"error: {cfg}: mas must be one of 0, 1, 1+, 2, got '3' (line 1)\n")
 
 
 class TestSimulate:
@@ -202,32 +203,34 @@ class TestSimulate:
 
 
 class TestNonFiniteNumbers:
-    """A NaN or infinite number on the command line is a clean error, exit 2."""
+    """A NaN or infinite number is a clean error: exit 1 from a setting's
+    flag, 2 from a config file or a flag that is not a setting."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     @pytest.mark.parametrize("argv", [
         ("gen", "emg", "--intent-script", "open:1", "--rate"),
         ("gen", "load", "--script", "rest:1", "--rate"),
     ], ids=["gen-emg", "gen-load"])
     def test_rate(self, capsys, argv, value):
         code, out, err = run_cli(capsys, *argv, value)
-        assert code == 2
-        assert out == ""
-        assert f"rate_hz must be positive and finite, got {float(value)!r}" in err
-        assert "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: argument --rate: rate_hz must be positive and finite, "
+                       f"got {value!r}\n")
 
-    @pytest.mark.parametrize("flags, message", [
-        (("--noise-std", "nan"), "noise_std must be non-negative and finite, got nan"),
-        (("--noise-std", "-1"), "noise_std must be non-negative and finite, got -1.0"),
-        (("--dither-amp", "nan"), "dither_amp must be finite, got nan"),
-        (("--dither-hz", "inf", "--dither-amp", "1"), "dither_hz must be finite, got inf"),
+    @pytest.mark.parametrize("flags, code, message", [
+        (("--noise-std", "nan"), 1,
+         "usage error: argument --noise-std: noise_std must be non-negative and finite, "
+         "got 'nan'"),
+        (("--noise-std", "-1"), 1,
+         "usage error: argument --noise-std: noise_std must be non-negative and finite, "
+         "got '-1'"),
+        (("--dither-amp", "nan"), 2, "error: dither_amp must be finite, got nan"),
+        (("--dither-hz", "inf", "--dither-amp", "1"), 2, "error: dither_hz must be finite, got inf"),
     ], ids=["noise-nan", "noise-negative", "dither-amp-nan", "dither-hz-inf"])
-    def test_gen_load_noise_and_dither(self, capsys, flags, message):
+    def test_gen_load_noise_and_dither(self, capsys, flags, code, message):
         # The clip at zero would otherwise hide the NaN as an all-zero trace.
-        code, out, err = run_cli(capsys, "gen", "load", "--script", "rest:1", *flags)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        result = run_cli(capsys, "gen", "load", "--script", "rest:1", *flags)
+        assert result == (code, "", message + "\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_gen_emg_config_noise_std(self, capsys, tmp_path, value):
@@ -236,9 +239,9 @@ class TestNonFiniteNumbers:
         cfg.write_text(f"noise_std = {value}\n")
         code, out, err = run_cli(capsys, "gen", "emg", "--profile", "clean",
                                  "--intent-script", "open:1", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: noise_std must be non-negative and finite, got {float(value)!r}\n"
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}: noise_std must be non-negative and finite, "
+                       f"got {value!r} (line 1)\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_gen_emg_config_drift_rate(self, capsys, tmp_path, value):
@@ -247,9 +250,9 @@ class TestNonFiniteNumbers:
         cfg.write_text(f"drift_rate = {value}\n")
         code, out, err = run_cli(capsys, "gen", "emg", "--profile", "clean",
                                  "--intent-script", "open:1", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: drift_rate must be non-negative and finite, got {float(value)!r}\n"
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}: drift_rate must be non-negative and finite, "
+                       f"got {value!r} (line 1)\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_duration_scale(self, capsys, tmp_path, value):
@@ -258,11 +261,28 @@ class TestNonFiniteNumbers:
             capsys, "simulate", "--group", "SH", "--sessions", "1",
             "--duration-scale", value, "--out", str(out_dir),
         )
-        assert code == 2
-        assert out == ""
-        assert f"duration scale must be positive and finite, got {float(value)!r}" in err
-        assert "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: argument --duration-scale: duration_scale must be "
+                       f"positive and finite, got {value!r}\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("rate_hz", "0", ["gen", "emg", "--intent-script", "open:1"]),
+        ("rate_hz", "nan", ["gen", "load", "--script", "rest:1"]),
+        ("noise_std", "-0.1", ["gen", "load", "--script", "rest:1"]),
+        ("crosstalk", "nan", ["gen", "emg", "--profile", "clean", "--intent-script", "open:1"]),
+        ("crosstalk", "1.5", ["gen", "emg", "--profile", "clean", "--intent-script", "open:1"]),
+        ("duration_scale", "nan", ["simulate", "--group", "SH", "--sessions", "1"]),
+    ])
+    def test_out_of_range_file_value_exits_2(self, capsys, tmp_path, key, value, argv):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out), "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        what = config_mod.SETTINGS[key].what
+        assert err == f"error: {cfg}: {key} must be {what}, got {value!r} (line 1)\n"
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -320,7 +340,7 @@ class TestAnalyze:
         cfg.write_text(f"q = {value}\n")
         code, out, err = run_cli(capsys, "analyze", str(cohort_csv), "--config", str(cfg))
         assert (code, out) == (2, "")
-        assert err.startswith("error: q must ")
+        assert err.startswith(f"error: {cfg}: q must ")
         assert f"got {value!r}" in err
 
 
@@ -336,35 +356,109 @@ class TestProtocolCommand:
         assert sum("[unsupported]" in line for line in lines) == 5
 
 
+#: The nine documented invocations (each gets "--out out.txt") and what each
+#: loads: its ``exobench`` modules besides ``exobench``, ``exobench.cli`` and
+#: ``exobench.config``, and whether numpy and scipy. Only analyze runs the
+#: statistics. Only episode and simulate run the controller; protocol
+#: list-tasks loads it too, since ``protocol`` imports it.
+_PROTOCOL = {"controller", "intent", "protocol", "signals", "subject"}
+INVOCATIONS = {
+    "protocol list-tasks": (["protocol", "list-tasks"], _PROTOCOL, True, False),
+    "episode": (["episode", "--intent-script", "open:0.1"], {"controller", "signals"}, True, False),
+    "gen cohort": (["gen", "cohort"], {"outcomes", "outcomes.golden", "outcomes.model"},
+                   False, False),
+    "gen emg": (["gen", "emg", "--intent-script", "open:2,relax:2,close:2", "--seed", "7"],
+                {"signals"}, True, False),
+    "gen load": (["gen", "load", "--script", "rest:2,elevated:2,rest:2,depressed:2",
+                  "--noise-std", "0.4", "--dither-amp", "1.5", "--seed", "11"],
+                 {"signals"}, True, False),
+    "gen screening": (["gen", "screening", "--subject", "separable", "--seed", "0"],
+                      {"intent", "signals", "subject"}, True, False),
+    "screen": (["screen", "screening", "--format", "json"], {"intent", "signals"}, True, False),
+    "simulate": (["simulate", "--group", "SH", "--subject-id", "S01", "--sessions", "2",
+                  "--seed", "3"], _PROTOCOL, True, False),
+    "analyze": (["analyze", "cohort.csv", "--q", "0.05", "--format", "json"],
+                {"outcomes", "outcomes.model", "outcomes.report", "outcomes.stats"}, True, True),
+}
+
+#: Prints the package modules loaded so far, and numpy and scipy if loaded.
+_LOADED = ("import json, sys\n"
+           "print(json.dumps(sorted(m for m in sys.modules if m in ('numpy', 'scipy')\n"
+           "                        or m.partition('.')[0] == 'exobench')))\n")
+
+
+def _loaded_modules(tmp_path: Path, code: str) -> list[str]:
+    """The exobench modules, and numpy and scipy, that ``code`` loads in a
+    fresh interpreter run in ``tmp_path``."""
+    result = subprocess.run([sys.executable, "-c", code + _LOADED], cwd=tmp_path,
+                            env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 class TestImports:
-    # The nine documented invocations (each gets "--out out.txt"): only
-    # analyze uses the statistics, so only analyze may load scipy.
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """What an invocation loads, each invocation run once in its own directory."""
+        runs = {}
+
+        def run(argv):
+            if tuple(argv) not in runs:
+                cwd = tmp_path_factory.mktemp("probe")
+                (cwd / "cohort.csv").write_text(golden.golden_cohort_csv())
+                if argv[0] == "screen":
+                    assert cli.main(["gen", "screening", "--out", str(cwd / "screening")]) == 0
+                code = ("from exobench import cli\n"
+                        f"assert cli.main({argv + ['--out', 'out.txt']!r}) == 0\n")
+                runs[tuple(argv)] = _loaded_modules(cwd, code)
+            return runs[tuple(argv)]
+
+        return run
+
     @pytest.mark.parametrize("argv, statistics", [
-        (["protocol", "list-tasks"], False),
-        (["episode", "--intent-script", "open:0.1"], False),
-        (["gen", "cohort"], False),
-        (["gen", "emg", "--intent-script", "open:2,relax:2,close:2", "--seed", "7"], False),
-        (["gen", "load", "--script", "rest:2,elevated:2,rest:2,depressed:2",
-          "--noise-std", "0.4", "--dither-amp", "1.5", "--seed", "11"], False),
-        (["gen", "screening", "--subject", "separable", "--seed", "0"], False),
-        (["screen", "screening", "--format", "json"], False),
-        (["simulate", "--group", "SH", "--subject-id", "S01", "--sessions", "2", "--seed", "3"], False),
-        (["analyze", "cohort.csv", "--q", "0.05", "--format", "json"], True),
+        (argv, scipy) for argv, _modules, _numpy, scipy in INVOCATIONS.values()])
+    def test_scipy_is_imported_only_for_statistics(self, loaded, argv, statistics):
+        assert ("scipy" in loaded(argv)) == statistics
+
+    @pytest.mark.parametrize("name", INVOCATIONS)
+    def test_each_command_loads_only_what_it_runs(self, loaded, name):
+        argv, modules, numpy, scipy = INVOCATIONS[name]
+        expected = {"exobench", "exobench.cli", "exobench.config"}
+        expected |= {f"exobench.{module}" for module in modules}
+        expected |= {lib for lib, wanted in (("numpy", numpy), ("scipy", scipy)) if wanted}
+        assert set(loaded(argv)) == expected
+
+    @pytest.mark.parametrize("module, expected", [
+        ("exobench.cli", ["exobench", "exobench.cli", "exobench.config"]),
+        ("exobench.config", ["exobench", "exobench.config"]),
     ])
-    def test_scipy_is_imported_only_for_statistics(self, capsys, tmp_path, argv, statistics):
-        (tmp_path / "cohort.csv").write_text(golden.golden_cohort_csv())
-        if argv[0] == "screen":
-            run_cli(capsys, "gen", "screening", "--out", str(tmp_path / "screening"))
-        probe = (
-            "import sys\n"
-            "from exobench import cli\n"
-            f"code = cli.main({argv + ['--out', 'out.txt']!r})\n"
-            "print(code, 'scipy' in sys.modules)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_child_env(),
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == f"0 {statistics}"
+    def test_import_loads_no_numeric_module(self, tmp_path, module, expected):
+        assert _loaded_modules(tmp_path, f"import {module}\n") == expected
+
+
+class TestExitCodes:
+    """``main`` maps the errors that only one command can raise."""
+
+    def test_safety_abort_exits_3(self, capsys, monkeypatch):
+        from exobench import controller
+
+        def abort(*args, **kwargs):
+            raise controller.SafetyAbort("tension cap breached at t=0.100: 101.00 N", None)
+
+        monkeypatch.setattr(controller, "run_episode", abort)
+        assert run_cli(capsys, "episode", "--intent-script", "open:0.1") == (
+            3, "", "safety abort: tension cap breached at t=0.100: 101.00 N\n")
+
+    def test_calibration_error_exits_2(self, capsys, monkeypatch, tmp_path):
+        from exobench import protocol
+
+        def fail(subject, session_index):
+            raise protocol.CalibrationError("classifier calibration failed: singular matrix")
+
+        monkeypatch.setattr(protocol, "session_calibration", fail)
+        assert run_cli(capsys, "simulate", "--group", "EMG", "--sessions", "1",
+                       "--out", str(tmp_path / "sim")) == (
+            2, "", "error: classifier calibration failed: singular matrix\n")
 
 
 class TestConfig:
@@ -406,6 +500,13 @@ class TestConfig:
         )
         assert code == 2
         assert "sedd" in err
+
+    def test_env_config_error_names_the_file(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_text("sedd = 7\n")
+        monkeypatch.setenv("EXO_CONFIG", str(cfg))
+        assert run_cli(capsys, "gen", "emg", "--intent-script", "open:1") == (
+            2, "", f"error: {cfg}: unknown key 'sedd' (line 1)\n")
 
     @pytest.mark.parametrize("key", ["window_s", "hop_s", "vote_k", "sh_noise_n"])
     def test_unread_keys_are_unknown(self, capsys, tmp_path, key):
@@ -497,7 +598,7 @@ class TestTopLevel:
 #: to stay short. A case drops the one setting it tests from them.
 SETTING_COMMANDS = {
     "gen emg": (["gen", "emg", "--intent-script", "open:0.5,close:0.5", "--profile", "clean"], {}),
-    "gen load": (["gen", "load", "--script", "rest:1,elevated:1", "--noise-std", "0.3"], {}),
+    "gen load": (["gen", "load", "--script", "rest:1,elevated:1"], {"noise_std": "0.3"}),
     "gen screening": (["gen", "screening", "--out", "{out}"], {}),
     "episode": (["episode", "--intent-script", "open:0.2,close:0.2"], {}),
     "simulate": (["simulate", "--out", "{out}"],
@@ -523,10 +624,11 @@ SETTING_CASES = [(command, setting.key) for command in SETTING_COMMANDS
                  for setting in config_mod.settings_of(command)]
 FLAG_CASES = [(command, key) for command, key in SETTING_CASES if config_mod.SETTINGS[key].flag]
 
-#: Each command's option strings, as they were before the settings table.
+#: Each command's option strings: as they were before the settings table, and
+#: ``gen emg --noise-std``, the flag of a setting it reads.
 OPTION_STRINGS = {
-    "gen emg": ["--config", "--help", "--intent-script", "--out", "--profile", "--rate",
-                "--seed", "-h"],
+    "gen emg": ["--config", "--help", "--intent-script", "--noise-std", "--out", "--profile",
+                "--rate", "--seed", "-h"],
     "gen load": ["--config", "--dither-amp", "--dither-hz", "--help", "--noise-std", "--out",
                  "--rate", "--script", "--seed", "-h"],
     "gen cohort": ["--help", "--out", "-h"],
@@ -543,7 +645,7 @@ OPTION_STRINGS = {
 RESOLVED_DEFAULTS = {
     "gen emg": {"seed": "0", "rate_hz": "50.0", "noise_std": "0.0", "crosstalk": "0.0",
                 "drift_rate": "0.0"},
-    "gen load": {"seed": "0", "rate_hz": "50.0"},
+    "gen load": {"seed": "0", "rate_hz": "50.0", "noise_std": "0.0"},
     "gen screening": {"seed": "0"},
     "episode": {"hand_size": "'M'", "mas": "'0'"},
     "simulate": {"group": "'SH'", "seed": "0", "hand_size": "'M'", "mas": "'1'",
@@ -611,7 +713,7 @@ class TestSettings:
         code, stdout, err, _files = self._run(capsys, root, out, command, key,
                                               ["--config", str(cfg)])
         assert (code, stdout) == (2, "")
-        assert err.startswith(f"error: {key} must be ")
+        assert err.startswith(f"error: {cfg}: {key} must be ")
         assert "Traceback" not in err
         assert not out.exists()
 
