@@ -25,6 +25,20 @@ from pathlib import Path
 from exobench import config as config_mod
 
 
+#: Distortion levels beyond which the screening verdict flips to the harness
+#: interface for the canonical patterns (fixed generator seeds).
+DISTORTED_CROSSTALK = 0.6
+DISTORTED_DRIFT_RATE = 0.06
+
+#: ``gen emg --profile``: each preset's (noise_std, drift_rate, crosstalk),
+#: which the settings of the same names override.
+EMG_PROFILES = {
+    "separable": (0.02, 0.0, 0.0),
+    "distorted": (0.05, DISTORTED_DRIFT_RATE, DISTORTED_CROSSTALK),
+    "clean": (0.0, 0.0, 0.0),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -101,7 +115,7 @@ def build_parser() -> _Parser:
     g_emg = _command(gen_sub, "gen emg", cmd_gen_emg, "annotated EMG trace")
     g_emg.add_argument("--intent-script", type=_intent_script, required=True,
                        metavar="SCRIPT", help='e.g. "open:2,relax:2,close:2"')
-    g_emg.add_argument("--profile", choices=("separable", "distorted", "clean"), default="separable")
+    g_emg.add_argument("--profile", choices=tuple(EMG_PROFILES), default="separable")
 
     g_load = _command(gen_sub, "gen load", cmd_gen_load, "harness load-cell trace")
     g_load.add_argument("--script", type=_posture_script, required=True,
@@ -189,13 +203,10 @@ def _out_dir(args) -> Path:
 def cmd_gen_emg(args) -> int:
     from exobench import signals
 
-    if args.profile == "distorted":
-        profile = signals.distorted_profile(args.seed)
-    elif args.profile == "clean":
-        profile = signals.make_profile(noise_std=args.noise_std, drift_rate=args.drift_rate,
-                                       crosstalk=args.crosstalk, seed=args.seed)
-    else:
-        profile = signals.separable_profile(args.seed)
+    settings = (args.noise_std, args.drift_rate, args.crosstalk)
+    values = [preset if value is None else value
+              for value, preset in zip(settings, EMG_PROFILES[args.profile])]
+    profile = signals.make_profile(*values, seed=args.seed)
     trace = signals.gen_emg_trace(profile, args.intent_script, rate_hz=args.rate_hz)
     _emit(trace.to_jsonl(), args.out)
     return 0

@@ -85,10 +85,11 @@ SETTINGS = {setting.key: setting for setting in (
             help=f"number of sessions (default {TOTAL_SESSIONS})"),
     Setting("duration_scale", {"simulate": 1.0}, "--duration-scale", **_POSITIVE,
             help="task duration multiplier (default 1.0)"),
-    Setting("noise_std", {"gen emg": 0.0, "gen load": 0.0}, "--noise-std", **_NON_NEGATIVE,
-            help="gaussian noise standard deviation (default 0.0)"),
-    Setting("crosstalk", {"gen emg": 0.0}, **_UNIT),
-    Setting("drift_rate", {"gen emg": 0.0}, **_NON_NEGATIVE),
+    # None: ``gen emg`` takes the value of its --profile.
+    Setting("noise_std", {"gen emg": None, "gen load": 0.0}, "--noise-std", **_NON_NEGATIVE,
+            help="gaussian noise standard deviation (default: gen emg's --profile, gen load 0.0)"),
+    Setting("crosstalk", {"gen emg": None}, **_UNIT),
+    Setting("drift_rate", {"gen emg": None}, **_NON_NEGATIVE),
     Setting("q", {"analyze": Fraction("0.05")}, "--q", Fraction,
             "a rational number strictly between 0 and 1", lambda value: 0 < value < 1,
             help="false discovery rate (default 0.05)"),

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from exobench.signals import COMPACT_JSON, IntentLabel
+from exobench.signals import COMPACT_JSON, MAX_SAMPLES, IntentLabel
 
 CONTROL_DT_S = 0.005
 TENSION_CAP_N = 100.0
@@ -287,7 +287,8 @@ class TrajectoryLog:
 
 @dataclass(frozen=True)
 class Episode:
-    """One episode for ``run_episodes``: its intent stream, length and hand.
+    """One episode for ``run_episodes``: its intent stream, length (at most
+    ``MAX_SAMPLES`` ticks) and hand.
 
     ``intents`` is a ``(t, codes)`` stream: event times in seconds and their
     indices into ``IntentLabel``. ``plant`` defaults to ``default_plant()``;
@@ -306,6 +307,9 @@ class Episode:
     def __post_init__(self) -> None:
         if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
             raise ValueError(f"duration must be positive and finite, got {self.duration_s!r}")
+        if self.duration_s / CONTROL_DT_S > MAX_SAMPLES:
+            raise ValueError(f"a {self.duration_s!r} s episode would exceed "
+                             f"MAX_SAMPLES = {MAX_SAMPLES} ticks of {CONTROL_DT_S} s")
         t, codes = self.intents
         if np.shape(t) != np.shape(codes) or np.ndim(t) != 1:
             raise ValueError("an intent stream needs one code per event time")

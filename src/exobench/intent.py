@@ -37,12 +37,16 @@ import numpy as np
 
 from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
 
+#: MAV window length, seconds, and majority-vote length, decisions.
 DEFAULT_WINDOW_S = 0.15
 DEFAULT_VOTE_K = 5
 
 #: Minimum continuous correct hold per screening attempt, seconds.
 HOLD_REQUIREMENT_S = 2.0
 ATTEMPTS_PER_CONDITION = 3
+#: A screening script's attempt length and the RELAX gap before each attempt, seconds.
+SCREENING_HOLD_S = 3.0
+SCREENING_GAP_S = 1.0
 
 #: The classifier's code order: OPEN, RELAX, CLOSE, the enum's own order.
 CLASS_ORDER = tuple(IntentLabel)
@@ -67,7 +71,6 @@ class EmgClassifier:
     means: np.ndarray
     covariance: np.ndarray
     priors: np.ndarray
-    window_s: float = DEFAULT_WINDOW_S
     separable: bool = True
 
     def __post_init__(self) -> None:
@@ -140,26 +143,24 @@ def train_classifier(labeled: tuple[np.ndarray, np.ndarray]) -> EmgClassifier:
     return EmgClassifier(means=means, covariance=cov, priors=counts / n_total, separable=separable)
 
 
-def smooth_intents(codes: np.ndarray, k: int = DEFAULT_VOTE_K) -> np.ndarray:
-    """Majority vote over the last k codes of a stream; a tie repeats the last output.
+def smooth_intents(codes: np.ndarray) -> np.ndarray:
+    """Majority vote over the last ``DEFAULT_VOTE_K`` codes of a stream; a tie
+    repeats the last output.
 
     Window counts come from a cumulative sum of one-hot codes. The first
-    window holds one code, so it always has a single winner. k=1 is the
-    identity.
+    window holds one code, so it always has a single winner.
     """
-    if k < 1:
-        raise ValueError("vote window k must be >= 1")
     n = len(codes)
     totals = np.zeros((n + 1, len(CLASS_ORDER)), dtype=np.int64)
     np.cumsum(codes[:, None] == np.arange(len(CLASS_ORDER)), axis=0, out=totals[1:])
-    counts = totals[1:] - totals[np.maximum(np.arange(n) + 1 - k, 0)]
+    counts = totals[1:] - totals[np.maximum(np.arange(n) + 1 - DEFAULT_VOTE_K, 0)]
     single = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) == 1
     last = np.maximum.accumulate(np.where(single, np.arange(n), 0))
     return counts.argmax(axis=1)[last]
 
 
-def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trailing-window MAV of every frame, and the label of each full window.
+def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Trailing ``DEFAULT_WINDOW_S`` MAV of every frame, and the label of each full window.
 
     Window offsets are added oldest first onto zero padding, the float order
     of a mean over one window slice. A label is the CLASS_ORDER index of the
@@ -168,7 +169,7 @@ def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarra
     if trace.kind != "emg":
         raise ValueError("EMG trace required")
     n = len(trace.samples)
-    win = max(1, int(round(window_s * trace.rate_hz)))
+    win = max(1, int(round(DEFAULT_WINDOW_S * trace.rate_hz)))
     padded = np.zeros((n + win - 1, EMG_CHANNELS))
     padded[win - 1:] = np.abs(trace.samples)
     total = padded[:n].copy()
@@ -184,10 +185,10 @@ def _windows(trace: SignalTrace, window_s: float) -> tuple[np.ndarray, np.ndarra
     return mav, labels
 
 
-def labeled_windows(trace: SignalTrace, window_s: float = DEFAULT_WINDOW_S) -> tuple[np.ndarray, np.ndarray]:
+def labeled_windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """``(features (M, 8), codes (M,))`` for every frame whose full window sits
     inside one annotation; codes are CLASS_ORDER indices."""
-    mav, labels = _windows(trace, window_s)
+    mav, labels = _windows(trace)
     keep = labels >= 0
     return mav[keep], labels[keep]
 
@@ -197,13 +198,13 @@ def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> tuple[np.nd
 
     Returns the stream ``(trace.t, codes)``.
     """
-    mav, _labels = _windows(trace, classifier.window_s)
+    mav, _labels = _windows(trace)
     return trace.t, classifier._decide(mav)
 
 
 def trace_accuracy(classifier: EmgClassifier, trace: SignalTrace) -> float:
     """Fraction of fully-in-window frames whose raw decision matches ground truth."""
-    mav, labels = _windows(trace, classifier.window_s)
+    mav, labels = _windows(trace)
     scored = labels >= 0
     total = int(np.count_nonzero(scored))
     if total == 0:
@@ -374,16 +375,16 @@ def screen_emg_eligibility(
     return ScreeningReport(conditions=tuple(results), verdict=verdict)
 
 
-def screening_script(intent: IntentLabel, hold_s: float = 3.0, gap_s: float = 1.0):
+def screening_script(intent: IntentLabel):
     """Intent script for one screening condition: three annotated attempts.
 
     RELAX attempts need no inter-attempt gap; the generator keeps consecutive
     same-label segments as distinct annotation intervals.
     """
     if intent is IntentLabel.RELAX:
-        return [(intent, hold_s)] * ATTEMPTS_PER_CONDITION
+        return [(intent, SCREENING_HOLD_S)] * ATTEMPTS_PER_CONDITION
     script: list[tuple[IntentLabel, float]] = []
     for _ in range(ATTEMPTS_PER_CONDITION):
-        script.append((IntentLabel.RELAX, gap_s))
-        script.append((intent, hold_s))
+        script.append((IntentLabel.RELAX, SCREENING_GAP_S))
+        script.append((intent, SCREENING_HOLD_S))
     return script

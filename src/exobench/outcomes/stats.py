@@ -138,16 +138,13 @@ def shapiro_wilk(x: Sequence[float]) -> ShapiroResult:
 # Levene (classic mean-centered form)
 
 
-def levene(*groups: Sequence[float]) -> tuple[float, float]:
-    """Homogeneity-of-variance F statistic and p over two or more groups."""
-    if len(groups) < 2:
-        raise ValueError("Levene requires at least two groups")
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    if any(a.size < 2 for a in arrays):
+def levene(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
+    """Homogeneity-of-variance F statistic and p for two groups."""
+    arrays = [np.asarray(a, dtype=float), np.asarray(b, dtype=float)]
+    if any(g.size < 2 for g in arrays):
         raise ValueError("each group needs at least two observations")
-    k = len(arrays)
-    n_total = sum(a.size for a in arrays)
-    z = [np.abs(a - a.mean()) for a in arrays]
+    n_total = sum(g.size for g in arrays)
+    z = [np.abs(g - g.mean()) for g in arrays]
     z_means = [zi.mean() for zi in z]
     grand = sum(zi.sum() for zi in z) / n_total
     between = sum(zi.size * (zm - grand) ** 2 for zi, zm in zip(z, z_means))
@@ -156,8 +153,8 @@ def levene(*groups: Sequence[float]) -> tuple[float, float]:
         if between == 0.0:
             return 0.0, 1.0
         raise ValueError("degenerate spread: zero within-group deviation")
-    stat = (n_total - k) / (k - 1) * between / within
-    p = float(fdtrc(k - 1, n_total - k, stat))
+    stat = (n_total - 2) * between / within
+    p = float(fdtrc(1, n_total - 2, stat))
     return float(stat), p
 
 
@@ -202,15 +199,18 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _exact_signed_rank_p(doubled_ranks: Sequence[int], w_plus_doubled: int) -> Fraction:
-    """Two-sided exact p from the sign-flip null distribution.
+def _exact_signed_rank_p(ranks: Sequence[float], d: Sequence[float]) -> Fraction:
+    """Two-sided exact p from the sign-flip null distribution of the average
+    ``ranks`` of the nonzero differences ``|d|``.
 
-    Counts, over all 2^n equally likely sign assignments, how many give a
-    positive-rank sum at or beyond the observed one on each side; the
-    two-sided p doubles the smaller tail (capped at 1). Counting by dynamic
-    programming over achievable rank sums is exact and agrees with direct
-    enumeration of the 2^n patterns.
+    The ranks are doubled to integers. Counts, over all 2^n equally likely
+    sign assignments, how many give a positive-rank sum at or beyond the
+    observed one on each side; the two-sided p doubles the smaller tail
+    (capped at 1). Counting by dynamic programming over achievable rank sums
+    is exact and agrees with direct enumeration of the 2^n patterns.
     """
+    doubled_ranks = [int(round(2 * r)) for r in ranks]
+    w_plus_doubled = sum(r2 for r2, di in zip(doubled_ranks, d) if di > 0)
     total_doubled = sum(doubled_ranks)
     counts = [0] * (total_doubled + 1)
     counts[0] = 1
@@ -224,16 +224,14 @@ def _exact_signed_rank_p(doubled_ranks: Sequence[int], w_plus_doubled: int) -> F
     return min(p, Fraction(1))
 
 
-def wilcoxon_signed_rank(d: Sequence[float], method: str = "auto") -> WilcoxonResult:
+def wilcoxon_signed_rank(d: Sequence[float]) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on the paired differences ``d``.
 
     Zero differences are dropped; if all are zero the test is undefined.
-    Under ``method="auto"`` the exact distribution is used up to n = 20 and
+    The exact distribution is used up to n = ``EXACT_WILCOXON_MAX_N`` and
     the tie-corrected normal approximation (with continuity correction)
     beyond.
     """
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown method {method!r}")
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError("paired differences must be 1-d")
@@ -247,8 +245,9 @@ def wilcoxon_signed_rank(d: Sequence[float], method: str = "auto") -> WilcoxonRe
     w_minus = sum(ranks) - w_plus
     statistic = min(w_plus, w_minus)
 
-    if method == "exact" or (method == "auto" and n <= EXACT_WILCOXON_MAX_N):
-        return WilcoxonResult(statistic=statistic, p=float(exact_wilcoxon_p(d)), n_used=n, exact=True)
+    if n <= EXACT_WILCOXON_MAX_N:
+        p = float(_exact_signed_rank_p(ranks, d))
+        return WilcoxonResult(statistic=statistic, p=p, n_used=n, exact=True)
 
     mu = n * (n + 1) / 4.0
     tie_term = 0.0
@@ -270,10 +269,7 @@ def exact_wilcoxon_p(diffs: Sequence[float]) -> Fraction:
     d = [float(v) for v in diffs if v != 0.0]
     if not d:
         raise ValueError("degenerate differences: all pairs are ties")
-    ranks = _average_ranks([abs(v) for v in d])
-    doubled = [int(round(2 * r)) for r in ranks]
-    w_plus_doubled = sum(r2 for r2, di in zip(doubled, d) if di > 0)
-    return _exact_signed_rank_p(doubled, w_plus_doubled)
+    return _exact_signed_rank_p(_average_ranks([abs(v) for v in d]), d)
 
 
 # ---------------------------------------------------------------------------

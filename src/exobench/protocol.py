@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from exobench.subject import Subject, derive_seed
 
 ACTIVE_BUDGET_S = 1800.0
 SESSIONS_PER_WEEK = 3
+#: The date of session 1, a Monday.
+START_DATE = date(2026, 1, 5)
 
 SESSION_SCHEMA = "exobench/session-v1"
 
@@ -133,11 +135,8 @@ class SessionPlan:
             raise ValueError("active budget must be positive")
 
 
-def build_session_plans(
-    subject_id: str,
-    start_date: date = date(2026, 1, 5),
-) -> list[SessionPlan]:
-    """Twelve sessions, three per week on a Mon/Wed/Fri cadence."""
+def build_session_plans(subject_id: str) -> list[SessionPlan]:
+    """Twelve sessions, three per week on a Mon/Wed/Fri cadence from ``START_DATE``."""
     tasks = build_protocol()
     plans = []
     offsets = (0, 2, 4)  # days within each week
@@ -146,7 +145,7 @@ def build_session_plans(
         plans.append(SessionPlan(
             subject_id=subject_id,
             session_index=idx + 1,
-            session_date=start_date + timedelta(days=7 * week + offsets[slot]),
+            session_date=START_DATE + timedelta(days=7 * week + offsets[slot]),
             tasks=tasks,
         ))
     return plans
@@ -166,17 +165,12 @@ _PHASE_REP_S = {
 _LOGNORMAL_SIGMA = 0.22
 
 
-def lognormal_task_durations(subject: Subject, session_index: int) -> Callable[[TrainingTask], float]:
-    """Seeded lognormal draw per task around the phase nominal times."""
-
-    def duration(task: TrainingTask) -> float:
-        rng = np.random.default_rng(
-            derive_seed(subject.seed, f"duration:{session_index}:{task.task_id}")
-        )
-        nominal = _PHASE_REP_S[task.phase] * task.repetitions * subject.duration_scale
-        return float(nominal * rng.lognormal(mean=0.0, sigma=_LOGNORMAL_SIGMA))
-
-    return duration
+def task_duration(subject: Subject, session_index: int, task: TrainingTask) -> float:
+    """Active seconds of a task in a session: a seeded lognormal draw around
+    the phase's nominal time."""
+    rng = np.random.default_rng(derive_seed(subject.seed, f"duration:{session_index}:{task.task_id}"))
+    nominal = _PHASE_REP_S[task.phase] * task.repetitions * subject.duration_scale
+    return float(nominal * rng.lognormal(mean=0.0, sigma=_LOGNORMAL_SIGMA))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,6 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     """
     log = SessionLog(subject_id=plan.subject_id, session_index=plan.session_index,
                      session_date=plan.session_date)
-    duration_model = lognormal_task_durations(subject, plan.session_index)
     rng = np.random.default_rng(derive_seed(subject.seed, f"session:{plan.session_index}"))
 
     wall = 0.0
@@ -353,14 +346,14 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     plant = controller.default_plant(subject.hand_size,
                                      controller.MAS_STIFFNESS[subject.mas])
 
-    # The duration model alone decides which tasks run: the session stops
-    # after the task during which the active budget is reached.
+    # The duration model alone decides which tasks run and the outcome: the
+    # session stops after the task during which the active budget is reached.
     durations: list[float] = []
-    active_s = 0.0
     for task in plan.tasks:
-        durations.append(duration_model(task))
-        active_s += durations[-1]
-        if active_s >= plan.active_budget_s:
+        durations.append(task_duration(subject, plan.session_index, task))
+        log.active_s += durations[-1]
+        if log.active_s >= plan.active_budget_s:
+            log.overflow = True
             break
     tasks = plan.tasks[:len(durations)]
 
@@ -371,26 +364,25 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     ]
     aborts = controller.run_episodes(episodes, record=False)
 
-    for task, task_s, abort in zip(tasks, durations, aborts):
+    last = len(tasks) - 1
+    for n, (task, task_s, abort) in enumerate(zip(tasks, durations, aborts)):
         log.events.append(SessionEvent(wall, "task_start", {"task": task.task_id}))
         if abort is not None:
             log.events.append(SessionEvent(wall, "adjustment",
                                            {"task": task.task_id, "reason": abort.diagnostic}))
             wall += 120.0
         wall += task_s
-        log.active_s += task_s
         log.last_completed_task = task.task_id
         log.events.append(SessionEvent(wall, "task_complete",
                                        {"task": task.task_id, "active_s": task_s}))
-        if log.active_s >= plan.active_budget_s:
-            log.overflow = True
+        if log.overflow and n == last:
             log.events.append(SessionEvent(wall, "budget_reached",
                                            {"active_s": log.active_s, "task": task.task_id}))
         elif rng.random() < _BREAK_PROBABILITY:
             log.events.append(SessionEvent(wall, "break", {"duration_s": BREAK_S}))
             wall += BREAK_S
 
-    if not log.overflow and log.active_s < plan.active_budget_s:
+    if not log.overflow:
         remainder = plan.active_budget_s - log.active_s
         log.free_training_s = remainder
         log.events.append(SessionEvent(wall, "free_training", {"active_s": remainder}))

@@ -39,6 +39,12 @@ EMG_CHANNELS = 8
 DEFAULT_REST_TENSION_N = 20.0
 DEFAULT_ELEVATED_TENSION_N = 40.0
 DEFAULT_DEPRESSED_TENSION_N = 8.0
+#: Seconds the harness tension takes to ramp from one posture's level to the next.
+RAMP_S = 0.3
+
+#: The most samples a generated trace may hold (and ticks an episode may run):
+#: 64 MB of EMG activations, rejected before anything is allocated.
+MAX_SAMPLES = 1_000_000
 
 TRACE_SCHEMA = "exobench/trace-v1"
 
@@ -147,27 +153,6 @@ def make_profile(
         variances=np.full((len(IntentLabel), EMG_CHANNELS), noise_std * noise_std),
         drift_rate=drift_rate,
         crosstalk=crosstalk,
-        seed=seed,
-    )
-
-
-def separable_profile(seed: int = 0) -> SignalProfile:
-    """Clean subject: wide class separation, no fatigue, no leakage."""
-    return make_profile(noise_std=0.02, drift_rate=0.0, crosstalk=0.0, seed=seed)
-
-
-#: Distortion levels beyond which the screening verdict flips to the harness
-#: interface for the canonical patterns (fixed generator seeds).
-DISTORTED_CROSSTALK = 0.6
-DISTORTED_DRIFT_RATE = 0.06
-
-
-def distorted_profile(seed: int = 0) -> SignalProfile:
-    """Heavily impaired subject: leakage and fatigue past the screening level."""
-    return make_profile(
-        noise_std=0.05,
-        drift_rate=DISTORTED_DRIFT_RATE,
-        crosstalk=DISTORTED_CROSSTALK,
         seed=seed,
     )
 
@@ -355,6 +340,7 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
 
     Sample n sits at t = n / rate_hz and belongs to the segment whose
     half-open interval contains it; samples past the last end stay in it.
+    More than ``MAX_SAMPLES`` samples is an error, raised before allocating.
     """
     if not (rate_hz > 0.0 and math.isfinite(rate_hz)):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz!r}")
@@ -363,6 +349,9 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
     for label, duration in segments:
         annotations.append((t0, t0 + duration, label))
         t0 += duration
+    if not t0 * rate_hz <= MAX_SAMPLES:  # a product that overflows to inf fails too
+        raise ValueError(f"a {t0!r} s trace at {rate_hz!r} Hz would exceed "
+                         f"MAX_SAMPLES = {MAX_SAMPLES} samples")
     times = np.arange(int(round(t0 * rate_hz))) / rate_hz
     segment = np.searchsorted([t1 for _t0, t1, _label in annotations[:-1]], times, side="right")
     return annotations, times, segment
@@ -406,10 +395,6 @@ def gen_emg_trace(
 def gen_load_trace(
     script: Sequence[tuple[ShoulderPosture, float]],
     rate_hz: float = DEFAULT_LOAD_RATE_HZ,
-    rest_n: float = DEFAULT_REST_TENSION_N,
-    elevated_n: float = DEFAULT_ELEVATED_TENSION_N,
-    depressed_n: float = DEFAULT_DEPRESSED_TENSION_N,
-    ramp_s: float = 0.3,
     noise_std: float = 0.0,
     dither_amp: float = 0.0,
     dither_hz: float = 1.5,
@@ -417,33 +402,31 @@ def gen_load_trace(
 ) -> SignalTrace:
     """Generate a harness load-cell trace following a posture script.
 
-    Tension ramps linearly from the previous posture level over ``ramp_s``
-    (clipped to the segment length) then holds. Optional sinusoidal dither
-    and gaussian noise ride on top; output is clipped at zero. Every number
-    must be finite and ``noise_std`` non-negative (a negative ``ramp_s``
-    steps straight to each level).
+    Tension ramps linearly from the previous posture's ``DEFAULT_*_TENSION_N``
+    level over ``RAMP_S`` (clipped to the segment length) then holds. Optional
+    sinusoidal dither and gaussian noise ride on top; output is clipped at
+    zero. Every number must be finite and ``noise_std`` non-negative.
     """
     _check_noise_std(noise_std)
-    for name, value in (("rest_n", rest_n), ("elevated_n", elevated_n), ("depressed_n", depressed_n),
-                        ("ramp_s", ramp_s), ("dither_amp", dither_amp), ("dither_hz", dither_hz)):
+    for name, value in (("dither_amp", dither_amp), ("dither_hz", dither_hz)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     segments = _check_script(script, ShoulderPosture)
     annotations, times, segment = _timeline(segments, rate_hz)
     levels = {
-        ShoulderPosture.REST: float(rest_n),
-        ShoulderPosture.ELEVATED: float(elevated_n),
-        ShoulderPosture.DEPRESSED: float(depressed_n),
+        ShoulderPosture.REST: DEFAULT_REST_TENSION_N,
+        ShoulderPosture.ELEVATED: DEFAULT_ELEVATED_TENSION_N,
+        ShoulderPosture.DEPRESSED: DEFAULT_DEPRESSED_TENSION_N,
     }
     rng = np.random.default_rng(seed)
 
     level = np.array([levels[posture] for _t0, _t1, posture in annotations])
     start = np.array([t0 for t0, _t1, _posture in annotations])[segment]
-    ramp = np.array([min(ramp_s, t1 - t0) for t0, t1, _posture in annotations])[segment]
+    ramp = np.array([min(RAMP_S, t1 - t0) for t0, t1, _posture in annotations])[segment]
     prev = np.concatenate((level[:1], level[:-1]))[segment]
     tension = level[segment]
     since = times - start
-    on_ramp = (ramp > 0) & (since < ramp)
+    on_ramp = since < ramp
     lo, hi = prev[on_ramp], tension[on_ramp]
     tension[on_ramp] = lo + (hi - lo) * (since[on_ramp] / ramp[on_ramp])
     if dither_amp:
@@ -459,10 +442,8 @@ def gen_load_trace(
         annotations=tuple(annotations),
         meta={
             "script": [[str(p), d] for p, d in segments],
-            "levels": {"rest": levels[ShoulderPosture.REST],
-                       "elevated": levels[ShoulderPosture.ELEVATED],
-                       "depressed": levels[ShoulderPosture.DEPRESSED]},
-            "ramp_s": ramp_s,
+            "levels": {str(posture): value for posture, value in levels.items()},
+            "ramp_s": RAMP_S,
             "noise_std": noise_std,
             "dither_amp": dither_amp,
             "dither_hz": dither_hz,

@@ -263,14 +263,15 @@ def test_criterion_5_controller_timing_and_safety():
 
 
 def test_criterion_6_hysteresis_and_dither():
-    config = ShConfig(t_open=14.0, t_close=30.0)
+    # A 16 N wide band around the harness's 20 N rest level.
+    config = ShConfig(t_open=7.0, t_close=23.0)
 
     # Any trace confined to the open interval leaves the detector constant.
     relax = CLASS_ORDER.index(RELAX)
     rng = np.random.default_rng(66)
     for _ in range(200):
         n = int(rng.integers(1, 300))
-        tensions = rng.uniform(14.0 + 1e-6, 30.0 - 1e-6, size=n)
+        tensions = rng.uniform(config.t_open + 1e-6, config.t_close - 1e-6, size=n)
         trace = signals.SignalTrace(kind="load", rate_hz=50.0, t=np.arange(n) / 50.0,
                                     samples=tensions, annotations=())
         _t, codes = detect_trace(config, trace)
@@ -279,12 +280,8 @@ def test_criterion_6_hysteresis_and_dither():
     # Scripted dither: +/- 2 N sway around 3 N below the close threshold,
     # well inside the 16 N wide band, end to end through detection and the
     # position controller.
-    trace = signals.gen_load_trace(
-        [(ShoulderPosture.REST, 10.0)],
-        rest_n=config.t_close - 3.0,
-        dither_amp=2.0,
-        seed=6,
-    )
+    assert signals.DEFAULT_REST_TENSION_N == config.t_close - 3.0
+    trace = signals.gen_load_trace([(ShoulderPosture.REST, 10.0)], dither_amp=2.0, seed=6)
     decisions = detect_trace(config, trace)
     assert set(decisions[1].tolist()) == {relax}
 
@@ -294,7 +291,7 @@ def test_criterion_6_hysteresis_and_dither():
     print("criterion 6 (hysteresis and dither): PASS, 0 reversals end-to-end")
 
 
-def _run_screening(preset_name: str, hold_s: float, seed: int = 0):
+def _run_screening(preset_name: str, script=screening_script, seed: int = 0):
     subject = preset_subject(preset_name, seed=seed)
     train_script = [(label, 4.0) for label in intent_mod.CLASS_ORDER]
     train = signals.gen_emg_trace(subject.emg_profile("screen:train"), train_script)
@@ -304,23 +301,28 @@ def _run_screening(preset_name: str, hold_s: float, seed: int = 0):
         label = IntentLabel(condition.split("_", 1)[0])
         off_table = condition.endswith(intent_mod.OFF_TABLE)
         profile = subject.emg_profile(f"screen:{condition}", off_table=off_table)
-        traces[condition] = signals.gen_emg_trace(profile, screening_script(label, hold_s=hold_s))
+        traces[condition] = signals.gen_emg_trace(profile, script(label))
     return intent_mod.screen_emg_eligibility(traces, classifier)
 
 
 def test_criterion_7_screening_verdicts():
-    separable = _run_screening("separable", hold_s=3.0)
+    separable = _run_screening("separable")
     assert separable.verdict == "EMG"
     assert all(c.passed for c in separable.conditions)
 
     # Crosstalk 0.6 with drift 0.06 is the documented distortion level that
     # flips the verdict.
-    distorted = _run_screening("distorted", hold_s=3.0)
+    distorted = _run_screening("distorted")
     assert distorted.verdict == "SH"
 
     # Strict 2 s boundary: capping every attempt at 1.9 s fails regardless
     # of classifier quality.
-    short_holds = _run_screening("separable", hold_s=1.9)
+    def short_holds_script(label):
+        if label is RELAX:
+            return [(RELAX, 1.9)] * 3
+        return [(RELAX, 1.0), (label, 1.9)] * 3
+
+    short_holds = _run_screening("separable", short_holds_script)
     assert short_holds.verdict == "SH"
     for condition in short_holds.conditions:
         assert max(condition.attempt_holds_s) <= 1.9

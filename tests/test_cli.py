@@ -1,12 +1,14 @@
 """Command-line interface: happy paths, exit codes, config handling."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exobench
@@ -55,6 +57,34 @@ class TestGen:
         assert out == ""
         assert str(path) in err
         assert signals.SignalTrace.load(path).kind == "emg"
+
+    #: sha256 of ``gen emg --intent-script open:1`` per profile, no setting given.
+    PRESET_DIGESTS = {
+        "separable": "94fe27698ec258a33b408bc6451e5430fd1a70adce68ddf0e50522270546c9de",
+        "distorted": "d6c86ffc773185b63f2aa7acbbcc6f9de55c40594113e253069ced2317b21d1b",
+    }
+
+    @pytest.mark.parametrize("profile", ["separable", "distorted", "clean"])
+    def test_emg_settings_override_every_profile(self, capsys, tmp_path, profile):
+        argv = ("gen", "emg", "--intent-script", "open:1", "--profile", profile)
+        _code, preset, _err = run_cli(capsys, *argv)
+        if profile in self.PRESET_DIGESTS:
+            assert hashlib.sha256(preset.encode()).hexdigest() == self.PRESET_DIGESTS[profile]
+        noise, drift, crosstalk = cli.EMG_PROFILES[profile]
+        meta = signals.SignalTrace.from_jsonl(preset).meta["profile"]
+        assert (meta["variances"]["open"][0], meta["drift_rate"], meta["crosstalk"]) == (
+            noise * noise, drift, crosstalk)
+        every, two = tmp_path / "every.cfg", tmp_path / "two.cfg"
+        every.write_text("noise_std = 0.5\ndrift_rate = 0.01\ncrosstalk = 0.1\n")
+        two.write_text("drift_rate = 0.01\ncrosstalk = 0.1\n")
+        from_file = run_cli(capsys, *argv, "--config", str(every))
+        from_flag = run_cli(capsys, *argv, "--config", str(two), "--noise-std", "0.5")
+        assert from_file == from_flag and from_file[0] == 0
+        meta = signals.SignalTrace.from_jsonl(from_file[1]).meta["profile"]
+        assert (meta["variances"]["open"][0], meta["drift_rate"], meta["crosstalk"]) == (
+            0.25, 0.01, 0.1)
+        code, out, _err = run_cli(capsys, *argv, "--noise-std", "0.5")
+        assert code == 0 and out not in (preset, from_file[1])
 
     def test_emg_bad_script_label(self, capsys):
         code, _out, err = run_cli(capsys, "gen", "emg", "--intent-script", "grip:1")
@@ -253,6 +283,27 @@ class TestNonFiniteNumbers:
         assert (code, out) == (2, "")
         assert err == (f"error: {cfg}: drift_rate must be non-negative and finite, "
                        f"got {value!r} (line 1)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "emg", "--intent-script", "open:1e9"),
+        ("gen", "load", "--script", "rest:1e9"),
+        ("episode", "--intent-script", "open:1e9"),
+        ("gen", "emg", "--rate", "1e308", "--intent-script", "open:10"),
+    ], ids=["gen-emg", "gen-load", "episode", "gen-emg-rate"])
+    def test_sample_count_is_bounded(self, capsys, monkeypatch, argv):
+        # The bound is checked before anything is allocated: should it fail
+        # to, the huge arange fails the test instead of trying to allocate.
+        arange = np.arange
+
+        def bounded_arange(stop, *args, **kwargs):
+            assert stop <= signals.MAX_SAMPLES, f"np.arange({stop})"
+            return arange(stop, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded_arange)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a ") and err.count("\n") == 1
+        assert f"would exceed MAX_SAMPLES = {signals.MAX_SAMPLES} " in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_duration_scale(self, capsys, tmp_path, value):
@@ -642,9 +693,10 @@ OPTION_STRINGS = {
 }
 #: The value each command used for each setting it reads when given none, as
 #: it was before the settings table (simulate's group has none: it is required).
+#: ``gen emg``'s signal settings are None: each takes its ``--profile``'s value.
 RESOLVED_DEFAULTS = {
-    "gen emg": {"seed": "0", "rate_hz": "50.0", "noise_std": "0.0", "crosstalk": "0.0",
-                "drift_rate": "0.0"},
+    "gen emg": {"seed": "0", "rate_hz": "50.0", "noise_std": "None", "crosstalk": "None",
+                "drift_rate": "None"},
     "gen load": {"seed": "0", "rate_hz": "50.0", "noise_std": "0.0"},
     "gen screening": {"seed": "0"},
     "episode": {"hand_size": "'M'", "mas": "'0'"},

@@ -40,9 +40,12 @@ def _codes(labels):
     return np.array([CLASS_ORDER.index(label) for label in labels], dtype=np.int64)
 
 
-def _smoothed(labels, k):
+K = intent.DEFAULT_VOTE_K
+
+
+def _smoothed(labels):
     """``smooth_intents`` over a label list, as labels."""
-    return [CLASS_ORDER[c] for c in smooth_intents(_codes(labels), k).tolist()]
+    return [CLASS_ORDER[c] for c in smooth_intents(_codes(labels)).tolist()]
 
 
 def _tensions(values, rate_hz=50.0):
@@ -186,40 +189,34 @@ class TestClassifier:
 
 class TestSmoothing:
     def test_majority_vote_with_tie_hold(self):
-        seq = [OPEN, CLOSE, OPEN, CLOSE, CLOSE, OPEN]
-        # Fourth input produces a 2-2 tie, held at the previous OPEN output.
-        assert _smoothed(seq, 4) == [OPEN, OPEN, OPEN, OPEN, CLOSE, CLOSE]
+        assert K == 5
+        seq = [OPEN, CLOSE, OPEN, CLOSE, RELAX, CLOSE, OPEN, OPEN]
+        # A tie holds the previous output: OPEN at the 2nd, 4th and 5th
+        # input, CLOSE at the 7th and 8th.
+        assert _smoothed(seq) == [OPEN, OPEN, OPEN, OPEN, OPEN, CLOSE, CLOSE, CLOSE]
 
     def test_initial_tie_prefers_relax_when_tied(self):
-        assert _smoothed([RELAX, CLOSE], 2) == [RELAX, RELAX]
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k"):
-            smooth_intents(np.array([1]), k=0)
+        assert _smoothed([RELAX, CLOSE]) == [RELAX, RELAX]
 
     @given(st.lists(labels_st, min_size=1, max_size=40))
-    def test_k1_is_identity(self, seq):
-        assert _smoothed(seq, 1) == seq
-
-    @given(st.lists(labels_st, min_size=1, max_size=40), st.integers(1, 7))
-    def test_never_invents_labels(self, seq, k):
-        out = _smoothed(seq, k)
+    def test_never_invents_labels(self, seq):
+        out = _smoothed(seq)
         assert len(out) == len(seq)
         prev = None
         for i, decided in enumerate(out):
-            window = set(seq[max(0, i - k + 1) : i + 1])
+            window = set(seq[max(0, i - K + 1) : i + 1])
             allowed = window if prev is None else window | {prev}
             assert decided in allowed
             prev = decided
 
-    @given(st.lists(labels_st, max_size=60), st.integers(1, 8))
-    def test_matches_stateful_detector(self, seq, k):
+    @given(st.lists(labels_st, max_size=60))
+    def test_matches_stateful_detector(self, seq):
         # The per-label vote of tests/reference.py, empty streams included.
-        assert _smoothed(seq, k) == reference.smooth_intents(seq, k)
+        assert _smoothed(seq) == reference.smooth_intents(seq, K)
 
-    @given(labels_st, st.integers(1, 7), st.integers(1, 20))
-    def test_constant_input_is_constant_output(self, label, k, n):
-        assert _smoothed([label] * n, k) == [label] * n
+    @given(labels_st, st.integers(1, 20))
+    def test_constant_input_is_constant_output(self, label, n):
+        assert _smoothed([label] * n) == [label] * n
 
 
 def _postures(rest, shrug, depress):
@@ -419,7 +416,7 @@ class TestWindowing:
 
     def test_label_at_matches_annotation_scan(self):
         trace = signals.gen_emg_trace(
-            signals.separable_profile(0), [(OPEN, 0.5), (RELAX, 0.5), (RELAX, 0.25)]
+            signals.make_profile(seed=0), [(OPEN, 0.5), (RELAX, 0.5), (RELAX, 0.25)]
         )
         for t in [-0.1, 0.0, 0.49, 0.5, 0.99, 1.0, 1.2499, 1.25, 9.0]:
             expected = next((lab for t0, t1, lab in trace.annotations if t0 <= t < t1), None)
@@ -431,12 +428,12 @@ class TestWindowing:
 # pipeline: one slice, one feature vector and one scalar ``classify`` per frame.
 
 
-def _win(trace, window_s):
-    return max(1, int(round(window_s * trace.rate_hz)))
+def _win(trace):
+    return max(1, int(round(intent.DEFAULT_WINDOW_S * trace.rate_hz)))
 
 
-def _reference_labeled_windows(trace, window_s):
-    frames, times, win = trace.samples, trace.t, _win(trace, window_s)
+def _reference_labeled_windows(trace):
+    frames, times, win = trace.samples, trace.t, _win(trace)
     out = []
     for i in range(win - 1, len(frames)):
         label = label_at(trace, times[i - win + 1])
@@ -446,7 +443,7 @@ def _reference_labeled_windows(trace, window_s):
 
 
 def _reference_classify_trace(classifier, trace):
-    frames, win = trace.samples, _win(trace, classifier.window_s)
+    frames, win = trace.samples, _win(trace)
     return [
         (float(trace.t[i]), classify(classifier, extract_features(frames[max(0, i - win + 1) : i + 1])))
         for i in range(len(frames))
@@ -454,7 +451,7 @@ def _reference_classify_trace(classifier, trace):
 
 
 def _reference_trace_accuracy(classifier, trace):
-    pairs = _reference_labeled_windows(trace, classifier.window_s)
+    pairs = _reference_labeled_windows(trace)
     if not pairs:
         raise ValueError("trace has no scoreable frames")
     return sum(classify(classifier, f) is label for f, label in pairs) / len(pairs)
@@ -483,23 +480,23 @@ class TestArrayPipelineMatchesReference:
             st.tuples(labels_st, st.sampled_from([0.05, 0.1, 0.3, 0.5]) | st.floats(0.01, 0.6)),
             min_size=1, max_size=5,
         ),
-        rate_hz=st.sampled_from([20.0, 37.0, 50.0, 1000.0]),
+        # At 5 Hz the window is one frame, at 1000 Hz it is 150.
+        rate_hz=st.sampled_from([5.0, 20.0, 37.0, 50.0, 1000.0]),
         noise=st.floats(0.0, 1.0),
         drift=st.floats(0.0, 1.0),
         crosstalk=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
-        window_s=st.sampled_from([0.01, 0.05, intent.DEFAULT_WINDOW_S, 0.3]),
         which=st.sampled_from([0, 0, 0, 1]),
     )
     def test_decisions_windows_and_accuracy(self, script, rate_hz, noise, drift, crosstalk,
-                                            seed, window_s, which):
+                                            seed, which):
         profile = signals.make_profile(noise_std=noise, drift_rate=drift, crosstalk=crosstalk, seed=seed)
         trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
-        clf = dataclasses.replace(CLASSIFIERS[which], window_s=window_s)
+        clf = CLASSIFIERS[which]
 
         assert events(classify_trace(clf, trace)) == _reference_classify_trace(clf, trace)
-        features, codes = labeled_windows(trace, window_s)
-        want = _reference_labeled_windows(trace, window_s)
+        features, codes = labeled_windows(trace)
+        want = _reference_labeled_windows(trace)
         assert features.shape == (len(want), 8)
         assert [CLASS_ORDER[c] for c in codes.tolist()] == [label for _f, label in want]
         assert all(np.array_equal(f, g) for f, (g, _) in zip(features, want))
@@ -514,14 +511,13 @@ class TestTrainingMatchesReference:
         noise=st.floats(0.0, 0.3),
         crosstalk=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
-        window_s=st.sampled_from([0.01, intent.DEFAULT_WINDOW_S]),
     )
-    def test_fit_bit_for_bit(self, order, extra, rate_hz, noise, crosstalk, seed, window_s):
+    def test_fit_bit_for_bit(self, order, extra, rate_hz, noise, crosstalk, seed):
         script = [(label, 0.5) for label in order] + extra
         profile = signals.make_profile(noise_std=noise, crosstalk=crosstalk, seed=seed)
         trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
-        clf = train_classifier(labeled_windows(trace, window_s))
-        means, cov, priors, separable = reference.fit_lda(_reference_labeled_windows(trace, window_s))
+        clf = train_classifier(labeled_windows(trace))
+        means, cov, priors, separable = reference.fit_lda(_reference_labeled_windows(trace))
         assert clf.means.tobytes() == np.array([means[label] for label in CLASS_ORDER]).tobytes()
         assert clf.covariance.tobytes() == cov.tobytes()
         assert clf.priors.tolist() == [priors[label] for label in CLASS_ORDER]

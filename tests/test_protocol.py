@@ -17,9 +17,9 @@ from exobench.protocol import (
     Support,
     build_protocol,
     build_session_plans,
-    lognormal_task_durations,
     run_session,
     session_calibration,
+    task_duration,
     task_intent_stream,
 )
 from exobench.subject import Subject, preset_subject
@@ -98,30 +98,25 @@ class TestDurations:
     def test_deterministic_per_subject_and_session(self):
         subject = Subject(subject_id="X", group="EMG", seed=9)
         tasks = build_protocol()
-        d1 = lognormal_task_durations(subject, 1)
-        d2 = lognormal_task_durations(subject, 1)
-        assert [d1(t) for t in tasks] == [d2(t) for t in tasks]
+        assert ([task_duration(subject, 1, t) for t in tasks]
+                == [task_duration(subject, 1, t) for t in tasks])
 
     def test_sessions_draw_different_durations(self):
         subject = Subject(subject_id="X", group="EMG", seed=9)
         tasks = build_protocol()
-        d1 = lognormal_task_durations(subject, 1)
-        d2 = lognormal_task_durations(subject, 2)
-        assert [d1(t) for t in tasks] != [d2(t) for t in tasks]
+        assert ([task_duration(subject, 1, t) for t in tasks]
+                != [task_duration(subject, 2, t) for t in tasks])
 
     def test_scale_multiplies_exactly(self):
         base = Subject(subject_id="X", group="EMG", seed=9, duration_scale=1.0)
         slow = Subject(subject_id="X", group="EMG", seed=9, duration_scale=2.0)
-        tasks = build_protocol()
-        d_base = lognormal_task_durations(base, 1)
-        d_slow = lognormal_task_durations(slow, 1)
-        for task in tasks:
-            assert d_slow(task) == pytest.approx(2.0 * d_base(task), rel=1e-12)
+        for task in build_protocol():
+            assert task_duration(slow, 1, task) == pytest.approx(
+                2.0 * task_duration(base, 1, task), rel=1e-12)
 
     def test_durations_positive(self):
         subject = Subject(subject_id="Y", group="SH", seed=3)
-        durations = lognormal_task_durations(subject, 5)
-        assert all(durations(t) > 0.0 for t in build_protocol())
+        assert all(task_duration(subject, 5, t) > 0.0 for t in build_protocol())
 
 
 class TestCalibration:
@@ -206,7 +201,7 @@ def completed():
 
 def _use_duration_model(monkeypatch, duration):
     """Make ``run_session`` draw every task's active time from ``duration``."""
-    monkeypatch.setattr(protocol, "lognormal_task_durations", lambda _subject, _session: duration)
+    monkeypatch.setattr(protocol, "task_duration", lambda _subject, _session, task: duration(task))
 
 
 class TestSessionExecution:

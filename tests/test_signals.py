@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from exobench import signals
+from exobench.cli import EMG_PROFILES
 from exobench.signals import (
     EMG_CHANNELS,
     IntentLabel,
@@ -97,7 +98,7 @@ class TestColumnValidation:
             trace.t[0] = 1.0
 
     def test_empty_trace_round_trips(self):
-        trace = signals.gen_emg_trace(signals.separable_profile(0), [(IntentLabel.OPEN, 0.001)])
+        trace = signals.gen_emg_trace(signals.make_profile(seed=0), [(IntentLabel.OPEN, 0.001)])
         assert trace.samples.shape == (0, EMG_CHANNELS)
         assert SignalTrace.from_jsonl(trace.to_jsonl()).samples.shape == (0, EMG_CHANNELS)
 
@@ -109,7 +110,7 @@ def _row(label):
 
 class TestProfiles:
     def test_separable_profile_orders_channels(self):
-        profile = signals.separable_profile(0)
+        profile = signals.make_profile(seed=0)
         open_means = profile.means[_row(IntentLabel.OPEN)]
         close_means = profile.means[_row(IntentLabel.CLOSE)]
         relax_means = profile.means[_row(IntentLabel.RELAX)]
@@ -170,20 +171,20 @@ class TestProfiles:
     @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan, math.inf])
     def test_generators_reject_bad_rates(self, rate):
         with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
-            signals.gen_emg_trace(signals.separable_profile(0), [(IntentLabel.OPEN, 1.0)], rate_hz=rate)
+            signals.gen_emg_trace(signals.make_profile(seed=0), [(IntentLabel.OPEN, 1.0)], rate_hz=rate)
         with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
             signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], rate_hz=rate)
 
 
 class TestEmgTrace:
     def test_sample_count_and_duration(self):
-        profile = signals.separable_profile(1)
+        profile = signals.make_profile(seed=1)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.RELAX, 0.5)])
         assert len(trace.samples) == 75
         assert trace.duration_s == pytest.approx(1.5)
 
     def test_each_segment_keeps_its_annotation(self):
-        profile = signals.separable_profile(1)
+        profile = signals.make_profile(seed=1)
         script = [(IntentLabel.OPEN, 1.0), (IntentLabel.OPEN, 0.5), (IntentLabel.RELAX, 1.0)]
         trace = signals.gen_emg_trace(profile, script)
         assert len(trace.annotations) == 3
@@ -192,7 +193,7 @@ class TestEmgTrace:
         assert trace.annotations[2][2] is IntentLabel.RELAX
 
     def test_label_at_half_open_intervals(self):
-        profile = signals.separable_profile(1)
+        profile = signals.make_profile(seed=1)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         assert label_at(trace, 0.0) is IntentLabel.OPEN
         assert label_at(trace, 0.999) is IntentLabel.OPEN
@@ -201,19 +202,19 @@ class TestEmgTrace:
 
     def test_deterministic_for_seed(self):
         script = [(IntentLabel.CLOSE, 2.0)]
-        a = signals.gen_emg_trace(signals.separable_profile(9), script)
-        b = signals.gen_emg_trace(signals.separable_profile(9), script)
-        c = signals.gen_emg_trace(signals.separable_profile(10), script)
+        a = signals.gen_emg_trace(signals.make_profile(seed=9), script)
+        b = signals.gen_emg_trace(signals.make_profile(seed=9), script)
+        c = signals.gen_emg_trace(signals.make_profile(seed=10), script)
         assert a.to_jsonl() == b.to_jsonl()
         assert a.to_jsonl() != c.to_jsonl()
 
     def test_rejects_empty_script(self):
         with pytest.raises(ValueError, match="at least one segment"):
-            signals.gen_emg_trace(signals.separable_profile(0), [])
+            signals.gen_emg_trace(signals.make_profile(seed=0), [])
 
     def test_rejects_wrong_label_type(self):
         with pytest.raises(ValueError, match="IntentLabel"):
-            signals.gen_emg_trace(signals.separable_profile(0), [(ShoulderPosture.REST, 1.0)])
+            signals.gen_emg_trace(signals.make_profile(seed=0), [(ShoulderPosture.REST, 1.0)])
 
 
 class TestLoadTrace:
@@ -235,12 +236,10 @@ class TestLoadTrace:
         assert np.median(by_posture[ShoulderPosture.DEPRESSED]) == pytest.approx(8.0, abs=1.0)
 
     def test_dither_stays_inside_amplitude(self):
-        trace = signals.gen_load_trace(
-            [(ShoulderPosture.REST, 4.0)], rest_n=27.0, dither_amp=2.0, seed=3
-        )
+        trace = signals.gen_load_trace([(ShoulderPosture.REST, 4.0)], dither_amp=2.0, seed=3)
         tensions = trace.samples
-        assert min(tensions) >= 25.0 - 1e-9
-        assert max(tensions) <= 29.0 + 1e-9
+        assert min(tensions) >= 18.0 - 1e-9
+        assert max(tensions) <= 22.0 + 1e-9
 
     @pytest.mark.parametrize("name, value, message", [
         ("noise_std", math.nan, "non-negative and finite"),
@@ -250,10 +249,6 @@ class TestLoadTrace:
         ("dither_amp", -math.inf, "finite"),
         ("dither_hz", math.inf, "finite"),
         ("dither_hz", math.nan, "finite"),
-        ("ramp_s", math.nan, "finite"),
-        ("rest_n", math.inf, "finite"),
-        ("elevated_n", math.nan, "finite"),
-        ("depressed_n", -math.inf, "finite"),
     ])
     def test_rejects_bad_numbers_before_generating(self, monkeypatch, name, value, message):
         # Past generation, the clip at zero would hide a NaN as an all-zero trace.
@@ -273,7 +268,7 @@ class TestLoadTrace:
 
 class TestSerialization:
     def test_emg_round_trip_is_byte_identical(self):
-        profile = signals.distorted_profile(5)
+        profile = signals.make_profile(*EMG_PROFILES["distorted"], seed=5)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         text = trace.to_jsonl()
         again = SignalTrace.from_jsonl(text)
@@ -400,7 +395,9 @@ def _reference_emg(profile, script, rate_hz):
     return times, rows
 
 
-def _reference_load(script, rate_hz, levels, ramp_s, noise_std, dither_amp, dither_hz, seed):
+def _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed):
+    levels = {ShoulderPosture.REST: 20.0, ShoulderPosture.ELEVATED: 40.0,
+              ShoulderPosture.DEPRESSED: 8.0}
     rng = np.random.default_rng(seed)
     annotations, total = _script_annotations(script)
     times, tensions = [], []
@@ -415,7 +412,7 @@ def _reference_load(script, rate_hz, levels, ramp_s, noise_std, dither_amp, dith
             seg_idx += 1
             seg_start = annotations[seg_idx][0]
             seg_level = levels[annotations[seg_idx][2]]
-        ramp = min(ramp_s, annotations[seg_idx][1] - seg_start)
+        ramp = min(0.3, annotations[seg_idx][1] - seg_start)
         if ramp > 0 and t - seg_start < ramp:
             base = prev_level + (seg_level - prev_level) * ((t - seg_start) / ramp)
         else:
@@ -454,25 +451,15 @@ class TestArrayGeneratorsMatchReference:
     @given(
         script=st.lists(st.tuples(st.sampled_from(list(ShoulderPosture)), DURATIONS), min_size=1, max_size=5),
         rate_hz=RATES,
-        levels=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
-        ramp_s=st.sampled_from([0.0, 0.3, 5.0]) | st.floats(-1.0, 2.0),
         noise_std=st.sampled_from([0.0, 0.4]) | st.floats(0.0, 20.0),
         dither_amp=st.sampled_from([0.0, 1.5]) | st.floats(-30.0, 30.0),
         dither_hz=st.floats(0.1, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_load_bit_for_bit(self, script, rate_hz, levels, ramp_s, noise_std, dither_amp,
-                              dither_hz, seed):
-        rest, elevated, depressed = levels
-        trace = signals.gen_load_trace(
-            script, rate_hz=rate_hz, rest_n=rest, elevated_n=elevated, depressed_n=depressed,
-            ramp_s=ramp_s, noise_std=noise_std, dither_amp=dither_amp, dither_hz=dither_hz,
-            seed=seed,
-        )
-        by_posture = {ShoulderPosture.REST: rest, ShoulderPosture.ELEVATED: elevated,
-                      ShoulderPosture.DEPRESSED: depressed}
-        times, tensions = _reference_load(script, rate_hz, by_posture, ramp_s, noise_std,
-                                          dither_amp, dither_hz, seed)
+    def test_load_bit_for_bit(self, script, rate_hz, noise_std, dither_amp, dither_hz, seed):
+        trace = signals.gen_load_trace(script, rate_hz=rate_hz, noise_std=noise_std,
+                                       dither_amp=dither_amp, dither_hz=dither_hz, seed=seed)
+        times, tensions = _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed)
         assert trace.t.tolist() == times
         assert trace.samples.tolist() == tensions
 
@@ -522,7 +509,7 @@ class TestJsonlMatchesPerLineEncoder:
         _assert_round_trip(trace)
 
     def test_generated_traces_with_annotations_and_meta(self):
-        emg = signals.gen_emg_trace(signals.distorted_profile(5), [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
+        emg = signals.gen_emg_trace(signals.make_profile(*EMG_PROFILES["distorted"], seed=5), [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         load = signals.gen_load_trace([(ShoulderPosture.REST, 1.0), (ShoulderPosture.ELEVATED, 1.0)],
                                       noise_std=0.3, dither_amp=1.0, seed=2)
         for trace in (emg, load):

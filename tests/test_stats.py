@@ -190,7 +190,8 @@ class TestWilcoxon:
             d = rng.normal(size=n) * 5.0
             if np.any(d == 0.0):
                 continue
-            mine = wilcoxon_signed_rank(d.tolist(), method="exact")
+            mine = wilcoxon_signed_rank(d.tolist())
+            assert mine.exact is True
             ref = scipy.stats.wilcoxon(d, mode="exact", alternative="two-sided")
             assert mine.p == pytest.approx(ref.pvalue, abs=1e-15)
 
@@ -199,9 +200,10 @@ class TestWilcoxon:
         for _ in range(80):
             n = int(rng.integers(25, 40))
             d = rng.integers(-6, 7, size=n).astype(float)
-            if np.count_nonzero(d) < 3:
+            if np.count_nonzero(d) <= EXACT_WILCOXON_MAX_N:
                 continue
-            mine = wilcoxon_signed_rank(d.tolist(), method="approx")
+            mine = wilcoxon_signed_rank(d.tolist())
+            assert mine.exact is False
             nz = d[d != 0]
             ref = scipy.stats.wilcoxon(nz, correction=True, mode="approx", alternative="two-sided")
             assert mine.p == pytest.approx(ref.pvalue, abs=1e-12)
