@@ -189,11 +189,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The required ``--out`` directory; made only when there is a file to
+    write, so a command that fails first leaves none behind."""
     if not args.out:
         raise UsageError("--out DIR is required for this command")
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,7 @@ def cmd_gen_screening(args) -> int:
     subject = preset_subject(args.subject, seed=args.seed)
     train_script = [(label, 4.0) for label in intent_mod.CLASS_ORDER]
     train = signals.gen_emg_trace(subject.emg_profile("screen:train"), train_script)
+    out.mkdir(parents=True, exist_ok=True)
     train.save(out / "train.jsonl")
     for condition in intent_mod.SCREENING_CONDITIONS:
         intent = IntentLabel(condition.split("_", 1)[0])
@@ -329,6 +330,7 @@ def cmd_simulate(args) -> int:
     ]
     for plan in plans:
         log = protocol.run_session(plan, subject)
+        out.mkdir(parents=True, exist_ok=True)
         path = out / f"session_{plan.session_index:02d}.jsonl"
         log.save(path)
         note = (

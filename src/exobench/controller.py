@@ -22,17 +22,24 @@ only what differs between hands, the pose, the tone and the glove's moment
 arms, validated once when it is built, never per tick. The engine's cost is
 per array call, not per episode, so what each tick does is decided before
 the loop where it can be: a command once given is held, so the ticks on
-which every episode is commanded (most of them) skip the effort mask. The
-safety invariants are checked on every tick for every episode through one
-merged screen: the min and max of the excursions decide the travel clamp,
-the max of the tensions decides the cap, and with the min and sum of the
-joint angles they show at once whether any episode needs its exact check.
-An episode that breaks an invariant stops alone. A trajectory is one set of
-columns, one array per quantity with a row per tick, recorded only when the
-caller gets the logs back; its JSONL form and its summaries (time to open,
-motor reversals) are read straight from the columns. The scalar reference
-the engine matches bit for bit, one tick of proportional step, motor, plant
-and setpoint at a time, lives with the tests in ``tests/reference.py``.
+which every episode is commanded (most of them) skip the effort mask, and a
+batch with no voluntary torque skips its add. The plant state is held
+joint-major, (2 joints, 4 digits, E), so a digit's take-up is one add of
+its MCP and PIP rows and the per-episode and per-digit arrays broadcast
+without views; the angles are clamped by one maximum and one minimum. A
+typical tick is 32 ufunc calls: 4 for the proportional step, 9 for the
+motor and its travel screen, 17 for the plant and its tension screen and 2
+for the angle screen. The safety invariants are checked on every tick for
+every episode through one merged screen: the min and max of the excursions
+decide the travel clamp, the max of the tensions decides the cap, and with
+the min and sum of the joint angles they show at once whether any episode
+needs its exact check. An episode that breaks an invariant stops alone. A
+trajectory is one set of columns, one array per quantity with a row per
+tick, recorded only when the caller gets the logs back; its JSONL form and
+its summaries (time to open, motor reversals) are read straight from the
+columns. The scalar reference the engine matches bit for bit, one tick of
+proportional step, motor, plant and setpoint at a time, lives with the
+tests in ``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
 being indices into ``IntentLabel``; the events need not be sorted.
@@ -340,9 +347,10 @@ def run_episodes(
 ) -> list[TrajectoryLog | SafetyAbort | None]:
     """Run E episodes of the control loop in lockstep; one outcome per episode.
 
-    State is held in (E, 4, 2) joint-angle and (E,) motor and FSM arrays,
-    updated in the float order of the scalar reference's proportional,
-    motor, plant and setpoint steps, so each episode matches it bit for bit.
+    State is held in (2 joints, 4 digits, E) joint-angle and (E,) motor and
+    FSM arrays, updated in the float order of the scalar reference's
+    proportional, motor, plant and setpoint steps, so each episode matches
+    it bit for bit.
     Setpoints depend only on the intent stream and are worked out before the
     loop: OPEN retracts, CLOSE extends, RELAX holds the last command. So are
     the per-tick branches: a new command, any or every episode commanded.
@@ -385,13 +393,15 @@ def run_episodes(
     any_active = commanded.any(axis=0).tolist()
     all_active = commanded.all(axis=0).tolist()
 
-    # Each hand's arrays, validated once when its HandPlant was built, and
-    # the shared joint constants tiled to (E, 4, 2) once, so no tick
-    # broadcasts them.
-    angles = np.stack([p.angles_deg for p in plants])
-    arm = np.stack([p.moment_arm_mm for p in plants])
-    stiffness = np.stack([p.stiffness_nmm_deg for p in plants])
-    rest, q_max, damping = (np.tile(c, (n_episodes, 1, 1))
+    # Joint-major plant state, (2 joints, 4 digits, E): each hand's arrays,
+    # validated once when its HandPlant was built, and the shared joint
+    # constants tiled once. A digit's take-up is then MCP + PIP, and a
+    # per-episode (E,) or per-digit (4, E) array broadcasts on the leading
+    # axes, so no tick makes a view. Every array is C-contiguous: a ufunc
+    # over strided operands costs about twice as much per call.
+    angles, arm, stiffness = (np.stack([getattr(p, name) for p in plants]).transpose(2, 1, 0).copy()
+                              for name in ("angles_deg", "moment_arm_mm", "stiffness_nmm_deg"))
+    rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_episodes))
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
     motors = [
@@ -405,9 +415,11 @@ def run_episodes(
     no_effort = np.zeros(n_episodes)
     voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
                           for ep in episodes], dtype=float)
-    voluntary_3d = voluntary[:, None, None]  # a view: disturbances write through
     disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(episodes)
                  if callable(ep.voluntary_nmm)]
+    # Adding a zero torque can only turn a -0.0 into +0.0, which the clamp
+    # at zero does too, so a batch with none skips the add.
+    any_voluntary = bool(disturbed) or bool(voluntary.any())
 
     # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
     # operand costs about half as much again as one with arrays.
@@ -470,18 +482,23 @@ def run_episodes(
 
         # Plant: capped cable tension, tone and voluntary torque, clamped
         # angles. The cap's max propagates NaN, so a NaN sibling cannot
-        # stop another episode being capped.
-        take_up = add_reduce(arm * angles * deg2rad, axis=-1)
-        tension = tendon * maximum(take_up - x[:, None], zero)
-        total = add_reduce(tension, axis=-1)
+        # stop another episode being capped. A digit's take-up and the
+        # total tension are sums in the scalar order, MCP + PIP and index to
+        # little; stiffness * (rest - angles) - tension * arm is the same
+        # bits as -tension * arm + stiffness * (rest - angles).
+        p = arm * angles * deg2rad
+        tension = tendon * maximum(p[0] + p[1] - x, zero)
+        total = add_reduce(tension, axis=0)
         total_max = max_reduce(total)
         if not total_max <= TENSION_CAP_N:
             over = total > cap
-            tension[over] = tension[over] * (cap / total[over])[:, None]
+            tension[:, over] = tension[:, over] * (cap / total[over])
             total[over] = cap
             total_max = max_reduce(total)
-        torque = -tension[:, :, None] * arm + stiffness * (rest - angles) + voluntary_3d
-        angles = (angles + torque / damping * dt).clip(zero, q_max)
+        torque = stiffness * (rest - angles) - tension * arm
+        if any_voluntary:
+            torque = torque + voluntary
+        angles = minimum(maximum(angles + torque / damping * dt, zero), q_max)
 
         if record:
             # FSM settle: a move (the odd codes) that reaches its setpoint holds.
@@ -491,18 +508,18 @@ def run_episodes(
             velocity_col[:, i] = velocity
             effort_col[:, i] = effort
             fsm_col[:, i] = fsm
-            angles_col[:, i] = angles
+            angles_col[:, i] = angles.transpose(2, 1, 0)
 
         # Safety invariants, per live episode, in order. The screen passes on
         # almost every tick: the angles' min catches NaN and hyperextension,
         # their sum NaN and +inf.
-        flat = angles.reshape(-1)
-        if (x_finite and total_max <= TENSION_CAP_N + 1e-9 and min_reduce(flat) >= -1e-9
-                and math.isfinite(add_reduce(flat))):
+        if (x_finite and total_max <= TENSION_CAP_N + 1e-9
+                and min_reduce(angles, axis=None) >= -1e-9
+                and math.isfinite(add_reduce(angles, axis=None))):
             continue
-        non_finite = ~(np.isfinite(angles).all(axis=(1, 2)) & np.isfinite(x))
+        non_finite = ~(np.isfinite(angles).all(axis=(0, 1)) & np.isfinite(x))
         over_cap = total > TENSION_CAP_N + 1e-9
-        hyperextended = (angles < -1e-9).any(axis=(1, 2))
+        hyperextended = (angles < -1e-9).any(axis=(0, 1))
         for e in np.flatnonzero(live & (non_finite | over_cap | hyperextended)).tolist():
             if non_finite[e]:
                 aborts[e] = f"non-finite state at t={t:.3f}"

@@ -264,14 +264,6 @@ def wilcoxon_signed_rank(d: Sequence[float]) -> WilcoxonResult:
     return WilcoxonResult(statistic=statistic, p=min(p, 1.0), n_used=n, exact=False)
 
 
-def exact_wilcoxon_p(diffs: Sequence[float]) -> Fraction:
-    """Exact two-sided p as a Fraction (zeros dropped), for rational checks."""
-    d = [float(v) for v in diffs if v != 0.0]
-    if not d:
-        raise ValueError("degenerate differences: all pairs are ties")
-    return _exact_signed_rank_p(_average_ranks([abs(v) for v in d]), d)
-
-
 # ---------------------------------------------------------------------------
 # Benjamini-Hochberg step-up
 

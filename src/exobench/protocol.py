@@ -167,10 +167,15 @@ _LOGNORMAL_SIGMA = 0.22
 
 def task_duration(subject: Subject, session_index: int, task: TrainingTask) -> float:
     """Active seconds of a task in a session: a seeded lognormal draw around
-    the phase's nominal time."""
+    the phase's nominal time. A huge ``duration_scale`` that overflows it is
+    an error."""
     rng = np.random.default_rng(derive_seed(subject.seed, f"duration:{session_index}:{task.task_id}"))
     nominal = _PHASE_REP_S[task.phase] * task.repetitions * subject.duration_scale
-    return float(nominal * rng.lognormal(mean=0.0, sigma=_LOGNORMAL_SIGMA))
+    duration = float(nominal * rng.lognormal(mean=0.0, sigma=_LOGNORMAL_SIGMA))
+    if not math.isfinite(duration):
+        raise ValueError(f"duration_scale {subject.duration_scale!r} makes task {task.task_id} "
+                         f"of session {session_index} last {duration!r} s")
+    return duration
 
 
 # ---------------------------------------------------------------------------

@@ -405,12 +405,18 @@ def gen_load_trace(
     Tension ramps linearly from the previous posture's ``DEFAULT_*_TENSION_N``
     level over ``RAMP_S`` (clipped to the segment length) then holds. Optional
     sinusoidal dither and gaussian noise ride on top; output is clipped at
-    zero. Every number must be finite and ``noise_std`` non-negative.
+    zero. Every number must be finite, ``noise_std`` non-negative and
+    ``dither_hz`` at most the Nyquist rate, ``rate_hz / 2``, in size.
     """
     _check_noise_std(noise_std)
     for name, value in (("dither_amp", dither_amp), ("dither_hz", dither_hz)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    # Faster sway aliases, and a huge one overflows 2π·dither_hz·t to NaN,
+    # which the clip at zero would hide. A bad rate is _timeline's error.
+    if rate_hz > 0.0 and abs(dither_hz) > rate_hz / 2.0:
+        raise ValueError(f"dither_hz must be at most rate_hz / 2 = {rate_hz / 2.0!r} Hz "
+                         f"in size, got {dither_hz!r}")
     segments = _check_script(script, ShoulderPosture)
     annotations, times, segment = _timeline(segments, rate_hz)
     levels = {

@@ -12,6 +12,8 @@ for bit. Nothing in ``src/`` imports this module.
   detector and the per-frame hold-run scan, on ``(t, IntentLabel)`` events.
 - Signals: the ground-truth label at one time, and the trace JSONL writer
   that encodes one line at a time.
+- Statistics: the exact Wilcoxon signed-rank p as a Fraction, built from the
+  ranks and sign-flip count that ``wilcoxon_signed_rank``'s exact branch uses.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +42,7 @@ from exobench.controller import (
     RomCalibration,
 )
 from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, RIDGE, EmgClassifier, ShConfig
+from exobench.outcomes.stats import _average_ranks, _exact_signed_rank_p
 from exobench.signals import EMG_CHANNELS, TRACE_SCHEMA, IntentLabel, SignalTrace
 
 # ---------------------------------------------------------------------------
@@ -361,3 +365,16 @@ def trace_jsonl(trace: SignalTrace) -> str:
     lines = [dumps(header)]
     lines += [dumps({"t": t, key: value}) for t, value in zip(trace.t.tolist(), trace.samples.tolist())]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Statistics
+
+
+def exact_wilcoxon_p(diffs: Sequence[float]) -> Fraction:
+    """Exact two-sided Wilcoxon signed-rank p as a Fraction (zeros dropped),
+    for rational checks of the exact branch."""
+    d = [float(v) for v in diffs if v != 0.0]
+    if not d:
+        raise ValueError("degenerate differences: all pairs are ties")
+    return _exact_signed_rank_p(_average_ranks([abs(v) for v in d]), d)

@@ -36,9 +36,10 @@ from exobench.controller import (
 from exobench.intent import CLASS_ORDER, ShConfig, detect_trace, screening_script
 from exobench.outcomes import golden, report
 from exobench.outcomes.model import display_round
-from exobench.outcomes.stats import bh_procedure, exact_wilcoxon_p, paired_t
+from exobench.outcomes.stats import bh_procedure, paired_t
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import preset_subject
+from reference import exact_wilcoxon_p
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 

@@ -256,7 +256,10 @@ class TestNonFiniteNumbers:
          "got '-1'"),
         (("--dither-amp", "nan"), 2, "error: dither_amp must be finite, got nan"),
         (("--dither-hz", "inf", "--dither-amp", "1"), 2, "error: dither_hz must be finite, got inf"),
-    ], ids=["noise-nan", "noise-negative", "dither-amp-nan", "dither-hz-inf"])
+        # 2π·dither_hz·t would overflow to NaN and the clip write zeros.
+        (("--dither-hz", "1e308", "--dither-amp", "1"), 2,
+         "error: dither_hz must be at most rate_hz / 2 = 25.0 Hz in size, got 1e+308"),
+    ], ids=["noise-nan", "noise-negative", "dither-amp-nan", "dither-hz-inf", "dither-hz-huge"])
     def test_gen_load_noise_and_dither(self, capsys, flags, code, message):
         # The clip at zero would otherwise hide the NaN as an all-zero trace.
         result = run_cli(capsys, "gen", "load", "--script", "rest:1", *flags)
@@ -315,6 +318,18 @@ class TestNonFiniteNumbers:
         assert (code, out) == (1, "")
         assert err == (f"usage error: argument --duration-scale: duration_scale must be "
                        f"positive and finite, got {value!r}\n")
+        assert not out_dir.exists()
+
+    def test_duration_scale_that_overflows_a_task(self, capsys, tmp_path):
+        # Finite, so the flag's parser takes it; the first task's duration is inf.
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(
+            capsys, "simulate", "--group", "SH", "--sessions", "1",
+            "--duration-scale", "1e308", "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: duration_scale 1e+308 makes task drill-1-sup of session 1 "
+                       "last inf s\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key, value, argv", [

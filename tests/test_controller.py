@@ -666,6 +666,93 @@ class TestBatchedEngine:
         assert aborted.log.to_jsonl() == reference_jsonl([])
 
 
+_SIGNED_ZERO = st.sampled_from([-0.0, 0.0])
+
+
+@st.composite
+def _signed_zero_episodes(draw):
+    """Episodes whose plant, motor and torque hold -0.0 where the engine's
+    sums and its skipped zero-torque add could differ in the sign of a zero:
+    joints at -0.0, zero stiffness of either sign, a motor at rest at -0.0."""
+    size = draw(st.sampled_from(["S", "M", "L"]))
+    base = default_plant(size, draw(st.sampled_from(list(controller.MAS_STIFFNESS.values()))))
+    angles = draw(st.lists(_SIGNED_ZERO | st.sampled_from([55.0, 65.0, 90.0]), min_size=8, max_size=8))
+    stiffness = draw(st.lists(_SIGNED_ZERO | st.just(1.3), min_size=8, max_size=8))
+    plant = replace(base, angles_deg=np.reshape(angles, (4, 2)),
+                    stiffness_nmm_deg=np.reshape(stiffness, (4, 2)))
+    script = draw(st.lists(st.tuples(_TIMES, st.sampled_from([OPEN, RELAX, CLOSE])), max_size=4))
+    return Episode(
+        intents=stream(script),
+        duration_s=draw(st.integers(1, 80)) * CONTROL_DT_S,
+        rom=calibrate_rom(size),
+        plant=plant,
+        voluntary_nmm=draw(_SIGNED_ZERO),
+        initial_motor=draw(st.none() | st.just(MotorState(-0.0, -0.0))
+                           | st.builds(MotorState, _SIGNED_ZERO, _SIGNED_ZERO)),
+    )
+
+
+@st.composite
+def _session_like_episodes(draw):
+    """Episodes as a session builds them: any glove size and MAS grade, a
+    rest or flexed hand, streams of up to 8 events, 1-100 ticks."""
+    size = draw(st.sampled_from(["S", "M", "L"]))
+    grade = draw(st.sampled_from(list(controller.MAS_STIFFNESS)))
+    make = draw(st.sampled_from([default_plant, flexed_plant]))
+    script = draw(st.lists(st.tuples(_TIMES, st.sampled_from([OPEN, RELAX, CLOSE])), max_size=8))
+    return Episode(
+        intents=stream(script),
+        duration_s=draw(st.integers(1, 100)) * CONTROL_DT_S,
+        rom=calibrate_rom(size),
+        plant=make(size, controller.MAS_STIFFNESS[grade]),
+    )
+
+
+class TestBatchLayout:
+    """Batches that exercise the joint-major arrays, each outcome checked
+    against the scalar reference or the same episode run alone."""
+
+    @settings(max_examples=40)
+    @given(st.lists(_signed_zero_episodes(), min_size=1, max_size=4))
+    def test_signed_zeros_match_the_reference(self, episodes):
+        for episode, outcome in zip(episodes, run_episodes(episodes)):
+            assert _outcome_bits(outcome) == _reference_bits(episode)
+
+    @settings(max_examples=8)
+    @given(st.lists(_session_like_episodes(), min_size=20, max_size=40))
+    def test_large_batch_equals_each_episode_alone(self, episodes):
+        batched = run_episodes(episodes)
+        for episode, outcome in zip(episodes, batched):
+            (alone,) = run_episodes([episode])
+            assert _outcome_bits(outcome) == _outcome_bits(alone)
+        for episode, outcome in zip(episodes[:4], batched):
+            assert _outcome_bits(outcome) == _reference_bits(episode)
+
+    @settings(max_examples=20)
+    @given(st.lists(_episodes(), min_size=1, max_size=4), st.data())
+    def test_one_constant_torque_among_none(self, episodes, data):
+        # Only the one episode's torque makes the engine add torques, so the
+        # others get a zero added that the reference always adds.
+        episodes = [replace(ep, voluntary_nmm=data.draw(_SIGNED_ZERO)) for ep in episodes]
+        k = data.draw(st.integers(0, len(episodes) - 1))
+        torque = data.draw(st.floats(-400.0, 400.0).filter(bool))
+        episodes[k] = replace(episodes[k], voluntary_nmm=torque)
+        for episode, outcome in zip(episodes, run_episodes(episodes)):
+            assert _outcome_bits(outcome) == _reference_bits(episode)
+
+    @settings(max_examples=40)
+    @given(st.lists(_episodes(), min_size=1, max_size=6))
+    def test_unrecorded_aborts_match_recorded_ones(self, episodes):
+        recorded = run_episodes(episodes)
+        for episode, kept, bare in zip(episodes, recorded, run_episodes(episodes, record=False)):
+            diagnostic, _ticks = _reference_bits(episode)
+            if diagnostic is None:
+                assert kept is not None and bare is None
+            else:
+                assert kept.diagnostic == bare.diagnostic == diagnostic
+                assert len(bare.log.ticks) == 0
+
+
 def _pinned_batches(seed=20261018, n_batches=16):
     """Seeded batches of 1-8 random episodes: unsorted streams, either plant,
     constant or NaN-after disturbances, initial motors in and out of travel."""

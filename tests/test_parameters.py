@@ -1,4 +1,5 @@
-"""Every defaulted parameter and field in the package has a caller that sets it.
+"""Every defaulted parameter and field in the package has a caller that sets
+it, and every top-level function and class has a caller that names it.
 
 A value that nothing in ``src/`` or ``bench/`` ever sets has one value in
 use: it is a constant, and a settable one is an untested configuration.
@@ -14,6 +15,11 @@ an unset value.
 
 A ``field(default_factory=...)`` gives each instance a fresh container of
 its own; it is state, not a setting, and is not checked.
+
+A top-level function or class of ``src/exobench`` counts as named when a
+name or attribute of its name appears in ``src/`` or ``bench/`` outside its
+own definition. One that only tests name is a test reference, and belongs
+in ``tests/reference.py``.
 """
 
 import ast
@@ -34,6 +40,13 @@ ALLOWED = {
         "the dead band of the episode summaries planned in ROADMAP item 1",
     "time_to_open.threshold_deg":
         "the open threshold of the episode summaries planned in ROADMAP item 1",
+}
+
+#: Top-level functions and classes that only tests name, each with its reason.
+UNNAMED_ALLOWED = {
+    "count_direction_reversals": "ROADMAP item 1 gives it a caller",
+    "time_to_open": "ROADMAP item 1 gives it a caller",
+    "trace_accuracy": "ROADMAP item 1 gives it a caller",
 }
 
 
@@ -166,3 +179,53 @@ M().m(2)
     assert set(declared([path])) == {"f.b", "f.c", "g.b", "h.b", "unset.b", "unset.c", "D.y",
                                      "D.z", "D.w", "N.p", "M.m.q"}
     assert unset([path], [path]) == {"f.b", "unset.b", "unset.c"}
+
+
+def _top_level(files):
+    for path in files:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            yield path, stmt
+
+
+def unnamed(package, callers) -> set[str]:
+    """The top-level functions and classes of ``package`` whose name no name
+    or attribute in ``callers`` uses outside their own definition."""
+    users: dict[str, set[tuple[Path, int]]] = {}
+    for path, stmt in _top_level(callers):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                users.setdefault(node.id, set()).add((path, stmt.lineno))
+            elif isinstance(node, ast.Attribute):
+                users.setdefault(node.attr, set()).add((path, stmt.lineno))
+    return {
+        stmt.name for path, stmt in _top_level(package)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not users.get(stmt.name, set()) - {(path, stmt.lineno)}
+    }
+
+
+def test_every_definition_has_a_caller():
+    package = sorted((ROOT / "src" / "exobench").rglob("*.py"))
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert unnamed(package, callers) == set(UNNAMED_ALLOWED)
+
+
+def test_the_name_scan_skips_only_the_own_definition(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('''
+def used(): ...
+def recursive(n):
+    return recursive(n - 1)
+def unused(): ...
+def by_attribute(): ...
+class Annotated: ...
+class Alone:
+    def make(self) -> "Alone":
+        return Alone()
+
+x: Annotated = used()
+''')
+    caller = tmp_path / "caller.py"
+    caller.write_text("import m\nm.by_attribute()\n")
+    assert unnamed([module], [module, caller]) == {"recursive", "unused", "Alone"}
+    assert unnamed([module], [module]) == {"recursive", "unused", "Alone", "by_attribute"}

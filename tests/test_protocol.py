@@ -114,6 +114,12 @@ class TestDurations:
             assert task_duration(slow, 1, task) == pytest.approx(
                 2.0 * task_duration(base, 1, task), rel=1e-12)
 
+    def test_overflowing_duration_is_an_error(self):
+        subject = Subject(subject_id="X", group="SH", seed=9, duration_scale=1e308)
+        task = build_protocol()[0]
+        with pytest.raises(ValueError, match=f"makes task {task.task_id} of session 2 last inf s"):
+            task_duration(subject, 2, task)
+
     def test_durations_positive(self):
         subject = Subject(subject_id="Y", group="SH", seed=3)
         assert all(task_duration(subject, 5, t) > 0.0 for t in build_protocol())

@@ -249,6 +249,8 @@ class TestLoadTrace:
         ("dither_amp", -math.inf, "finite"),
         ("dither_hz", math.inf, "finite"),
         ("dither_hz", math.nan, "finite"),
+        ("dither_hz", 25.5, "at most rate_hz / 2 = 25.0 Hz in size"),
+        ("dither_hz", -1000.0, "at most rate_hz / 2 = 25.0 Hz in size"),
     ])
     def test_rejects_bad_numbers_before_generating(self, monkeypatch, name, value, message):
         # Past generation, the clip at zero would hide a NaN as an all-zero trace.
@@ -258,6 +260,11 @@ class TestLoadTrace:
         monkeypatch.setattr(signals, "_timeline", never)
         with pytest.raises(ValueError, match=f"{name} must be {message}, got {value!r}"):
             signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], **{name: value})
+
+    def test_dither_at_the_nyquist_rate_is_allowed(self):
+        trace = signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], rate_hz=20.0,
+                                       dither_amp=1.0, dither_hz=-10.0)
+        assert np.all(np.isfinite(trace.samples))
 
     def test_noise_is_seed_deterministic(self):
         script = [(ShoulderPosture.REST, 1.0)]

@@ -11,12 +11,12 @@ from hypothesis import given, strategies as st
 from exobench.outcomes.stats import (
     EXACT_WILCOXON_MAX_N,
     bh_procedure,
-    exact_wilcoxon_p,
     levene,
     paired_t,
     shapiro_wilk,
     wilcoxon_signed_rank,
 )
+from reference import exact_wilcoxon_p
 
 
 def enumeration_wilcoxon_p(diffs) -> Fraction:
