@@ -20,9 +20,9 @@ hand shares (rest pose, flexion stops, damping, tendon stiffness) are
 module constants, the drive's checked once at import. A ``HandPlant`` holds
 only what differs between hands, the pose, the tone and the glove's moment
 arms, validated once when it is built, never per tick. The engine's cost is
-per array call, not per episode, so what each tick does is decided before
-the loop where it can be: a command once given is held, so the ticks on
-which every episode is commanded (most of them) skip the effort mask, and a
+per array call, not per episode. A held command is state, like the motor,
+set on the few ticks where it changes; from the tick on which every episode
+is commanded (most ticks) the effort mask is skipped, and a
 batch with no voluntary torque skips its add. The plant state is held
 joint-major, (2 joints, 4 digits, E), so a digit's take-up is one add of
 its MCP and PIP rows and the per-episode and per-digit arrays broadcast
@@ -42,7 +42,7 @@ proportional step, motor, plant and setpoint at a time, lives with the
 tests in ``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
-being indices into ``IntentLabel``; the events need not be sorted.
+being indices into ``IntentLabel``, at finite times, in any order.
 """
 
 from __future__ import annotations
@@ -317,9 +317,14 @@ class Episode:
         if self.duration_s / CONTROL_DT_S > MAX_SAMPLES:
             raise ValueError(f"a {self.duration_s!r} s episode would exceed "
                              f"MAX_SAMPLES = {MAX_SAMPLES} ticks of {CONTROL_DT_S} s")
-        t, codes = self.intents
-        if np.shape(t) != np.shape(codes) or np.ndim(t) != 1:
+        t, codes = (np.asarray(a) for a in self.intents)
+        if t.shape != codes.shape or t.ndim != 1:
             raise ValueError("an intent stream needs one code per event time")
+        bad = codes[~np.isin(codes, range(len(_LABELS)))]
+        if len(bad):
+            raise ValueError(f"intent codes must be IntentLabel indices, got {bad[0].item()!r}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"intent event times must be finite, got {t[~np.isfinite(t)][0].item()!r}")
 
 
 def _commands(
@@ -351,9 +356,9 @@ def run_episodes(
     FSM arrays, updated in the float order of the scalar reference's
     proportional, motor, plant and setpoint steps, so each episode matches
     it bit for bit.
-    Setpoints depend only on the intent stream and are worked out before the
-    loop: OPEN retracts, CLOSE extends, RELAX holds the last command. So are
-    the per-tick branches: a new command, any or every episode commanded.
+    Each setpoint is state too, NaN until the first command, set on the few
+    ticks where the held command changes, which also start the FSM's move:
+    OPEN retracts, CLOSE extends, RELAX holds the last command.
 
     Every live episode is checked on every tick for non-finite state, the
     tension cap and the hyperextension block, in that order. A tick whose
@@ -363,7 +368,7 @@ def run_episodes(
     the outcome is its ``TrajectoryLog`` when ``record`` is set and None
     when not. Trajectories are kept only when ``record`` is set, so an
     abort's log has no ticks without it; the FSM, which feeds only its
-    trajectory column, is stepped only then too.
+    trajectory column, settles only then too.
     """
     n_episodes = len(episodes)
     if n_episodes == 0:
@@ -373,34 +378,30 @@ def run_episodes(
     n_max = max(steps)
     t_col = np.arange(n_max) * CONTROL_DT_S
 
-    # Commands per tick, (E, n_max), and their setpoints (NaN before the
-    # first command).
-    labels, held = (np.stack(c) for c in zip(*(_commands(ep.intents, t_col) for ep in episodes)))
-    setpoints = np.full(held.shape, np.nan)
-    np.copyto(setpoints, np.array([[ep.rom.retracted_mm] for ep in episodes]), where=held == _OPEN)
-    np.copyto(setpoints, np.array([[ep.rom.extended_mm] for ep in episodes]), where=held == _CLOSE)
-    commanded = held != _RELAX
-    changed = np.diff(held, axis=1, prepend=np.int8(_RELAX)) != 0
+    # Per tick, the episodes that end on it and each change of a held command
+    # as (episode, setpoint, FSM move). A command once given is held, so from
+    # the first tick with every episode commanded no tick needs the mask below.
+    labels, changes, ends, firsts = [], {}, {}, []
+    for e, (ep, n) in enumerate(zip(episodes, steps)):
+        ends.setdefault(n, []).append(e)
+        label, held = _commands(ep.intents, t_col[:n])
+        labels.append(label)
+        ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1]).tolist()
+        for i, code in zip(ticks, held[ticks].tolist()):
+            changes.setdefault(i, []).append(
+                (e, ep.rom.retracted_mm, _EXTENDING) if code == _OPEN
+                else (e, ep.rom.extended_mm, _RELEASING))
+        firsts.append(ticks[0] if ticks else n_max)
+    first_any, first_all = min(firsts), max(firsts)
 
-    # Per-tick rows, (n_max, E), and the per-tick branches, decided here.
-    # A command once given is held, so once every episode is commanded no
-    # tick needs the effort mask below.
-    setpoint_rows = np.ascontiguousarray(setpoints.T)
-    commanded_rows = np.ascontiguousarray(commanded.T)
-    changed_rows = np.ascontiguousarray(changed.T)
-    move_rows = np.where(held.T == _OPEN, _EXTENDING, _RELEASING).astype(np.int8)
-    any_changed = changed.any(axis=0).tolist()
-    any_active = commanded.any(axis=0).tolist()
-    all_active = commanded.all(axis=0).tolist()
-
-    # Joint-major plant state, (2 joints, 4 digits, E): each hand's arrays,
-    # validated once when its HandPlant was built, and the shared joint
-    # constants tiled once. A digit's take-up is then MCP + PIP, and a
-    # per-episode (E,) or per-digit (4, E) array broadcasts on the leading
-    # axes, so no tick makes a view. Every array is C-contiguous: a ufunc
-    # over strided operands costs about twice as much per call.
-    angles, arm, stiffness = (np.stack([getattr(p, name) for p in plants]).transpose(2, 1, 0).copy()
-                              for name in ("angles_deg", "moment_arm_mm", "stiffness_nmm_deg"))
+    # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
+    # validated when each HandPlant was built, from one stack whose release
+    # lifts glibc's trim threshold over a pilot-sized tick's temporaries; and
+    # the joint constants tiled once. A digit's take-up is MCP + PIP, and (E,)
+    # and (4, E) arrays broadcast on the leading axes, with no view. Every
+    # array is C-contiguous: strided operands cost about twice per call.
+    angles, arm, stiffness = np.array([(p.angles_deg, p.moment_arm_mm, p.stiffness_nmm_deg)
+                                       for p in plants]).transpose(1, 3, 2, 0).copy()
     rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_episodes))
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
@@ -411,8 +412,8 @@ def run_episodes(
     ]
     x = np.array([m.excursion_mm for m in motors], dtype=float)
     velocity = np.array([m.velocity_mm_s for m in motors], dtype=float)
+    setpoint = np.full(n_episodes, np.nan)
     fsm = np.full(n_episodes, _IDLE, dtype=np.int8)
-    no_effort = np.zeros(n_episodes)
     voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
                           for ep in episodes], dtype=float)
     disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(episodes)
@@ -437,12 +438,10 @@ def run_episodes(
     velocity_col = np.empty((n_episodes, width))
     effort_col = np.empty((n_episodes, width))
     fsm_col = np.empty((n_episodes, width), dtype=np.int8)
+    setpoint_col = np.empty((n_episodes, width))
     angles_col = np.empty((n_episodes, width, len(DIGITS), len(JOINTS)))
 
     live = np.ones(n_episodes, dtype=bool)
-    ends: dict[int, list[int]] = {}
-    for e, n in enumerate(steps):
-        ends.setdefault(n, []).append(e)
     length = list(steps)
     aborts: dict[int, str] = {}
     n_live = n_episodes
@@ -456,18 +455,18 @@ def run_episodes(
         for e, torque in disturbed:
             if live[e]:
                 voluntary[e] = torque(t)
-        setpoint = setpoint_rows[i]
-        if record and any_changed[i]:  # a new command starts a move
-            fsm = where(changed_rows[i], move_rows[i], fsm)
+        for e, held_mm, move in changes.get(i, ()):  # a new command starts a move
+            setpoint[e] = held_mm
+            fsm[e] = move
 
         # Saturated proportional step. Before its first command an episode
-        # has no setpoint and makes no effort.
-        if any_active[i]:
+        # has no setpoint (NaN, unequal to itself) and makes no effort.
+        if i >= first_any:
             effort = minimum(maximum(kp * (setpoint - x), neg_one), one)
-            if not all_active[i]:
-                effort = where(commanded_rows[i], effort, zero)
+            if i < first_all:
+                effort = where(setpoint == setpoint, effort, zero)
         else:
-            effort = no_effort
+            effort = zero
 
         # Motor: first-order velocity lag, travel-limited. One min/max pair
         # decides the clamp and screens x: after it, x is finite or NaN.
@@ -508,6 +507,7 @@ def run_episodes(
             velocity_col[:, i] = velocity
             effort_col[:, i] = effort
             fsm_col[:, i] = fsm
+            setpoint_col[:, i] = setpoint
             angles_col[:, i] = angles.transpose(2, 1, 0)
 
         # Safety invariants, per live episode, in order. The screen passes on
@@ -536,9 +536,9 @@ def run_episodes(
         n = min(length[e], width)
         log = TrajectoryLog(TrajectoryColumns(
             t=t_col[:n],
-            intent=labels[e, :n],
+            intent=labels[e][:n],
             fsm=fsm_col[e, :n],
-            setpoint_mm=setpoints[e, :n],
+            setpoint_mm=setpoint_col[e, :n],
             excursion_mm=x_col[e, :n],
             tension_n=tension_col[e, :n],
             angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),

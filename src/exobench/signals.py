@@ -106,8 +106,8 @@ class SignalProfile:
         # NaN fails every comparison, so these also reject non-finite means.
         if not np.all((means >= 0.0) & (means <= 1.0)):
             raise ValueError("class means must lie in [0, 1]")
-        if not np.all(variances >= 0.0):
-            raise ValueError("variances must be non-negative")
+        if not np.all((variances >= 0.0) & (variances < math.inf)):
+            raise ValueError("variances must be non-negative and finite")
         if not 0.0 <= self.crosstalk <= 1.0:
             raise ValueError("crosstalk must lie in [0, 1]")
         if not (self.drift_rate >= 0.0 and math.isfinite(self.drift_rate)):
@@ -135,9 +135,12 @@ _RELAX_MEANS = (0.05, 0.05, 0.04, 0.06, 0.05, 0.04, 0.05, 0.05)
 
 
 def _check_noise_std(noise_std: float) -> None:
-    """Reject a noise level whose sign the variance ``noise_std**2`` would drop."""
+    """Reject a noise level whose sign the variance ``noise_std**2`` would
+    drop, or whose variance overflows; below that, the noise it scales is finite."""
     if not (noise_std >= 0.0 and math.isfinite(noise_std)):
         raise ValueError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+    if not math.isfinite(noise_std * noise_std):
+        raise ValueError(f"noise_std must have a finite square, the variance, got {noise_std!r}")
 
 
 def make_profile(
@@ -376,7 +379,9 @@ def gen_emg_trace(
     rows = np.array([list(IntentLabel).index(label) for _t0, _t1, label in annotations])[segment]
     means = profile.means[rows]
     stds = np.sqrt(profile.variances)[rows]
-    fade = 1.0 - profile.drift_rate * times
+    # A product that overflows is a fade far below zero, which clamps to 0.
+    with np.errstate(over="ignore"):
+        fade = 1.0 - profile.drift_rate * times
     fade = np.where(fade > 0.0, fade, 0.0)
     x = means * fade[:, None] + rng.standard_normal((len(times), EMG_CHANNELS)) * stds
     if profile.crosstalk > 0.0:

@@ -1,15 +1,22 @@
 """Command-line interface: happy paths, exit codes, config handling."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exobench
 from exobench import cli, signals
@@ -286,6 +293,31 @@ class TestNonFiniteNumbers:
         assert (code, out) == (2, "")
         assert err == (f"error: {cfg}: drift_rate must be non-negative and finite, "
                        f"got {value!r} (line 1)\n")
+
+    @pytest.mark.parametrize("argv, value", [
+        (("gen", "emg", "--intent-script", "open:1"), "1e200"),  # the variance overflows
+        (("gen", "load", "--script", "rest:1"), "1e308"),  # the noise overflows
+    ], ids=["gen-emg", "gen-load"])
+    def test_noise_std_that_overflows(self, capsys, argv, value):
+        # Finite, so the flag's parser takes it: one line names the setting.
+        result = run_cli(capsys, *argv, "--noise-std", value)
+        assert result == (2, "", f"error: noise_std must have a finite square, the variance, "
+                                 f"got {float(value)!r}\n")
+
+    def test_drift_rate_that_overflows_the_fade_clamps_it(self, capsys, tmp_path):
+        # drift_rate * t overflows to inf: the fade is far below zero and
+        # clamps to 0, as it does for any drift that fades out in one sample.
+        traces = {}
+        for value in ("1e308", "1e300"):
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(f"drift_rate = {value}\n")
+            # pyproject's filterwarnings turns numpy's overflow warning into an error.
+            code, out, err = run_cli(capsys, "gen", "emg", "--intent-script", "open:1",
+                                     "--config", str(cfg))
+            assert (code, err) == (0, "")
+            traces[value] = signals.SignalTrace.from_jsonl(out)
+        assert traces["1e308"].meta["profile"]["drift_rate"] == 1e308
+        assert traces["1e308"].samples.tobytes() == traces["1e300"].samples.tobytes()
 
     @pytest.mark.parametrize("argv", [
         ("gen", "emg", "--intent-script", "open:1e9"),
@@ -828,3 +860,105 @@ class TestSettings:
             key, commands, _meaning = (cell.strip() for cell in row.strip("|").split("|"))
             listed[key.strip("`")] = {c.strip().strip("`") for c in commands.split(",")}
         assert listed == {key: set(s.defaults) for key, s in config_mod.SETTINGS.items()}
+
+
+# ---------------------------------------------------------------------------
+# Every number a command reads is honoured or rejected, by flag or from a file.
+
+#: Numbers as a flag or a config file spells them, in five kinds drawn alike:
+#: zero or negative, not finite, huge but finite, small integers and small
+#: floats. The square of 1e200 overflows, and so does twice 1e308 or ten
+#: times 1e307; a 31-digit seed is an integer.
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "-1e308"]),
+    st.sampled_from(["nan", "inf", "-inf", "-Infinity"]),
+    st.sampled_from(["1" + "0" * 30, "1e200", "1e307", "1e308", "1.7976931348623157e308"]),
+    st.integers(0, 13).map(str),
+    st.floats(0.0, 3.0).map(repr),
+)
+
+#: Per command: its argv, with script durations ``{0}`` and ``{1}``, ``{out}``
+#: a fresh directory and ``{cohort}`` the reference cohort; the flags it is
+#: always given (so that gen load's dither frequency is used, and simulate
+#: runs one session); and its numeric flags that are not settings.
+NUMBER_COMMANDS = {
+    "gen emg": (["gen", "emg", "--intent-script", "open:{0},close:{1}"], {}, ()),
+    "gen load": (["gen", "load", "--script", "rest:{0},elevated:{1}"], {"--dither-amp": "1"},
+                 ("--dither-amp", "--dither-hz")),
+    "gen screening": (["gen", "screening", "--out", "{out}"], {}, ()),
+    "episode": (["episode", "--intent-script", "open:{0},close:{1}"], {}, ()),
+    "simulate": (["simulate", "--out", "{out}"], {"--group": "SH", "--sessions": "1"}, ()),
+    "analyze": (["analyze", "{cohort}", "--format", "json"], {}, ()),
+}
+#: Each command and one number it reads: a setting's key, a flag, or the
+#: durations of its script.
+NUMBER_CASES = [
+    (command, name) for command, (argv, _fixed, flags) in NUMBER_COMMANDS.items()
+    for name in ([s.key for s in config_mod.settings_of(command) if s.cast in (int, float, Fraction)]
+                 + list(flags) + ["script"] * ("{0}" in " ".join(argv)))
+]
+#: The most samples or ticks a short script may take; more is a missing bound.
+_SHORT = 100_000
+_ARANGE = np.arange
+
+
+def _short_arange(*args, **kwargs):
+    assert all(abs(a) <= _SHORT for a in args if isinstance(a, (int, float))), f"np.arange{args}"
+    return _ARANGE(*args, **kwargs)
+
+
+def _strict_json(text: str) -> None:
+    json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text!r}"))
+
+
+def _strict_json_lines(text: str) -> None:
+    for line in text.splitlines():
+        _strict_json(line)
+
+
+#: How each command's output reads back: its files if it writes any, else stdout.
+_READERS = {"gen emg": signals.SignalTrace.from_jsonl, "gen load": signals.SignalTrace.from_jsonl,
+            "gen screening": signals.SignalTrace.from_jsonl, "episode": _strict_json_lines,
+            "simulate": _strict_json_lines, "analyze": _strict_json}
+
+
+@pytest.mark.parametrize("command, name", NUMBER_CASES)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_every_number_is_honoured_or_rejected(command, name, data):
+    """Exit 0 with output that reads back and holds no NaN or Infinity, or a
+    clean error; never a traceback, a numpy warning or a huge allocation."""
+    argv, fixed, _flags = NUMBER_COMMANDS[command]
+    flags, durations, config = dict(fixed), ["1", "1"], ""
+    if name == "script":
+        durations = [data.draw(_NUMBERS, label="duration") for _ in durations]
+    else:
+        value = data.draw(_NUMBERS, label=name)
+        setting = config_mod.SETTINGS.get(name)
+        flag = setting.flag if setting else name
+        if flag and flag not in fixed and (not setting or data.draw(st.booleans(), label="flag")):
+            flags[flag] = value
+        else:
+            config = f"{name} = {value}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "exo.cfg").write_text(config)
+        if command == "analyze":
+            (root / "cohort.csv").write_text(golden.golden_cohort_csv())
+        args = [a.format(*durations, out=root / "out", cohort=root / "cohort.csv") for a in argv]
+        args += [*(item for pair in flags.items() for item in pair), "--config", str(root / "exo.cfg")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr), mock.patch.object(np, "arange", _short_arange)):
+            warnings.simplefilter("always")
+            code = cli.main(args)
+        files = sorted((root / "out").iterdir()) if (root / "out").is_dir() else []
+        written = [path.read_text() for path in files]
+    assert code in (0, 1, 2, 3), (args, stderr.getvalue())
+    assert [str(w.message) for w in caught] == [], args
+    assert "Traceback" not in stderr.getvalue()
+    for text in [stdout.getvalue(), *written]:
+        assert "NaN" not in text and "Infinity" not in text, args
+    if code == 0:
+        for text in written or [stdout.getvalue()]:
+            _READERS[command](text)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import astuple, replace
 from typing import NamedTuple
 
@@ -302,6 +303,25 @@ class TestEpisode:
     def test_rejects_unpaired_stream(self):
         with pytest.raises(ValueError, match="one code per event time"):
             run_episode((np.zeros(2), np.zeros(3, dtype=np.int64)), 1.0, calibrate_rom("M"))
+
+    @pytest.mark.parametrize("code", [5, -1, 3, 2.7, math.nan, math.inf])
+    def test_rejects_code_outside_intent_labels(self, code):
+        # 5 and -1 would index past the labels, 2.7 truncate to CLOSE.
+        with pytest.raises(ValueError, match=f"intent codes must be IntentLabel indices, "
+                                             f"got {code!r}"):
+            Episode((np.array([0.0, 0.1]), np.array([0, code])), 1.0, calibrate_rom("M"))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_event_time(self, t):
+        # A NaN time would sort last and never apply.
+        with pytest.raises(ValueError, match=f"intent event times must be finite, got {t!r}"):
+            Episode((np.array([0.0, t]), np.array([0, 2])), 1.0, calibrate_rom("M"))
+
+    def test_integral_float_codes_are_indices(self):
+        # Codes are checked by value: `episode`'s array of an empty code list is float64.
+        ints = run_episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, calibrate_rom("M"))
+        floats = run_episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, calibrate_rom("M"))
+        assert ints.to_jsonl() == floats.to_jsonl()
 
     def test_trajectory_jsonl_round_numbers(self):
         rom = calibrate_rom("M")
@@ -784,6 +804,22 @@ def _pinned_batches(seed=20261018, n_batches=16):
                 initial_motor=motor,
             ))
         yield episodes
+
+
+def test_unrecorded_engine_memory_does_not_grow_with_ticks():
+    """Without a trajectory the engine holds per-episode state, not per-tick
+    tables: 400 five-second episodes, 400,000 ticks, peak below 4 MB."""
+    rom = calibrate_rom("M")
+    episodes = [Episode(stream([(0.5 + 0.001 * k, OPEN), (2.5, CLOSE), (4.0, RELAX)]), 5.0, rom)
+                for k in range(400)]
+    tracemalloc.start()
+    try:
+        outcomes = run_episodes(episodes, record=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcomes == [None] * len(episodes)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_engine_bits_are_pinned():

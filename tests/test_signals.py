@@ -137,6 +137,13 @@ class TestProfiles:
                            match=f"noise_std must be non-negative and finite, got {noise_std!r}"):
             signals.make_profile(noise_std=noise_std)
 
+    def test_noise_std_whose_square_overflows(self):
+        # 1e154 squares to about 1e308; 1e155 squares to inf.
+        assert signals.make_profile(noise_std=1e154).variances.max() == 1e154 * 1e154
+        with pytest.raises(ValueError,
+                           match="noise_std must have a finite square, the variance, got 1e"):
+            signals.make_profile(noise_std=1e155)
+
     def test_statistics_are_read_only_arrays(self):
         profile = signals.make_profile(noise_std=0.03)
         assert profile.means.shape == profile.variances.shape == (3, EMG_CHANNELS)
@@ -154,6 +161,8 @@ class TestProfiles:
         (np.full((3, 8), math.nan), np.zeros((3, 8)), r"\[0, 1\]"),
         (np.full((3, 8), 0.5), np.full((3, 8), -1e-6), "non-negative"),
         (np.full((3, 8), 0.5), np.full((3, 8), math.nan), "non-negative"),
+        # The header would write Infinity, which is not JSON.
+        (np.full((3, 8), 0.5), np.full((3, 8), math.inf), "non-negative and finite"),
     ])
     def test_rejects_bad_statistics(self, means, variances, error):
         with pytest.raises(ValueError, match=error):
