@@ -206,7 +206,7 @@ def cmd_gen_emg(args) -> int:
     settings = (args.noise_std, args.drift_rate, args.crosstalk)
     values = [preset if value is None else value
               for value, preset in zip(settings, EMG_PROFILES[args.profile])]
-    profile = signals.make_profile(*values, seed=args.seed)
+    profile = signals.SignalProfile(*values, seed=args.seed)
     trace = signals.gen_emg_trace(profile, args.intent_script, rate_hz=args.rate_hz)
     _emit(trace.to_jsonl(), args.out)
     return 0
@@ -300,6 +300,9 @@ def cmd_episode(args) -> int:
         times.append(t)
         codes.append(order.index(label))
         t += seconds
+    if not t / controller.CONTROL_DT_S > 0.5:  # the tick count rounds to 0
+        raise ValueError(f"a {t!r} s intent script holds no "
+                         f"{controller.CONTROL_DT_S!r} s control tick")
     try:
         log = controller.run_episode((np.array(times), np.array(codes)), t, rom, plant=plant)
     except controller.SafetyAbort as exc:

@@ -65,7 +65,7 @@ class EmgClassifier:
     ``means`` is ``(3, 8)``, one class centroid per row in CLASS_ORDER, and
     ``priors`` is ``(3,)`` in the same order. ``separable`` is False when
     training data gave identical class centroids; such a classifier still
-    runs but decides RELAX everywhere.
+    runs but decides RELAX, the safe state, everywhere, whatever the priors.
     """
 
     means: np.ndarray
@@ -106,8 +106,12 @@ class EmgClassifier:
         """The decision for every row of an ``(N, 8)`` feature array, as CLASS_ORDER indices.
 
         The argmax of the scores; exact ties resolve toward RELAX, and a tie
-        between OPEN and CLOSE alone takes OPEN, the first in CLASS_ORDER.
+        between OPEN and CLOSE alone takes OPEN, the first in CLASS_ORDER. An
+        inseparable classifier decides RELAX on every row: its scores differ
+        by the priors alone, which would pick the most frequent class.
         """
+        if not self.separable:
+            return np.full(len(features), _RELAX)
         scores = self._score_rows(features)
         best = scores == scores.max(axis=1, keepdims=True)
         return np.where(best[:, _RELAX], _RELAX, best.argmax(axis=1))

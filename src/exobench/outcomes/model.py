@@ -142,8 +142,6 @@ class SubjectOutcomes:
 class GainResult:
     """Per-subject integer gains for one measure/comparison plus the exact mean."""
 
-    measure: Measure
-    comparison: Comparison
     gains: Mapping[str, int]        # subject_id -> integer gain
     excluded: tuple[str, ...]       # subjects missing a phase
 
@@ -183,7 +181,7 @@ def compute_gains(
             excluded.append(subject.subject_id)
         else:
             gains[subject.subject_id] = a - b
-    return GainResult(measure=measure, comparison=comparison, gains=gains, excluded=tuple(excluded))
+    return GainResult(gains=gains, excluded=tuple(excluded))
 
 
 def display_round(value: Fraction | float, digits: int) -> float:

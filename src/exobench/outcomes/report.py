@@ -60,8 +60,6 @@ def row_label(measure: Measure, comparison: Comparison) -> str:
 @dataclass(frozen=True)
 class TestResult:
     label: str
-    measure: Measure
-    comparison: Comparison
     n: int
     mean_gain: Fraction | None
     kind: str | None = None     # "PAIRED_T" | "WILCOXON"
@@ -111,12 +109,10 @@ def _group_homogeneity(
     return p
 
 
-def _primary_row(cohort: Sequence[SubjectOutcomes], gains: GainResult) -> TestResult:
+def _primary_row(cohort: Sequence[SubjectOutcomes], label: str, gains: GainResult) -> TestResult:
     """One primary test before the BH pass: normality gate, then paired t or Wilcoxon."""
     row = TestResult(
-        label=row_label(gains.measure, gains.comparison),
-        measure=gains.measure,
-        comparison=gains.comparison,
+        label=label,
         n=gains.n,
         mean_gain=gains.mean if gains.n else None,
         homogeneity_p=_group_homogeneity(cohort, gains),
@@ -174,7 +170,7 @@ def analyze_cohort(
         gains = compute_gains(cohort, measure, comparison)
         if gains.excluded:
             warnings.append(f"{label}: excluded {len(gains.excluded)} subject(s): {', '.join(gains.excluded)}")
-        primary.append(_primary_row(cohort, gains))
+        primary.append(_primary_row(cohort, label, gains))
 
     testable = [(r.label, r.p) for r in primary if r.p is not None]
     decisions = {d.label: d for d in bh_procedure(testable, q)} if testable else {}

@@ -11,9 +11,10 @@ serialization. Two impairment knobs are built into the EMG model:
 
 A trace is two columns, sample times and sample values, built by the
 generators on whole arrays and validated once by ``SignalTrace`` itself, which
-also guards traces read back from files. A subject's ``SignalProfile`` holds
-its class means and variances the same way: two ``(3, 8)`` arrays, one row per
-``IntentLabel``.
+also guards traces read back from files. Every subject shares the class
+patterns, ``CLASS_MEANS``: one ``(3, 8)`` array, a row per ``IntentLabel``. A
+subject's ``SignalProfile`` holds only its four settings: noise level, drift,
+crosstalk and seed.
 
 Serialized traces are JSON lines: one metadata header, then one object per
 sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``),
@@ -81,57 +82,15 @@ class ShoulderPosture(Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
-class SignalProfile:
-    """Per-intent EMG statistics for one synthetic subject.
-
-    ``means`` and ``variances`` are read-only ``(3, 8)`` float arrays, one row
-    of per-channel values per ``IntentLabel`` in enum order. ``drift_rate``
-    scales the class means by ``max(0, 1 - drift_rate * t)``; ``crosstalk``
-    mixes each channel toward the across-channel mean with weight in [0, 1].
-    """
-
-    means: np.ndarray
-    variances: np.ndarray
-    drift_rate: float = 0.0
-    crosstalk: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        shape = (len(IntentLabel), EMG_CHANNELS)
-        means = np.array(self.means, dtype=float)
-        variances = np.array(self.variances, dtype=float)
-        if means.shape != shape or variances.shape != shape:
-            raise ValueError(f"means and variances must have shape {shape}")
-        # NaN fails every comparison, so these also reject non-finite means.
-        if not np.all((means >= 0.0) & (means <= 1.0)):
-            raise ValueError("class means must lie in [0, 1]")
-        if not np.all((variances >= 0.0) & (variances < math.inf)):
-            raise ValueError("variances must be non-negative and finite")
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ValueError("crosstalk must lie in [0, 1]")
-        if not (self.drift_rate >= 0.0 and math.isfinite(self.drift_rate)):
-            raise ValueError(f"drift_rate must be non-negative and finite, got {self.drift_rate!r}")
-        means.flags.writeable = False
-        variances.flags.writeable = False
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-
-    def to_meta(self) -> dict:
-        return {
-            "means": {label.value: row for label, row in zip(IntentLabel, self.means.tolist())},
-            "variances": {label.value: row for label, row in zip(IntentLabel, self.variances.tolist())},
-            "drift_rate": self.drift_rate,
-            "crosstalk": self.crosstalk,
-            "seed": self.seed,
-        }
-
-
-#: Canonical class mean patterns: OPEN loads the extensor-side channels,
-#: CLOSE the flexor side, RELAX sits near the noise floor everywhere.
-_OPEN_MEANS = (0.62, 0.58, 0.55, 0.50, 0.12, 0.10, 0.09, 0.11)
-_CLOSE_MEANS = (0.11, 0.09, 0.12, 0.10, 0.57, 0.61, 0.55, 0.52)
-_RELAX_MEANS = (0.05, 0.05, 0.04, 0.06, 0.05, 0.04, 0.05, 0.05)
+#: Class mean patterns, one row of per-channel activations per ``IntentLabel``
+#: in enum order: OPEN loads the extensor-side channels, RELAX sits near the
+#: noise floor everywhere, CLOSE loads the flexor side.
+CLASS_MEANS = np.array([
+    (0.62, 0.58, 0.55, 0.50, 0.12, 0.10, 0.09, 0.11),
+    (0.05, 0.05, 0.04, 0.06, 0.05, 0.04, 0.05, 0.05),
+    (0.11, 0.09, 0.12, 0.10, 0.57, 0.61, 0.55, 0.52),
+])
+CLASS_MEANS.flags.writeable = False
 
 
 def _check_noise_std(noise_std: float) -> None:
@@ -143,21 +102,37 @@ def _check_noise_std(noise_std: float) -> None:
         raise ValueError(f"noise_std must have a finite square, the variance, got {noise_std!r}")
 
 
-def make_profile(
-    noise_std: float = 0.02,
-    drift_rate: float = 0.0,
-    crosstalk: float = 0.0,
-    seed: int = 0,
-) -> SignalProfile:
-    """Build a subject profile from the canonical class patterns."""
-    _check_noise_std(noise_std)
-    return SignalProfile(
-        means=(_OPEN_MEANS, _RELAX_MEANS, _CLOSE_MEANS),
-        variances=np.full((len(IntentLabel), EMG_CHANNELS), noise_std * noise_std),
-        drift_rate=drift_rate,
-        crosstalk=crosstalk,
-        seed=seed,
-    )
+@dataclass(frozen=True)
+class SignalProfile:
+    """EMG impairment settings for one synthetic subject.
+
+    A sample of intent ``label`` is its ``CLASS_MEANS`` row plus gaussian
+    noise whose variance is ``noise_std**2`` on every channel. ``drift_rate``
+    scales the class means by ``max(0, 1 - drift_rate * t)``; ``crosstalk``
+    mixes each channel toward the across-channel mean with weight in [0, 1].
+    """
+
+    noise_std: float = 0.02
+    drift_rate: float = 0.0
+    crosstalk: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_noise_std(self.noise_std)
+        if not 0.0 <= self.crosstalk <= 1.0:
+            raise ValueError("crosstalk must lie in [0, 1]")
+        if not (self.drift_rate >= 0.0 and math.isfinite(self.drift_rate)):
+            raise ValueError(f"drift_rate must be non-negative and finite, got {self.drift_rate!r}")
+
+    def to_meta(self) -> dict:
+        variance = [float(self.noise_std * self.noise_std)] * EMG_CHANNELS
+        return {
+            "means": {label.value: row for label, row in zip(IntentLabel, CLASS_MEANS.tolist())},
+            "variances": {label.value: variance for label in IntentLabel},
+            "drift_rate": self.drift_rate,
+            "crosstalk": self.crosstalk,
+            "seed": self.seed,
+        }
 
 
 def _sample_array(kind: str, values) -> np.ndarray:
@@ -343,7 +318,7 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
 
     Sample n sits at t = n / rate_hz and belongs to the segment whose
     half-open interval contains it; samples past the last end stay in it.
-    More than ``MAX_SAMPLES`` samples is an error, raised before allocating.
+    No sample, or more than ``MAX_SAMPLES``, is an error, raised before allocating.
     """
     if not (rate_hz > 0.0 and math.isfinite(rate_hz)):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz!r}")
@@ -355,7 +330,11 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
     if not t0 * rate_hz <= MAX_SAMPLES:  # a product that overflows to inf fails too
         raise ValueError(f"a {t0!r} s trace at {rate_hz!r} Hz would exceed "
                          f"MAX_SAMPLES = {MAX_SAMPLES} samples")
-    times = np.arange(int(round(t0 * rate_hz))) / rate_hz
+    n = int(round(t0 * rate_hz))
+    if n == 0:
+        raise ValueError(f"a {t0!r} s trace at {rate_hz!r} Hz holds no sample: "
+                         f"samples are {1.0 / rate_hz!r} s apart")
+    times = np.arange(n) / rate_hz
     segment = np.searchsorted([t1 for _t0, t1, _label in annotations[:-1]], times, side="right")
     return annotations, times, segment
 
@@ -377,13 +356,15 @@ def gen_emg_trace(
     rng = np.random.default_rng(profile.seed)
 
     rows = np.array([list(IntentLabel).index(label) for _t0, _t1, label in annotations])[segment]
-    means = profile.means[rows]
-    stds = np.sqrt(profile.variances)[rows]
+    means = CLASS_MEANS[rows]
+    # The root of the variance the header records, not noise_std itself:
+    # where the square underflows to 0, noise_std would still add tiny noise.
+    std = math.sqrt(profile.noise_std * profile.noise_std)
     # A product that overflows is a fade far below zero, which clamps to 0.
     with np.errstate(over="ignore"):
         fade = 1.0 - profile.drift_rate * times
     fade = np.where(fade > 0.0, fade, 0.0)
-    x = means * fade[:, None] + rng.standard_normal((len(times), EMG_CHANNELS)) * stds
+    x = means * fade[:, None] + rng.standard_normal((len(times), EMG_CHANNELS)) * std
     if profile.crosstalk > 0.0:
         x = (1.0 - profile.crosstalk) * x + profile.crosstalk * x.mean(axis=1, keepdims=True)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from exobench import HAND_SIZES, MAS_GRADES
-from exobench.signals import SignalProfile, make_profile
+from exobench.signals import SignalProfile
 
 
 def derive_seed(base_seed: int, context: str) -> int:
@@ -52,7 +52,7 @@ class Subject:
     def emg_profile(self, context: str, off_table: bool = False) -> SignalProfile:
         crosstalk = min(1.0, self.crosstalk + (self.off_table_crosstalk if off_table else 0.0))
         drift = self.drift_rate + (self.off_table_drift if off_table else 0.0)
-        return make_profile(
+        return SignalProfile(
             noise_std=self.noise_std,
             drift_rate=drift,
             crosstalk=crosstalk,

@@ -237,8 +237,11 @@ def scores(classifier: EmgClassifier, features: np.ndarray) -> dict[IntentLabel,
 
 
 def classify(classifier: EmgClassifier, features: np.ndarray) -> IntentLabel:
-    """Argmax over discriminant scores; exact ties resolve toward RELAX."""
+    """Argmax over discriminant scores; exact ties resolve toward RELAX, and an
+    inseparable classifier decides RELAX everywhere."""
     by_label = scores(classifier, features)
+    if not classifier.separable:
+        return IntentLabel.RELAX
     best = max(by_label.values())
     tied = [label for label in CLASS_ORDER if by_label[label] == best]
     if IntentLabel.RELAX in tied:

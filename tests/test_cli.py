@@ -103,6 +103,14 @@ class TestGen:
         assert code == 1
         assert "bad duration" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "emg", "--rate", "0.001", "--intent-script", "open:1"),
+        ("gen", "load", "--rate", "0.001", "--dither-hz", "0", "--script", "rest:1"),
+    ], ids=["emg", "load"])
+    def test_script_with_no_sample_exits_2(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: a 1.0 s trace at 0.001 Hz holds no sample: samples are 1000.0 s apart\n")
+
     def test_load_trace_dither_band(self, capsys):
         code, out, _err = run_cli(
             capsys,
@@ -196,6 +204,11 @@ class TestEpisode:
         header = json.loads(lines[0])
         assert header["schema"] == "exobench/trajectory-v1"
         assert len(lines) == 1 + 400
+
+    @pytest.mark.parametrize("seconds", ["0.001", "0.0024"])
+    def test_script_with_no_tick_exits_2(self, capsys, seconds):
+        assert run_cli(capsys, "episode", "--intent-script", f"open:{seconds}") == (
+            2, "", f"error: a {seconds} s intent script holds no 0.005 s control tick\n")
 
     def test_requires_script(self, capsys):
         code, _out, err = run_cli(capsys, "episode")

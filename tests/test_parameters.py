@@ -20,6 +20,12 @@ A top-level function or class of ``src/exobench`` counts as named when a
 name or attribute of its name appears in ``src/`` or ``bench/`` outside its
 own definition. One that only tests name is a test reference, and belongs
 in ``tests/reference.py``.
+
+A field of a dataclass or NamedTuple in ``src/exobench`` counts as read when
+an attribute load of its name, or a string constant equal to it (a key of a
+``getattr`` loop), appears in ``src/`` or ``bench/``. A field that nothing
+reads is stored for no one. Fields are matched by name alone, so a read of
+another attribute of the same name can hide an unread field.
 """
 
 import ast
@@ -47,6 +53,15 @@ UNNAMED_ALLOWED = {
     "count_direction_reversals": "ROADMAP item 1 gives it a caller",
     "time_to_open": "ROADMAP item 1 gives it a caller",
     "trace_accuracy": "ROADMAP item 1 gives it a caller",
+}
+
+
+#: Fields that nothing in ``src/`` or ``bench/`` reads, each with its reason.
+UNREAD_ALLOWED = {
+    "TrajectoryColumns.effort": "ROADMAP item 1b writes it to trajectory-v2 rows",
+    "TTestResult.df": "a test result: test_stats checks it",
+    "WilcoxonResult.n_used": "a test result: test_stats checks it",
+    "WilcoxonResult.exact": "a test result: test_stats checks it",
 }
 
 
@@ -229,3 +244,61 @@ x: Annotated = used()
     caller.write_text("import m\nm.by_attribute()\n")
     assert unnamed([module], [module, caller]) == {"recursive", "unused", "Alone"}
     assert unnamed([module], [module]) == {"recursive", "unused", "Alone", "by_attribute"}
+
+
+def record_fields(files) -> dict[str, str]:
+    """Each field of a dataclass or NamedTuple: its ``Class.name`` label and name."""
+    found = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_record_class(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        found[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+    return found
+
+
+def unread(package, readers) -> set[str]:
+    """The fields declared in ``package`` whose name no attribute load or
+    string constant in ``readers`` uses."""
+    names = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return {label for label, name in record_fields(package).items() if name not in names}
+
+
+def test_every_field_has_a_reader():
+    package = sorted((ROOT / "src" / "exobench").rglob("*.py"))
+    readers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert unread(package, readers) == set(UNREAD_ALLOWED)
+
+
+def test_the_read_scan_sees_loads_and_string_keys(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text('''
+from dataclasses import dataclass
+from typing import NamedTuple
+
+@dataclass
+class D:
+    loaded: int
+    keyed: int
+    stored: int
+    unread: int = 0
+
+class N(NamedTuple):
+    p: int
+
+class Plain:
+    q: int
+
+d = D(1, 2, 3)
+d.stored = d.loaded
+getattr(d, "keyed")
+''')
+    assert set(record_fields([path])) == {"D.loaded", "D.keyed", "D.stored", "D.unread", "N.p"}
+    assert unread([path], [path]) == {"D.stored", "D.unread", "N.p"}

@@ -98,22 +98,22 @@ class TestColumnValidation:
             trace.t[0] = 1.0
 
     def test_empty_trace_round_trips(self):
-        trace = signals.gen_emg_trace(signals.make_profile(seed=0), [(IntentLabel.OPEN, 0.001)])
+        # The generators reject a script that holds no sample; a file may not.
+        trace = _trace("emg", [])
         assert trace.samples.shape == (0, EMG_CHANNELS)
         assert SignalTrace.from_jsonl(trace.to_jsonl()).samples.shape == (0, EMG_CHANNELS)
 
 
 def _row(label):
-    """A label's row in a profile's (3, 8) arrays: its place in the enum."""
+    """A label's row in ``CLASS_MEANS``: its place in the enum."""
     return list(IntentLabel).index(label)
 
 
 class TestProfiles:
     def test_separable_profile_orders_channels(self):
-        profile = signals.make_profile(seed=0)
-        open_means = profile.means[_row(IntentLabel.OPEN)]
-        close_means = profile.means[_row(IntentLabel.CLOSE)]
-        relax_means = profile.means[_row(IntentLabel.RELAX)]
+        open_means = signals.CLASS_MEANS[_row(IntentLabel.OPEN)]
+        close_means = signals.CLASS_MEANS[_row(IntentLabel.CLOSE)]
+        relax_means = signals.CLASS_MEANS[_row(IntentLabel.RELAX)]
         # Extensor channels dominate on open, flexor channels on close.
         assert sum(open_means[:4]) > sum(open_means[4:])
         assert sum(close_means[4:]) > sum(close_means[:4])
@@ -121,79 +121,60 @@ class TestProfiles:
 
     def test_crosstalk_bounds_enforced(self):
         with pytest.raises(ValueError, match="crosstalk"):
-            signals.make_profile(crosstalk=1.5)
+            signals.SignalProfile(crosstalk=1.5)
 
     @pytest.mark.parametrize("drift_rate", [-0.01, math.nan, math.inf])
     def test_rejects_bad_drift_rate(self, drift_rate):
         # A NaN or infinite fade would be clipped to an all-zero trace.
         with pytest.raises(ValueError,
                            match=f"drift_rate must be non-negative and finite, got {drift_rate!r}"):
-            signals.make_profile(drift_rate=drift_rate)
+            signals.SignalProfile(drift_rate=drift_rate)
 
     @pytest.mark.parametrize("noise_std", [-1.0, -1e-9, math.nan, math.inf])
     def test_make_profile_rejects_bad_noise(self, noise_std):
-        # The variances are noise_std**2, which would drop the sign.
+        # The variance is noise_std**2, which would drop the sign.
         with pytest.raises(ValueError,
                            match=f"noise_std must be non-negative and finite, got {noise_std!r}"):
-            signals.make_profile(noise_std=noise_std)
+            signals.SignalProfile(noise_std=noise_std)
 
     def test_noise_std_whose_square_overflows(self):
         # 1e154 squares to about 1e308; 1e155 squares to inf.
-        assert signals.make_profile(noise_std=1e154).variances.max() == 1e154 * 1e154
+        assert signals.SignalProfile(noise_std=1e154).to_meta()["variances"]["open"][0] == 1e154 * 1e154
         with pytest.raises(ValueError,
                            match="noise_std must have a finite square, the variance, got 1e"):
-            signals.make_profile(noise_std=1e155)
+            signals.SignalProfile(noise_std=1e155)
 
-    def test_statistics_are_read_only_arrays(self):
-        profile = signals.make_profile(noise_std=0.03)
-        assert profile.means.shape == profile.variances.shape == (3, EMG_CHANNELS)
-        assert np.all(profile.variances == 0.03 * 0.03)
-        for arr in (profile.means, profile.variances):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.5
-
-    @pytest.mark.parametrize("means, variances, error", [
-        (np.full((3, 7), 0.5), np.zeros((3, 8)), "shape"),
-        (np.full((2, 8), 0.5), np.zeros((2, 8)), "shape"),
-        (np.full((3, 8), 0.5), np.zeros(8), "shape"),
-        (np.full((3, 8), 1.5), np.zeros((3, 8)), r"\[0, 1\]"),
-        (np.full((3, 8), -0.1), np.zeros((3, 8)), r"\[0, 1\]"),
-        (np.full((3, 8), math.nan), np.zeros((3, 8)), r"\[0, 1\]"),
-        (np.full((3, 8), 0.5), np.full((3, 8), -1e-6), "non-negative"),
-        (np.full((3, 8), 0.5), np.full((3, 8), math.nan), "non-negative"),
-        # The header would write Infinity, which is not JSON.
-        (np.full((3, 8), 0.5), np.full((3, 8), math.inf), "non-negative and finite"),
-    ])
-    def test_rejects_bad_statistics(self, means, variances, error):
-        with pytest.raises(ValueError, match=error):
-            signals.SignalProfile(means=means, variances=variances)
+    def test_class_means_are_read_only(self):
+        assert signals.CLASS_MEANS.shape == (len(IntentLabel), EMG_CHANNELS)
+        with pytest.raises(ValueError, match="read-only"):
+            signals.CLASS_MEANS[0, 0] = 0.5
 
     def test_meta_maps_each_label_to_its_row(self):
-        profile = signals.make_profile(noise_std=0.05, drift_rate=0.01, crosstalk=0.2, seed=4)
+        profile = signals.SignalProfile(noise_std=0.05, drift_rate=0.01, crosstalk=0.2, seed=4)
         meta = profile.to_meta()
         assert list(meta["means"]) == list(meta["variances"]) == ["open", "relax", "close"]
         for label in IntentLabel:
-            assert meta["means"][label.value] == profile.means[_row(label)].tolist()
+            assert meta["means"][label.value] == signals.CLASS_MEANS[_row(label)].tolist()
             assert meta["variances"][label.value] == [0.05 * 0.05] * EMG_CHANNELS
         assert (meta["drift_rate"], meta["crosstalk"], meta["seed"]) == (0.01, 0.2, 4)
 
     @pytest.mark.parametrize("rate", [0.0, -50.0, math.nan, math.inf])
     def test_generators_reject_bad_rates(self, rate):
         with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
-            signals.gen_emg_trace(signals.make_profile(seed=0), [(IntentLabel.OPEN, 1.0)], rate_hz=rate)
+            signals.gen_emg_trace(signals.SignalProfile(seed=0), [(IntentLabel.OPEN, 1.0)], rate_hz=rate)
         with pytest.raises(ValueError, match=f"rate_hz must be positive and finite, got {rate!r}"):
             signals.gen_load_trace([(ShoulderPosture.REST, 1.0)], rate_hz=rate)
 
 
 class TestEmgTrace:
     def test_sample_count_and_duration(self):
-        profile = signals.make_profile(seed=1)
+        profile = signals.SignalProfile(seed=1)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.RELAX, 0.5)])
         assert len(trace.samples) == 75
         assert trace.duration_s == pytest.approx(1.5)
 
     def test_each_segment_keeps_its_annotation(self):
-        profile = signals.make_profile(seed=1)
+        profile = signals.SignalProfile(seed=1)
         script = [(IntentLabel.OPEN, 1.0), (IntentLabel.OPEN, 0.5), (IntentLabel.RELAX, 1.0)]
         trace = signals.gen_emg_trace(profile, script)
         assert len(trace.annotations) == 3
@@ -202,7 +183,7 @@ class TestEmgTrace:
         assert trace.annotations[2][2] is IntentLabel.RELAX
 
     def test_label_at_half_open_intervals(self):
-        profile = signals.make_profile(seed=1)
+        profile = signals.SignalProfile(seed=1)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         assert label_at(trace, 0.0) is IntentLabel.OPEN
         assert label_at(trace, 0.999) is IntentLabel.OPEN
@@ -211,19 +192,19 @@ class TestEmgTrace:
 
     def test_deterministic_for_seed(self):
         script = [(IntentLabel.CLOSE, 2.0)]
-        a = signals.gen_emg_trace(signals.make_profile(seed=9), script)
-        b = signals.gen_emg_trace(signals.make_profile(seed=9), script)
-        c = signals.gen_emg_trace(signals.make_profile(seed=10), script)
+        a = signals.gen_emg_trace(signals.SignalProfile(seed=9), script)
+        b = signals.gen_emg_trace(signals.SignalProfile(seed=9), script)
+        c = signals.gen_emg_trace(signals.SignalProfile(seed=10), script)
         assert a.to_jsonl() == b.to_jsonl()
         assert a.to_jsonl() != c.to_jsonl()
 
     def test_rejects_empty_script(self):
         with pytest.raises(ValueError, match="at least one segment"):
-            signals.gen_emg_trace(signals.make_profile(seed=0), [])
+            signals.gen_emg_trace(signals.SignalProfile(seed=0), [])
 
     def test_rejects_wrong_label_type(self):
         with pytest.raises(ValueError, match="IntentLabel"):
-            signals.gen_emg_trace(signals.make_profile(seed=0), [(ShoulderPosture.REST, 1.0)])
+            signals.gen_emg_trace(signals.SignalProfile(seed=0), [(ShoulderPosture.REST, 1.0)])
 
 
 class TestLoadTrace:
@@ -284,7 +265,7 @@ class TestLoadTrace:
 
 class TestSerialization:
     def test_emg_round_trip_is_byte_identical(self):
-        profile = signals.make_profile(*EMG_PROFILES["distorted"], seed=5)
+        profile = signals.SignalProfile(*EMG_PROFILES["distorted"], seed=5)
         trace = signals.gen_emg_trace(profile, [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         text = trace.to_jsonl()
         again = SignalTrace.from_jsonl(text)
@@ -393,8 +374,8 @@ def _script_annotations(script):
 def _reference_emg(profile, script, rate_hz):
     rng = np.random.default_rng(profile.seed)
     annotations, total = _script_annotations(script)
-    means = {lab: profile.means[_row(lab)] for lab in IntentLabel}
-    stds = {lab: np.sqrt(profile.variances[_row(lab)]) for lab in IntentLabel}
+    means = {lab: signals.CLASS_MEANS[_row(lab)] for lab in IntentLabel}
+    std = np.sqrt(profile.noise_std * profile.noise_std)
     seg_idx = 0
     times, rows = [], []
     for t in np.arange(int(round(total * rate_hz))) / rate_hz:
@@ -402,7 +383,7 @@ def _reference_emg(profile, script, rate_hz):
             seg_idx += 1
         label = annotations[seg_idx][2]
         fade = max(0.0, 1.0 - profile.drift_rate * t)
-        x = means[label] * fade + rng.standard_normal(EMG_CHANNELS) * stds[label]
+        x = means[label] * fade + rng.standard_normal(EMG_CHANNELS) * std
         if profile.crosstalk > 0.0:
             x = (1.0 - profile.crosstalk) * x + profile.crosstalk * x.mean()
         x = np.clip(x, 0.0, 1.0)
@@ -443,6 +424,18 @@ def _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed):
     return times, tensions
 
 
+def _assert_matches(generate, times, values):
+    """The generated columns are the reference's; a script that the
+    reference gives no sample is rejected instead."""
+    if not times:
+        with pytest.raises(ValueError, match="holds no sample"):
+            generate()
+        return
+    trace = generate()
+    assert trace.t.tolist() == times
+    assert trace.samples.tolist() == values
+
+
 RATES = st.sampled_from([20.0, 37.0, 50.0, 1000.0])
 DURATIONS = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.7, 1.0]) | st.floats(0.01, 0.8)
 UNIT = st.floats(0.0, 1.0)
@@ -457,12 +450,14 @@ class TestArrayGeneratorsMatchReference:
         crosstalk=UNIT | st.just(0.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # The square of 1e-200 underflows to 0: once the mean fades to 0, noise
+    # scaled by noise_std itself would leave tiny nonzero samples.
+    @example(script=[(IntentLabel.OPEN, 1.5)], rate_hz=50.0, noise=1e-200, drift=1.0,
+             crosstalk=0.0, seed=0)
     def test_emg_bit_for_bit(self, script, rate_hz, noise, drift, crosstalk, seed):
-        profile = signals.make_profile(noise_std=noise, drift_rate=drift, crosstalk=crosstalk, seed=seed)
-        trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
-        times, rows = _reference_emg(profile, script, rate_hz)
-        assert trace.t.tolist() == times
-        assert trace.samples.tolist() == rows
+        profile = signals.SignalProfile(noise_std=noise, drift_rate=drift, crosstalk=crosstalk, seed=seed)
+        _assert_matches(lambda: signals.gen_emg_trace(profile, script, rate_hz=rate_hz),
+                        *_reference_emg(profile, script, rate_hz))
 
     @given(
         script=st.lists(st.tuples(st.sampled_from(list(ShoulderPosture)), DURATIONS), min_size=1, max_size=5),
@@ -473,11 +468,10 @@ class TestArrayGeneratorsMatchReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_load_bit_for_bit(self, script, rate_hz, noise_std, dither_amp, dither_hz, seed):
-        trace = signals.gen_load_trace(script, rate_hz=rate_hz, noise_std=noise_std,
-                                       dither_amp=dither_amp, dither_hz=dither_hz, seed=seed)
-        times, tensions = _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed)
-        assert trace.t.tolist() == times
-        assert trace.samples.tolist() == tensions
+        _assert_matches(lambda: signals.gen_load_trace(script, rate_hz=rate_hz, noise_std=noise_std,
+                                                       dither_amp=dither_amp, dither_hz=dither_hz,
+                                                       seed=seed),
+                        *_reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +519,7 @@ class TestJsonlMatchesPerLineEncoder:
         _assert_round_trip(trace)
 
     def test_generated_traces_with_annotations_and_meta(self):
-        emg = signals.gen_emg_trace(signals.make_profile(*EMG_PROFILES["distorted"], seed=5), [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
+        emg = signals.gen_emg_trace(signals.SignalProfile(*EMG_PROFILES["distorted"], seed=5), [(IntentLabel.OPEN, 1.0), (IntentLabel.CLOSE, 1.0)])
         load = signals.gen_load_trace([(ShoulderPosture.REST, 1.0), (ShoulderPosture.ELEVATED, 1.0)],
                                       noise_std=0.3, dither_amp=1.0, seed=2)
         for trace in (emg, load):
