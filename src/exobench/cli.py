@@ -7,10 +7,10 @@ formats carry schema-version headers.
 
 Each command imports only the modules it runs, inside its ``cmd_``
 function, and a script flag's parser imports its enum, so importing this
-module loads ``exobench.config`` and no numpy. ``gen cohort`` starts without
-numpy, only ``analyze`` loads scipy (through ``outcomes.stats``), and only
-``episode``, ``simulate`` and ``protocol list-tasks`` (``protocol`` imports
-it) load ``controller``. Start-up is most of a short command's time, more so
+module loads ``exobench.config`` and no numpy. ``gen cohort`` and ``protocol
+list-tasks`` (through ``tasks``) start without numpy, only ``analyze`` loads
+scipy (through ``outcomes.stats``), and only ``episode`` and ``simulate``
+load ``controller``. Start-up is most of a short command's time, more so
 on hosts that set ``PYTHONDONTWRITEBYTECODE``, where each process compiles
 every module it imports from source.
 """
@@ -361,11 +361,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_protocol_tasks(args) -> int:
-    from exobench import protocol
+    from exobench import tasks
 
     lines = []
-    for task in protocol.build_protocol():
-        support = f"  [{task.support.value}]" if task.support is not protocol.Support.NA else ""
+    for task in tasks.build_protocol():
+        support = f"  [{task.support.value}]" if task.support is not tasks.Support.NA else ""
         lines.append(
             f"{task.task_id:<14} {task.phase.value:<16} x{task.repetitions}  "
             f"{task.object_name}{support}"

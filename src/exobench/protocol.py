@@ -1,22 +1,20 @@
-"""Training protocol: task inventory, session plans, and the session runner.
+"""Training protocol: the task duration model, calibration and the session runner.
 
-The object protocol is fixed: five drill objects each grasped five times
-with the forearm supported on the table and five times unsupported, a
-raised-lip tray cleared twice and restocked twice, three irregular objects
-twice each, and eight bimanual tasks twice each. Sessions run three times a
-week for four weeks; each counts 30 minutes of active practice, where
-active time excludes setup, calibration, rests, and device adjustments.
-The session stops after the task during which the active-time budget is
-reached; if the protocol finishes early the remainder is free training,
-logged as a single aggregate event.
+The task inventory and the session plans are in ``tasks``, which imports no
+numpy. This module imports the inventory names that it and its callers use,
+so ``protocol.build_protocol``, ``protocol.build_session_plans`` and
+``protocol.TOTAL_SESSIONS`` resolve here too. Each session counts 30 minutes
+of active practice, where active time excludes setup, calibration, rests,
+and device adjustments. The session stops after the task during which the
+active-time budget is reached; if the protocol finishes early the remainder
+is free training, logged as a single aggregate event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
-from enum import Enum
+from datetime import date
 from pathlib import Path
 from typing import Mapping
 
@@ -25,130 +23,23 @@ import numpy as np
 from exobench import TOTAL_SESSIONS, controller, intent as intent_mod, signals
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import Subject, derive_seed
-
-ACTIVE_BUDGET_S = 1800.0
-SESSIONS_PER_WEEK = 3
-#: The date of session 1, a Monday.
-START_DATE = date(2026, 1, 5)
+# The inventory names the runner uses, and those that callers reach through
+# this module (the bench's workloads and the protocol tests).
+from exobench.tasks import (
+    ACTIVE_BUDGET_S,
+    ProtocolPhase,
+    SessionPlan,
+    Support,
+    TrainingTask,
+    build_protocol,
+    build_session_plans,
+)
 
 SESSION_SCHEMA = "exobench/session-v1"
 
 #: Harness load-cell noise (standard deviation, N) on every simulated
 #: trace; the posture levels are ``gen_load_trace``'s defaults.
 SH_NOISE_N = 0.6
-
-
-class ProtocolPhase(Enum):
-    REPETITIVE_DRILL = "repetitive_drill"
-    TRAY = "tray"
-    IRREGULAR = "irregular"
-    BIMANUAL = "bimanual"
-
-
-class Support(Enum):
-    SUPPORTED = "supported"
-    UNSUPPORTED = "unsupported"
-    NA = "n/a"
-
-
-@dataclass(frozen=True)
-class TrainingTask:
-    task_id: str
-    phase: ProtocolPhase
-    object_name: str
-    repetitions: int
-    support: Support
-
-    def __post_init__(self) -> None:
-        if self.repetitions <= 0:
-            raise ValueError("repetitions must be positive")
-
-
-DRILL_OBJECTS = (
-    "2.5 cm wooden cube",
-    "5 cm wooden cube",
-    "tennis ball",
-    "4 cm diameter toiletry bottle",
-    "13 cm tall tapered plastic cup",
-)
-
-IRREGULAR_OBJECTS = (
-    "cotton ball",
-    "1 inch rubber ball",
-    "washcloth",
-)
-
-BIMANUAL_TASKS = (
-    "remove and replace the cap of a broad line marker",
-    "unscrew and replace the cap of a toothpaste tube",
-    "unscrew and replace the cap of a beverage bottle",
-    "remove and replace the wide-mouth lid of a coffee container",
-    "stir in a small bowl with a wooden spoon for 10 seconds",
-    "make two cuts in a putty log with a butter knife",
-    "open a lock with a key",
-    "open a sealed sandwich-size ziploc bag",
-)
-
-DRILL_REPS = 5
-TRAY_PASSES = 2
-IRREGULAR_REPS = 2
-BIMANUAL_REPS = 2
-
-
-def build_protocol() -> tuple[TrainingTask, ...]:
-    """The full object-task inventory in protocol order."""
-    tasks: list[TrainingTask] = []
-    for i, obj in enumerate(DRILL_OBJECTS, start=1):
-        for support in (Support.SUPPORTED, Support.UNSUPPORTED):
-            tasks.append(TrainingTask(
-                task_id=f"drill-{i}-{'sup' if support is Support.SUPPORTED else 'unsup'}",
-                phase=ProtocolPhase.REPETITIVE_DRILL,
-                object_name=obj,
-                repetitions=DRILL_REPS,
-                support=support,
-            ))
-    tasks.append(TrainingTask("tray-remove", ProtocolPhase.TRAY,
-                              "raised-lip tray, remove all five items", TRAY_PASSES, Support.NA))
-    tasks.append(TrainingTask("tray-replace", ProtocolPhase.TRAY,
-                              "raised-lip tray, replace all five items", TRAY_PASSES, Support.NA))
-    for i, obj in enumerate(IRREGULAR_OBJECTS, start=1):
-        tasks.append(TrainingTask(f"irregular-{i}", ProtocolPhase.IRREGULAR,
-                                  obj, IRREGULAR_REPS, Support.NA))
-    for i, obj in enumerate(BIMANUAL_TASKS, start=1):
-        tasks.append(TrainingTask(f"bimanual-{i}", ProtocolPhase.BIMANUAL,
-                                  obj, BIMANUAL_REPS, Support.NA))
-    return tuple(tasks)
-
-
-@dataclass(frozen=True)
-class SessionPlan:
-    subject_id: str
-    session_index: int          # 1..12
-    session_date: date
-    tasks: tuple[TrainingTask, ...]
-    active_budget_s: float = ACTIVE_BUDGET_S
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.session_index <= TOTAL_SESSIONS:
-            raise ValueError(f"session index must be 1..{TOTAL_SESSIONS}")
-        if self.active_budget_s <= 0:
-            raise ValueError("active budget must be positive")
-
-
-def build_session_plans(subject_id: str) -> list[SessionPlan]:
-    """Twelve sessions, three per week on a Mon/Wed/Fri cadence from ``START_DATE``."""
-    tasks = build_protocol()
-    plans = []
-    offsets = (0, 2, 4)  # days within each week
-    for idx in range(TOTAL_SESSIONS):
-        week, slot = divmod(idx, SESSIONS_PER_WEEK)
-        plans.append(SessionPlan(
-            subject_id=subject_id,
-            session_index=idx + 1,
-            session_date=START_DATE + timedelta(days=7 * week + offsets[slot]),
-            tasks=tasks,
-        ))
-    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +55,27 @@ _PHASE_REP_S = {
 
 _LOGNORMAL_SIGMA = 0.22
 
+#: The longest a task may last, in active seconds: one day. A session counts
+#: 30 minutes, and the bench's slowest subjects draw tasks well under 1,000 s,
+#: so a longer task comes only from a huge finite ``duration_scale``, which
+#: would otherwise write a 200-digit active time to the session log.
+MAX_TASK_S = 86_400.0
+
 
 def task_duration(subject: Subject, session_index: int, task: TrainingTask) -> float:
     """Active seconds of a task in a session: a seeded lognormal draw around
-    the phase's nominal time. A huge ``duration_scale`` that overflows it is
-    an error."""
+    the phase's nominal time. A huge ``duration_scale`` that overflows it, or
+    makes it longer than ``MAX_TASK_S``, is an error."""
     rng = np.random.default_rng(derive_seed(subject.seed, f"duration:{session_index}:{task.task_id}"))
     nominal = _PHASE_REP_S[task.phase] * task.repetitions * subject.duration_scale
     duration = float(nominal * rng.lognormal(mean=0.0, sigma=_LOGNORMAL_SIGMA))
     if not math.isfinite(duration):
         raise ValueError(f"duration_scale {subject.duration_scale!r} makes task {task.task_id} "
                          f"of session {session_index} last {duration!r} s")
+    if duration > MAX_TASK_S:
+        raise ValueError(f"duration_scale {subject.duration_scale!r} makes task {task.task_id} "
+                         f"of session {session_index} last {duration:.3g} s, "
+                         f"over MAX_TASK_S = {MAX_TASK_S:g} s")
     return duration
 
 

@@ -377,6 +377,18 @@ class TestNonFiniteNumbers:
                        "last inf s\n")
         assert not out_dir.exists()
 
+    def test_duration_scale_that_makes_a_task_last_over_a_day(self, capsys, tmp_path):
+        # Finite all the way, but the session log would carry a 202-digit time.
+        out_dir = tmp_path / "sim"
+        code, out, err = run_cli(
+            capsys, "simulate", "--group", "SH", "--sessions", "1",
+            "--duration-scale", "1e200", "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: duration_scale 1e+200 makes task drill-1-sup of session 1 "
+                       "last 5.02e+201 s, over MAX_TASK_S = 86400 s\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key, value, argv", [
         ("rate_hz", "0", ["gen", "emg", "--intent-script", "open:1"]),
         ("rate_hz", "nan", ["gen", "load", "--script", "rest:1"]),
@@ -471,10 +483,9 @@ class TestProtocolCommand:
 #: loads: its ``exobench`` modules besides ``exobench``, ``exobench.cli`` and
 #: ``exobench.config``, and whether numpy and scipy. Only analyze runs the
 #: statistics. Only episode and simulate run the controller; protocol
-#: list-tasks loads it too, since ``protocol`` imports it.
-_PROTOCOL = {"controller", "intent", "protocol", "signals", "subject"}
+#: list-tasks reads the task table and loads no numpy.
 INVOCATIONS = {
-    "protocol list-tasks": (["protocol", "list-tasks"], _PROTOCOL, True, False),
+    "protocol list-tasks": (["protocol", "list-tasks"], {"tasks"}, False, False),
     "episode": (["episode", "--intent-script", "open:0.1"], {"controller", "signals"}, True, False),
     "gen cohort": (["gen", "cohort"], {"outcomes", "outcomes.golden", "outcomes.model"},
                    False, False),
@@ -487,7 +498,8 @@ INVOCATIONS = {
                       {"intent", "signals", "subject"}, True, False),
     "screen": (["screen", "screening", "--format", "json"], {"intent", "signals"}, True, False),
     "simulate": (["simulate", "--group", "SH", "--subject-id", "S01", "--sessions", "2",
-                  "--seed", "3"], _PROTOCOL, True, False),
+                  "--seed", "3"],
+                 {"controller", "intent", "protocol", "signals", "subject", "tasks"}, True, False),
     "analyze": (["analyze", "cohort.csv", "--q", "0.05", "--format", "json"],
                 {"outcomes", "outcomes.model", "outcomes.report", "outcomes.stats"}, True, True),
 }
@@ -542,6 +554,7 @@ class TestImports:
     @pytest.mark.parametrize("module, expected", [
         ("exobench.cli", ["exobench", "exobench.cli", "exobench.config"]),
         ("exobench.config", ["exobench", "exobench.config"]),
+        ("exobench.tasks", ["exobench", "exobench.tasks"]),
     ])
     def test_import_loads_no_numeric_module(self, tmp_path, module, expected):
         assert _loaded_modules(tmp_path, f"import {module}\n") == expected

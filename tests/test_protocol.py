@@ -1,20 +1,23 @@
 """Training protocol: task inventory, scheduling, session execution."""
 
+import ast
 import hashlib
 import json
 import math
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exobench import controller, protocol
+from exobench import controller, protocol, tasks
 from exobench.protocol import (
     ACTIVE_BUDGET_S,
     ProtocolPhase,
     SessionLog,
     Support,
+    TrainingTask,
     build_protocol,
     build_session_plans,
     run_session,
@@ -71,6 +74,51 @@ class TestInventory:
         assert ids[12:15] == ["irregular-1", "irregular-2", "irregular-3"]
         assert ids[-8:] == [f"bimanual-{i}" for i in range(1, 9)]
 
+    @pytest.mark.parametrize("reps", [0, -1, math.nan, 2.0, 2.5])
+    def test_repetitions_must_be_a_positive_integer(self, reps):
+        with pytest.raises(ValueError, match=f"repetitions must be a positive integer, got {reps!r}"):
+            TrainingTask("t", ProtocolPhase.TRAY, "tray", reps, Support.NA)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reached_through_protocol() -> set[str]:
+    """The names that ``bench/`` and ``tests/`` read as ``protocol.<name>`` or
+    import from ``exobench.protocol``."""
+    names = set()
+    for path in sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "exobench.protocol":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and (
+                    getattr(node.value, "id", None) == "protocol"
+                    or getattr(node.value, "attr", None) == "protocol"):
+                names.add(node.attr)
+    return names
+
+
+def _defined(module) -> set[str]:
+    """The top-level names that a module's source assigns, or defines as a
+    function or class."""
+    names = set()
+    for stmt in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_inventory_names_are_defined_once_in_tasks():
+    moved = _defined(tasks)
+    assert not moved & _defined(protocol)
+    reached = moved & _reached_through_protocol()
+    assert {"ACTIVE_BUDGET_S", "build_protocol", "build_session_plans"} <= reached
+    for name in sorted(reached):
+        assert getattr(protocol, name) is getattr(tasks, name), name
+
 
 class TestScheduling:
     def test_twelve_sessions_three_per_week(self):
@@ -92,6 +140,13 @@ class TestScheduling:
         for plan in build_session_plans("S02"):
             assert len(plan.tasks) == 23
             assert plan.active_budget_s == ACTIVE_BUDGET_S
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_active_budget_must_be_positive_and_finite(self, budget):
+        plan = build_session_plans("S02")[0]
+        with pytest.raises(ValueError, match=f"active budget must be positive and finite, "
+                                             f"got {budget!r}"):
+            replace(plan, active_budget_s=budget)
 
 
 class TestDurations:
@@ -118,6 +173,14 @@ class TestDurations:
         subject = Subject(subject_id="X", group="SH", seed=9, duration_scale=1e308)
         task = build_protocol()[0]
         with pytest.raises(ValueError, match=f"makes task {task.task_id} of session 2 last inf s"):
+            task_duration(subject, 2, task)
+
+    def test_duration_over_a_day_is_an_error(self):
+        # Finite, but past MAX_TASK_S: the log would carry a 202-digit time.
+        subject = Subject(subject_id="X", group="SH", seed=9, duration_scale=1e200)
+        task = build_protocol()[0]
+        with pytest.raises(ValueError, match=f"makes task {task.task_id} of session 2 last "
+                                             r"\S+e\+201 s, over MAX_TASK_S = 86400 s"):
             task_duration(subject, 2, task)
 
     def test_durations_positive(self):
