@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
+from exobench.signals import EMG_CHANNELS, MAX_SAMPLES, IntentLabel, SignalTrace
 
 #: MAV window length, seconds, and majority-vote length, decisions.
 DEFAULT_WINDOW_S = 0.15
@@ -63,15 +63,14 @@ class EmgClassifier:
     """Linear discriminant over MAV features with a shared covariance.
 
     ``means`` is ``(3, 8)``, one class centroid per row in CLASS_ORDER, and
-    ``priors`` is ``(3,)`` in the same order. ``separable`` is False when
-    training data gave identical class centroids; such a classifier still
+    ``priors`` is ``(3,)`` in the same order. ``separable`` is derived: False
+    when the class centroids are all equal (``np.allclose``); such a classifier
     runs but decides RELAX, the safe state, everywhere, whatever the priors.
     """
 
     means: np.ndarray
     covariance: np.ndarray
     priors: np.ndarray
-    separable: bool = True
 
     def __post_init__(self) -> None:
         n_classes = len(CLASS_ORDER)
@@ -83,6 +82,8 @@ class EmgClassifier:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "separable", any(
+            not np.allclose(a, b) for a, b in itertools.combinations(self.means, 2)))
         inv = np.linalg.inv(self.covariance)
         # One matrix-vector product per class: a single ``inv @ means.T``
         # takes a different float path.
@@ -143,8 +144,7 @@ def train_classifier(labeled: tuple[np.ndarray, np.ndarray]) -> EmgClassifier:
         scatter += centered.T @ centered
     cov = scatter / max(n_total - len(CLASS_ORDER), 1)
     cov = cov + (RIDGE * np.trace(cov) / EMG_CHANNELS + 1e-9) * np.eye(EMG_CHANNELS)
-    separable = any(not np.allclose(a, b) for a, b in itertools.combinations(means, 2))
-    return EmgClassifier(means=means, covariance=cov, priors=counts / n_total, separable=separable)
+    return EmgClassifier(means=means, covariance=cov, priors=counts / n_total)
 
 
 def smooth_intents(codes: np.ndarray) -> np.ndarray:
@@ -169,11 +169,15 @@ def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     Window offsets are added oldest first onto zero padding, the float order
     of a mean over one window slice. A label is the CLASS_ORDER index of the
     ground truth at both ends of a full window when the two agree, else -1.
+    A window over ``MAX_SAMPLES`` samples is an error, raised before allocating.
     """
     if trace.kind != "emg":
         raise ValueError("EMG trace required")
     n = len(trace.samples)
     win = max(1, int(round(DEFAULT_WINDOW_S * trace.rate_hz)))
+    if win > MAX_SAMPLES:
+        raise ValueError(f"a {DEFAULT_WINDOW_S!r} s window at {trace.rate_hz!r} Hz would exceed "
+                         f"MAX_SAMPLES = {MAX_SAMPLES} samples")
     padded = np.zeros((n + win - 1, EMG_CHANNELS))
     padded[win - 1:] = np.abs(trace.samples)
     total = padded[:n].copy()

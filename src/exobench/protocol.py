@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date
 from pathlib import Path
 from typing import Mapping
 
@@ -159,9 +158,9 @@ class SessionEvent:
 
 @dataclass
 class SessionLog:
-    subject_id: str
-    session_index: int
-    session_date: date
+    """One session's record; its header's subject, index and date are its plan's."""
+
+    plan: SessionPlan
     events: list[SessionEvent] = field(default_factory=list)
     active_s: float = 0.0
     last_completed_task: str | None = None
@@ -171,9 +170,9 @@ class SessionLog:
     def to_jsonl(self) -> str:
         header = {
             "schema": SESSION_SCHEMA,
-            "subject_id": self.subject_id,
-            "session_index": self.session_index,
-            "date": self.session_date.isoformat(),
+            "subject_id": self.plan.subject_id,
+            "session_index": self.plan.session_index,
+            "date": self.plan.session_date.isoformat(),
             "active_s": self.active_s,
             "last_completed_task": self.last_completed_task,
             "overflow": self.overflow,
@@ -232,8 +231,7 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     budget is reached (overflow flag set), or, when the protocol finishes
     early, with one aggregate free-training event covering the remainder.
     """
-    log = SessionLog(subject_id=plan.subject_id, session_index=plan.session_index,
-                     session_date=plan.session_date)
+    log = SessionLog(plan)
     rng = np.random.default_rng(derive_seed(subject.seed, f"session:{plan.session_index}"))
 
     wall = 0.0

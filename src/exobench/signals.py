@@ -9,8 +9,8 @@ serialization. Two impairment knobs are built into the EMG model:
 * crosstalk: uniform cross-channel leakage toward the channel mean
   (spastic co-contraction smearing the spatial pattern).
 
-A trace is two columns, sample times and sample values, built by the
-generators on whole arrays and validated once by ``SignalTrace`` itself, which
+A trace is its samples at a rate, sample n at ``n / rate_hz`` seconds: built
+by the generators on whole arrays and validated once by ``SignalTrace``, which
 also guards traces read back from files. Every subject shares the class
 patterns, ``CLASS_MEANS``: one ``(3, 8)`` array, a row per ``IntentLabel``. A
 subject's ``SignalProfile`` holds only its four settings: noise level, drift,
@@ -18,7 +18,8 @@ crosstalk and seed.
 
 Serialized traces are JSON lines: one metadata header, then one object per
 sample (``{"t": ..., "emg": [...]}`` or ``{"t": ..., "tension": ...}``),
-written with one string format and read back with one JSON parse.
+written with one string format and read back with one JSON parse. A file's
+``t`` must be ``n / rate_hz`` on every sample.
 """
 
 from __future__ import annotations
@@ -154,16 +155,15 @@ def _sample_array(kind: str, values) -> np.ndarray:
 class SignalTrace:
     """Immutable sampled signal plus ground-truth annotation intervals.
 
-    ``kind`` is "emg" or "load". ``t`` holds the sample times in seconds,
-    shape ``(N,)``; ``samples`` holds the values, shape ``(N, 8)`` normalized
-    activations for EMG or ``(N,)`` tensions in newtons for load. Both are
-    read-only float arrays. ``annotations`` is a tuple of (t_start, t_end,
-    label) half-open intervals that never overlap.
+    ``kind`` is "emg" or "load". ``samples`` holds the values, shape ``(N, 8)``
+    normalized activations for EMG or ``(N,)`` tensions in newtons for load;
+    the derived ``t = n / rate_hz`` holds their times. Both are read-only float
+    arrays. ``annotations`` is a tuple of (t_start, t_end, label) half-open
+    intervals, finite with t_start < t_end, that never overlap.
     """
 
     kind: str
     rate_hz: float
-    t: np.ndarray
     samples: np.ndarray
     annotations: tuple
     meta: Mapping = field(default_factory=dict)
@@ -172,25 +172,25 @@ class SignalTrace:
         if self.kind not in ("emg", "load"):
             raise ValueError(f"unknown trace kind {self.kind!r}")
         samples = _sample_array(self.kind, self.samples)
-        t = np.array(self.t, dtype=float)
-        if t.shape != (len(samples),):
-            raise ValueError(f"t and samples must have the same length: {t.shape}, {samples.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(t[1:] >= t[:-1])):
-            raise ValueError("sample times must be finite and non-decreasing")
+        if not (0.0 < self.rate_hz < math.inf and math.isfinite(len(samples) / self.rate_hz)):
+            raise ValueError(f"rate_hz must be positive and finite, as must {len(samples)} / rate_hz, "
+                             f"got {self.rate_hz!r}")
         if self.kind == "emg":
             # NaN fails both comparisons, so this also rejects non-finite values.
             if not np.all((samples >= 0.0) & (samples <= 1.0)):
                 raise ValueError("EMG activations must be finite and in [0, 1]")
         elif not (np.all(np.isfinite(samples)) and np.all(samples >= 0.0)):
             raise ValueError("tension must be finite and non-negative")
+        t = np.arange(len(samples)) / self.rate_hz
         t.flags.writeable = False
         samples.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "samples", samples)
         prev_end = None
         for t0, t1, _label in self.annotations:
-            if t1 <= t0:
-                raise ValueError("annotation interval must have positive length")
+            if not -math.inf < t0 < t1 < math.inf:  # NaN fails every comparison
+                raise ValueError(f"annotation interval must be finite with t_start < t_end, "
+                                 f"got [{t0!r}, {t1!r}]")
             if prev_end is not None and t0 < prev_end - 1e-12:
                 raise ValueError("annotation intervals overlap")
             prev_end = t1
@@ -284,14 +284,13 @@ class SignalTrace:
             raise ValueError(
                 f"sample {n} must be an object with keys 't' and {key!r}, got {body[n]!r}"
             ) from None
-        return SignalTrace(
-            kind=kind,
-            rate_hz=rate_hz,
-            t=t,
-            samples=samples,
-            annotations=annotations,
-            meta=meta,
-        )
+        trace = SignalTrace(kind=kind, rate_hz=rate_hz, samples=samples,
+                            annotations=annotations, meta=meta)
+        derived = trace.t.tolist()
+        if t != derived:
+            n = next(n for n, (a, b) in enumerate(zip(t, derived)) if a != b)
+            raise ValueError(f"sample {n} has t {t[n]!r}, not {n} / rate_hz = {derived[n]!r}")
+        return trace
 
     @staticmethod
     def load(path: str | Path) -> "SignalTrace":
@@ -371,7 +370,6 @@ def gen_emg_trace(
     return SignalTrace(
         kind="emg",
         rate_hz=rate_hz,
-        t=times,
         samples=np.clip(x, 0.0, 1.0),
         annotations=tuple(annotations),
         meta={"profile": profile.to_meta(), "script": [[str(l), d] for l, d in segments]},
@@ -429,7 +427,6 @@ def gen_load_trace(
     return SignalTrace(
         kind="load",
         rate_hz=rate_hz,
-        t=times,
         samples=np.where(tension > 0.0, tension, 0.0),
         annotations=tuple(annotations),
         meta={

@@ -273,7 +273,7 @@ def test_criterion_6_hysteresis_and_dither():
     for _ in range(200):
         n = int(rng.integers(1, 300))
         tensions = rng.uniform(config.t_open + 1e-6, config.t_close - 1e-6, size=n)
-        trace = signals.SignalTrace(kind="load", rate_hz=50.0, t=np.arange(n) / 50.0,
+        trace = signals.SignalTrace(kind="load", rate_hz=50.0,
                                     samples=tensions, annotations=())
         _t, codes = detect_trace(config, trace)
         assert set(codes.tolist()) == {relax}

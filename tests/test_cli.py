@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exobench
-from exobench import cli, signals
+from exobench import cli, intent, signals
 from exobench import config as config_mod
 from exobench.outcomes import golden
 
@@ -192,6 +193,57 @@ class TestScreen:
         assert code == 2
         assert out == ""
         assert err == f"error: {error}\n"
+
+    @staticmethod
+    def _screening_with_header(root: Path, edit) -> None:
+        """The screening files into ``root``, ``edit`` applied to the header of
+        ``open_on_table.jsonl``."""
+        root.mkdir()
+        for name, text in _screening_files():
+            if name == "open_on_table.jsonl":
+                header, rows = text.split("\n", 1)
+                header = json.loads(header)
+                edit(header)
+                text = json.dumps(header) + "\n" + rows
+            (root / name).write_text(text)
+
+    @pytest.mark.parametrize("rate_hz, error", [
+        (0.0, "rate_hz must be positive and finite, as must 600 / rate_hz, got 0.0"),
+        (float("inf"), "rate_hz must be positive and finite, as must 600 / rate_hz, got inf"),
+        (-50.0, "rate_hz must be positive and finite, as must 600 / rate_hz, got -50.0"),
+        (1e-4, "sample 1 has t 0.02, not 1 / rate_hz = 10000.0"),
+        (float("nan"), "rate_hz must be positive and finite, as must 600 / rate_hz, got nan"),
+    ], ids=["zero", "inf", "negative", "tiny", "nan"])
+    def test_rate_its_times_do_not_follow_exit_2(self, capsys, tmp_path, rate_hz, error):
+        # Each used to raise, or screen with holds of rate-scaled seconds.
+        self._screening_with_header(tmp_path / "scr", lambda header: header.update(rate_hz=rate_hz))
+        assert run_cli(capsys, "screen", str(tmp_path / "scr")) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("end", [float("nan"), float("inf")])
+    def test_annotation_bound_not_finite_exit_2(self, capsys, tmp_path, end):
+        # A NaN end used to pass, and FAIL its attempt with a 0.00 s hold.
+        def edit(header):
+            header["annotations"][1][1] = end
+
+        self._screening_with_header(tmp_path / "scr", edit)
+        assert run_cli(capsys, "screen", str(tmp_path / "scr")) == (
+            2, "", f"error: annotation interval must be finite with t_start < t_end, "
+                   f"got [1.0, {end!r}]\n")
+
+    @pytest.mark.parametrize("rate_hz", [1e12, 1e308])
+    def test_window_over_max_samples_exit_2(self, capsys, tmp_path, rate_hz):
+        # A file true to its own huge rate: the 0.15 s window would have
+        # asked numpy for terabytes, or for more than any array may hold.
+        root = tmp_path / "scr"
+        self._screening_with_header(root, lambda header: None)
+        path = root / "open_on_table.jsonl"
+        trace = signals.SignalTrace.load(path)
+        signals.SignalTrace(kind="emg", rate_hz=rate_hz, samples=trace.samples,
+                            annotations=trace.annotations, meta=trace.meta).save(path)
+        with mock.patch.object(np, "zeros", _short_zeros):
+            result = run_cli(capsys, "screen", str(root))
+        assert result == (2, "", f"error: a 0.15 s window at {rate_hz!r} Hz would exceed "
+                                 f"MAX_SAMPLES = 1000000 samples\n")
 
 
 class TestEpisode:
@@ -904,7 +956,8 @@ _NUMBERS = st.one_of(
 )
 
 #: Per command: its argv, with script durations ``{0}`` and ``{1}``, ``{out}``
-#: a fresh directory and ``{cohort}`` the reference cohort; the flags it is
+#: a fresh directory, ``{cohort}`` the reference cohort and ``{screening}``
+#: the screening files with one number changed; the flags it is
 #: always given (so that gen load's dither frequency is used, and simulate
 #: runs one session); and its numeric flags that are not settings.
 NUMBER_COMMANDS = {
@@ -915,13 +968,18 @@ NUMBER_COMMANDS = {
     "episode": (["episode", "--intent-script", "open:{0},close:{1}"], {}, ()),
     "simulate": (["simulate", "--out", "{out}"], {"--group": "SH", "--sessions": "1"}, ()),
     "analyze": (["analyze", "{cohort}", "--format", "json"], {}, ()),
+    "screen": (["screen", "{screening}", "--format", "json"], {}, ()),
 }
-#: Each command and one number it reads: a setting's key, a flag, or the
-#: durations of its script.
+#: The numbers ``screen`` reads from a condition file: the header's rate, an
+#: annotation bound and a sample's time.
+TRACE_NUMBERS = ("rate_hz", "annotation", "t")
+#: Each command and one number it reads: a setting's key, a flag, the
+#: durations of its script, or a number in a trace file.
 NUMBER_CASES = [
     (command, name) for command, (argv, _fixed, flags) in NUMBER_COMMANDS.items()
     for name in ([s.key for s in config_mod.settings_of(command) if s.cast in (int, float, Fraction)]
-                 + list(flags) + ["script"] * ("{0}" in " ".join(argv)))
+                 + list(flags) + ["script"] * ("{0}" in " ".join(argv))
+                 + list(TRACE_NUMBERS) * (command == "screen"))
 ]
 #: The most samples or ticks a short script may take; more is a missing bound.
 _SHORT = 100_000
@@ -931,6 +989,15 @@ _ARANGE = np.arange
 def _short_arange(*args, **kwargs):
     assert all(abs(a) <= _SHORT for a in args if isinstance(a, (int, float))), f"np.arange{args}"
     return _ARANGE(*args, **kwargs)
+
+
+_ZEROS = np.zeros
+
+
+def _short_zeros(shape, *args, **kwargs):
+    assert all(d <= _SHORT for d in (shape if isinstance(shape, tuple) else (shape,))), \
+        f"np.zeros({shape})"
+    return _ZEROS(shape, *args, **kwargs)
 
 
 def _strict_json(text: str) -> None:
@@ -945,7 +1012,43 @@ def _strict_json_lines(text: str) -> None:
 #: How each command's output reads back: its files if it writes any, else stdout.
 _READERS = {"gen emg": signals.SignalTrace.from_jsonl, "gen load": signals.SignalTrace.from_jsonl,
             "gen screening": signals.SignalTrace.from_jsonl, "episode": _strict_json_lines,
-            "simulate": _strict_json_lines, "analyze": _strict_json}
+            "simulate": _strict_json_lines, "analyze": _strict_json, "screen": _strict_json}
+
+
+@functools.cache
+def _screening_files() -> tuple[tuple[str, str], ...]:
+    """The name and text of each file of ``gen screening --seed 0``."""
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        assert cli.main(["gen", "screening", "--out", tmp]) == 0
+        return tuple((path.name, path.read_text()) for path in sorted(Path(tmp).iterdir()))
+
+
+def _write_screening(root: Path, name: str, value: str, data) -> None:
+    """The screening files into ``root``, with one number of one condition
+    file, ``name`` in TRACE_NUMBERS, spelled ``value`` as JSON spells it."""
+    spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(value, value)
+    condition = data.draw(st.sampled_from(intent.SCREENING_CONDITIONS), label="condition")
+    root.mkdir()
+    for file_name, text in _screening_files():
+        lines = text.splitlines()
+        if file_name == f"{condition}.jsonl":
+            # The number goes in as a placeholder string, swapped for its spelling.
+            if name == "t":
+                n = data.draw(st.integers(1, len(lines) - 1), label="sample")
+                row = json.loads(lines[n])
+                row["t"] = "@"
+                lines[n] = json.dumps(row)
+            else:
+                header = json.loads(lines[0])
+                if name == "rate_hz":
+                    header["rate_hz"] = "@"
+                else:
+                    interval = data.draw(st.sampled_from(header["annotations"]), label="interval")
+                    interval[data.draw(st.integers(0, 1), label="end")] = "@"
+                lines[0] = json.dumps(header)
+            lines = [line.replace('"@"', spelled) for line in lines]
+        (root / file_name).write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("command, name", NUMBER_CASES)
@@ -958,6 +1061,8 @@ def test_every_number_is_honoured_or_rejected(command, name, data):
     flags, durations, config = dict(fixed), ["1", "1"], ""
     if name == "script":
         durations = [data.draw(_NUMBERS, label="duration") for _ in durations]
+    elif name in TRACE_NUMBERS:
+        value = data.draw(_NUMBERS, label=name)
     else:
         value = data.draw(_NUMBERS, label=name)
         setting = config_mod.SETTINGS.get(name)
@@ -971,8 +1076,13 @@ def test_every_number_is_honoured_or_rejected(command, name, data):
         (root / "exo.cfg").write_text(config)
         if command == "analyze":
             (root / "cohort.csv").write_text(golden.golden_cohort_csv())
-        args = [a.format(*durations, out=root / "out", cohort=root / "cohort.csv") for a in argv]
-        args += [*(item for pair in flags.items() for item in pair), "--config", str(root / "exo.cfg")]
+        if command == "screen":
+            _write_screening(root / "screening", name, value, data)
+        args = [a.format(*durations, out=root / "out", cohort=root / "cohort.csv",
+                         screening=root / "screening") for a in argv]
+        args += [item for pair in flags.items() for item in pair]
+        if config_mod.settings_of(command):
+            args += ["--config", str(root / "exo.cfg")]
         stdout, stderr = io.StringIO(), io.StringIO()
         with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
               contextlib.redirect_stderr(stderr), mock.patch.object(np, "arange", _short_arange)):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import statistics
 from types import SimpleNamespace
 
@@ -132,9 +133,27 @@ class TestClassifier:
         clf = train_classifier(_identical_centroids(counts=(6, 2, 2)))
         assert clf.separable is False
         assert classify(clf, np.full(8, 0.5)) is RELAX
-        trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.arange(12) / 50.0,
+        trace = SignalTrace(kind="emg", rate_hz=50.0,
                             samples=_window(np.full(8, 0.5), 12), annotations=())
         assert classify_trace(clf, trace)[1].tolist() == [CLASS_ORDER.index(RELAX)] * 12
+
+    def test_separable_is_derived_from_the_means(self, separable_classifier):
+        assert separable_classifier.separable is True
+        with pytest.raises(TypeError, match="separable"):
+            EmgClassifier(means=separable_classifier.means, covariance=np.eye(8),
+                          priors=np.full(3, 1 / 3), separable=True)
+        # Built by hand, not trained: identical means with OPEN the likeliest class.
+        clf = EmgClassifier(means=np.full((3, 8), 0.5), covariance=np.eye(8),
+                            priors=np.array([0.6, 0.2, 0.2]))
+        assert clf.separable is False
+        assert classify(clf, np.full(8, 0.5)) is RELAX
+        # Means within np.allclose of each other count as identical; one that
+        # differs by more makes the classifier separable again.
+        near = np.full((3, 8), 0.5) + np.array([[0.0], [1e-9], [2e-9]])
+        assert dataclasses.replace(clf, means=near).separable is False
+        apart = near.copy()
+        apart[2, 7] = 0.6
+        assert dataclasses.replace(clf, means=apart).separable is True
 
     @pytest.mark.parametrize("field, shape", [("means", (3, 7)), ("means", (8,)),
                                               ("covariance", (8, 7)), ("priors", (2,))])
@@ -170,7 +189,7 @@ class TestClassifier:
         assert by_label[OPEN] == by_label[CLOSE] > by_label[RELAX]
         assert classify(clf, midpoint) is OPEN
         # The same tie, decided for every frame of a trace at once.
-        trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.arange(12) / 50.0,
+        trace = SignalTrace(kind="emg", rate_hz=50.0,
                             samples=_window(midpoint, 12), annotations=())
         assert classify_trace(clf, trace)[1].tolist() == [CLASS_ORDER.index(OPEN)] * 12
 
@@ -424,6 +443,22 @@ class TestWindowing:
         # 100 frames, 8-frame window: labels compare by value across the seam.
         assert len(labeled_windows(trace)[1]) == 93
 
+    @pytest.mark.parametrize("rate_hz", [6_666_674.0, 1e12, 1e308])
+    def test_window_over_max_samples_is_rejected_before_allocating(self, monkeypatch, rate_hz,
+                                                                   separable_classifier):
+        # 0.15 s at 6,666,674 Hz is 1,000,001 samples, one over the bound.
+        trace = SignalTrace(kind="emg", rate_hz=rate_hz, samples=np.full((4, 8), 0.1),
+                            annotations=())
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("allocated before validating")
+
+        monkeypatch.setattr(np, "zeros", never)
+        for run in (labeled_windows, lambda tr: classify_trace(separable_classifier, tr)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a 0.15 s window at {rate_hz!r} Hz would exceed MAX_SAMPLES = 1000000 samples")):
+                run(trace)
+
     def test_label_at_matches_annotation_scan(self):
         trace = signals.gen_emg_trace(
             signals.SignalProfile(seed=0), [(OPEN, 0.5), (RELAX, 0.5), (RELAX, 0.25)]
@@ -505,7 +540,7 @@ class TestArrayPipelineMatchesReference:
             trace = signals.gen_emg_trace(profile, script, rate_hz=rate_hz)
         except ValueError as exc:  # the generator writes no empty trace, but a file may hold one
             assert "holds no sample" in str(exc)
-            trace = SignalTrace(kind="emg", rate_hz=rate_hz, t=[], samples=[], annotations=())
+            trace = SignalTrace(kind="emg", rate_hz=rate_hz, samples=[], annotations=())
         clf = CLASSIFIERS[which]
 
         assert events(classify_trace(clf, trace)) == _reference_classify_trace(clf, trace)
@@ -560,7 +595,7 @@ class TestOneRowScoring:
             clf = _mirrored_classifier(rng)
             for f in rng.uniform(0.0, 1.0, size=(20, 8)):
                 f[1] = f[0]
-                trace = SignalTrace(kind="emg", rate_hz=50.0, t=np.zeros(1),
+                trace = SignalTrace(kind="emg", rate_hz=50.0,
                                     samples=f[None, :], annotations=())
                 assert events(classify_trace(clf, trace)) == [(0.0, classify(clf, f))]
                 by_label = scores(clf, f)

@@ -319,6 +319,17 @@ class TestSessionExecution:
         assert header["subject_id"] == "S10"
         assert len(lines) == 1 + len(completed.events)
 
+    def test_header_identity_comes_from_the_plan(self, completed):
+        assert completed.plan == build_session_plans("S10")[0]
+        plan = build_session_plans("S99")[4]
+        header = json.loads(SessionLog(plan).to_jsonl().split("\n", 1)[0])
+        assert header == {"schema": "exobench/session-v1", "subject_id": "S99", "session_index": 5,
+                          "date": "2026-01-14", "active_s": 0.0, "last_completed_task": None,
+                          "overflow": False, "free_training_s": 0.0}
+        for name in ("subject_id", "session_index", "session_date"):
+            with pytest.raises(TypeError, match=name):
+                SessionLog(plan, **{name: getattr(plan, name)})
+
     def test_duration_model_override_skips_episodes(self, monkeypatch):
         subject = Subject(subject_id="S12", group="SH", seed=2)
         plan = build_session_plans(subject.subject_id)[0]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,29 +30,33 @@ BAD_COLUMNS = {
     "nan_tension": ("load", [20.0, math.nan], "finite"),
 }
 
-#: Sample times that the trace must reject, for three samples.
+#: Sample times that a file at 50 Hz must not hold for three samples, and the
+#: first sample whose ``t`` is not ``n / rate_hz``: sample n sits at n / 50 s.
 BAD_TIMES = {
-    "nan_time": [0.0, math.nan, 0.04],
-    "inf_time": [0.0, 0.02, math.inf],
-    "decreasing_time": [0.0, 0.04, 0.02],
+    "nan_time": ([0.0, math.nan, 0.04], 1),
+    "inf_time": ([0.0, 0.02, math.inf], 2),
+    "decreasing_time": ([0.0, 0.04, 0.02], 1),
+    "tied_time": ([0.0, 0.02, 0.02], 2),
+    "dropped_sample": ([0.0, 0.04, 0.06], 1),
+    "shifted_start": ([0.02, 0.04, 0.06], 0),
+    "one_ulp_late": ([0.0, 0.02, math.nextafter(0.04, 1.0)], 2),
 }
 
 
-def _trace(kind, rows, t=None):
+def _trace(kind, rows, rate_hz=50.0):
     return SignalTrace(
         kind=kind,
-        rate_hz=50.0,
-        t=[i / 50.0 for i in range(len(rows))] if t is None else t,
+        rate_hz=rate_hz,
         samples=rows,
         annotations=(),
     )
 
 
-def _jsonl(kind, rows, times=None):
+def _jsonl(kind, rows, times=None, rate_hz=50.0):
     """A trace file written by hand, one line per row, bypassing SignalTrace."""
     key = "emg" if kind == "emg" else "tension"
     times = [i / 50.0 for i in range(len(rows))] if times is None else times
-    header = {"schema": signals.TRACE_SCHEMA, "kind": kind, "rate_hz": 50.0,
+    header = {"schema": signals.TRACE_SCHEMA, "kind": kind, "rate_hz": rate_hz,
               "annotations": [], "meta": {}}
     lines = [json.dumps(header)] + [json.dumps({"t": t, key: row}) for t, row in zip(times, rows)]
     return "\n".join(lines) + "\n"
@@ -69,29 +74,39 @@ class TestColumnValidation:
             SignalTrace.from_jsonl(_jsonl(kind, rows))
 
     @pytest.mark.parametrize("kind, rows", [("emg", [_ROW] * 3), ("load", [20.0] * 3)])
-    @pytest.mark.parametrize("times", BAD_TIMES.values(), ids=BAD_TIMES.keys())
-    def test_rejects_bad_sample_times(self, kind, rows, times):
-        with pytest.raises(ValueError, match="sample times must be finite and non-decreasing"):
-            _trace(kind, rows, t=times)
-        with pytest.raises(ValueError, match="sample times must be finite and non-decreasing"):
+    @pytest.mark.parametrize("times, first", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+    def test_rejects_bad_sample_times(self, kind, rows, times, first):
+        with pytest.raises(ValueError, match=rf"^sample {first} has t {times[first]!r}, "
+                                             rf"not {first} / rate_hz = {first / 50.0!r}$"):
             SignalTrace.from_jsonl(_jsonl(kind, rows, times))
 
-    def test_tied_sample_times_are_accepted(self):
-        assert _trace("load", [20.0] * 3, t=[0.0, 0.02, 0.02]).t.tolist() == [0.0, 0.02, 0.02]
+    @pytest.mark.parametrize("rate_hz, first", [(1e-4, 1), (25.0, 1), (100.0, 1), (50.0 + 1e-9, 1)])
+    def test_rejects_a_rate_its_times_do_not_follow(self, rate_hz, first):
+        with pytest.raises(ValueError, match=f"^sample {first} has t 0.02, not {first} / rate_hz"):
+            SignalTrace.from_jsonl(_jsonl("load", [20.0] * 3, rate_hz=rate_hz))
+
+    # 3 / 1e-308 is past the largest float: the last sample's time would be inf.
+    @pytest.mark.parametrize("rate_hz", [0.0, -0.0, -50.0, math.nan, math.inf, -math.inf, 1e-308])
+    def test_rejects_bad_rates(self, rate_hz):
+        message = re.escape(f"rate_hz must be positive and finite, as must 3 / rate_hz, got {rate_hz!r}")
+        with pytest.raises(ValueError, match=message):
+            _trace("load", [20.0] * 3, rate_hz=rate_hz)
+        with pytest.raises(ValueError, match=message):
+            SignalTrace.from_jsonl(_jsonl("load", [20.0] * 3, rate_hz=rate_hz))
 
     def test_every_row_needs_eight_channels(self):
         with pytest.raises(ValueError, match="8 channels"):
             _trace("emg", [[0.1] * 7, [0.1] * 7])
 
-    def test_t_and_samples_lengths_must_match(self):
-        with pytest.raises(ValueError, match="same length"):
-            _trace("load", [20.0, 21.0], t=[0.0, 0.02, 0.04])
-        with pytest.raises(ValueError, match="same length"):
-            _trace("emg", [_ROW, _ROW, _ROW], t=[0.0, 0.02])
+    def test_times_are_derived_from_the_rate(self):
+        assert _trace("load", [20.0] * 3).t.tolist() == [0.0, 0.02, 0.04]
+        assert _trace("load", [20.0] * 3, rate_hz=1e-307).t[-1] == 2 / 1e-307
+        assert _trace("load", [20.0] * 4, rate_hz=3.0).t.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert _trace("load", []).t.shape == (0,)
 
     def test_columns_are_read_only_arrays(self):
         trace = _trace("emg", [_ROW, _ROW])
-        assert trace.t.shape == (2,) and trace.samples.shape == (2, EMG_CHANNELS)
+        assert trace.t.tolist() == [0.0, 0.02] and trace.samples.shape == (2, EMG_CHANNELS)
         with pytest.raises(ValueError, match="read-only"):
             trace.samples[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
@@ -343,12 +358,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match=error):
             SignalTrace.from_jsonl(text)
 
+    @pytest.mark.parametrize("t0, t1", [(0.5, 0.5), (0.6, 0.5), (0.0, math.nan), (math.nan, 1.0),
+                                        (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf)])
+    def test_annotation_bounds_must_be_finite_and_ordered(self, t0, t1):
+        # A NaN end used to pass the length and overlap checks, and an
+        # infinite one was rejected as an overlap with the next interval.
+        annotations = ((t0, t1, ShoulderPosture.REST), (2.0, 3.0, ShoulderPosture.ELEVATED))
+        message = re.escape(f"annotation interval must be finite with t_start < t_end, "
+                            f"got [{t0!r}, {t1!r}]")
+        with pytest.raises(ValueError, match=message):
+            SignalTrace(kind="load", rate_hz=50.0, samples=np.full(50, 20.0), annotations=annotations)
+        with pytest.raises(ValueError, match=message):
+            SignalTrace.from_jsonl(_jsonl("load", [20.0]).replace(
+                '"annotations": []', f'"annotations": {json.dumps([[t0, t1, "rest"]])}'))
+
     def test_rejects_overlapping_annotations(self):
         with pytest.raises(ValueError, match="overlap"):
             SignalTrace(
                 kind="load",
                 rate_hz=50.0,
-                t=np.arange(50) / 50.0,
                 samples=np.full(50, 20.0),
                 annotations=(
                     (0.0, 0.6, ShoulderPosture.REST),
@@ -481,7 +509,11 @@ class TestArrayGeneratorsMatchReference:
 #: Finite floats with the spellings that differ most: signed zero,
 #: subnormals and values that print in exponent form.
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-07, 1e-05, 1e+16, 1.7976931348623157e+308]
-_TIMES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS + [-1e+16])
+#: Rates whose sample times take such spellings: at 1e-16 Hz the second
+#: sample sits at 1e+16 s, at 1e5 and 1e7 Hz at 1e-05 and 1e-07 s, and at
+#: 1e308 Hz and above the times are subnormal.
+_RATES = (st.floats(1e-290, 1.7976931348623157e+308)
+          | st.sampled_from([1e-16, 3.0, 1e5, 1e7, 1e308, 1.7976931348623157e+308]))
 _ACTIVATIONS = st.floats(0.0, 1.0) | st.sampled_from([v for v in _EDGE_FLOATS if v <= 1.0])
 _TENSIONS = st.floats(0.0, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
 
@@ -490,8 +522,7 @@ _TENSIONS = st.floats(0.0, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
 def _traces(draw, kind):
     value = st.lists(_ACTIVATIONS, min_size=EMG_CHANNELS, max_size=EMG_CHANNELS) if kind == "emg" else _TENSIONS
     samples = draw(st.lists(value, max_size=12))
-    times = sorted(draw(st.lists(_TIMES, min_size=len(samples), max_size=len(samples))))
-    return _trace(kind, samples, t=times)
+    return _trace(kind, samples, rate_hz=draw(_RATES))
 
 
 def _assert_round_trip(trace):
@@ -507,14 +538,15 @@ def _assert_round_trip(trace):
 class TestJsonlMatchesPerLineEncoder:
     @given(_traces("emg"))
     @example(_trace("emg", []))
-    @example(_trace("emg", [[-0.0, 5e-324, 1e-07, 1.0, 0.0, 0.1, 1e-05, 0.3]], t=[1e+16]))
+    @example(_trace("emg", [[-0.0, 5e-324, 1e-07, 1.0, 0.0, 0.1, 1e-05, 0.3], _ROW], rate_hz=1e-16))
     def test_emg(self, trace):
         _assert_round_trip(trace)
 
     @given(_traces("load"))
     @example(_trace("load", []))
-    @example(_trace("load", [-0.0], t=[-0.0]))
-    @example(_trace("load", [1e+16, 5e-324], t=[1e-07, 1e-05]))
+    @example(_trace("load", [-0.0]))
+    @example(_trace("load", [1e+16, 5e-324], rate_hz=1e7))
+    @example(_trace("load", [1e-05, 0.0, 2.0], rate_hz=1e308))
     def test_load(self, trace):
         _assert_round_trip(trace)
 
