@@ -35,11 +35,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from exobench.signals import EMG_CHANNELS, MAX_SAMPLES, IntentLabel, SignalTrace
+from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
 
 #: MAV window length, seconds, and majority-vote length, decisions.
 DEFAULT_WINDOW_S = 0.15
 DEFAULT_VOTE_K = 5
+#: Most samples in one MAV window, far above the 8 of the 50 Hz default: the
+#: MAV makes one pass over the trace per window sample.
+MAX_WINDOW_SAMPLES = 1024
 
 #: Minimum continuous correct hold per screening attempt, seconds.
 HOLD_REQUIREMENT_S = 2.0
@@ -169,15 +172,15 @@ def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     Window offsets are added oldest first onto zero padding, the float order
     of a mean over one window slice. A label is the CLASS_ORDER index of the
     ground truth at both ends of a full window when the two agree, else -1.
-    A window over ``MAX_SAMPLES`` samples is an error, raised before allocating.
+    A window over ``MAX_WINDOW_SAMPLES`` samples is an error, raised before allocating.
     """
     if trace.kind != "emg":
         raise ValueError("EMG trace required")
     n = len(trace.samples)
     win = max(1, int(round(DEFAULT_WINDOW_S * trace.rate_hz)))
-    if win > MAX_SAMPLES:
+    if win > MAX_WINDOW_SAMPLES:
         raise ValueError(f"a {DEFAULT_WINDOW_S!r} s window at {trace.rate_hz!r} Hz would exceed "
-                         f"MAX_SAMPLES = {MAX_SAMPLES} samples")
+                         f"MAX_WINDOW_SAMPLES = {MAX_WINDOW_SAMPLES} samples")
     padded = np.zeros((n + win - 1, EMG_CHANNELS))
     padded[win - 1:] = np.abs(trace.samples)
     total = padded[:n].copy()

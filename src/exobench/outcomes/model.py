@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -201,14 +202,19 @@ CSV_HEADER = ("subject_id", "group", "measure", "subscale", "phase", "score")
 
 _CSV_MEASURES = {(m.family, m.subscale): m for m in SCORE_RANGES}
 
+#: A score as the CSV spells it: ASCII digits with an optional sign, which
+#: ``int`` alone would widen to ``0_5`` and other scripts' digits.
+_SCORE = re.compile(r"[+-]?[0-9]+")
+
 
 def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]:
     """Parse cohort scores from CSV with the fixed header.
 
     Columns: subject_id, group (EMG|SH), measure (FM|ARAT|BBT), subscale,
-    phase (baseline|post_unassisted|post_assisted), score (integer).
-    Any malformed row fails the load with its line number; duplicate rows
-    and conflicting group assignments are rejected the same way.
+    phase (baseline|post_unassisted|post_assisted), score (integer, ASCII
+    digits with an optional sign). Any malformed row fails the load with its
+    line number; a blank subject id, duplicate rows and conflicting group
+    assignments are rejected the same way.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -234,6 +240,9 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
             problems.append(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
             continue
         sid, group_s, family, subscale, phase_s, score_s = (cell.strip() for cell in row)
+        if not sid:
+            problems.append(f"line {lineno}: blank subject_id")
+            continue
         try:
             group = Group(group_s)
         except ValueError:
@@ -251,11 +260,10 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
         if measure.family == "FM" and phase is Phase.POST_ASSISTED:
             problems.append(f"line {lineno}: motor score has no assisted phase")
             continue
-        try:
-            score = int(score_s)
-        except ValueError:
+        if not _SCORE.fullmatch(score_s):
             problems.append(f"line {lineno}: score {score_s!r} is not an integer")
             continue
+        score = int(score_s)
         lo, hi = SCORE_RANGES[measure]
         if not lo <= score <= hi:
             problems.append(f"line {lineno}: {measure} score {score} outside [{lo}, {hi}]")

@@ -230,10 +230,11 @@ class TestScreen:
             2, "", f"error: annotation interval must be finite with t_start < t_end, "
                    f"got [1.0, {end!r}]\n")
 
-    @pytest.mark.parametrize("rate_hz", [1e12, 1e308])
+    @pytest.mark.parametrize("rate_hz", [6_834.0, 1e12, 1e308])
     def test_window_over_max_samples_exit_2(self, capsys, tmp_path, rate_hz):
         # A file true to its own huge rate: the 0.15 s window would have
-        # asked numpy for terabytes, or for more than any array may hold.
+        # made over a thousand passes over the trace, asked numpy for
+        # terabytes, or for more than any array may hold.
         root = tmp_path / "scr"
         self._screening_with_header(root, lambda header: None)
         path = root / "open_on_table.jsonl"
@@ -243,7 +244,7 @@ class TestScreen:
         with mock.patch.object(np, "zeros", _short_zeros):
             result = run_cli(capsys, "screen", str(root))
         assert result == (2, "", f"error: a 0.15 s window at {rate_hz!r} Hz would exceed "
-                                 f"MAX_SAMPLES = 1000000 samples\n")
+                                 f"MAX_WINDOW_SAMPLES = 1024 samples\n")
 
 
 class TestEpisode:
@@ -487,6 +488,17 @@ class TestAnalyze:
         code, _out, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert "unknown group" in err
+
+    @pytest.mark.parametrize("sid, score, error", [
+        ("", "20", "line 3: blank subject_id"),
+        ("P01", "0_5", "line 3: score '0_5' is not an integer"),
+        ("P01", "\u0663", "line 3: score '\u0663' is not an integer"),
+    ])
+    def test_blank_id_or_non_ascii_score_exit_2(self, capsys, tmp_path, sid, score, error):
+        path = tmp_path / "bad.csv"
+        path.write_text("subject_id,group,measure,subscale,phase,score\n"
+                        f"P01,EMG,FM,distal,baseline,1\n{sid},EMG,FM,proximal,baseline,{score}\n")
+        assert run_cli(capsys, "analyze", str(path)) == (2, "", f"error: {error}\n")
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _out, err = run_cli(capsys, "analyze", str(tmp_path / "absent.csv"))

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import astuple, replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,6 +324,27 @@ class TestEpisode:
         ints = run_episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, calibrate_rom("M"))
         floats = run_episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, calibrate_rom("M"))
         assert ints.to_jsonl() == floats.to_jsonl()
+
+    @given(st.data())
+    def test_accepts_exactly_the_isin_codes(self, data):
+        # The check is three comparisons by value, which must accept what
+        # np.isin(codes, range(3)) accepts: 1.0 and True, not 1.5 or NaN.
+        dtype, elements = data.draw(st.sampled_from([
+            (np.int64, st.sampled_from([-1, 0, 1, 2, 3]) | st.integers(-2**63, 2**63 - 1)),
+            (np.float64, st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0,
+                                          1.5, -1.0, 3.0]) | st.floats()),
+            (np.bool_, st.booleans()),
+        ]))
+        codes = np.array(data.draw(st.lists(elements, max_size=6)), dtype=dtype)
+        intents = (np.arange(len(codes)) * 0.01, codes)
+        accepted = np.isin(codes, range(len(_LABELS)))
+        if accepted.all():
+            Episode(intents, 1.0, calibrate_rom("M"))
+        else:
+            bad = codes[~accepted][0].item()
+            with pytest.raises(ValueError, match=re.escape(
+                    f"intent codes must be IntentLabel indices, got {bad!r}")):
+                Episode(intents, 1.0, calibrate_rom("M"))
 
     def test_trajectory_jsonl_round_numbers(self):
         rom = calibrate_rom("M")
@@ -771,6 +794,60 @@ class TestBatchLayout:
             else:
                 assert kept.diagnostic == bare.diagnostic == diagnostic
                 assert len(bare.log.ticks) == 0
+
+
+def test_argmin_and_argmax_pick_the_first_nan():
+    # The engine's screens read each extreme at its argmin or argmax, and
+    # see a NaN only because numpy gives its index over a larger value's.
+    assert np.array([1.0, math.nan, 5.0]).argmax() == 1
+    assert np.array([5.0, math.nan, 1.0]).argmin() == 1
+    angles = np.full((2, 4, 3), 90.0)
+    angles[1, 2, 1] = angles[1, 3, 0] = math.nan
+    for arg in (angles.argmin(), angles.argmax()):
+        assert arg == np.ravel_multi_index((1, 2, 1), angles.shape)
+        assert math.isnan(angles.item(arg))
+
+
+@st.composite
+def _fault(draw, episode, kind):
+    """``episode`` with a fault: a torque that turns NaN or infinite after a
+    tick ("torque"), a NaN or out-of-travel initial motor ("motor"), or an
+    infinite torque for a hand with no flexion stop, which makes every angle
+    +inf ("inf_angles")."""
+    if kind == "motor":
+        excursion = draw(st.sampled_from([math.nan, -3.0, -1e-6, 55.5, 70.0]))
+        return replace(episode, initial_motor=MotorState(excursion, draw(st.floats(-20.0, 20.0))))
+    value = math.inf if kind == "inf_angles" else draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    t0 = draw(st.integers(0, int(round(episode.duration_s / CONTROL_DT_S)))) * CONTROL_DT_S
+    return replace(episode, voluntary_nmm=lambda t: value if t > t0 else 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # faulted episodes run on as inf/NaN
+@settings(max_examples=40)
+@given(st.lists(_session_like_episodes(), min_size=1, max_size=6), st.data())
+def test_faults_anywhere_in_the_batch_match_the_reference(episodes, data):
+    """One or two episodes, at drawn positions, carry a fault; every outcome,
+    recorded or not, is the scalar reference's. A flexed lead episode with its
+    motor far out puts larger finite excursions, tensions and angles before a
+    NaN in the screens' flat order."""
+    if data.draw(st.booleans(), label="lead"):
+        episodes = [Episode(stream([(0.0, CLOSE)]), 0.5, calibrate_rom("L"), plant=flexed_plant("L"),
+                            initial_motor=MotorState(50.0))] + episodes
+    kind = data.draw(st.sampled_from(["torque", "motor", "inf_angles"]), label="kind")
+    for k in data.draw(st.sets(st.integers(0, len(episodes) - 1), min_size=1, max_size=2)):
+        episodes[k] = data.draw(_fault(episodes[k], kind), label=f"fault at {k}")
+    no_stop = np.full((4, 2), math.inf) if kind == "inf_angles" else controller.MAX_DEG
+    with mock.patch.object(controller, "MAX_DEG", no_stop):
+        want = [_reference_bits(episode) for episode in episodes]
+        recorded = run_episodes(episodes)
+        bare = run_episodes(episodes, record=False)
+    for (diagnostic, ticks), kept, unrecorded in zip(want, recorded, bare):
+        assert _outcome_bits(kept) == (diagnostic, ticks)
+        if diagnostic is None:
+            assert unrecorded is None
+        else:
+            assert unrecorded.diagnostic == diagnostic
+            assert len(unrecorded.log.ticks) == 0
 
 
 def _pinned_batches(seed=20261018, n_batches=16):

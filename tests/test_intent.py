@@ -443,10 +443,11 @@ class TestWindowing:
         # 100 frames, 8-frame window: labels compare by value across the seam.
         assert len(labeled_windows(trace)[1]) == 93
 
-    @pytest.mark.parametrize("rate_hz", [6_666_674.0, 1e12, 1e308])
+    @pytest.mark.parametrize("rate_hz", [6_834.0, 6_666_674.0, 1e12, 1e308])
     def test_window_over_max_samples_is_rejected_before_allocating(self, monkeypatch, rate_hz,
                                                                    separable_classifier):
-        # 0.15 s at 6,666,674 Hz is 1,000,001 samples, one over the bound.
+        # 0.15 s at 6,834 Hz is 1,025 samples, one over the bound; at
+        # 6,666,674 Hz it is 1,000,001, one over MAX_SAMPLES.
         trace = SignalTrace(kind="emg", rate_hz=rate_hz, samples=np.full((4, 8), 0.1),
                             annotations=())
 
@@ -456,8 +457,17 @@ class TestWindowing:
         monkeypatch.setattr(np, "zeros", never)
         for run in (labeled_windows, lambda tr: classify_trace(separable_classifier, tr)):
             with pytest.raises(ValueError, match=re.escape(
-                    f"a 0.15 s window at {rate_hz!r} Hz would exceed MAX_SAMPLES = 1000000 samples")):
+                    f"a 0.15 s window at {rate_hz!r} Hz would exceed "
+                    f"MAX_WINDOW_SAMPLES = 1024 samples")):
                 run(trace)
+
+    def test_window_at_the_bound_is_accepted(self):
+        # 0.15 s at 6,826 Hz rounds to 1,024 samples, the longest window.
+        trace = SignalTrace(kind="emg", rate_hz=6_826.0, samples=np.full((1030, 8), 0.1),
+                            annotations=((0.0, 1.0, RELAX),))
+        features, codes = labeled_windows(trace)
+        assert codes.tolist() == [CLASS_ORDER.index(RELAX)] * 7
+        assert np.allclose(features, 0.1)
 
     def test_label_at_matches_annotation_scan(self):
         trace = signals.gen_emg_trace(

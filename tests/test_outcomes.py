@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,25 @@ class TestCsv:
         assert "line 3" in message and "unknown group" in message
         assert "line 4" in message and "not an integer" in message
         assert "line 5" in message and "unknown measure" in message
+
+    @pytest.mark.parametrize("score", ["0_5", "\u0663", "\uff15"])
+    def test_score_must_be_ascii_digits(self, score):
+        # int() alone reads 0_5 as 5 and the Arabic-Indic and fullwidth digits as 3 and 5.
+        text = f"subject_id,group,measure,subscale,phase,score\nP01,EMG,FM,distal,baseline,{score}\n"
+        with pytest.raises(CohortFormatError, match=f"^line 2: score {re.escape(repr(score))} is not an integer$"):
+            load_cohort_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("score, value", [("+5", 5), ("05", 5), ("-0", 0), (" 7 ", 7)])
+    def test_signed_and_padded_scores_are_read(self, score, value):
+        text = f"subject_id,group,measure,subscale,phase,score\nP01,EMG,FM,distal,baseline,{score}\n"
+        (subject,) = load_cohort_csv(io.StringIO(text))
+        assert list(subject.scores.values()) == [value]
+
+    @pytest.mark.parametrize("sid", ["", "   "])
+    def test_blank_subject_id_rejected(self, sid):
+        text = f"subject_id,group,measure,subscale,phase,score\n{sid},EMG,FM,distal,baseline,20\n"
+        with pytest.raises(CohortFormatError, match="^line 2: blank subject_id$"):
+            load_cohort_csv(io.StringIO(text))
 
     def test_duplicate_rows_rejected(self):
         text = (
