@@ -18,6 +18,7 @@ every module it imports from source.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -82,8 +83,6 @@ def _parse_script(text: str, enum_type):
         if seconds <= 0:
             raise argparse.ArgumentTypeError("segment durations must be positive")
         segments.append((label, seconds))
-    if not segments:
-        raise argparse.ArgumentTypeError("script must contain at least one segment")
     return segments
 
 
@@ -288,23 +287,16 @@ def cmd_screen(args) -> int:
 def cmd_episode(args) -> int:
     import numpy as np
 
-    from exobench import controller
-    from exobench.signals import IntentLabel
+    from exobench import controller, signals
 
-    rom = controller.calibrate_rom(args.hand_size)
-    plant = controller.flexed_plant(args.hand_size, controller.MAS_STIFFNESS[args.mas])
-    order = list(IntentLabel)  # intent.CLASS_ORDER, without loading intent
-    t = 0.0
-    times, codes = [], []
-    for label, seconds in args.intent_script:
-        times.append(t)
-        codes.append(order.index(label))
-        t += seconds
-    if not t / controller.CONTROL_DT_S > 0.5:  # the tick count rounds to 0
-        raise ValueError(f"a {t!r} s intent script holds no "
-                         f"{controller.CONTROL_DT_S!r} s control tick")
+    labels, seconds = zip(*args.intent_script)
+    *times, t = itertools.accumulate(seconds, initial=0.0)
+    codes = [signals.INTENT_CODE[label] for label in labels]
+    episode = controller.Episode(
+        (np.array(times), np.array(codes)), t, controller.calibrate_rom(args.hand_size),
+        plant=controller.flexed_plant(args.hand_size, controller.MAS_STIFFNESS[args.mas]))
     try:
-        log = controller.run_episode((np.array(times), np.array(codes)), t, rom, plant=plant)
+        log = controller.run_episode(episode)
     except controller.SafetyAbort as exc:
         print(f"safety abort: {exc.diagnostic}", file=sys.stderr)
         return 3

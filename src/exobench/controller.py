@@ -13,9 +13,9 @@ motor excursion is millimeters of cable paid out (0 = fully retracted =
 fingers pulled open). Retracting the motor extends the fingers; releasing
 cable lets finger tone and voluntary flexion close the hand.
 
-One engine runs every episode. ``run_episodes`` steps any number of
-episodes in lockstep on plain arrays, every ``CONTROL_DT_S``, and
-``run_episode`` is its one-episode case. The gain, the drive and what every
+One engine runs every episode, each an ``Episode`` checked when built.
+``run_episodes`` steps any number in lockstep on plain arrays, every
+``CONTROL_DT_S``; ``run_episode`` runs one. The gain, the drive and what every
 hand shares (rest pose, flexion stops, damping, tendon stiffness) are
 module constants, the drive's checked once at import. A ``HandPlant`` holds
 only what differs between hands, the pose, the tone and the glove's moment
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from exobench.signals import COMPACT_JSON, MAX_SAMPLES, IntentLabel
+from exobench.signals import COMPACT_JSON, INTENT_CODE, MAX_SAMPLES, IntentLabel
 
 CONTROL_DT_S = 0.005
 TENSION_CAP_N = 100.0
@@ -95,20 +95,25 @@ class RomCalibration:
             raise ValueError("excursion cannot be negative")
 
 
-#: Excursion range by glove size, mm.
-ROM_TABLE = {
-    "S": RomCalibration(0.0, 38.0),
-    "M": RomCalibration(0.0, 45.0),
-    "L": RomCalibration(0.0, 52.0),
+#: By glove size: the excursion range and the base moment arm, mm, that
+#: each digit's and joint's scale multiplies.
+GLOVE_TABLE = {
+    "S": (RomCalibration(0.0, 38.0), 11.0),
+    "M": (RomCalibration(0.0, 45.0), 13.0),
+    "L": (RomCalibration(0.0, 52.0), 15.0),
 }
+
+
+def _glove(hand_size: str) -> tuple[RomCalibration, float]:
+    try:
+        return GLOVE_TABLE[hand_size]
+    except KeyError:
+        raise ValueError(f"unknown hand size {hand_size!r}; expected one of S, M, L") from None
 
 
 def calibrate_rom(hand_size: str) -> RomCalibration:
     """Setpoints for a glove size (S/M/L)."""
-    try:
-        return ROM_TABLE[hand_size]
-    except KeyError:
-        raise ValueError(f"unknown hand size {hand_size!r}; expected one of S, M, L") from None
+    return _glove(hand_size)[0]
 
 
 # The position loop is one saturated proportional step,
@@ -187,7 +192,6 @@ class HandPlant:
 
 _DIGIT_SCALE = np.array([1.0, 1.05, 0.95, 0.85])
 _JOINT_SCALE = np.array([0.88, 1.0])  # fingertip component enlarges the PIP arm
-_BASE_ARM_MM = {"S": 11.0, "M": 13.0, "L": 15.0}
 
 #: Modified Ashworth grade to stiffness multiplier.
 MAS_STIFFNESS = {"0": 1.0, "1": 2.0, "1+": 3.0, "2": 4.0}
@@ -196,14 +200,13 @@ MAS_STIFFNESS = {"0": 1.0, "1": 2.0, "1+": 3.0, "2": 4.0}
 def default_plant(hand_size: str = "M", stiffness_scale: float = 1.0,
                   angles_deg: np.ndarray = REST_DEG) -> HandPlant:
     """Nominal plant for a glove size, optionally scaled for spasticity grade."""
-    if hand_size not in _BASE_ARM_MM:
-        raise ValueError(f"unknown hand size {hand_size!r}; expected one of S, M, L")
+    _rom, base_arm_mm = _glove(hand_size)
     if stiffness_scale <= 0.0:
         raise ValueError("stiffness scale must be positive")
     return HandPlant(
         angles_deg=angles_deg,
         stiffness_nmm_deg=stiffness_scale * np.tile(np.array([1.3, 1.1]), (len(DIGITS), 1)),
-        moment_arm_mm=_BASE_ARM_MM[hand_size] * np.outer(_DIGIT_SCALE, _JOINT_SCALE),
+        moment_arm_mm=base_arm_mm * np.outer(_DIGIT_SCALE, _JOINT_SCALE),
     )
 
 
@@ -221,9 +224,7 @@ FSM_STATES = ("IDLE", "EXTENDING", "HOLD_OPEN", "RELEASING", "HOLD_CLOSED")
 SETPOINT_TOL_MM = 0.25
 
 
-_LABELS = tuple(IntentLabel)
-_OPEN, _RELAX, _CLOSE = (_LABELS.index(label) for label in
-                         (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
+_OPEN, _RELAX, _CLOSE = map(INTENT_CODE.get, (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 # Each hold state follows its move state: settling adds 1 to the code, and
 # the move states are the odd codes.
 _IDLE, _EXTENDING, _HOLD_OPEN, _RELEASING, _HOLD_CLOSED = range(len(FSM_STATES))
@@ -258,7 +259,7 @@ class TrajectoryColumns:
 _TICK_ROW = ('{"t":%s,"intent":%s,"fsm":%s,"sp":%s,"x":%s,"F":%s,"q":['
              + ",".join(["%s"] * (len(DIGITS) * len(JOINTS))) + "]}\n")
 _FLOAT_FIELDS = np.array([0, 3, 4, 5, *range(6, 6 + len(DIGITS) * len(JOINTS))])
-_INTENT_JSON = np.array([COMPACT_JSON.encode(str(label)) for label in _LABELS], dtype=object)
+_INTENT_JSON = np.array([COMPACT_JSON.encode(str(label)) for label in IntentLabel], dtype=object)
 _FSM_JSON = np.array([COMPACT_JSON.encode(name) for name in FSM_STATES], dtype=object)
 
 
@@ -297,7 +298,7 @@ class TrajectoryLog:
 
 @dataclass(frozen=True)
 class Episode:
-    """One episode for ``run_episodes``: its intent stream, length (at most
+    """One episode for ``run_episodes``: its intent stream, length (one to
     ``MAX_SAMPLES`` ticks) and hand.
 
     ``intents`` is a ``(t, codes)`` stream: event times in seconds and their
@@ -317,6 +318,8 @@ class Episode:
     def __post_init__(self) -> None:
         if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
             raise ValueError(f"duration must be positive and finite, got {self.duration_s!r}")
+        if not self.duration_s / CONTROL_DT_S > 0.5:  # the tick count rounds to 0
+            raise ValueError(f"a {self.duration_s!r} s episode holds no {CONTROL_DT_S!r} s control tick")
         if self.duration_s / CONTROL_DT_S > MAX_SAMPLES:
             raise ValueError(f"a {self.duration_s!r} s episode would exceed "
                              f"MAX_SAMPLES = {MAX_SAMPLES} ticks of {CONTROL_DT_S} s")
@@ -557,22 +560,8 @@ def run_episodes(
     return outcomes
 
 
-def run_episode(
-    intents: tuple[np.ndarray, np.ndarray],
-    duration_s: float,
-    rom: RomCalibration,
-    plant: HandPlant | None = None,
-    voluntary_nmm: float | Callable[[float], float] = 0.0,
-    initial_motor: MotorState | None = None,
-) -> TrajectoryLog:
-    """Run the control loop over a ``(t, codes)`` intent stream: ``run_episodes`` for one.
-
-    At each tick the latest label with timestamp <= t applies (RELAX before
-    the first event). Raises SafetyAbort (with the partial log attached) if
-    the state goes non-finite or breaches the tension cap or the
-    hyperextension block.
-    """
-    episode = Episode(intents, duration_s, rom, plant, voluntary_nmm, initial_motor)
+def run_episode(episode: Episode) -> TrajectoryLog:
+    """``run_episodes`` for one episode: its log, or its ``SafetyAbort`` raised."""
     (outcome,) = run_episodes([episode])
     if isinstance(outcome, SafetyAbort):
         raise outcome

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from exobench.signals import EMG_CHANNELS, IntentLabel, SignalTrace
+from exobench.signals import EMG_CHANNELS, INTENT_CODE, IntentLabel, SignalTrace
 
 #: MAV window length, seconds, and majority-vote length, decisions.
 DEFAULT_WINDOW_S = 0.15
@@ -53,7 +53,7 @@ SCREENING_GAP_S = 1.0
 
 #: The classifier's code order: OPEN, RELAX, CLOSE, the enum's own order.
 CLASS_ORDER = tuple(IntentLabel)
-_OPEN, _RELAX, _CLOSE = range(len(CLASS_ORDER))
+_OPEN, _RELAX, _CLOSE = map(INTENT_CODE.get, (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 
 SCREENING_SCHEMA = "exobench/screening-v1"
 
@@ -188,7 +188,7 @@ def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
         total += padded[offset:offset + n]
     mav = total / np.minimum(np.arange(1, n + 1), win)[:, None]
 
-    codes = np.array([CLASS_ORDER.index(label) for _t0, _t1, label in trace.annotations] + [-1])
+    codes = np.array([INTENT_CODE[label] for _t0, _t1, label in trace.annotations] + [-1])
     truth = codes[trace.annotation_index(trace.t)]
     labels = np.full(n, -1)
     first, last = truth[:max(n - win + 1, 0)], truth[win - 1:]
@@ -331,7 +331,7 @@ def max_hold_runs(
     period, so n consecutive correct frames hold for n / rate_hz seconds.
     """
     t, codes = decisions
-    correct = codes == CLASS_ORDER.index(intent)
+    correct = codes == INTENT_CODE[intent]
     holds = []
     for t0, t1 in attempts:
         # Pad with misses so that every run has a start and an end edge.

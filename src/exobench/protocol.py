@@ -261,11 +261,10 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
             break
     tasks = plan.tasks[:len(durations)]
 
-    episodes = [
-        controller.Episode(*task_intent_stream(subject, bundle, plan.session_index, task),
-                           rom=bundle.rom, plant=plant)
-        for task in tasks
-    ]
+    episodes = []
+    for task in tasks:
+        intents, duration_s = task_intent_stream(subject, bundle, plan.session_index, task)
+        episodes.append(controller.Episode(intents, duration_s, rom=bundle.rom, plant=plant))
     aborts = controller.run_episodes(episodes, record=False)
 
     last = len(tasks) - 1

@@ -54,6 +54,9 @@ TRACE_SCHEMA = "exobench/trace-v1"
 #: separators, built once rather than on every ``json.dumps`` call.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
+#: The types ``json`` reads a number as; a ``bool``, an ``int`` subclass, is not one.
+_JSON_NUMBERS = (int, float)
+
 #: One serialized sample row per trace kind, filled from ``t`` and the values.
 _ROW_TEMPLATES = {
     "emg": '{"t":%r,"emg":[' + ",".join(["%r"] * EMG_CHANNELS) + ']}\n',
@@ -70,6 +73,11 @@ class IntentLabel(Enum):
 
     def __str__(self) -> str:  # log-friendly
         return self.value
+
+
+#: Each intent's code, its index in ``IntentLabel``: how a trace's class
+#: rows, the classifier's decisions and an episode's intent stream hold it.
+INTENT_CODE = {label: code for code, label in enumerate(IntentLabel)}
 
 
 class ShoulderPosture(Enum):
@@ -249,22 +257,26 @@ class SignalTrace:
         kind = header["kind"]
         if kind not in ("emg", "load"):
             raise ValueError(f"unknown trace kind {kind!r}")
+        rate_hz = header["rate_hz"]
+        if type(rate_hz) not in _JSON_NUMBERS:
+            raise ValueError(f"trace header needs a number rate_hz, got {rate_hz!r}")
         label_type = IntentLabel if kind == "emg" else ShoulderPosture
+        annotations = []
         try:
-            rate_hz = float(header["rate_hz"])
-            annotations = tuple(
-                (float(t0), float(t1), label_type(lab)) for t0, t1, lab in header["annotations"]
-            )
+            for n, (t0, t1, lab) in enumerate(header["annotations"]):
+                if type(t0) not in _JSON_NUMBERS or type(t1) not in _JSON_NUMBERS:
+                    raise ValueError(f"annotation {n} needs number bounds, got [{t0!r}, {t1!r}]")
+                annotations.append((float(t0), float(t1), label_type(lab)))
         except TypeError:
-            raise ValueError("trace header needs a number rate_hz and "
-                             "[t_start, t_end, label] annotations") from None
+            raise ValueError("trace header needs [t_start, t_end, label] annotations") from None
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"trace header meta must be a JSON object, got {meta!r}")
         key = "emg" if kind == "emg" else "tension"
         body = lines[1:]
+        joined = ",".join(body)
         try:
-            rows = json.loads("[" + ",".join(body) + "]")
+            rows = json.loads("[" + joined + "]")
         except json.JSONDecodeError:  # name the first bad line; only an error pays for it
             for n, line in enumerate(body):
                 try:
@@ -284,8 +296,15 @@ class SignalTrace:
             raise ValueError(
                 f"sample {n} must be an object with keys 't' and {key!r}, got {body[n]!r}"
             ) from None
-        trace = SignalTrace(kind=kind, rate_hz=rate_hz, samples=samples,
-                            annotations=annotations, meta=meta)
+        # true, false and null hold a "u" or an "l", which no number does, and a
+        # string adds quotes past a line's two keys: only then are values looked at.
+        if "u" in joined or "l" in joined or joined.count('"') != 4 * len(body):
+            for n, (tn, value) in enumerate(zip(t, samples)):
+                values = value if isinstance(value, list) else [value]
+                if not all(type(v) in _JSON_NUMBERS for v in [tn, *values]):
+                    raise ValueError(f"sample {n} holds a value that is not a JSON number, got {body[n]!r}")
+        trace = SignalTrace(kind=kind, rate_hz=float(rate_hz), samples=samples,
+                            annotations=tuple(annotations), meta=meta)
         derived = trace.t.tolist()
         if t != derived:
             n = next(n for n, (a, b) in enumerate(zip(t, derived)) if a != b)
@@ -354,7 +373,7 @@ def gen_emg_trace(
     annotations, times, segment = _timeline(segments, rate_hz)
     rng = np.random.default_rng(profile.seed)
 
-    rows = np.array([list(IntentLabel).index(label) for _t0, _t1, label in annotations])[segment]
+    rows = np.array([INTENT_CODE[label] for _t0, _t1, label in annotations])[segment]
     means = CLASS_MEANS[rows]
     # The root of the variance the header records, not noise_std itself:
     # where the square underflows to 0, noise_std would still add tiny noise.

@@ -229,8 +229,8 @@ def test_criterion_4_paired_t_reference():
 
 def test_criterion_5_controller_timing_and_safety():
     rom = calibrate_rom("M")
-    log = run_episode((np.zeros(1), np.array([CLASS_ORDER.index(OPEN)])), 2.5, rom,
-                      plant=flexed_plant("M"))
+    log = run_episode(Episode((np.zeros(1), np.array([CLASS_ORDER.index(OPEN)])), 2.5, rom,
+                              plant=flexed_plant("M")))
     opened = time_to_open(log)
     assert opened is not None
     assert 1.8 * 0.9 <= opened <= 1.8 * 1.1
@@ -287,7 +287,7 @@ def test_criterion_6_hysteresis_and_dither():
     assert set(decisions[1].tolist()) == {relax}
 
     rom = calibrate_rom("M")
-    log = run_episode(decisions, trace.duration_s, rom, plant=flexed_plant("M"))
+    log = run_episode(Episode(decisions, trace.duration_s, rom, plant=flexed_plant("M")))
     assert count_direction_reversals(log) == 0
     print("criterion 6 (hysteresis and dither): PASS, 0 reversals end-to-end")
 

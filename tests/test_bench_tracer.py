@@ -35,7 +35,7 @@ def test_every_traced_name_resolves(tracer):
 
 
 def test_tick_counters_read_an_episode_log(tracer):
-    log = run_episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"))
+    log = run_episode(Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M")))
     assert len(log.ticks) == 100
     assert tracer._ticks_of_self((log,), None) == 100
     assert tracer._ticks_of_result((), log) == 100

@@ -180,8 +180,21 @@ class TestScreen:
          "trace header meta must be a JSON object, got 5"),
         (2, '{"t":0.04,', "sample 1 is not valid JSON (Expecting property name enclosed in "
                           "double quotes at column 11), got '{\"t\":0.04,'"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": True,
+                        "annotations": []}),
+         "trace header needs a number rate_hz, got True"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": 50.0,
+                        "annotations": [[0.0, " 1e1 ", "relax"]]}),
+         "annotation 0 needs number bounds, got [0.0, ' 1e1 ']"),
+        (1, '{"t":0.0,"emg":[" 1e1 ",0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
+         "sample 0 holds a value that is not a JSON number, "
+         "got '{\"t\":0.0,\"emg\":[\" 1e1 \",0.1,0.1,0.1,0.1,0.1,0.1,0.1]}'"),
+        (1, '{"t":0.0,"emg":[true,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
+         "sample 0 holds a value that is not a JSON number, "
+         "got '{\"t\":0.0,\"emg\":[true,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}'"),
     ], ids=["row-without-value", "row-list", "row-null", "header-list", "header-without-kind",
-            "header-number-meta", "row-truncated"])
+            "header-number-meta", "row-truncated", "header-bool-rate", "header-string-bound",
+            "row-string-value", "row-bool-value"])
     def test_malformed_trace_exit_2(self, capsys, tmp_path, line, text, error):
         out_dir = tmp_path / "scr"
         run_cli(capsys, "gen", "screening", "--subject", "separable", "--out", str(out_dir))
@@ -261,7 +274,7 @@ class TestEpisode:
     @pytest.mark.parametrize("seconds", ["0.001", "0.0024"])
     def test_script_with_no_tick_exits_2(self, capsys, seconds):
         assert run_cli(capsys, "episode", "--intent-script", f"open:{seconds}") == (
-            2, "", f"error: a {seconds} s intent script holds no 0.005 s control tick\n")
+            2, "", f"error: a {seconds} s episode holds no 0.005 s control tick\n")
 
     def test_requires_script(self, capsys):
         code, _out, err = run_cli(capsys, "episode")

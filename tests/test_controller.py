@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exobench
 from exobench import controller
 from exobench.controller import (
     CONTROL_DT_S,
@@ -60,8 +61,15 @@ class TestRom:
         assert calibrate_rom("M").retracted_mm == 0.0
 
     def test_unknown_size(self):
-        with pytest.raises(ValueError, match="hand size"):
-            calibrate_rom("XXL")
+        for read in (calibrate_rom, default_plant):
+            with pytest.raises(ValueError, match=re.escape(
+                    "unknown hand size 'XXL'; expected one of S, M, L")):
+                read("XXL")
+
+    def test_tables_are_keyed_as_declared(self):
+        # config checks --hand-size and --mas against the numpy-free copies.
+        assert tuple(controller.GLOVE_TABLE) == exobench.HAND_SIZES
+        assert tuple(controller.MAS_STIFFNESS) == exobench.MAS_GRADES
 
 
 class TestPid:
@@ -80,8 +88,8 @@ class TestPid:
         # before the first command it is 0. No other term adds to it.
         rom = calibrate_rom("M")
         start = MotorState(20.0, 3.0)
-        log = run_episode(stream([(0.2, OPEN), (1.5, CLOSE), (2.0, RELAX), (2.1, OPEN)]), 3.0,
-                          rom, plant=flexed_plant("M"), initial_motor=start)
+        log = run_episode(Episode(stream([(0.2, OPEN), (1.5, CLOSE), (2.0, RELAX), (2.1, OPEN)]),
+                                  3.0, rom, plant=flexed_plant("M"), initial_motor=start))
         ticks = log.ticks
         x_before = np.concatenate(([start.excursion_mm], ticks.excursion_mm[:-1]))
         commanded = ~np.isnan(ticks.setpoint_mm)
@@ -220,15 +228,15 @@ class TestSetpointSelection:
 class TestEpisode:
     def test_default_open_time_hits_device_figure(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, OPEN)]), 2.5, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, OPEN)]), 2.5, rom, plant=flexed_plant("M")))
         opened = time_to_open(log)
         assert opened is not None
         assert 1.62 <= opened <= 1.98
 
     def test_safety_envelope_holds_throughout(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
-                          plant=flexed_plant("M", 4.0))
+        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+                                  plant=flexed_plant("M", 4.0)))
         assert np.all(log.ticks.tension_n <= TENSION_CAP_N + 1e-9)
         assert np.all(log.ticks.angles_deg.min(axis=1) >= 0.0)
 
@@ -253,12 +261,13 @@ class TestEpisode:
 
     def test_round_trip_has_single_reversal(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+                                  plant=flexed_plant("M")))
         assert count_direction_reversals(log) == 1
 
     def test_relax_only_parks_the_motor(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, RELAX)]), 1.0, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, RELAX)]), 1.0, rom, plant=flexed_plant("M")))
         assert len(set(log.ticks.excursion_mm.tolist())) == 1
         assert count_direction_reversals(log) == 0
         assert np.all(log.ticks.effort == 0.0)
@@ -266,13 +275,15 @@ class TestEpisode:
 
     def test_episode_is_deterministic(self):
         rom = calibrate_rom("L")
-        a = run_episode(stream([(0.0, OPEN), (2.0, CLOSE)]), 4.0, rom, plant=flexed_plant("L", 2.0))
-        b = run_episode(stream([(0.0, OPEN), (2.0, CLOSE)]), 4.0, rom, plant=flexed_plant("L", 2.0))
+        script = [(0.0, OPEN), (2.0, CLOSE)]
+        a = run_episode(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
+        b = run_episode(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
         assert a.to_jsonl() == b.to_jsonl()
 
     def test_settles_into_hold_states(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+                                  plant=flexed_plant("M")))
         assert FSM_STATES[log.ticks.fsm[-1]] == "HOLD_CLOSED"
         assert "HOLD_OPEN" in {FSM_STATES[f] for f in log.ticks.fsm.tolist()}
 
@@ -283,19 +294,26 @@ class TestEpisode:
             return math.nan if t > 0.5 else 0.0
 
         with pytest.raises(SafetyAbort, match="non-finite") as excinfo:
-            run_episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M"),
-                        voluntary_nmm=disturbance)
+            run_episode(Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M"),
+                                voluntary_nmm=disturbance))
         assert len(excinfo.value.log.ticks) > 0
         assert excinfo.value.log.ticks.t[-1] >= 0.5
 
     def test_close_never_opens(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, CLOSE)]), 1.0, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, CLOSE)]), 1.0, rom, plant=flexed_plant("M")))
         assert time_to_open(log) is None
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError, match="duration"):
-            run_episode(stream([]), 0.0, calibrate_rom("M"))
+            Episode(stream([]), 0.0, calibrate_rom("M"))
+
+    def test_rejects_a_duration_of_no_tick(self):
+        # 0.002 s rounds to no 5 ms tick, 0.0026 s to one.
+        with pytest.raises(ValueError, match=re.escape(
+                "a 0.002 s episode holds no 0.005 s control tick")):
+            Episode(stream([(0.0, OPEN)]), 0.002, calibrate_rom("M"))
+        assert len(run_episode(Episode(stream([(0.0, OPEN)]), 0.0026, calibrate_rom("M"))).ticks) == 1
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_duration(self, duration):
@@ -304,7 +322,7 @@ class TestEpisode:
 
     def test_rejects_unpaired_stream(self):
         with pytest.raises(ValueError, match="one code per event time"):
-            run_episode((np.zeros(2), np.zeros(3, dtype=np.int64)), 1.0, calibrate_rom("M"))
+            Episode((np.zeros(2), np.zeros(3, dtype=np.int64)), 1.0, calibrate_rom("M"))
 
     @pytest.mark.parametrize("code", [5, -1, 3, 2.7, math.nan, math.inf])
     def test_rejects_code_outside_intent_labels(self, code):
@@ -321,8 +339,9 @@ class TestEpisode:
 
     def test_integral_float_codes_are_indices(self):
         # Codes are checked by value: `episode`'s array of an empty code list is float64.
-        ints = run_episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, calibrate_rom("M"))
-        floats = run_episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, calibrate_rom("M"))
+        rom = calibrate_rom("M")
+        ints = run_episode(Episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, rom))
+        floats = run_episode(Episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, rom))
         assert ints.to_jsonl() == floats.to_jsonl()
 
     @given(st.data())
@@ -348,7 +367,7 @@ class TestEpisode:
 
     def test_trajectory_jsonl_round_numbers(self):
         rom = calibrate_rom("M")
-        log = run_episode(stream([(0.0, OPEN)]), 0.1, rom, plant=flexed_plant("M"))
+        log = run_episode(Episode(stream([(0.0, OPEN)]), 0.1, rom, plant=flexed_plant("M")))
         text = log.to_jsonl()
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(log.ticks)
@@ -546,7 +565,7 @@ def _episodes(draw):
                                         velocity_mm_s=st.floats(-20.0, 20.0)))
     return Episode(
         intents=stream(script),
-        duration_s=draw(st.integers(0, 160)) * CONTROL_DT_S + 0.002,  # rounds to 0-160 ticks
+        duration_s=draw(st.integers(1, 160)) * CONTROL_DT_S + 0.002,  # rounds to 1-160 ticks
         rom=calibrate_rom(size),
         plant=plant,
         voluntary_nmm=torque if nan_at is None else _nan_after(nan_at, torque),
@@ -582,8 +601,8 @@ class TestBatchedEngine:
             alone = run_episodes([episodes[i]])[0]
             assert _outcome_bits(alone) == _outcome_bits(outcomes[i])
         with pytest.raises(SafetyAbort) as excinfo:
-            run_episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
-                        voluntary_nmm=_nan_after(0.5, 0.0))
+            run_episode(Episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
+                                voluntary_nmm=_nan_after(0.5, 0.0)))
         assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
 
     def _assert_matches_reference(self, episodes):
@@ -664,7 +683,7 @@ class TestBatchedEngine:
     def test_episode_jsonl_is_unchanged(self):
         rom = calibrate_rom("M")
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
-        log = run_episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0))
+        log = run_episode(Episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0)))
         ticks, _ = reference_episode(script, 7.0, rom, flexed_plant("M", 2.0))
         assert log.to_jsonl() == reference_jsonl(ticks)
 

@@ -33,12 +33,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Values that only tests set, each with its reason. (``Episode``'s
-#: ``voluntary_nmm`` and ``initial_motor`` are set by ``run_episode``.)
+#: Values that only tests set, each with its reason.
 ALLOWED = {
-    "run_episode.voluntary_nmm":
+    "Episode.voluntary_nmm":
         "fault injection: the safety-abort tests drive the hand with a NaN or huge torque",
-    "run_episode.initial_motor":
+    "Episode.initial_motor":
         "fault injection: the engine tests start the motor away from the cable take-up",
     "MotorState.velocity_mm_s":
         "fault injection: the engine tests start the motor moving",

@@ -358,6 +358,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match=error):
             SignalTrace.from_jsonl(text)
 
+    @pytest.mark.parametrize("rate_hz", [True, "1"])
+    def test_rejects_a_rate_that_is_not_a_json_number(self, rate_hz):
+        # True used to read as 1.0 Hz, which these times follow.
+        text = _jsonl("load", [20.0] * 3, [0.0, 1.0, 2.0], rate_hz=rate_hz)
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace header needs a number rate_hz, got {rate_hz!r}")):
+            SignalTrace.from_jsonl(text)
+
+    @pytest.mark.parametrize("rows, times", [
+        ([20.0, " 1e1 ", 20.0], [0.0, 1.0, 2.0]),
+        ([20.0, True, 20.0], [0.0, 1.0, 2.0]),
+        ([20.0, None, 20.0], [0.0, 1.0, 2.0]),
+        ([20.0] * 3, [0.0, True, 2.0]),
+        ([_ROW, [0.1, True] + [0.1] * 6], [0.0, 1.0]),
+    ], ids=["string-value", "bool-value", "null-value", "bool-t", "bool-in-a-row"])
+    def test_rejects_a_sample_that_is_not_a_json_number(self, rows, times):
+        # " 1e1 " used to read as 10.0, and True as 1.0.
+        text = _jsonl("emg" if isinstance(rows[0], list) else "load", rows, times, rate_hz=1.0)
+        message = f"sample 1 holds a value that is not a JSON number, got {text.splitlines()[2]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignalTrace.from_jsonl(text)
+
+    @pytest.mark.parametrize("bounds", [[0.0, "0.5"], [False, 0.5], [0.0, None]])
+    def test_rejects_annotation_bounds_that_are_not_json_numbers(self, bounds):
+        text = _jsonl("load", [20.0]).replace(
+            '"annotations": []', f'"annotations": {json.dumps([bounds + ["rest"]])}')
+        with pytest.raises(ValueError, match=re.escape(
+                f"annotation 0 needs number bounds, got [{bounds[0]!r}, {bounds[1]!r}]")):
+            SignalTrace.from_jsonl(text)
+
+    def test_other_keys_may_hold_any_json(self):
+        # A string, bool or null beside a sample's two keys sends the reader
+        # through its value-by-value check, which finds nothing to reject.
+        lines = _jsonl("load", [20.0, 21]).splitlines()
+        lines[1] = '{"t": 0.0, "tension": 20.0, "note": "ok", "flags": [true, false, null]}'
+        trace = SignalTrace.from_jsonl("\n".join(lines) + "\n")
+        assert trace.samples.tolist() == [20.0, 21.0]
+
     @pytest.mark.parametrize("t0, t1", [(0.5, 0.5), (0.6, 0.5), (0.0, math.nan), (math.nan, 1.0),
                                         (0.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf)])
     def test_annotation_bounds_must_be_finite_and_ordered(self, t0, t1):
