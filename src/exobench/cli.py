@@ -262,9 +262,7 @@ def cmd_screen(args) -> int:
     wanted = ["train.jsonl"] + [f"{c}.jsonl" for c in intent_mod.SCREENING_CONDITIONS]
     missing = [name for name in wanted if not (root / name).is_file()]
     if missing:
-        print(f"error: missing screening inputs in {root}: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"missing screening inputs in {root}: {', '.join(missing)}")
     train = signals.SignalTrace.load(root / "train.jsonl")
     classifier = intent_mod.train_classifier(intent_mod.labeled_windows(train))
     traces = {

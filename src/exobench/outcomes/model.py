@@ -3,13 +3,16 @@
 Scores are integers at the subscale level (per-item rubrics are out of
 scope). Upper-extremity motor score subscales: distal (max 24) and proximal
 (max 42). Arm-test subscales: grasp (18), grip (12), pinch (18), gross (9),
-total capped at 57. The box-and-block count is a non-negative integer and
-defines the functional-at-baseline flag (baseline count > 0).
+whose caps sum to the published total of 57. The box-and-block count is a
+non-negative integer and defines the functional-at-baseline flag (baseline
+count > 0). Each total is the sum of the stored scores ``COMPONENTS`` lists
+for it.
 
 Three assessment phases exist: baseline, post-therapy unassisted, and
 post-therapy assisted (wearing the device). The motor score has no assisted
-phase by design. Gains are exact integer differences; means stay rational
-until display.
+phase by design. One check, ``score_problem``, decides whether a value can
+be a stored score, for ``SubjectOutcomes`` and the CSV reader alike. Gains
+are exact integer differences; means stay rational until display.
 """
 
 from __future__ import annotations
@@ -41,14 +44,6 @@ class Comparison(Enum):
     A = (Phase.POST_UNASSISTED, Phase.BASELINE)
     B = (Phase.POST_ASSISTED, Phase.BASELINE)
     C = (Phase.POST_ASSISTED, Phase.POST_UNASSISTED)
-
-    @property
-    def minuend(self) -> Phase:
-        return self.value[0]
-
-    @property
-    def subtrahend(self) -> Phase:
-        return self.value[1]
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,9 @@ SCORE_RANGES: dict[Measure, tuple[int, int]] = {
 }
 
 ARAT_SUBSCALES = (ARAT_GRASP, ARAT_GRIP, ARAT_PINCH, ARAT_GROSS)
-ARAT_TOTAL_MAX = 57
+
+#: Each derived total and the stored scores it sums.
+COMPONENTS = {FM_TOTAL: (FM_DISTAL, FM_PROXIMAL), ARAT_TOTAL: ARAT_SUBSCALES}
 
 #: Published minimal clinically important differences, reported alongside gains.
 MCID = {"FM": (4.25, 7.25), "ARAT": (5.7,)}
@@ -92,6 +89,20 @@ MCID = {"FM": (4.25, 7.25), "ARAT": (5.7,)}
 
 class CohortFormatError(ValueError):
     """Malformed cohort data; message carries offending line numbers."""
+
+
+def score_problem(measure: Measure, phase: Phase, value) -> str | None:
+    """Why ``value`` cannot be the stored ``measure`` score of ``phase``, or None."""
+    if not isinstance(value, int):
+        return f"score {value!r} is not an integer"
+    if measure not in SCORE_RANGES:
+        return f"unknown measure {measure}"
+    if measure.family == "FM" and phase is Phase.POST_ASSISTED:
+        return "motor score has no assisted phase"
+    lo, hi = SCORE_RANGES[measure]
+    if not lo <= value <= hi:
+        return f"{measure} {phase.value} score {value} outside [{lo}, {hi}]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,33 +116,13 @@ class SubjectOutcomes:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", dict(self.scores))
         for (measure, phase), value in self.scores.items():
-            if measure not in SCORE_RANGES:
-                raise ValueError(f"{self.subject_id}: unknown measure {measure}")
-            lo, hi = SCORE_RANGES[measure]
-            if not isinstance(value, int) or not lo <= value <= hi:
-                raise ValueError(f"{self.subject_id}: {measure} {phase.value} score {value!r} outside [{lo}, {hi}]")
-            if measure.family == "FM" and phase is Phase.POST_ASSISTED:
-                raise ValueError(f"{self.subject_id}: motor score has no assisted phase")
-        for phase in Phase:
-            total = self._arat_total(phase)
-            if total is not None and total > ARAT_TOTAL_MAX:
-                raise ValueError(f"{self.subject_id}: arm-test total {total} exceeds {ARAT_TOTAL_MAX}")
-
-    def _arat_total(self, phase: Phase) -> int | None:
-        parts = [self.scores.get((m, phase)) for m in ARAT_SUBSCALES]
-        if any(p is None for p in parts):
-            return None
-        return sum(parts)
+            if problem := score_problem(measure, phase, value):
+                raise ValueError(f"{self.subject_id}: {problem}")
 
     def score(self, measure: Measure, phase: Phase) -> int | None:
         """Stored or derived (total) score; None when a component is missing."""
-        if measure == FM_TOTAL:
-            d = self.scores.get((FM_DISTAL, phase))
-            p = self.scores.get((FM_PROXIMAL, phase))
-            return None if d is None or p is None else d + p
-        if measure == ARAT_TOTAL:
-            return self._arat_total(phase)
-        return self.scores.get((measure, phase))
+        parts = [self.scores.get((part, phase)) for part in COMPONENTS.get(measure, (measure,))]
+        return None if None in parts else sum(parts)
 
     @property
     def functional_at_baseline(self) -> bool | None:
@@ -173,11 +164,12 @@ def compute_gains(
     Subjects missing either phase are excluded and listed in the result
     rather than silently dropped.
     """
+    minuend, subtrahend = comparison.value
     gains: dict[str, int] = {}
     excluded: list[str] = []
     for subject in cohort:
-        a = subject.score(measure, comparison.minuend)
-        b = subject.score(measure, comparison.subtrahend)
+        a = subject.score(measure, minuend)
+        b = subject.score(measure, subtrahend)
         if a is None or b is None:
             excluded.append(subject.subject_id)
         else:
@@ -200,8 +192,6 @@ def display_round(value: Fraction | float, digits: int) -> float:
 
 CSV_HEADER = ("subject_id", "group", "measure", "subscale", "phase", "score")
 
-_CSV_MEASURES = {(m.family, m.subscale): m for m in SCORE_RANGES}
-
 #: A score as the CSV spells it: ASCII digits with an optional sign, which
 #: ``int`` alone would widen to ``0_5`` and other scripts' digits.
 _SCORE = re.compile(r"[+-]?[0-9]+")
@@ -220,8 +210,7 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
         text = Path(source).read_text()
     else:
         text = source.read()
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise CohortFormatError("empty cohort file")
     if tuple(h.strip() for h in rows[0]) != CSV_HEADER:
@@ -248,25 +237,19 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
         except ValueError:
             problems.append(f"line {lineno}: unknown group {group_s!r}")
             continue
-        measure = _CSV_MEASURES.get((family, subscale))
-        if measure is None:
-            problems.append(f"line {lineno}: unknown measure/subscale {family!r}/{subscale!r}")
-            continue
         try:
             phase = Phase(phase_s)
         except ValueError:
             problems.append(f"line {lineno}: unknown phase {phase_s!r}")
             continue
-        if measure.family == "FM" and phase is Phase.POST_ASSISTED:
-            problems.append(f"line {lineno}: motor score has no assisted phase")
+        measure = Measure(family, subscale)
+        try:
+            score = int(score_s) if _SCORE.fullmatch(score_s) else score_s
+        except ValueError:  # more digits than int() reads
+            problems.append(f"line {lineno}: score of {len(score_s)} characters is past the integer digit limit")
             continue
-        if not _SCORE.fullmatch(score_s):
-            problems.append(f"line {lineno}: score {score_s!r} is not an integer")
-            continue
-        score = int(score_s)
-        lo, hi = SCORE_RANGES[measure]
-        if not lo <= score <= hi:
-            problems.append(f"line {lineno}: {measure} score {score} outside [{lo}, {hi}]")
+        if problem := score_problem(measure, phase, score):
+            problems.append(f"line {lineno}: {problem}")
             continue
         if sid in groups and groups[sid] is not group:
             problems.append(f"line {lineno}: subject {sid} listed under both groups")

@@ -100,8 +100,6 @@ def _group_homogeneity(
     group_of = {s.subject_id: s.group for s in cohort}
     for sid, gain in gains.gains.items():
         by_group[group_of[sid]].append(gain)
-    if any(len(v) < 2 for v in by_group.values()):
-        return None
     try:
         _stat, p = levene(by_group[Group.EMG], by_group[Group.SH])
     except ValueError:

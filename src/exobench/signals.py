@@ -144,6 +144,19 @@ class SignalProfile:
         }
 
 
+def _check_rows(kind: str, rows: list, lines: list[str]) -> None:
+    """Name the first row that is not an object holding JSON numbers under
+    ``t`` and its kind's key, ``EMG_CHANNELS`` of them under ``emg``."""
+    key, channels = ("emg", f", {EMG_CHANNELS} channels under 'emg'") if kind == "emg" else ("tension", "")
+    for n, row in enumerate(rows):
+        row = row if type(row) is dict else {}
+        values = row.get(key) if channels else [row.get(key)]
+        if not (type(values) is list and len(values) == (EMG_CHANNELS if channels else 1)
+                and all(type(v) in _JSON_NUMBERS for v in [row.get("t"), *values])):
+            raise ValueError(f"sample {n} must be an object with keys 't' and {key!r} holding "
+                             f"JSON numbers{channels}, got {lines[n]!r}")
+
+
 def _sample_array(kind: str, values) -> np.ndarray:
     """``values`` as a float array with one row per sample, or ValueError."""
     row = (EMG_CHANNELS,) if kind == "emg" else ()
@@ -183,24 +196,24 @@ class SignalTrace:
         if not (0.0 < self.rate_hz < math.inf and math.isfinite(len(samples) / self.rate_hz)):
             raise ValueError(f"rate_hz must be positive and finite, as must {len(samples)} / rate_hz, "
                              f"got {self.rate_hz!r}")
-        if self.kind == "emg":
-            # NaN fails both comparisons, so this also rejects non-finite values.
-            if not np.all((samples >= 0.0) & (samples <= 1.0)):
-                raise ValueError("EMG activations must be finite and in [0, 1]")
-        elif not (np.all(np.isfinite(samples)) and np.all(samples >= 0.0)):
-            raise ValueError("tension must be finite and non-negative")
+        # NaN fails every comparison, so this also rejects non-finite values.
+        emg = self.kind == "emg"
+        ok = (samples >= 0.0) & ((samples <= 1.0) if emg else (samples < math.inf))
+        if not ok.all():
+            rule = "EMG activations must be finite and in [0, 1]" if emg else "tension must be finite and non-negative"
+            raise ValueError(f"sample {np.argmin(ok.reshape(len(samples), -1).all(axis=1))}: {rule}")
         t = np.arange(len(samples)) / self.rate_hz
         t.flags.writeable = False
         samples.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "samples", samples)
         prev_end = None
-        for t0, t1, _label in self.annotations:
+        for n, (t0, t1, _label) in enumerate(self.annotations):
             if not -math.inf < t0 < t1 < math.inf:  # NaN fails every comparison
-                raise ValueError(f"annotation interval must be finite with t_start < t_end, "
+                raise ValueError(f"annotation {n} must be finite with t_start < t_end, "
                                  f"got [{t0!r}, {t1!r}]")
             if prev_end is not None and t0 < prev_end - 1e-12:
-                raise ValueError("annotation intervals overlap")
+                raise ValueError(f"annotation {n} overlaps annotation {n - 1}")
             prev_end = t1
 
     @property
@@ -242,11 +255,16 @@ class SignalTrace:
         """Read ``to_jsonl`` text back: any JSON, one value per non-blank line.
 
         The sample lines are parsed together, as the items of one JSON array.
+        The trace's numbers are read through their text, so an integer past the
+        float range reads as inf, as ``1e400`` does. Each error names its place.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty trace file")
-        header = json.loads(lines[0])
+        try:
+            header = json.loads(lines[0])
+        except ValueError as exc:  # malformed, or an integer past int()'s digit limit
+            raise ValueError(f"trace header is not valid JSON: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"trace header must be a JSON object, got {lines[0]!r}")
         if header.get("schema") != TRACE_SCHEMA:
@@ -261,14 +279,19 @@ class SignalTrace:
         if type(rate_hz) not in _JSON_NUMBERS:
             raise ValueError(f"trace header needs a number rate_hz, got {rate_hz!r}")
         label_type = IntentLabel if kind == "emg" else ShoulderPosture
+        spans = header["annotations"]
+        if type(spans) is not list:
+            raise ValueError(f"trace header needs [t_start, t_end, label] annotations, got {spans!r}")
         annotations = []
-        try:
-            for n, (t0, t1, lab) in enumerate(header["annotations"]):
-                if type(t0) not in _JSON_NUMBERS or type(t1) not in _JSON_NUMBERS:
-                    raise ValueError(f"annotation {n} needs number bounds, got [{t0!r}, {t1!r}]")
-                annotations.append((float(t0), float(t1), label_type(lab)))
-        except TypeError:
-            raise ValueError("trace header needs [t_start, t_end, label] annotations") from None
+        for n, span in enumerate(spans):
+            try:
+                t0, t1, label = span
+                label = label_type(label)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"annotation {n} must be [t_start, t_end, label]: {exc}") from None
+            if type(t0) not in _JSON_NUMBERS or type(t1) not in _JSON_NUMBERS:
+                raise ValueError(f"annotation {n} needs number bounds, got [{t0!r}, {t1!r}]")
+            annotations.append((float(repr(t0)), float(repr(t1)), label))
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"trace header meta must be a JSON object, got {meta!r}")
@@ -276,35 +299,29 @@ class SignalTrace:
         body = lines[1:]
         joined = ",".join(body)
         try:
-            rows = json.loads("[" + joined + "]")
+            rows = json.loads("[" + joined + "]", parse_int=float)
         except json.JSONDecodeError:  # name the first bad line; only an error pays for it
             for n, line in enumerate(body):
                 try:
-                    json.loads(line)
+                    json.loads(line, parse_int=float)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"sample {n} is not valid JSON "
                                      f"({exc.msg} at column {exc.colno}), got {line!r}") from None
             raise
         if len(rows) != len(body):
             raise ValueError("each sample line must hold exactly one JSON value")
+        # true, false and null hold a "u" or an "l", which no number does, and a
+        # string adds quotes past a line's two keys: only then, or when the rows
+        # make no trace, are they looked at one by one.
+        if "u" in joined or "l" in joined or joined.count('"') != 4 * len(body):
+            _check_rows(kind, rows, body)
         try:
             t = [row["t"] for row in rows]
-            samples = [row[key] for row in rows]
-        except (KeyError, TypeError):
-            n = next(i for i, row in enumerate(rows)
-                     if not (isinstance(row, dict) and "t" in row and key in row))
-            raise ValueError(
-                f"sample {n} must be an object with keys 't' and {key!r}, got {body[n]!r}"
-            ) from None
-        # true, false and null hold a "u" or an "l", which no number does, and a
-        # string adds quotes past a line's two keys: only then are values looked at.
-        if "u" in joined or "l" in joined or joined.count('"') != 4 * len(body):
-            for n, (tn, value) in enumerate(zip(t, samples)):
-                values = value if isinstance(value, list) else [value]
-                if not all(type(v) in _JSON_NUMBERS for v in [tn, *values]):
-                    raise ValueError(f"sample {n} holds a value that is not a JSON number, got {body[n]!r}")
-        trace = SignalTrace(kind=kind, rate_hz=float(rate_hz), samples=samples,
-                            annotations=tuple(annotations), meta=meta)
+            trace = SignalTrace(kind=kind, rate_hz=float(repr(rate_hz)), samples=[row[key] for row in rows],
+                                annotations=tuple(annotations), meta=meta)
+        except (KeyError, TypeError, ValueError):
+            _check_rows(kind, rows, body)
+            raise
         derived = trace.t.tolist()
         if t != derived:
             n = next(n for n, (a, b) in enumerate(zip(t, derived)) if a != b)
@@ -313,7 +330,10 @@ class SignalTrace:
 
     @staticmethod
     def load(path: str | Path) -> "SignalTrace":
-        return SignalTrace.from_jsonl(Path(path).read_text())
+        try:
+            return SignalTrace.from_jsonl(Path(path).read_text())
+        except ValueError as exc:  # name the file, as an OSError does
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_script(script: Sequence[tuple], enum_type) -> list[tuple]:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,12 @@ import exobench
 from exobench import cli, intent, signals
 from exobench import config as config_mod
 from exobench.outcomes import golden
+from exobench.outcomes.model import CSV_HEADER
+
+
+#: How a screening trace's reader words a malformed sample row, before the row.
+_ROW_RULE = ("sample 0 must be an object with keys 't' and 'emg' holding JSON numbers, "
+             "8 channels under 'emg'")
 
 
 def run_cli(capsys, *argv):
@@ -169,9 +176,9 @@ class TestScreen:
         assert len(doc["conditions"]) == 6
 
     @pytest.mark.parametrize("line, text, error", [
-        (1, '{"t":0.0}', "sample 0 must be an object with keys 't' and 'emg', got '{\"t\":0.0}'"),
-        (1, "[1,2]", "sample 0 must be an object with keys 't' and 'emg', got '[1,2]'"),
-        (1, "null", "sample 0 must be an object with keys 't' and 'emg', got 'null'"),
+        (1, '{"t":0.0}', f"{_ROW_RULE}, got '{{\"t\":0.0}}'"),
+        (1, "[1,2]", f"{_ROW_RULE}, got '[1,2]'"),
+        (1, "null", f"{_ROW_RULE}, got 'null'"),
         (0, "[]", "trace header must be a JSON object, got '[]'"),
         (0, json.dumps({"schema": signals.TRACE_SCHEMA, "rate_hz": 50.0, "annotations": []}),
          "trace header lacks kind"),
@@ -187,14 +194,29 @@ class TestScreen:
                         "annotations": [[0.0, " 1e1 ", "relax"]]}),
          "annotation 0 needs number bounds, got [0.0, ' 1e1 ']"),
         (1, '{"t":0.0,"emg":[" 1e1 ",0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
-         "sample 0 holds a value that is not a JSON number, "
-         "got '{\"t\":0.0,\"emg\":[\" 1e1 \",0.1,0.1,0.1,0.1,0.1,0.1,0.1]}'"),
+         f"{_ROW_RULE}, got '{{\"t\":0.0,\"emg\":[\" 1e1 \",0.1,0.1,0.1,0.1,0.1,0.1,0.1]}}'"),
         (1, '{"t":0.0,"emg":[true,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
-         "sample 0 holds a value that is not a JSON number, "
-         "got '{\"t\":0.0,\"emg\":[true,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}'"),
+         f"{_ROW_RULE}, got '{{\"t\":0.0,\"emg\":[true,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}}'"),
+        (1, '{"t":0.0,"emg":[[0.1],0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
+         f"{_ROW_RULE}, got '{{\"t\":0.0,\"emg\":[[0.1],0.1,0.1,0.1,0.1,0.1,0.1,0.1]}}'"),
+        (1, '{"t":0.0,"emg":[' + "1" + "0" * 5000 + ',0.1,0.1,0.1,0.1,0.1,0.1,0.1]}',
+         "sample 0: EMG activations must be finite and in [0, 1]"),
+        (0, '{"schema": "exobench/trace-v1" "kind": "emg"}',
+         "trace header is not valid JSON: Expecting ',' delimiter: line 1 column 32 (char 31)"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": 50.0,
+                        "annotations": [[0.0, 1.0]]}),
+         "annotation 0 must be [t_start, t_end, label]: not enough values to unpack (expected 3, got 2)"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": 50.0,
+                        "annotations": [[0.0, 1.0, "relax"], [1.0, 2.0, "clse"]]}),
+         "annotation 1 must be [t_start, t_end, label]: 'clse' is not a valid IntentLabel"),
+        (0, json.dumps({"schema": signals.TRACE_SCHEMA, "kind": "emg", "rate_hz": "@",
+                        "annotations": []}).replace('"@"', "1" + "0" * 400),
+         "rate_hz must be positive and finite, as must 600 / rate_hz, got inf"),
     ], ids=["row-without-value", "row-list", "row-null", "header-list", "header-without-kind",
             "header-number-meta", "row-truncated", "header-bool-rate", "header-string-bound",
-            "row-string-value", "row-bool-value"])
+            "row-string-value", "row-bool-value", "row-list-value", "row-5000-digit-value",
+            "header-not-json", "annotation-of-two-fields", "annotation-unknown-label",
+            "header-400-digit-rate"])
     def test_malformed_trace_exit_2(self, capsys, tmp_path, line, text, error):
         out_dir = tmp_path / "scr"
         run_cli(capsys, "gen", "screening", "--subject", "separable", "--out", str(out_dir))
@@ -205,7 +227,7 @@ class TestScreen:
         code, out, err = run_cli(capsys, "screen", str(out_dir))
         assert code == 2
         assert out == ""
-        assert err == f"error: {error}\n"
+        assert err == f"error: {path}: {error}\n"
 
     @staticmethod
     def _screening_with_header(root: Path, edit) -> None:
@@ -230,7 +252,8 @@ class TestScreen:
     def test_rate_its_times_do_not_follow_exit_2(self, capsys, tmp_path, rate_hz, error):
         # Each used to raise, or screen with holds of rate-scaled seconds.
         self._screening_with_header(tmp_path / "scr", lambda header: header.update(rate_hz=rate_hz))
-        assert run_cli(capsys, "screen", str(tmp_path / "scr")) == (2, "", f"error: {error}\n")
+        path = tmp_path / "scr" / "open_on_table.jsonl"
+        assert run_cli(capsys, "screen", str(tmp_path / "scr")) == (2, "", f"error: {path}: {error}\n")
 
     @pytest.mark.parametrize("end", [float("nan"), float("inf")])
     def test_annotation_bound_not_finite_exit_2(self, capsys, tmp_path, end):
@@ -239,8 +262,9 @@ class TestScreen:
             header["annotations"][1][1] = end
 
         self._screening_with_header(tmp_path / "scr", edit)
+        path = tmp_path / "scr" / "open_on_table.jsonl"
         assert run_cli(capsys, "screen", str(tmp_path / "scr")) == (
-            2, "", f"error: annotation interval must be finite with t_start < t_end, "
+            2, "", f"error: {path}: annotation 1 must be finite with t_start < t_end, "
                    f"got [1.0, {end!r}]\n")
 
     @pytest.mark.parametrize("rate_hz", [6_834.0, 1e12, 1e308])
@@ -512,6 +536,14 @@ class TestAnalyze:
         path.write_text("subject_id,group,measure,subscale,phase,score\n"
                         f"P01,EMG,FM,distal,baseline,1\n{sid},EMG,FM,proximal,baseline,{score}\n")
         assert run_cli(capsys, "analyze", str(path)) == (2, "", f"error: {error}\n")
+
+    def test_score_past_the_digit_limit_exit_2(self, capsys, tmp_path):
+        # int() used to raise a bare "Exceeds the limit (4300 digits)" error.
+        path = tmp_path / "bad.csv"
+        path.write_text("subject_id,group,measure,subscale,phase,score\n"
+                        f"P01,EMG,FM,distal,baseline,1\nP01,EMG,FM,proximal,baseline,1{'0' * 5000}\n")
+        assert run_cli(capsys, "analyze", str(path)) == (
+            2, "", "error: line 3: score of 5001 characters is past the integer digit limit\n")
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _out, err = run_cli(capsys, "analyze", str(tmp_path / "absent.csv"))
@@ -971,11 +1003,13 @@ class TestSettings:
 #: Numbers as a flag or a config file spells them, in five kinds drawn alike:
 #: zero or negative, not finite, huge but finite, small integers and small
 #: floats. The square of 1e200 overflows, and so does twice 1e308 or ten
-#: times 1e307; a 31-digit seed is an integer.
+#: times 1e307; a 31-digit seed is an integer. A 401-digit integer is past
+#: the float range, and a 5,001-digit one past the digits ``int()`` reads.
 _NUMBERS = st.one_of(
     st.sampled_from(["0", "-0.0", "-1", "-1e308"]),
     st.sampled_from(["nan", "inf", "-inf", "-Infinity"]),
-    st.sampled_from(["1" + "0" * 30, "1e200", "1e307", "1e308", "1.7976931348623157e308"]),
+    st.sampled_from(["1" + "0" * 30, "1e200", "1e307", "1e308", "1.7976931348623157e308",
+                     "1" + "0" * 400, "1" + "0" * 5000]),
     st.integers(0, 13).map(str),
     st.floats(0.0, 3.0).map(repr),
 )
@@ -1123,3 +1157,148 @@ def test_every_number_is_honoured_or_rejected(command, name, data):
     if code == 0:
         for text in written or [stdout.getvalue()]:
             _READERS[command](text)
+
+
+# ---------------------------------------------------------------------------
+# Every change to a file's structure is rejected by its place, or changes nothing.
+
+#: Stands in for the value a mutation replaces, until its JSON text goes in.
+_MARK = "@mutated@"
+#: JSON texts of each type a value may be swapped for; "" blanks the value.
+_SWAPS = ('"x"', '""', "true", "null", "[]", "{}", "5", "")
+#: Spellings of a number that are not a float to JSON: with ``_``, in
+#: Arabic-Indic digits, past the float range and past ``int()``'s digits.
+_SPELLINGS = ("1_0", "\u0661\u0660", "1" + "0" * 400, "1" + "0" * 5000)
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _mutate_line(obj, data) -> tuple[str, str | None]:
+    """``obj``, one line of a trace file, as JSON with one thing changed: a
+    value swapped for another type, blanked or spelled past what JSON reads,
+    or a key or an annotation's field dropped or duplicated. Also the
+    header key or the annotation changed, if one was."""
+    container, place = obj, None
+    if isinstance(obj.get("annotations"), list) and data.draw(st.booleans(), label="annotation"):
+        k = data.draw(st.integers(0, len(obj["annotations"]) - 1), label="annotation")
+        container, place = obj["annotations"][k], f"annotation {k}"
+    elif "emg" in obj and data.draw(st.booleans(), label="channel"):
+        container = obj["emg"]
+    key = data.draw(st.sampled_from(sorted(container) if isinstance(container, dict)
+                                    else range(len(container))), label="key")
+    value = container[key]
+    place = place or (key if "schema" in obj else None)
+    ops = ["swap", "drop", "duplicate"] + ["spell"] * (_json_kind(value) == "number")
+    op = data.draw(st.sampled_from(ops), label="op")
+    if op == "drop":
+        del container[key]
+    elif op == "duplicate" and container is obj:  # a key twice: JSON keeps the last
+        return "{" + json.dumps(key) + ": " + json.dumps(value) + ", " + json.dumps(obj)[1:], place
+    elif op == "duplicate":
+        container.insert(key, value)
+    else:
+        texts = _SPELLINGS if op == "spell" else [
+            text for text in _SWAPS if not text or _json_kind(json.loads(text)) != _json_kind(value)]
+        container[key] = _MARK
+        text = data.draw(st.sampled_from(texts), label="as")
+        return json.dumps(obj).replace(json.dumps(_MARK), text), place
+    return json.dumps(obj), place
+
+
+#: The score's column in the cohort CSV.
+CSV_SCORE = CSV_HEADER.index("score")
+
+
+def _mutate_cohort(lines: list[str], data) -> tuple[list[str], int]:
+    """The cohort CSV with one cell blanked, swapped for a word or a number, or
+    its score spelled past what the reader takes; a cell, a column or a row
+    dropped or duplicated. Also the line an error must name."""
+    rows = [line.split(",") for line in lines]
+    n = data.draw(st.integers(1, len(rows) - 1), label="row")
+    op = data.draw(st.sampled_from(["blank", "swap", "spell", "drop", "duplicate", "drop column",
+                                    "duplicate column", "duplicate row"]), label="op")
+    # A swap leaves the id alone: a number for an id is another id.
+    column = data.draw(st.integers(int(op == "swap"), len(CSV_HEADER) - 1), label="column")
+    if op == "blank":
+        rows[n][column] = ""
+    elif op == "swap":  # a word for a score, a number for any other cell
+        rows[n][column] = "abc" if column == CSV_SCORE else "5"
+    elif op == "spell":
+        rows[n][CSV_SCORE] = data.draw(st.sampled_from(_SPELLINGS), label="as")
+    elif op == "duplicate row":
+        rows.insert(n, rows[n])
+        n += 1
+    else:
+        for row in rows if op.endswith("column") else [rows[n]]:
+            row[column:column + 1] = row[column:column + 1] * (2 if op.startswith("duplicate") else 0)
+        n = 0 if op.endswith("column") else n
+    return [",".join(row) for row in rows], n + 1
+
+
+def _write_input(root: Path, command: str, data) -> tuple[list[str], list[tuple[str, str]]]:
+    """Write the input of ``command`` into ``root``, with one thing of its
+    structure changed if ``data`` draws it. Return the argv that reads it
+    and the places an error may name, each as the start of the message and
+    a word it holds: the line for ``analyze``; for ``screen`` the file, and
+    in it the sample, the annotation, the header key or the header."""
+    places = []
+    if command == "analyze":
+        lines = golden.golden_cohort_csv().splitlines()
+        if data is not None:
+            lines, line = _mutate_cohort(lines, data)
+            places = [(f"line {line}: ", f"line {line}")]
+        (root / "cohort.csv").write_text("\n".join(lines) + "\n")
+        return ["analyze", str(root / "cohort.csv")], places
+    files = dict(_screening_files())
+    if data is not None:
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        lines = files[name].splitlines()
+        n = 0 if data.draw(st.booleans(), label="header") else data.draw(
+            st.integers(1, len(lines) - 1), label="line")
+        lines[n], place = _mutate_line(json.loads(lines[n]), data)
+        words = [place, "trace header"] if n == 0 else [f"sample {n - 1}"]
+        files[name] = "\n".join(lines) + "\n"
+        places = [(f"{root / name}: ", word) for word in words]
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return ["screen", str(root)], places
+
+
+@functools.cache
+def _unchanged_stdout(command: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(_write_input(Path(tmp), command, None)[0]) == 0
+        return stdout.getvalue()
+
+
+def _check_structure_change(command: str, data) -> None:
+    """Exit 2 with one line that names the file and the place, or the
+    unchanged input's stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, places = _write_input(Path(tmp), command, data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    if code == 0:
+        assert stdout.getvalue() == _unchanged_stdout(command)
+        return
+    err = stderr.getvalue()
+    assert (code, stdout.getvalue(), err.count("\n"), err[-1:]) == (2, "", 1, "\n"), err
+    assert any(err.startswith(f"error: {start}") and re.search(rf"\b{re.escape(word)}\b", err)
+               for start, word in places), f"{err!r} names none of {places}"
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_trace_structure_change_is_rejected_by_place_or_changes_nothing(data):
+    _check_structure_change("screen", data)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_every_cohort_structure_change_is_rejected_by_place(data):
+    _check_structure_change("analyze", data)

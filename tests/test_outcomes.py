@@ -93,7 +93,26 @@ class TestSubjectOutcomes:
             (model.ARAT_GROSS, Phase.BASELINE): 9,
         }
         subject = SubjectOutcomes("P01", Group.EMG, scores)
-        assert subject.score(ARAT_TOTAL, Phase.BASELINE) == model.ARAT_TOTAL_MAX
+        assert subject.score(ARAT_TOTAL, Phase.BASELINE) == 57
+
+    def test_arm_test_caps_sum_to_the_published_total(self):
+        # No per-subject total check exists: the subscale caps bound the total.
+        assert sum(model.SCORE_RANGES[m][1] for m in model.ARAT_SUBSCALES) == 57
+
+    @pytest.mark.parametrize("measure, phase, value, reason", [
+        (model.Measure("FM", "nope"), Phase.BASELINE, 20, "unknown measure FM-nope"),
+        (FM_DISTAL, Phase.POST_ASSISTED, 20, "motor score has no assisted phase"),
+        (ARAT_GRASP, Phase.BASELINE, 99, "ARAT-grasp baseline score 99 outside [0, 18]"),
+        (BBT, Phase.POST_UNASSISTED, -1, "BBT-count post_unassisted score -1 outside [0, 1000000]"),
+        (FM_PROXIMAL, Phase.BASELINE, "0_5", "score '0_5' is not an integer"),
+    ], ids=["unknown-measure", "assisted-motor", "over-cap", "negative", "not-an-int"])
+    def test_record_and_csv_give_one_reason(self, measure, phase, value, reason):
+        with pytest.raises(ValueError, match=f"^P01: {re.escape(reason)}$"):
+            SubjectOutcomes("P01", Group.EMG, {(measure, phase): value})
+        text = ("subject_id,group,measure,subscale,phase,score\n"
+                f"P01,EMG,{measure.family},{measure.subscale},{phase.value},{value}\n")
+        with pytest.raises(CohortFormatError, match=f"^line 2: {re.escape(reason)}$"):
+            load_cohort_csv(io.StringIO(text))
 
     def test_totals_are_derived(self):
         scores = {
@@ -196,6 +215,17 @@ class TestCsv:
         # int() alone reads 0_5 as 5 and the Arabic-Indic and fullwidth digits as 3 and 5.
         text = f"subject_id,group,measure,subscale,phase,score\nP01,EMG,FM,distal,baseline,{score}\n"
         with pytest.raises(CohortFormatError, match=f"^line 2: score {re.escape(repr(score))} is not an integer$"):
+            load_cohort_csv(io.StringIO(text))
+
+    def test_a_score_past_the_digit_limit_is_its_line_s_problem(self):
+        # int() used to raise out of the loader, naming no line and dropping
+        # the problems of the other rows.
+        text = ("subject_id,group,measure,subscale,phase,score\n"
+                f"P01,EMG,FM,distal,baseline,{'1' + '0' * 5000}\n"
+                "P01,EMG,FM,nope,baseline,20\n")
+        with pytest.raises(CohortFormatError, match=re.escape(
+                "line 2: score of 5001 characters is past the integer digit limit; "
+                "line 3: unknown measure FM-nope")):
             load_cohort_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("score, value", [("+5", 5), ("05", 5), ("-0", 0), (" 7 ", 7)])

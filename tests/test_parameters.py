@@ -16,10 +16,12 @@ an unset value.
 A ``field(default_factory=...)`` gives each instance a fresh container of
 its own; it is state, not a setting, and is not checked.
 
-A top-level function or class of ``src/exobench`` counts as named when a
-name or attribute of its name appears in ``src/`` or ``bench/`` outside its
-own definition. One that only tests name is a test reference, and belongs
-in ``tests/reference.py``.
+A top-level function or class of ``src/exobench``, or an UPPER_CASE name
+assigned at its top level (a module constant), counts as named when a name
+or attribute of its name is loaded in ``src/`` or ``bench/`` outside its
+own definition. A function or class that only tests name is a test
+reference, and belongs in ``tests/reference.py``; a constant that nothing
+reads states a rule that nothing keeps.
 
 A field of a dataclass or NamedTuple in ``src/exobench`` counts as read when
 an attribute load of its name, or a string constant equal to it (a key of a
@@ -47,11 +49,14 @@ ALLOWED = {
         "the open threshold of the episode summaries planned in ROADMAP item 1",
 }
 
-#: Top-level functions and classes that only tests name, each with its reason.
+#: Top-level functions, classes and constants that nothing in ``src/`` or
+#: ``bench/`` names, each with its reason.
 UNNAMED_ALLOWED = {
     "count_direction_reversals": "ROADMAP item 1 gives it a caller",
     "time_to_open": "ROADMAP item 1 gives it a caller",
     "trace_accuracy": "ROADMAP item 1 gives it a caller",
+    "_HOLD_OPEN": "names the FSM code that settling's +1 makes of _EXTENDING",
+    "_HOLD_CLOSED": "names the FSM code that settling's +1 makes of _RELEASING",
 }
 
 
@@ -201,20 +206,31 @@ def _top_level(files):
             yield path, stmt
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's,
+    or each UPPER_CASE name it assigns, alone or in a tuple."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    names = [name for target in targets
+             for name in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    return [name.id for name in names if isinstance(name, ast.Name) and name.id.isupper()]
+
+
 def unnamed(package, callers) -> set[str]:
-    """The top-level functions and classes of ``package`` whose name no name
-    or attribute in ``callers`` uses outside their own definition."""
+    """The top-level functions, classes and constants of ``package`` whose
+    name no name or attribute load in ``callers`` uses outside their own
+    definition."""
     users: dict[str, set[tuple[Path, int]]] = {}
     for path, stmt in _top_level(callers):
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 users.setdefault(node.id, set()).add((path, stmt.lineno))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 users.setdefault(node.attr, set()).add((path, stmt.lineno))
     return {
-        stmt.name for path, stmt in _top_level(package)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not users.get(stmt.name, set()) - {(path, stmt.lineno)}
+        name for path, stmt in _top_level(package) for name in _defined(stmt)
+        if not users.get(name, set()) - {(path, stmt.lineno)}
     }
 
 
@@ -238,11 +254,19 @@ class Alone:
         return Alone()
 
 x: Annotated = used()
+READ = 1
+UNREAD, _PAIRED = 2, READ
+STORED: int = 3
+STORED = 4
+BY_ATTRIBUTE = 5
+lower = 6
 ''')
     caller = tmp_path / "caller.py"
-    caller.write_text("import m\nm.by_attribute()\n")
-    assert unnamed([module], [module, caller]) == {"recursive", "unused", "Alone"}
-    assert unnamed([module], [module]) == {"recursive", "unused", "Alone", "by_attribute"}
+    caller.write_text("import m\nm.by_attribute()\nprint(m.BY_ATTRIBUTE)\nm.STORED = 7\n")
+    assert unnamed([module], [module, caller]) == {
+        "recursive", "unused", "Alone", "UNREAD", "_PAIRED", "STORED"}
+    assert unnamed([module], [module]) == {
+        "recursive", "unused", "Alone", "by_attribute", "UNREAD", "_PAIRED", "STORED", "BY_ATTRIBUTE"}
 
 
 def record_fields(files) -> dict[str, str]:

@@ -372,12 +372,44 @@ class TestSerialization:
         ([20.0, None, 20.0], [0.0, 1.0, 2.0]),
         ([20.0] * 3, [0.0, True, 2.0]),
         ([_ROW, [0.1, True] + [0.1] * 6], [0.0, 1.0]),
-    ], ids=["string-value", "bool-value", "null-value", "bool-t", "bool-in-a-row"])
+        ([_ROW, [[0.1]] + [0.1] * 7], [0.0, 1.0]),
+        ([_ROW, 0.1], [0.0, 1.0]),
+        ([20.0, [20.0], 20.0], [0.0, 1.0, 2.0]),
+    ], ids=["string-value", "bool-value", "null-value", "bool-t", "bool-in-a-row", "list-in-a-row",
+            "number-for-a-row", "list-for-a-tension"])
     def test_rejects_a_sample_that_is_not_a_json_number(self, rows, times):
-        # " 1e1 " used to read as 10.0, and True as 1.0.
-        text = _jsonl("emg" if isinstance(rows[0], list) else "load", rows, times, rate_hz=1.0)
-        message = f"sample 1 holds a value that is not a JSON number, got {text.splitlines()[2]!r}"
+        # " 1e1 " used to read as 10.0, and True as 1.0; a list in place of a
+        # number made a ragged array, whose error named no sample.
+        emg = isinstance(rows[0], list)
+        text = _jsonl("emg" if emg else "load", rows, times, rate_hz=1.0)
+        message = (f"sample 1 must be an object with keys 't' and {'emg' if emg else 'tension'!r} "
+                   f"holding JSON numbers{', 8 channels under ' + repr('emg') if emg else ''}, "
+                   f"got {text.splitlines()[2]!r}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignalTrace.from_jsonl(text)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("kind, row, error", [
+        ("load", "@", "sample 1: tension must be finite and non-negative"),
+        ("emg", "[@,0.1,0.1,0.1,0.1,0.1,0.1,0.1]", "sample 1: EMG activations must be finite and in [0, 1]"),
+    ], ids=["load", "emg"])
+    def test_a_sample_past_the_float_range_reads_as_inf(self, digits, kind, row, error):
+        # A JSON integer beyond the float range used to raise OverflowError,
+        # and one past int()'s 4,300 digits a ValueError that named no sample.
+        key = "emg" if kind == "emg" else "tension"
+        lines = _jsonl(kind, [json.loads(row.replace("@", "0"))] * 3).splitlines()
+        lines[2] = f'{{"t":0.02,"{key}":{row.replace("@", "1" + "0" * digits)}}}'
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            SignalTrace.from_jsonl("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("spelled, error", [
+        ("1" + "0" * 400, "rate_hz must be positive and finite, as must 3 / rate_hz, got inf"),
+        ("-1" + "0" * 400, "rate_hz must be positive and finite, as must 3 / rate_hz, got -inf"),
+        ("1" + "0" * 5000, "trace header is not valid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["401-digits", "negative-401-digits", "5001-digits"])
+    def test_a_rate_past_the_float_range_is_rejected_by_name(self, spelled, error):
+        text = _jsonl("load", [20.0] * 3).replace('"rate_hz": 50.0', f'"rate_hz": {spelled}')
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
             SignalTrace.from_jsonl(text)
 
     @pytest.mark.parametrize("bounds", [[0.0, "0.5"], [False, 0.5], [0.0, None]])
@@ -402,7 +434,7 @@ class TestSerialization:
         # A NaN end used to pass the length and overlap checks, and an
         # infinite one was rejected as an overlap with the next interval.
         annotations = ((t0, t1, ShoulderPosture.REST), (2.0, 3.0, ShoulderPosture.ELEVATED))
-        message = re.escape(f"annotation interval must be finite with t_start < t_end, "
+        message = re.escape(f"annotation 0 must be finite with t_start < t_end, "
                             f"got [{t0!r}, {t1!r}]")
         with pytest.raises(ValueError, match=message):
             SignalTrace(kind="load", rate_hz=50.0, samples=np.full(50, 20.0), annotations=annotations)
