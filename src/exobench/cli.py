@@ -3,7 +3,8 @@
 Conventions: data goes to stdout (or the --out target), diagnostics go to
 stderr. Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 safety abort. All outputs are deterministic for a fixed seed; file
-formats carry schema-version headers.
+formats carry schema-version headers. ``gen screening`` writes the traces of
+``intent.screening_bundle``; ``screen`` prints the report ``intent`` makes.
 
 Each command imports only the modules it runs, inside its ``cmd_``
 function, and a script flag's parser imports its enum, so importing this
@@ -168,7 +169,7 @@ def _resolve(args) -> None:
     path = args.config or os.environ.get("EXO_CONFIG")
     try:
         values = config_mod.parse_config(Path(path).read_text()) if path else {}
-    except config_mod.ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a byte that is not UTF-8
         raise config_mod.ConfigError(f"{path}: {exc}") from None
     for setting in settings:
         value = getattr(args, setting.key, None)
@@ -234,51 +235,30 @@ def cmd_gen_cohort(args) -> int:
 
 
 def cmd_gen_screening(args) -> int:
-    from exobench import intent as intent_mod, signals
-    from exobench.signals import IntentLabel
+    from exobench import intent
     from exobench.subject import preset_subject
 
     out = _out_dir(args)
-    subject = preset_subject(args.subject, seed=args.seed)
-    train_script = [(label, 4.0) for label in intent_mod.CLASS_ORDER]
-    train = signals.gen_emg_trace(subject.emg_profile("screen:train"), train_script)
+    bundle = intent.screening_bundle(preset_subject(args.subject, seed=args.seed))
     out.mkdir(parents=True, exist_ok=True)
-    train.save(out / "train.jsonl")
-    for condition in intent_mod.SCREENING_CONDITIONS:
-        intent = IntentLabel(condition.split("_", 1)[0])
-        off_table = condition.endswith(intent_mod.OFF_TABLE)
-        profile = subject.emg_profile(f"screen:{condition}", off_table=off_table)
-        trace = signals.gen_emg_trace(profile, intent_mod.screening_script(intent))
-        trace.save(out / f"{condition}.jsonl")
-    print(f"wrote train.jsonl and {len(intent_mod.SCREENING_CONDITIONS)} "
-          f"condition traces to {out}", file=sys.stderr)
+    for name, trace in bundle.items():
+        trace.save(out / f"{name}.jsonl")
+    print(f"wrote train.jsonl and {len(bundle) - 1} condition traces to {out}", file=sys.stderr)
     return 0
 
 
 def cmd_screen(args) -> int:
-    from exobench import intent as intent_mod, signals
+    from exobench import intent, signals
 
     root = Path(args.dir)
-    wanted = ["train.jsonl"] + [f"{c}.jsonl" for c in intent_mod.SCREENING_CONDITIONS]
-    missing = [name for name in wanted if not (root / name).is_file()]
+    files = {name: root / f"{name}.jsonl" for name in ("train", *intent.SCREENING_CONDITIONS)}
+    missing = [path.name for path in files.values() if not path.is_file()]
     if missing:
         raise FileNotFoundError(f"missing screening inputs in {root}: {', '.join(missing)}")
-    train = signals.SignalTrace.load(root / "train.jsonl")
-    classifier = intent_mod.train_classifier(intent_mod.labeled_windows(train))
-    traces = {
-        c: signals.SignalTrace.load(root / f"{c}.jsonl")
-        for c in intent_mod.SCREENING_CONDITIONS
-    }
-    result = intent_mod.screen_emg_eligibility(traces, classifier)
-    if args.format == "json":
-        _emit(result.to_json(), args.out)
-    else:
-        lines = []
-        for cond in result.conditions:
-            holds = ", ".join(f"{h:.2f}" for h in cond.attempt_holds_s)
-            lines.append(f"{cond.condition:<16} {'pass' if cond.passed else 'FAIL':<5} holds [s]: {holds}")
-        lines.append(f"verdict: {result.verdict}")
-        _emit("\n".join(lines) + "\n", args.out)
+    traces = {name: signals.SignalTrace.load(path) for name, path in files.items()}
+    classifier = intent.train_classifier(intent.labeled_windows(traces["train"]))
+    report = intent.screen_emg_eligibility(traces, classifier)
+    _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0
 
 

@@ -22,7 +22,8 @@ thresholds come from the medians of three posture recordings, one array each.
 Eligibility screening runs the EMG pipeline over six recorded conditions
 (three intents, forearm on and off the table, three attempts each) and
 requires a continuous 2 s correct hold on every attempt; any miss assigns
-the subject to the harness interface.
+the subject to the harness interface. The report derives each pass and the
+verdict from the holds; ``screening_bundle`` makes a subject's recordings.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from exobench import signals
 from exobench.signals import EMG_CHANNELS, INTENT_CODE, IntentLabel, SignalTrace
 
 #: MAV window length, seconds, and majority-vote length, decisions.
@@ -280,30 +282,34 @@ def detect_trace(config: ShConfig, trace: SignalTrace) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 # Eligibility screening
 
-ON_TABLE = "on_table"
 OFF_TABLE = "off_table"
 
-#: The six screening conditions in protocol order.
-SCREENING_CONDITIONS = tuple(
-    f"{intent.value}_{support}"
-    for support in (ON_TABLE, OFF_TABLE)
-    for intent in CLASS_ORDER
-)
+#: Each screening condition's intent and whether the forearm is off the table, in protocol order.
+_CONDITIONS = {f"{intent.value}_{support}": (intent, support == OFF_TABLE)
+               for support in ("on_table", OFF_TABLE) for intent in CLASS_ORDER}
+SCREENING_CONDITIONS = tuple(_CONDITIONS)
 
 
 @dataclass(frozen=True)
 class ConditionResult:
     condition: str
     attempt_holds_s: tuple[float, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every attempt's longest correct hold passes."""
+        return all(attempt_passes(h) for h in self.attempt_holds_s)
 
 
 @dataclass(frozen=True)
 class ScreeningReport:
-    """Outcome of the six-condition control screening."""
+    """Outcome of the six-condition control screening: EMG when every condition passes, else SH."""
 
     conditions: tuple[ConditionResult, ...]
-    verdict: str  # "EMG" | "SH"
+
+    @property
+    def verdict(self) -> str:
+        return "EMG" if all(c.passed for c in self.conditions) else "SH"
 
     def to_json(self) -> str:
         doc = {
@@ -316,6 +322,11 @@ class ScreeningReport:
             "verdict": self.verdict,
         }
         return json.dumps(doc, indent=2) + "\n"
+
+    def to_text(self) -> str:
+        lines = [f"{c.condition:<16} {'pass' if c.passed else 'FAIL':<5} holds [s]: "
+                 + ", ".join(f"{h:.2f}" for h in c.attempt_holds_s) for c in self.conditions]
+        return "\n".join(lines + [f"verdict: {self.verdict}"]) + "\n"
 
 
 def max_hold_runs(
@@ -362,28 +373,16 @@ def screen_emg_eligibility(
         raise ValueError(f"missing screening conditions: {', '.join(missing)}")
 
     results = []
-    for condition in SCREENING_CONDITIONS:
-        intent = IntentLabel(condition.split("_", 1)[0])
+    for condition, (intent, _off_table) in _CONDITIONS.items():
         trace = traces[condition]
         attempts = [(t0, t1) for t0, t1, label in trace.annotations if label is intent]
         if len(attempts) != ATTEMPTS_PER_CONDITION:
-            raise ValueError(
-                f"condition {condition} must contain {ATTEMPTS_PER_CONDITION} "
-                f"attempts, found {len(attempts)}"
-            )
+            raise ValueError(f"condition {condition} must contain {ATTEMPTS_PER_CONDITION} "
+                             f"attempts, found {len(attempts)}")
         t, raw = classify_trace(classifier, trace)
-        decisions = (t, smooth_intents(raw))
-        holds = max_hold_runs(decisions, trace.rate_hz, attempts, intent)
-        results.append(
-            ConditionResult(
-                condition=condition,
-                attempt_holds_s=tuple(holds),
-                passed=all(attempt_passes(h) for h in holds),
-            )
-        )
-
-    verdict = "EMG" if all(r.passed for r in results) else "SH"
-    return ScreeningReport(conditions=tuple(results), verdict=verdict)
+        holds = max_hold_runs((t, smooth_intents(raw)), trace.rate_hz, attempts, intent)
+        results.append(ConditionResult(condition, tuple(holds)))
+    return ScreeningReport(tuple(results))
 
 
 def screening_script(intent: IntentLabel):
@@ -399,3 +398,14 @@ def screening_script(intent: IntentLabel):
         script.append((IntentLabel.RELAX, SCREENING_GAP_S))
         script.append((intent, SCREENING_HOLD_S))
     return script
+
+
+def screening_bundle(subject) -> dict[str, SignalTrace]:
+    """``subject``'s screening recordings: ``"train"`` (each intent held 4 s), then each
+    of SCREENING_CONDITIONS; each draws from its own RNG context, ``"screen:<name>"``."""
+    train_script = [(label, 4.0) for label in CLASS_ORDER]
+    bundle = {"train": signals.gen_emg_trace(subject.emg_profile("screen:train"), train_script)}
+    for condition, (intent, off_table) in _CONDITIONS.items():
+        profile = subject.emg_profile(f"screen:{condition}", off_table=off_table)
+        bundle[condition] = signals.gen_emg_trace(profile, screening_script(intent))
+    return bundle

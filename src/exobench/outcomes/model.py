@@ -21,6 +21,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -100,8 +101,9 @@ def score_problem(measure: Measure, phase: Phase, value) -> str | None:
     if measure.family == "FM" and phase is Phase.POST_ASSISTED:
         return "motor score has no assisted phase"
     lo, hi = SCORE_RANGES[measure]
-    if not lo <= value <= hi:
-        return f"{measure} {phase.value} score {value} outside [{lo}, {hi}]"
+    if not lo <= value <= hi:  # str() refuses an int of over 4,300 digits: give its size
+        shown = value if abs(value) < 10**4300 else f"of {Decimal(value).adjusted() + 1} digits"
+        return f"{measure} {phase.value} score {shown} outside [{lo}, {hi}]"
     return None
 
 
@@ -207,7 +209,10 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
     assignments are rejected the same way.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text()
+        except UnicodeDecodeError as exc:  # name the file, as an OSError does
+            raise CohortFormatError(f"{source}: {exc}") from None
     else:
         text = source.read()
     rows = list(csv.reader(io.StringIO(text)))

@@ -300,16 +300,16 @@ class SignalTrace:
         joined = ",".join(body)
         try:
             rows = json.loads("[" + joined + "]", parse_int=float)
-        except json.JSONDecodeError:  # name the first bad line; only an error pays for it
+        except json.JSONDecodeError:
+            rows = []
+        if len(rows) != len(body):  # name the first bad line; only an error pays for it
+            # Lines that each hold one value join into an array of as many, so one is found.
             for n, line in enumerate(body):
                 try:
                     json.loads(line, parse_int=float)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"sample {n} is not valid JSON "
                                      f"({exc.msg} at column {exc.colno}), got {line!r}") from None
-            raise
-        if len(rows) != len(body):
-            raise ValueError("each sample line must hold exactly one JSON value")
         # true, false and null hold a "u" or an "l", which no number does, and a
         # string adds quotes past a line's two keys: only then, or when the rows
         # make no trace, are they looked at one by one.

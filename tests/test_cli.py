@@ -175,6 +175,36 @@ class TestScreen:
         assert doc["verdict"] == "SH"
         assert len(doc["conditions"]) == 6
 
+    #: sha256 of ``screen``'s text and JSON output over ``gen screening --subject S --seed N``.
+    REPORT_DIGESTS = {
+        ("separable", 0): ("0230f6a9a707deea9d7be4a2e894b95addb2c43cb1288b257fad8807ffc08c4d",
+                         "f52e3e6ef3bfa26a90575b071d62142b61e8b5e6e4d11f13abf2ef28bdf4e30d"),
+        ("separable", 1): ("3880d9aa8d561ac32e443eddc1cdf98274f756a4cc263600b910eaba865b3292",
+                         "d7ad746bdc1382892d22874d33b271a87ef397dc54b6d1c0cf31ae281da012fa"),
+        ("separable", 2): ("9207c82cce66f78630147fe10466191735745508c56af13a1061945f7e809637",
+                         "e5c80b97029c3915add694c52438a8b95db690d9c03a99cf0cac85201fa20822"),
+        ("distorted", 0): ("96691465215da58c304b376d80d8d837b88a203d2bdde677e0680d37c4ae5bc8",
+                         "58e0dae4e891e8a5ef756e0676e299e672984c59f1952d10e42bb809b25b05a8"),
+        ("distorted", 1): ("e154913cdfebcba120fabda173817b7531f1b0c7eaa3e1fe3c1cc461fc01cd66",
+                         "0d8a64621acf422c3bdc8c4c3c711c00098e57e41dc87bc214c2115a4ec28515"),
+        ("distorted", 2): ("f4d24a98dc518428d0490e718b8cca7f0df4123ee7e799e2557a61989ece3eef",
+                         "6cfa0dd193c4f62884991d27aff8bbbd64f6dc0bde0ec4e0dacfeede45a3a4d6"),
+        ("table_bound", 0): ("fd2c3ccc3e93eab4be7cc4b7bc4cd9d3a5da73fda02c11cad67a3a5d447a622d",
+                           "6888036f8a65925ed30e0c2a12fa94f6008897491dcb2995f2de87a8911f226d"),
+        ("table_bound", 1): ("f406b44e1de67a47a6e0c7cdebd1700b2605d72f31a6a640c55c6a914f4c2582",
+                           "1e23f3d603709dd1566cb72d5f85ebe5a45ce4553ec72a3329238229d2b416e4"),
+        ("table_bound", 2): ("5409525c0a5bb21243da10c3f57272a07285adb8e3919fa0a3b9716066850c4d",
+                           "07e9770db07f046e86b90080113d59f3b6d809fa8bcccd73be68ac1bc65d1154"),
+    }
+
+    @pytest.mark.parametrize("subject, seed", list(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, subject, seed):
+        run_cli(capsys, "gen", "screening", "--subject", subject, "--seed", str(seed), "--out", str(tmp_path))
+        outputs = [run_cli(capsys, "screen", str(tmp_path), "--format", fmt) for fmt in ("text", "json")]
+        assert [code for code, _out, _err in outputs] == [0, 0]
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for _code, out, _err in outputs) == (
+            self.REPORT_DIGESTS[subject, seed])
+
     @pytest.mark.parametrize("line, text, error", [
         (1, '{"t":0.0}', f"{_ROW_RULE}, got '{{\"t\":0.0}}'"),
         (1, "[1,2]", f"{_ROW_RULE}, got '[1,2]'"),
@@ -753,6 +783,12 @@ class TestConfig:
         assert code == 2
         assert f"unknown key '{key}'" in err
 
+    def test_a_byte_that_is_not_utf_8_names_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "exo.cfg"
+        cfg.write_bytes(b"seed = 7\xff\n")
+        assert run_cli(capsys, "gen", "load", "--script", "rest:1", "--config", str(cfg)) == (
+            2, "", f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n")
+
     def test_malformed_line_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "exo.cfg"
         cfg.write_text("seed 7\n")
@@ -1302,3 +1338,86 @@ def test_every_trace_structure_change_is_rejected_by_place_or_changes_nothing(da
 @given(data=st.data())
 def test_every_cohort_structure_change_is_rejected_by_place(data):
     _check_structure_change("analyze", data)
+
+
+#: A valid ``--config`` file per command that reads one, and its argv.
+CONFIG_FILES = {
+    "gen load": (["gen", "load", "--script", "rest:0.2,elevated:0.2"],
+                 "# sway-free harness\nseed = 12\nrate_hz = 50.0  # Hz\nnoise_std = 0.25\n"),
+    "simulate": (["simulate", "--out", "{out}"],
+                 "seed = 12\ngroup = EMG\nhand_size = M\nmas = 1+\nsessions = 1\n"
+                 "duration_scale = 0.5\narm_support = yes\n"),
+}
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
+
+def _mutate_config(text: str, data) -> tuple[bytes, str]:
+    """``text`` with one thing changed: a line's ``=`` dropped, its value
+    blanked or swapped (a word for a number, a number for a choice), its key
+    duplicated or misspelt, a number spelled with ``_`` or other scripts'
+    digits, past the float range or past ``int()``'s digits; or a byte that
+    is not UTF-8 inserted. Also the place an error must name."""
+    lines = text.splitlines()
+    op = data.draw(st.sampled_from(["drop =", "blank", "swap", "duplicate", "misspell", "spell",
+                                    "byte"]), label="op")
+    if op == "byte":
+        at = data.draw(st.integers(0, len(text)), label="at")
+        return text[:at].encode() + b"\xff" + text[at:].encode(), f"position {at}"
+    n = data.draw(st.sampled_from([n for n, line in enumerate(lines) if "=" in line]), label="line")
+    key, _, rest = (part.strip() for part in lines[n].partition("="))
+    value = rest.partition("#")[0].strip()
+    comment = rest[rest.index("#"):] if "#" in rest else ""
+    setting = config_mod.SETTINGS[key]
+    if op == "drop =":
+        lines[n] = lines[n].replace("=", " ", 1)
+    elif op == "blank":
+        lines[n] = f"{key} = {comment}"
+    elif op == "duplicate":
+        lines.insert(n, lines[n])
+        n += 1
+    elif op == "misspell":
+        lines[n] = lines[n].replace(key, key[:-1], 1)
+    else:
+        number = setting.cast in (int, float)
+        if op == "swap":
+            spelled = data.draw(st.sampled_from(["abc", "nan", "inf", "true"]), label="word") if number else "5"
+        else:  # the same number respelled, or one past what the setting holds
+            spellings = ([re.sub(r"(\d)(\d)", r"\1_\2", value, count=1), value.translate(_ARABIC_INDIC)]
+                         * number + ["1" + "0" * 400] * (setting.cast is float) + ["1" + "0" * 5000])
+            spelled = data.draw(st.sampled_from(spellings), label="as")
+        lines[n] = f"{key} = {spelled} {comment}"
+    return ("\n".join(lines) + "\n").encode(), f"line {n + 1}"
+
+
+def _run_config(root: Path, command: str, config: bytes) -> tuple[int, str, str]:
+    argv, _text = CONFIG_FILES[command]
+    (root / "exo.cfg").write_bytes(config)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([a.format(out=root / "out") for a in argv] + ["--config", str(root / "exo.cfg")])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@functools.cache
+def _config_stdout(command: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, _stderr = _run_config(Path(tmp), command, CONFIG_FILES[command][1].encode())
+    assert code == 0
+    return stdout
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_config_structure_change_is_rejected_by_place_or_changes_nothing(data):
+    """Exit 1 or 2 with one line that names the file and the line (the
+    position, for a byte), or the unchanged file's stdout."""
+    command = data.draw(st.sampled_from(sorted(CONFIG_FILES)), label="command")
+    config, place = _mutate_config(CONFIG_FILES[command][1], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout, err = _run_config(Path(tmp), command, config)
+    if code == 0:
+        assert stdout == _config_stdout(command)
+        return
+    assert (code in (1, 2), stdout, err.count("\n"), err[-1:]) == (True, "", 1, "\n"), err
+    assert err.startswith(f"error: {Path(tmp) / 'exo.cfg'}: ") and re.search(rf"\b{place}\b", err), (
+        f"{err[:300]!r} names not {place}")

@@ -114,6 +114,12 @@ class TestSubjectOutcomes:
         with pytest.raises(CohortFormatError, match=f"^line 2: {re.escape(reason)}$"):
             load_cohort_csv(io.StringIO(text))
 
+    def test_a_score_str_cannot_print_is_named_by_its_size(self):
+        # str() refuses an int of over 4,300 digits, with an error that names no subject.
+        with pytest.raises(ValueError, match=re.escape(
+                "P01: BBT-count baseline score of 5001 digits outside [0, 1000000]")):
+            SubjectOutcomes("P01", Group.EMG, {(BBT, Phase.BASELINE): 10**5000})
+
     def test_totals_are_derived(self):
         scores = {
             (FM_DISTAL, Phase.BASELINE): 20,
@@ -227,6 +233,12 @@ class TestCsv:
                 "line 2: score of 5001 characters is past the integer digit limit; "
                 "line 3: unknown measure FM-nope")):
             load_cohort_csv(io.StringIO(text))
+
+    def test_a_byte_that_is_not_utf_8_names_the_file(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(golden.golden_cohort_csv().encode() + b"\xff\n")
+        with pytest.raises(CohortFormatError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            load_cohort_csv(path)
 
     @pytest.mark.parametrize("score, value", [("+5", 5), ("05", 5), ("-0", 0), (" 7 ", 7)])
     def test_signed_and_padded_scores_are_read(self, score, value):

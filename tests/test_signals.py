@@ -326,7 +326,8 @@ class TestSerialization:
         ("[1,2]", "sample 1 must be an object"),
         ("null", "sample 1 must be an object"),
         ('"t"', "sample 1 must be an object"),
-        ('{"t":0.02,"tension":20.0},{"t":0.04,"tension":20.0}', "exactly one JSON value"),
+        ('{"t":0.02,"tension":20.0},{"t":0.04,"tension":20.0}',
+         r"sample 1 is not valid JSON \(Extra data at column 26\)"),
         ('{"t":0.02,', r"sample 1 is not valid JSON \(Expecting property name .* at column 11\), "
                        r"got '\{\"t\":0.02,'"),
     ], ids=["no-value", "no-time", "list", "null", "string", "two-values", "truncated"])
