@@ -256,7 +256,10 @@ def cmd_screen(args) -> int:
     if missing:
         raise FileNotFoundError(f"missing screening inputs in {root}: {', '.join(missing)}")
     traces = {name: signals.SignalTrace.load(path) for name, path in files.items()}
-    classifier = intent.train_classifier(intent.labeled_windows(traces["train"]))
+    try:
+        classifier = intent.train_classifier(intent.labeled_windows(traces["train"]))
+    except ValueError as exc:  # name the file, as each read error does
+        raise ValueError(f"{files['train']}: {exc}") from None
     report = intent.screen_emg_eligibility(traces, classifier)
     _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0

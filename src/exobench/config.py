@@ -31,6 +31,10 @@ class ConfigError(ValueError):
 #: The default of a setting that a command cannot run without.
 REQUIRED = object()
 
+#: The most characters of a rejected value an error quotes; a longer value is
+#: shown by that many of its first characters and its length.
+SHOWN_CHARS = 64
+
 
 class Setting(NamedTuple):
     key: str
@@ -51,7 +55,9 @@ class Setting(NamedTuple):
         else:
             if self.ok(value):
                 return value
-        raise argparse.ArgumentTypeError(f"{self.key} must be {self.what}, got {text!r}")
+        shown = repr(text) if len(text) <= SHOWN_CHARS else (
+            f"{text[:SHOWN_CHARS]!r}... of {len(text)} characters")
+        raise argparse.ArgumentTypeError(f"{self.key} must be {self.what}, got {shown}")
 
 
 def _choice(key: str, choices: tuple[str, ...], defaults: dict, flag: str) -> Setting:

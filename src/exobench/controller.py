@@ -538,6 +538,12 @@ def run_episodes(
             live[e] = False
             length[e] = i + 1
             n_live -= 1
+            # Park the stopped lane finite and tension-free (a zero moment
+            # arm takes up no cable, whatever the motor does), so that it
+            # fails no later tick's screen.
+            x[e], velocity[e], setpoint[e], voluntary[e] = TRAVEL_MM, 0.0, TRAVEL_MM, 0.0
+            angles[:, :, e] = rest[:, :, e]
+            arm[:, :, e] = 0.0
 
     outcomes: list[TrajectoryLog | SafetyAbort | None] = []
     for e in range(n_episodes):

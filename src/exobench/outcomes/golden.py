@@ -7,28 +7,17 @@ sums are 25 (distal), 4 (proximal), 29 (total), matching group sums of
 recombine to the pooled means, and the box-and-block split is four
 functional-at-baseline subjects against seven non-functional. Baseline
 means land on the reference characteristics at display precision as well.
+Each subject holds one score per phase that ``model.PHASES`` gives a
+measure's family, so the motor scores have no assisted phase here either.
 """
 
 from __future__ import annotations
 
-from exobench.outcomes.model import (
-    ARAT_GRASP,
-    ARAT_GRIP,
-    ARAT_GROSS,
-    ARAT_PINCH,
-    BBT,
-    FM_DISTAL,
-    FM_PROXIMAL,
-    Group,
-    Measure,
-    Phase,
-    SubjectOutcomes,
-    write_cohort_csv,
-)
+from exobench.outcomes.model import PHASES, SCORE_RANGES, Group, SubjectOutcomes, write_cohort_csv
 
-# Per subject: (group, fm_distal, fm_proximal, grasp, grip, pinch, gross, bbt)
-# FM entries are (baseline, post_unassisted); the rest are
-# (baseline, post_unassisted, post_assisted).
+# Per subject: the group, then the scores of each stored measure in
+# SCORE_RANGES order (fm_distal, fm_proximal, grasp, grip, pinch, gross, bbt),
+# each in its family's PHASES order.
 _GOLDEN_ROWS: dict[str, tuple] = {
     "P01": (Group.EMG, (5, 8), (24, 24), (7, 8, 9), (4, 5, 2), (5, 5, 3), (4, 5, 4), (10, 6, 0)),
     "P02": (Group.EMG, (4, 8), (23, 22), (6, 7, 7), (4, 4, 2), (4, 4, 2), (4, 4, 4), (14, 11, 4)),
@@ -43,27 +32,17 @@ _GOLDEN_ROWS: dict[str, tuple] = {
     "P11": (Group.SH, (2, 3), (21, 22), (3, 2, 5), (2, 3, 3), (1, 1, 1), (2, 2, 1), (0, 0, 1)),
 }
 
-_TWO_PHASE = (Phase.BASELINE, Phase.POST_UNASSISTED)
-_THREE_PHASE = (Phase.BASELINE, Phase.POST_UNASSISTED, Phase.POST_ASSISTED)
-
-
 def golden_cohort() -> list[SubjectOutcomes]:
-    cohort = []
-    for sid, (group, distal, proximal, grasp, grip, pinch, gross, bbt) in _GOLDEN_ROWS.items():
-        scores: dict[tuple[Measure, Phase], int] = {}
-        for measure, values, phases in (
-            (FM_DISTAL, distal, _TWO_PHASE),
-            (FM_PROXIMAL, proximal, _TWO_PHASE),
-            (ARAT_GRASP, grasp, _THREE_PHASE),
-            (ARAT_GRIP, grip, _THREE_PHASE),
-            (ARAT_PINCH, pinch, _THREE_PHASE),
-            (ARAT_GROSS, gross, _THREE_PHASE),
-            (BBT, bbt, _THREE_PHASE),
-        ):
-            for phase, value in zip(phases, values):
-                scores[(measure, phase)] = value
-        cohort.append(SubjectOutcomes(subject_id=sid, group=group, scores=scores))
-    return cohort
+    """Each row's scores, measure by measure in ``SCORE_RANGES`` order, phase by
+    phase in the measure's ``PHASES``."""
+    return [
+        SubjectOutcomes(subject_id=sid, group=group, scores={
+            (measure, phase): value
+            for measure, values in zip(SCORE_RANGES, rows, strict=True)
+            for phase, value in zip(PHASES[measure.family], values, strict=True)
+        })
+        for sid, (group, *rows) in _GOLDEN_ROWS.items()
+    ]
 
 
 def golden_cohort_csv() -> str:

@@ -9,8 +9,9 @@ count > 0). Each total is the sum of the stored scores ``COMPONENTS`` lists
 for it.
 
 Three assessment phases exist: baseline, post-therapy unassisted, and
-post-therapy assisted (wearing the device). The motor score has no assisted
-phase by design. One check, ``score_problem``, decides whether a value can
+post-therapy assisted (wearing the device). ``PHASES`` maps each measure
+family to the phases it is scored in, and is the one place that says which
+family lacks one. One check, ``score_problem``, decides whether a value can
 be a stored score, for ``SubjectOutcomes`` and the CSV reader alike. Gains
 are exact integer differences; means stay rational until display.
 """
@@ -84,6 +85,11 @@ ARAT_SUBSCALES = (ARAT_GRASP, ARAT_GRIP, ARAT_PINCH, ARAT_GROSS)
 #: Each derived total and the stored scores it sums.
 COMPONENTS = {FM_TOTAL: (FM_DISTAL, FM_PROXIMAL), ARAT_TOTAL: ARAT_SUBSCALES}
 
+#: Each measure family as prose names it, and the phases it is scored in: the
+#: motor score only without the orthosis, the other two with and without it.
+FAMILY_NAMES = {"FM": "motor score", "ARAT": "arm test", "BBT": "box-and-block count"}
+PHASES = {"FM": (Phase.BASELINE, Phase.POST_UNASSISTED), "ARAT": tuple(Phase), "BBT": tuple(Phase)}
+
 #: Published minimal clinically important differences, reported alongside gains.
 MCID = {"FM": (4.25, 7.25), "ARAT": (5.7,)}
 
@@ -98,8 +104,8 @@ def score_problem(measure: Measure, phase: Phase, value) -> str | None:
         return f"score {value!r} is not an integer"
     if measure not in SCORE_RANGES:
         return f"unknown measure {measure}"
-    if measure.family == "FM" and phase is Phase.POST_ASSISTED:
-        return "motor score has no assisted phase"
+    if phase not in PHASES[measure.family]:
+        return f"{FAMILY_NAMES[measure.family]} has no {phase.value.removeprefix('post_')} phase"
     lo, hi = SCORE_RANGES[measure]
     if not lo <= value <= hi:  # str() refuses an int of over 4,300 digits: give its size
         shown = value if abs(value) < 10**4300 else f"of {Decimal(value).adjusted() + 1} digits"
@@ -179,11 +185,15 @@ def compute_gains(
     return GainResult(gains=gains, excluded=tuple(excluded))
 
 
+def exact(value: Fraction | float | str) -> Fraction:
+    """``value`` as a fraction; a float as its shortest repr reads, 0.05 as 1/20."""
+    return Fraction(str(value)) if isinstance(value, (str, float)) else Fraction(value)
+
+
 def display_round(value: Fraction | float, digits: int) -> float:
     """Half-away-from-zero decimal rounding, exact for rational inputs."""
-    frac = value if isinstance(value, Fraction) else Fraction(str(value))
     scale = 10**digits
-    scaled = frac * scale
+    scaled = exact(value) * scale
     rounded = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator) \
         if scaled >= 0 else -((-scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator))
     return rounded / scale

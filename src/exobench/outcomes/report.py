@@ -1,31 +1,31 @@
 """Cohort analysis: gain tables, test selection, FDR correction, rendering.
 
-The primary analysis runs 18 tests: three motor-score rows (distal,
-proximal, total; unassisted gain only) and fifteen arm-test rows (five
-categories times gains A, B, C). Each row is gated per cohort: a paired t
-test when Shapiro-Wilk on the gain residuals keeps normality at 0.05,
-otherwise the exact Wilcoxon signed-rank test. All primary p-values enter
-one Benjamini-Hochberg pass. Secondary tables (by control group, and
-box-and-block by baseline functionality) report mean gains only. Display
-rounding is fixed (gains two decimals, p-values and thresholds three) and
-applies only at render time; comparisons use unrounded values.
+The primary analysis runs 18 tests, one per primary measure and comparison
+whose two phases the measure's family is scored in (``model.PHASES``):
+three motor-score rows (distal, proximal, total; unassisted gain only) and
+fifteen arm-test rows (five categories times gains A, B, C). Each row is
+gated per cohort: a paired t test when Shapiro-Wilk on the gain residuals
+keeps normality at 0.05, otherwise the exact Wilcoxon signed-rank test. All
+primary p-values enter one Benjamini-Hochberg pass. Secondary tables (by
+control group, and box-and-block by baseline functionality) report mean
+gains only. Display rounding is fixed by ``DISPLAY_DIGITS`` (gains two
+decimals, p-values and thresholds three) and applies only at render time;
+comparisons use unrounded values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from exobench.outcomes.model import (
-    ARAT_SUBSCALES,
-    ARAT_TOTAL,
     BBT,
-    FM_DISTAL,
-    FM_PROXIMAL,
-    FM_TOTAL,
+    COMPONENTS,
+    FAMILY_NAMES,
     MCID,
+    PHASES,
     Comparison,
     GainResult,
     Group,
@@ -33,6 +33,7 @@ from exobench.outcomes.model import (
     SubjectOutcomes,
     compute_gains,
     display_round,
+    exact,
 )
 from exobench.outcomes.stats import (
     bh_procedure,
@@ -46,15 +47,21 @@ REPORT_SCHEMA = "exobench/report-v1"
 
 NORMALITY_ALPHA = 0.05
 
-#: Primary test grid in table order.
-PRIMARY_FM_ROWS = (FM_DISTAL, FM_PROXIMAL, FM_TOTAL)
-PRIMARY_ARAT_ROWS = ARAT_SUBSCALES + (ARAT_TOTAL,)
+#: Primary measures in table order: each total's parts, then the total.
+PRIMARY_MEASURES = tuple(m for total, parts in COMPONENTS.items() for m in (*parts, total))
+
+#: Decimals each rounded field of a primary row is shown at.
+DISPLAY_DIGITS = {"mean_gain": 2, "p": 3, "threshold": 3}
+
+
+def comparisons(measure: Measure) -> list[Comparison]:
+    """The comparisons whose two phases ``measure``'s family is scored in."""
+    return [c for c in Comparison if set(c.value) <= set(PHASES[measure.family])]
 
 
 def row_label(measure: Measure, comparison: Comparison) -> str:
-    if measure.family == "FM":
-        return f"FM-{measure.subscale}"
-    return f"{measure.family}-{measure.subscale} ({comparison.name})"
+    """The measure, and the comparison's name when the measure has more than one."""
+    return str(measure) if len(comparisons(measure)) == 1 else f"{measure} ({comparison.name})"
 
 
 @dataclass(frozen=True)
@@ -157,14 +164,12 @@ def analyze_cohort(
     """Run the full primary and secondary analysis over a cohort."""
     if not cohort:
         raise ValueError("cohort is empty")
-    q = Fraction(str(q)) if isinstance(q, (str, float)) else Fraction(q)
-
-    fm_rows = [(row_label(m, Comparison.A), m, Comparison.A) for m in PRIMARY_FM_ROWS]
-    arat_rows = [(row_label(m, c), m, c) for m in PRIMARY_ARAT_ROWS for c in Comparison]
+    q = exact(q)
+    rows = [(row_label(m, c), m, c) for m in PRIMARY_MEASURES for c in comparisons(m)]
 
     warnings: list[str] = []
     primary: list[TestResult] = []
-    for label, measure, comparison in fm_rows + arat_rows:
+    for label, measure, comparison in rows:
         gains = compute_gains(cohort, measure, comparison)
         if gains.excluded:
             warnings.append(f"{label}: excluded {len(gains.excluded)} subject(s): {', '.join(gains.excluded)}")
@@ -194,9 +199,10 @@ def analyze_cohort(
         q=q,
         m=len(testable),
         primary=tuple(primary),
-        fm_by_group=_mean_table(by_group, fm_rows),
-        arat_by_group=_mean_table(by_group, arat_rows),
-        bbt_by_functionality=_mean_table(functional, [(f"BBT ({c.name})", BBT, c) for c in Comparison]),
+        fm_by_group=_mean_table(by_group, [r for r in rows if r[1].family == "FM"]),
+        arat_by_group=_mean_table(by_group, [r for r in rows if r[1].family == "ARAT"]),
+        bbt_by_functionality=_mean_table(
+            functional, [(f"BBT ({c.name})", BBT, c) for c in comparisons(BBT)]),
         warnings=tuple(warnings),
     )
 
@@ -205,12 +211,10 @@ def analyze_cohort(
 # Rendering
 
 
-def _fmt_gain(value: Fraction | None) -> str:
-    return "-" if value is None else f"{display_round(value, 2):.2f}"
-
-
-def _fmt_p(value: float | Fraction | None) -> str:
-    return "-" if value is None else f"{display_round(value, 3):.3f}"
+def _fmt(value: float | Fraction | None, field: str = "mean_gain") -> str:
+    """``value`` shown at the precision of ``field``, a mean gain by default."""
+    digits = DISPLAY_DIGITS[field]
+    return "-" if value is None else f"{display_round(value, digits):.{digits}f}"
 
 
 def render_text(report: CohortReport) -> str:
@@ -225,13 +229,13 @@ def render_text(report: CohortReport) -> str:
     lines.append("-" * len(header))
     for r in report.primary:
         if r.error:
-            lines.append(f"{r.label:<18} {r.n:>2} {_fmt_gain(r.mean_gain):>6} {'error':<9} {r.error}")
+            lines.append(f"{r.label:<18} {r.n:>2} {_fmt(r.mean_gain):>6} {'error':<9} {r.error}")
             continue
         kind = "paired-t" if r.kind == "PAIRED_T" else "wilcoxon"
         sig = "yes" if r.significant else "no"
         lines.append(
-            f"{r.label:<18} {r.n:>2} {_fmt_gain(r.mean_gain):>6} {kind:<9} "
-            f"{_fmt_p(r.p):>6} {r.rank:>4} {_fmt_p(r.threshold):>6}  {sig}"
+            f"{r.label:<18} {r.n:>2} {_fmt(r.mean_gain):>6} {kind:<9} "
+            f"{_fmt(r.p, 'p'):>6} {r.rank:>4} {_fmt(r.threshold, 'threshold'):>6}  {sig}"
         )
     lines.append("")
 
@@ -240,15 +244,15 @@ def render_text(report: CohortReport) -> str:
         for gname, gm in table.items():
             lines.append(f"  {gname} (n={gm.n})")
             for key, mean in gm.means.items():
-                lines.append(f"    {key:<18} {_fmt_gain(mean):>6}")
+                lines.append(f"    {key:<18} {_fmt(mean):>6}")
         lines.append("")
 
     emit_group_table("Motor-score gains by control group (mean only)", report.fm_by_group)
     emit_group_table("Arm-test gains by control group (mean only)", report.arat_by_group)
     emit_group_table("Box-and-block gains by baseline functionality (mean only)", report.bbt_by_functionality)
 
-    fm_lo, fm_hi = MCID["FM"]
-    lines.append(f"Reference MCID: motor score {fm_lo}-{fm_hi} points, arm test {MCID['ARAT'][0]} points.")
+    mcid = ", ".join(f"{FAMILY_NAMES[f]} {'-'.join(map(str, v))} points" for f, v in MCID.items())
+    lines.append(f"Reference MCID: {mcid}.")
     if report.warnings:
         lines.append("")
         lines.append("Warnings:")
@@ -259,23 +263,15 @@ def render_text(report: CohortReport) -> str:
 
 def render_json(report: CohortReport) -> str:
     def result_doc(r: TestResult) -> dict:
-        return {
-            "label": r.label,
-            "n": r.n,
-            "mean_gain": None if r.mean_gain is None else float(r.mean_gain),
-            "mean_gain_display": None if r.mean_gain is None else display_round(r.mean_gain, 2),
-            "kind": r.kind,
-            "statistic": r.statistic,
-            "shapiro_p": r.shapiro_p,
-            "p": r.p,
-            "p_display": None if r.p is None else display_round(r.p, 3),
-            "rank": r.rank,
-            "threshold": None if r.threshold is None else float(r.threshold),
-            "threshold_display": None if r.threshold is None else display_round(r.threshold, 3),
-            "significant": r.significant,
-            "homogeneity_p": r.homogeneity_p,
-            "error": r.error,
-        }
+        """Each field in declaration order, Fractions as floats, and after each
+        field of ``DISPLAY_DIGITS`` its rounded ``_display`` value."""
+        doc = {}
+        for name in (f.name for f in fields(TestResult)):
+            value = getattr(r, name)
+            doc[name] = float(value) if isinstance(value, Fraction) else value
+            if name in DISPLAY_DIGITS:
+                doc[f"{name}_display"] = None if value is None else display_round(value, DISPLAY_DIGITS[name])
+        return doc
 
     def group_doc(table: Mapping[str, GroupMeans]) -> dict:
         return {
@@ -293,7 +289,7 @@ def render_json(report: CohortReport) -> str:
         "fm_by_group": group_doc(report.fm_by_group),
         "arat_by_group": group_doc(report.arat_by_group),
         "bbt_by_functionality": group_doc(report.bbt_by_functionality),
-        "mcid": {"FM": list(MCID["FM"]), "ARAT": list(MCID["ARAT"])},
+        "mcid": {family: list(values) for family, values in MCID.items()},
         "warnings": list(report.warnings),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -23,6 +23,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import fdtrc, ndtr, ndtri, stdtr
 
+from exobench.outcomes.model import exact
+
 EXACT_WILCOXON_MAX_N = 20
 
 
@@ -282,7 +284,7 @@ def bh_procedure(
     """
     if not tests:
         raise ValueError("bh_procedure needs at least one test")
-    q = Fraction(str(q)) if isinstance(q, (str, float)) else Fraction(q)
+    q = exact(q)
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     m = len(tests)

@@ -175,6 +175,14 @@ class TestScreen:
         assert doc["verdict"] == "SH"
         assert len(doc["conditions"]) == 6
 
+    def test_training_error_names_the_training_file(self, capsys, tmp_path):
+        run_cli(capsys, "gen", "screening", "--out", str(tmp_path))
+        path = tmp_path / "train.jsonl"
+        _code, trace, _err = run_cli(capsys, "gen", "emg", "--intent-script", "open:4,relax:4")
+        path.write_text(trace)
+        assert run_cli(capsys, "screen", str(tmp_path)) == (
+            2, "", f"error: {path}: insufficient training data: no samples for close\n")
+
     #: sha256 of ``screen``'s text and JSON output over ``gen screening --subject S --seed N``.
     REPORT_DIGESTS = {
         ("separable", 0): ("0230f6a9a707deea9d7be4a2e894b95addb2c43cb1288b257fad8807ffc08c4d",
@@ -725,6 +733,18 @@ class TestExitCodes:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("via", ["file", "flag"])
+    def test_a_long_rejected_value_is_quoted_by_prefix_and_length(self, capsys, tmp_path, via):
+        cfg = tmp_path / "exo.cfg"
+        value = "-1" + "0" * 4999
+        cfg.write_text(f"seed = {value}\n")
+        argv = ["--config", str(cfg)] if via == "file" else ["--seed", value]
+        code, out, err = run_cli(capsys, "gen", "load", "--script", "rest:1", *argv)
+        shown = f"got '-1{'0' * 62}'... of 5001 characters"
+        assert (code, out) == (2 if via == "file" else 1, "")
+        assert err.count("\n") == 1 and shown in err, err
+        assert len(err) <= 200 + len(str(cfg))
+
     def test_config_file_supplies_seed(self, capsys, tmp_path):
         cfg = tmp_path / "exo.cfg"
         cfg.write_text("# reproducibility\nseed = 7\n")

@@ -641,7 +641,6 @@ class TestBatchedEngine:
         # The NaN sibling's tension is NaN on the very tick the cap first binds.
         assert capped.ticks.tension_n[0] == TENSION_CAP_N
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the aborted episode runs on as inf/NaN
     def test_infinite_angles_abort(self, monkeypatch):
         # With no flexion stop, an infinite torque makes every angle +inf: not
         # NaN and not below zero, so only a finiteness check sees it. The
@@ -667,6 +666,29 @@ class TestBatchedEngine:
         assert kept is None
         assert aborted.diagnostic == "non-finite state at t=0.205"
         assert len(aborted.log.ticks) == 0
+
+    def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch):
+        # The exact check runs np.isfinite over the (2, 4, E) angles once per
+        # tick it is entered; an aborted lane that ran on as NaN would fail
+        # the merged screen, and so enter it, on every later tick.
+        entries = []
+        isfinite = np.isfinite
+
+        def counting_isfinite(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                entries.append(a.shape)
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        rom = calibrate_rom("M")
+        script = [(0.0, OPEN), (2.0, CLOSE), (4.0, RELAX)]
+        episodes = [Episode(stream(script), 5.0, rom, plant=flexed_plant("M")) for _ in range(3)]
+        episodes.insert(1, Episode(stream(script), 5.0, rom, plant=flexed_plant("M"),
+                                   voluntary_nmm=_nan_after(0.2, 0.0)))
+        outcomes = run_episodes(episodes, record=False)
+        assert outcomes[1].diagnostic == "non-finite state at t=0.205"
+        assert [outcomes[i] for i in (0, 2, 3)] == [None] * 3
+        assert entries == [(2, 4, 4)]
 
     def test_unsorted_stream_with_tied_times(self):
         script = [(0.3, CLOSE), (0.0, OPEN), (0.3, RELAX), (0.1, CLOSE), (0.1, OPEN), (0.0, RELAX)]

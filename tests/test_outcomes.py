@@ -1,5 +1,6 @@
 """Outcome model, CSV ingestion, golden cohort, and the full analysis report."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -113,6 +114,18 @@ class TestSubjectOutcomes:
                 f"P01,EMG,{measure.family},{measure.subscale},{phase.value},{value}\n")
         with pytest.raises(CohortFormatError, match=f"^line 2: {re.escape(reason)}$"):
             load_cohort_csv(io.StringIO(text))
+
+    def test_each_stored_measure_rejects_the_phases_its_family_lacks(self):
+        rejected = []
+        for measure in model.SCORE_RANGES:
+            for phase in Phase:
+                problem = model.score_problem(measure, phase, 0)
+                if phase in model.PHASES[measure.family]:
+                    assert problem is None
+                else:
+                    rejected.append((measure, phase, problem))
+        assert rejected == [(m, Phase.POST_ASSISTED, "motor score has no assisted phase")
+                            for m in (FM_DISTAL, FM_PROXIMAL)]
 
     def test_a_score_str_cannot_print_is_named_by_its_size(self):
         # str() refuses an int of over 4,300 digits, with an error that names no subject.
@@ -296,6 +309,12 @@ class TestGoldenCohort:
             assert result.n == 11
             assert sum(result.values()) == total
 
+    def test_scores_are_the_phase_map_in_score_range_order(self, golden_cohort):
+        pairs = [(m, p) for m in model.SCORE_RANGES for p in model.PHASES[m.family]]
+        assert len(pairs) == 2 * 2 + 5 * 3
+        for subject in golden_cohort:
+            assert list(subject.scores) == pairs
+
     def test_every_subject_is_complete_for_arm_test(self, golden_cohort):
         for comparison in Comparison:
             result = compute_gains(golden_cohort, ARAT_TOTAL, comparison)
@@ -415,6 +434,15 @@ class TestAnalysis:
         for row in rows.values():
             if row["p"] is not None:
                 assert row["p_display"] == display_round(row["p"], 3)
+
+    def test_json_row_keys_follow_the_result_fields(self, golden_report):
+        doc = json.loads(report.render_json(golden_report))
+        keys = ["label", "n", "mean_gain", "mean_gain_display", "kind", "statistic", "shapiro_p",
+                "p", "p_display", "rank", "threshold", "threshold_display", "significant",
+                "homogeneity_p", "error"]
+        assert [name for name in keys if not name.endswith("_display")] == [
+            f.name for f in dataclasses.fields(report.TestResult)]
+        assert all(list(row) == keys for row in doc["primary"])
 
     def test_incomplete_rows_error_not_crash(self):
         cohort = [

@@ -283,15 +283,20 @@ def record_fields(files) -> dict[str, str]:
 
 def unread(package, readers) -> set[str]:
     """The fields declared in ``package`` whose name no attribute load or
-    string constant in ``readers`` uses."""
-    names = set()
+    string constant in ``readers`` uses, of classes that no ``fields(Class)``
+    call in ``readers`` walks."""
+    names, walked = set(), set()
     for path in readers:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-    return {label for label, name in record_fields(package).items() if name not in names}
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields"
+                  and node.args and isinstance(node.args[0], ast.Name)):
+                walked.add(node.args[0].id)
+    return {label for label, name in record_fields(package).items()
+            if name not in names and label.partition(".")[0] not in walked}
 
 
 def test_every_field_has_a_reader():
@@ -325,3 +330,22 @@ getattr(d, "keyed")
 ''')
     assert set(record_fields([path])) == {"D.loaded", "D.keyed", "D.stored", "D.unread", "N.p"}
     assert unread([path], [path]) == {"D.stored", "D.unread", "N.p"}
+
+
+def test_the_read_scan_sees_a_walk_over_a_records_fields(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text('''
+from dataclasses import dataclass, fields
+
+@dataclass
+class Walked:
+    a: int
+    b: int
+
+@dataclass
+class Other:
+    c: int
+
+print([f.name for f in fields(Walked)])
+''')
+    assert unread([path], [path]) == {"Other.c"}
