@@ -7,7 +7,7 @@ formats carry schema-version headers. ``gen screening`` writes the traces of
 ``intent.screening_bundle``; ``screen`` prints the report ``intent`` makes.
 
 Each command imports only the modules it runs, inside its ``cmd_``
-function, and a script flag's parser imports its enum, so importing this
+function, and a script flag's parser imports ``signals``, so importing this
 module loads ``exobench.config`` and no numpy. ``gen cohort`` and ``protocol
 list-tasks`` (through ``tasks``) start without numpy, only ``analyze`` loads
 scipy (through ``outcomes.stats``), and only ``episode`` and ``simulate``
@@ -52,39 +52,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _intent_script(text: str) -> list[tuple]:
-    from exobench.signals import IntentLabel
+def _script(enum_name: str):
+    """The argparse type of a script flag: ``label:seconds,...`` text as the
+    ``signals.<enum_name>`` segments that ``signals._check_script`` passes."""
 
-    return _parse_script(text, IntentLabel)
+    def parse(text: str) -> list[tuple]:
+        from exobench import signals
 
-
-def _posture_script(text: str) -> list[tuple]:
-    from exobench.signals import ShoulderPosture
-
-    return _parse_script(text, ShoulderPosture)
-
-
-def _parse_script(text: str, enum_type):
-    segments = []
-    for part in text.split(","):
-        name, sep, dur = part.strip().partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(
-                f"segment {part.strip()!r} must look like label:seconds"
-            )
+        enum_type = getattr(signals, enum_name)
+        quoted, labels, segments = config_mod.quoted, {e.value: e for e in enum_type}, []
         try:
-            label = enum_type(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_type)
-            raise argparse.ArgumentTypeError(f"unknown label {name.strip()!r} (expected one of {valid})")
-        try:
-            seconds = float(dur)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad duration {dur!r} in segment {part.strip()!r}")
-        if seconds <= 0:
-            raise argparse.ArgumentTypeError("segment durations must be positive")
-        segments.append((label, seconds))
-    return segments
+            for part in (part.strip() for part in text.split(",")):
+                name, sep, dur = part.partition(":")
+                if not sep:
+                    raise ValueError(f"segment {quoted(part)} must look like label:seconds")
+                if (label := labels.get(name.strip().lower())) is None:
+                    raise ValueError(f"unknown label {quoted(name.strip())} "
+                                     f"(expected one of {', '.join(labels)})")
+                try:
+                    segments.append((label, float(dur)))
+                except ValueError:
+                    raise ValueError(f"bad duration {quoted(dur)} in segment {quoted(part)}") from None
+            return signals._check_script(segments, enum_type)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _command(subparsers, name: str, func, help: str) -> _Parser:
@@ -113,12 +106,12 @@ def build_parser() -> _Parser:
     gen_sub = gen.add_subparsers(parser_class=_Parser)
 
     g_emg = _command(gen_sub, "gen emg", cmd_gen_emg, "annotated EMG trace")
-    g_emg.add_argument("--intent-script", type=_intent_script, required=True,
+    g_emg.add_argument("--intent-script", type=_script("IntentLabel"), required=True,
                        metavar="SCRIPT", help='e.g. "open:2,relax:2,close:2"')
     g_emg.add_argument("--profile", choices=tuple(EMG_PROFILES), default="separable")
 
     g_load = _command(gen_sub, "gen load", cmd_gen_load, "harness load-cell trace")
-    g_load.add_argument("--script", type=_posture_script, required=True,
+    g_load.add_argument("--script", type=_script("ShoulderPosture"), required=True,
                         metavar="SCRIPT", help='e.g. "rest:2,elevated:1,rest:1,depressed:1"')
     g_load.add_argument("--dither-amp", type=float, default=0.0,
                         help="postural sway amplitude, newtons")
@@ -138,7 +131,7 @@ def build_parser() -> _Parser:
 
     p_episode = _command(sub, "episode", cmd_episode,
                          "run one controller episode from an intent script")
-    p_episode.add_argument("--intent-script", type=_intent_script, required=True,
+    p_episode.add_argument("--intent-script", type=_script("IntentLabel"), required=True,
                            metavar="SCRIPT", help='e.g. "open:3,relax:1,close:3"')
 
     p_sim = _command(sub, "simulate", cmd_simulate, "simulate a subject's training sessions")

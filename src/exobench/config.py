@@ -1,10 +1,12 @@
-"""The command settings, and flat key = value configuration files.
+"""The settings table, and flat key = value configuration files.
 
-``SETTINGS`` declares every setting once: its file key, its flag if it has
-one, the one parser that turns its text into a value (argparse calls it for
-the flag, ``parse_config`` for the file) and the default of each command
-that reads it. A command takes a setting from its flag, else the file, else
-that default.
+``SETTINGS`` is the one statement of every setting, read by the CLI and the
+library alike: its file key, its flag if any, its range or choices, the one
+parser of its text (argparse calls it for the flag, ``parse_config`` for the
+file) and the default of each command that reads it. A command takes a
+setting from its flag, else the file, else that default. ``signals``,
+``Subject`` and ``outcomes`` check values through ``Setting.check``, and an
+error that echoes input quotes it through ``quoted``.
 
 A file holds one assignment per line, `#` starts a comment (units and notes
 live in comments, not in values). Every value in it is parsed, and a key
@@ -36,6 +38,15 @@ REQUIRED = object()
 SHOWN_CHARS = 64
 
 
+def quoted(value: object, short: Callable[[str], str] = repr) -> str:
+    """``value`` as an error shows it: ``short`` of a string of at most
+    ``SHOWN_CHARS`` characters, the ``repr`` of a longer one's first
+    ``SHOWN_CHARS`` and its length, and the ``repr`` of anything else."""
+    if isinstance(value, str) and len(value) > SHOWN_CHARS:
+        return f"{value[:SHOWN_CHARS]!r}... of {len(value)} characters"
+    return short(value) if isinstance(value, str) else repr(value)
+
+
 class Setting(NamedTuple):
     key: str
     defaults: dict[str, object]  # the default of each command that reads the setting
@@ -49,15 +60,16 @@ class Setting(NamedTuple):
     def parse(self, text: str) -> object:
         """The value ``text`` stands for, or an error that names the setting."""
         try:
-            value = self.cast(text)
+            return self.check(self.cast(text))
         except (ValueError, KeyError, ZeroDivisionError):
-            pass
-        else:
-            if self.ok(value):
-                return value
-        shown = repr(text) if len(text) <= SHOWN_CHARS else (
-            f"{text[:SHOWN_CHARS]!r}... of {len(text)} characters")
-        raise argparse.ArgumentTypeError(f"{self.key} must be {self.what}, got {shown}")
+            raise argparse.ArgumentTypeError(f"{self.key} must be {self.what}, got {quoted(text)}") from None
+
+    def check(self, value):
+        """``value``, or an error that names the setting: a text quoted, a number as it prints."""
+        if not self.ok(value):
+            shown = quoted(value) if isinstance(value, str) else value
+            raise ValueError(f"{self.key} must be {self.what}, got {shown}")
+        return value
 
 
 def _choice(key: str, choices: tuple[str, ...], defaults: dict, flag: str) -> Setting:
@@ -65,8 +77,7 @@ def _choice(key: str, choices: tuple[str, ...], defaults: dict, flag: str) -> Se
                    ok=choices.__contains__, choices=choices)
 
 
-#: The ``what`` and ``ok`` of the float settings: the ranges that ``signals``
-#: and ``Subject`` check.
+#: The ``what`` and ``ok`` of the float settings.
 _POSITIVE = dict(what="positive and finite",
                  ok=lambda value: value > 0.0 and math.isfinite(value))
 _NON_NEGATIVE = dict(what="non-negative and finite",
@@ -115,10 +126,10 @@ def parse_config(text: str) -> dict[str, object]:
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"expected 'key = value', got {body!r} (line {lineno})")
+            raise ConfigError(f"expected 'key = value', got {quoted(body)} (line {lineno})")
         name, _, raw = (part.strip() for part in body.partition("="))
         if name not in SETTINGS:
-            raise ConfigError(f"unknown key {name!r} (line {lineno})")
+            raise ConfigError(f"unknown key {quoted(name)} (line {lineno})")
         if not raw:
             raise ConfigError(f"empty value for {name!r} (line {lineno})")
         if name in values:

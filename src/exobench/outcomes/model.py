@@ -28,6 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from exobench.config import SHOWN_CHARS, quoted
+
 
 class Group(Enum):
     EMG = "EMG"
@@ -101,14 +103,14 @@ class CohortFormatError(ValueError):
 def score_problem(measure: Measure, phase: Phase, value) -> str | None:
     """Why ``value`` cannot be the stored ``measure`` score of ``phase``, or None."""
     if not isinstance(value, int):
-        return f"score {value!r} is not an integer"
+        return f"score {quoted(value)} is not an integer"
     if measure not in SCORE_RANGES:
-        return f"unknown measure {measure}"
+        return f"unknown measure {quoted(str(measure), short=str)}"
     if phase not in PHASES[measure.family]:
         return f"{FAMILY_NAMES[measure.family]} has no {phase.value.removeprefix('post_')} phase"
     lo, hi = SCORE_RANGES[measure]
-    if not lo <= value <= hi:  # str() refuses an int of over 4,300 digits: give its size
-        shown = value if abs(value) < 10**4300 else f"of {Decimal(value).adjusted() + 1} digits"
+    if not lo <= value <= hi:  # a long int by its size, as ``quoted`` shows a long text
+        shown = value if abs(value) < 10**SHOWN_CHARS else f"of {Decimal(value).adjusted() + 1} digits"
         return f"{measure} {phase.value} score {shown} outside [{lo}, {hi}]"
     return None
 
@@ -229,9 +231,8 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
     if not rows:
         raise CohortFormatError("empty cohort file")
     if tuple(h.strip() for h in rows[0]) != CSV_HEADER:
-        raise CohortFormatError(
-            f"line 1: expected header {','.join(CSV_HEADER)}, got {','.join(rows[0])}"
-        )
+        raise CohortFormatError(f"line 1: expected header {','.join(CSV_HEADER)}, "
+                                f"got {quoted(','.join(rows[0]), short=str)}")
 
     problems: list[str] = []
     groups: dict[str, Group] = {}
@@ -250,12 +251,12 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
         try:
             group = Group(group_s)
         except ValueError:
-            problems.append(f"line {lineno}: unknown group {group_s!r}")
+            problems.append(f"line {lineno}: unknown group {quoted(group_s)}")
             continue
         try:
             phase = Phase(phase_s)
         except ValueError:
-            problems.append(f"line {lineno}: unknown phase {phase_s!r}")
+            problems.append(f"line {lineno}: unknown phase {quoted(phase_s)}")
             continue
         measure = Measure(family, subscale)
         try:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from exobench.config import SETTINGS
 from exobench.outcomes.model import (
     BBT,
     COMPONENTS,
@@ -164,7 +165,7 @@ def analyze_cohort(
     """Run the full primary and secondary analysis over a cohort."""
     if not cohort:
         raise ValueError("cohort is empty")
-    q = exact(q)
+    q = SETTINGS["q"].check(exact(q))
     rows = [(row_label(m, c), m, c) for m in PRIMARY_MEASURES for c in comparisons(m)]
 
     warnings: list[str] = []

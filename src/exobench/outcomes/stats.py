@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import fdtrc, ndtr, ndtri, stdtr
 
+from exobench.config import SETTINGS
 from exobench.outcomes.model import exact
 
 EXACT_WILCOXON_MAX_N = 20
@@ -284,9 +285,7 @@ def bh_procedure(
     """
     if not tests:
         raise ValueError("bh_procedure needs at least one test")
-    q = exact(q)
-    if not 0 < q < 1:
-        raise ValueError("q must lie in (0, 1)")
+    q = SETTINGS["q"].check(exact(q))
     m = len(tests)
     for label, p in tests:
         if not 0 <= Fraction(p) <= 1:

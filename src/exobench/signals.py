@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from exobench import DEFAULT_EMG_RATE_HZ, DEFAULT_LOAD_RATE_HZ
+from exobench.config import SETTINGS, quoted
 
 EMG_CHANNELS = 8
 
@@ -105,8 +106,7 @@ CLASS_MEANS.flags.writeable = False
 def _check_noise_std(noise_std: float) -> None:
     """Reject a noise level whose sign the variance ``noise_std**2`` would
     drop, or whose variance overflows; below that, the noise it scales is finite."""
-    if not (noise_std >= 0.0 and math.isfinite(noise_std)):
-        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+    SETTINGS["noise_std"].check(noise_std)
     if not math.isfinite(noise_std * noise_std):
         raise ValueError(f"noise_std must have a finite square, the variance, got {noise_std!r}")
 
@@ -128,10 +128,8 @@ class SignalProfile:
 
     def __post_init__(self) -> None:
         _check_noise_std(self.noise_std)
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ValueError("crosstalk must lie in [0, 1]")
-        if not (self.drift_rate >= 0.0 and math.isfinite(self.drift_rate)):
-            raise ValueError(f"drift_rate must be non-negative and finite, got {self.drift_rate!r}")
+        SETTINGS["crosstalk"].check(self.crosstalk)
+        SETTINGS["drift_rate"].check(self.drift_rate)
 
     def to_meta(self) -> dict:
         variance = [float(self.noise_std * self.noise_std)] * EMG_CHANNELS
@@ -154,7 +152,7 @@ def _check_rows(kind: str, rows: list, lines: list[str]) -> None:
         if not (type(values) is list and len(values) == (EMG_CHANNELS if channels else 1)
                 and all(type(v) in _JSON_NUMBERS for v in [row.get("t"), *values])):
             raise ValueError(f"sample {n} must be an object with keys 't' and {key!r} holding "
-                             f"JSON numbers{channels}, got {lines[n]!r}")
+                             f"JSON numbers{channels}, got {quoted(lines[n])}")
 
 
 def _sample_array(kind: str, values) -> np.ndarray:
@@ -266,22 +264,22 @@ class SignalTrace:
         except ValueError as exc:  # malformed, or an integer past int()'s digit limit
             raise ValueError(f"trace header is not valid JSON: {exc}") from None
         if not isinstance(header, dict):
-            raise ValueError(f"trace header must be a JSON object, got {lines[0]!r}")
+            raise ValueError(f"trace header must be a JSON object, got {quoted(lines[0])}")
         if header.get("schema") != TRACE_SCHEMA:
-            raise ValueError(f"unsupported trace schema {header.get('schema')!r}")
+            raise ValueError(f"unsupported trace schema {quoted(header.get('schema'))}")
         missing = [name for name in ("kind", "rate_hz", "annotations") if name not in header]
         if missing:
             raise ValueError(f"trace header lacks {', '.join(missing)}")
         kind = header["kind"]
         if kind not in ("emg", "load"):
-            raise ValueError(f"unknown trace kind {kind!r}")
+            raise ValueError(f"unknown trace kind {quoted(kind)}")
         rate_hz = header["rate_hz"]
         if type(rate_hz) not in _JSON_NUMBERS:
-            raise ValueError(f"trace header needs a number rate_hz, got {rate_hz!r}")
+            raise ValueError(f"trace header needs a number rate_hz, got {quoted(rate_hz)}")
         label_type = IntentLabel if kind == "emg" else ShoulderPosture
         spans = header["annotations"]
         if type(spans) is not list:
-            raise ValueError(f"trace header needs [t_start, t_end, label] annotations, got {spans!r}")
+            raise ValueError(f"trace header needs [t_start, t_end, label] annotations, got {quoted(spans)}")
         annotations = []
         for n, span in enumerate(spans):
             try:
@@ -294,7 +292,7 @@ class SignalTrace:
             annotations.append((float(repr(t0)), float(repr(t1)), label))
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
-            raise ValueError(f"trace header meta must be a JSON object, got {meta!r}")
+            raise ValueError(f"trace header meta must be a JSON object, got {quoted(meta)}")
         key = "emg" if kind == "emg" else "tension"
         body = lines[1:]
         joined = ",".join(body)
@@ -309,7 +307,7 @@ class SignalTrace:
                     json.loads(line, parse_int=float)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"sample {n} is not valid JSON "
-                                     f"({exc.msg} at column {exc.colno}), got {line!r}") from None
+                                     f"({exc.msg} at column {exc.colno}), got {quoted(line)}") from None
         # true, false and null hold a "u" or an "l", which no number does, and a
         # string adds quotes past a line's two keys: only then, or when the rows
         # make no trace, are they looked at one by one.
@@ -358,8 +356,7 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
     half-open interval contains it; samples past the last end stay in it.
     No sample, or more than ``MAX_SAMPLES``, is an error, raised before allocating.
     """
-    if not (rate_hz > 0.0 and math.isfinite(rate_hz)):
-        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz!r}")
+    SETTINGS["rate_hz"].check(rate_hz)
     annotations = []
     t0 = 0.0
     for label, duration in segments:

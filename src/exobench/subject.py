@@ -12,10 +12,10 @@ SHA-256 so every generated artifact is reproducible in isolation.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from exobench import HAND_SIZES, MAS_GRADES
+from exobench.config import SETTINGS
 from exobench.signals import SignalProfile
 
 
@@ -40,14 +40,8 @@ class Subject:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.group not in ("EMG", "SH"):
-            raise ValueError(f"unknown control group {self.group!r}")
-        if self.hand_size not in HAND_SIZES:
-            raise ValueError(f"unknown hand size {self.hand_size!r}")
-        if self.mas not in MAS_GRADES:
-            raise ValueError(f"unknown spasticity grade {self.mas!r}")
-        if not (self.duration_scale > 0.0 and math.isfinite(self.duration_scale)):
-            raise ValueError(f"duration scale must be positive and finite, got {self.duration_scale!r}")
+        for key in ("group", "hand_size", "mas", "duration_scale"):
+            SETTINGS[key].check(getattr(self, key))
 
     def emg_profile(self, context: str, off_table: bool = False) -> SignalProfile:
         crosstalk = min(1.0, self.crosstalk + (self.off_table_crosstalk if off_table else 0.0))

@@ -6,8 +6,10 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import string
 import subprocess
 import sys
 import tempfile
@@ -320,6 +322,32 @@ class TestScreen:
             result = run_cli(capsys, "screen", str(root))
         assert result == (2, "", f"error: a 0.15 s window at {rate_hz!r} Hz would exceed "
                                  f"MAX_WINDOW_SAMPLES = 1024 samples\n")
+
+
+class TestScriptFlags:
+    """Both script flags read a script by ``signals._check_script``'s one rule."""
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e400", "-1", "0"])
+    @pytest.mark.parametrize("argv", [
+        ("gen", "emg", "--intent-script", "open:1,close:{}"),
+        ("gen", "load", "--script", "rest:{}"),
+        ("episode", "--intent-script", "open:{}"),
+    ], ids=["gen-emg", "gen-load", "episode"])
+    def test_a_duration_not_positive_and_finite_is_a_usage_error(self, capsys, argv, duration):
+        *argv, script = argv
+        assert run_cli(capsys, *argv, script.format(duration)) == (
+            1, "", f"usage error: argument {argv[-1]}: segment durations must be positive and finite\n")
+
+    @pytest.mark.parametrize("script, shown", [
+        ("grip:1", "unknown label 'grip' (expected one of open, relax, close)"),
+        ("open:" + "x" * 5000, f"bad duration {'x' * 64!r}... of 5000 characters in segment "
+                               f"{'open:' + 'x' * 59!r}... of 5005 characters"),
+        ("x" * 65 + ":1", f"unknown label {'x' * 64!r}... of 65 characters (expected one of "
+                          "open, relax, close)"),
+    ], ids=["short", "long-duration", "long-label"])
+    def test_rejected_text_is_quoted_by_prefix_and_length(self, capsys, script, shown):
+        assert run_cli(capsys, "gen", "emg", "--intent-script", script) == (
+            1, "", f"usage error: argument --intent-script: {shown}\n")
 
 
 class TestEpisode:
@@ -706,6 +734,17 @@ class TestImports:
     def test_import_loads_no_numeric_module(self, tmp_path, module, expected):
         assert _loaded_modules(tmp_path, f"import {module}\n") == expected
 
+    def test_the_settings_table_loads_the_standard_library_only(self, tmp_path):
+        # The library checks its records by config.SETTINGS: the table must
+        # stay free of numpy, scipy and every other exobench module.
+        code = ("import json, sys\nbefore = set(sys.modules)\nimport exobench.config\n"
+                "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
+                "                        if m.partition('.')[0] not in sys.stdlib_module_names)))\n")
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == ["exobench", "exobench.config"]
+
 
 class TestExitCodes:
     """``main`` maps the errors that only one command can raise."""
@@ -1051,6 +1090,59 @@ class TestSettings:
             key, commands, _meaning = (cell.strip() for cell in row.strip("|").split("|"))
             listed[key.strip("`")] = {c.strip().strip("`") for c in commands.split(",")}
         assert listed == {key: set(s.defaults) for key, s in config_mod.SETTINGS.items()}
+
+
+#: Each library call that checks a value by ``config.SETTINGS``, and the setting's key.
+LIBRARY_CHECKS = [("Subject", "group"), ("Subject", "hand_size"), ("Subject", "mas"),
+                  ("Subject", "duration_scale"), ("SignalProfile", "noise_std"),
+                  ("SignalProfile", "drift_rate"), ("SignalProfile", "crosstalk"),
+                  ("gen_load_trace", "noise_std"), ("gen_emg_trace", "rate_hz"),
+                  ("bh_procedure", "q"), ("analyze_cohort", "q")]
+
+#: Numbers at the edges of every setting's range, and texts outside every choice.
+_EDGE_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0, 0.0, 0.5, 1, 1.0, 1e308)
+_EDGE_TEXTS = ("", "x", "emg", "sh", "XL", "m", "1 ", "3", "x" * 5000)
+
+
+def _library_call(name: str, key: str):
+    """The call of ``name`` with the value of setting ``key`` as its one argument."""
+    from exobench.outcomes import model, report, stats
+    from exobench.subject import Subject
+
+    no_testable_row = [model.SubjectOutcomes("S1", model.Group.EMG, {(model.BBT, model.Phase.BASELINE): 1})]
+    return {
+        "Subject": lambda v: Subject(**{"subject_id": "S01", "group": "EMG", key: v}),
+        "SignalProfile": lambda v: signals.SignalProfile(**{key: v}),
+        "gen_load_trace": lambda v: signals.gen_load_trace([(signals.ShoulderPosture.REST, 1.0)],
+                                                           noise_std=v),
+        "gen_emg_trace": lambda v: signals.gen_emg_trace(
+            signals.SignalProfile(), [(signals.IntentLabel.OPEN, 1.0)], rate_hz=v),
+        "bh_procedure": lambda v: stats.bh_procedure([("row", 0.01)], q=v),
+        "analyze_cohort": lambda v: report.analyze_cohort(no_testable_row, q=v),
+    }[name]
+
+
+@pytest.mark.parametrize("name, key", LIBRARY_CHECKS)
+def test_the_library_rejects_what_the_setting_rejects(name, key):
+    """A call raises the setting's own message for exactly the values its
+    ``ok`` rejects; a further rule of the call may reject others in its own words."""
+    setting, call = config_mod.SETTINGS[key], _library_call(name, key)
+    values = _EDGE_NUMBERS + ((_EDGE_TEXTS + setting.choices) if setting.choices else ())
+    if key == "q":  # nan, inf and -inf, the first three, are no rational number for ``exact``
+        for value in values[:3]:
+            with pytest.raises(ValueError):
+                call(value)
+        values = values[3:]
+    wrong = []
+    for value in values:
+        try:
+            call(value)
+            message = ""
+        except ValueError as exc:
+            message = str(exc)
+        if message.startswith(f"{key} must be {setting.what}, got ") == setting.ok(value):
+            wrong.append((value[:10] if isinstance(value, str) else value, message[:80]))
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -1441,3 +1533,75 @@ def test_every_config_structure_change_is_rejected_by_place_or_changes_nothing(d
     assert (code in (1, 2), stdout, err.count("\n"), err[-1:]) == (True, "", 1, "\n"), err
     assert err.startswith(f"error: {Path(tmp) / 'exo.cfg'}: ") and re.search(rf"\b{place}\b", err), (
         f"{err[:300]!r} names not {place}")
+
+
+# ---------------------------------------------------------------------------
+# An error echoes an input of any size in one bounded line.
+
+#: Text of 65 to 6,000 characters, a drawn pattern repeated: letters, digits,
+#: ``._-+`` and spaces, none of which a script, a config line or a CSV row
+#: splits on; the leading ``x`` keeps it from reading as a number.
+_OVERSIZED = st.builds(lambda unit, size: ("x" + unit * size)[:size],
+                       st.text(st.sampled_from(string.ascii_letters + string.digits + " ._-+"),
+                               min_size=1, max_size=40),
+                       st.integers(config_mod.SHOWN_CHARS + 1, 6000))
+
+
+def _with_cell(text: str, line: int, column: int, cell: str) -> str:
+    lines = text.splitlines()
+    row = lines[line].split(",")
+    row[column] = cell
+    lines[line] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def _oversized_input(root: Path, site: str, big: str) -> list[str]:
+    """The argv of a command whose input holds ``big`` at ``site``, written under ``root``."""
+    script = {"script label": ["gen", "emg", "--intent-script", f"{big}:1"],
+              "script duration": ["gen", "load", "--script", f"rest:{big}"],
+              "script segment": ["episode", "--intent-script", f"open:1,{big}"]}
+    config = {"config line": big, "config key": f"{big} = 1", "config value": f"noise_std = {big}"}
+    csv = {"csv header": 0, "csv group": 1, "csv measure": 2, "csv subscale": 3,
+           "csv phase": 4, "csv score": 5}
+    if site in script:
+        return script[site]
+    if site in config:
+        (root / "exo.cfg").write_text(config[site] + "\n")
+        return ["gen", "load", "--script", "rest:1", "--config", str(root / "exo.cfg")]
+    if site in csv:
+        text = _with_cell(golden.golden_cohort_csv(), site != "csv header", csv[site], big)
+        (root / "cohort.csv").write_text(text)
+        return ["analyze", str(root / "cohort.csv")]
+    files = dict(_screening_files())
+    lines = files["open_off_table.jsonl"].splitlines()
+    if site == "trace channel":
+        row = json.loads(lines[3])
+        row["emg"][0] = big
+        lines[3] = json.dumps(row)
+    else:
+        lines[3] = big
+    files["open_off_table.jsonl"] = "\n".join(lines) + "\n"
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return ["screen", str(root)]
+
+
+_OVERSIZED_SITES = ["script label", "script duration", "script segment", "config line",
+                    "config key", "config value", "csv header", "csv group", "csv measure",
+                    "csv subscale", "csv phase", "csv score", "trace channel", "trace line"]
+
+
+@pytest.mark.parametrize("site", _OVERSIZED_SITES)
+@settings(max_examples=15, deadline=None)
+@given(big=_OVERSIZED)
+def test_an_oversized_input_is_rejected_in_one_bounded_line(site, big):
+    """Exit 1 or 2 with one line of at most 400 bytes besides the paths it
+    names, however long the rejected text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _oversized_input(Path(tmp), site, big)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    err = stderr.getvalue()
+    assert (code in (1, 2), stdout.getvalue(), err.count("\n"), err[-1:]) == (True, "", 1, "\n"), err[:500]
+    assert len(err.replace(tmp, "").encode()) <= 400, err[:500]

@@ -115,6 +115,13 @@ class TestSubjectOutcomes:
         with pytest.raises(CohortFormatError, match=f"^line 2: {re.escape(reason)}$"):
             load_cohort_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("digits", [64, 65, 4301])
+    def test_a_long_score_is_shown_by_its_digit_count(self, digits):
+        value = 10 ** (digits - 1)
+        shown = str(value) if digits <= 64 else f"of {digits} digits"
+        with pytest.raises(ValueError, match=f"^P01: BBT-count baseline score {shown} outside \\[0, 1000000\\]$"):
+            SubjectOutcomes("P01", Group.EMG, {(BBT, Phase.BASELINE): value})
+
     def test_each_stored_measure_rejects_the_phases_its_family_lacks(self):
         rejected = []
         for measure in model.SCORE_RANGES:
@@ -406,6 +413,15 @@ class TestAnalysis:
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             report.analyze_cohort([])
+
+    @pytest.mark.parametrize("q, shown", [(5, "5"), (0, "0"), ("1", "1"), (Fraction(3, 2), "3/2")])
+    def test_q_is_checked_with_no_testable_row(self, q, shown):
+        # No row has two phases, so no test runs for the FDR procedure to check.
+        cohort = [SubjectOutcomes("S1", Group.EMG, {(BBT, Phase.BASELINE): 1})]
+        assert all(row.p is None for row in report.analyze_cohort(cohort).primary)
+        with pytest.raises(ValueError, match=re.escape(
+                f"q must be a rational number strictly between 0 and 1, got {shown}") + "$"):
+            report.analyze_cohort(cohort, q=q)
 
     def test_q_forms_agree(self, golden_cohort):
         a = report.analyze_cohort(golden_cohort, q=0.05)
