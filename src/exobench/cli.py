@@ -51,6 +51,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(message)
 
+    def _get_values(self, action, texts):
+        try:
+            return super()._get_values(action, texts)
+        except argparse.ArgumentError as exc:  # an invalid choice or typed value, shown by its repr
+            message = exc.message
+            for text in texts:
+                message = message.replace(repr(text), config_mod.quoted(text))
+            raise argparse.ArgumentError(action, message) from None
+
 
 def _script(enum_name: str):
     """The argparse type of a script flag: ``label:seconds,...`` text as the
@@ -269,10 +278,9 @@ def cmd_episode(args) -> int:
     episode = controller.Episode(
         (np.array(times), np.array(codes)), t, controller.calibrate_rom(args.hand_size),
         plant=controller.flexed_plant(args.hand_size, controller.MAS_STIFFNESS[args.mas]))
-    try:
-        log = controller.run_episode(episode)
-    except controller.SafetyAbort as exc:
-        print(f"safety abort: {exc.diagnostic}", file=sys.stderr)
+    log = controller.run_episode(episode)
+    if log.abort is not None:
+        print(f"safety abort: {log.abort}", file=sys.stderr)
         return 3
     _emit(log.to_jsonl(), args.out)
     return 0
@@ -343,7 +351,9 @@ def cmd_protocol_tasks(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.error(f"unrecognized arguments: {config_mod.quoted(' '.join(extra), short=str)}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

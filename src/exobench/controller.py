@@ -15,34 +15,34 @@ cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode, each an ``Episode`` checked when built.
 ``run_episodes`` steps any number in lockstep on plain arrays, every
-``CONTROL_DT_S``; ``run_episode`` runs one. The gain, the drive and what every
-hand shares (rest pose, flexion stops, damping, tendon stiffness) are
-module constants, the drive's checked once at import. A ``HandPlant`` holds
-only what differs between hands, the pose, the tone and the glove's moment
-arms, validated once when it is built, never per tick. The engine's cost is
-per array call, not per episode. A held command is state, like the motor,
-set on the few ticks where it changes; from the tick on which every episode
-is commanded (most ticks) the effort mask is skipped, and a
-batch with no voluntary torque skips its add. The plant state is held
-joint-major, (2 joints, 4 digits, E), so a digit's take-up is one add of
-its MCP and PIP rows and the per-episode and per-digit arrays broadcast
-without views; the angles are clamped by one maximum and one minimum. A
-typical tick is 27 ufunc calls (4 for the proportional step, 7 for the
-motor and 16 for the plant) and 5 arg-reductions for the screens. The
-safety invariants are checked on every tick for every episode through one
-merged screen: the min and max of the excursions decide the travel clamp,
-the max of the tensions decides the cap, and with the min and max of the
-joint angles they show at once whether any episode needs its exact check.
-Each extreme is read at the index ``argmin`` or ``argmax`` gives, which is
-the first NaN when there is one, so the screen sees a NaN exactly where a
-full reduction would, at about half a reduction's cost per call. An
-episode that breaks an invariant stops alone. A
-trajectory is one set of columns, one array per quantity with a row per
-tick, recorded only when the caller gets the logs back; its JSONL form and
-its summaries (time to open, motor reversals) are read straight from the
-columns. The scalar reference the engine matches bit for bit, one tick of
-proportional step, motor, plant and setpoint at a time, lives with the
-tests in ``tests/reference.py``.
+``CONTROL_DT_S``, and gives each its ``TrajectoryLog``, the one outcome
+record, which names the invariant an aborted episode broke; ``run_episode``
+runs one. The gain, the drive and what every hand shares (rest pose, flexion
+stops, damping, tendon stiffness) are module constants, the drive's checked
+once at import. A ``HandPlant`` holds only what differs between hands, the
+pose, the tone and the glove's moment arms, validated once when it is built,
+never per tick. The engine's cost is per array call, not per episode. A held
+command is state, like the motor, set on the few ticks where it changes;
+from the tick on which every episode is commanded (most ticks) the effort
+mask is skipped, and a batch with no voluntary torque skips its add. The
+plant state is held joint-major, (2 joints, 4 digits, E), so a digit's
+take-up is one add of its MCP and PIP rows and the per-episode and per-digit
+arrays broadcast without views; the angles are clamped by one maximum and
+one minimum. A typical tick is 27 ufunc calls (4 for the proportional step,
+7 for the motor and 16 for the plant) and 5 arg-reductions for the screens.
+The safety invariants are checked on every tick for every episode through
+one merged screen: the min and max of the excursions decide the travel
+clamp, the max of the tensions decides the cap, and with the min and max of
+the joint angles they show at once whether any episode needs its exact
+check. Each extreme is read at the index ``argmin`` or ``argmax`` gives,
+which is the first NaN when there is one, so the screen sees a NaN exactly
+where a full reduction would, at about half a reduction's cost per call. An
+episode that breaks an invariant stops alone. A trajectory is one set of
+columns, one array per quantity with a row per tick, recorded only when the
+caller asks for it; its JSONL form is read straight from the columns. The
+scalar reference the engine matches bit for bit, one tick of proportional
+step, motor, plant and setpoint at a time, lives with the tests in
+``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
 being indices into ``IntentLabel``, at finite times, in any order.
@@ -61,24 +61,12 @@ from exobench.signals import COMPACT_JSON, INTENT_CODE, MAX_SAMPLES, IntentLabel
 CONTROL_DT_S = 0.005
 TENSION_CAP_N = 100.0
 
-#: Degrees of residual flexion below which a digit counts as open.
-OPEN_THRESHOLD_DEG = 5.0
-
 DIGITS = ("index", "middle", "ring", "little")
 JOINTS = ("mcp", "pip")
 
 TRAJECTORY_SCHEMA = "exobench/trajectory-v1"
 
 _DEG2RAD = math.pi / 180.0
-
-
-class SafetyAbort(RuntimeError):
-    """Raised when an episode violates a safety invariant; carries the partial log."""
-
-    def __init__(self, diagnostic: str, log: "TrajectoryLog"):
-        super().__init__(diagnostic)
-        self.diagnostic = diagnostic
-        self.log = log
 
 
 @dataclass(frozen=True)
@@ -265,9 +253,11 @@ _FSM_JSON = np.array([COMPACT_JSON.encode(name) for name in FSM_STATES], dtype=o
 
 @dataclass
 class TrajectoryLog:
-    """One episode's trajectory: the recorded columns, one row per ``CONTROL_DT_S`` tick."""
+    """One episode's outcome: its recorded columns, one row per ``CONTROL_DT_S``
+    tick, and the diagnostic of the safety invariant it broke, or None."""
 
     ticks: TrajectoryColumns
+    abort: str | None = None
 
     def to_jsonl(self) -> str:
         """The header line, then one line per tick: time, intent, state,
@@ -354,10 +344,8 @@ def _commands(
     return labels, labels[last]
 
 
-def run_episodes(
-    episodes: Sequence[Episode], record: bool = True,
-) -> list[TrajectoryLog | SafetyAbort | None]:
-    """Run E episodes of the control loop in lockstep; one outcome per episode.
+def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
+    """Run E episodes of the control loop in lockstep; one ``TrajectoryLog`` per episode.
 
     State is held in (2 joints, 4 digits, E) joint-angle and (E,) motor and
     FSM arrays, updated in the float order of the scalar reference's
@@ -372,11 +360,10 @@ def run_episodes(
     merged screen passes has no breach; otherwise each episode is checked
     exactly. The screen reads the extremes of the excursions, the tensions
     and the angles at their ``argmin``/``argmax``, which pick the first NaN,
-    so it misses no NaN. An episode that fails stops at that tick and its
-    outcome is a ``SafetyAbort``; the others run on. Otherwise
-    the outcome is its ``TrajectoryLog`` when ``record`` is set and None
-    when not. Trajectories are kept only when ``record`` is set, so an
-    abort's log has no ticks without it; the FSM, which feeds only its
+    so it misses no NaN. An episode that fails stops at that tick, with its
+    diagnostic as its log's ``abort``; the others run on. The columns are
+    kept only when ``record`` is set, up to and including an abort's tick;
+    without it every log has zero ticks. The FSM, which feeds only its
     trajectory column, settles only then too.
     """
     n_episodes = len(episodes)
@@ -545,50 +532,19 @@ def run_episodes(
             angles[:, :, e] = rest[:, :, e]
             arm[:, :, e] = 0.0
 
-    outcomes: list[TrajectoryLog | SafetyAbort | None] = []
-    for e in range(n_episodes):
-        n = min(length[e], width)
-        log = TrajectoryLog(TrajectoryColumns(
-            t=t_col[:n],
-            intent=labels[e][:n],
-            fsm=fsm_col[e, :n],
-            setpoint_mm=setpoint_col[e, :n],
-            excursion_mm=x_col[e, :n],
-            tension_n=tension_col[e, :n],
-            angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
-            velocity_mm_s=velocity_col[e, :n],
-            effort=effort_col[e, :n],
-        ))
-        if e in aborts:
-            outcomes.append(SafetyAbort(aborts[e], log))
-        else:
-            outcomes.append(log if record else None)
-    return outcomes
+    return [TrajectoryLog(TrajectoryColumns(
+        t=t_col[:n],
+        intent=labels[e][:n],
+        fsm=fsm_col[e, :n],
+        setpoint_mm=setpoint_col[e, :n],
+        excursion_mm=x_col[e, :n],
+        tension_n=tension_col[e, :n],
+        angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
+        velocity_mm_s=velocity_col[e, :n],
+        effort=effort_col[e, :n],
+    ), aborts.get(e)) for e, n in enumerate(min(n, width) for n in length)]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:
-    """``run_episodes`` for one episode: its log, or its ``SafetyAbort`` raised."""
-    (outcome,) = run_episodes([episode])
-    if isinstance(outcome, SafetyAbort):
-        raise outcome
-    return outcome
-
-
-def count_direction_reversals(log: TrajectoryLog, min_speed_mm_s: float = 0.5) -> int:
-    """Number of motor direction flips, ignoring speeds below the dead band.
-
-    A speed outside the band that is not positive (zero or NaN) counts as
-    the reverse direction.
-    """
-    v = log.ticks.velocity_mm_s
-    forward = v[~(np.abs(v) < min_speed_mm_s)] > 0.0
-    return int(np.count_nonzero(forward[1:] != forward[:-1]))
-
-
-def time_to_open(log: TrajectoryLog, threshold_deg: float = OPEN_THRESHOLD_DEG) -> float | None:
-    """First time every joint is below the open threshold, if reached.
-
-    A tick with a NaN joint angle never counts as open.
-    """
-    opened = np.flatnonzero((log.ticks.angles_deg < threshold_deg).all(axis=1))
-    return float(log.ticks.t[opened[0]]) if len(opened) else None
+    """``run_episodes`` for one episode."""
+    return run_episodes([episode])[0]

@@ -268,14 +268,14 @@ def load_cohort_csv(source: str | Path | io.TextIOBase) -> list[SubjectOutcomes]
             problems.append(f"line {lineno}: {problem}")
             continue
         if sid in groups and groups[sid] is not group:
-            problems.append(f"line {lineno}: subject {sid} listed under both groups")
+            problems.append(f"line {lineno}: subject {quoted(sid, short=str)} listed under both groups")
             continue
         if sid not in groups:
             groups[sid] = group
             scores[sid] = {}
             order.append(sid)
         if (measure, phase) in scores[sid]:
-            problems.append(f"line {lineno}: duplicate entry for {sid} {measure} {phase.value}")
+            problems.append(f"line {lineno}: duplicate entry for {quoted(sid, short=str)} {measure} {phase.value}")
             continue
         scores[sid][(measure, phase)] = score
 

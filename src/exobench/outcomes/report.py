@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from exobench.config import SETTINGS
 from exobench.outcomes.model import (
     BBT,
     COMPONENTS,
@@ -34,10 +33,10 @@ from exobench.outcomes.model import (
     SubjectOutcomes,
     compute_gains,
     display_round,
-    exact,
 )
 from exobench.outcomes.stats import (
     bh_procedure,
+    fdr_level,
     levene,
     paired_t,
     shapiro_wilk,
@@ -165,7 +164,7 @@ def analyze_cohort(
     """Run the full primary and secondary analysis over a cohort."""
     if not cohort:
         raise ValueError("cohort is empty")
-    q = SETTINGS["q"].check(exact(q))
+    q = fdr_level(q)
     rows = [(row_label(m, c), m, c) for m in PRIMARY_MEASURES for c in comparisons(m)]
 
     warnings: list[str] = []

@@ -271,6 +271,11 @@ def wilcoxon_signed_rank(d: Sequence[float]) -> WilcoxonResult:
 # Benjamini-Hochberg step-up
 
 
+def fdr_level(q: float | str | Fraction) -> Fraction:
+    """``q`` as the exact level the ``q`` setting allows, else its error; a float nan or inf as it is."""
+    return SETTINGS["q"].check(q if isinstance(q, float) and not math.isfinite(q) else exact(q))
+
+
 def bh_procedure(
     tests: Sequence[tuple[str, float | Fraction]],
     q: float | str | Fraction = Fraction(1, 20),
@@ -285,7 +290,7 @@ def bh_procedure(
     """
     if not tests:
         raise ValueError("bh_procedure needs at least one test")
-    q = SETTINGS["q"].check(exact(q))
+    q = fdr_level(q)
     m = len(tests)
     for label, p in tests:
         if not 0 <= Fraction(p) <= 1:

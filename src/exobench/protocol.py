@@ -265,14 +265,14 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     for task in tasks:
         intents, duration_s = task_intent_stream(subject, bundle, plan.session_index, task)
         episodes.append(controller.Episode(intents, duration_s, rom=bundle.rom, plant=plant))
-    aborts = controller.run_episodes(episodes, record=False)
+    outcomes = controller.run_episodes(episodes, record=False)
 
     last = len(tasks) - 1
-    for n, (task, task_s, abort) in enumerate(zip(tasks, durations, aborts)):
+    for n, (task, task_s, outcome) in enumerate(zip(tasks, durations, outcomes)):
         log.events.append(SessionEvent(wall, "task_start", {"task": task.task_id}))
-        if abort is not None:
+        if outcome.abort is not None:
             log.events.append(SessionEvent(wall, "adjustment",
-                                           {"task": task.task_id, "reason": abort.diagnostic}))
+                                           {"task": task.task_id, "reason": outcome.abort}))
             wall += 120.0
         wall += task_s
         log.last_completed_task = task.task_id

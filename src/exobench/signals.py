@@ -284,9 +284,13 @@ class SignalTrace:
         for n, span in enumerate(spans):
             try:
                 t0, t1, label = span
-                label = label_type(label)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"annotation {n} must be [t_start, t_end, label]: {exc}") from None
+            try:
+                label = label_type(label)
+            except ValueError:  # the enum's own message would echo the label whole
+                raise ValueError(f"annotation {n} must be [t_start, t_end, label]: "
+                                 f"{quoted(label)} is not a valid {label_type.__name__}") from None
             if type(t0) not in _JSON_NUMBERS or type(t1) not in _JSON_NUMBERS:
                 raise ValueError(f"annotation {n} needs number bounds, got [{t0!r}, {t1!r}]")
             annotations.append((float(repr(t0)), float(repr(t1)), label))

@@ -6,6 +6,9 @@ for bit. Nothing in ``src/`` imports this module.
 
 - Controller: the proportional step, motor, plant and setpoint primitives of
   one tick, on a motor record that also keeps the last effort and tension.
+- Episode summaries: the time to open and the motor direction reversals,
+  read from a recorded trajectory's columns, which ROADMAP item 1a's
+  online summaries are to match.
 - LDA: the fit from a list of labeled feature vectors, and the feature
   vector, per-class scores and decision of one window.
 - Intent streams: the per-label vote smoother, the per-sample hysteresis
@@ -40,6 +43,7 @@ from exobench.controller import (
     TRAVEL_MM,
     HandPlant,
     RomCalibration,
+    TrajectoryLog,
 )
 from exobench.intent import CLASS_ORDER, DEFAULT_VOTE_K, RIDGE, EmgClassifier, ShConfig
 from exobench.outcomes.stats import _average_ranks, _exact_signed_rank_p
@@ -179,6 +183,33 @@ def settle_fsm(state: ControllerState, motor: MotorRecord, rom: RomCalibration) 
         if state.setpoint_mm == rom.extended_mm and state.fsm == "RELEASING":
             return replace(state, fsm="HOLD_CLOSED")
     return state
+
+
+# ---------------------------------------------------------------------------
+# Episode summaries over recorded columns
+
+#: Degrees of residual flexion below which a digit counts as open.
+OPEN_THRESHOLD_DEG = 5.0
+
+
+def count_direction_reversals(log: TrajectoryLog, min_speed_mm_s: float = 0.5) -> int:
+    """Number of motor direction flips, ignoring speeds below the dead band.
+
+    A speed outside the band that is not positive (zero or NaN) counts as
+    the reverse direction.
+    """
+    v = log.ticks.velocity_mm_s
+    forward = v[~(np.abs(v) < min_speed_mm_s)] > 0.0
+    return int(np.count_nonzero(forward[1:] != forward[:-1]))
+
+
+def time_to_open(log: TrajectoryLog, threshold_deg: float = OPEN_THRESHOLD_DEG) -> float | None:
+    """First time every joint is below the open threshold, if reached.
+
+    A tick with a NaN joint angle never counts as open.
+    """
+    opened = np.flatnonzero((log.ticks.angles_deg < threshold_deg).all(axis=1))
+    return float(log.ticks.t[opened[0]]) if len(opened) else None
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,11 @@ from exobench import intent as intent_mod, signals
 from exobench.controller import (
     TENSION_CAP_N,
     Episode,
-    SafetyAbort,
     calibrate_rom,
-    count_direction_reversals,
     default_plant,
     flexed_plant,
     run_episode,
     run_episodes,
-    time_to_open,
 )
 from exobench.intent import CLASS_ORDER, ShConfig, detect_trace, screening_script
 from exobench.outcomes import golden, report
@@ -39,7 +36,7 @@ from exobench.outcomes.model import display_round
 from exobench.outcomes.stats import bh_procedure, paired_t
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import preset_subject
-from reference import exact_wilcoxon_p
+from reference import count_direction_reversals, exact_wilcoxon_p, time_to_open
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 
@@ -231,6 +228,7 @@ def test_criterion_5_controller_timing_and_safety():
     rom = calibrate_rom("M")
     log = run_episode(Episode((np.zeros(1), np.array([CLASS_ORDER.index(OPEN)])), 2.5, rom,
                               plant=flexed_plant("M")))
+    assert log.abort is None, log.abort
     opened = time_to_open(log)
     assert opened is not None
     assert 1.8 * 0.9 <= opened <= 1.8 * 1.1
@@ -249,7 +247,7 @@ def test_criterion_5_controller_timing_and_safety():
     angle_violations = 0
     ticks_checked = 0
     for outcome in run_episodes(episodes):
-        assert not isinstance(outcome, SafetyAbort), outcome.diagnostic
+        assert outcome.abort is None, outcome.abort
         ticks = outcome.ticks
         tension_violations += int(np.count_nonzero(ticks.tension_n > TENSION_CAP_N + 1e-9))
         angle_violations += int(np.count_nonzero(ticks.angles_deg.min(axis=1) < 0.0))
@@ -288,6 +286,7 @@ def test_criterion_6_hysteresis_and_dither():
 
     rom = calibrate_rom("M")
     log = run_episode(Episode(decisions, trace.duration_s, rom, plant=flexed_plant("M")))
+    assert log.abort is None, log.abort
     assert count_direction_reversals(log) == 0
     print("criterion 6 (hysteresis and dither): PASS, 0 reversals end-to-end")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from exobench import intent
-from exobench.controller import Episode, SafetyAbort, calibrate_rom, run_episode, run_episodes
+from exobench.controller import Episode, calibrate_rom, run_episode, run_episodes
 from exobench.signals import IntentLabel
 from exobench.subject import preset_subject
 from reference import stream
@@ -49,20 +49,28 @@ def test_every_traced_name_resolves(tracer):
     assert missing == []
 
 
+def _aborting_episode():
+    """An episode whose torque turns NaN after 0.2 s: it aborts on its 42nd tick."""
+    return Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"),
+                   voluntary_nmm=lambda t: math.nan if t > 0.2 else 0.0)
+
+
 def test_tick_counters_read_an_episode_log(tracer):
-    log = run_episode(Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M")))
-    assert len(log.ticks) == 100
-    assert tracer._ticks_of_self((log,), None) == 100
-    assert tracer._ticks_of_result((), log) == 100
+    # A recorded abort's partial ticks are counted from its own log.
+    whole = Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"))
+    for episode, abort, ticks in ((whole, None, 100),
+                                  (_aborting_episode(), "non-finite state at t=0.205", 42)):
+        log = run_episode(episode)
+        assert (log.abort, len(log.ticks)) == (abort, ticks)
+        assert tracer._ticks_of_self((log,), None) == ticks
+        assert tracer._ticks_of_result((), log) == ticks
 
 
 def test_tick_counters_read_zero_for_an_unrecorded_abort(tracer):
-    episode = Episode(stream([(0.0, IntentLabel.OPEN)]), 0.5, calibrate_rom("M"),
-                      voluntary_nmm=lambda t: math.nan if t > 0.2 else 0.0)
-    (abort,) = run_episodes([episode], record=False)
-    assert isinstance(abort, SafetyAbort)
-    assert tracer._ticks_of_result((), abort) == 0
-    assert tracer._ticks_of_self((abort.log,), None) == 0
+    (log,) = run_episodes([_aborting_episode()], record=False)
+    assert log.abort == "non-finite state at t=0.205"
+    assert tracer._ticks_of_result((), log) == 0
+    assert tracer._ticks_of_self((log,), None) == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])

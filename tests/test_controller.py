@@ -24,21 +24,20 @@ from exobench.controller import (
     Episode,
     MotorState,
     RomCalibration,
-    SafetyAbort,
     TrajectoryColumns,
     TrajectoryLog,
     calibrate_rom,
-    count_direction_reversals,
     default_plant,
     flexed_plant,
     run_episode,
     run_episodes,
-    time_to_open,
 )
 from exobench.signals import IntentLabel
 from reference import (
+    OPEN_THRESHOLD_DEG,
     ControllerState,
     MotorRecord,
+    count_direction_reversals,
     events,
     passive_energy,
     proportional_step,
@@ -47,10 +46,18 @@ from reference import (
     step_motor,
     step_plant,
     stream,
+    time_to_open,
 )
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 _LABELS = tuple(IntentLabel)
+
+
+def _run_to_end(episode):
+    """``run_episode``'s log of an episode that must break no safety invariant."""
+    log = run_episode(episode)
+    assert log.abort is None, log.abort
+    return log
 
 
 class TestRom:
@@ -88,7 +95,7 @@ class TestPid:
         # before the first command it is 0. No other term adds to it.
         rom = calibrate_rom("M")
         start = MotorState(20.0, 3.0)
-        log = run_episode(Episode(stream([(0.2, OPEN), (1.5, CLOSE), (2.0, RELAX), (2.1, OPEN)]),
+        log = _run_to_end(Episode(stream([(0.2, OPEN), (1.5, CLOSE), (2.0, RELAX), (2.1, OPEN)]),
                                   3.0, rom, plant=flexed_plant("M"), initial_motor=start))
         ticks = log.ticks
         x_before = np.concatenate(([start.excursion_mm], ticks.excursion_mm[:-1]))
@@ -228,14 +235,14 @@ class TestSetpointSelection:
 class TestEpisode:
     def test_default_open_time_hits_device_figure(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, OPEN)]), 2.5, rom, plant=flexed_plant("M")))
+        log = _run_to_end(Episode(stream([(0.0, OPEN)]), 2.5, rom, plant=flexed_plant("M")))
         opened = time_to_open(log)
         assert opened is not None
         assert 1.62 <= opened <= 1.98
 
     def test_safety_envelope_holds_throughout(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+        log = _run_to_end(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
                                   plant=flexed_plant("M", 4.0)))
         assert np.all(log.ticks.tension_n <= TENSION_CAP_N + 1e-9)
         assert np.all(log.ticks.angles_deg.min(axis=1) >= 0.0)
@@ -261,13 +268,13 @@ class TestEpisode:
 
     def test_round_trip_has_single_reversal(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+        log = _run_to_end(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
                                   plant=flexed_plant("M")))
         assert count_direction_reversals(log) == 1
 
     def test_relax_only_parks_the_motor(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, RELAX)]), 1.0, rom, plant=flexed_plant("M")))
+        log = _run_to_end(Episode(stream([(0.0, RELAX)]), 1.0, rom, plant=flexed_plant("M")))
         assert len(set(log.ticks.excursion_mm.tolist())) == 1
         assert count_direction_reversals(log) == 0
         assert np.all(log.ticks.effort == 0.0)
@@ -276,13 +283,13 @@ class TestEpisode:
     def test_episode_is_deterministic(self):
         rom = calibrate_rom("L")
         script = [(0.0, OPEN), (2.0, CLOSE)]
-        a = run_episode(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
-        b = run_episode(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
+        a = _run_to_end(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
+        b = _run_to_end(Episode(stream(script), 4.0, rom, plant=flexed_plant("L", 2.0)))
         assert a.to_jsonl() == b.to_jsonl()
 
     def test_settles_into_hold_states(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
+        log = _run_to_end(Episode(stream([(0.0, OPEN), (2.5, CLOSE)]), 5.0, rom,
                                   plant=flexed_plant("M")))
         assert FSM_STATES[log.ticks.fsm[-1]] == "HOLD_CLOSED"
         assert "HOLD_OPEN" in {FSM_STATES[f] for f in log.ticks.fsm.tolist()}
@@ -293,15 +300,15 @@ class TestEpisode:
         def disturbance(t: float) -> float:
             return math.nan if t > 0.5 else 0.0
 
-        with pytest.raises(SafetyAbort, match="non-finite") as excinfo:
-            run_episode(Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M"),
-                                voluntary_nmm=disturbance))
-        assert len(excinfo.value.log.ticks) > 0
-        assert excinfo.value.log.ticks.t[-1] >= 0.5
+        log = run_episode(Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M"),
+                                  voluntary_nmm=disturbance))
+        assert log.abort.startswith("non-finite")
+        assert len(log.ticks) > 0
+        assert log.ticks.t[-1] >= 0.5
 
     def test_close_never_opens(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, CLOSE)]), 1.0, rom, plant=flexed_plant("M")))
+        log = _run_to_end(Episode(stream([(0.0, CLOSE)]), 1.0, rom, plant=flexed_plant("M")))
         assert time_to_open(log) is None
 
     def test_rejects_non_positive_duration(self):
@@ -313,7 +320,7 @@ class TestEpisode:
         with pytest.raises(ValueError, match=re.escape(
                 "a 0.002 s episode holds no 0.005 s control tick")):
             Episode(stream([(0.0, OPEN)]), 0.002, calibrate_rom("M"))
-        assert len(run_episode(Episode(stream([(0.0, OPEN)]), 0.0026, calibrate_rom("M"))).ticks) == 1
+        assert len(_run_to_end(Episode(stream([(0.0, OPEN)]), 0.0026, calibrate_rom("M"))).ticks) == 1
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_duration(self, duration):
@@ -340,8 +347,8 @@ class TestEpisode:
     def test_integral_float_codes_are_indices(self):
         # Codes are checked by value: `episode`'s array of an empty code list is float64.
         rom = calibrate_rom("M")
-        ints = run_episode(Episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, rom))
-        floats = run_episode(Episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, rom))
+        ints = _run_to_end(Episode(stream([(0.0, OPEN), (0.2, CLOSE)]), 0.3, rom))
+        floats = _run_to_end(Episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, rom))
         assert ints.to_jsonl() == floats.to_jsonl()
 
     @given(st.data())
@@ -367,7 +374,7 @@ class TestEpisode:
 
     def test_trajectory_jsonl_round_numbers(self):
         rom = calibrate_rom("M")
-        log = run_episode(Episode(stream([(0.0, OPEN)]), 0.1, rom, plant=flexed_plant("M")))
+        log = _run_to_end(Episode(stream([(0.0, OPEN)]), 0.1, rom, plant=flexed_plant("M")))
         text = log.to_jsonl()
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(log.ticks)
@@ -494,7 +501,7 @@ def reference_reversals(ticks, min_speed_mm_s=0.5):
     return reversals
 
 
-def reference_time_to_open(ticks, threshold_deg=controller.OPEN_THRESHOLD_DEG):
+def reference_time_to_open(ticks, threshold_deg=OPEN_THRESHOLD_DEG):
     """First tick time whose largest joint angle is below the threshold."""
     for tick in ticks:
         if max(tick.angles_deg) < threshold_deg:
@@ -528,11 +535,9 @@ def _tick_bits(tick):
     return tuple(_bits(value) for value in tick)
 
 
-def _outcome_bits(outcome):
+def _outcome_bits(log):
     """(diagnostic or None, ticks as bit patterns) of an engine outcome."""
-    if isinstance(outcome, SafetyAbort):
-        return outcome.diagnostic, [_tick_bits(tick) for tick in rows(outcome.log.ticks)]
-    return None, [_tick_bits(tick) for tick in rows(outcome.ticks)]
+    return log.abort, [_tick_bits(tick) for tick in rows(log.ticks)]
 
 
 def _reference_bits(episode):
@@ -592,18 +597,16 @@ class TestBatchedEngine:
             Episode(stream([(0.1, CLOSE)]), 0.8, calibrate_rom("L"), plant=default_plant("L", 2.0)),
         ]
         outcomes = run_episodes(episodes)
-        assert isinstance(outcomes[1], SafetyAbort)
-        assert outcomes[1].diagnostic == "non-finite state at t=0.505"
-        assert len(outcomes[1].log.ticks) == 102
+        assert outcomes[1].abort == "non-finite state at t=0.505"
+        assert len(outcomes[1].ticks) == 102
         for episode, outcome in zip(episodes, outcomes):
             assert _outcome_bits(outcome) == _reference_bits(episode)
         for i in (0, 2):
             alone = run_episodes([episodes[i]])[0]
             assert _outcome_bits(alone) == _outcome_bits(outcomes[i])
-        with pytest.raises(SafetyAbort) as excinfo:
-            run_episode(Episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
-                                voluntary_nmm=_nan_after(0.5, 0.0)))
-        assert _outcome_bits(excinfo.value) == _outcome_bits(outcomes[1])
+        alone = run_episode(Episode(stream(script), 1.0, rom, plant=flexed_plant("M"),
+                                    voluntary_nmm=_nan_after(0.5, 0.0)))
+        assert _outcome_bits(alone) == _outcome_bits(outcomes[1])
 
     def _assert_matches_reference(self, episodes):
         outcomes = run_episodes(episodes)
@@ -637,7 +640,7 @@ class TestBatchedEngine:
             Episode(stream([(0.0, OPEN)]), 0.3, rom, initial_motor=MotorState(math.nan)),
         ]
         capped, aborted = self._assert_matches_reference(episodes)
-        assert aborted.diagnostic == "non-finite state at t=0.000"
+        assert aborted.abort == "non-finite state at t=0.000"
         # The NaN sibling's tension is NaN on the very tick the cap first binds.
         assert capped.ticks.tension_n[0] == TENSION_CAP_N
 
@@ -653,19 +656,19 @@ class TestBatchedEngine:
             Episode(stream([(0.0, OPEN)]), 0.2, rom),
         ]
         aborted, _ = self._assert_matches_reference(episodes)
-        assert aborted.diagnostic == "non-finite state at t=0.000"
-        assert np.all(aborted.log.ticks.angles_deg == math.inf)
+        assert aborted.abort == "non-finite state at t=0.000"
+        assert np.all(aborted.ticks.angles_deg == math.inf)
 
-    def test_without_recording_only_aborts_are_returned(self):
+    def test_without_recording_every_log_has_no_ticks(self):
         rom = calibrate_rom("M")
         episodes = [
             Episode(stream([(0.0, OPEN)]), 0.5, rom),
             Episode(stream([(0.0, OPEN)]), 0.5, rom, voluntary_nmm=_nan_after(0.2, 0.0)),
         ]
         kept, aborted = run_episodes(episodes, record=False)
-        assert kept is None
-        assert aborted.diagnostic == "non-finite state at t=0.205"
-        assert len(aborted.log.ticks) == 0
+        assert (kept.abort, len(kept.ticks)) == (None, 0)
+        assert aborted.abort == "non-finite state at t=0.205"
+        assert len(aborted.ticks) == 0
 
     def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch):
         # The exact check runs np.isfinite over the (2, 4, E) angles once per
@@ -686,8 +689,8 @@ class TestBatchedEngine:
         episodes.insert(1, Episode(stream(script), 5.0, rom, plant=flexed_plant("M"),
                                    voluntary_nmm=_nan_after(0.2, 0.0)))
         outcomes = run_episodes(episodes, record=False)
-        assert outcomes[1].diagnostic == "non-finite state at t=0.205"
-        assert [outcomes[i] for i in (0, 2, 3)] == [None] * 3
+        assert outcomes[1].abort == "non-finite state at t=0.205"
+        assert [outcomes[i].abort for i in (0, 2, 3)] == [None] * 3
         assert entries == [(2, 4, 4)]
 
     def test_unsorted_stream_with_tied_times(self):
@@ -705,7 +708,7 @@ class TestBatchedEngine:
     def test_episode_jsonl_is_unchanged(self):
         rom = calibrate_rom("M")
         script = [(0.0, OPEN), (3.0, RELAX), (4.0, CLOSE)]
-        log = run_episode(Episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0)))
+        log = _run_to_end(Episode(stream(script), 7.0, rom, plant=flexed_plant("M", 2.0)))
         ticks, _ = reference_episode(script, 7.0, rom, flexed_plant("M", 2.0))
         assert log.to_jsonl() == reference_jsonl(ticks)
 
@@ -719,9 +722,10 @@ class TestBatchedEngine:
         monkeypatch.setattr(controller, "MAX_DEG", np.full((4, 2), math.inf))
         (inf_abort,) = run_episodes([Episode(stream([(0.0, OPEN)]), 0.2, rom, voluntary_nmm=math.inf)])
         for abort, q in ((nan_abort, "NaN"), (inf_abort, "Infinity")):
-            text = abort.log.to_jsonl()
+            assert abort.abort.startswith("non-finite")
+            text = abort.to_jsonl()
             assert text.splitlines()[-1].endswith('"q":[' + ",".join([q] * 8) + "]}")
-            assert text == reference_jsonl(rows(abort.log.ticks))
+            assert text == reference_jsonl(rows(abort.ticks))
 
     def test_jsonl_of_every_non_finite_spelling(self):
         # Columns no engine run gives: an infinite setpoint is written as
@@ -746,8 +750,8 @@ class TestBatchedEngine:
     def test_empty_log_jsonl_is_its_header(self):
         (aborted,) = run_episodes([Episode(stream([(0.0, OPEN)]), 0.5, calibrate_rom("M"),
                                            voluntary_nmm=_nan_after(0.0, 0.0))], record=False)
-        assert len(aborted.log.ticks) == 0
-        assert aborted.log.to_jsonl() == reference_jsonl([])
+        assert aborted.abort is not None and len(aborted.ticks) == 0
+        assert aborted.to_jsonl() == reference_jsonl([])
 
 
 _SIGNED_ZERO = st.sampled_from([-0.0, 0.0])
@@ -830,11 +834,9 @@ class TestBatchLayout:
         recorded = run_episodes(episodes)
         for episode, kept, bare in zip(episodes, recorded, run_episodes(episodes, record=False)):
             diagnostic, _ticks = _reference_bits(episode)
-            if diagnostic is None:
-                assert kept is not None and bare is None
-            else:
-                assert kept.diagnostic == bare.diagnostic == diagnostic
-                assert len(bare.log.ticks) == 0
+            assert isinstance(kept, TrajectoryLog) and isinstance(bare, TrajectoryLog)
+            assert bare.abort == kept.abort == diagnostic
+            assert len(bare.ticks) == 0
 
 
 def test_argmin_and_argmax_pick_the_first_nan():
@@ -883,12 +885,10 @@ def test_faults_anywhere_in_the_batch_match_the_reference(episodes, data):
         recorded = run_episodes(episodes)
         bare = run_episodes(episodes, record=False)
     for (diagnostic, ticks), kept, unrecorded in zip(want, recorded, bare):
+        assert isinstance(kept, TrajectoryLog) and isinstance(unrecorded, TrajectoryLog)
         assert _outcome_bits(kept) == (diagnostic, ticks)
-        if diagnostic is None:
-            assert unrecorded is None
-        else:
-            assert unrecorded.diagnostic == diagnostic
-            assert len(unrecorded.log.ticks) == 0
+        assert unrecorded.abort == kept.abort
+        assert len(unrecorded.ticks) == 0
 
 
 def _pinned_batches(seed=20261018, n_batches=16):
@@ -936,7 +936,7 @@ def test_unrecorded_engine_memory_does_not_grow_with_ticks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert outcomes == [None] * len(episodes)
+    assert [(log.abort, len(log.ticks)) for log in outcomes] == [(None, 0)] * len(episodes)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -949,12 +949,10 @@ def test_engine_bits_are_pinned():
     digest = hashlib.sha256()
     n_aborts = 0
     for episodes in _pinned_batches():
-        for outcome in run_episodes(episodes):
-            log = outcome
-            if isinstance(outcome, SafetyAbort):
+        for log in run_episodes(episodes):
+            if log.abort is not None:
                 n_aborts += 1
-                digest.update(outcome.diagnostic.encode())
-                log = outcome.log
+                digest.update(log.abort.encode())
             for col in astuple(log.ticks):
                 if col.dtype.kind == "f":
                     col = np.where(np.isnan(col), np.nan, col)
@@ -1001,15 +999,12 @@ class TestSummariesMatchTickLoops:
     @settings(max_examples=40)
     @given(st.lists(_episodes(), min_size=1, max_size=4), st.booleans())
     def test_engine_logs(self, episodes, record):
-        for episode, outcome in zip(episodes, run_episodes(episodes, record=record)):
-            if outcome is None:
-                continue
-            log = outcome.log if isinstance(outcome, SafetyAbort) else outcome
+        for log in run_episodes(episodes, record=record):
             ticks = rows(log.ticks)
             assert log.to_jsonl() == reference_jsonl(ticks)
             for band in (0.0, 0.5, 3.0):
                 assert count_direction_reversals(log, band) == reference_reversals(ticks, band)
-            for threshold in (controller.OPEN_THRESHOLD_DEG, 60.0):
+            for threshold in (OPEN_THRESHOLD_DEG, 60.0):
                 assert time_to_open(log, threshold) == reference_time_to_open(ticks, threshold)
 
     @given(st.lists(_SPEEDS, max_size=30), st.sampled_from([0.0, 0.5, 3.0]))

@@ -278,7 +278,7 @@ class TestCsv:
             "P01,EMG,FM,distal,baseline,20\n"
             "P01,EMG,FM,distal,baseline,22\n"
         )
-        with pytest.raises(CohortFormatError, match="duplicate"):
+        with pytest.raises(CohortFormatError, match="^line 3: duplicate entry for P01 FM-distal baseline$"):
             load_cohort_csv(io.StringIO(text))
 
     def test_subject_cannot_switch_groups(self):
@@ -287,7 +287,7 @@ class TestCsv:
             "P01,EMG,FM,distal,baseline,20\n"
             "P01,SH,FM,proximal,baseline,10\n"
         )
-        with pytest.raises(CohortFormatError, match="both groups"):
+        with pytest.raises(CohortFormatError, match="^line 3: subject P01 listed under both groups$"):
             load_cohort_csv(io.StringIO(text))
 
     def test_empty_file_rejected(self):

@@ -43,17 +43,11 @@ ALLOWED = {
         "fault injection: the engine tests start the motor away from the cable take-up",
     "MotorState.velocity_mm_s":
         "fault injection: the engine tests start the motor moving",
-    "count_direction_reversals.min_speed_mm_s":
-        "the dead band of the episode summaries planned in ROADMAP item 1",
-    "time_to_open.threshold_deg":
-        "the open threshold of the episode summaries planned in ROADMAP item 1",
 }
 
 #: Top-level functions, classes and constants that nothing in ``src/`` or
 #: ``bench/`` names, each with its reason.
 UNNAMED_ALLOWED = {
-    "count_direction_reversals": "ROADMAP item 1 gives it a caller",
-    "time_to_open": "ROADMAP item 1 gives it a caller",
     "trace_accuracy": "ROADMAP item 1 gives it a caller",
     "_HOLD_OPEN": "names the FSM code that settling's +1 makes of _EXTENDING",
     "_HOLD_CLOSED": "names the FSM code that settling's +1 makes of _RELEASING",
