@@ -51,14 +51,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(message)
 
-    def _get_values(self, action, texts):
-        try:
-            return super()._get_values(action, texts)
-        except argparse.ArgumentError as exc:  # an invalid choice or typed value, shown by its repr
-            message = exc.message
-            for text in texts:
-                message = message.replace(repr(text), config_mod.quoted(text))
-            raise argparse.ArgumentError(action, message) from None
+
+def _quote_echoes(message: str, texts: list[str]) -> str:
+    """``message`` with each argv text of over ``config.SHOWN_CHARS``
+    characters that argparse echoes, whole or from a value after its option,
+    raw or as its repr, quoted through ``config.quoted``."""
+    for text in texts:
+        for start in range(len(text) - config_mod.SHOWN_CHARS):
+            tail = text[start:]
+            if repr(tail) in message:
+                message = message.replace(repr(tail), config_mod.quoted(tail))
+                break
+            if tail in message:
+                message = message.replace(tail, config_mod.quoted(tail, short=str))
+                break
+    return message
 
 
 def _script(enum_name: str):
@@ -349,13 +356,14 @@ def cmd_protocol_tasks(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-        if extra:
+        if extra:  # quoted as one text: many short stray arguments join into a long one
             parser.error(f"unrecognized arguments: {config_mod.quoted(' '.join(extra), short=str)}")
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {_quote_echoes(str(exc), argv)}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help exits via argparse
         return exc.code if isinstance(exc.code, int) else 0

@@ -41,10 +41,14 @@ SHOWN_CHARS = 64
 def quoted(value: object, short: Callable[[str], str] = repr) -> str:
     """``value`` as an error shows it: ``short`` of a string of at most
     ``SHOWN_CHARS`` characters, the ``repr`` of a longer one's first
-    ``SHOWN_CHARS`` and its length, and the ``repr`` of anything else."""
-    if isinstance(value, str) and len(value) > SHOWN_CHARS:
+    ``SHOWN_CHARS`` and its length, and the ``repr`` of anything else, or,
+    when that is longer, its first ``SHOWN_CHARS`` characters and its length."""
+    if not isinstance(value, str):
+        shown = repr(value)
+        return shown if len(shown) <= SHOWN_CHARS else f"{shown[:SHOWN_CHARS]}... of {len(shown)} characters"
+    if len(value) > SHOWN_CHARS:
         return f"{value[:SHOWN_CHARS]!r}... of {len(value)} characters"
-    return short(value) if isinstance(value, str) else repr(value)
+    return short(value)
 
 
 class Setting(NamedTuple):

@@ -39,10 +39,10 @@ which is the first NaN when there is one, so the screen sees a NaN exactly
 where a full reduction would, at about half a reduction's cost per call. An
 episode that breaks an invariant stops alone. A trajectory is one set of
 columns, one array per quantity with a row per tick, recorded only when the
-caller asks for it; its JSONL form is read straight from the columns. The
-scalar reference the engine matches bit for bit, one tick of proportional
-step, motor, plant and setpoint at a time, lives with the tests in
-``tests/reference.py``.
+caller asks for it; its JSONL form is one encode per tick of a row read
+from the columns. The scalar reference the engine matches bit for bit, one
+tick of proportional step, motor, plant and setpoint at a time, lives with
+the tests in ``tests/reference.py``.
 
 An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
 being indices into ``IntentLabel``, at finite times, in any order.
@@ -241,16 +241,6 @@ class TrajectoryColumns:
         return len(self.t)
 
 
-#: One trajectory line. Fields 1 and 2 take the intent and state names as
-#: JSON strings; ``_FLOAT_FIELDS`` are where the float columns t, sp, x, F
-#: and the angles go, in that order.
-_TICK_ROW = ('{"t":%s,"intent":%s,"fsm":%s,"sp":%s,"x":%s,"F":%s,"q":['
-             + ",".join(["%s"] * (len(DIGITS) * len(JOINTS))) + "]}\n")
-_FLOAT_FIELDS = np.array([0, 3, 4, 5, *range(6, 6 + len(DIGITS) * len(JOINTS))])
-_INTENT_JSON = np.array([COMPACT_JSON.encode(str(label)) for label in IntentLabel], dtype=object)
-_FSM_JSON = np.array([COMPACT_JSON.encode(name) for name in FSM_STATES], dtype=object)
-
-
 @dataclass
 class TrajectoryLog:
     """One episode's outcome: its recorded columns, one row per ``CONTROL_DT_S``
@@ -260,30 +250,21 @@ class TrajectoryLog:
     abort: str | None = None
 
     def to_jsonl(self) -> str:
-        """The header line, then one line per tick: time, intent, state,
-        setpoint (``sp``), excursion (``x``), tension (``F``) and angles (``q``).
-
-        The tick lines come from one ``%`` over the row template repeated
-        once per tick, and hold the bytes that one ``json`` call per line
-        would write. ``%s`` of a finite float is ``float.__repr__``, which is
-        how ``json`` spells it; the values it spells otherwise (a setpoint
-        before the first command, an aborted tick's NaN or inf) are put in
-        as ``json`` writes them, the NaN setpoint as ``null``.
-        """
+        """The header line, then one ``COMPACT_JSON.encode`` per tick line: time,
+        intent, state, setpoint (``sp``, null before the first command),
+        excursion (``x``), tension (``F``) and angles (``q``), where an aborted
+        tick's NaN or inf is spelled ``NaN``, ``Infinity`` or ``-Infinity``."""
         header = {"schema": TRAJECTORY_SCHEMA, "dt_s": CONTROL_DT_S, "joints": [f"{d}_{j}" for d in DIGITS for j in JOINTS]}
         cols = self.ticks
-        floats = np.column_stack((cols.t, cols.setpoint_mm, cols.excursion_mm, cols.tension_n, cols.angles_deg))
-        fields = np.empty((len(cols), len(_FLOAT_FIELDS) + 2), dtype=object)
-        fields[:, _FLOAT_FIELDS] = floats
-        fields[:, 1] = _INTENT_JSON[cols.intent]
-        fields[:, 2] = _FSM_JSON[cols.fsm]
-        row, col = np.nonzero(~np.isfinite(floats))
-        odd = floats[row, col]
-        fields[row, _FLOAT_FIELDS[col]] = np.where(
-            np.isnan(odd), np.where(col == 1, "null", "NaN"),  # float column 1 is sp
-            np.where(odd > 0.0, "Infinity", "-Infinity"))
-        rows = (_TICK_ROW * len(cols)) % tuple(fields.ravel().tolist())
-        return COMPACT_JSON.encode(header) + "\n" + rows
+        intents = [label.value for label in IntentLabel]
+        encode = COMPACT_JSON.encode
+        lines = [encode(header)]
+        lines += [encode({"t": t, "intent": intents[i], "fsm": FSM_STATES[s], "sp": None if sp != sp else sp,
+                          "x": x, "F": f, "q": q})
+                  for t, i, s, sp, x, f, q in zip(cols.t.tolist(), cols.intent.tolist(), cols.fsm.tolist(),
+                                                  cols.setpoint_mm.tolist(), cols.excursion_mm.tolist(),
+                                                  cols.tension_n.tolist(), cols.angles_deg.tolist())]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -292,7 +292,7 @@ class SignalTrace:
                 raise ValueError(f"annotation {n} must be [t_start, t_end, label]: "
                                  f"{quoted(label)} is not a valid {label_type.__name__}") from None
             if type(t0) not in _JSON_NUMBERS or type(t1) not in _JSON_NUMBERS:
-                raise ValueError(f"annotation {n} needs number bounds, got [{t0!r}, {t1!r}]")
+                raise ValueError(f"annotation {n} needs number bounds, got {quoted([t0, t1])}")
             annotations.append((float(repr(t0)), float(repr(t1)), label))
         meta = header.get("meta", {})
         if not isinstance(meta, dict):

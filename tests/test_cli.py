@@ -928,7 +928,11 @@ class TestTopLevel:
         (["protocol", "list-tasks", "stray", "more"], "unrecognized arguments: stray more"),
         (["frobnicate"], "argument {gen,screen,episode,simulate,analyze,protocol}: invalid choice: "
                          "'frobnicate' (choose from 'gen', 'screen', 'episode', 'simulate', 'analyze', 'protocol')"),
-    ], ids=["choice", "typed value", "stray arguments", "command"])
+        (["gen", "load", "--script", "rest:1", "--dither=" + "x" * 55],
+         f"ambiguous option: --dither={'x' * 55} could match --dither-amp, --dither-hz"),
+        (["protocol", "list-tasks", "--help=" + "x" * 64],
+         f"argument -h/--help: ignored explicit argument '{'x' * 64}'"),
+    ], ids=["choice", "typed value", "stray arguments", "command", "ambiguous option", "help value"])
     def test_a_value_of_at_most_64_characters_is_shown_whole(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n")
 
@@ -1574,7 +1578,9 @@ def _oversized_input(root: Path, site: str, big: str) -> list[str]:
              "screening subject": ["gen", "screening", "--subject", big, "--out", str(root)],
              "analyze format": ["analyze", "--format", big, str(root / "cohort.csv")],
              "dither amp": ["gen", "load", "--script", "rest:1", "--dither-amp", big],
-             "stray argument": ["protocol", "list-tasks", big]}
+             "stray argument": ["protocol", "list-tasks", big],
+             "ambiguous option": ["gen", "load", "--script", "rest:1", f"--dither={big}"],
+             "help value": ["protocol", "list-tasks", f"--help={big}"]}
     config = {"config line": big, "config key": f"{big} = 1", "config value": f"noise_std = {big}"}
     csv = {"csv header": 0, "csv group": 1, "csv measure": 2, "csv subscale": 3,
            "csv phase": 4, "csv score": 5}
@@ -1596,9 +1602,14 @@ def _oversized_input(root: Path, site: str, big: str) -> list[str]:
         return ["analyze", str(root / "cohort.csv")]
     files = dict(_screening_files())
     lines = files["open_off_table.jsonl"].splitlines()
-    if site == "trace label":
+    if site in ("trace label", "trace rate", "trace bound"):
         header = json.loads(lines[0])
-        header["annotations"][0][2] = big
+        if site == "trace label":
+            header["annotations"][0][2] = big
+        elif site == "trace rate":
+            header["rate_hz"] = [big]
+        else:
+            header["annotations"][0][0] = big
         lines[0] = json.dumps(header)
     elif site == "trace channel":
         row = json.loads(lines[3])
@@ -1614,9 +1625,9 @@ def _oversized_input(root: Path, site: str, big: str) -> list[str]:
 
 _OVERSIZED_SITES = ["script label", "script duration", "script segment", "emg profile",
                     "screening subject", "analyze format", "dither amp", "stray argument",
-                    "config line", "config key", "config value", "csv header", "csv group",
-                    "csv measure", "csv subscale", "csv phase", "csv score", "csv subject",
-                    "trace label", "trace channel", "trace line"]
+                    "ambiguous option", "help value", "config line", "config key", "config value",
+                    "csv header", "csv group", "csv measure", "csv subscale", "csv phase", "csv score",
+                    "csv subject", "trace label", "trace rate", "trace bound", "trace channel", "trace line"]
 
 
 @pytest.mark.parametrize("site", _OVERSIZED_SITES)

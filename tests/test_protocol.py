@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exobench import controller, protocol, tasks
+from exobench import HAND_SIZES, MAS_GRADES, TOTAL_SESSIONS, controller, protocol, tasks
 from exobench.protocol import (
     ACTIVE_BUDGET_S,
     ProtocolPhase,
@@ -372,3 +373,18 @@ class TestSessionExecution:
         assert [e.kind for e in aborted.events if e.kind != "adjustment"] == [e.kind for e in plain.events]
         assert aborted.active_s == plain.active_s
         assert aborted.events[-1].t_s == plain.events[-1].t_s + 4 * 120.0
+
+
+@settings(max_examples=12)
+@given(subject=st.builds(Subject, subject_id=st.just("S20"), group=st.sampled_from(("EMG", "SH")),
+                         hand_size=st.sampled_from(HAND_SIZES), mas=st.sampled_from(MAS_GRADES),
+                         duration_scale=st.floats(0.25, 4.0), seed=st.integers(0, 2**32)),
+       order=st.lists(st.integers(0, TOTAL_SESSIONS - 1), min_size=1, max_size=4, unique=True),
+       n_tasks=st.integers(1, 3))
+def test_a_session_log_does_not_depend_on_the_sessions_run_before_it(subject, order, n_tasks):
+    """Drawn plans, cut to their first tasks, give each session the same bytes
+    run in the drawn order and in the reverse one: a session's RNGs come from
+    the subject seed and its index alone."""
+    plans = [replace(plan, tasks=plan.tasks[:n_tasks]) for plan in build_session_plans(subject.subject_id)]
+    in_order = [run_session(plans[i], subject).to_jsonl() for i in order]
+    assert in_order == [run_session(plans[i], subject).to_jsonl() for i in reversed(order)][::-1]
