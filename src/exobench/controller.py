@@ -37,15 +37,17 @@ the joint angles they show at once whether any episode needs its exact
 check. Each extreme is read at the index ``argmin`` or ``argmax`` gives,
 which is the first NaN when there is one, so the screen sees a NaN exactly
 where a full reduction would, at about half a reduction's cost per call. An
-episode that breaks an invariant stops alone. A trajectory is one set of
-columns, one array per quantity with a row per tick, recorded only when the
-caller asks for it; its JSONL form is one encode per tick of a row read
+episode that breaks an invariant stops alone: a lane's one run state is its
+stop tick, its tick count cut to the abort tick + 1. A trajectory is one set
+of columns, one array per quantity with a row per tick, recorded only when
+the caller asks for it; its JSONL form is one encode per tick of a row read
 from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
-An episode's intent stream is a ``(t, codes)`` pair of arrays, the codes
-being indices into ``IntentLabel``, at finite times, in any order.
+An episode's intent stream is a ``(t, codes)`` pair, the codes being
+indices into ``IntentLabel``, at finite times, in any order. An ``Episode``
+keeps read-only float64 and int8 copies of the stream it checked.
 """
 
 from __future__ import annotations
@@ -303,6 +305,9 @@ class Episode:
             raise ValueError(f"intent codes must be IntentLabel indices, got {bad[0].item()!r}")
         if not np.isfinite(t).all():
             raise ValueError(f"intent event times must be finite, got {t[~np.isfinite(t)][0].item()!r}")
+        t, codes = t.astype(float), codes.astype(np.int8)  # copies: the episode runs what it checked
+        t.flags.writeable = codes.flags.writeable = False
+        object.__setattr__(self, "intents", (t, codes))
 
 
 def _commands(
@@ -341,10 +346,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     merged screen passes has no breach; otherwise each episode is checked
     exactly. The screen reads the extremes of the excursions, the tensions
     and the angles at their ``argmin``/``argmax``, which pick the first NaN,
-    so it misses no NaN. An episode that fails stops at that tick, with its
-    diagnostic as its log's ``abort``; the others run on. The columns are
-    kept only when ``record`` is set, up to and including an abort's tick;
-    without it every log has zero ticks. The FSM, which feeds only its
+    so it misses no NaN. A lane runs tick i while i < its stop tick, its
+    tick count; one that fails stops at that tick (stop tick i + 1), with
+    its diagnostic as its log's ``abort``, and the others run on. The
+    columns are kept only when ``record`` is set, up to and including an
+    abort's tick; without it every log has zero ticks. The FSM, which feeds only its
     trajectory column, settles only then too.
     """
     n_episodes = len(episodes)
@@ -355,12 +361,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     n_max = max(steps)
     t_col = np.arange(n_max) * CONTROL_DT_S
 
-    # Per tick, the episodes that end on it and each change of a held command
-    # as (episode, setpoint, FSM move). A command once given is held, so from
-    # the first tick with every episode commanded no tick needs the mask below.
-    labels, changes, ends, firsts = [], {}, {}, []
+    # Per tick, each change of a held command as (episode, setpoint, FSM
+    # move). A command once given is held, so from the first tick with every
+    # episode commanded no tick needs the mask below.
+    labels, changes, firsts = [], {}, []
     for e, (ep, n) in enumerate(zip(episodes, steps)):
-        ends.setdefault(n, []).append(e)
         label, held = _commands(ep.intents, t_col[:n])
         labels.append(label)
         ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1]).tolist()
@@ -417,19 +422,16 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     setpoint_col = np.empty((n_episodes, width))
     angles_col = np.empty((n_episodes, width, len(DIGITS), len(JOINTS)))
 
-    live = np.ones(n_episodes, dtype=bool)
-    length = list(steps)
+    # Each lane's stop tick; the loop ends with the last lane's.
+    stop = np.array(steps)
+    end = n_max
     aborts: dict[int, str] = {}
-    n_live = n_episodes
     for i in range(n_max):
-        if i in ends:
-            n_live -= int(live[ends[i]].sum())
-            live[ends[i]] = False
-        if n_live == 0:
+        if i >= end:
             break
         t = i * CONTROL_DT_S
         for e, torque in disturbed:
-            if live[e]:
+            if i < stop[e]:
                 voluntary[e] = torque(t)
         for e, held_mm, move in changes.get(i, ()):  # a new command starts a move
             setpoint[e] = held_mm
@@ -496,22 +498,21 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         non_finite = ~(np.isfinite(angles).all(axis=(0, 1)) & np.isfinite(x))
         over_cap = total > TENSION_CAP_N + 1e-9
         hyperextended = (angles < -1e-9).any(axis=(0, 1))
-        for e in np.flatnonzero(live & (non_finite | over_cap | hyperextended)).tolist():
+        for e in np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended)).tolist():
             if non_finite[e]:
                 aborts[e] = f"non-finite state at t={t:.3f}"
             elif over_cap[e]:
                 aborts[e] = f"tension cap breached at t={t:.3f}: {total[e]:.2f} N"
             else:
                 aborts[e] = f"hyperextension block breached at t={t:.3f}"
-            live[e] = False
-            length[e] = i + 1
-            n_live -= 1
+            stop[e] = i + 1
             # Park the stopped lane finite and tension-free (a zero moment
             # arm takes up no cable, whatever the motor does), so that it
             # fails no later tick's screen.
             x[e], velocity[e], setpoint[e], voluntary[e] = TRAVEL_MM, 0.0, TRAVEL_MM, 0.0
             angles[:, :, e] = rest[:, :, e]
             arm[:, :, e] = 0.0
+        end = int(stop.max())
 
     return [TrajectoryLog(TrajectoryColumns(
         t=t_col[:n],
@@ -523,7 +524,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
         velocity_mm_s=velocity_col[e, :n],
         effort=effort_col[e, :n],
-    ), aborts.get(e)) for e, n in enumerate(min(n, width) for n in length)]
+    ), aborts.get(e)) for e, n in enumerate(min(n, width) for n in stop.tolist())]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

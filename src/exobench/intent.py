@@ -168,13 +168,12 @@ def smooth_intents(codes: np.ndarray) -> np.ndarray:
     return counts.argmax(axis=1)[last]
 
 
-def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Trailing ``DEFAULT_WINDOW_S`` MAV of every frame, and the label of each full window.
+def _windows(trace: SignalTrace) -> tuple[np.ndarray, int]:
+    """Trailing ``DEFAULT_WINDOW_S`` MAV of every frame, and the window length in samples.
 
     Window offsets are added oldest first onto zero padding, the float order
-    of a mean over one window slice. A label is the CLASS_ORDER index of the
-    ground truth at both ends of a full window when the two agree, else -1.
-    A window over ``MAX_WINDOW_SAMPLES`` samples is an error, raised before allocating.
+    of a mean over one window slice. A window over ``MAX_WINDOW_SAMPLES``
+    samples is an error, raised before allocating.
     """
     if trace.kind != "emg":
         raise ValueError("EMG trace required")
@@ -188,41 +187,35 @@ def _windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     total = padded[:n].copy()
     for offset in range(1, win):
         total += padded[offset:offset + n]
-    mav = total / np.minimum(np.arange(1, n + 1), win)[:, None]
-
-    codes = np.array([INTENT_CODE[label] for _t0, _t1, label in trace.annotations] + [-1])
-    truth = codes[trace.annotation_index(trace.t)]
-    labels = np.full(n, -1)
-    first, last = truth[:max(n - win + 1, 0)], truth[win - 1:]
-    labels[win - 1:] = np.where(first == last, last, -1)
-    return mav, labels
+    return total / np.minimum(np.arange(1, n + 1), win)[:, None], win
 
 
 def labeled_windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """``(features (M, 8), codes (M,))`` for every frame whose full window sits
-    inside one annotation; codes are CLASS_ORDER indices."""
-    mav, labels = _windows(trace)
-    keep = labels >= 0
-    return mav[keep], labels[keep]
+    inside one annotation, the only frames labelled: the code is the CLASS_ORDER
+    index of the ground truth at both ends of the window, when the two agree."""
+    mav, win = _windows(trace)
+    codes = np.array([INTENT_CODE[label] for _t0, _t1, label in trace.annotations] + [-1])
+    truth = codes[trace.annotation_index(trace.t)]
+    first, last = truth[:max(len(truth) - win + 1, 0)], truth[win - 1:]
+    keep = np.flatnonzero((first == last) & (last >= 0)) + (win - 1)
+    return mav[keep], truth[keep]
 
 
 def classify_trace(classifier: EmgClassifier, trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-frame decisions over a trace, using trailing (possibly partial) windows.
 
-    Returns the stream ``(trace.t, codes)``.
+    Returns the stream ``(trace.t, codes)``; no frame is labelled.
     """
-    mav, _labels = _windows(trace)
-    return trace.t, classifier._decide(mav)
+    return trace.t, classifier._decide(_windows(trace)[0])
 
 
 def trace_accuracy(classifier: EmgClassifier, trace: SignalTrace) -> float:
-    """Fraction of fully-in-window frames whose raw decision matches ground truth."""
-    mav, labels = _windows(trace)
-    scored = labels >= 0
-    total = int(np.count_nonzero(scored))
-    if total == 0:
+    """Fraction of ``labeled_windows``' frames whose raw decision matches ground truth."""
+    features, codes = labeled_windows(trace)
+    if len(codes) == 0:
         raise ValueError("trace has no scoreable frames")
-    return int(np.count_nonzero(classifier._decide(mav)[scored] == labels[scored])) / total
+    return int(np.count_nonzero(classifier._decide(features) == codes)) / len(codes)
 
 
 # ---------------------------------------------------------------------------
