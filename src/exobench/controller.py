@@ -45,9 +45,8 @@ from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
-An episode's intent stream is a ``(t, codes)`` pair, the codes being
-indices into ``IntentLabel``, at finite times, in any order. An ``Episode``
-keeps read-only float64 and int8 copies of the stream it checked.
+An ``Episode`` keeps read-only copies of the intent stream it checked:
+finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
 """
 
 from __future__ import annotations
@@ -346,11 +345,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     merged screen passes has no breach; otherwise each episode is checked
     exactly. The screen reads the extremes of the excursions, the tensions
     and the angles at their ``argmin``/``argmax``, which pick the first NaN,
-    so it misses no NaN. A lane runs tick i while i < its stop tick, its
-    tick count; one that fails stops at that tick (stop tick i + 1), with
-    its diagnostic as its log's ``abort``, and the others run on. The
-    columns are kept only when ``record`` is set, up to and including an
-    abort's tick; without it every log has zero ticks. The FSM, which feeds only its
+    so it misses no NaN. A lane's one run state is its stop tick, its tick
+    count: one that fails stops at that tick (stop tick i + 1), with its
+    diagnostic as its log's ``abort``; the others run on. The columns are
+    kept only when ``record`` is set, up to and including an abort's tick;
+    without it every log has zero ticks. The FSM, which feeds only its
     trajectory column, settles only then too.
     """
     n_episodes = len(episodes)

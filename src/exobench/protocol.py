@@ -208,11 +208,13 @@ def task_intent_stream(
 ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """One representative grasp-release cycle through the group's interface.
 
-    Returns the ``(t, codes)`` intent stream and the cycle's duration.
+    Returns the ``(t, codes)`` intent stream and the cycle's duration; an
+    unsupported EMG task draws from the off-table profile.
     """
     context = f"task:{session_index}:{task.task_id}"
     if subject.group == "EMG":
-        trace = signals.gen_emg_trace(subject.emg_profile(context), list(_GRASP_SCRIPT))
+        profile = subject.emg_profile(context, off_table=task.support is Support.UNSUPPORTED)
+        trace = signals.gen_emg_trace(profile, list(_GRASP_SCRIPT))
         t, raw = intent_mod.classify_trace(bundle.classifier, trace)
         return (t, intent_mod.smooth_intents(raw)), trace.duration_s
     trace = signals.gen_load_trace(list(_SH_TASK_SCRIPT), noise_std=SH_NOISE_N,

@@ -4,7 +4,9 @@ A Subject bundles everything the simulators need: control group, glove
 size, spasticity grade (stiffness multiplier), EMG signal quality (leakage
 and fatigue, with extra distortion when the forearm leaves the table), and
 a pace factor for the task duration model. Every subject shares the harness
-tension levels and noise (``protocol.SH_NOISE_N``).
+tension levels and noise (``protocol.SH_NOISE_N``). A task's ``Support`` says
+if the forearm is off the table (``uses_arm_support`` is only logged), and both
+EMG profiles are checked when a Subject is built.
 Sub-seeds are derived from the subject seed and a context string through
 SHA-256 so every generated artifact is reproducible in isolation.
 """
@@ -42,9 +44,11 @@ class Subject:
     def __post_init__(self) -> None:
         for key in ("group", "hand_size", "mas", "duration_scale"):
             SETTINGS[key].check(getattr(self, key))
+        for off_table in (False, True):
+            self.emg_profile("check", off_table)
 
     def emg_profile(self, context: str, off_table: bool = False) -> SignalProfile:
-        crosstalk = min(1.0, self.crosstalk + (self.off_table_crosstalk if off_table else 0.0))
+        crosstalk = min(self.crosstalk + (self.off_table_crosstalk if off_table else 0.0), 1.0)  # keeps a NaN
         drift = self.drift_rate + (self.off_table_drift if off_table else 0.0)
         return SignalProfile(
             noise_std=self.noise_std,

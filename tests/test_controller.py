@@ -351,6 +351,30 @@ class TestEpisode:
         floats = _run_to_end(Episode((np.array([0.0, 0.2]), np.array([0.0, 2.0])), 0.3, rom))
         assert ints.to_jsonl() == floats.to_jsonl()
 
+    @pytest.mark.parametrize("times, codes", [
+        ([0.0, 0.5], [0, 2]),
+        (np.array([0, 1]), np.array([0, 2])),
+        (np.array([0.0, 0.5]), np.array([0.0, 2.0])),
+        (np.array([0.0, 0.5]), np.array([False, True])),
+    ], ids=["lists", "int-times", "float-codes", "bool-codes"])
+    def test_a_stream_runs_as_its_float_times_and_int_codes(self, times, codes):
+        rom = calibrate_rom("M")
+        arrays = np.array(times, dtype=float), np.array(codes, dtype=np.int64)
+        got = run_episode(Episode((times, codes), 1.0, rom))
+        assert _outcome_bits(got) == _outcome_bits(run_episode(Episode(arrays, 1.0, rom)))
+        assert len(got.ticks) == 200
+
+    def test_keeps_a_read_only_copy_of_the_stream_it_checked(self):
+        t, codes = np.array([0.0, 0.5]), np.array([0, 2])
+        episode = Episode((t, codes), 1.0, calibrate_rom("M"))
+        before = _outcome_bits(run_episode(episode))
+        t[1], codes[1] = 0.1, 1  # the caller's later edits reach no tick
+        assert _outcome_bits(run_episode(episode)) == before
+        assert [a.dtype for a in episode.intents] == [np.float64, np.int8]
+        assert not any(a.flags.writeable for a in episode.intents)
+        with pytest.raises(ValueError, match="read-only"):
+            episode.intents[1][0] = 2
+
     @given(st.data())
     def test_accepts_exactly_the_isin_codes(self, data):
         # The check is three comparisons by value, which must accept what

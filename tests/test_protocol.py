@@ -218,6 +218,35 @@ class TestCalibration:
         assert a.thumb_extension_n == b.thumb_extension_n
 
 
+#: One task of each support condition.
+_ONE_TASK_PER_SUPPORT = [next(t for t in build_protocol() if t.support is support) for support in Support]
+
+
+@pytest.mark.parametrize("task", _ONE_TASK_PER_SUPPORT, ids=lambda task: task.task_id)
+def test_an_emg_task_trains_under_its_own_support(monkeypatch, task):
+    subject = Subject("S01", "EMG", noise_std=0.03, crosstalk=0.5, drift_rate=0.01,
+                      off_table_crosstalk=0.7, off_table_drift=0.02, seed=3)
+    bundle = session_calibration(subject, 1)
+    profiles, generate = [], protocol.signals.gen_emg_trace
+    monkeypatch.setattr(protocol.signals, "gen_emg_trace",
+                        lambda profile, script: profiles.append(profile) or generate(profile, script))
+    task_intent_stream(subject, bundle, 1, task)
+    off_table = task.support is Support.UNSUPPORTED
+    assert [(p.noise_std, p.crosstalk, p.drift_rate) for p in profiles] == [
+        (0.03, min(1.0, 0.5 + 0.7), 0.01 + 0.02) if off_table else (0.03, 0.5, 0.01)]
+
+
+@pytest.mark.parametrize("fields, key", [
+    (dict(subject_id="S", group="SH", noise_std=-1.0), "noise_std"),
+    (dict(subject_id="E", group="EMG", off_table_crosstalk=-3.0), "crosstalk"),
+    (dict(subject_id="N", group="EMG", crosstalk=math.nan), "crosstalk"),
+    (dict(subject_id="D", group="SH", off_table_drift=-1.0), "drift_rate"),
+], ids=["negative-noise", "negative-off-table-crosstalk", "nan-crosstalk", "negative-off-table-drift"])
+def test_a_subject_with_no_valid_emg_profile_is_rejected_when_built(fields, key):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        Subject(**fields)
+
+
 #: sha256 of ``run_session(plan, Subject("S01", group, mas=mas, seed=3)).to_jsonl()``
 #: for the first two plans of S01, recorded before the classifier moved to
 #: (3, 8) arrays. No abort happens in these sessions, so an EMG log does not
@@ -235,10 +264,11 @@ _SESSION_PINS = {
 
 #: sha256 of the calibration classifier's weight and bias bytes, then each
 #: task's intent stream (time bytes, int64 code bytes, repr of the duration),
-#: for the first two EMG sessions of Subject("S01", "EMG", seed=3).
+#: for the first two EMG sessions of Subject("S01", "EMG", seed=3), recorded
+#: once each unsupported task drew from the off-table EMG profile.
 _EMG_STREAM_PINS = {
-    1: "d378c376546e6db268c5e06f6541a43c5ea2e525523d9a4ce46f5fc3f749f232",
-    2: "b06e43951f6791ff748e9ed269ed2c1952d916bd1ebc5cfef207f765450cac01",
+    1: "a06bb0f1ab01fa6d93aa87f5a4b284e3ca84c385ed5b7c188080005e7d926e1e",
+    2: "4947999689874a61c239c6da78c41cb89bdbdab7423a8290178324bf4cf66f8a",
 }
 
 
