@@ -192,7 +192,7 @@ def _windows(trace: SignalTrace) -> tuple[np.ndarray, int]:
 
 def labeled_windows(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """``(features (M, 8), codes (M,))`` for every frame whose full window sits
-    inside one annotation, the only frames labelled: the code is the CLASS_ORDER
+    inside one annotation. Only here are frames labelled: a code is the CLASS_ORDER
     index of the ground truth at both ends of the window, when the two agree."""
     mav, win = _windows(trace)
     codes = np.array([INTENT_CODE[label] for _t0, _t1, label in trace.annotations] + [-1])
