@@ -45,6 +45,19 @@ from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
+An unrecorded call, as a session makes, steps each distinct input once. An
+episode with a constant torque is keyed by the float64 bits of what its
+abort depends on: its tick count, held-command schedule, ROM setpoints,
+resolved plant arrays, resolved initial motor and torque. The first episode
+of a key gets a lane, later ones in the call share it, and the lane's abort
+goes into a module table of the newest 4,096 keys that later calls read, so
+a repeated input steps no tick at all. An input is stepped and screened on
+every tick the first time it is seen: a remembered abort is that checked
+run's, on bit-identical inputs, and a call that finds the module constants
+the engine reads changed empties the table. A recorded call steps every
+episode, since no caller repeats a recorded input and remembering columns
+would cost memory.
+
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
 """
@@ -329,6 +342,24 @@ def _commands(
     return labels, labels[last]
 
 
+#: The abort of each input that an unrecorded ``run_episodes`` lane has
+#: stepped, by its key, oldest first; at most ``_OUTCOMES_MAX`` keys of
+#: about 350 B each, so about 1.4 MB when full. ``_OUTCOMES_UNDER`` holds
+#: the bits of the module constants they were stepped under: a call under
+#: others empties the table first.
+_OUTCOMES: dict[bytes, str | None] = {}
+_OUTCOMES_MAX = 4096
+_OUTCOMES_UNDER = b""
+
+
+def _no_ticks() -> TrajectoryColumns:
+    """Zero-tick columns, each its own array, with an unrecorded lane's dtypes and shapes."""
+    return TrajectoryColumns(
+        t=np.empty(0), intent=np.empty(0, np.int8), fsm=np.empty(0, np.int8), setpoint_mm=np.empty(0),
+        excursion_mm=np.empty(0), tension_n=np.empty(0), angles_deg=np.empty((0, len(DIGITS) * len(JOINTS))),
+        velocity_mm_s=np.empty(0), effort=np.empty(0))
+
+
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
     """Run E episodes of the control loop in lockstep; one ``TrajectoryLog`` per episode.
 
@@ -351,29 +382,85 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     kept only when ``record`` is set, up to and including an abort's tick;
     without it every log has zero ticks. The FSM, which feeds only its
     trajectory column, settles only then too.
+
+    A recorded call steps one lane per episode. An unrecorded call steps one
+    lane per distinct input: it keys each episode whose ``voluntary_nmm`` is
+    a constant by the float64 bits of every input its abort depends on (the
+    tick count, the held-command schedule, the ROM's setpoints, the resolved
+    plant's three arrays, the resolved initial motor and the torque), so
+    -0.0 and 0.0 differ and a NaN matches only its own bits. The first
+    episode of a key gets a lane and later ones in the call share it; the
+    lane's abort is remembered, and a later call's episode with that key
+    takes it and steps no lane. Only the abort is remembered, never
+    columns, so recorded calls, whose episodes no caller repeats, are not
+    keyed. The table keeps the newest ``_OUTCOMES_MAX`` keys, and a call
+    that finds the engine's module constants changed empties it.
     """
+    global _OUTCOMES_UNDER
     n_episodes = len(episodes)
     if n_episodes == 0:
         return []
+    scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
+               TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
+    if not record:
+        under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
+        if under != _OUTCOMES_UNDER:
+            _OUTCOMES.clear()
+            _OUTCOMES_UNDER = under
     plants = [ep.plant if ep.plant is not None else default_plant() for ep in episodes]
+    motors = [
+        ep.initial_motor if ep.initial_motor is not None else MotorState(
+            excursion_mm=min(p.cable_take_up_mm().max(), TRAVEL_MM))
+        for ep, p in zip(episodes, plants)
+    ]
     steps = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
     n_max = max(steps)
     t_col = np.arange(n_max) * CONTROL_DT_S
 
-    # Per tick, each change of a held command as (episode, setpoint, FSM
+    # Per tick, each change of a lane's held command as (lane, setpoint, FSM
     # move). A command once given is held, so from the first tick with every
-    # episode commanded no tick needs the mask below.
+    # lane commanded no tick needs the mask below. An unrecorded episode
+    # whose key is remembered takes its abort and gets no lane.
+    lanes: list[int] = []  # the episode each lane steps
+    lane_of: list[int] = []  # each episode's lane, -1 for a remembered outcome
+    remembered: dict[int, str | None] = {}
+    fresh: dict[bytes, int] = {}  # each key this call steps, to its lane
     labels, changes, firsts = [], {}, []
-    for e, (ep, n) in enumerate(zip(episodes, steps)):
+    for e, (ep, n, plant, motor) in enumerate(zip(episodes, steps, plants, motors)):
         label, held = _commands(ep.intents, t_col[:n])
+        ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1])
+        codes = held[ticks]
+        if not (record or callable(ep.voluntary_nmm)):
+            key = np.concatenate((
+                [n, ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s,
+                 ep.voluntary_nmm],
+                plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, ticks, codes,
+            ), axis=None, dtype=float).tobytes()
+            if key in _OUTCOMES:
+                lane_of.append(-1)
+                remembered[e] = _OUTCOMES[key]
+                continue
+            if key in fresh:
+                lane_of.append(fresh[key])
+                continue
+            fresh[key] = len(lanes)
+        lane = len(lanes)
+        lane_of.append(lane)
+        lanes.append(e)
         labels.append(label)
-        ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1]).tolist()
-        for i, code in zip(ticks, held[ticks].tolist()):
+        at = ticks.tolist()
+        for i, code in zip(at, codes.tolist()):
             changes.setdefault(i, []).append(
-                (e, ep.rom.retracted_mm, _EXTENDING) if code == _OPEN
-                else (e, ep.rom.extended_mm, _RELEASING))
-        firsts.append(ticks[0] if ticks else n_max)
+                (lane, ep.rom.retracted_mm, _EXTENDING) if code == _OPEN
+                else (lane, ep.rom.extended_mm, _RELEASING))
+        firsts.append(at[0] if at else n_max)
+    if not lanes:
+        return [TrajectoryLog(_no_ticks(), remembered[e]) for e in range(n_episodes)]
     first_any, first_all = min(firsts), max(firsts)
+    stepped = [episodes[e] for e in lanes]
+    plants = [plants[e] for e in lanes]
+    motors = [motors[e] for e in lanes]
+    n_lanes = len(lanes)
 
     # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
     # validated when each HandPlant was built, from one stack whose release
@@ -383,21 +470,16 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # array is C-contiguous: strided operands cost about twice per call.
     angles, arm, stiffness = np.array([(p.angles_deg, p.moment_arm_mm, p.stiffness_nmm_deg)
                                        for p in plants]).transpose(1, 3, 2, 0).copy()
-    rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_episodes))
+    rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_lanes))
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
-    motors = [
-        ep.initial_motor if ep.initial_motor is not None else MotorState(
-            excursion_mm=min(p.cable_take_up_mm().max(), TRAVEL_MM))
-        for ep, p in zip(episodes, plants)
-    ]
     x = np.array([m.excursion_mm for m in motors], dtype=float)
     velocity = np.array([m.velocity_mm_s for m in motors], dtype=float)
-    setpoint = np.full(n_episodes, np.nan)
-    fsm = np.full(n_episodes, _IDLE, dtype=np.int8)
+    setpoint = np.full(n_lanes, np.nan)
+    fsm = np.full(n_lanes, _IDLE, dtype=np.int8)
     voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
-                          for ep in episodes], dtype=float)
-    disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(episodes)
+                          for ep in stepped], dtype=float)
+    disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(stepped)
                  if callable(ep.voluntary_nmm)]
     # Adding a zero torque can only turn a -0.0 into +0.0, which the clamp
     # at zero does too, so a batch with none skips the add.
@@ -405,25 +487,23 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
 
     # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
     # operand costs about half as much again as one with arrays.
-    (kp, one, neg_one, max_speed, tau, travel, dt, deg2rad, tendon, cap, tol, zero) = (
-        np.asarray(v, dtype=float) for v in (
-            KP, 1.0, -1.0, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S,
-            _DEG2RAD, TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM, 0.0))
+    (kp, max_speed, tau, travel, dt, deg2rad, tendon, cap, tol, one, neg_one, zero) = (
+        np.asarray(v, dtype=float) for v in (*scalars, 1.0, -1.0, 0.0))
     move_bit = np.asarray(1, dtype=np.int8)
     where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
 
     width = n_max if record else 0
-    x_col = np.empty((n_episodes, width))
-    tension_col = np.empty((n_episodes, width))
-    velocity_col = np.empty((n_episodes, width))
-    effort_col = np.empty((n_episodes, width))
-    fsm_col = np.empty((n_episodes, width), dtype=np.int8)
-    setpoint_col = np.empty((n_episodes, width))
-    angles_col = np.empty((n_episodes, width, len(DIGITS), len(JOINTS)))
+    x_col = np.empty((n_lanes, width))
+    tension_col = np.empty((n_lanes, width))
+    velocity_col = np.empty((n_lanes, width))
+    effort_col = np.empty((n_lanes, width))
+    fsm_col = np.empty((n_lanes, width), dtype=np.int8)
+    setpoint_col = np.empty((n_lanes, width))
+    angles_col = np.empty((n_lanes, width, len(DIGITS), len(JOINTS)))
 
     # Each lane's stop tick; the loop ends with the last lane's.
-    stop = np.array(steps)
-    end = n_max
+    stop = np.array([steps[e] for e in lanes])
+    end = int(stop.max())
     aborts: dict[int, str] = {}
     for i in range(n_max):
         if i >= end:
@@ -513,17 +593,24 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             arm[:, :, e] = 0.0
         end = int(stop.max())
 
-    return [TrajectoryLog(TrajectoryColumns(
-        t=t_col[:n],
-        intent=labels[e][:n],
-        fsm=fsm_col[e, :n],
-        setpoint_mm=setpoint_col[e, :n],
-        excursion_mm=x_col[e, :n],
-        tension_n=tension_col[e, :n],
-        angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
-        velocity_mm_s=velocity_col[e, :n],
-        effort=effort_col[e, :n],
-    ), aborts.get(e)) for e, n in enumerate(min(n, width) for n in stop.tolist())]
+    if record:
+        return [TrajectoryLog(TrajectoryColumns(
+            t=t_col[:n],
+            intent=labels[e][:n],
+            fsm=fsm_col[e, :n],
+            setpoint_mm=setpoint_col[e, :n],
+            excursion_mm=x_col[e, :n],
+            tension_n=tension_col[e, :n],
+            angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
+            velocity_mm_s=velocity_col[e, :n],
+            effort=effort_col[e, :n],
+        ), aborts.get(e)) for e, n in enumerate(stop.tolist())]
+    for key, lane in fresh.items():
+        if len(_OUTCOMES) >= _OUTCOMES_MAX:
+            del _OUTCOMES[next(iter(_OUTCOMES))]  # the oldest
+        _OUTCOMES[key] = aborts.get(lane)
+    return [TrajectoryLog(_no_ticks(), remembered[e] if lane < 0 else aborts.get(lane))
+            for e, lane in enumerate(lane_of)]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

@@ -42,13 +42,14 @@ class Subject:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("group", "hand_size", "mas", "duration_scale"):
+        for key in ("group", "hand_size", "mas", "crosstalk", "duration_scale"):
             SETTINGS[key].check(getattr(self, key))
         for off_table in (False, True):
             self.emg_profile("check", off_table)
 
     def emg_profile(self, context: str, off_table: bool = False) -> SignalProfile:
-        crosstalk = min(self.crosstalk + (self.off_table_crosstalk if off_table else 0.0), 1.0)  # keeps a NaN
+        # Only an off-table sum can pass 1; min keeps a NaN, which SignalProfile rejects.
+        crosstalk = min(self.crosstalk + (self.off_table_crosstalk if off_table else 0.0), 1.0)
         drift = self.drift_rate + (self.off_table_drift if off_table else 0.0)
         return SignalProfile(
             noise_std=self.noise_std,

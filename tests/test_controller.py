@@ -694,10 +694,11 @@ class TestBatchedEngine:
         assert aborted.abort == "non-finite state at t=0.205"
         assert len(aborted.ticks) == 0
 
-    def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch):
-        # The exact check runs np.isfinite over the (2, 4, E) angles once per
-        # tick it is entered; an aborted lane that ran on as NaN would fail
-        # the merged screen, and so enter it, on every later tick.
+    @staticmethod
+    def _count_exact_checks(monkeypatch):
+        """The lane shapes the exact check is entered with: it runs np.isfinite
+        over the (2, 4, E) angles once per tick it is entered. The outcome
+        table starts empty, so that every input is stepped."""
         entries = []
         isfinite = np.isfinite
 
@@ -707,15 +708,43 @@ class TestBatchedEngine:
             return isfinite(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        rom = calibrate_rom("M")
-        script = [(0.0, OPEN), (2.0, CLOSE), (4.0, RELAX)]
-        episodes = [Episode(stream(script), 5.0, rom, plant=flexed_plant("M")) for _ in range(3)]
-        episodes.insert(1, Episode(stream(script), 5.0, rom, plant=flexed_plant("M"),
+        monkeypatch.setattr(controller, "_OUTCOMES", {})
+        return entries
+
+    _SCREEN_SCRIPT = [(0.0, OPEN), (2.0, CLOSE), (4.0, RELAX)]
+
+    def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch):
+        # An aborted lane that ran on as NaN would fail the merged screen, and
+        # so enter the exact check, on every later tick. The three kept
+        # episodes are distinct inputs, so each steps its own lane.
+        entries = self._count_exact_checks(monkeypatch)
+        episodes = [Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom(size), plant=flexed_plant(size))
+                    for size in ("S", "M", "L")]
+        episodes.insert(1, Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("M"), plant=flexed_plant("M"),
                                    voluntary_nmm=_nan_after(0.2, 0.0)))
         outcomes = run_episodes(episodes, record=False)
         assert outcomes[1].abort == "non-finite state at t=0.205"
         assert [outcomes[i].abort for i in (0, 2, 3)] == [None] * 3
         assert entries == [(2, 4, 4)]
+
+    def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch):
+        # Three identical episodes step one lane beside an aborting one whose
+        # NaN torque is a constant, so it is keyed too. A second identical
+        # call takes both outcomes from the table: no lane, no exact check.
+        entries = self._count_exact_checks(monkeypatch)
+
+        def batch():
+            episodes = [Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("M"), plant=flexed_plant("M"))
+                        for _ in range(3)]
+            episodes.insert(1, replace(episodes[0], voluntary_nmm=math.nan))
+            return episodes
+
+        want = [None, "non-finite state at t=0.000", None, None]
+        assert [log.abort for log in run_episodes(batch(), record=False)] == want
+        assert entries == [(2, 4, 2)]
+        assert [log.abort for log in run_episodes(batch(), record=False)] == want
+        assert entries == [(2, 4, 2)]
+        assert len(controller._OUTCOMES) == 2
 
     def test_unsorted_stream_with_tied_times(self):
         script = [(0.3, CLOSE), (0.0, OPEN), (0.3, RELAX), (0.1, CLOSE), (0.1, OPEN), (0.0, RELAX)]
@@ -861,6 +890,112 @@ class TestBatchLayout:
             assert isinstance(kept, TrajectoryLog) and isinstance(bare, TrajectoryLog)
             assert bare.abort == kept.abort == diagnostic
             assert len(bare.ticks) == 0
+
+
+_TORQUES = (_SIGNED_ZERO | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-400.0, 400.0)
+            | st.floats(0.0, 0.3).map(lambda t0: _nan_after(t0, 0.0)))
+
+
+@st.composite
+def _distinct_inputs(draw, n_ticks):
+    """An unrecorded input of ``n_ticks`` ticks and, if drawn, its twin that
+    differs from it only in the sign of its zeros: the ROM's retracted
+    setpoint, a zero torque and a zero initial motor."""
+    size = draw(st.sampled_from(["S", "M", "L"]))
+    plant = draw(st.sampled_from([default_plant, flexed_plant]))(size, draw(st.sampled_from([1.0, 4.0])))
+    script = draw(st.lists(st.tuples(_TIMES, st.sampled_from([OPEN, RELAX, CLOSE])), max_size=4))
+    excursion = _SIGNED_ZERO | st.sampled_from([math.nan, 20.0])
+    motor = draw(st.none() | st.builds(MotorState, excursion, _SIGNED_ZERO))
+    rom = RomCalibration(draw(_SIGNED_ZERO), calibrate_rom(size).extended_mm)
+    base = Episode(stream(script), n_ticks * CONTROL_DT_S, rom, plant=plant, voluntary_nmm=draw(_TORQUES),
+                   initial_motor=motor)
+    if not draw(st.booleans()):
+        return [base]
+
+    def flip(v):
+        return -v if v == 0.0 else v
+
+    twin = replace(base, rom=RomCalibration(flip(base.rom.retracted_mm), base.rom.extended_mm),
+                   voluntary_nmm=base.voluntary_nmm if callable(base.voluntary_nmm) else flip(base.voluntary_nmm),
+                   initial_motor=motor and MotorState(flip(motor.excursion_mm), flip(motor.velocity_mm_s)))
+    return [base, twin]
+
+
+def _copies(draw, episode):
+    """1-3 copies of an episode: itself, or with a separate plant of equal arrays."""
+    plant = episode.plant
+    return [episode if draw(st.booleans()) else replace(episode, plant=controller.HandPlant(
+                plant.angles_deg.copy(), plant.stiffness_nmm_deg.copy(), plant.moment_arm_mm.copy()))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+def _column_layout(log):
+    return [(col.dtype, col.shape) for col in astuple(log.ticks)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # infinite torques run on as inf/NaN
+@settings(max_examples=40)
+@given(st.data())
+def test_remembered_outcomes_match_each_episode_alone(data):
+    """Distinct inputs, repeated as the same plant object or as equal arrays,
+    split over 1-3 unrecorded calls in a drawn order from an empty table:
+    every episode takes the abort it has run alone, every log has a lane's
+    zero-tick layout, and the table keeps one outcome per input with a
+    constant torque, ±0.0 apart."""
+    ticks = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True), label="ticks")
+    inputs = [ep for n in ticks for ep in data.draw(_distinct_inputs(n), label=f"input of {n} ticks")]
+    episodes = data.draw(st.permutations([copy for ep in inputs for copy in _copies(data.draw, ep)]), label="order")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(episodes)), max_size=2), label="cuts"))
+    calls = [episodes[a:b] for a, b in zip([0, *cuts], [*cuts, len(episodes)])]
+    with mock.patch.object(controller, "_OUTCOMES", {}):
+        lane_layout = _column_layout(run_episodes(episodes[:1], record=False)[0])
+    with mock.patch.object(controller, "_OUTCOMES", {}):
+        logs = [log for call in calls for log in run_episodes(call, record=False)]
+        assert len(controller._OUTCOMES) == sum(not callable(ep.voluntary_nmm) for ep in inputs)
+        assert len(logs) == len(episodes)
+    with mock.patch.object(controller, "_OUTCOMES", {}):
+        alone = [run_episodes([episode])[0] for episode in episodes]
+    for log, want in zip(logs, alone):
+        assert log.abort == want.abort
+        assert _column_layout(log) == lane_layout
+
+
+def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch):
+    """With room for 3, five distinct inputs leave the newest three, oldest
+    first; an evicted input is stepped again, to the same abort."""
+    monkeypatch.setattr(controller, "_OUTCOMES", {})
+    monkeypatch.setattr(controller, "_OUTCOMES_MAX", 3)
+    table = controller._OUTCOMES
+
+    def run(k):  # a 1-tick episode per ROM; the odd ones abort
+        episode = Episode(stream([(0.0, OPEN)]), CONTROL_DT_S, RomCalibration(0.0, 40.0 + k),
+                          voluntary_nmm=math.nan if k % 2 else 0.0)
+        (log,) = run_episodes([episode], record=False)
+        assert log.abort == ("non-finite state at t=0.000" if k % 2 else None)
+
+    keys = []
+    for k in range(5):
+        run(k)
+        keys.append(list(table)[-1])
+        assert len(table) <= 3
+    assert list(table) == keys[2:]
+    run(0)
+    assert list(table) == [*keys[3:], keys[0]]
+    run(4)
+    assert list(table) == [*keys[3:], keys[0]]
+
+
+def test_an_outcome_is_not_remembered_across_a_changed_constant(monkeypatch):
+    # With no flexion stop an infinite torque makes every angle +inf and
+    # aborts; with the stop the angles clamp and the episode runs to its end.
+    monkeypatch.setattr(controller, "_OUTCOMES", {})
+    episode = Episode(stream([(0.0, OPEN)]), 0.2, calibrate_rom("M"), voluntary_nmm=math.inf)
+    with mock.patch.object(controller, "MAX_DEG", np.full((4, 2), math.inf)):
+        (unstopped,) = run_episodes([episode], record=False)
+    (stopped,) = run_episodes([episode], record=False)
+    assert unstopped.abort == "non-finite state at t=0.000"
+    assert stopped.abort is None and run_episode(episode).abort is None
+    assert len(controller._OUTCOMES) == 1
 
 
 def test_argmin_and_argmax_pick_the_first_nan():

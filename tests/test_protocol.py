@@ -241,7 +241,9 @@ def test_an_emg_task_trains_under_its_own_support(monkeypatch, task):
     (dict(subject_id="E", group="EMG", off_table_crosstalk=-3.0), "crosstalk"),
     (dict(subject_id="N", group="EMG", crosstalk=math.nan), "crosstalk"),
     (dict(subject_id="D", group="SH", off_table_drift=-1.0), "drift_rate"),
-], ids=["negative-noise", "negative-off-table-crosstalk", "nan-crosstalk", "negative-off-table-drift"])
+    (dict(subject_id="E", group="EMG", crosstalk=3.0), "crosstalk"),
+], ids=["negative-noise", "negative-off-table-crosstalk", "nan-crosstalk", "negative-off-table-drift",
+        "on-table-crosstalk-above-one"])
 def test_a_subject_with_no_valid_emg_profile_is_rejected_when_built(fields, key):
     with pytest.raises(ValueError, match=f"^{key} must be "):
         Subject(**fields)
