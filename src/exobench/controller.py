@@ -45,18 +45,19 @@ from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
-An unrecorded call, as a session makes, steps each distinct input once. An
-episode with a constant torque is keyed by the float64 bits of what its
-abort depends on: its tick count, held-command schedule, ROM setpoints,
-resolved plant arrays, resolved initial motor and torque. The first episode
-of a key gets a lane, later ones in the call share it, and the lane's abort
-goes into a module table of the newest 4,096 keys that later calls read, so
-a repeated input steps no tick at all. An input is stepped and screened on
-every tick the first time it is seen: a remembered abort is that checked
-run's, on bit-identical inputs, and a call that finds the module constants
-the engine reads changed empties the table. A recorded call steps every
-episode, since no caller repeats a recorded input and remembering columns
-would cost memory.
+Every call steps each distinct input once, in one lane plan. An episode
+with a constant torque is keyed by the float64 bits of what its abort
+depends on: its tick count, held-command schedule, ROM setpoints, resolved
+plant arrays, resolved initial motor and torque. The first episode of a
+key gets a lane, later ones in the call share it, and the lane's abort
+goes into a module table of the newest 4,096 keys. An unrecorded call, as
+a session makes, reads the table: a remembered input's lane is stopped at
+tick 0 with its abort preset and parked like an aborted lane, so it steps
+no tick of its own. An input is stepped and screened on every tick the
+first time it is seen: a remembered abort is that checked run's, on
+bit-identical inputs, and a call that finds the module constants the
+engine reads changed empties the table. Recorded columns are read-only,
+since episodes that share a lane share its rows.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -165,9 +166,10 @@ TENDON_STIFFNESS_N_MM = 40.0
 class HandPlant:
     """One hand in the four-digit tendon-finger system: its pose, tone and arms.
 
-    Arrays are shaped (4 digits, 2 joints) ordered index..little x (MCP, PIP).
-    Stiffness acts about ``REST_DEG``: multiplying ``stiffness_nmm_deg``
-    models higher spasticity grades resisting extension harder.
+    Arrays are shaped (4 digits, 2 joints) ordered index..little x (MCP, PIP),
+    kept as the read-only float64 copies that were checked. Stiffness acts
+    about ``REST_DEG``: multiplying ``stiffness_nmm_deg`` models higher
+    spasticity grades resisting extension harder.
     """
 
     angles_deg: np.ndarray
@@ -176,11 +178,12 @@ class HandPlant:
 
     def __post_init__(self) -> None:
         for name in ("angles_deg", "stiffness_nmm_deg", "moment_arm_mm"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # a copy: the plant runs what it checked
             if arr.shape != (len(DIGITS), len(JOINTS)):
                 raise ValueError(f"{name} must have shape (4, 2)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.any(self.angles_deg < 0.0) or np.any(self.angles_deg > MAX_DEG):
             raise ValueError("joint angles outside [0, max]")
@@ -342,22 +345,14 @@ def _commands(
     return labels, labels[last]
 
 
-#: The abort of each input that an unrecorded ``run_episodes`` lane has
-#: stepped, by its key, oldest first; at most ``_OUTCOMES_MAX`` keys of
-#: about 350 B each, so about 1.4 MB when full. ``_OUTCOMES_UNDER`` holds
-#: the bits of the module constants they were stepped under: a call under
-#: others empties the table first.
+#: The abort of each input that a ``run_episodes`` lane has stepped, by its
+#: key, oldest first; at most ``_OUTCOMES_MAX`` keys of about 350 B each, so
+#: about 1.4 MB when full. ``_OUTCOMES_UNDER`` holds the bits of the module
+#: constants they were stepped under: a call under others empties the table
+#: first.
 _OUTCOMES: dict[bytes, str | None] = {}
 _OUTCOMES_MAX = 4096
 _OUTCOMES_UNDER = b""
-
-
-def _no_ticks() -> TrajectoryColumns:
-    """Zero-tick columns, each its own array, with an unrecorded lane's dtypes and shapes."""
-    return TrajectoryColumns(
-        t=np.empty(0), intent=np.empty(0, np.int8), fsm=np.empty(0, np.int8), setpoint_mm=np.empty(0),
-        excursion_mm=np.empty(0), tension_n=np.empty(0), angles_deg=np.empty((0, len(DIGITS) * len(JOINTS))),
-        velocity_mm_s=np.empty(0), effort=np.empty(0))
 
 
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
@@ -378,89 +373,84 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     and the angles at their ``argmin``/``argmax``, which pick the first NaN,
     so it misses no NaN. A lane's one run state is its stop tick, its tick
     count: one that fails stops at that tick (stop tick i + 1), with its
-    diagnostic as its log's ``abort``; the others run on. The columns are
-    kept only when ``record`` is set, up to and including an abort's tick;
-    without it every log has zero ticks. The FSM, which feeds only its
-    trajectory column, settles only then too.
+    diagnostic as its log's ``abort``, and is parked; the others run on.
 
-    A recorded call steps one lane per episode. An unrecorded call steps one
-    lane per distinct input: it keys each episode whose ``voluntary_nmm`` is
-    a constant by the float64 bits of every input its abort depends on (the
-    tick count, the held-command schedule, the ROM's setpoints, the resolved
-    plant's three arrays, the resolved initial motor and the torque), so
-    -0.0 and 0.0 differ and a NaN matches only its own bits. The first
-    episode of a key gets a lane and later ones in the call share it; the
-    lane's abort is remembered, and a later call's episode with that key
-    takes it and steps no lane. Only the abort is remembered, never
-    columns, so recorded calls, whose episodes no caller repeats, are not
-    keyed. The table keeps the newest ``_OUTCOMES_MAX`` keys, and a call
-    that finds the engine's module constants changed empties it.
+    Each distinct input gets one lane. An episode whose ``voluntary_nmm`` is
+    a constant is keyed by the float64 bits of every input its abort
+    depends on (the tick count, the held-command schedule, the ROM's
+    setpoints, the resolved plant's three arrays, the resolved initial
+    motor and the torque), so -0.0 and 0.0 differ and a NaN matches only
+    its own bits; the first episode of a key gets a lane and later ones in
+    the call share it. Each lane's abort is remembered, in a table of the
+    newest ``_OUTCOMES_MAX`` keys that a call finding the engine's module
+    constants changed empties. ``record`` decides the rest: with it, the
+    FSM settles and the columns are kept, read-only since episodes of one
+    key share a lane's rows, up to and including an abort's tick. Without
+    it every log has zero ticks, and a lane whose key is remembered is
+    stopped at tick 0 with its abort preset and parked, so it steps no
+    tick of its own.
     """
     global _OUTCOMES_UNDER
-    n_episodes = len(episodes)
-    if n_episodes == 0:
+    if len(episodes) == 0:
         return []
     scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
-    if not record:
-        under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
-        if under != _OUTCOMES_UNDER:
-            _OUTCOMES.clear()
-            _OUTCOMES_UNDER = under
-    plants = [ep.plant if ep.plant is not None else default_plant() for ep in episodes]
-    motors = [
-        ep.initial_motor if ep.initial_motor is not None else MotorState(
-            excursion_mm=min(p.cable_take_up_mm().max(), TRAVEL_MM))
-        for ep, p in zip(episodes, plants)
-    ]
-    steps = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
-    n_max = max(steps)
-    t_col = np.arange(n_max) * CONTROL_DT_S
+    under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
+    if under != _OUTCOMES_UNDER:
+        _OUTCOMES.clear()
+        _OUTCOMES_UNDER = under
 
-    # Per tick, each change of a lane's held command as (lane, setpoint, FSM
-    # move). A command once given is held, so from the first tick with every
-    # lane commanded no tick needs the mask below. An unrecorded episode
-    # whose key is remembered takes its abort and gets no lane.
-    lanes: list[int] = []  # the episode each lane steps
-    lane_of: list[int] = []  # each episode's lane, -1 for a remembered outcome
-    remembered: dict[int, str | None] = {}
-    fresh: dict[bytes, int] = {}  # each key this call steps, to its lane
-    labels, changes, firsts = [], {}, []
-    for e, (ep, n, plant, motor) in enumerate(zip(episodes, steps, plants, motors)):
-        label, held = _commands(ep.intents, t_col[:n])
+    # The lane plan, in one pass. Each episode resolves its hand, motor, tick
+    # count and held-command schedule; a repeat of a key in the call takes
+    # its lane. Per tick, each change of a lane's held command is kept as
+    # (lane, setpoint, FSM move). A command once given is held, so from the
+    # first tick with every lane commanded no tick needs the mask below.
+    keyed: dict[bytes, int] = {}  # each key in the call, to its lane
+    lane_of, labels, hands, motors, voluntary, disturbed, stop, firsts = [], [], [], [], [], [], [], []
+    changes: dict[int, list[tuple[int, float, int]]] = {}
+    aborts: dict[int, str | None] = {}
+    for ep in episodes:
+        n = int(round(ep.duration_s / CONTROL_DT_S))
+        plant = ep.plant if ep.plant is not None else default_plant()
+        motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
+            excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
+        label, held = _commands(ep.intents, np.arange(n) * CONTROL_DT_S)
+        labels.append(label)
         ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1])
         codes = held[ticks]
-        if not (record or callable(ep.voluntary_nmm)):
-            key = np.concatenate((
-                [n, ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s,
-                 ep.voluntary_nmm],
-                plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, ticks, codes,
-            ), axis=None, dtype=float).tobytes()
-            if key in _OUTCOMES:
-                lane_of.append(-1)
-                remembered[e] = _OUTCOMES[key]
-                continue
-            if key in fresh:
-                lane_of.append(fresh[key])
-                continue
-            fresh[key] = len(lanes)
-        lane = len(lanes)
+        torque = ep.voluntary_nmm
+        key = None if callable(torque) else np.concatenate((
+            [n, ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s, torque],
+            plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, ticks, codes,
+        ), axis=None, dtype=float).tobytes()
+        if key in keyed:
+            lane_of.append(keyed[key])
+            continue
+        lane = len(stop)
         lane_of.append(lane)
-        lanes.append(e)
-        labels.append(label)
+        if key is None:
+            disturbed.append((lane, torque))
+        else:
+            keyed[key] = lane
+        hands.append((plant.angles_deg, plant.moment_arm_mm, plant.stiffness_nmm_deg))
+        motors.append((motor.excursion_mm, motor.velocity_mm_s))
+        voluntary.append(0.0 if key is None else torque)
+        if not record and key in _OUTCOMES:  # a remembered input: a lane stopped at tick 0
+            aborts[lane] = _OUTCOMES[key]
+            n = 0
+        stop.append(n)
         at = ticks.tolist()
         for i, code in zip(at, codes.tolist()):
             changes.setdefault(i, []).append(
                 (lane, ep.rom.retracted_mm, _EXTENDING) if code == _OPEN
                 else (lane, ep.rom.extended_mm, _RELEASING))
-        firsts.append(at[0] if at else n_max)
-    if not lanes:
-        return [TrajectoryLog(_no_ticks(), remembered[e]) for e in range(n_episodes)]
+        firsts.append(at[0] if at else math.inf)
     first_any, first_all = min(firsts), max(firsts)
-    stepped = [episodes[e] for e in lanes]
-    plants = [plants[e] for e in lanes]
-    motors = [motors[e] for e in lanes]
-    n_lanes = len(lanes)
+    n_lanes = len(stop)
+    # Each lane's stop tick; the loop ends with the last lane's.
+    stop = np.array(stop)
+    n_max = end = int(stop.max())
+    t_col = np.arange(n_max) * CONTROL_DT_S
 
     # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
     # validated when each HandPlant was built, from one stack whose release
@@ -468,19 +458,23 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # the joint constants tiled once. A digit's take-up is MCP + PIP, and (E,)
     # and (4, E) arrays broadcast on the leading axes, with no view. Every
     # array is C-contiguous: strided operands cost about twice per call.
-    angles, arm, stiffness = np.array([(p.angles_deg, p.moment_arm_mm, p.stiffness_nmm_deg)
-                                       for p in plants]).transpose(1, 3, 2, 0).copy()
+    angles, arm, stiffness = np.array(hands).transpose(1, 3, 2, 0).copy()
     rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_lanes))
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
-    x = np.array([m.excursion_mm for m in motors], dtype=float)
-    velocity = np.array([m.velocity_mm_s for m in motors], dtype=float)
+    x, velocity = np.array(motors, dtype=float).T.copy()
     setpoint = np.full(n_lanes, np.nan)
     fsm = np.full(n_lanes, _IDLE, dtype=np.int8)
-    voluntary = np.array([0.0 if callable(ep.voluntary_nmm) else ep.voluntary_nmm
-                          for ep in stepped], dtype=float)
-    disturbed = [(e, ep.voluntary_nmm) for e, ep in enumerate(stepped)
-                 if callable(ep.voluntary_nmm)]
+    voluntary = np.array(voluntary, dtype=float)
+
+    def park(lanes):
+        """Hold stopped lanes finite and tension-free (a zero moment arm takes
+        up no cable, whatever the motor does), so they fail no later screen."""
+        x[lanes], velocity[lanes], setpoint[lanes], voluntary[lanes] = TRAVEL_MM, 0.0, TRAVEL_MM, 0.0
+        angles[:, :, lanes] = rest[:, :, lanes]
+        arm[:, :, lanes] = 0.0
+
+    park(stop == 0)
     # Adding a zero torque can only turn a -0.0 into +0.0, which the clamp
     # at zero does too, so a batch with none skips the add.
     any_voluntary = bool(disturbed) or bool(voluntary.any())
@@ -501,10 +495,6 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     setpoint_col = np.empty((n_lanes, width))
     angles_col = np.empty((n_lanes, width, len(DIGITS), len(JOINTS)))
 
-    # Each lane's stop tick; the loop ends with the last lane's.
-    stop = np.array([steps[e] for e in lanes])
-    end = int(stop.max())
-    aborts: dict[int, str] = {}
     for i in range(n_max):
         if i >= end:
             break
@@ -577,40 +567,36 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         non_finite = ~(np.isfinite(angles).all(axis=(0, 1)) & np.isfinite(x))
         over_cap = total > TENSION_CAP_N + 1e-9
         hyperextended = (angles < -1e-9).any(axis=(0, 1))
-        for e in np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended)).tolist():
+        hit = np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended))
+        for e in hit.tolist():
             if non_finite[e]:
                 aborts[e] = f"non-finite state at t={t:.3f}"
             elif over_cap[e]:
                 aborts[e] = f"tension cap breached at t={t:.3f}: {total[e]:.2f} N"
             else:
                 aborts[e] = f"hyperextension block breached at t={t:.3f}"
-            stop[e] = i + 1
-            # Park the stopped lane finite and tension-free (a zero moment
-            # arm takes up no cable, whatever the motor does), so that it
-            # fails no later tick's screen.
-            x[e], velocity[e], setpoint[e], voluntary[e] = TRAVEL_MM, 0.0, TRAVEL_MM, 0.0
-            angles[:, :, e] = rest[:, :, e]
-            arm[:, :, e] = 0.0
+        stop[hit] = i + 1
+        park(hit)
         end = int(stop.max())
 
-    if record:
-        return [TrajectoryLog(TrajectoryColumns(
-            t=t_col[:n],
-            intent=labels[e][:n],
-            fsm=fsm_col[e, :n],
-            setpoint_mm=setpoint_col[e, :n],
-            excursion_mm=x_col[e, :n],
-            tension_n=tension_col[e, :n],
-            angles_deg=angles_col[e, :n].reshape(n, len(DIGITS) * len(JOINTS)),
-            velocity_mm_s=velocity_col[e, :n],
-            effort=effort_col[e, :n],
-        ), aborts.get(e)) for e, n in enumerate(stop.tolist())]
-    for key, lane in fresh.items():
-        if len(_OUTCOMES) >= _OUTCOMES_MAX:
-            del _OUTCOMES[next(iter(_OUTCOMES))]  # the oldest
-        _OUTCOMES[key] = aborts.get(lane)
-    return [TrajectoryLog(_no_ticks(), remembered[e] if lane < 0 else aborts.get(lane))
-            for e, lane in enumerate(lane_of)]
+    for col in (t_col, x_col, tension_col, velocity_col, effort_col, fsm_col, setpoint_col, angles_col, *labels):
+        col.flags.writeable = False
+    for key, lane in keyed.items():
+        if key not in _OUTCOMES:
+            if len(_OUTCOMES) >= _OUTCOMES_MAX:
+                del _OUTCOMES[next(iter(_OUTCOMES))]  # the oldest
+            _OUTCOMES[key] = aborts.get(lane)
+    return [TrajectoryLog(TrajectoryColumns(
+        t=t_col[:n],
+        intent=label[:n],
+        fsm=fsm_col[lane, :n],
+        setpoint_mm=setpoint_col[lane, :n],
+        excursion_mm=x_col[lane, :n],
+        tension_n=tension_col[lane, :n],
+        angles_deg=angles_col[lane, :n].reshape(n, len(DIGITS) * len(JOINTS)),
+        velocity_mm_s=velocity_col[lane, :n],
+        effort=effort_col[lane, :n],
+    ), aborts.get(lane)) for label, lane, n in zip(labels, lane_of, np.minimum(stop, width)[lane_of].tolist())]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

@@ -6,7 +6,7 @@ import math
 import re
 import struct
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -183,6 +183,21 @@ class TestPlant:
         arr[2, 1] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(plant, **{field: arr})
+
+    def test_keeps_read_only_copies_of_the_arrays_it_checked(self):
+        names = ("angles_deg", "stiffness_nmm_deg", "moment_arm_mm")
+        arrays = [np.full((4, 2), 30)] + [getattr(default_plant("M"), name).copy() for name in names[1:]]
+        plant = controller.HandPlant(*arrays)
+        episode = Episode(stream([(0.0, OPEN)]), 0.5, calibrate_rom("M"), plant=plant)
+        before = _outcome_bits(run_episode(episode))
+        for arr in arrays:
+            arr[0, 0] = -1  # the caller's later edits reach no tick
+        assert _outcome_bits(run_episode(episode)) == before
+        for name in names:
+            kept = getattr(plant, name)
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = math.nan
 
     def test_spasticity_scales_stiffness(self):
         mild = default_plant("M", stiffness_scale=1.0)
@@ -728,23 +743,49 @@ class TestBatchedEngine:
         assert entries == [(2, 4, 4)]
 
     def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch):
-        # Three identical episodes step one lane beside an aborting one whose
-        # NaN torque is a constant, so it is keyed too. A second identical
-        # call takes both outcomes from the table: no lane, no exact check.
+        # Three episodes of one input step one lane beside an aborting one
+        # whose NaN torque is a constant, so it is keyed too, recorded or
+        # not. The third adds RELAX labels, which hold the same command: each
+        # log keeps its own intent column. A later unrecorded call takes both
+        # outcomes from the table, as does one with the NaN input parked from
+        # tick 0 beside a new input: no exact check. From an empty table an
+        # unrecorded call shares the lanes too.
         entries = self._count_exact_checks(monkeypatch)
+        relaxed = [(0.0, OPEN), (1.0, RELAX), (2.0, CLOSE), (3.0, RELAX), (4.0, RELAX)]
 
         def batch():
-            episodes = [Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("M"), plant=flexed_plant("M"))
-                        for _ in range(3)]
+            episodes = [Episode(stream(script), 5.0, calibrate_rom("M"), plant=flexed_plant("M"))
+                        for script in (self._SCREEN_SCRIPT, relaxed, self._SCREEN_SCRIPT)]
             episodes.insert(1, replace(episodes[0], voluntary_nmm=math.nan))
             return episodes
 
         want = [None, "non-finite state at t=0.000", None, None]
+        episodes = batch()
+        recorded = run_episodes(episodes)
+        assert entries == [(2, 4, 2)]
+        for episode, log in zip(episodes, recorded):
+            assert _outcome_bits(log) == _reference_bits(episode)
         assert [log.abort for log in run_episodes(batch(), record=False)] == want
         assert entries == [(2, 4, 2)]
-        assert [log.abort for log in run_episodes(batch(), record=False)] == want
+        new = Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("L"), plant=flexed_plant("L"))
+        assert [log.abort for log in run_episodes([batch()[1], new], record=False)] == want[1:3]
         assert entries == [(2, 4, 2)]
+        assert len(controller._OUTCOMES) == 3
+        monkeypatch.setattr(controller, "_OUTCOMES", {})
+        assert [log.abort for log in run_episodes(batch(), record=False)] == want
+        assert entries == [(2, 4, 2)] * 2
         assert len(controller._OUTCOMES) == 2
+
+    def test_recorded_columns_are_read_only(self):
+        # Two episodes of one input share a lane's rows: neither log can
+        # write into them.
+        episode = Episode(stream([(0.0, OPEN)]), 0.1, calibrate_rom("M"))
+        first, second = run_episodes([episode, episode])
+        assert first.ticks.excursion_mm.base is second.ticks.excursion_mm.base
+        for log in (first, second):
+            for field in fields(log.ticks):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(log.ticks, field.name)[0] = 0
 
     def test_unsorted_stream_with_tied_times(self):
         script = [(0.3, CLOSE), (0.0, OPEN), (0.3, RELAX), (0.1, CLOSE), (0.1, OPEN), (0.0, RELAX)]
@@ -938,26 +979,31 @@ def _column_layout(log):
 @given(st.data())
 def test_remembered_outcomes_match_each_episode_alone(data):
     """Distinct inputs, repeated as the same plant object or as equal arrays,
-    split over 1-3 unrecorded calls in a drawn order from an empty table:
-    every episode takes the abort it has run alone, every log has a lane's
-    zero-tick layout, and the table keeps one outcome per input with a
-    constant torque, ±0.0 apart."""
+    split over 1-3 calls, each recorded or not, in a drawn order from an
+    empty table: every episode takes the abort it has run alone, a recorded
+    log its bits too, every unrecorded log has a lane's zero-tick layout,
+    and the table keeps one outcome per input with a constant torque, ±0.0
+    apart."""
     ticks = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True), label="ticks")
     inputs = [ep for n in ticks for ep in data.draw(_distinct_inputs(n), label=f"input of {n} ticks")]
     episodes = data.draw(st.permutations([copy for ep in inputs for copy in _copies(data.draw, ep)]), label="order")
     cuts = sorted(data.draw(st.lists(st.integers(0, len(episodes)), max_size=2), label="cuts"))
-    calls = [episodes[a:b] for a, b in zip([0, *cuts], [*cuts, len(episodes)])]
+    calls = [(episodes[a:b], data.draw(st.booleans(), label="record"))
+             for a, b in zip([0, *cuts], [*cuts, len(episodes)])]
     with mock.patch.object(controller, "_OUTCOMES", {}):
         lane_layout = _column_layout(run_episodes(episodes[:1], record=False)[0])
     with mock.patch.object(controller, "_OUTCOMES", {}):
-        logs = [log for call in calls for log in run_episodes(call, record=False)]
+        logs = [(log, record) for call, record in calls for log in run_episodes(call, record)]
         assert len(controller._OUTCOMES) == sum(not callable(ep.voluntary_nmm) for ep in inputs)
         assert len(logs) == len(episodes)
     with mock.patch.object(controller, "_OUTCOMES", {}):
         alone = [run_episodes([episode])[0] for episode in episodes]
-    for log, want in zip(logs, alone):
-        assert log.abort == want.abort
-        assert _column_layout(log) == lane_layout
+    for (log, record), want in zip(logs, alone):
+        if record:
+            assert _outcome_bits(log) == _outcome_bits(want)
+        else:
+            assert log.abort == want.abort
+            assert _column_layout(log) == lane_layout
 
 
 def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch):
