@@ -37,8 +37,9 @@ the joint angles they show at once whether any episode needs its exact
 check. Each extreme is read at the index ``argmin`` or ``argmax`` gives,
 which is the first NaN when there is one, so the screen sees a NaN exactly
 where a full reduction would, at about half a reduction's cost per call. An
-episode that breaks an invariant stops alone: a lane's one run state is its
-stop tick, its tick count cut to the abort tick + 1. A trajectory is one set
+episode that breaks an invariant stops alone: a lane runs from its start
+tick to its stop tick, its tick count cut to the abort tick + 1, and step i
+of the loop is tick start + i of each lane. A trajectory is one set
 of columns, one array per quantity with a row per tick, recorded only when
 the caller asks for it; its JSONL form is one encode per tick of a row read
 from the columns. The scalar reference the engine matches bit for bit, one
@@ -47,17 +48,26 @@ the tests in ``tests/reference.py``.
 
 Every call steps each distinct input once, in one lane plan. An episode
 with a constant torque is keyed by the float64 bits of what its abort
-depends on: its tick count, held-command schedule, ROM setpoints, resolved
-plant arrays, resolved initial motor and torque. The first episode of a
-key gets a lane, later ones in the call share it, and the lane's abort
-goes into a module table of the newest 4,096 keys. An unrecorded call, as
-a session makes, reads the table: a remembered input's lane is stopped at
-tick 0 with its abort preset and parked like an aborted lane, so it steps
-no tick of its own. An input is stepped and screened on every tick the
-first time it is seen: a remembered abort is that checked run's, on
-bit-identical inputs, and a call that finds the module constants the
-engine reads changed empties the table. Recorded columns are read-only,
-since episodes that share a lane share its rows.
+depends on: its context (ROM setpoints, resolved plant arrays, resolved
+initial motor and torque), tick count and held-command schedule. The first
+episode of a key gets a lane, later ones in the call share it, and the
+lane's abort goes into a module table of the newest 4,096 keys. So does
+its state at the start of each tick where its held command changes, in a
+second table keyed by the context and the changes before that tick; the
+changes' ticks count from the first change when the context is still (one
+uncommanded tick left its state bit-identical), and the first change's
+tick is in the key otherwise. An unrecorded call, as a session makes,
+reads both: a remembered input's lane is stopped at tick 0 with its abort
+preset and parked like an aborted lane, so it steps no tick of its own,
+and any other keyed lane starts at the deepest remembered state of its
+context and schedule that comes no later than its next change. Episodes of
+one script share the start of their schedules, so most new inputs of a
+hand start late. From its start a lane is stepped and screened on every
+tick: a remembered abort or state is a checked run's, on bit-identical
+inputs, and a call that finds the module constants the engine reads
+changed empties both tables. Recorded calls start every lane at tick 0.
+Recorded columns are read-only, since episodes that share a lane share its
+rows.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -347,12 +357,37 @@ def _commands(
 
 #: The abort of each input that a ``run_episodes`` lane has stepped, by its
 #: key, oldest first; at most ``_OUTCOMES_MAX`` keys of about 350 B each, so
-#: about 1.4 MB when full. ``_OUTCOMES_UNDER`` holds the bits of the module
-#: constants they were stepped under: a call under others empties the table
-#: first.
+#: about 1.4 MB when full.
 _OUTCOMES: dict[bytes, str | None] = {}
 _OUTCOMES_MAX = 4096
-_OUTCOMES_UNDER = b""
+#: The states ``run_episodes`` lanes have taken at the start of a tick where
+#: their held command changes, by ``_state_keys`` key, oldest first: the
+#: tick, counted from the lane's first change, and the float64 bits of the
+#: excursion, the velocity and the eight angles in ``DIGITS`` x ``JOINTS``
+#: order. A key keeps the earliest tick it was taken at, which serves every
+#: lane whose next change comes then or later; at most ``_STATES_MAX`` keys
+#: of about 550 B each, so about 2.2 MB when full.
+_STATES: dict[bytes, tuple[int, bytes]] = {}
+_STATES_MAX = 4096
+#: The bits of the module constants both tables were filled under: a call
+#: under others empties them first.
+_TABLES_UNDER = b""
+
+
+def _state_keys(context: bytes, ticks: np.ndarray, codes: np.ndarray, still: bool) -> list[bytes]:
+    """The key of a lane's state after each count of its held-command changes.
+
+    The k-th key is the lane's context, a tick origin and the first k
+    changes, their ticks counted from the first change. A still context
+    (one uncommanded tick leaves its state bit-identical) meets its first
+    change in the state it starts in, whenever that change comes: its
+    origin is 0, and its first key is the context alone, which marks it
+    still. Any other context's origin is its first change's tick, so one
+    first commanded at tick 0 keys its later states as a still one does.
+    """
+    changes = np.column_stack((ticks - ticks[0], codes)).astype(float).tobytes()
+    head = context + np.float64(0.0 if still else ticks[0]).tobytes()
+    return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(ticks) + 1)]
 
 
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
@@ -371,43 +406,57 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     merged screen passes has no breach; otherwise each episode is checked
     exactly. The screen reads the extremes of the excursions, the tensions
     and the angles at their ``argmin``/``argmax``, which pick the first NaN,
-    so it misses no NaN. A lane's one run state is its stop tick, its tick
-    count: one that fails stops at that tick (stop tick i + 1), with its
-    diagnostic as its log's ``abort``, and is parked; the others run on.
+    so it misses no NaN. A lane runs from its start tick to its stop tick,
+    and step i of the loop is tick start + i of each lane. One that fails
+    stops at that tick, with its diagnostic, which names the lane's own
+    tick, as its log's ``abort``, and is parked; the others run on.
 
     Each distinct input gets one lane. An episode whose ``voluntary_nmm`` is
     a constant is keyed by the float64 bits of every input its abort
-    depends on (the tick count, the held-command schedule, the ROM's
-    setpoints, the resolved plant's three arrays, the resolved initial
-    motor and the torque), so -0.0 and 0.0 differ and a NaN matches only
-    its own bits; the first episode of a key gets a lane and later ones in
-    the call share it. Each lane's abort is remembered, in a table of the
-    newest ``_OUTCOMES_MAX`` keys that a call finding the engine's module
-    constants changed empties. ``record`` decides the rest: with it, the
+    depends on: its context (the ROM's setpoints, the resolved plant's
+    three arrays, the resolved initial motor and the torque), its tick count
+    and its held-command schedule. So -0.0 and 0.0 differ and a NaN matches
+    only its own bits. The first episode of a key gets a lane and later
+    ones in the call share it. Each lane's abort is remembered, and so is
+    its state at the start of each tick where its held command changes, in
+    tables of the newest ``_OUTCOMES_MAX`` and ``_STATES_MAX`` keys, which a
+    call finding the engine's module constants changed empties.
+    ``record`` decides the rest. With it, every lane starts at tick 0, the
     FSM settles and the columns are kept, read-only since episodes of one
     key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks, and a lane whose key is remembered is
-    stopped at tick 0 with its abort preset and parked, so it steps no
-    tick of its own.
+    it every log has zero ticks; a lane whose key is remembered is stopped
+    at tick 0 with its abort preset and parked, so it steps no tick of its
+    own, and any other keyed lane starts at the deepest remembered state of
+    its context and schedule (see ``_state_keys``) that comes no later than
+    its next change. Such a state is the one a lane stepped from tick 0
+    reaches, bit for bit, and before it that lane broke no invariant.
     """
-    global _OUTCOMES_UNDER
+    global _TABLES_UNDER
     if len(episodes) == 0:
         return []
     scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
-    if under != _OUTCOMES_UNDER:
+    if under != _TABLES_UNDER:
         _OUTCOMES.clear()
-        _OUTCOMES_UNDER = under
+        _STATES.clear()
+        _TABLES_UNDER = under
 
     # The lane plan, in one pass. Each episode resolves its hand, motor, tick
     # count and held-command schedule; a repeat of a key in the call takes
-    # its lane. Per tick, each change of a lane's held command is kept as
-    # (lane, setpoint, FSM move). A command once given is held, so from the
-    # first tick with every lane commanded no tick needs the mask below.
+    # its lane. A lane starts at tick 0 in the state its episode gives, or
+    # later in a remembered state with the setpoint of the command it holds
+    # there (and an idle FSM, which only a recorded call, starting at tick
+    # 0, reads). Per loop step, each later change of a lane's held command is
+    # kept as (lane, setpoint, FSM move), and the keyed lanes whose state is
+    # taken. A command once given is held, so from the first step with every
+    # lane commanded no step needs the mask below.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
-    lane_of, labels, hands, motors, voluntary, disturbed, stop, firsts = [], [], [], [], [], [], [], []
+    lane_of, labels, hands, motors, voluntary, disturbed, starts, stop, held_mm, firsts = ([] for _ in range(10))
     changes: dict[int, list[tuple[int, float, int]]] = {}
+    taken_at: dict[int, list[int]] = {}
+    schedules: dict[int, tuple] = {}  # each keyed, stepped lane's (context, ticks, codes, keys, bits to probe)
+    taken: dict[int, dict[int, bytes]] = {}  # each such lane's states, by its own tick
     aborts: dict[int, str | None] = {}
     for ep in episodes:
         n = int(round(ep.duration_s / CONTROL_DT_S))
@@ -419,10 +468,12 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1])
         codes = held[ticks]
         torque = ep.voluntary_nmm
-        key = None if callable(torque) else np.concatenate((
-            [n, ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s, torque],
-            plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm, ticks, codes,
-        ), axis=None, dtype=float).tobytes()
+        context = key = None
+        if not callable(torque):
+            context = np.concatenate((
+                [ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s, torque],
+                plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm), axis=None, dtype=float).tobytes()
+            key = context + np.concatenate(([n], ticks, codes), dtype=float).tobytes()
         if key in keyed:
             lane_of.append(keyed[key])
             continue
@@ -432,22 +483,48 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             disturbed.append((lane, torque))
         else:
             keyed[key] = lane
-        hands.append((plant.angles_deg, plant.moment_arm_mm, plant.stiffness_nmm_deg))
-        motors.append((motor.excursion_mm, motor.velocity_mm_s))
-        voluntary.append(0.0 if key is None else torque)
+        # The lane's state (excursion, velocity, DIGITS x JOINTS angles) at
+        # its start tick, and its changes before that tick.
+        state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
+        start = k = 0
         if not record and key in _OUTCOMES:  # a remembered input: a lane stopped at tick 0
             aborts[lane] = _OUTCOMES[key]
             n = 0
-        stop.append(n)
-        at = ticks.tolist()
-        for i, code in zip(at, codes.tolist()):
-            changes.setdefault(i, []).append(
-                (lane, ep.rom.retracted_mm, _EXTENDING) if code == _OPEN
-                else (lane, ep.rom.extended_mm, _RELEASING))
-        firsts.append(at[0] if at else math.inf)
+        elif key is not None and len(ticks):
+            still = context in _STATES  # only a still context keys a state by itself
+            keys = _state_keys(context, ticks, codes, still)
+            if not record:  # the deepest state no later than the lane's next change
+                nexts = [*ticks.tolist(), n]
+                for depth in range(len(ticks), -1, -1):
+                    found = _STATES.get(keys[depth])
+                    if found is not None and nexts[0] + found[0] <= nexts[depth]:
+                        start, k, state = nexts[0] + found[0], depth, np.frombuffer(found[1])
+                        break
+            # A lane whose first tick is uncommanded shows at its second
+            # whether its context is still.
+            probe = state.tobytes() if not still and start == 0 and ticks[0] > 0 else None
+            schedules[lane], taken[lane] = (context, ticks, codes, keys, probe), {}
+            if probe is not None:
+                taken_at.setdefault(1, []).append(lane)
+        hands.append((state[2:].reshape(len(DIGITS), len(JOINTS)), plant.moment_arm_mm, plant.stiffness_nmm_deg))
+        motors.append(state[:2])
+        voluntary.append(0.0 if key is None else torque)
+        starts.append(start)
+        stop.append(n - start)
+        moves = [(ep.rom.retracted_mm, _EXTENDING) if code == _OPEN else (ep.rom.extended_mm, _RELEASING)
+                 for code in codes.tolist()]
+        held_mm.append(moves[k - 1][0] if k else math.nan)
+        at = (ticks[k:] - start).tolist() if n > start else []
+        for i, (mm, move) in zip(at, moves[k:]):
+            changes.setdefault(i, []).append((lane, mm, move))
+            if lane in schedules:
+                taken_at.setdefault(i, []).append(lane)
+        # Its first commanded step: 0 when it holds a command from its start
+        # or is parked there, with the travel as setpoint; none if never.
+        firsts.append(0 if k or n == start else at[0] if at else math.inf)
     first_any, first_all = min(firsts), max(firsts)
     n_lanes = len(stop)
-    # Each lane's stop tick; the loop ends with the last lane's.
+    # Each lane's stop step; the loop ends with the last lane's.
     stop = np.array(stop)
     n_max = end = int(stop.max())
     t_col = np.arange(n_max) * CONTROL_DT_S
@@ -463,7 +540,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
 
     x, velocity = np.array(motors, dtype=float).T.copy()
-    setpoint = np.full(n_lanes, np.nan)
+    setpoint = np.array(held_mm, dtype=float)
     fsm = np.full(n_lanes, _IDLE, dtype=np.int8)
     voluntary = np.array(voluntary, dtype=float)
 
@@ -498,13 +575,16 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     for i in range(n_max):
         if i >= end:
             break
-        t = i * CONTROL_DT_S
+        t = i * CONTROL_DT_S  # a disturbed lane's own tick: it starts at 0
         for e, torque in disturbed:
             if i < stop[e]:
                 voluntary[e] = torque(t)
-        for e, held_mm, move in changes.get(i, ()):  # a new command starts a move
-            setpoint[e] = held_mm
+        for e, mm, move in changes.get(i, ()):  # a new command starts a move
+            setpoint[e] = mm
             fsm[e] = move
+        for e in taken_at.get(i, ()):
+            if i < stop[e]:  # not stopped before this step
+                taken[e][starts[e] + i] = np.concatenate(([x[e], velocity[e]], angles[:, :, e].T), axis=None).tobytes()
 
         # Saturated proportional step. Before its first command an episode
         # has no setpoint (NaN, unequal to itself) and makes no effort.
@@ -531,15 +611,17 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         # stop another episode being capped. A digit's take-up and the
         # total tension are sums in the scalar order, MCP + PIP and index to
         # little; stiffness * (rest - angles) - tension * arm is the same
-        # bits as -tension * arm + stiffness * (rest - angles).
+        # bits as -tension * arm + stiffness * (rest - angles). Only the
+        # lanes over the cap are scaled, each by cap / its total, so the
+        # divisor elsewhere is the cap itself and a NaN lane is untouched.
         p = arm * angles * deg2rad
         tension = tendon * maximum(p[0] + p[1] - x, zero)
         total = add_reduce(tension, axis=0)
         total_max = total.item(total.argmax())
         if not total_max <= TENSION_CAP_N:
             over = total > cap
-            tension[:, over] = tension[:, over] * (cap / total[over])
-            total[over] = cap
+            tension = where(over, tension * (cap / where(over, total, cap)), tension)
+            total = where(over, cap, total)
             total_max = total.item(total.argmax())
         torque = stiffness * (rest - angles) - tension * arm
         if any_voluntary:
@@ -569,6 +651,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         hyperextended = (angles < -1e-9).any(axis=(0, 1))
         hit = np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended))
         for e in hit.tolist():
+            t = (starts[e] + i) * CONTROL_DT_S  # the lane's own tick
             if non_finite[e]:
                 aborts[e] = f"non-finite state at t={t:.3f}"
             elif over_cap[e]:
@@ -586,6 +669,21 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             if len(_OUTCOMES) >= _OUTCOMES_MAX:
                 del _OUTCOMES[next(iter(_OUTCOMES))]  # the oldest
             _OUTCOMES[key] = aborts.get(lane)
+    # Each state taken at a change, under the key of the changes before it.
+    for e, by_tick in taken.items():
+        context, ticks, codes, keys, probe = schedules[e]
+        if probe is not None and by_tick.get(1) == probe:  # one uncommanded tick left it bit-identical
+            keys = _state_keys(context, ticks, codes, True)
+        first = int(ticks[0])
+        for k, a in enumerate(ticks.tolist()):
+            bits = by_tick.get(a)
+            if bits is None:
+                continue
+            held = _STATES.get(keys[k])
+            if held is None and len(_STATES) >= _STATES_MAX:
+                del _STATES[next(iter(_STATES))]  # the oldest
+            if held is None or a - first < held[0]:
+                _STATES[keys[k]] = (a - first, bits)
     return [TrajectoryLog(TrajectoryColumns(
         t=t_col[:n],
         intent=label[:n],

@@ -223,20 +223,19 @@ def render_text(report: CohortReport) -> str:
     lines.append(f"Cohort analysis: {report.n_subjects} subjects ({groups})")
     lines.append(f"FDR control: Benjamini-Hochberg, q = {float(report.q):g}, m = {report.m}")
     lines.append("")
-    header = f"{'test':<18} {'n':>2} {'mean':>6} {'method':<9} {'p':>6} {'rank':>4} {'thresh':>6}  sig"
+    header = f"{'test':<18} {'n':>2} {'mean':>6} {'levene':>6} {'method':<9} {'p':>6} {'rank':>4} {'thresh':>6}  sig"
     lines.append("Primary outcome tests")
     lines.append(header)
     lines.append("-" * len(header))
     for r in report.primary:
+        # Each row's gains, then Levene's p for equal gain variance in the two groups.
+        row = f"{r.label:<18} {r.n:>2} {_fmt(r.mean_gain):>6} {_fmt(r.homogeneity_p, 'p'):>6}"
         if r.error:
-            lines.append(f"{r.label:<18} {r.n:>2} {_fmt(r.mean_gain):>6} {'error':<9} {r.error}")
+            lines.append(f"{row} {'error':<9} {r.error}")
             continue
         kind = "paired-t" if r.kind == "PAIRED_T" else "wilcoxon"
         sig = "yes" if r.significant else "no"
-        lines.append(
-            f"{r.label:<18} {r.n:>2} {_fmt(r.mean_gain):>6} {kind:<9} "
-            f"{_fmt(r.p, 'p'):>6} {r.rank:>4} {_fmt(r.threshold, 'threshold'):>6}  {sig}"
-        )
+        lines.append(f"{row} {kind:<9} {_fmt(r.p, 'p'):>6} {r.rank:>4} {_fmt(r.threshold, 'threshold'):>6}  {sig}")
     lines.append("")
 
     def emit_group_table(title: str, table: Mapping[str, GroupMeans]) -> None:

@@ -1,5 +1,6 @@
 """Actuation: proportional step, motor, finger plant, safety envelope, episode loop."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import exobench
 from exobench import controller
@@ -51,6 +52,22 @@ from reference import (
 
 OPEN, RELAX, CLOSE = IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE
 _LABELS = tuple(IntentLabel)
+
+
+@pytest.fixture
+def empty_engine_tables():
+    """Run the test from empty engine tables (the remembered outcomes and
+    states, and the constants they were stepped under), so it does not
+    depend on what an earlier test stepped. Gives a context manager that
+    runs a block from empty tables of its own and puts the test's back
+    after it."""
+    @contextlib.contextmanager
+    def empty():
+        with mock.patch.multiple(controller, _OUTCOMES={}, _STATES={}, _TABLES_UNDER=b""):
+            yield
+
+    with empty():
+        yield empty
 
 
 def _run_to_end(episode):
@@ -712,8 +729,7 @@ class TestBatchedEngine:
     @staticmethod
     def _count_exact_checks(monkeypatch):
         """The lane shapes the exact check is entered with: it runs np.isfinite
-        over the (2, 4, E) angles once per tick it is entered. The outcome
-        table starts empty, so that every input is stepped."""
+        over the (2, 4, E) angles once per tick it is entered."""
         entries = []
         isfinite = np.isfinite
 
@@ -723,12 +739,11 @@ class TestBatchedEngine:
             return isfinite(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        monkeypatch.setattr(controller, "_OUTCOMES", {})
         return entries
 
     _SCREEN_SCRIPT = [(0.0, OPEN), (2.0, CLOSE), (4.0, RELAX)]
 
-    def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch):
+    def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch, empty_engine_tables):
         # An aborted lane that ran on as NaN would fail the merged screen, and
         # so enter the exact check, on every later tick. The three kept
         # episodes are distinct inputs, so each steps its own lane.
@@ -742,7 +757,7 @@ class TestBatchedEngine:
         assert [outcomes[i].abort for i in (0, 2, 3)] == [None] * 3
         assert entries == [(2, 4, 4)]
 
-    def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch):
+    def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch, empty_engine_tables):
         # Three episodes of one input step one lane beside an aborting one
         # whose NaN torque is a constant, so it is keyed too, recorded or
         # not. The third adds RELAX labels, which hold the same command: each
@@ -771,10 +786,10 @@ class TestBatchedEngine:
         assert [log.abort for log in run_episodes([batch()[1], new], record=False)] == want[1:3]
         assert entries == [(2, 4, 2)]
         assert len(controller._OUTCOMES) == 3
-        monkeypatch.setattr(controller, "_OUTCOMES", {})
-        assert [log.abort for log in run_episodes(batch(), record=False)] == want
-        assert entries == [(2, 4, 2)] * 2
-        assert len(controller._OUTCOMES) == 2
+        with empty_engine_tables():
+            assert [log.abort for log in run_episodes(batch(), record=False)] == want
+            assert entries == [(2, 4, 2)] * 2
+            assert len(controller._OUTCOMES) == 2
 
     def test_recorded_columns_are_read_only(self):
         # Two episodes of one input share a lane's rows: neither log can
@@ -975,9 +990,9 @@ def _column_layout(log):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # infinite torques run on as inf/NaN
-@settings(max_examples=40)
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_remembered_outcomes_match_each_episode_alone(data):
+def test_remembered_outcomes_match_each_episode_alone(empty_engine_tables, data):
     """Distinct inputs, repeated as the same plant object or as equal arrays,
     split over 1-3 calls, each recorded or not, in a drawn order from an
     empty table: every episode takes the abort it has run alone, a recorded
@@ -990,13 +1005,13 @@ def test_remembered_outcomes_match_each_episode_alone(data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(episodes)), max_size=2), label="cuts"))
     calls = [(episodes[a:b], data.draw(st.booleans(), label="record"))
              for a, b in zip([0, *cuts], [*cuts, len(episodes)])]
-    with mock.patch.object(controller, "_OUTCOMES", {}):
+    with empty_engine_tables():
         lane_layout = _column_layout(run_episodes(episodes[:1], record=False)[0])
-    with mock.patch.object(controller, "_OUTCOMES", {}):
+    with empty_engine_tables():
         logs = [(log, record) for call, record in calls for log in run_episodes(call, record)]
         assert len(controller._OUTCOMES) == sum(not callable(ep.voluntary_nmm) for ep in inputs)
         assert len(logs) == len(episodes)
-    with mock.patch.object(controller, "_OUTCOMES", {}):
+    with empty_engine_tables():
         alone = [run_episodes([episode])[0] for episode in episodes]
     for (log, record), want in zip(logs, alone):
         if record:
@@ -1006,10 +1021,9 @@ def test_remembered_outcomes_match_each_episode_alone(data):
             assert _column_layout(log) == lane_layout
 
 
-def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch):
+def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch, empty_engine_tables):
     """With room for 3, five distinct inputs leave the newest three, oldest
     first; an evicted input is stepped again, to the same abort."""
-    monkeypatch.setattr(controller, "_OUTCOMES", {})
     monkeypatch.setattr(controller, "_OUTCOMES_MAX", 3)
     table = controller._OUTCOMES
 
@@ -1031,10 +1045,9 @@ def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch):
     assert list(table) == [*keys[3:], keys[0]]
 
 
-def test_an_outcome_is_not_remembered_across_a_changed_constant(monkeypatch):
+def test_an_outcome_is_not_remembered_across_a_changed_constant(empty_engine_tables):
     # With no flexion stop an infinite torque makes every angle +inf and
     # aborts; with the stop the angles clamp and the episode runs to its end.
-    monkeypatch.setattr(controller, "_OUTCOMES", {})
     episode = Episode(stream([(0.0, OPEN)]), 0.2, calibrate_rom("M"), voluntary_nmm=math.inf)
     with mock.patch.object(controller, "MAX_DEG", np.full((4, 2), math.inf)):
         (unstopped,) = run_episodes([episode], record=False)
@@ -1042,6 +1055,212 @@ def test_an_outcome_is_not_remembered_across_a_changed_constant(monkeypatch):
     assert unstopped.abort == "non-finite state at t=0.000"
     assert stopped.abort is None and run_episode(episode).abort is None
     assert len(controller._OUTCOMES) == 1
+
+
+def _at(*ticks_and_labels):
+    """A stream with each event at its tick's time."""
+    return stream([(tick * CONTROL_DT_S, label) for tick, label in ticks_and_labels])
+
+
+_NAN_STATE = np.full(10, math.nan).tobytes()
+
+
+def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables):
+    """An unrecorded lane starts at the deepest remembered state that comes
+    no later than its next change, and is screened from there: a NaN state
+    planted in the table aborts it on that tick, named as its own. A still
+    hand (rest pose, slack cable, no torque) shares states with schedules
+    shifted in time; a flexed hand only with those of its first command's
+    tick. A recorded call starts at tick 0."""
+    rom = calibrate_rom("M")
+    # Changes at ticks 100, 200 and 300: states after 0, 1 and 2 changes,
+    # at 0, 100 and 200 ticks from the first.
+    run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200]
+    for key in controller._STATES:
+        controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
+    shifted = Episode(_at((120, OPEN), (220, CLOSE), (360, OPEN)), 2.0, rom)
+    (log,) = run_episodes([shifted], record=False)
+    assert log.abort == "non-finite state at t=1.600"  # tick 120 + 200
+    # Its next change comes before the deepest state: the one before it.
+    early = Episode(_at((120, OPEN), (220, CLOSE), (310, OPEN)), 2.0, rom)
+    assert run_episodes([early], record=False)[0].abort == "non-finite state at t=1.100"  # 120 + 100
+    assert run_episode(shifted).abort is None
+
+    flexed = flexed_plant("M")
+    run_episodes([Episode(_at((20, OPEN), (60, CLOSE), (100, OPEN)), 0.8, rom, plant=flexed)], record=False)
+    planted = {key for key, (_, bits) in controller._STATES.items() if bits != _NAN_STATE}
+    assert len(planted) == 3
+    for key in planted:
+        controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
+    for script, abort in ((((24, OPEN), (64, CLOSE), (104, OPEN)), None),
+                          (((20, OPEN), (60, CLOSE), (140, OPEN)), "non-finite state at t=0.500")):
+        (log,) = run_episodes([Episode(_at(*script), 0.8, rom, plant=flexed)], record=False)
+        assert log.abort == abort
+
+
+def test_a_lane_started_late_takes_the_states_it_would_reach(empty_engine_tables):
+    """A shifted schedule starts at tick 120 + 200, ten ticks before its own
+    third change, holding CLOSE; the state it takes at its fourth change,
+    tick 380, is the one its recorded log reaches."""
+    rom = calibrate_rom("M")
+    run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
+    later = Episode(_at((120, OPEN), (220, CLOSE), (330, OPEN), (380, CLOSE)), 2.0, rom)
+    assert run_episodes([later], record=False)[0].abort is None
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 260]
+    _assert_remembered_states_are_reached(later, empty_engine_tables)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing angles run on as inf/NaN
+def test_a_resumed_lane_aborts_at_its_own_tick(empty_engine_tables):
+    """Without a flexion stop a huge torque overflows the angles on tick 25.
+    A 20-tick episode stops short of it, and a longer one of the same
+    schedule starts at its last change, tick 15, and aborts on tick 25, as
+    it does from empty tables."""
+    longer = Episode(_at((5, OPEN), (10, CLOSE), (15, OPEN)), 0.3, calibrate_rom("M"), voluntary_nmm=1.7e308)
+    with mock.patch.object(controller, "MAX_DEG", np.full((4, 2), math.inf)):
+        assert run_episodes([replace(longer, duration_s=0.1)], record=False)[0].abort is None
+        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10]
+        (log,) = run_episodes([longer], record=False)
+        with empty_engine_tables():
+            (cold,) = run_episodes([longer], record=False)
+    assert log.abort == cold.abort == "non-finite state at t=0.125"
+
+
+@st.composite
+def _warm_table_contexts(draw):
+    """What an episode's schedule runs on: a still hand (rest pose, slack
+    cable, no torque); a huge torque, which overflows the angles of a hand
+    with no flexion stop after tens of ticks; or any plant, torque (zero,
+    finite, NaN, infinite or a function of time) and initial motor,
+    moving or not."""
+    size = draw(st.sampled_from(["S", "M", "L"]))
+    kind = draw(st.sampled_from(["still", "huge", "any"]))
+    plant = draw(st.sampled_from([default_plant, flexed_plant]))(
+        size, draw(st.sampled_from(list(controller.MAS_STIFFNESS.values()))))
+    if kind == "still":
+        return {"rom": calibrate_rom(size), "plant": default_plant(size)}
+    if kind == "huge":
+        return {"rom": calibrate_rom(size), "plant": plant, "voluntary_nmm": draw(st.floats(3e307, 1.7e308))}
+    torque = draw(_SIGNED_ZERO | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-400.0, 400.0)
+                  | st.floats(0.0, 0.6).map(lambda t0: _nan_after(t0, 0.0)))
+    motor = draw(st.none() | st.builds(MotorState, st.floats(0.0, 55.0), st.floats(-20.0, 20.0)))
+    return {"rom": calibrate_rom(size), "plant": plant, "voluntary_nmm": torque, "initial_motor": motor}
+
+
+@st.composite
+def _warm_table_schedules(draw):
+    """A script of events on a 4-tick grid, as a session's streams have
+    them, and 1-3 more: each shares the first events of the script and
+    goes on with its own, or is the script shifted by 4-12 ticks."""
+    def events(first, min_size=1):
+        gaps = draw(st.lists(st.integers(1, 8), min_size=min_size, max_size=6))
+        labels = draw(st.lists(st.sampled_from([OPEN, CLOSE, RELAX]), min_size=len(gaps), max_size=len(gaps)))
+        return [(first + 4 * sum(gaps[:i + 1]), label) for i, label in enumerate(labels)]
+
+    script = events(draw(st.integers(-4, 30)), min_size=2)
+    scripts = [script]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            kept = script[:draw(st.integers(0, len(script)))]
+            scripts.append(kept + events(kept[-1][0] if kept else draw(st.integers(-4, 30))))
+        else:
+            shift = draw(st.sampled_from([4, 8, 12]))
+            scripts.append([(tick + shift, label) for tick, label in script])
+    return scripts
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite and overflowing torques run on as inf/NaN
+@settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_warm_table_changes_no_outcome(empty_engine_tables, data):
+    """Episodes of 1-2 contexts, each running every schedule of a family
+    that shares starts or shifts, in 2-3 calls, each recorded or not, one
+    after the other from empty tables: the first script's episodes, then
+    all the scripts' in a drawn order, each with a drawn tick count. Each
+    recorded log is the scalar reference's; each unrecorded outcome, aborts
+    included, is the one the same call gives from empty tables. Then every
+    remembered state that an episode alone takes under the same key, at
+    that tick or later, is the one its recorded log reaches."""
+    contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
+    first, *scripts = data.draw(_warm_table_schedules(), label="scripts")
+
+    def episodes(scripts):
+        return [Episode(_at(*script), data.draw(st.integers(20, 200), label="ticks") * CONTROL_DT_S, **context)
+                for context in contexts for script in scripts]
+
+    later = data.draw(st.permutations(episodes([first, *scripts])), label="order")
+    cut = data.draw(st.integers(0, len(later)), label="cut")
+    calls = [(call, data.draw(st.booleans(), label="record"))
+             for call in (episodes([first]), later[:cut], later[cut:]) if call]
+    stops = controller.MAX_DEG if data.draw(st.booleans(), label="stopped") else np.full((4, 2), math.inf)
+    with mock.patch.object(controller, "MAX_DEG", stops), empty_engine_tables():
+        for call, record in calls:
+            logs = run_episodes(call, record)
+            if record:
+                for episode, log in zip(call, logs):
+                    assert _outcome_bits(log) == _reference_bits(episode)
+                continue
+            with empty_engine_tables():
+                cold = run_episodes(call, record=False)
+            assert [log.abort for log in logs] == [log.abort for log in cold]
+        for episode in (episode for call, _ in calls for episode in call):
+            _assert_remembered_states_are_reached(episode, empty_engine_tables)
+
+
+def _assert_remembered_states_are_reached(episode, empty_engine_tables):
+    """Each state in the table under a key the episode alone takes, at a tick
+    no later than its own, is the state its recorded log reaches then: the
+    excursion, velocity and angles after the tick before."""
+    warm = controller._STATES
+    with empty_engine_tables():
+        (log,) = run_episodes([episode])
+        own = dict(controller._STATES)
+    commanded = np.flatnonzero(log.ticks.intent != _LABELS.index(RELAX))
+    for key, (tick, _) in own.items():
+        if key in warm and 0 < commanded[0] + warm[key][0] and warm[key][0] <= tick:
+            row = commanded[0] + warm[key][0] - 1
+            cols = log.ticks
+            reached = np.concatenate(([cols.excursion_mm[row], cols.velocity_mm_s[row]], cols.angles_deg[row]))
+            assert warm[key][1] == reached.tobytes()
+
+
+def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypatch, empty_engine_tables):
+    """With room for 3, the states of five still hands, one per ROM, leave
+    the newest three, oldest first; the next new input of an evicted hand
+    takes its state again. A key keeps the earliest tick it is taken at,
+    in its place."""
+    monkeypatch.setattr(controller, "_STATES_MAX", 3)
+    table = controller._STATES
+
+    def run(k, *script):
+        run_episodes([Episode(_at(*script), 0.5, RomCalibration(0.0, 40.0 + k))], record=False)
+        return list(table)
+
+    keys = [run(k, (10, OPEN))[-1] for k in range(5)]  # each only the state its hand starts in
+    assert list(table) == keys[2:]
+    assert [tick for tick, _ in table.values()] == [0, 0, 0]
+    run(0, (12, OPEN))
+    assert list(table) == [*keys[3:], keys[0]]
+    for close, earliest in ((50, 40), (30, 20), (70, 20)):  # one more key, after OPEN
+        *kept, after_open = run(4, (10, OPEN), (close, CLOSE))
+        assert kept == [keys[4], keys[0]] and table[after_open][0] == earliest
+
+
+def test_a_changed_constant_empties_both_tables(empty_engine_tables):
+    """Tables filled under a softer tendon hold nothing after a call under
+    the module's own constants but what that call would leave in empty
+    ones."""
+    first = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("M"), plant=flexed_plant("M"))
+    second = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("L"), plant=flexed_plant("L"))
+    with mock.patch.object(controller, "TENDON_STIFFNESS_N_MM", 20.0):
+        run_episodes([first], record=False)
+    assert len(controller._OUTCOMES) == 1 and len(controller._STATES) == 2
+    run_episodes([second], record=False)
+    with empty_engine_tables():
+        run_episodes([second], record=False)
+        want = dict(controller._OUTCOMES), dict(controller._STATES)
+    assert (controller._OUTCOMES, controller._STATES) == want
 
 
 def test_argmin_and_argmax_pick_the_first_nan():

@@ -438,6 +438,20 @@ class TestAnalysis:
         assert "paired-t" in text and "wilcoxon" in text
         assert "Reference MCID: motor score 4.25-7.25 points, arm test 5.7 points." in text
 
+    def test_text_rows_show_the_levene_p(self, golden_report, irregular_cohort):
+        # Each primary row, error rows too, shows its Levene p after the mean
+        # gain, at the precision of p, or "-" when there is none.
+        for result in (golden_report, report.analyze_cohort(irregular_cohort, q=Fraction(1, 10))):
+            lines = report.render_text(result).splitlines()
+            assert lines[lines.index("Primary outcome tests") + 1].split()[:4] == ["test", "n", "mean", "levene"]
+            shown = set()
+            for row in result.primary:
+                (line,) = [line for line in lines if line.startswith(f"{row.label:<18} ")]
+                levene = line[len(f"{row.label:<18} "):].split()[2]
+                assert levene == ("-" if row.homogeneity_p is None else f"{display_round(row.homogeneity_p, 3):.3f}")
+                shown.add(levene)
+            assert len(shown) > 2
+
     def test_json_rendering(self, golden_report):
         doc = json.loads(report.render_json(golden_report))
         assert doc["schema"] == "exobench/report-v1"
@@ -486,10 +500,11 @@ class TestAnalysis:
         assert len(result.warnings) == 7
         for warning in result.warnings:
             assert text.count(warning) == 1
-        # sha256 of both renderings, recorded before the gain path was refactored.
+        # sha256 of both renderings, recorded before the gain path was
+        # refactored; the text's again when its rows gained the Levene p.
         json_text = report.render_json(result)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5f60d1f0de7083f2029e93724789166ec5e31e48e6538d269a35b91970eaf7f7"
+            "42fed2c08156d4363f189d709f6086d8da85dd77747072660b3597354b5b9dd0"
         )
         assert hashlib.sha256(json_text.encode()).hexdigest() == (
             "b51f62ae07c948eab30f3a6d7ebed89d2959b7303dba141d26651103a879638c"
