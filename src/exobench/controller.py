@@ -47,27 +47,27 @@ tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
 Every call steps each distinct input once, in one lane plan. An episode
-with a constant torque is keyed by the float64 bits of what its abort
+with a constant torque is keyed by the float64 bits of what its outcome
 depends on: its context (ROM setpoints, resolved plant arrays, resolved
 initial motor and torque), tick count and held-command schedule. The first
-episode of a key gets a lane, later ones in the call share it, and the
-lane's abort goes into a module table of the newest 4,096 keys. So does
-its state at the start of each tick where its held command changes, in a
-second table keyed by the context and the changes before that tick; the
-changes' ticks count from the first change when the context is still (one
-uncommanded tick left its state bit-identical), and the first change's
-tick is in the key otherwise. An unrecorded call, as a session makes,
-reads both: a remembered input's lane is stopped at tick 0 with its abort
-preset and parked like an aborted lane, so it steps no tick of its own,
-and any other keyed lane starts at the deepest remembered state of its
-context and schedule that comes no later than its next change. Episodes of
-one script share the start of their schedules, so most new inputs of a
-hand start late. From its start a lane is stepped and screened on every
-tick: a remembered abort or state is a checked run's, on bit-identical
-inputs, and a call that finds the module constants the engine reads
-changed empties both tables. Recorded calls start every lane at tick 0.
-Recorded columns are read-only, since episodes that share a lane share its
-rows.
+episode of a key gets a lane and later ones in the call share it. The
+lane's state at the start of each tick where its held command changes, and
+at its end if it broke no invariant, goes into one module table of the
+newest 4,096 keys, keyed by the context and the changes before that tick;
+the changes' ticks count from the first change when the context is still
+(one uncommanded tick left its state bit-identical), and the first change's
+tick, or the end's for a lane never commanded, is in the key otherwise. An
+unrecorded call, as a session makes, starts each keyed lane at the deepest
+remembered state of its context and schedule that comes no later than its
+next change or its end. A remembered input starts at its end, so its lane
+is parked and steps no tick of its own; an aborted input left no end state
+and is stepped again, to the same abort. Episodes of one script share the
+start of their schedules, so most new inputs of a hand start late. From
+its start a lane is stepped and screened on every tick: a remembered state
+is a checked run's, on bit-identical inputs, and a call that finds the
+module constants the engine reads changed empties the table. Recorded
+calls start every lane at tick 0. Recorded columns are read-only, since
+episodes that share a lane share its rows.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -355,39 +355,37 @@ def _commands(
     return labels, labels[last]
 
 
-#: The abort of each input that a ``run_episodes`` lane has stepped, by its
-#: key, oldest first; at most ``_OUTCOMES_MAX`` keys of about 350 B each, so
-#: about 1.4 MB when full.
-_OUTCOMES: dict[bytes, str | None] = {}
-_OUTCOMES_MAX = 4096
 #: The states ``run_episodes`` lanes have taken at the start of a tick where
-#: their held command changes, by ``_state_keys`` key, oldest first: the
-#: tick, counted from the lane's first change, and the float64 bits of the
-#: excursion, the velocity and the eight angles in ``DIGITS`` x ``JOINTS``
-#: order. A key keeps the earliest tick it was taken at, which serves every
-#: lane whose next change comes then or later; at most ``_STATES_MAX`` keys
-#: of about 550 B each, so about 2.2 MB when full.
+#: their held command changes, and at their end if they broke no invariant,
+#: by ``_state_keys`` key, oldest first: the tick, counted from the lane's
+#: first change, and the float64 bits of the excursion, the velocity and the
+#: eight angles in ``DIGITS`` x ``JOINTS`` order. A key keeps the earliest
+#: tick it was taken at, which serves every lane whose next change or end
+#: comes then or later; at most ``_STATES_MAX`` keys of about 550 B each, so
+#: about 2.2 MB when full.
 _STATES: dict[bytes, tuple[int, bytes]] = {}
 _STATES_MAX = 4096
-#: The bits of the module constants both tables were filled under: a call
-#: under others empties them first.
+#: The bits of the module constants the table was filled under: a call
+#: under others empties it first.
 _TABLES_UNDER = b""
 
 
-def _state_keys(context: bytes, ticks: np.ndarray, codes: np.ndarray, still: bool) -> list[bytes]:
+def _state_keys(context: bytes, schedule: list[int], codes: np.ndarray, still: bool) -> list[bytes]:
     """The key of a lane's state after each count of its held-command changes.
 
-    The k-th key is the lane's context, a tick origin and the first k
-    changes, their ticks counted from the first change. A still context
-    (one uncommanded tick leaves its state bit-identical) meets its first
-    change in the state it starts in, whenever that change comes: its
-    origin is 0, and its first key is the context alone, which marks it
-    still. Any other context's origin is its first change's tick, so one
-    first commanded at tick 0 keys its later states as a still one does.
+    ``schedule`` is the ticks of the changes, then the lane's tick count, so
+    a lane never commanded has its count alone. The k-th key is the lane's
+    context, a tick origin and the first k changes, their ticks counted from
+    the schedule's first. A still context (one uncommanded tick leaves its
+    state bit-identical) meets its first change in the state it starts in,
+    whenever that change comes: its origin is 0, and its first key is the
+    context alone, which marks it still. Any other context's origin is the
+    schedule's first tick, so one first commanded at tick 0 keys its later
+    states as a still one does.
     """
-    changes = np.column_stack((ticks - ticks[0], codes)).astype(float).tobytes()
-    head = context + np.float64(0.0 if still else ticks[0]).tobytes()
-    return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(ticks) + 1)]
+    changes = np.column_stack((np.subtract(schedule[:-1], schedule[0]), codes)).astype(float).tobytes()
+    head = context + np.float64(0.0 if still else schedule[0]).tobytes()
+    return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(schedule))]
 
 
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
@@ -412,24 +410,24 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     tick, as its log's ``abort``, and is parked; the others run on.
 
     Each distinct input gets one lane. An episode whose ``voluntary_nmm`` is
-    a constant is keyed by the float64 bits of every input its abort
+    a constant is keyed by the float64 bits of every input its outcome
     depends on: its context (the ROM's setpoints, the resolved plant's
     three arrays, the resolved initial motor and the torque), its tick count
     and its held-command schedule. So -0.0 and 0.0 differ and a NaN matches
     only its own bits. The first episode of a key gets a lane and later
-    ones in the call share it. Each lane's abort is remembered, and so is
-    its state at the start of each tick where its held command changes, in
-    tables of the newest ``_OUTCOMES_MAX`` and ``_STATES_MAX`` keys, which a
-    call finding the engine's module constants changed empties.
+    ones in the call share it. Each keyed lane's state at the start of each
+    tick where its held command changes, and at its end if it broke no
+    invariant, is remembered in a table of the newest ``_STATES_MAX`` keys,
+    which a call finding the engine's module constants changed empties.
     ``record`` decides the rest. With it, every lane starts at tick 0, the
     FSM settles and the columns are kept, read-only since episodes of one
     key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks; a lane whose key is remembered is stopped
-    at tick 0 with its abort preset and parked, so it steps no tick of its
-    own, and any other keyed lane starts at the deepest remembered state of
-    its context and schedule (see ``_state_keys``) that comes no later than
-    its next change. Such a state is the one a lane stepped from tick 0
-    reaches, bit for bit, and before it that lane broke no invariant.
+    it every log has zero ticks, and each keyed lane starts at the deepest
+    remembered state of its context and schedule (see ``_state_keys``) that
+    comes no later than its next change or its end. Such a state is the one
+    a lane stepped from tick 0 reaches, bit for bit, and before it that lane
+    broke no invariant. A lane that starts at its end is parked, so it steps
+    no tick of its own and its abort is None.
     """
     global _TABLES_UNDER
     if len(episodes) == 0:
@@ -438,7 +436,6 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
     if under != _TABLES_UNDER:
-        _OUTCOMES.clear()
         _STATES.clear()
         _TABLES_UNDER = under
 
@@ -449,13 +446,14 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # there (and an idle FSM, which only a recorded call, starting at tick
     # 0, reads). Per loop step, each later change of a lane's held command is
     # kept as (lane, setpoint, FSM move), and the keyed lanes whose state is
-    # taken. A command once given is held, so from the first step with every
-    # lane commanded no step needs the mask below.
+    # taken: at each later change and at the lane's end. A command once
+    # given is held, so from the first step with every lane commanded no
+    # step needs the mask below.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
     lane_of, labels, hands, motors, voluntary, disturbed, starts, stop, held_mm, firsts = ([] for _ in range(10))
     changes: dict[int, list[tuple[int, float, int]]] = {}
     taken_at: dict[int, list[int]] = {}
-    schedules: dict[int, tuple] = {}  # each keyed, stepped lane's (context, ticks, codes, keys, bits to probe)
+    schedules: dict[int, tuple] = {}  # each keyed, stepped lane's (context, schedule, codes, keys, bits to probe)
     taken: dict[int, dict[int, bytes]] = {}  # each such lane's states, by its own tick
     aborts: dict[int, str | None] = {}
     for ep in episodes:
@@ -487,25 +485,24 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         # its start tick, and its changes before that tick.
         state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
         start = k = 0
-        if not record and key in _OUTCOMES:  # a remembered input: a lane stopped at tick 0
-            aborts[lane] = _OUTCOMES[key]
-            n = 0
-        elif key is not None and len(ticks):
+        if key is not None:
+            schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
             still = context in _STATES  # only a still context keys a state by itself
-            keys = _state_keys(context, ticks, codes, still)
-            if not record:  # the deepest state no later than the lane's next change
-                nexts = [*ticks.tolist(), n]
+            keys = _state_keys(context, schedule, codes, still)
+            if not record:  # the deepest state no later than the lane's next change or its end
                 for depth in range(len(ticks), -1, -1):
                     found = _STATES.get(keys[depth])
-                    if found is not None and nexts[0] + found[0] <= nexts[depth]:
-                        start, k, state = nexts[0] + found[0], depth, np.frombuffer(found[1])
+                    if found is not None and schedule[0] + found[0] <= schedule[depth]:
+                        start, k, state = schedule[0] + found[0], depth, np.frombuffer(found[1])
                         break
-            # A lane whose first tick is uncommanded shows at its second
-            # whether its context is still.
-            probe = state.tobytes() if not still and start == 0 and ticks[0] > 0 else None
-            schedules[lane], taken[lane] = (context, ticks, codes, keys, probe), {}
-            if probe is not None:
-                taken_at.setdefault(1, []).append(lane)
+            if start < n:  # a lane that starts at its end is parked with no step of its own
+                # A lane whose first tick is uncommanded shows at its second
+                # whether its context is still.
+                probe = state.tobytes() if not still and start == 0 and schedule[0] > 0 else None
+                schedules[lane], taken[lane] = (context, schedule, codes, keys, probe), {}
+                taken_at.setdefault(n - start, []).append(lane)
+                if probe is not None:
+                    taken_at.setdefault(1, []).append(lane)
         hands.append((state[2:].reshape(len(DIGITS), len(JOINTS)), plant.moment_arm_mm, plant.stiffness_nmm_deg))
         motors.append(state[:2])
         voluntary.append(0.0 if key is None else torque)
@@ -514,7 +511,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         moves = [(ep.rom.retracted_mm, _EXTENDING) if code == _OPEN else (ep.rom.extended_mm, _RELEASING)
                  for code in codes.tolist()]
         held_mm.append(moves[k - 1][0] if k else math.nan)
-        at = (ticks[k:] - start).tolist() if n > start else []
+        at = (ticks[k:] - start).tolist()
         for i, (mm, move) in zip(at, moves[k:]):
             changes.setdefault(i, []).append((lane, mm, move))
             if lane in schedules:
@@ -527,7 +524,6 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # Each lane's stop step; the loop ends with the last lane's.
     stop = np.array(stop)
     n_max = end = int(stop.max())
-    t_col = np.arange(n_max) * CONTROL_DT_S
 
     # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
     # validated when each HandPlant was built, from one stack whose release
@@ -564,6 +560,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
 
     width = n_max if record else 0
+    t_col = np.arange(width) * CONTROL_DT_S
     x_col = np.empty((n_lanes, width))
     tension_col = np.empty((n_lanes, width))
     velocity_col = np.empty((n_lanes, width))
@@ -572,7 +569,12 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     setpoint_col = np.empty((n_lanes, width))
     angles_col = np.empty((n_lanes, width, len(DIGITS), len(JOINTS)))
 
-    for i in range(n_max):
+    for i in range(n_max + 1):
+        # A lane's states are taken before the loop can end: its last, at its
+        # stop step, is the state its n ticks leave.
+        for e in taken_at.get(i, ()):
+            if e not in aborts:
+                taken[e][starts[e] + i] = np.concatenate(([x[e], velocity[e]], angles[:, :, e].T), axis=None).tobytes()
         if i >= end:
             break
         t = i * CONTROL_DT_S  # a disturbed lane's own tick: it starts at 0
@@ -582,9 +584,6 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         for e, mm, move in changes.get(i, ()):  # a new command starts a move
             setpoint[e] = mm
             fsm[e] = move
-        for e in taken_at.get(i, ()):
-            if i < stop[e]:  # not stopped before this step
-                taken[e][starts[e] + i] = np.concatenate(([x[e], velocity[e]], angles[:, :, e].T), axis=None).tobytes()
 
         # Saturated proportional step. Before its first command an episode
         # has no setpoint (NaN, unequal to itself) and makes no effort.
@@ -664,18 +663,13 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
 
     for col in (t_col, x_col, tension_col, velocity_col, effort_col, fsm_col, setpoint_col, angles_col, *labels):
         col.flags.writeable = False
-    for key, lane in keyed.items():
-        if key not in _OUTCOMES:
-            if len(_OUTCOMES) >= _OUTCOMES_MAX:
-                del _OUTCOMES[next(iter(_OUTCOMES))]  # the oldest
-            _OUTCOMES[key] = aborts.get(lane)
-    # Each state taken at a change, under the key of the changes before it.
+    # Each state taken at a change or at the end, under the key of the changes before it.
     for e, by_tick in taken.items():
-        context, ticks, codes, keys, probe = schedules[e]
+        context, schedule, codes, keys, probe = schedules[e]
         if probe is not None and by_tick.get(1) == probe:  # one uncommanded tick left it bit-identical
-            keys = _state_keys(context, ticks, codes, True)
-        first = int(ticks[0])
-        for k, a in enumerate(ticks.tolist()):
+            keys = _state_keys(context, schedule, codes, True)
+        first = schedule[0]
+        for k, a in enumerate(schedule):
             bits = by_tick.get(a)
             if bits is None:
                 continue

@@ -228,8 +228,9 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     Each task runs one controller episode (a grasp-release cycle through
     the subject's intent interface); the session's episodes run together in
     one unrecorded batched ``controller.run_episodes`` call, which steps
-    each distinct input once and reads an input's abort from its table of
-    outcomes when an earlier session stepped it. A safety abort is logged
+    each distinct input once and starts it at the deepest state of its hand
+    and schedule that earlier calls left in its table, so an input that an
+    earlier session ran to its end steps no tick. A safety abort is logged
     as a device adjustment and the task resumes. Active time comes from the
     duration model. The session ends after the task during which the active
     budget is reached (overflow flag set), or, when the protocol finishes

@@ -56,14 +56,13 @@ _LABELS = tuple(IntentLabel)
 
 @pytest.fixture
 def empty_engine_tables():
-    """Run the test from empty engine tables (the remembered outcomes and
-    states, and the constants they were stepped under), so it does not
-    depend on what an earlier test stepped. Gives a context manager that
-    runs a block from empty tables of its own and puts the test's back
-    after it."""
+    """Run the test from an empty engine table (the remembered states, and
+    the constants they were stepped under), so it does not depend on what
+    an earlier test stepped. Gives a context manager that runs a block from
+    an empty table of its own and puts the test's back after it."""
     @contextlib.contextmanager
     def empty():
-        with mock.patch.multiple(controller, _OUTCOMES={}, _STATES={}, _TABLES_UNDER=b""):
+        with mock.patch.multiple(controller, _STATES={}, _TABLES_UNDER=b""):
             yield
 
     with empty():
@@ -609,6 +608,21 @@ def _nan_after(t0, torque):
     return lambda t: math.nan if t > t0 else torque
 
 
+def _count_steps(monkeypatch):
+    """One entry per tick the engine steps, the lane count: it clamps the
+    (2, 4, E) angles with one np.minimum per tick."""
+    steps = []
+    minimum = np.minimum
+
+    def counting_minimum(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            steps.append(np.shape(a)[2])
+        return minimum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "minimum", counting_minimum)
+    return steps
+
+
 _TIMES = st.sampled_from([0.0, 0.005, 0.05, 0.1, 0.25]) | st.floats(0.0, 0.7)
 
 
@@ -761,11 +775,14 @@ class TestBatchedEngine:
         # Three episodes of one input step one lane beside an aborting one
         # whose NaN torque is a constant, so it is keyed too, recorded or
         # not. The third adds RELAX labels, which hold the same command: each
-        # log keeps its own intent column. A later unrecorded call takes both
-        # outcomes from the table, as does one with the NaN input parked from
-        # tick 0 beside a new input: no exact check. From an empty table an
-        # unrecorded call shares the lanes too.
+        # log keeps its own intent column. The kept input leaves its states
+        # at ticks 0 and 400 and at its end, so a later unrecorded call parks
+        # its lane with no step. The aborted one leaves only its state at
+        # tick 0, so each later call steps it again, one tick to the same
+        # abort, also beside a new input. From an empty table an unrecorded
+        # call shares the lanes too.
         entries = self._count_exact_checks(monkeypatch)
+        steps = _count_steps(monkeypatch)
         relaxed = [(0.0, OPEN), (1.0, RELAX), (2.0, CLOSE), (3.0, RELAX), (4.0, RELAX)]
 
         def batch():
@@ -777,19 +794,19 @@ class TestBatchedEngine:
         want = [None, "non-finite state at t=0.000", None, None]
         episodes = batch()
         recorded = run_episodes(episodes)
-        assert entries == [(2, 4, 2)]
+        assert entries == [(2, 4, 2)] and len(steps) == 1000
         for episode, log in zip(episodes, recorded):
             assert _outcome_bits(log) == _reference_bits(episode)
         assert [log.abort for log in run_episodes(batch(), record=False)] == want
-        assert entries == [(2, 4, 2)]
+        assert entries == [(2, 4, 2)] * 2 and len(steps) == 1001
         new = Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("L"), plant=flexed_plant("L"))
         assert [log.abort for log in run_episodes([batch()[1], new], record=False)] == want[1:3]
-        assert entries == [(2, 4, 2)]
-        assert len(controller._OUTCOMES) == 3
+        assert entries == [(2, 4, 2)] * 3 and len(steps) == 2001
+        assert len(controller._STATES) == 7  # 3 of each kept input, 1 of the aborted one
         with empty_engine_tables():
             assert [log.abort for log in run_episodes(batch(), record=False)] == want
-            assert entries == [(2, 4, 2)] * 2
-            assert len(controller._OUTCOMES) == 2
+            assert entries == [(2, 4, 2)] * 4 and len(steps) == 3001
+            assert len(controller._STATES) == 4
 
     def test_recorded_columns_are_read_only(self):
         # Two episodes of one input share a lane's rows: neither log can
@@ -997,8 +1014,8 @@ def test_remembered_outcomes_match_each_episode_alone(empty_engine_tables, data)
     split over 1-3 calls, each recorded or not, in a drawn order from an
     empty table: every episode takes the abort it has run alone, a recorded
     log its bits too, every unrecorded log has a lane's zero-tick layout,
-    and the table keeps one outcome per input with a constant torque, ±0.0
-    apart."""
+    and every state the table keeps under a key an input with a constant
+    torque takes alone is the one its recorded log reaches, ±0.0 apart."""
     ticks = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True), label="ticks")
     inputs = [ep for n in ticks for ep in data.draw(_distinct_inputs(n), label=f"input of {n} ticks")]
     episodes = data.draw(st.permutations([copy for ep in inputs for copy in _copies(data.draw, ep)]), label="order")
@@ -1009,8 +1026,10 @@ def test_remembered_outcomes_match_each_episode_alone(empty_engine_tables, data)
         lane_layout = _column_layout(run_episodes(episodes[:1], record=False)[0])
     with empty_engine_tables():
         logs = [(log, record) for call, record in calls for log in run_episodes(call, record)]
-        assert len(controller._OUTCOMES) == sum(not callable(ep.voluntary_nmm) for ep in inputs)
         assert len(logs) == len(episodes)
+        for episode in inputs:
+            if not callable(episode.voluntary_nmm):
+                _assert_remembered_states_are_reached(episode, empty_engine_tables)
     with empty_engine_tables():
         alone = [run_episodes([episode])[0] for episode in episodes]
     for (log, record), want in zip(logs, alone):
@@ -1019,30 +1038,6 @@ def test_remembered_outcomes_match_each_episode_alone(empty_engine_tables, data)
         else:
             assert log.abort == want.abort
             assert _column_layout(log) == lane_layout
-
-
-def test_the_outcome_table_keeps_the_newest_inputs(monkeypatch, empty_engine_tables):
-    """With room for 3, five distinct inputs leave the newest three, oldest
-    first; an evicted input is stepped again, to the same abort."""
-    monkeypatch.setattr(controller, "_OUTCOMES_MAX", 3)
-    table = controller._OUTCOMES
-
-    def run(k):  # a 1-tick episode per ROM; the odd ones abort
-        episode = Episode(stream([(0.0, OPEN)]), CONTROL_DT_S, RomCalibration(0.0, 40.0 + k),
-                          voluntary_nmm=math.nan if k % 2 else 0.0)
-        (log,) = run_episodes([episode], record=False)
-        assert log.abort == ("non-finite state at t=0.000" if k % 2 else None)
-
-    keys = []
-    for k in range(5):
-        run(k)
-        keys.append(list(table)[-1])
-        assert len(table) <= 3
-    assert list(table) == keys[2:]
-    run(0)
-    assert list(table) == [*keys[3:], keys[0]]
-    run(4)
-    assert list(table) == [*keys[3:], keys[0]]
 
 
 def test_an_outcome_is_not_remembered_across_a_changed_constant(empty_engine_tables):
@@ -1054,7 +1049,7 @@ def test_an_outcome_is_not_remembered_across_a_changed_constant(empty_engine_tab
     (stopped,) = run_episodes([episode], record=False)
     assert unstopped.abort == "non-finite state at t=0.000"
     assert stopped.abort is None and run_episode(episode).abort is None
-    assert len(controller._OUTCOMES) == 1
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 40]  # its start and its end
 
 
 def _at(*ticks_and_labels):
@@ -1073,10 +1068,10 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
     shifted in time; a flexed hand only with those of its first command's
     tick. A recorded call starts at tick 0."""
     rom = calibrate_rom("M")
-    # Changes at ticks 100, 200 and 300: states after 0, 1 and 2 changes,
-    # at 0, 100 and 200 ticks from the first.
+    # Changes at ticks 100, 200 and 300 and the end at 400: states after 0,
+    # 1, 2 and 3 changes, at 0, 100, 200 and 300 ticks from the first.
     run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 300]
     for key in controller._STATES:
         controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
     shifted = Episode(_at((120, OPEN), (220, CLOSE), (360, OPEN)), 2.0, rom)
@@ -1088,9 +1083,10 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
     assert run_episode(shifted).abort is None
 
     flexed = flexed_plant("M")
+    still_keys = set(controller._STATES)
     run_episodes([Episode(_at((20, OPEN), (60, CLOSE), (100, OPEN)), 0.8, rom, plant=flexed)], record=False)
-    planted = {key for key, (_, bits) in controller._STATES.items() if bits != _NAN_STATE}
-    assert len(planted) == 3
+    planted = set(controller._STATES) - still_keys
+    assert len(planted) == 4
     for key in planted:
         controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
     for script, abort in ((((24, OPEN), (64, CLOSE), (104, OPEN)), None),
@@ -1099,32 +1095,64 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
         assert log.abort == abort
 
 
+def test_a_repeated_input_starts_at_its_end(monkeypatch, empty_engine_tables):
+    """An input that runs to its end leaves its state there, under the key of
+    all its changes: a repeat in a later unrecorded call steps no tick and
+    reads no earlier state, so a NaN planted in its last change's state is
+    not seen. A longer input of the same changes starts at that end, and a
+    NaN planted there aborts it on that tick, named as its own."""
+    steps = _count_steps(monkeypatch)
+    short = Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, calibrate_rom("M"))
+    run_episodes([short], record=False)
+    assert len(steps) == 400
+    for key, (tick, _) in controller._STATES.items():
+        if tick < 300:  # all but the end
+            controller._STATES[key] = (tick, _NAN_STATE)
+    assert [log.abort for log in run_episodes([short, short], record=False)] == [None, None]
+    assert len(steps) == 400
+    longer = replace(short, duration_s=3.0)
+    assert run_episodes([longer], record=False)[0].abort is None
+    assert len(steps) == 400 + 200
+    for key, (tick, _) in controller._STATES.items():
+        controller._STATES[key] = (tick, _NAN_STATE)
+    assert run_episodes([longer], record=False)[0].abort == "non-finite state at t=2.000"
+    assert len(steps) == 400 + 200 + 1
+    assert run_episode(longer).abort is None
+
+
 def test_a_lane_started_late_takes_the_states_it_would_reach(empty_engine_tables):
     """A shifted schedule starts at tick 120 + 200, ten ticks before its own
-    third change, holding CLOSE; the state it takes at its fourth change,
-    tick 380, is the one its recorded log reaches."""
+    third change, holding CLOSE; the states it takes at its fourth change,
+    tick 380, and at its end, tick 400, are the ones its recorded log
+    reaches."""
     rom = calibrate_rom("M")
     run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
     later = Episode(_at((120, OPEN), (220, CLOSE), (330, OPEN), (380, CLOSE)), 2.0, rom)
     assert run_episodes([later], record=False)[0].abort is None
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 260]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 260, 280, 300]
     _assert_remembered_states_are_reached(later, empty_engine_tables)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing angles run on as inf/NaN
-def test_a_resumed_lane_aborts_at_its_own_tick(empty_engine_tables):
+def test_a_resumed_lane_aborts_at_its_own_tick(monkeypatch, empty_engine_tables):
     """Without a flexion stop a huge torque overflows the angles on tick 25.
     A 20-tick episode stops short of it, and a longer one of the same
-    schedule starts at its last change, tick 15, and aborts on tick 25, as
-    it does from empty tables."""
+    changes starts at its end, tick 20, and aborts on tick 25, as it does
+    from empty tables. It leaves no end state, so a later call steps it
+    again from tick 20, to the same abort."""
     longer = Episode(_at((5, OPEN), (10, CLOSE), (15, OPEN)), 0.3, calibrate_rom("M"), voluntary_nmm=1.7e308)
+    steps = _count_steps(monkeypatch)
     with mock.patch.object(controller, "MAX_DEG", np.full((4, 2), math.inf)):
         assert run_episodes([replace(longer, duration_s=0.1)], record=False)[0].abort is None
-        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10]
+        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 15]
         (log,) = run_episodes([longer], record=False)
+        assert len(steps) == 20 + 6
+        (again,) = run_episodes([longer], record=False)
+        assert len(steps) == 20 + 6 + 6
+        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 15]
         with empty_engine_tables():
             (cold,) = run_episodes([longer], record=False)
-    assert log.abort == cold.abort == "non-finite state at t=0.125"
+    assert log.abort == again.abort == cold.abort == "non-finite state at t=0.125"
 
 
 @st.composite
@@ -1152,7 +1180,9 @@ def _warm_table_contexts(draw):
 def _warm_table_schedules(draw):
     """A script of events on a 4-tick grid, as a session's streams have
     them, and 1-3 more: each shares the first events of the script and
-    goes on with its own, or is the script shifted by 4-12 ticks."""
+    goes on with its own, is the script shifted by 4-12 ticks, is the
+    script again (its episodes differ from the script's only in length) or
+    gives no command."""
     def events(first, min_size=1):
         gaps = draw(st.lists(st.integers(1, 8), min_size=min_size, max_size=6))
         labels = draw(st.lists(st.sampled_from([OPEN, CLOSE, RELAX]), min_size=len(gaps), max_size=len(gaps)))
@@ -1161,12 +1191,17 @@ def _warm_table_schedules(draw):
     script = events(draw(st.integers(-4, 30)), min_size=2)
     scripts = [script]
     for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["kept", "shifted", "same", "none"]))
+        if kind == "kept":
             kept = script[:draw(st.integers(0, len(script)))]
             scripts.append(kept + events(kept[-1][0] if kept else draw(st.integers(-4, 30))))
-        else:
+        elif kind == "shifted":
             shift = draw(st.sampled_from([4, 8, 12]))
             scripts.append([(tick + shift, label) for tick, label in script])
+        elif kind == "same":
+            scripts.append(script)
+        else:
+            scripts.append([(tick, RELAX) for tick in draw(st.lists(st.integers(0, 30), max_size=2))])
     return scripts
 
 
@@ -1211,56 +1246,80 @@ def test_a_warm_table_changes_no_outcome(empty_engine_tables, data):
 def _assert_remembered_states_are_reached(episode, empty_engine_tables):
     """Each state in the table under a key the episode alone takes, at a tick
     no later than its own, is the state its recorded log reaches then: the
-    excursion, velocity and angles after the tick before."""
+    excursion, velocity and angles after the tick before. Its ticks count
+    from its first command, or from its end if it has none."""
     warm = controller._STATES
     with empty_engine_tables():
         (log,) = run_episodes([episode])
         own = dict(controller._STATES)
     commanded = np.flatnonzero(log.ticks.intent != _LABELS.index(RELAX))
+    first = commanded[0] if len(commanded) else round(episode.duration_s / CONTROL_DT_S)
     for key, (tick, _) in own.items():
-        if key in warm and 0 < commanded[0] + warm[key][0] and warm[key][0] <= tick:
-            row = commanded[0] + warm[key][0] - 1
+        if key in warm and 0 < first + warm[key][0] and warm[key][0] <= tick:
+            row = first + warm[key][0] - 1
             cols = log.ticks
             reached = np.concatenate(([cols.excursion_mm[row], cols.velocity_mm_s[row]], cols.angles_deg[row]))
             assert warm[key][1] == reached.tobytes()
 
 
 def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypatch, empty_engine_tables):
-    """With room for 3, the states of five still hands, one per ROM, leave
-    the newest three, oldest first; the next new input of an evicted hand
-    takes its state again. A key keeps the earliest tick it is taken at,
-    in its place."""
-    monkeypatch.setattr(controller, "_STATES_MAX", 3)
+    """With room for 4, five still hands, one per ROM, each commanded once,
+    leave the newest four states, oldest first: the state each hand starts
+    in and its end. An evicted input is stepped again from tick 0, a
+    remembered one not at all. A key keeps the earliest tick it is taken
+    at, in its place: a later first command ends the same changes sooner,
+    and another input's later change is taken under the same key as an
+    end."""
+    monkeypatch.setattr(controller, "_STATES_MAX", 4)
     table = controller._STATES
+    steps = _count_steps(monkeypatch)
 
     def run(k, *script):
-        run_episodes([Episode(_at(*script), 0.5, RomCalibration(0.0, 40.0 + k))], record=False)
-        return list(table)
+        before = len(steps)
+        (log,) = run_episodes([Episode(_at(*script), 0.5, RomCalibration(0.0, 40.0 + k))], record=False)
+        assert log.abort is None
+        return len(steps) - before
 
-    keys = [run(k, (10, OPEN))[-1] for k in range(5)]  # each only the state its hand starts in
-    assert list(table) == keys[2:]
-    assert [tick for tick, _ in table.values()] == [0, 0, 0]
-    run(0, (12, OPEN))
-    assert list(table) == [*keys[3:], keys[0]]
-    for close, earliest in ((50, 40), (30, 20), (70, 20)):  # one more key, after OPEN
-        *kept, after_open = run(4, (10, OPEN), (close, CLOSE))
-        assert kept == [keys[4], keys[0]] and table[after_open][0] == earliest
+    keys = []
+    for k in range(5):
+        assert run(k, (10, OPEN)) == 100
+        keys.append(list(table)[-2:])
+    assert list(table) == [*keys[3], *keys[4]]
+    assert [tick for tick, _ in table.values()] == [0, 90, 0, 90]
+    assert run(0, (10, OPEN)) == 100
+    assert run(0, (10, OPEN)) == 0
+    assert list(table) == [*keys[4], *keys[0]]
+    assert run(0, (12, OPEN)) == 88
+    assert list(table) == [*keys[4], *keys[0]] and table[keys[0][1]][0] == 88
+    assert run(4, (10, OPEN), (50, CLOSE)) == 90
+    *kept, end = table
+    assert kept == [keys[4][1], *keys[0]] and table[keys[4][1]][0] == 40 and table[end][0] == 90
 
 
-def test_a_changed_constant_empties_both_tables(empty_engine_tables):
-    """Tables filled under a softer tendon hold nothing after a call under
-    the module's own constants but what that call would leave in empty
-    ones."""
+def test_a_changed_constant_empties_the_table(empty_engine_tables):
+    """A table filled under a softer tendon holds nothing after a call under
+    the module's own constants but what that call would leave in an empty
+    one."""
     first = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("M"), plant=flexed_plant("M"))
     second = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("L"), plant=flexed_plant("L"))
     with mock.patch.object(controller, "TENDON_STIFFNESS_N_MM", 20.0):
         run_episodes([first], record=False)
-    assert len(controller._OUTCOMES) == 1 and len(controller._STATES) == 2
+    assert len(controller._STATES) == 3
     run_episodes([second], record=False)
     with empty_engine_tables():
         run_episodes([second], record=False)
-        want = dict(controller._OUTCOMES), dict(controller._STATES)
-    assert (controller._OUTCOMES, controller._STATES) == want
+        want = dict(controller._STATES)
+    assert controller._STATES == want
+
+
+def test_numpy_gives_the_second_operand_on_a_tie_of_signed_zeros():
+    # The engine clamps an angle or a cable stretch at zero with
+    # maximum(v, 0.0), and matches the scalar reference bit for bit on the
+    # sign of a zero only because numpy gives the second operand on a tie.
+    contract = ("np.maximum must give its second operand on a tie of -0.0 and 0.0: the engine's clamps "
+                "match the scalar reference bit for bit only under that rule")
+    assert math.copysign(1.0, np.maximum([-0.0], 0.0)[0]) == 1.0, contract
+    assert math.copysign(1.0, np.maximum(0.0, [-0.0])[0]) == -1.0, contract
 
 
 def test_argmin_and_argmax_pick_the_first_nan():
