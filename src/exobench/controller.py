@@ -21,26 +21,31 @@ runs one. The gain, the drive and what every hand shares (rest pose, flexion
 stops, damping, tendon stiffness) are module constants, the drive's checked
 once at import. A ``HandPlant`` holds only what differs between hands, the
 pose, the tone and the glove's moment arms, validated once when it is built,
-never per tick. The engine's cost is per array call, not per episode. A held
-command is state, like the motor, set on the few ticks where it changes;
-from the tick on which every episode is commanded (most ticks) the effort
-mask is skipped, and a batch with no voluntary torque skips its add. The
-plant state is held joint-major, (2 joints, 4 digits, E), so a digit's
-take-up is one add of its MCP and PIP rows and the per-episode and per-digit
-arrays broadcast without views; the angles are clamped by one maximum and
-one minimum. A typical tick is 27 ufunc calls (4 for the proportional step,
-7 for the motor and 16 for the plant) and 5 arg-reductions for the screens.
-The safety invariants are checked on every tick for every episode through
-one merged screen: the min and max of the excursions decide the travel
-clamp, the max of the tensions decides the cap, and with the min and max of
-the joint angles they show at once whether any episode needs its exact
-check. Each extreme is read at the index ``argmin`` or ``argmax`` gives,
-which is the first NaN when there is one, so the screen sees a NaN exactly
-where a full reduction would, at about half a reduction's cost per call. An
-episode that breaks an invariant stops alone: a lane runs from its start
-tick to its stop tick, its tick count cut to the abort tick + 1, and step i
-of the loop is tick start + i of each lane. A trajectory is one set
-of columns, one array per quantity with a row per tick, recorded only when
+never per tick. The motor reads nothing the plant computes, so each
+episode's motor runs first, over its own ticks, as one Python-float
+recurrence in the scalar reference's float order; a held command is its
+state, set on the few ticks where it changes. It leaves
+one row of excursions per tick, which the lockstep loop reads, and that loop
+steps only the plant, whose cost is per array call, not per episode; a batch
+with no voluntary torque skips its add. The plant state is held joint-major,
+(2 joints, 4 digits, E), so a digit's take-up is one add of its MCP and PIP
+rows and the per-episode and per-digit arrays broadcast without views; the
+angles are clamped by one maximum and one minimum. A typical tick is 16
+ufunc calls, all for the plant, and 3 arg-reductions for the screen. The
+safety invariants are checked on every tick for every episode through one
+merged screen: the max of the tensions decides the cap, and with the min and
+max of the joint angles it shows at once whether any episode needs its exact
+check. The motor's clamp leaves each excursion in the travel or NaN, and a
+NaN excursion makes its episode's tensions and angles NaN on the same tick,
+so the excursions need no screen of their own. Each extreme is read at the
+index ``argmin`` or ``argmax`` gives, which is the first NaN when there is
+one, so the screen sees a NaN exactly where a full reduction would, at about
+half a reduction's cost per call. An episode that breaks an invariant stops
+alone: a lane runs from its start tick to its stop tick, its tick count cut
+to the abort tick + 1, and step i of the loop is tick start + i of each
+lane; from the next step on the plant reads the travel as a stopped lane's
+excursion. A trajectory is one set of columns, one array per quantity with
+a row per tick, recorded only when
 the caller asks for it; its JSONL form is one encode per tick of a row read
 from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
@@ -388,26 +393,67 @@ def _state_keys(context: bytes, schedule: list[int], codes: np.ndarray, still: b
     return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(schedule))]
 
 
+def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: int,
+                record: bool) -> tuple[list[float], dict[int, float], list[tuple[float, float, int, float]]]:
+    """One lane's motor over its ``steps`` loop steps, as Python floats in the
+    float order of the scalar reference's proportional and motor steps.
+
+    ``moves`` is the lane's (step, setpoint, FSM code) from each step where
+    its held command changes, ascending, led by (0, the setpoint it holds at
+    its start, idle); a setpoint is NaN before the first command, and then
+    no effort is made. Returns the excursion at the start of each step and
+    after the last, the velocity at the start of each move's step and of
+    step ``steps``, and, when recording, each step's (effort, velocity, FSM
+    code, setpoint) after it. The motor reads nothing the plant computes,
+    so it runs ahead of the plant's loop.
+    """
+    kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
+                                       SETPOINT_TOL_MM)
+    xs, kept, rows = [x], {}, []
+    for (a, sp, fsm), (b, *_) in zip(moves, [*moves[1:], (steps,)]):
+        kept[a] = v
+        commanded = sp == sp
+        for _ in range(a, b):
+            # min and max keep a NaN as np.minimum and np.maximum do.
+            effort = min(max(kp * (sp - x), -1.0), 1.0) if commanded else 0.0
+            v = v + (effort * speed - v) * dt / tau
+            x = x + v * dt
+            if x < 0.0:
+                x = v = 0.0
+            elif x > travel:
+                x, v = travel, 0.0
+            xs.append(x)
+            if record:  # FSM settle: a move (the odd codes) that reaches its setpoint holds.
+                fsm += fsm & 1 and abs(x - sp) <= tol
+                rows.append((effort, v, fsm, sp))
+    kept[steps] = v
+    return xs, kept, rows
+
+
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
     """Run E episodes of the control loop in lockstep; one ``TrajectoryLog`` per episode.
 
-    State is held in (2 joints, 4 digits, E) joint-angle and (E,) motor and
-    FSM arrays, updated in the float order of the scalar reference's
-    proportional, motor, plant and setpoint steps, so each episode matches
-    it bit for bit.
-    Each setpoint is state too, NaN until the first command, set on the few
+    Each lane's motor runs first, over its own ticks, as Python floats in
+    the float order of the scalar reference's proportional and motor steps
+    (``_motor_rows``), and leaves an (ticks + 1, E) array of excursions.
+    Its setpoint is state, NaN until the first command, set on the few
     ticks where the held command changes, which also start the FSM's move:
-    OPEN retracts, CLOSE extends, RELAX holds the last command.
+    OPEN retracts, CLOSE extends, RELAX holds the last command. The plant
+    state is then held in (2 joints, 4 digits, E) joint-angle arrays and
+    stepped in lockstep in the float order of the reference's plant step,
+    reading each tick's excursions, so each episode matches the reference
+    bit for bit.
 
     Every live episode is checked on every tick for non-finite state, the
     tension cap and the hyperextension block, in that order. A tick whose
     merged screen passes has no breach; otherwise each episode is checked
-    exactly. The screen reads the extremes of the excursions, the tensions
-    and the angles at their ``argmin``/``argmax``, which pick the first NaN,
-    so it misses no NaN. A lane runs from its start tick to its stop tick,
-    and step i of the loop is tick start + i of each lane. One that fails
-    stops at that tick, with its diagnostic, which names the lane's own
-    tick, as its log's ``abort``, and is parked; the others run on.
+    exactly. The screen reads the extremes of the tensions and the angles
+    at their ``argmin``/``argmax``, which pick the first NaN, so it misses
+    no NaN, and a NaN excursion shows in both. A lane runs from its start
+    tick to its stop tick, and step i of the loop is tick start + i of each
+    lane. One that fails stops at that tick, with its diagnostic, which
+    names the lane's own tick, as its log's ``abort``, and is parked: from
+    the next step on, its excursion rows hold the travel. The others run on.
 
     Each distinct input gets one lane. An episode whose ``voluntary_nmm`` is
     a constant is keyed by the float64 bits of every input its outcome
@@ -420,9 +466,10 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     invariant, is remembered in a table of the newest ``_STATES_MAX`` keys,
     which a call finding the engine's module constants changed empties.
     ``record`` decides the rest. With it, every lane starts at tick 0, the
-    FSM settles and the columns are kept, read-only since episodes of one
-    key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks, and each keyed lane starts at the deepest
+    FSM settles and the columns are kept (the efforts, FSM codes and
+    setpoints by the motor's run), read-only since episodes of one key
+    share a lane's rows, up to and including an abort's tick. Without it
+    every log has zero ticks, and each keyed lane starts at the deepest
     remembered state of its context and schedule (see ``_state_keys``) that
     comes no later than its next change or its end. Such a state is the one
     a lane stepped from tick 0 reaches, bit for bit, and before it that lane
@@ -444,14 +491,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # its lane. A lane starts at tick 0 in the state its episode gives, or
     # later in a remembered state with the setpoint of the command it holds
     # there (and an idle FSM, which only a recorded call, starting at tick
-    # 0, reads). Per loop step, each later change of a lane's held command is
-    # kept as (lane, setpoint, FSM move), and the keyed lanes whose state is
-    # taken: at each later change and at the lane's end. A command once
-    # given is held, so from the first step with every lane commanded no
-    # step needs the mask below.
+    # 0, reads). Each lane keeps its motor's moves, from its start and at
+    # each later change of its held command, and per loop step the keyed
+    # lanes whose state is taken: at each later change and at the lane's end.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
-    lane_of, labels, hands, motors, voluntary, disturbed, starts, stop, held_mm, firsts = ([] for _ in range(10))
-    changes: dict[int, list[tuple[int, float, int]]] = {}
+    lane_of, labels, hands, motors, voluntary, disturbed, starts, stop = ([] for _ in range(8))
     taken_at: dict[int, list[int]] = {}
     schedules: dict[int, tuple] = {}  # each keyed, stepped lane's (context, schedule, codes, keys, bits to probe)
     taken: dict[int, dict[int, bytes]] = {}  # each such lane's states, by its own tick
@@ -485,6 +529,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         # its start tick, and its changes before that tick.
         state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
         start = k = 0
+        probe = None
         if key is not None:
             schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
             still = context in _STATES  # only a still context keys a state by itself
@@ -501,29 +546,41 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
                 probe = state.tobytes() if not still and start == 0 and schedule[0] > 0 else None
                 schedules[lane], taken[lane] = (context, schedule, codes, keys, probe), {}
                 taken_at.setdefault(n - start, []).append(lane)
-                if probe is not None:
-                    taken_at.setdefault(1, []).append(lane)
         hands.append((state[2:].reshape(len(DIGITS), len(JOINTS)), plant.moment_arm_mm, plant.stiffness_nmm_deg))
-        motors.append(state[:2])
         voluntary.append(0.0 if key is None else torque)
         starts.append(start)
         stop.append(n - start)
-        moves = [(ep.rom.retracted_mm, _EXTENDING) if code == _OPEN else (ep.rom.extended_mm, _RELEASING)
+        moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
-        held_mm.append(moves[k - 1][0] if k else math.nan)
         at = (ticks[k:] - start).tolist()
-        for i, (mm, move) in zip(at, moves[k:]):
-            changes.setdefault(i, []).append((lane, mm, move))
-            if lane in schedules:
+        plan = [(0, moves[k - 1][0] if k else math.nan, _IDLE), *((i, *move) for i, move in zip(at, moves[k:]))]
+        if lane in schedules:
+            for i in at:
                 taken_at.setdefault(i, []).append(lane)
-        # Its first commanded step: 0 when it holds a command from its start
-        # or is parked there, with the travel as setpoint; none if never.
-        firsts.append(0 if k or n == start else at[0] if at else math.inf)
-    first_any, first_all = min(firsts), max(firsts)
+        if probe is not None:  # its state is taken at step 1 too, where it holds no command yet
+            plan.insert(1, (1, math.nan, _IDLE))
+            taken_at.setdefault(1, []).append(lane)
+        motors.append((*state[:2].tolist(), plan))
     n_lanes = len(stop)
-    # Each lane's stop step; the loop ends with the last lane's.
+    n_max = end = max(stop)  # the loop ends with the last lane's stop step
+    width = n_max if record else 0
+
+    # Each lane's motor, run ahead of the plant's loop over the lane's own
+    # steps: its excursions, a row per step (row i + 1 after step i, and
+    # the travel after its stop), its velocities at the steps its state may
+    # be taken and, recorded, its effort, velocity, FSM and setpoint columns.
+    xs = np.full((n_max + 1, n_lanes), TRAVEL_MM)
+    velocity_col, effort_col, setpoint_col = (np.empty((n_lanes, width)) for _ in range(3))
+    fsm_col = np.empty((n_lanes, width), dtype=np.int8)
+    kept = []
+    for e, (x, v, plan) in enumerate(motors):
+        rows, velocities, recorded = _motor_rows(x, v, plan, stop[e], record)
+        xs[:len(rows), e] = rows
+        kept.append(velocities)
+        if record:
+            (effort_col[e, :stop[e]], velocity_col[e, :stop[e]], fsm_col[e, :stop[e]],
+             setpoint_col[e, :stop[e]]) = np.array(recorded).T
     stop = np.array(stop)
-    n_max = end = int(stop.max())
 
     # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
     # validated when each HandPlant was built, from one stack whose release
@@ -534,16 +591,13 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     angles, arm, stiffness = np.array(hands).transpose(1, 3, 2, 0).copy()
     rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_lanes))
                             for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
-
-    x, velocity = np.array(motors, dtype=float).T.copy()
-    setpoint = np.array(held_mm, dtype=float)
-    fsm = np.full(n_lanes, _IDLE, dtype=np.int8)
     voluntary = np.array(voluntary, dtype=float)
 
     def park(lanes):
-        """Hold stopped lanes finite and tension-free (a zero moment arm takes
-        up no cable, whatever the motor does), so they fail no later screen."""
-        x[lanes], velocity[lanes], setpoint[lanes], voluntary[lanes] = TRAVEL_MM, 0.0, TRAVEL_MM, 0.0
+        """Hold stopped lanes at rest and tension-free, so they fail no later
+        screen: a zero moment arm takes up no cable, and their rows hold the
+        travel, never a NaN."""
+        voluntary[lanes] = 0.0
         angles[:, :, lanes] = rest[:, :, lanes]
         arm[:, :, lanes] = 0.0
 
@@ -554,19 +608,12 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
 
     # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
     # operand costs about half as much again as one with arrays.
-    (kp, max_speed, tau, travel, dt, deg2rad, tendon, cap, tol, one, neg_one, zero) = (
-        np.asarray(v, dtype=float) for v in (*scalars, 1.0, -1.0, 0.0))
-    move_bit = np.asarray(1, dtype=np.int8)
+    dt, deg2rad, tendon, cap, zero = (np.asarray(v, dtype=float) for v in (
+        CONTROL_DT_S, _DEG2RAD, TENDON_STIFFNESS_N_MM, TENSION_CAP_N, 0.0))
     where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
 
-    width = n_max if record else 0
     t_col = np.arange(width) * CONTROL_DT_S
-    x_col = np.empty((n_lanes, width))
     tension_col = np.empty((n_lanes, width))
-    velocity_col = np.empty((n_lanes, width))
-    effort_col = np.empty((n_lanes, width))
-    fsm_col = np.empty((n_lanes, width), dtype=np.int8)
-    setpoint_col = np.empty((n_lanes, width))
     angles_col = np.empty((n_lanes, width, len(DIGITS), len(JOINTS)))
 
     for i in range(n_max + 1):
@@ -574,47 +621,26 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         # stop step, is the state its n ticks leave.
         for e in taken_at.get(i, ()):
             if e not in aborts:
-                taken[e][starts[e] + i] = np.concatenate(([x[e], velocity[e]], angles[:, :, e].T), axis=None).tobytes()
+                taken[e][starts[e] + i] = np.concatenate(([xs[i, e], kept[e][i]], angles[:, :, e].T),
+                                                         axis=None).tobytes()
         if i >= end:
             break
         t = i * CONTROL_DT_S  # a disturbed lane's own tick: it starts at 0
         for e, torque in disturbed:
             if i < stop[e]:
                 voluntary[e] = torque(t)
-        for e, mm, move in changes.get(i, ()):  # a new command starts a move
-            setpoint[e] = mm
-            fsm[e] = move
 
-        # Saturated proportional step. Before its first command an episode
-        # has no setpoint (NaN, unequal to itself) and makes no effort.
-        if i >= first_any:
-            effort = minimum(maximum(kp * (setpoint - x), neg_one), one)
-            if i < first_all:
-                effort = where(setpoint == setpoint, effort, zero)
-        else:
-            effort = zero
-
-        # Motor: first-order velocity lag, travel-limited. One min/max pair
-        # decides the clamp and screens x: after it, x is finite or NaN.
-        velocity = velocity + (effort * max_speed - velocity) * dt / tau
-        x = x + velocity * dt
-        x_min, x_max = x.item(x.argmin()), x.item(x.argmax())
-        if not (x_min >= 0.0 and x_max <= TRAVEL_MM):
-            below, beyond = x < zero, x > travel
-            x = where(below, zero, where(beyond, travel, x))
-            velocity = where(below | beyond, zero, velocity)
-        x_finite = x_min == x_min
-
-        # Plant: capped cable tension, tone and voluntary torque, clamped
-        # angles. The cap's argmax picks a NaN, so a NaN sibling cannot
-        # stop another episode being capped. A digit's take-up and the
-        # total tension are sums in the scalar order, MCP + PIP and index to
-        # little; stiffness * (rest - angles) - tension * arm is the same
-        # bits as -tension * arm + stiffness * (rest - angles). Only the
-        # lanes over the cap are scaled, each by cap / its total, so the
-        # divisor elsewhere is the cap itself and a NaN lane is untouched.
+        # Plant, under the excursions the step's motor left (row i + 1):
+        # capped cable tension, tone and voluntary torque, clamped angles.
+        # The cap's argmax picks a NaN, so a NaN sibling cannot stop another
+        # episode being capped. A digit's take-up and the total tension are
+        # sums in the scalar order, MCP + PIP and index to little;
+        # stiffness * (rest - angles) - tension * arm is the same bits as
+        # -tension * arm + stiffness * (rest - angles). Only the lanes over
+        # the cap are scaled, each by cap / its total, so the divisor
+        # elsewhere is the cap itself and a NaN lane is untouched.
         p = arm * angles * deg2rad
-        tension = tendon * maximum(p[0] + p[1] - x, zero)
+        tension = tendon * maximum(p[0] + p[1] - xs[i + 1], zero)
         total = add_reduce(tension, axis=0)
         total_max = total.item(total.argmax())
         if not total_max <= TENSION_CAP_N:
@@ -628,24 +654,19 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         angles = minimum(maximum(angles + torque / damping * dt, zero), q_max)
 
         if record:
-            # FSM settle: a move (the odd codes) that reaches its setpoint holds.
-            fsm = fsm + ((fsm & move_bit) & (abs(x - setpoint) <= tol))
-            x_col[:, i] = x
             tension_col[:, i] = total
-            velocity_col[:, i] = velocity
-            effort_col[:, i] = effort
-            fsm_col[:, i] = fsm
-            setpoint_col[:, i] = setpoint
             angles_col[:, i] = angles.transpose(2, 1, 0)
 
         # Safety invariants, per live episode, in order. The screen passes on
         # almost every tick: the angles' min catches NaN and hyperextension,
-        # their max NaN and +inf.
-        if (x_finite and total_max <= TENSION_CAP_N + 1e-9
+        # their max NaN and +inf. The motor's clamp leaves each excursion in
+        # the travel or NaN, and a NaN one makes its lane's tensions, and so
+        # its angles, NaN on the same tick.
+        if (total_max <= TENSION_CAP_N + 1e-9
                 and angles.item(angles.argmin()) >= -1e-9
                 and math.isfinite(angles.item(angles.argmax()))):
             continue
-        non_finite = ~(np.isfinite(angles).all(axis=(0, 1)) & np.isfinite(x))
+        non_finite = ~np.isfinite(angles).all(axis=(0, 1))
         over_cap = total > TENSION_CAP_N + 1e-9
         hyperextended = (angles < -1e-9).any(axis=(0, 1))
         hit = np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended))
@@ -658,9 +679,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             else:
                 aborts[e] = f"hyperextension block breached at t={t:.3f}"
         stop[hit] = i + 1
+        xs[i + 2:, hit] = TRAVEL_MM  # from the next step on, the plant reads the travel
         park(hit)
         end = int(stop.max())
 
+    x_col = xs[1:width + 1].T
     for col in (t_col, x_col, tension_col, velocity_col, effort_col, fsm_col, setpoint_col, angles_col, *labels):
         col.flags.writeable = False
     # Each state taken at a change or at the end, under the key of the changes before it.

@@ -686,7 +686,7 @@ class TestBatchedEngine:
 
     def test_every_episode_commanded_from_the_first_tick(self):
         # Motors near the OPEN setpoint, so that unsaturated effort shows
-        # from the first tick on, when no tick needs the effort mask.
+        # from the first tick on.
         episodes = [Episode(stream([(0.0, OPEN), (0.3, CLOSE)]), 0.6, calibrate_rom(size),
                             plant=flexed_plant(size, 2.0), initial_motor=MotorState(excursion))
                     for size, excursion in (("S", 0.5), ("M", 1.0), ("L", 0.0))]
@@ -713,6 +713,24 @@ class TestBatchedEngine:
         assert aborted.abort == "non-finite state at t=0.000"
         # The NaN sibling's tension is NaN on the very tick the cap first binds.
         assert capped.ticks.tension_n[0] == TENSION_CAP_N
+
+    _MOTOR_FAULTS = [MotorState(x, v) for x in (math.nan, math.inf, -math.inf, -0.0, -3.0, 55.5, 70.0)
+                     for v in (math.nan, math.inf, -math.inf, 0.0, -20.0)]
+
+    @pytest.mark.parametrize("make", [default_plant, flexed_plant])
+    def test_non_finite_and_out_of_travel_motors_match_the_reference(self, make, empty_engine_tables):
+        # Every pair of a NaN, infinite, signed-zero or out-of-travel initial
+        # excursion and a NaN, infinite or finite initial velocity, each on
+        # its own lane of one batch: every outcome is the reference's,
+        # recorded or not, and no step warns (an infinite velocity minus
+        # itself is NaN, which numpy would flag as an invalid value).
+        episodes = [Episode(stream([(0.0, OPEN), (0.1, CLOSE)]), 0.2, calibrate_rom("M"), plant=make("M"),
+                            initial_motor=motor) for motor in self._MOTOR_FAULTS]
+        recorded = self._assert_matches_reference(episodes)
+        # A NaN excursion, or a NaN or infinite velocity, makes a NaN excursion
+        # on the first tick: 5 + 6 * 3 lanes abort there.
+        assert [log.abort for log in recorded].count("non-finite state at t=0.000") == 23
+        assert [log.abort for log in run_episodes(episodes, record=False)] == [log.abort for log in recorded]
 
     def test_infinite_angles_abort(self, monkeypatch):
         # With no flexion stop, an infinite torque makes every angle +inf: not
@@ -770,6 +788,20 @@ class TestBatchedEngine:
         assert outcomes[1].abort == "non-finite state at t=0.205"
         assert [outcomes[i].abort for i in (0, 2, 3)] == [None] * 3
         assert entries == [(2, 4, 4)]
+
+    def test_a_parked_lane_costs_no_later_exact_check(self, monkeypatch, empty_engine_tables):
+        # A NaN initial excursion aborts its lane on tick 0, and its motor
+        # runs on as NaN; from the next step on the plant reads the travel
+        # in its rows instead, so only tick 0 of its 400-tick sibling's run
+        # enters the exact check, recorded or not.
+        entries = self._count_exact_checks(monkeypatch)
+        rom = calibrate_rom("M")
+        episodes = [Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M")),
+                    Episode(stream([(0.0, OPEN)]), 2.0, rom, initial_motor=MotorState(math.nan))]
+        for record in (True, False):
+            assert [log.abort for log in run_episodes(episodes, record=record)] == [
+                None, "non-finite state at t=0.000"]
+        assert entries == [(2, 4, 2)] * 2
 
     def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch, empty_engine_tables):
         # Three episodes of one input step one lane beside an aborting one
@@ -1337,12 +1369,13 @@ def test_argmin_and_argmax_pick_the_first_nan():
 @st.composite
 def _fault(draw, episode, kind):
     """``episode`` with a fault: a torque that turns NaN or infinite after a
-    tick ("torque"), a NaN or out-of-travel initial motor ("motor"), or an
-    infinite torque for a hand with no flexion stop, which makes every angle
-    +inf ("inf_angles")."""
+    tick ("torque"), a NaN, infinite, signed-zero or out-of-travel initial
+    motor ("motor"), or an infinite torque for a hand with no flexion stop,
+    which makes every angle +inf ("inf_angles")."""
     if kind == "motor":
-        excursion = draw(st.sampled_from([math.nan, -3.0, -1e-6, 55.5, 70.0]))
-        return replace(episode, initial_motor=MotorState(excursion, draw(st.floats(-20.0, 20.0))))
+        excursion = draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -3.0, -1e-6, 55.5, 70.0]))
+        velocity = draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-20.0, 20.0))
+        return replace(episode, initial_motor=MotorState(excursion, velocity))
     value = math.inf if kind == "inf_angles" else draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     t0 = draw(st.integers(0, int(round(episode.duration_s / CONTROL_DT_S)))) * CONTROL_DT_S
     return replace(episode, voluntary_nmm=lambda t: value if t > t0 else 0.0)
@@ -1408,8 +1441,9 @@ def _pinned_batches(seed=20261018, n_batches=16):
 
 
 def test_unrecorded_engine_memory_does_not_grow_with_ticks():
-    """Without a trajectory the engine holds per-episode state, not per-tick
-    tables: 400 five-second episodes, 400,000 ticks, peak below 4 MB."""
+    """Without a trajectory the engine keeps no per-tick columns, only
+    per-episode state and the motor's excursion rows, 8 B a lane-tick: 400
+    five-second episodes, 400,000 ticks, peak below 4 MB."""
     rom = calibrate_rom("M")
     episodes = [Episode(stream([(0.5 + 0.001 * k, OPEN), (2.5, CLOSE), (4.0, RELAX)]), 5.0, rom)
                 for k in range(400)]
