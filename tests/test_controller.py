@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import exobench
-from exobench import controller
+from exobench import controller, protocol
 from exobench.controller import (
     CONTROL_DT_S,
     FSM_STATES,
@@ -34,6 +34,7 @@ from exobench.controller import (
     run_episodes,
 )
 from exobench.signals import IntentLabel
+from exobench.subject import Subject
 from reference import (
     OPEN_THRESHOLD_DEG,
     ControllerState,
@@ -621,6 +622,13 @@ def _count_steps(monkeypatch):
 
     monkeypatch.setattr(np, "minimum", counting_minimum)
     return steps
+
+
+@pytest.fixture
+def engine_steps(monkeypatch):
+    """``_count_steps`` installed once for the whole test, so the examples of
+    a Hypothesis test share one wrapper instead of stacking their own."""
+    return _count_steps(monkeypatch)
 
 
 _TIMES = st.sampled_from([0.0, 0.005, 0.05, 0.1, 0.25]) | st.floats(0.0, 0.7)
@@ -1240,15 +1248,16 @@ def _warm_table_schedules(draw):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite and overflowing torques run on as inf/NaN
 @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_a_warm_table_changes_no_outcome(empty_engine_tables, data):
+def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data):
     """Episodes of 1-2 contexts, each running every schedule of a family
     that shares starts or shifts, in 2-3 calls, each recorded or not, one
     after the other from empty tables: the first script's episodes, then
     all the scripts' in a drawn order, each with a drawn tick count. Each
     recorded log is the scalar reference's; each unrecorded outcome, aborts
-    included, is the one the same call gives from empty tables. Then every
-    remembered state that an episode alone takes under the same key, at
-    that tick or later, is the one its recorded log reaches."""
+    included, is the one the same call gives from empty tables, and costs
+    no more loop steps. Then every remembered state that an episode alone
+    takes under the same key, at that tick or later, is the one its
+    recorded log reaches."""
     contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
     first, *scripts = data.draw(_warm_table_schedules(), label="scripts")
 
@@ -1263,14 +1272,17 @@ def test_a_warm_table_changes_no_outcome(empty_engine_tables, data):
     stops = controller.MAX_DEG if data.draw(st.booleans(), label="stopped") else np.full((4, 2), math.inf)
     with mock.patch.object(controller, "MAX_DEG", stops), empty_engine_tables():
         for call, record in calls:
+            before = len(engine_steps)
             logs = run_episodes(call, record)
             if record:
                 for episode, log in zip(call, logs):
                     assert _outcome_bits(log) == _reference_bits(episode)
                 continue
+            warm, before = len(engine_steps) - before, len(engine_steps)
             with empty_engine_tables():
                 cold = run_episodes(call, record=False)
             assert [log.abort for log in logs] == [log.abort for log in cold]
+            assert warm <= len(engine_steps) - before
         for episode in (episode for call, _ in calls for episode in call):
             _assert_remembered_states_are_reached(episode, empty_engine_tables)
 
@@ -1326,6 +1338,22 @@ def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypat
     assert run(4, (10, OPEN), (50, CLOSE)) == 90
     *kept, end = table
     assert kept == [keys[4][1], *keys[0]] and table[keys[4][1]][0] == 40 and table[end][0] == 90
+
+
+def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tables):
+    """From an empty table, the twelve sessions of an EMG subject and then of
+    its SH twin step these loop steps and leave these keys. A change to
+    what the table remembers or resumes moves these figures on purpose."""
+    steps = _count_steps(monkeypatch)
+    emg = Subject("S", "EMG", mas="2", seed=3)
+    stepped = []
+    for subject in (emg, replace(emg, group="SH")):
+        before = len(steps)
+        for plan in protocol.build_session_plans("S"):
+            protocol.run_session(plan, subject)
+        stepped.append(len(steps) - before)
+    assert stepped == [1100, 3628]
+    assert len(controller._STATES) == 36
 
 
 def test_a_changed_constant_empties_the_table(empty_engine_tables):
