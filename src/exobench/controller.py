@@ -394,7 +394,7 @@ def _state_keys(context: bytes, schedule: list[int], codes: np.ndarray, still: b
 
 
 def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: int,
-                record: bool) -> tuple[list[float], dict[int, float], list[tuple[float, float, int, float]]]:
+                record: bool) -> tuple[list[float], dict[int, float], list[float]]:
     """One lane's motor over its ``steps`` loop steps, as Python floats in the
     float order of the scalar reference's proportional and motor steps.
 
@@ -403,9 +403,9 @@ def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: 
     its start, idle); a setpoint is NaN before the first command, and then
     no effort is made. Returns the excursion at the start of each step and
     after the last, the velocity at the start of each move's step and of
-    step ``steps``, and, when recording, each step's (effort, velocity, FSM
-    code, setpoint) after it. The motor reads nothing the plant computes,
-    so it runs ahead of the plant's loop.
+    step ``steps``, and, when recording, each step's effort, velocity, FSM
+    code and setpoint after it, in one flat list. The motor reads nothing
+    the plant computes, so it runs ahead of the plant's loop.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
@@ -425,7 +425,7 @@ def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: 
             xs.append(x)
             if record:  # FSM settle: a move (the odd codes) that reaches its setpoint holds.
                 fsm += fsm & 1 and abs(x - sp) <= tol
-                rows.append((effort, v, fsm, sp))
+                rows += effort, v, fsm, sp
     kept[steps] = v
     return xs, kept, rows
 
@@ -579,7 +579,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         kept.append(velocities)
         if record:
             (effort_col[e, :stop[e]], velocity_col[e, :stop[e]], fsm_col[e, :stop[e]],
-             setpoint_col[e, :stop[e]]) = np.array(recorded).T
+             setpoint_col[e, :stop[e]]) = np.reshape(recorded, (-1, 4)).T
     stop = np.array(stop)
 
     # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
