@@ -51,28 +51,11 @@ from the columns. The scalar reference the engine matches bit for bit, one
 tick of proportional step, motor, plant and setpoint at a time, lives with
 the tests in ``tests/reference.py``.
 
-Every call steps each distinct input once, in one lane plan. An episode
-with a constant torque is keyed by the float64 bits of what its outcome
-depends on: its context (ROM setpoints, resolved plant arrays, resolved
-initial motor and torque), tick count and held-command schedule. The first
-episode of a key gets a lane and later ones in the call share it. The
-lane's state at the start of each tick where its held command changes, and
-at its end if it broke no invariant, goes into one module table of the
-newest 4,096 keys, keyed by the context and the changes before that tick;
-the changes' ticks count from the first change when the context is still
-(one uncommanded tick left its state bit-identical), and the first change's
-tick, or the end's for a lane never commanded, is in the key otherwise. An
-unrecorded call, as a session makes, starts each keyed lane at the deepest
-remembered state of its context and schedule that comes no later than its
-next change or its end. A remembered input starts at its end, so its lane
-is parked and steps no tick of its own; an aborted input left no end state
-and is stepped again, to the same abort. Episodes of one script share the
-start of their schedules, so most new inputs of a hand start late. From
-its start a lane is stepped and screened on every tick: a remembered state
-is a checked run's, on bit-identical inputs, and a call that finds the
-module constants the engine reads changed empties the table. Recorded
-calls start every lane at tick 0. Recorded columns are read-only, since
-episodes that share a lane share its rows.
+Every call steps each distinct input once, in one lane plan, and recorded
+columns are read-only, since episodes that share a lane share its rows. An
+unrecorded call, as a session makes, may start an input where an earlier
+call's run of it left off, in a module table whose rule ``_resume`` and
+``_remember`` state.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -81,7 +64,7 @@ finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,10 +347,11 @@ def _commands(
 #: their held command changes, and at their end if they broke no invariant,
 #: by ``_state_keys`` key, oldest first: the tick, counted from the lane's
 #: first change, and the float64 bits of the excursion, the velocity and the
-#: eight angles in ``DIGITS`` x ``JOINTS`` order. A key keeps the earliest
-#: tick it was taken at, which serves every lane whose next change or end
-#: comes then or later; at most ``_STATES_MAX`` keys of about 550 B each, so
-#: about 2.2 MB when full.
+#: eight angles in ``DIGITS`` x ``JOINTS`` order. Only ``_resume`` reads it
+#: and only ``_remember`` writes it. A key keeps the earliest tick it was
+#: taken at, which serves every lane whose next change or end comes then or
+#: later; at most ``_STATES_MAX`` keys of about 550 B each, so about 2.2 MB
+#: when full.
 _STATES: dict[bytes, tuple[int, bytes]] = {}
 _STATES_MAX = 4096
 #: The bits of the module constants the table was filled under: a call
@@ -391,6 +375,67 @@ def _state_keys(context: bytes, schedule: list[int], codes: np.ndarray, still: b
     changes = np.column_stack((np.subtract(schedule[:-1], schedule[0]), codes)).astype(float).tobytes()
     head = context + np.float64(0.0 if still else schedule[0]).tobytes()
     return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(schedule))]
+
+
+def _resume(under: bytes, context: bytes, ticks: np.ndarray, codes: np.ndarray, n: int,
+            record: bool) -> tuple[int, int, np.ndarray | None, tuple | None]:
+    """Where a keyed lane starts: its start tick, its count of changes before
+    that tick, the remembered state it starts in (None for its own, at tick
+    0) and ``_remember``'s memo of it, None when it steps no tick.
+
+    ``context`` is the lane's key without its tick count and schedule; one
+    that keys a state by itself is still (see ``_state_keys``). A table
+    filled under module constants other than ``under`` reads as empty. A
+    recorded lane starts at tick 0, an unrecorded one at the deepest
+    remembered state of its context and schedule that comes no later than
+    its next change or its end: the state a lane stepped from tick 0
+    reaches there, bit for bit, with no invariant broken before it. One
+    that starts at its end is parked; an aborted input left no end state,
+    so it is stepped again, to the same abort. A lane that starts
+    uncommanded at tick 0, of a context not known to be still, is probed:
+    its state at tick 1 shows whether it is.
+    """
+    table = _STATES if under == _TABLES_UNDER else {}
+    schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
+    still = context in table
+    keys = _state_keys(context, schedule, codes, still)
+    start, depth, state = 0, 0, None
+    if not record:
+        for k in range(len(ticks), -1, -1):
+            found = table.get(keys[k])
+            if found is not None and schedule[0] + found[0] <= schedule[k]:
+                start, depth, state = schedule[0] + found[0], k, np.frombuffer(found[1])
+                break
+    probe = not still and start == 0 and schedule[0] > 0
+    return start, depth, state, (context, schedule, codes, keys, probe) if start < n else None
+
+
+def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
+    """Keep the states of a call's lanes, each given as ``_resume``'s memo of
+    it and its states by tick, taken with no invariant broken before them.
+
+    A table filled under module constants other than ``under`` is emptied
+    first. The state at each tick of a lane's schedule goes under the key
+    of the changes before it, at its tick from the first change; a probed
+    lane whose state at tick 1 is its state at tick 0 is keyed as still. A
+    new key evicts the oldest once the table holds ``_STATES_MAX``, and a
+    key keeps the earliest tick it was taken at.
+    """
+    global _TABLES_UNDER
+    if under != _TABLES_UNDER:
+        _STATES.clear()
+        _TABLES_UNDER = under
+    for (context, schedule, codes, keys, probe), by_tick in taken:
+        if probe and by_tick.get(1) == by_tick[0]:  # one uncommanded tick left it bit-identical
+            keys = _state_keys(context, schedule, codes, True)
+        first = schedule[0]
+        for key, a in zip(keys, schedule):
+            if a in by_tick:
+                held = _STATES.get(key)
+                if held is None and len(_STATES) >= _STATES_MAX:
+                    del _STATES[next(iter(_STATES))]  # the oldest
+                if held is None or a - first < held[0]:
+                    _STATES[key] = (a - first, by_tick[a])
 
 
 def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: int,
@@ -461,44 +506,29 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     three arrays, the resolved initial motor and the torque), its tick count
     and its held-command schedule. So -0.0 and 0.0 differ and a NaN matches
     only its own bits. The first episode of a key gets a lane and later
-    ones in the call share it. Each keyed lane's state at the start of each
-    tick where its held command changes, and at its end if it broke no
-    invariant, is remembered in a table of the newest ``_STATES_MAX`` keys,
-    which a call finding the engine's module constants changed empties.
-    ``record`` decides the rest. With it, every lane starts at tick 0, the
-    FSM settles and the columns are kept (the efforts, FSM codes and
-    setpoints by the motor's run), read-only since episodes of one key
-    share a lane's rows, up to and including an abort's tick. Without it
-    every log has zero ticks, and each keyed lane starts at the deepest
-    remembered state of its context and schedule (see ``_state_keys``) that
-    comes no later than its next change or its end. Such a state is the one
-    a lane stepped from tick 0 reaches, bit for bit, and before it that lane
-    broke no invariant. A lane that starts at its end is parked, so it steps
-    no tick of its own and its abort is None.
+    ones in the call share it. ``record`` decides the rest. With it, every
+    lane starts at tick 0, the FSM settles and the columns are kept (the
+    efforts, FSM codes and setpoints by the motor's run), read-only since
+    episodes of one key share a lane's rows, up to and including an abort's
+    tick. Without it every log has zero ticks, and a keyed lane starts
+    where ``_resume`` finds a remembered state, or is parked at its end with
+    no tick and no abort, and leaves its own states to ``_remember``.
     """
-    global _TABLES_UNDER
     if len(episodes) == 0:
         return []
+    # The bits of the module constants the engine reads.
     scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
-    if under != _TABLES_UNDER:
-        _STATES.clear()
-        _TABLES_UNDER = under
 
     # The lane plan, in one pass. Each episode resolves its hand, motor, tick
     # count and held-command schedule; a repeat of a key in the call takes
-    # its lane. A lane starts at tick 0 in the state its episode gives, or
-    # later in a remembered state with the setpoint of the command it holds
-    # there (and an idle FSM, which only a recorded call, starting at tick
-    # 0, reads). Each lane keeps its motor's moves, from its start and at
-    # each later change of its held command, and per loop step the keyed
-    # lanes whose state is taken: at each later change and at the lane's end.
+    # its lane. A lane starts at tick 0, or where ``_resume`` puts it, with
+    # the setpoint of the command it holds there and an idle FSM, and keeps
+    # its motor's moves, from its start and at each later held-command change.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
     lane_of, labels, hands, motors, voluntary, disturbed, starts, stop = ([] for _ in range(8))
-    taken_at: dict[int, list[int]] = {}
-    schedules: dict[int, tuple] = {}  # each keyed, stepped lane's (context, schedule, codes, keys, bits to probe)
-    taken: dict[int, dict[int, bytes]] = {}  # each such lane's states, by its own tick
+    taken: dict[int, tuple] = {}  # each keyed, stepped lane's (memo from _resume, states by tick)
     aborts: dict[int, str | None] = {}
     for ep in episodes:
         n = int(round(ep.duration_s / CONTROL_DT_S))
@@ -525,27 +555,12 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             disturbed.append((lane, torque))
         else:
             keyed[key] = lane
-        # The lane's state (excursion, velocity, DIGITS x JOINTS angles) at
-        # its start tick, and its changes before that tick.
-        state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
-        start = k = 0
-        probe = None
-        if key is not None:
-            schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
-            still = context in _STATES  # only a still context keys a state by itself
-            keys = _state_keys(context, schedule, codes, still)
-            if not record:  # the deepest state no later than the lane's next change or its end
-                for depth in range(len(ticks), -1, -1):
-                    found = _STATES.get(keys[depth])
-                    if found is not None and schedule[0] + found[0] <= schedule[depth]:
-                        start, k, state = schedule[0] + found[0], depth, np.frombuffer(found[1])
-                        break
-            if start < n:  # a lane that starts at its end is parked with no step of its own
-                # A lane whose first tick is uncommanded shows at its second
-                # whether its context is still.
-                probe = state.tobytes() if not still and start == 0 and schedule[0] > 0 else None
-                schedules[lane], taken[lane] = (context, schedule, codes, keys, probe), {}
-                taken_at.setdefault(n - start, []).append(lane)
+        start, k, found, memo = (0, 0, None, None) if key is None else _resume(under, context, ticks, codes, n, record)
+        if memo is not None:
+            taken[lane] = memo, {}
+        # Its state (excursion, velocity, DIGITS x JOINTS angles) at its start.
+        state = found if found is not None else np.concatenate(
+            ([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
         hands.append((state[2:].reshape(len(DIGITS), len(JOINTS)), plant.moment_arm_mm, plant.stiffness_nmm_deg))
         voluntary.append(0.0 if key is None else torque)
         starts.append(start)
@@ -554,29 +569,27 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
                  for code in codes.tolist()]
         at = (ticks[k:] - start).tolist()
         plan = [(0, moves[k - 1][0] if k else math.nan, _IDLE), *((i, *move) for i, move in zip(at, moves[k:]))]
-        if lane in schedules:
-            for i in at:
-                taken_at.setdefault(i, []).append(lane)
-        if probe is not None:  # its state is taken at step 1 too, where it holds no command yet
+        if start == 0 and 0 not in at:  # so its velocity at step 1 is kept, for _resume's probe
             plan.insert(1, (1, math.nan, _IDLE))
-            taken_at.setdefault(1, []).append(lane)
         motors.append((*state[:2].tolist(), plan))
     n_lanes = len(stop)
     n_max = end = max(stop)  # the loop ends with the last lane's stop step
     width = n_max if record else 0
 
     # Each lane's motor, run ahead of the plant's loop over the lane's own
-    # steps: its excursions, a row per step (row i + 1 after step i, and
-    # the travel after its stop), its velocities at the steps its state may
-    # be taken and, recorded, its effort, velocity, FSM and setpoint columns.
+    # steps: its excursions, a row per step (row i + 1 after step i, and the
+    # travel after its stop), its velocities at its moves and its stop, the
+    # steps its state is taken at, and, recorded, its motor columns.
     xs = np.full((n_max + 1, n_lanes), TRAVEL_MM)
     velocity_col, effort_col, setpoint_col = (np.empty((n_lanes, width)) for _ in range(3))
     fsm_col = np.empty((n_lanes, width), dtype=np.int8)
-    kept = []
+    taken_at: dict[int, list[tuple[int, float]]] = {}  # per loop step, each lane whose state is taken, and its velocity
     for e, (x, v, plan) in enumerate(motors):
         rows, velocities, recorded = _motor_rows(x, v, plan, stop[e], record)
         xs[:len(rows), e] = rows
-        kept.append(velocities)
+        if e in taken:
+            for i, velocity in velocities.items():
+                taken_at.setdefault(i, []).append((e, velocity))
         if record:
             (effort_col[e, :stop[e]], velocity_col[e, :stop[e]], fsm_col[e, :stop[e]],
              setpoint_col[e, :stop[e]]) = np.reshape(recorded, (-1, 4)).T
@@ -619,10 +632,10 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     for i in range(n_max + 1):
         # A lane's states are taken before the loop can end: its last, at its
         # stop step, is the state its n ticks leave.
-        for e in taken_at.get(i, ()):
+        for e, velocity in taken_at.get(i, ()):
             if e not in aborts:
-                taken[e][starts[e] + i] = np.concatenate(([xs[i, e], kept[e][i]], angles[:, :, e].T),
-                                                         axis=None).tobytes()
+                taken[e][1][starts[e] + i] = np.concatenate(([xs[i, e], velocity], angles[:, :, e].T),
+                                                            axis=None).tobytes()
         if i >= end:
             break
         t = i * CONTROL_DT_S  # a disturbed lane's own tick: it starts at 0
@@ -686,21 +699,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     x_col = xs[1:width + 1].T
     for col in (t_col, x_col, tension_col, velocity_col, effort_col, fsm_col, setpoint_col, angles_col, *labels):
         col.flags.writeable = False
-    # Each state taken at a change or at the end, under the key of the changes before it.
-    for e, by_tick in taken.items():
-        context, schedule, codes, keys, probe = schedules[e]
-        if probe is not None and by_tick.get(1) == probe:  # one uncommanded tick left it bit-identical
-            keys = _state_keys(context, schedule, codes, True)
-        first = schedule[0]
-        for k, a in enumerate(schedule):
-            bits = by_tick.get(a)
-            if bits is None:
-                continue
-            held = _STATES.get(keys[k])
-            if held is None and len(_STATES) >= _STATES_MAX:
-                del _STATES[next(iter(_STATES))]  # the oldest
-            if held is None or a - first < held[0]:
-                _STATES[keys[k]] = (a - first, bits)
+    _remember(under, taken.values())
     return [TrajectoryLog(TrajectoryColumns(
         t=t_col[:n],
         intent=label[:n],
