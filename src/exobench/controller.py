@@ -53,9 +53,9 @@ the tests in ``tests/reference.py``.
 
 Every call steps each distinct input once, in one lane plan, and recorded
 columns are read-only, since episodes that share a lane share its rows. An
-unrecorded call, as a session makes, may start an input where an earlier
-call's run of it left off, in a module table whose rule ``_resume`` and
-``_remember`` state.
+unrecorded call, as a session makes, may start an input in a state an
+earlier call reached on the same hand and schedule, kept in a module table
+whose rule ``_resume`` and ``_remember`` state.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.

@@ -227,8 +227,8 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
 
     Each task runs one controller episode (a grasp-release cycle through
     the subject's intent interface); the session's episodes run together in
-    one unrecorded batched ``controller.run_episodes`` call, which may
-    resume an input from an earlier call's run (see ``controller._resume``).
+    one unrecorded batched ``controller.run_episodes`` call, which may start
+    an input in a state an earlier call reached (see ``controller._resume``).
     A safety abort is logged as a device adjustment and the task resumes.
     Active time comes from the duration model. The session ends after the
     task during which the active budget is reached (overflow flag set), or,
