@@ -14,42 +14,27 @@ fingers pulled open). Retracting the motor extends the fingers; releasing
 cable lets finger tone and voluntary flexion close the hand.
 
 One engine runs every episode, each an ``Episode`` checked when built.
-``run_episodes`` steps any number in lockstep on plain arrays, every
-``CONTROL_DT_S``, and gives each its ``TrajectoryLog``, the one outcome
-record, which names the invariant an aborted episode broke; ``run_episode``
-runs one. The gain, the drive and what every hand shares (rest pose, flexion
-stops, damping, tendon stiffness) are module constants, the drive's checked
-once at import. A ``HandPlant`` holds only what differs between hands, the
-pose, the tone and the glove's moment arms, validated once when it is built,
-never per tick. The motor reads nothing the plant computes, so each
-episode's motor runs first, over its own ticks, as one Python-float
-recurrence in the scalar reference's float order; a held command is its
-state, set on the few ticks where it changes. It leaves
-one row of excursions per tick, which the lockstep loop reads, and that loop
-steps only the plant, whose cost is per array call, not per episode; a batch
-with no voluntary torque skips its add. The plant state is held joint-major,
-(2 joints, 4 digits, E), so a digit's take-up is one add of its MCP and PIP
-rows and the per-episode and per-digit arrays broadcast without views; the
-angles are clamped by one maximum and one minimum. A typical tick is 16
-ufunc calls, all for the plant, and 3 arg-reductions for the screen. The
-safety invariants are checked on every tick for every episode through one
-merged screen: the max of the tensions decides the cap, and with the min and
-max of the joint angles it shows at once whether any episode needs its exact
-check. The motor's clamp leaves each excursion in the travel or NaN, and a
-NaN excursion makes its episode's tensions and angles NaN on the same tick,
-so the excursions need no screen of their own. Each extreme is read at the
-index ``argmin`` or ``argmax`` gives, which is the first NaN when there is
-one, so the screen sees a NaN exactly where a full reduction would, at about
-half a reduction's cost per call. An episode that breaks an invariant stops
-alone: a lane runs from its start tick to its stop tick, its tick count cut
-to the abort tick + 1, and step i of the loop is tick start + i of each
-lane; from the next step on the plant reads the travel as a stopped lane's
-excursion. A trajectory is one set of columns, one array per quantity with
-a row per tick, recorded only when
-the caller asks for it; its JSONL form is one encode per tick of a row read
-from the columns. The scalar reference the engine matches bit for bit, one
-tick of proportional step, motor, plant and setpoint at a time, lives with
-the tests in ``tests/reference.py``.
+``run_episodes`` steps each distinct one as a lane, every ``CONTROL_DT_S``,
+and gives each its ``TrajectoryLog``, the one outcome record, which names
+the invariant an aborted episode broke; ``run_episode`` runs one. The gain,
+the drive and what every hand shares (rest pose, flexion stops, damping,
+tendon stiffness) are module constants, the drive's checked once at import.
+A ``HandPlant`` holds only what differs between hands, the pose, the tone
+and the glove's moment arms, validated once when it is built, never per
+tick. A lane runs on its own, from its start to its stop, as one recurrence
+on Python floats: the proportional step, the motor and the plant, with the
+eight joint angles held as locals, in the scalar reference's float order.
+So a lane-tick costs the same whatever the number of lanes, and a stopped
+lane costs nothing. A held command is its state, set on the few ticks where
+it changes. The safety invariants are checked on every tick of every lane:
+a screen of scalar comparisons passes on almost every tick, and otherwise
+the exact checks name the invariant broken, in the reference's order. A
+lane that breaks one stops alone, its tick count cut to the abort tick + 1.
+A trajectory is one set of columns, one array per quantity with a row per
+tick, recorded only when the caller asks for it; its JSONL form is one
+encode per tick of a row read from the columns. The scalar reference the
+engine matches bit for bit, one tick of proportional step, motor, plant and
+setpoint at a time, lives with the tests in ``tests/reference.py``.
 
 Every call steps each distinct input once, in one lane plan, and recorded
 columns are read-only, since episodes that share a lane share its rows. An
@@ -64,7 +49,7 @@ finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,81 +423,139 @@ def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> 
                     _STATES[key] = (a - first, by_tick[a])
 
 
-def _motor_rows(x: float, v: float, moves: list[tuple[int, float, int]], steps: int,
-                record: bool) -> tuple[list[float], dict[int, float], list[float]]:
-    """One lane's motor over its ``steps`` loop steps, as Python floats in the
-    float order of the scalar reference's proportional and motor steps.
+def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[float], float],
+               moves: dict[int, tuple[float, int]], setpoint: float, start: int, n: int,
+               takes: Container[int], record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
+    """One lane from tick ``start``, in ``state`` (excursion, velocity and the
+    eight angles in ``DIGITS`` x ``JOINTS`` order), to its end ``n`` or its
+    abort, as one recurrence on Python floats: each tick the proportional
+    step, the motor and the plant, in the scalar reference's float order.
 
-    ``moves`` is the lane's (step, setpoint, FSM code) from each step where
-    its held command changes, ascending, led by (0, the setpoint it holds at
-    its start, idle); a setpoint is NaN before the first command, and then
-    no effort is made. Returns the excursion at the start of each step and
-    after the last, the velocity at the start of each move's step and of
-    step ``steps``, and, when recording, each step's effort, velocity, FSM
-    code and setpoint after it, in one flat list. The motor reads nothing
-    the plant computes, so it runs ahead of the plant's loop.
+    ``setpoint`` is the one held at ``start``, NaN before the first command,
+    when no effort is made; ``moves`` gives the (setpoint, FSM code) each
+    held-command change sets, by its tick. The hand constants are read when
+    the lane runs. Each tick is screened by scalar comparisons: the sum of
+    the excursion and the angles is finite, the total tension is within the
+    cap and the least angle is not below the block. When the screen fails,
+    the invariants are checked exactly, in the reference's order, and a
+    breach stops the lane on that tick. Returns the ticks it stepped, its
+    diagnostic or None, its states at the ticks in ``takes`` that it reached
+    with no invariant broken, and, when recording, 14 values per tick: the
+    effort, velocity, FSM code, setpoint, excursion, total tension and angles.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
-    xs, kept, rows = [x], {}, []
-    for (a, sp, fsm), (b, *_) in zip(moves, [*moves[1:], (steps,)]):
-        kept[a] = v
-        commanded = sp == sp
-        for _ in range(a, b):
-            # min and max keep a NaN as np.minimum and np.maximum do.
-            effort = min(max(kp * (sp - x), -1.0), 1.0) if commanded else 0.0
-            v = v + (effort * speed - v) * dt / tau
-            x = x + v * dt
-            if x < 0.0:
-                x = v = 0.0
-            elif x > travel:
-                x, v = travel, 0.0
-            xs.append(x)
-            if record:  # FSM settle: a move (the odd codes) that reaches its setpoint holds.
-                fsm += fsm & 1 and abs(x - sp) <= tol
-                rows += effort, v, fsm, sp
-    kept[steps] = v
-    return xs, kept, rows
+    deg2rad, tendon, cap, isfinite = _DEG2RAD, TENDON_STIFFNESS_N_MM, TENSION_CAP_N, math.isfinite
+    limit = cap + 1e-9
+    r0, r1, r2, r3, r4, r5, r6, r7 = np.ravel(REST_DEG).tolist()
+    q0, q1, q2, q3, q4, q5, q6, q7 = np.ravel(MAX_DEG).tolist()
+    d0, d1, d2, d3, d4, d5, d6, d7 = np.ravel(DAMPING_NMM_S_DEG).tolist()
+    m0, m1, m2, m3, m4, m5, m6, m7 = plant.moment_arm_mm.ravel().tolist()
+    k0, k1, k2, k3, k4, k5, k6, k7 = plant.stiffness_nmm_deg.ravel().tolist()
+    x, v, a0, a1, a2, a3, a4, a5, a6, a7 = state
+    disturbed = callable(torque)
+    w = 0.0 if disturbed else float(torque)
+    sp, fsm, states, rows = setpoint, _IDLE, {}, []
+    for tick in range(start, n + 1):
+        if tick in takes:
+            states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
+        if tick == n:
+            break
+        if tick in moves:
+            sp, fsm = moves[tick]
+        if disturbed:
+            w = float(torque(tick * dt))  # as a float64 array store casts it
+        # The reference's min(max(e, -1.0), 1.0), comparison for comparison,
+        # so a NaN is kept.
+        e = kp * (sp - x) if sp == sp else 0.0
+        effort = -1.0 if e < -1.0 else (1.0 if e > 1.0 else e)
+        v = v + (effort * speed - v) * dt / tau
+        x = x + v * dt
+        if x < 0.0:
+            x = v = 0.0
+        elif x > travel:
+            x, v = travel, 0.0
+        # Per digit, the stretch is its take-up (MCP + PIP) less the
+        # excursion; a clamp at zero written as a comparison keeps a NaN and
+        # turns -0.0 into 0.0, as np.maximum(s, 0.0) does.
+        s = m0 * a0 * deg2rad + m1 * a1 * deg2rad - x
+        t0 = tendon * (0.0 if s <= 0.0 else s)
+        s = m2 * a2 * deg2rad + m3 * a3 * deg2rad - x
+        t1 = tendon * (0.0 if s <= 0.0 else s)
+        s = m4 * a4 * deg2rad + m5 * a5 * deg2rad - x
+        t2 = tendon * (0.0 if s <= 0.0 else s)
+        s = m6 * a6 * deg2rad + m7 * a7 * deg2rad - x
+        t3 = tendon * (0.0 if s <= 0.0 else s)
+        total = t0 + t1 + t2 + t3
+        if total > cap:
+            f = cap / total
+            t0, t1, t2, t3, total = t0 * f, t1 * f, t2 * f, t3 * f, cap
+        # stiffness * (rest - angle) - tension * arm is the same bits as the
+        # reference's -tension * arm + stiffness * (rest - angle).
+        a0 = a0 + (k0 * (r0 - a0) - t0 * m0 + w) / d0 * dt
+        a1 = a1 + (k1 * (r1 - a1) - t0 * m1 + w) / d1 * dt
+        a2 = a2 + (k2 * (r2 - a2) - t1 * m2 + w) / d2 * dt
+        a3 = a3 + (k3 * (r3 - a3) - t1 * m3 + w) / d3 * dt
+        a4 = a4 + (k4 * (r4 - a4) - t2 * m4 + w) / d4 * dt
+        a5 = a5 + (k5 * (r5 - a5) - t2 * m5 + w) / d5 * dt
+        a6 = a6 + (k6 * (r6 - a6) - t3 * m6 + w) / d6 * dt
+        a7 = a7 + (k7 * (r7 - a7) - t3 * m7 + w) / d7 * dt
+        a0 = 0.0 if a0 <= 0.0 else (q0 if a0 > q0 else a0)
+        a1 = 0.0 if a1 <= 0.0 else (q1 if a1 > q1 else a1)
+        a2 = 0.0 if a2 <= 0.0 else (q2 if a2 > q2 else a2)
+        a3 = 0.0 if a3 <= 0.0 else (q3 if a3 > q3 else a3)
+        a4 = 0.0 if a4 <= 0.0 else (q4 if a4 > q4 else a4)
+        a5 = 0.0 if a5 <= 0.0 else (q5 if a5 > q5 else a5)
+        a6 = 0.0 if a6 <= 0.0 else (q6 if a6 > q6 else a6)
+        a7 = 0.0 if a7 <= 0.0 else (q7 if a7 > q7 else a7)
+        if record:  # FSM settle: a move (the odd codes) that reaches its setpoint holds.
+            fsm += fsm & 1 and abs(x - sp) <= tol
+            rows += effort, v, fsm, sp, x, total, a0, a1, a2, a3, a4, a5, a6, a7
+        # The screen passes on almost every tick; a sum of finite values
+        # that overflows only sends the tick to the exact checks.
+        if (isfinite(x + a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7) and total <= limit and a0 >= -1e-9
+                and a1 >= -1e-9 and a2 >= -1e-9 and a3 >= -1e-9 and a4 >= -1e-9 and a5 >= -1e-9
+                and a6 >= -1e-9 and a7 >= -1e-9):
+            continue
+        angles = (a0, a1, a2, a3, a4, a5, a6, a7)
+        t = tick * dt
+        if not all(map(isfinite, (x, *angles))):
+            abort = f"non-finite state at t={t:.3f}"
+        elif total > limit:
+            abort = f"tension cap breached at t={t:.3f}: {total:.2f} N"
+        elif min(angles) < -1e-9:
+            abort = f"hyperextension block breached at t={t:.3f}"
+        else:
+            continue
+        return tick - start + 1, abort, states, rows
+    return n - start, None, states, rows
 
 
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
-    """Run E episodes of the control loop in lockstep; one ``TrajectoryLog`` per episode.
+    """Run E episodes of the control loop; one ``TrajectoryLog`` per episode.
 
-    Each lane's motor runs first, over its own ticks, as Python floats in
-    the float order of the scalar reference's proportional and motor steps
-    (``_motor_rows``), and leaves an (ticks + 1, E) array of excursions.
-    Its setpoint is state, NaN until the first command, set on the few
-    ticks where the held command changes, which also start the FSM's move:
-    OPEN retracts, CLOSE extends, RELAX holds the last command. The plant
-    state is then held in (2 joints, 4 digits, E) joint-angle arrays and
-    stepped in lockstep in the float order of the reference's plant step,
-    reading each tick's excursions, so each episode matches the reference
-    bit for bit.
+    Each distinct input is one lane, run on its own by ``_step_lane`` from
+    its start tick to its end or its abort, so each matches the scalar
+    reference bit for bit. Its setpoint is state, NaN until the first
+    command, set on the few ticks where the held command changes, which
+    also start the FSM's move: OPEN retracts, CLOSE extends, RELAX holds
+    the last command. Every tick of a lane is checked for non-finite state,
+    the tension cap and the hyperextension block, in that order; a lane
+    that fails stops at that tick, with its diagnostic, which names the
+    lane's own tick, as its log's ``abort``.
 
-    Every live episode is checked on every tick for non-finite state, the
-    tension cap and the hyperextension block, in that order. A tick whose
-    merged screen passes has no breach; otherwise each episode is checked
-    exactly. The screen reads the extremes of the tensions and the angles
-    at their ``argmin``/``argmax``, which pick the first NaN, so it misses
-    no NaN, and a NaN excursion shows in both. A lane runs from its start
-    tick to its stop tick, and step i of the loop is tick start + i of each
-    lane. One that fails stops at that tick, with its diagnostic, which
-    names the lane's own tick, as its log's ``abort``, and is parked: from
-    the next step on, its excursion rows hold the travel. The others run on.
-
-    Each distinct input gets one lane. An episode whose ``voluntary_nmm`` is
-    a constant is keyed by the float64 bits of every input its outcome
-    depends on: its context (the ROM's setpoints, the resolved plant's
-    three arrays, the resolved initial motor and the torque), its tick count
-    and its held-command schedule. So -0.0 and 0.0 differ and a NaN matches
-    only its own bits. The first episode of a key gets a lane and later
-    ones in the call share it. ``record`` decides the rest. With it, every
-    lane starts at tick 0, the FSM settles and the columns are kept (the
-    efforts, FSM codes and setpoints by the motor's run), read-only since
-    episodes of one key share a lane's rows, up to and including an abort's
-    tick. Without it every log has zero ticks, and a keyed lane starts
-    where ``_resume`` finds a remembered state, or is parked at its end with
-    no tick and no abort, and leaves its own states to ``_remember``.
+    An episode whose ``voluntary_nmm`` is a constant is keyed by the float64
+    bits of every input its outcome depends on: its context (the ROM's
+    setpoints, the resolved plant's three arrays, the resolved initial
+    motor and the torque), its tick count and its held-command schedule. So
+    -0.0 and 0.0 differ and a NaN matches only its own bits. The first
+    episode of a key gets a lane and later ones in the call share it.
+    ``record`` decides the rest. With it, every lane starts at tick 0, the
+    FSM settles and the columns are kept, read-only since episodes of one
+    key share a lane's rows, up to and including an abort's tick. Without
+    it every log has zero ticks, and a keyed lane starts where ``_resume``
+    finds a remembered state, or is parked at its end with no tick and no
+    abort, and leaves to ``_remember`` its states at the ticks it reads.
     """
     if len(episodes) == 0:
         return []
@@ -521,15 +564,13 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
 
-    # The lane plan, in one pass. Each episode resolves its hand, motor, tick
-    # count and held-command schedule; a repeat of a key in the call takes
-    # its lane. A lane starts at tick 0, or where ``_resume`` puts it, with
-    # the setpoint of the command it holds there and an idle FSM, and keeps
-    # its motor's moves, from its start and at each later held-command change.
+    # One pass over the episodes. Each resolves its hand, motor, tick count
+    # and held-command schedule; a repeat of a key in the call takes its
+    # lane. A lane starts at tick 0, or where ``_resume`` puts it, holding
+    # the setpoint of its last change before then, and runs at once.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
-    lane_of, labels, hands, motors, voluntary, disturbed, starts, stop = ([] for _ in range(8))
-    taken: dict[int, tuple] = {}  # each keyed, stepped lane's (memo from _resume, states by tick)
-    aborts: dict[int, str | None] = {}
+    lane_of, labels, lanes = [], [], []  # lanes: each lane's (ticks stepped, diagnostic, recorded rows)
+    taken = []  # each keyed, stepped lane's (memo from _resume, states by tick)
     for ep in episodes:
         n = int(round(ep.duration_s / CONTROL_DT_S))
         plant = ep.plant if ep.plant is not None else default_plant()
@@ -549,168 +590,51 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         if key in keyed:
             lane_of.append(keyed[key])
             continue
-        lane = len(stop)
-        lane_of.append(lane)
-        if key is None:
-            disturbed.append((lane, torque))
-        else:
-            keyed[key] = lane
+        lane_of.append(len(lanes))
+        if key is not None:
+            keyed[key] = len(lanes)
         start, k, found, memo = (0, 0, None, None) if key is None else _resume(under, context, ticks, codes, n, record)
-        if memo is not None:
-            taken[lane] = memo, {}
-        # Its state (excursion, velocity, DIGITS x JOINTS angles) at its start.
         state = found if found is not None else np.concatenate(
             ([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
-        hands.append((state[2:].reshape(len(DIGITS), len(JOINTS)), plant.moment_arm_mm, plant.stiffness_nmm_deg))
-        voluntary.append(0.0 if key is None else torque)
-        starts.append(start)
-        stop.append(n - start)
         moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
-        at = (ticks[k:] - start).tolist()
-        plan = [(0, moves[k - 1][0] if k else math.nan, _IDLE), *((i, *move) for i, move in zip(at, moves[k:]))]
-        if start == 0 and 0 not in at:  # so its velocity at step 1 is kept, for _resume's probe
-            plan.insert(1, (1, math.nan, _IDLE))
-        motors.append((*state[:2].tolist(), plan))
-    n_lanes = len(stop)
-    n_max = end = max(stop)  # the loop ends with the last lane's stop step
-    width = n_max if record else 0
+        # The states _remember reads: at the lane's schedule ticks from its
+        # start on, and at ticks 0 and 1 of a probed lane.
+        takes = set()
+        if memo is not None:
+            _, schedule, _, _, probe = memo
+            takes = {*schedule[k:], *((0, 1) if probe else ())}
+        stepped, abort, states, rows = _step_lane(
+            state.tolist(), plant, torque, dict(zip(ticks.tolist(), moves)), moves[k - 1][0] if k else math.nan,
+            start, n, takes, record)
+        if memo is not None:
+            taken.append((memo, states))
+        lanes.append((stepped, abort, rows))
+    _remember(under, taken)
 
-    # Each lane's motor, run ahead of the plant's loop over the lane's own
-    # steps: its excursions, a row per step (row i + 1 after step i, and the
-    # travel after its stop), its velocities at its moves and its stop, the
-    # steps its state is taken at, and, recorded, its motor columns.
-    xs = np.full((n_max + 1, n_lanes), TRAVEL_MM)
-    velocity_col, effort_col, setpoint_col = (np.empty((n_lanes, width)) for _ in range(3))
-    fsm_col = np.empty((n_lanes, width), dtype=np.int8)
-    taken_at: dict[int, list[tuple[int, float]]] = {}  # per loop step, each lane whose state is taken, and its velocity
-    for e, (x, v, plan) in enumerate(motors):
-        rows, velocities, recorded = _motor_rows(x, v, plan, stop[e], record)
-        xs[:len(rows), e] = rows
-        if e in taken:
-            for i, velocity in velocities.items():
-                taken_at.setdefault(i, []).append((e, velocity))
-        if record:
-            (effort_col[e, :stop[e]], velocity_col[e, :stop[e]], fsm_col[e, :stop[e]],
-             setpoint_col[e, :stop[e]]) = np.reshape(recorded, (-1, 4)).T
-    stop = np.array(stop)
-
-    # Joint-major plant state, (2 joints, 4 digits, E): the hands' arrays,
-    # validated when each HandPlant was built, from one stack whose release
-    # lifts glibc's trim threshold over a pilot-sized tick's temporaries; and
-    # the joint constants tiled once. A digit's take-up is MCP + PIP, and (E,)
-    # and (4, E) arrays broadcast on the leading axes, with no view. Every
-    # array is C-contiguous: strided operands cost about twice per call.
-    angles, arm, stiffness = np.array(hands).transpose(1, 3, 2, 0).copy()
-    rest, q_max, damping = (np.tile(c.T[:, :, None], (1, 1, n_lanes))
-                            for c in (REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG))
-    voluntary = np.array(voluntary, dtype=float)
-
-    def park(lanes):
-        """Hold stopped lanes at rest and tension-free, so they fail no later
-        screen: a zero moment arm takes up no cable, and their rows hold the
-        travel, never a NaN."""
-        voluntary[lanes] = 0.0
-        angles[:, :, lanes] = rest[:, :, lanes]
-        arm[:, :, lanes] = 0.0
-
-    park(stop == 0)
-    # Adding a zero torque can only turn a -0.0 into +0.0, which the clamp
-    # at zero does too, so a batch with none skips the add.
-    any_voluntary = bool(disturbed) or bool(voluntary.any())
-
-    # Constants as 0-d arrays: a ufunc call with a Python or numpy scalar
-    # operand costs about half as much again as one with arrays.
-    dt, deg2rad, tendon, cap, zero = (np.asarray(v, dtype=float) for v in (
-        CONTROL_DT_S, _DEG2RAD, TENDON_STIFFNESS_N_MM, TENSION_CAP_N, 0.0))
-    where, maximum, minimum, add_reduce = np.where, np.maximum, np.minimum, np.add.reduce
-
+    # Recorded, each lane's rows fill its row of one (lanes, ticks, 14)
+    # block, whose columns the logs view.
+    width = max(stepped for stepped, _, _ in lanes) if record else 0
+    block = np.zeros((len(lanes), width, 14))
+    for e, (stepped, _, rows) in enumerate(lanes):
+        if rows:
+            block[e, :stepped] = np.array(rows, dtype=float).reshape(stepped, 14)
     t_col = np.arange(width) * CONTROL_DT_S
-    tension_col = np.empty((n_lanes, width))
-    angles_col = np.empty((n_lanes, width, len(DIGITS), len(JOINTS)))
-
-    for i in range(n_max + 1):
-        # A lane's states are taken before the loop can end: its last, at its
-        # stop step, is the state its n ticks leave.
-        for e, velocity in taken_at.get(i, ()):
-            if e not in aborts:
-                taken[e][1][starts[e] + i] = np.concatenate(([xs[i, e], velocity], angles[:, :, e].T),
-                                                            axis=None).tobytes()
-        if i >= end:
-            break
-        t = i * CONTROL_DT_S  # a disturbed lane's own tick: it starts at 0
-        for e, torque in disturbed:
-            if i < stop[e]:
-                voluntary[e] = torque(t)
-
-        # Plant, under the excursions the step's motor left (row i + 1):
-        # capped cable tension, tone and voluntary torque, clamped angles.
-        # The cap's argmax picks a NaN, so a NaN sibling cannot stop another
-        # episode being capped. A digit's take-up and the total tension are
-        # sums in the scalar order, MCP + PIP and index to little;
-        # stiffness * (rest - angles) - tension * arm is the same bits as
-        # -tension * arm + stiffness * (rest - angles). Only the lanes over
-        # the cap are scaled, each by cap / its total, so the divisor
-        # elsewhere is the cap itself and a NaN lane is untouched.
-        p = arm * angles * deg2rad
-        tension = tendon * maximum(p[0] + p[1] - xs[i + 1], zero)
-        total = add_reduce(tension, axis=0)
-        total_max = total.item(total.argmax())
-        if not total_max <= TENSION_CAP_N:
-            over = total > cap
-            tension = where(over, tension * (cap / where(over, total, cap)), tension)
-            total = where(over, cap, total)
-            total_max = total.item(total.argmax())
-        torque = stiffness * (rest - angles) - tension * arm
-        if any_voluntary:
-            torque = torque + voluntary
-        angles = minimum(maximum(angles + torque / damping * dt, zero), q_max)
-
-        if record:
-            tension_col[:, i] = total
-            angles_col[:, i] = angles.transpose(2, 1, 0)
-
-        # Safety invariants, per live episode, in order. The screen passes on
-        # almost every tick: the angles' min catches NaN and hyperextension,
-        # their max NaN and +inf. The motor's clamp leaves each excursion in
-        # the travel or NaN, and a NaN one makes its lane's tensions, and so
-        # its angles, NaN on the same tick.
-        if (total_max <= TENSION_CAP_N + 1e-9
-                and angles.item(angles.argmin()) >= -1e-9
-                and math.isfinite(angles.item(angles.argmax()))):
-            continue
-        non_finite = ~np.isfinite(angles).all(axis=(0, 1))
-        over_cap = total > TENSION_CAP_N + 1e-9
-        hyperextended = (angles < -1e-9).any(axis=(0, 1))
-        hit = np.flatnonzero((i < stop) & (non_finite | over_cap | hyperextended))
-        for e in hit.tolist():
-            t = (starts[e] + i) * CONTROL_DT_S  # the lane's own tick
-            if non_finite[e]:
-                aborts[e] = f"non-finite state at t={t:.3f}"
-            elif over_cap[e]:
-                aborts[e] = f"tension cap breached at t={t:.3f}: {total[e]:.2f} N"
-            else:
-                aborts[e] = f"hyperextension block breached at t={t:.3f}"
-        stop[hit] = i + 1
-        xs[i + 2:, hit] = TRAVEL_MM  # from the next step on, the plant reads the travel
-        park(hit)
-        end = int(stop.max())
-
-    x_col = xs[1:width + 1].T
-    for col in (t_col, x_col, tension_col, velocity_col, effort_col, fsm_col, setpoint_col, angles_col, *labels):
+    fsm_col = block[:, :, 2].astype(np.int8)
+    for col in (block, t_col, fsm_col, *labels):  # before the views are taken, which inherit it
         col.flags.writeable = False
-    _remember(under, taken.values())
+    effort_col, velocity_col, _, setpoint_col, x_col, tension_col = block.transpose(2, 0, 1)[:6]
     return [TrajectoryLog(TrajectoryColumns(
-        t=t_col[:n],
-        intent=label[:n],
-        fsm=fsm_col[lane, :n],
-        setpoint_mm=setpoint_col[lane, :n],
-        excursion_mm=x_col[lane, :n],
-        tension_n=tension_col[lane, :n],
-        angles_deg=angles_col[lane, :n].reshape(n, len(DIGITS) * len(JOINTS)),
-        velocity_mm_s=velocity_col[lane, :n],
-        effort=effort_col[lane, :n],
-    ), aborts.get(lane)) for label, lane, n in zip(labels, lane_of, np.minimum(stop, width)[lane_of].tolist())]
+        t=t_col[:m],
+        intent=label[:m],
+        fsm=fsm_col[lane, :m],
+        setpoint_mm=setpoint_col[lane, :m],
+        excursion_mm=x_col[lane, :m],
+        tension_n=tension_col[lane, :m],
+        angles_deg=block[lane, :m, 6:],
+        velocity_mm_s=velocity_col[lane, :m],
+        effort=effort_col[lane, :m],
+    ), lanes[lane][1]) for label, lane, m in zip(labels, lane_of, [min(lanes[lane][0], width) for lane in lane_of])]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

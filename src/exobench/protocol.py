@@ -227,7 +227,7 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
 
     Each task runs one controller episode (a grasp-release cycle through
     the subject's intent interface); the session's episodes run together in
-    one unrecorded batched ``controller.run_episodes`` call, which may start
+    one unrecorded ``controller.run_episodes`` call, which may start
     an input in a state an earlier call reached (see ``controller._resume``).
     A safety abort is logged as a device adjustment and the task resumes.
     Active time comes from the duration model. The session ends after the

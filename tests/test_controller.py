@@ -610,17 +610,18 @@ def _nan_after(t0, torque):
 
 
 def _count_steps(monkeypatch):
-    """One entry per tick the engine steps, the lane count: it clamps the
-    (2, 4, E) angles with one np.minimum per tick."""
+    """One entry per lane-step the engine takes, the diagnostic its lane
+    stops with (None if it breaks no invariant): it wraps the per-lane
+    recurrence, which returns the ticks it stepped and that diagnostic."""
     steps = []
-    minimum = np.minimum
+    step_lane = controller._step_lane
 
-    def counting_minimum(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            steps.append(np.shape(a)[2])
-        return minimum(a, *args, **kwargs)
+    def counting_step_lane(*args, **kwargs):
+        stepped, abort, *rest = step_lane(*args, **kwargs)
+        steps.extend([abort] * stepped)
+        return stepped, abort, *rest
 
-    monkeypatch.setattr(np, "minimum", counting_minimum)
+    monkeypatch.setattr(controller, "_step_lane", counting_step_lane)
     return steps
 
 
@@ -766,28 +767,13 @@ class TestBatchedEngine:
         assert aborted.abort == "non-finite state at t=0.205"
         assert len(aborted.ticks) == 0
 
-    @staticmethod
-    def _count_exact_checks(monkeypatch):
-        """The lane shapes the exact check is entered with: it runs np.isfinite
-        over the (2, 4, E) angles once per tick it is entered."""
-        entries = []
-        isfinite = np.isfinite
-
-        def counting_isfinite(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                entries.append(a.shape)
-            return isfinite(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        return entries
-
     _SCREEN_SCRIPT = [(0.0, OPEN), (2.0, CLOSE), (4.0, RELAX)]
 
     def test_an_aborted_episode_leaves_the_screen_passing(self, monkeypatch, empty_engine_tables):
-        # An aborted lane that ran on as NaN would fail the merged screen, and
-        # so enter the exact check, on every later tick. The three kept
-        # episodes are distinct inputs, so each steps its own lane.
-        entries = self._count_exact_checks(monkeypatch)
+        # An aborted lane steps no tick after its abort: the NaN one steps
+        # ticks 0-41 and stops, and the three kept episodes, distinct
+        # inputs, each step their own lane to its end.
+        steps = _count_steps(monkeypatch)
         episodes = [Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom(size), plant=flexed_plant(size))
                     for size in ("S", "M", "L")]
         episodes.insert(1, Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("M"), plant=flexed_plant("M"),
@@ -795,21 +781,21 @@ class TestBatchedEngine:
         outcomes = run_episodes(episodes, record=False)
         assert outcomes[1].abort == "non-finite state at t=0.205"
         assert [outcomes[i].abort for i in (0, 2, 3)] == [None] * 3
-        assert entries == [(2, 4, 4)]
+        assert steps == [None] * 1000 + ["non-finite state at t=0.205"] * 42 + [None] * 2000
 
     def test_a_parked_lane_costs_no_later_exact_check(self, monkeypatch, empty_engine_tables):
-        # A NaN initial excursion aborts its lane on tick 0, and its motor
-        # runs on as NaN; from the next step on the plant reads the travel
-        # in its rows instead, so only tick 0 of its 400-tick sibling's run
-        # enters the exact check, recorded or not.
-        entries = self._count_exact_checks(monkeypatch)
+        # A NaN initial excursion aborts its lane on tick 0, and it steps no
+        # later tick, recorded or not. Unrecorded, its 400-tick sibling is
+        # parked at the end the recorded call left, and the aborted input,
+        # which left no end, is stepped again from tick 0 to the same abort.
+        steps = _count_steps(monkeypatch)
         rom = calibrate_rom("M")
         episodes = [Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M")),
                     Episode(stream([(0.0, OPEN)]), 2.0, rom, initial_motor=MotorState(math.nan))]
         for record in (True, False):
             assert [log.abort for log in run_episodes(episodes, record=record)] == [
                 None, "non-finite state at t=0.000"]
-        assert entries == [(2, 4, 2)] * 2
+        assert steps == [None] * 400 + ["non-finite state at t=0.000"] * 2
 
     def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch, empty_engine_tables):
         # Three episodes of one input step one lane beside an aborting one
@@ -821,7 +807,6 @@ class TestBatchedEngine:
         # tick 0, so each later call steps it again, one tick to the same
         # abort, also beside a new input. From an empty table an unrecorded
         # call shares the lanes too.
-        entries = self._count_exact_checks(monkeypatch)
         steps = _count_steps(monkeypatch)
         relaxed = [(0.0, OPEN), (1.0, RELAX), (2.0, CLOSE), (3.0, RELAX), (4.0, RELAX)]
 
@@ -834,18 +819,18 @@ class TestBatchedEngine:
         want = [None, "non-finite state at t=0.000", None, None]
         episodes = batch()
         recorded = run_episodes(episodes)
-        assert entries == [(2, 4, 2)] and len(steps) == 1000
+        assert steps == [None] * 1000 + want[1:2]
         for episode, log in zip(episodes, recorded):
             assert _outcome_bits(log) == _reference_bits(episode)
         assert [log.abort for log in run_episodes(batch(), record=False)] == want
-        assert entries == [(2, 4, 2)] * 2 and len(steps) == 1001
+        assert steps.count(want[1]) == 2 and len(steps) == 1002
         new = Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("L"), plant=flexed_plant("L"))
         assert [log.abort for log in run_episodes([batch()[1], new], record=False)] == want[1:3]
-        assert entries == [(2, 4, 2)] * 3 and len(steps) == 2001
+        assert steps.count(want[1]) == 3 and len(steps) == 2003
         assert len(controller._STATES) == 7  # 3 of each kept input, 1 of the aborted one
         with empty_engine_tables():
             assert [log.abort for log in run_episodes(batch(), record=False)] == want
-            assert entries == [(2, 4, 2)] * 4 and len(steps) == 3001
+            assert steps.count(want[1]) == 4 and len(steps) == 3004
             assert len(controller._STATES) == 4
 
     def test_recorded_columns_are_read_only(self):
@@ -963,8 +948,8 @@ def _session_like_episodes(draw):
 
 
 class TestBatchLayout:
-    """Batches that exercise the joint-major arrays, each outcome checked
-    against the scalar reference or the same episode run alone."""
+    """Batches of lanes, each outcome checked against the scalar reference or
+    the same episode run alone."""
 
     @settings(max_examples=40)
     @given(st.lists(_signed_zero_episodes(), min_size=1, max_size=4))
@@ -985,14 +970,25 @@ class TestBatchLayout:
     @settings(max_examples=20)
     @given(st.lists(_episodes(), min_size=1, max_size=4), st.data())
     def test_one_constant_torque_among_none(self, episodes, data):
-        # Only the one episode's torque makes the engine add torques, so the
-        # others get a zero added that the reference always adds.
+        # One episode's torque is nonzero; the others' signed zeros are added
+        # as the reference adds them.
         episodes = [replace(ep, voluntary_nmm=data.draw(_SIGNED_ZERO)) for ep in episodes]
         k = data.draw(st.integers(0, len(episodes) - 1))
         torque = data.draw(st.floats(-400.0, 400.0).filter(bool))
         episodes[k] = replace(episodes[k], voluntary_nmm=torque)
         for episode, outcome in zip(episodes, run_episodes(episodes)):
             assert _outcome_bits(outcome) == _reference_bits(episode)
+
+    @pytest.mark.parametrize("value", [3, True, np.float32(0.1), np.float64(-1.3)], ids=type)
+    def test_a_callable_torque_is_cast_as_the_reference_adds_it(self, value):
+        # np.float32(0.1) widens to 0.10000000149011612, not to 0.1. The
+        # torque turns NaN after 0.2 s, so the unrecorded outcome shows too.
+        episode = Episode(stream([(0.0, OPEN), (0.1, CLOSE)]), 0.3, calibrate_rom("M"), plant=flexed_plant("M"),
+                          voluntary_nmm=lambda t: value if t <= 0.2 else value * math.nan)
+        want = _reference_bits(episode)
+        assert want[0] == "non-finite state at t=0.205"
+        assert _outcome_bits(run_episode(episode)) == want
+        assert run_episodes([episode], record=False)[0].abort == want[0]
 
     @settings(max_examples=40)
     @given(st.lists(_episodes(), min_size=1, max_size=6))
@@ -1255,7 +1251,7 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
     all the scripts' in a drawn order, each with a drawn tick count. Each
     recorded log is the scalar reference's; each unrecorded outcome, aborts
     included, is the one the same call gives from empty tables, and costs
-    no more loop steps. Then every remembered state that an episode alone
+    no more lane-steps. Then every remembered state that an episode alone
     takes under the same key, at that tick or later, is the one its
     recorded log reaches."""
     contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
@@ -1342,7 +1338,7 @@ def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypat
 
 def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tables):
     """From an empty table, the twelve sessions of an EMG subject and then of
-    its SH twin step these loop steps and leave these keys. A change to
+    its SH twin step these lane-steps and leave these keys. A change to
     what the table remembers or resumes moves these figures on purpose."""
     steps = _count_steps(monkeypatch)
     emg = Subject("S", "EMG", mas="2", seed=3)
@@ -1352,7 +1348,7 @@ def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tab
         for plan in protocol.build_session_plans("S"):
             protocol.run_session(plan, subject)
         stepped.append(len(steps) - before)
-    assert stepped == [1100, 3628]
+    assert stepped == [4400, 18300]
     assert len(controller._STATES) == 36
 
 
@@ -1373,18 +1369,20 @@ def test_a_changed_constant_empties_the_table(empty_engine_tables):
 
 
 def test_numpy_gives_the_second_operand_on_a_tie_of_signed_zeros():
-    # The engine clamps an angle or a cable stretch at zero with
-    # maximum(v, 0.0), and matches the scalar reference bit for bit on the
-    # sign of a zero only because numpy gives the second operand on a tie.
-    contract = ("np.maximum must give its second operand on a tie of -0.0 and 0.0: the engine's clamps "
-                "match the scalar reference bit for bit only under that rule")
+    # The engine clamps an angle or a cable stretch at zero by comparison,
+    # which turns -0.0 into 0.0. The scalar reference clamps with np.maximum
+    # and np.clip, and gives the same sign of a zero only because numpy
+    # gives the second operand on a tie.
+    contract = ("np.maximum must give its second operand on a tie of -0.0 and 0.0: the scalar reference's "
+                "clamps match the engine's bit for bit only under that rule")
     assert math.copysign(1.0, np.maximum([-0.0], 0.0)[0]) == 1.0, contract
     assert math.copysign(1.0, np.maximum(0.0, [-0.0])[0]) == -1.0, contract
 
 
 def test_argmin_and_argmax_pick_the_first_nan():
-    # The engine's screens read each extreme at its argmin or argmax, and
-    # see a NaN only because numpy gives its index over a larger value's.
+    # An array screen that reads each extreme at its argmin or argmax sees a
+    # NaN only because numpy gives its index over a larger value's. The
+    # engine now screens each lane by scalar comparisons and reads none.
     assert np.array([1.0, math.nan, 5.0]).argmax() == 1
     assert np.array([5.0, math.nan, 1.0]).argmin() == 1
     angles = np.full((2, 4, 3), 90.0)
@@ -1415,8 +1413,8 @@ def _fault(draw, episode, kind):
 def test_faults_anywhere_in_the_batch_match_the_reference(episodes, data):
     """One or two episodes, at drawn positions, carry a fault; every outcome,
     recorded or not, is the scalar reference's. A flexed lead episode with its
-    motor far out puts larger finite excursions, tensions and angles before a
-    NaN in the screens' flat order."""
+    motor far out runs larger finite excursions, tensions and angles before a
+    faulted one."""
     if data.draw(st.booleans(), label="lead"):
         episodes = [Episode(stream([(0.0, CLOSE)]), 0.5, calibrate_rom("L"), plant=flexed_plant("L"),
                             initial_motor=MotorState(50.0))] + episodes
@@ -1469,9 +1467,8 @@ def _pinned_batches(seed=20261018, n_batches=16):
 
 
 def test_unrecorded_engine_memory_does_not_grow_with_ticks():
-    """Without a trajectory the engine keeps no per-tick columns, only
-    per-episode state and the motor's excursion rows, 8 B a lane-tick: 400
-    five-second episodes, 400,000 ticks, peak below 4 MB."""
+    """Without a trajectory the engine holds per-episode state, not per-tick
+    tables: 400 five-second episodes, 400,000 ticks, peak below 4 MB."""
     rom = calibrate_rom("M")
     episodes = [Episode(stream([(0.5 + 0.001 * k, OPEN), (2.5, CLOSE), (4.0, RELAX)]), 5.0, rom)
                 for k in range(400)]
