@@ -38,9 +38,10 @@ setpoint at a time, lives with the tests in ``tests/reference.py``.
 
 Every call steps each distinct input once, in one lane plan, and recorded
 columns are read-only, since episodes that share a lane share its rows. An
-unrecorded call, as a session makes, may start an input in a state an
-earlier call reached on the same hand and schedule, kept in a module table
-whose rule ``_resume`` and ``_remember`` state.
+unrecorded call, as a session makes, starts a hand that one uncommanded
+tick leaves bit-identical at its first command, and may start an input in
+a state an earlier call reached on the same hand and schedule, kept in a
+module table whose rule ``_resume`` and ``_remember`` state.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -49,7 +50,7 @@ finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Container, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,7 +331,7 @@ def _commands(
 
 #: The states ``run_episodes`` lanes have taken at the start of a tick where
 #: their held command changes, and at their end if they broke no invariant,
-#: by ``_state_keys`` key, oldest first: the tick, counted from the lane's
+#: by ``_resume``'s key, oldest first: the tick, counted from the lane's
 #: first change, and the float64 bits of the excursion, the velocity and the
 #: eight angles in ``DIGITS`` x ``JOINTS`` order. Only ``_resume`` reads it
 #: and only ``_remember`` writes it. A key keeps the earliest tick it was
@@ -344,55 +345,44 @@ _STATES_MAX = 4096
 _TABLES_UNDER = b""
 
 
-def _state_keys(context: bytes, schedule: list[int], codes: np.ndarray, still: bool) -> list[bytes]:
-    """The key of a lane's state after each count of its held-command changes.
-
-    ``schedule`` is the ticks of the changes, then the lane's tick count, so
-    a lane never commanded has its count alone. The k-th key is the lane's
-    context, a tick origin and the first k changes, their ticks counted from
-    the schedule's first. A still context (one uncommanded tick leaves its
-    state bit-identical) meets its first change in the state it starts in,
-    whenever that change comes: its origin is 0, and its first key is the
-    context alone, which marks it still. Any other context's origin is the
-    schedule's first tick, so one first commanded at tick 0 keys its later
-    states as a still one does.
-    """
-    changes = np.column_stack((np.subtract(schedule[:-1], schedule[0]), codes)).astype(float).tobytes()
-    head = context + np.float64(0.0 if still else schedule[0]).tobytes()
-    return [context if still and k == 0 else head + changes[:16 * k] for k in range(len(schedule))]
-
-
-def _resume(under: bytes, context: bytes, ticks: np.ndarray, codes: np.ndarray, n: int,
+def _resume(under: bytes, context: bytes, ticks: np.ndarray, codes: np.ndarray, n: int, still: bool,
             record: bool) -> tuple[int, int, np.ndarray | None, tuple | None]:
     """Where a keyed lane starts: its start tick, its count of changes before
-    that tick, the remembered state it starts in (None for its own, at tick
-    0) and ``_remember``'s memo of it, None when it steps no tick.
+    that tick, the remembered state it starts in (None for its own) and
+    ``_remember``'s memo of it, None when it steps no tick.
 
-    ``context`` is the lane's key without its tick count and schedule; one
-    that keys a state by itself is still (see ``_state_keys``). A table
-    filled under module constants other than ``under`` reads as empty. A
-    recorded lane starts at tick 0, an unrecorded one at the deepest
-    remembered state of its context and schedule that comes no later than
-    its next change or its end: the state a lane stepped from tick 0
-    reaches there, bit for bit, with no invariant broken before it. One
-    that starts at its end is parked; an aborted input left no end state,
-    so it is stepped again, to the same abort. A lane that starts
-    uncommanded at tick 0, of a context not known to be still, is probed:
-    its state at tick 1 shows whether it is.
+    ``context`` is the lane's key without its tick count and schedule, and
+    ``still`` says that one uncommanded tick leaves its state bit-identical,
+    as it does for a hand at rest with a slack cable. A lane's state after k
+    of its held-command changes is keyed by its context, a tick origin and
+    those k changes, their ticks counted from the first. A still context
+    meets its first change in the state it starts in, whenever that change
+    comes, so its origin is 0; any other's is the tick of its first change,
+    or of its end if it is never commanded, so one first commanded at tick 0
+    keys its states as a still one does. A table filled under module
+    constants other than ``under`` reads as empty. A recorded lane starts at
+    tick 0. An unrecorded one starts at the deepest remembered state of its
+    context and schedule that comes no later than its next change or its
+    end: the state a lane stepped from tick 0 reaches there, bit for bit,
+    with no invariant broken before it. Failing that, a still lane starts at
+    its first change and any other at tick 0. One that starts at its end is
+    parked; an aborted input left no end state, so it is stepped again, to
+    the same abort.
     """
     table = _STATES if under == _TABLES_UNDER else {}
     schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
-    still = context in table
-    keys = _state_keys(context, schedule, codes, still)
-    start, depth, state = 0, 0, None
+    first = schedule[0]
+    changes = np.column_stack((ticks - first, codes)).astype(float).tobytes()
+    head = context + np.float64(0.0 if still else first).tobytes()
+    keys = [head + changes[:16 * k] for k in range(len(schedule))]
+    start, depth, state = first if still and not record else 0, 0, None
     if not record:
         for k in range(len(ticks), -1, -1):
             found = table.get(keys[k])
-            if found is not None and schedule[0] + found[0] <= schedule[k]:
-                start, depth, state = schedule[0] + found[0], k, np.frombuffer(found[1])
+            if found is not None and first + found[0] <= schedule[k]:
+                start, depth, state = first + found[0], k, np.frombuffer(found[1])
                 break
-    probe = not still and start == 0 and schedule[0] > 0
-    return start, depth, state, (context, schedule, codes, keys, probe) if start < n else None
+    return start, depth, state, (schedule, keys) if start < n else None
 
 
 def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
@@ -401,18 +391,15 @@ def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> 
 
     A table filled under module constants other than ``under`` is emptied
     first. The state at each tick of a lane's schedule goes under the key
-    of the changes before it, at its tick from the first change; a probed
-    lane whose state at tick 1 is its state at tick 0 is keyed as still. A
-    new key evicts the oldest once the table holds ``_STATES_MAX``, and a
-    key keeps the earliest tick it was taken at.
+    of the changes before it, at its tick from the first change. A new key
+    evicts the oldest once the table holds ``_STATES_MAX``, and a key keeps
+    the earliest tick it was taken at.
     """
     global _TABLES_UNDER
     if under != _TABLES_UNDER:
         _STATES.clear()
         _TABLES_UNDER = under
-    for (context, schedule, codes, keys, probe), by_tick in taken:
-        if probe and by_tick.get(1) == by_tick[0]:  # one uncommanded tick left it bit-identical
-            keys = _state_keys(context, schedule, codes, True)
+    for (schedule, keys), by_tick in taken:
         first = schedule[0]
         for key, a in zip(keys, schedule):
             if a in by_tick:
@@ -425,7 +412,7 @@ def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> 
 
 def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[float], float],
                moves: dict[int, tuple[float, int]], setpoint: float, start: int, n: int,
-               takes: Container[int], record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
+               keep: bool, record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
     """One lane from tick ``start``, in ``state`` (excursion, velocity and the
     eight angles in ``DIGITS`` x ``JOINTS`` order), to its end ``n`` or its
     abort, as one recurrence on Python floats: each tick the proportional
@@ -439,9 +426,10 @@ def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[f
     cap and the least angle is not below the block. When the screen fails,
     the invariants are checked exactly, in the reference's order, and a
     breach stops the lane on that tick. Returns the ticks it stepped, its
-    diagnostic or None, its states at the ticks in ``takes`` that it reached
-    with no invariant broken, and, when recording, 14 values per tick: the
-    effort, velocity, FSM code, setpoint, excursion, total tension and angles.
+    diagnostic or None, its states at each change tick it reached and at
+    its end, with no invariant broken before them, if it is to ``keep``
+    them, and, when recording, 14 values per tick: the effort, velocity,
+    FSM code, setpoint, excursion, total tension and angles.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
@@ -457,11 +445,11 @@ def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[f
     w = 0.0 if disturbed else float(torque)
     sp, fsm, states, rows = setpoint, _IDLE, {}, []
     for tick in range(start, n + 1):
-        if tick in takes:
-            states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
-        if tick == n:
-            break
-        if tick in moves:
+        if tick in moves or tick == n:  # a change, or the end
+            if keep:
+                states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
+            if tick == n:
+                break
             sp, fsm = moves[tick]
         if disturbed:
             w = float(torque(tick * dt))  # as a float64 array store casts it
@@ -553,9 +541,13 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     ``record`` decides the rest. With it, every lane starts at tick 0, the
     FSM settles and the columns are kept, read-only since episodes of one
     key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks, and a keyed lane starts where ``_resume``
-    finds a remembered state, or is parked at its end with no tick and no
-    abort, and leaves to ``_remember`` its states at the ticks it reads.
+    it every log has zero ticks and holds no label array, and a keyed lane
+    starts where ``_resume`` puts it: at a remembered state, at its first
+    change if its context is still, or parked at its end with no tick and
+    no abort. Whether a context is still is decided once per call, by one
+    uncommanded tick of ``_step_lane``, for the first lane of it commanded
+    after tick 0. Recorded or not, a keyed lane leaves to ``_remember`` its
+    states at its changes and its end.
     """
     if len(episodes) == 0:
         return []
@@ -565,10 +557,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
 
     # One pass over the episodes. Each resolves its hand, motor, tick count
-    # and held-command schedule; a repeat of a key in the call takes its
+    # and held-command schedule; a repeat of a key in the call shares its
     # lane. A lane starts at tick 0, or where ``_resume`` puts it, holding
     # the setpoint of its last change before then, and runs at once.
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
+    still: dict[bytes, bool] = {}  # each context whose stillness the call decided
     lane_of, labels, lanes = [], [], []  # lanes: each lane's (ticks stepped, diagnostic, recorded rows)
     taken = []  # each keyed, stepped lane's (memo from _resume, states by tick)
     for ep in episodes:
@@ -577,7 +570,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
             excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
         label, held = _commands(ep.intents, np.arange(n) * CONTROL_DT_S)
-        labels.append(label)
+        labels.append(label if record else label[:0].copy())  # a copy, so no unrecorded log holds a label
         ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1])
         codes = held[ticks]
         torque = ep.voluntary_nmm
@@ -591,22 +584,20 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
             lane_of.append(keyed[key])
             continue
         lane_of.append(len(lanes))
+        state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
+        start, k, memo = 0, 0, None
         if key is not None:
             keyed[key] = len(lanes)
-        start, k, found, memo = (0, 0, None, None) if key is None else _resume(under, context, ticks, codes, n, record)
-        state = found if found is not None else np.concatenate(
-            ([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
+            if context not in still and 0 not in ticks:  # still: one uncommanded tick changes no bit
+                _, _, after, _ = _step_lane(state.tolist(), plant, torque, {}, math.nan, 0, 1, True, False)
+                still[context] = after.get(1) == state.tobytes()
+            start, k, found, memo = _resume(under, context, ticks, codes, n, still.get(context, False), record)
+            state = state if found is None else found
         moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
-        # The states _remember reads: at the lane's schedule ticks from its
-        # start on, and at ticks 0 and 1 of a probed lane.
-        takes = set()
-        if memo is not None:
-            _, schedule, _, _, probe = memo
-            takes = {*schedule[k:], *((0, 1) if probe else ())}
         stepped, abort, states, rows = _step_lane(
             state.tolist(), plant, torque, dict(zip(ticks.tolist(), moves)), moves[k - 1][0] if k else math.nan,
-            start, n, takes, record)
+            start, n, memo is not None, record)
         if memo is not None:
             taken.append((memo, states))
         lanes.append((stepped, abort, rows))
