@@ -39,9 +39,10 @@ setpoint at a time, lives with the tests in ``tests/reference.py``.
 Every call steps each distinct input once, in one lane plan, and recorded
 columns are read-only, since episodes that share a lane share its rows. An
 unrecorded call, as a session makes, starts a hand that one uncommanded
-tick leaves bit-identical at its first command, and may start an input in
-a state an earlier call reached on the same hand and schedule, kept in a
-module table whose rule ``_resume`` and ``_remember`` state.
+tick leaves bit-identical at its first command. It may start such a hand,
+or any commanded from tick 0, in a state an earlier unrecorded call
+reached on the same hand and schedule, kept in a module table whose rule
+``_resume`` and ``_remember`` state.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -309,35 +310,34 @@ class Episode:
         object.__setattr__(self, "intents", (t, codes))
 
 
-def _commands(
-    intents: tuple[np.ndarray, np.ndarray], t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per tick, the latest label with timestamp <= t and the command it holds.
+def _commands(intents: tuple[np.ndarray, np.ndarray], t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per tick, the latest label with timestamp <= t; and the ticks where the
+    held command, the latest OPEN or CLOSE label so far, changes.
 
     Events are put in time order by a stable sort, so events at the same
     time apply in their stream order and the last of them holds. Labels are
-    RELAX before the first event; the held command is the latest OPEN or
-    CLOSE label so far, RELAX before the first.
+    RELAX before the first event, and the held command RELAX before the
+    first OPEN or CLOSE.
     """
     event_t, event_codes = intents
     order = np.argsort(event_t, kind="stable")
     times = np.concatenate(([-math.inf], event_t[order]))
     codes = np.concatenate(([_RELAX], event_codes[order])).astype(np.int8)
     labels = codes[np.searchsorted(times, t, side="right") - 1]
-    # Index of the latest command; before the first, tick 0, which is RELAX.
-    last = np.maximum.accumulate(np.where(labels != _RELAX, np.arange(len(t)), 0))
-    return labels, labels[last]
+    commanded = np.flatnonzero(labels != _RELAX)
+    # A change is a commanded tick whose label differs from the last commanded tick's.
+    return labels, commanded[labels[commanded] != np.concatenate(([_RELAX], labels[commanded[:-1]]))]
 
 
-#: The states ``run_episodes`` lanes have taken at the start of a tick where
-#: their held command changes, and at their end if they broke no invariant,
-#: by ``_resume``'s key, oldest first: the tick, counted from the lane's
-#: first change, and the float64 bits of the excursion, the velocity and the
-#: eight angles in ``DIGITS`` x ``JOINTS`` order. Only ``_resume`` reads it
-#: and only ``_remember`` writes it. A key keeps the earliest tick it was
-#: taken at, which serves every lane whose next change or end comes then or
-#: later; at most ``_STATES_MAX`` keys of about 550 B each, so about 2.2 MB
-#: when full.
+#: The states that unrecorded ``run_episodes`` lanes the table serves have
+#: taken at the start of a tick where their held command changes, and at
+#: their end if they broke no invariant, by ``_resume``'s key, oldest first:
+#: the tick, counted from the lane's first change, and the float64 bits of
+#: the excursion, the velocity and the eight angles in ``DIGITS`` x
+#: ``JOINTS`` order. Only ``_resume`` reads it and only ``_remember`` writes
+#: it. A key keeps the earliest tick it was taken at, which serves every
+#: lane whose next change or end comes then or later; at most
+#: ``_STATES_MAX`` keys of about 550 B each, so about 2.2 MB when full.
 _STATES: dict[bytes, tuple[int, bytes]] = {}
 _STATES_MAX = 4096
 #: The bits of the module constants the table was filled under: a call
@@ -345,60 +345,51 @@ _STATES_MAX = 4096
 _TABLES_UNDER = b""
 
 
-def _resume(under: bytes, context: bytes, ticks: np.ndarray, codes: np.ndarray, n: int, still: bool,
-            record: bool) -> tuple[int, int, np.ndarray | None, tuple | None]:
-    """Where a keyed lane starts: its start tick, its count of changes before
-    that tick, the remembered state it starts in (None for its own) and
-    ``_remember``'s memo of it, None when it steps no tick.
+def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
+            n: int) -> tuple[int, int, np.ndarray | None, tuple | None]:
+    """Where an unrecorded lane that the table serves starts: its start tick,
+    its count of changes before that tick, the remembered state it starts
+    in (None for its own) and ``_remember``'s memo of it, None when it steps
+    no tick.
 
-    ``context`` is the lane's key without its tick count and schedule, and
-    ``still`` says that one uncommanded tick leaves its state bit-identical,
-    as it does for a hand at rest with a slack cable. A lane's state after k
-    of its held-command changes is keyed by its context, a tick origin and
-    those k changes, their ticks counted from the first. A still context
-    meets its first change in the state it starts in, whenever that change
-    comes, so its origin is 0; any other's is the tick of its first change,
-    or of its end if it is never commanded, so one first commanded at tick 0
-    keys its states as a still one does. A table filled under module
-    constants other than ``under`` reads as empty. A recorded lane starts at
-    tick 0. An unrecorded one starts at the deepest remembered state of its
-    context and schedule that comes no later than its next change or its
-    end: the state a lane stepped from tick 0 reaches there, bit for bit,
-    with no invariant broken before it. Failing that, a still lane starts at
-    its first change and any other at tick 0. One that starts at its end is
-    parked; an aborted input left no end state, so it is stepped again, to
-    the same abort.
+    The table serves a lane whose start state holds until its first change:
+    a hand that one uncommanded tick leaves bit-identical, as it does one at
+    rest with a slack cable, or a lane commanded from tick 0. Its state
+    after k of its held-command changes is keyed by ``context`` (the lane's
+    key without its tick count and schedule) and those k changes, their
+    ticks counted from the first; its end state also by all its changes and
+    its length from the first, so a longer twin finds its own end, not a
+    shorter one's. It starts at that end if remembered, else at the deepest
+    remembered state that comes no later than its next change or its end:
+    the state a lane stepped from tick 0 reaches there, bit for bit, with no
+    invariant broken before it; failing that, at its first change. One that
+    starts at its end is parked; an aborted input left no end state, so it
+    is stepped again, to the same abort.
     """
-    table = _STATES if under == _TABLES_UNDER else {}
-    schedule = [*ticks.tolist(), n]  # the ticks of its changes, then its end
+    schedule = [*ticks.tolist(), n, n]  # the ticks of its changes, then its end under two keys
     first = schedule[0]
     changes = np.column_stack((ticks - first, codes)).astype(float).tobytes()
-    head = context + np.float64(0.0 if still else first).tobytes()
-    keys = [head + changes[:16 * k] for k in range(len(schedule))]
-    start, depth, state = first if still and not record else 0, 0, None
-    if not record:
-        for k in range(len(ticks), -1, -1):
-            found = table.get(keys[k])
-            if found is not None and first + found[0] <= schedule[k]:
-                start, depth, state = first + found[0], k, np.frombuffer(found[1])
-                break
+    keys = [context + changes[:16 * k] for k in range(len(ticks) + 1)]
+    keys.append(keys[-1] + np.float64(n - first).tobytes())
+    start, depth, state = first, 0, None
+    for k in range(len(keys) - 1, -1, -1):
+        found = _STATES.get(keys[k])
+        if found is not None and first + found[0] <= schedule[k]:  # the end key's depth is all the changes
+            start, depth, state = first + found[0], min(k, len(ticks)), np.frombuffer(found[1])
+            break
     return start, depth, state, (schedule, keys) if start < n else None
 
 
-def _remember(under: bytes, taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
-    """Keep the states of a call's lanes, each given as ``_resume``'s memo of
-    it and its states by tick, taken with no invariant broken before them.
+def _remember(taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
+    """Keep the states of a call's lanes that the table serves, each given as
+    ``_resume``'s memo of it and its states by tick, taken with no invariant
+    broken before them.
 
-    A table filled under module constants other than ``under`` is emptied
-    first. The state at each tick of a lane's schedule goes under the key
-    of the changes before it, at its tick from the first change. A new key
-    evicts the oldest once the table holds ``_STATES_MAX``, and a key keeps
-    the earliest tick it was taken at.
+    The state at each tick of a lane's schedule goes under the key of the
+    changes before it, at its tick from the first change, and its end state
+    under its end key too. A new key evicts the oldest once the table holds
+    ``_STATES_MAX``, and a key keeps the earliest tick it was taken at.
     """
-    global _TABLES_UNDER
-    if under != _TABLES_UNDER:
-        _STATES.clear()
-        _TABLES_UNDER = under
     for (schedule, keys), by_tick in taken:
         first = schedule[0]
         for key, a in zip(keys, schedule):
@@ -541,20 +532,27 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     ``record`` decides the rest. With it, every lane starts at tick 0, the
     FSM settles and the columns are kept, read-only since episodes of one
     key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks and holds no label array, and a keyed lane
-    starts where ``_resume`` puts it: at a remembered state, at its first
-    change if its context is still, or parked at its end with no tick and
-    no abort. Whether a context is still is decided once per call, by one
-    uncommanded tick of ``_step_lane``, for the first lane of it commanded
-    after tick 0. Recorded or not, a keyed lane leaves to ``_remember`` its
-    states at its changes and its end.
+    it every log has zero ticks and holds no label array, and the table
+    serves a keyed lane whose start state holds until its first command:
+    one commanded from tick 0, or one whose context is still, as one
+    uncommanded tick of ``_step_lane`` decides once per call for the first
+    such lane of the context. Such a lane starts where ``_resume`` puts it,
+    at a remembered state, at its first change, or parked at its end with
+    no tick and no abort, and leaves to ``_remember`` its states at its
+    changes and its end. Every other lane starts at tick 0 and leaves
+    nothing. The table is emptied first if the module constants it was
+    filled under have changed.
     """
+    global _TABLES_UNDER
     if len(episodes) == 0:
         return []
     # The bits of the module constants the engine reads.
     scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
+    if under != _TABLES_UNDER:
+        _STATES.clear()
+        _TABLES_UNDER = under
 
     # One pass over the episodes. Each resolves its hand, motor, tick count
     # and held-command schedule; a repeat of a key in the call shares its
@@ -563,16 +561,15 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     keyed: dict[bytes, int] = {}  # each key in the call, to its lane
     still: dict[bytes, bool] = {}  # each context whose stillness the call decided
     lane_of, labels, lanes = [], [], []  # lanes: each lane's (ticks stepped, diagnostic, recorded rows)
-    taken = []  # each keyed, stepped lane's (memo from _resume, states by tick)
+    taken = []  # each served, stepped lane's (memo from _resume, states by tick)
     for ep in episodes:
         n = int(round(ep.duration_s / CONTROL_DT_S))
         plant = ep.plant if ep.plant is not None else default_plant()
         motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
             excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
-        label, held = _commands(ep.intents, np.arange(n) * CONTROL_DT_S)
+        label, ticks = _commands(ep.intents, np.arange(n) * CONTROL_DT_S)
+        codes = label[ticks]
         labels.append(label if record else label[:0].copy())  # a copy, so no unrecorded log holds a label
-        ticks = np.flatnonzero(held != np.concatenate(([_RELAX], held))[:-1])
-        codes = held[ticks]
         torque = ep.voluntary_nmm
         context = key = None
         if not callable(torque):
@@ -588,11 +585,12 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         start, k, memo = 0, 0, None
         if key is not None:
             keyed[key] = len(lanes)
-            if context not in still and 0 not in ticks:  # still: one uncommanded tick changes no bit
+            if not record and 0 not in ticks and context not in still:  # still: one uncommanded tick changes no bit
                 _, _, after, _ = _step_lane(state.tolist(), plant, torque, {}, math.nan, 0, 1, True, False)
                 still[context] = after.get(1) == state.tobytes()
-            start, k, found, memo = _resume(under, context, ticks, codes, n, still.get(context, False), record)
-            state = state if found is None else found
+            if not record and (0 in ticks or still[context]):
+                start, k, found, memo = _resume(context, ticks, codes, n)
+                state = state if found is None else found
         moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
         stepped, abort, states, rows = _step_lane(
@@ -601,7 +599,7 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         if memo is not None:
             taken.append((memo, states))
         lanes.append((stepped, abort, rows))
-    _remember(under, taken)
+    _remember(taken)
 
     # Recorded, each lane's rows fill its row of one (lanes, ticks, 14)
     # block, whose columns the logs view.

@@ -227,9 +227,10 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
 
     Each task runs one controller episode (a grasp-release cycle through
     the subject's intent interface); the session's episodes run together in
-    one unrecorded ``controller.run_episodes`` call, which may start
-    an input in a state an earlier call reached (see ``controller._resume``).
-    A safety abort is logged as a device adjustment and the task resumes.
+    one unrecorded ``controller.run_episodes`` call, which may start an
+    input in a state an earlier unrecorded call reached (see
+    ``controller._resume``). A safety abort is logged as a device
+    adjustment and the task resumes.
     Active time comes from the duration model. The session ends after the
     task during which the active budget is reached (overflow flag set), or,
     when the protocol finishes early, with one aggregate free-training event

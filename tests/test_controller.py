@@ -785,28 +785,31 @@ class TestBatchedEngine:
 
     def test_a_parked_lane_costs_no_later_exact_check(self, monkeypatch, empty_engine_tables):
         # A NaN initial excursion aborts its lane on tick 0, and it steps no
-        # later tick, recorded or not. Unrecorded, its 400-tick sibling is
-        # parked at the end the recorded call left, and the aborted input,
-        # which left no end, is stepped again from tick 0 to the same abort.
+        # later tick, recorded or not. A recorded call leaves nothing to
+        # later ones, so the first unrecorded call steps both lanes again.
+        # The next parks the 400-tick sibling at the end that call left, and
+        # the aborted input, which left no end, is stepped again from tick 0
+        # to the same abort.
         steps = _count_steps(monkeypatch)
         rom = calibrate_rom("M")
         episodes = [Episode(stream([(0.0, OPEN)]), 2.0, rom, plant=flexed_plant("M")),
                     Episode(stream([(0.0, OPEN)]), 2.0, rom, initial_motor=MotorState(math.nan))]
-        for record in (True, False):
-            assert [log.abort for log in run_episodes(episodes, record=record)] == [
-                None, "non-finite state at t=0.000"]
-        assert steps == [None] * 400 + ["non-finite state at t=0.000"] * 2
+        abort = "non-finite state at t=0.000"
+        for record in (True, False, False):
+            assert [log.abort for log in run_episodes(episodes, record=record)] == [None, abort]
+        assert steps == ([None] * 400 + [abort]) * 2 + [abort]
 
     def test_repeated_inputs_share_a_lane_and_are_remembered(self, monkeypatch, empty_engine_tables):
         # Three episodes of one input step one lane beside an aborting one
         # whose NaN torque is a constant, so it is keyed too, recorded or
         # not. The third adds RELAX labels, which hold the same command: each
-        # log keeps its own intent column. The kept input leaves its states
-        # at ticks 0 and 400 and at its end, so a later unrecorded call parks
-        # its lane with no step. The aborted one leaves only its state at
-        # tick 0, so each later call steps it again, one tick to the same
-        # abort, also beside a new input. From an empty table an unrecorded
-        # call shares the lanes too.
+        # log keeps its own intent column. The recorded call leaves nothing
+        # in the table. Unrecorded, the kept input, commanded from tick 0,
+        # leaves its states at ticks 0 and 400 and at its end, under two
+        # keys, so a later unrecorded call parks its lane with no step. The
+        # aborted one leaves only its state at tick 0, so each later call
+        # steps it again, one tick to the same abort, also beside a new
+        # input. From an empty table an unrecorded call shares the lanes too.
         steps = _count_steps(monkeypatch)
         relaxed = [(0.0, OPEN), (1.0, RELAX), (2.0, CLOSE), (3.0, RELAX), (4.0, RELAX)]
 
@@ -822,16 +825,18 @@ class TestBatchedEngine:
         assert steps == [None] * 1000 + want[1:2]
         for episode, log in zip(episodes, recorded):
             assert _outcome_bits(log) == _reference_bits(episode)
-        assert [log.abort for log in run_episodes(batch(), record=False)] == want
-        assert steps.count(want[1]) == 2 and len(steps) == 1002
+        assert controller._STATES == {}
+        for _ in range(2):
+            assert [log.abort for log in run_episodes(batch(), record=False)] == want
+        assert steps.count(want[1]) == 3 and len(steps) == 2003
         new = Episode(stream(self._SCREEN_SCRIPT), 5.0, calibrate_rom("L"), plant=flexed_plant("L"))
         assert [log.abort for log in run_episodes([batch()[1], new], record=False)] == want[1:3]
-        assert steps.count(want[1]) == 3 and len(steps) == 2003
-        assert len(controller._STATES) == 7  # 3 of each kept input, 1 of the aborted one
+        assert steps.count(want[1]) == 4 and len(steps) == 3004
+        assert len(controller._STATES) == 9  # 4 of each kept input, 1 of the aborted one
         with empty_engine_tables():
             assert [log.abort for log in run_episodes(batch(), record=False)] == want
-            assert steps.count(want[1]) == 4 and len(steps) == 3004
-            assert len(controller._STATES) == 4
+            assert steps.count(want[1]) == 5 and len(steps) == 4005
+            assert len(controller._STATES) == 5
 
     def test_recorded_columns_are_read_only(self):
         # Two episodes of one input share a lane's rows: neither log can
@@ -1085,7 +1090,7 @@ def test_an_outcome_is_not_remembered_across_a_changed_constant(empty_engine_tab
     (stopped,) = run_episodes([episode], record=False)
     assert unstopped.abort == "non-finite state at t=0.000"
     assert stopped.abort is None and run_episode(episode).abort is None
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 40]  # its start and its end
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 40, 40]  # its start, its end twice
 
 
 def _at(*ticks_and_labels):
@@ -1101,13 +1106,16 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
     no later than its next change, and is screened from there: a NaN state
     planted in the table aborts it on that tick, named as its own. A still
     hand (rest pose, slack cable, no torque) shares states with schedules
-    shifted in time; a flexed hand only with those of its first command's
-    tick. A recorded call starts at tick 0."""
+    shifted in time. A flexed hand is served only when commanded from tick
+    0, and shares states with schedules that are too; first commanded
+    later, it steps from tick 0 and leaves no key. A recorded call starts
+    at tick 0."""
     rom = calibrate_rom("M")
     # Changes at ticks 100, 200 and 300 and the end at 400: states after 0,
-    # 1, 2 and 3 changes, at 0, 100, 200 and 300 ticks from the first.
+    # 1, 2 and 3 changes, at 0, 100, 200 and 300 ticks from the first, the
+    # last also under the key of its length.
     run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 300]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 300, 300]
     for key in controller._STATES:
         controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
     shifted = Episode(_at((120, OPEN), (220, CLOSE), (360, OPEN)), 2.0, rom)
@@ -1121,12 +1129,14 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
     flexed = flexed_plant("M")
     still_keys = set(controller._STATES)
     run_episodes([Episode(_at((20, OPEN), (60, CLOSE), (100, OPEN)), 0.8, rom, plant=flexed)], record=False)
+    assert set(controller._STATES) == still_keys
+    run_episodes([Episode(_at((0, OPEN), (40, CLOSE), (80, OPEN)), 0.8, rom, plant=flexed)], record=False)
     planted = set(controller._STATES) - still_keys
-    assert len(planted) == 4
+    assert len(planted) == 5
     for key in planted:
         controller._STATES[key] = (controller._STATES[key][0], _NAN_STATE)
-    for script, abort in ((((24, OPEN), (64, CLOSE), (104, OPEN)), None),
-                          (((20, OPEN), (60, CLOSE), (140, OPEN)), "non-finite state at t=0.500")):
+    for script, abort in ((((20, OPEN), (60, CLOSE), (100, OPEN)), None),
+                          (((0, OPEN), (40, CLOSE), (120, OPEN)), "non-finite state at t=0.400")):
         (log,) = run_episodes([Episode(_at(*script), 0.8, rom, plant=flexed)], record=False)
         assert log.abort == abort
 
@@ -1134,10 +1144,11 @@ def test_a_new_input_starts_at_the_deepest_remembered_state(empty_engine_tables)
 def test_a_repeated_input_starts_at_its_end(monkeypatch, empty_engine_tables):
     """A still hand first commanded at tick 100 steps one tick that shows it
     still, then starts at its first change. An input that runs to its end
-    leaves its state there, under the key of all its changes: a repeat in a
-    later unrecorded call steps only the stillness tick and reads no earlier
-    state, so a NaN planted in its last change's state is not seen. A longer
-    input of the same changes starts at that end, and a NaN planted there
+    leaves its state there, under the key of all its changes and under that
+    key with its length: a repeat in a later unrecorded call steps only the
+    stillness tick and reads no earlier state, so a NaN planted in its last
+    change's state is not seen. A longer input of the same changes, whose
+    own end is not remembered, starts at that end, and a NaN planted there
     aborts it on that tick, named as its own."""
     steps = _count_steps(monkeypatch)
     short = Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, calibrate_rom("M"))
@@ -1149,13 +1160,71 @@ def test_a_repeated_input_starts_at_its_end(monkeypatch, empty_engine_tables):
     assert [log.abort for log in run_episodes([short, short], record=False)] == [None, None]
     assert len(steps) == 301 + 1
     longer = replace(short, duration_s=3.0)
-    assert run_episodes([longer], record=False)[0].abort is None
-    assert len(steps) == 302 + 1 + 200
     for key, (tick, _) in controller._STATES.items():
         controller._STATES[key] = (tick, _NAN_STATE)
     assert run_episodes([longer], record=False)[0].abort == "non-finite state at t=2.000"
-    assert len(steps) == 503 + 1 + 1
+    assert len(steps) == 302 + 1 + 1
     assert run_episode(longer).abort is None
+
+
+def test_a_longer_twin_starts_at_its_own_end(monkeypatch, empty_engine_tables):
+    """A 600-tick input with the changes of a remembered 400-tick one starts
+    at the shorter one's end the first time, and parks at its own end on
+    every later call: its end is kept under its changes and its length, a
+    key the shorter one's earlier end cannot hold. Each call steps one tick
+    that shows the hand still."""
+    steps = _count_steps(monkeypatch)
+    short = Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, calibrate_rom("M"))
+    longer = replace(short, duration_s=3.0)
+    stepped = []
+    for episode in (short, longer, longer, longer):
+        before = len(steps)
+        assert run_episodes([episode], record=False)[0].abort is None
+        stepped.append(len(steps) - before)
+    assert stepped == [1 + 300, 1 + 200, 1, 1]
+    _assert_remembered_states_are_reached(longer, empty_engine_tables)
+
+
+def test_a_recorded_call_leaves_the_table_as_it_found_it(monkeypatch, empty_engine_tables):
+    """A recorded call steps every lane from tick 0, with no tick to decide
+    stillness, and leaves the table as it found it, whether its hands are
+    still or flexed, first commanded at tick 0 or later, and remembered or
+    new."""
+    scripts = (((0, OPEN), (200, CLOSE)), ((100, OPEN), (300, CLOSE)))
+
+    def episodes(size):
+        return [Episode(_at(*script), 2.0, calibrate_rom(size), plant=make(size))
+                for make in (default_plant, flexed_plant) for script in scripts]
+
+    run_episodes(episodes("M"), record=False)
+    held = dict(controller._STATES)
+    steps = _count_steps(monkeypatch)
+    recorded = episodes("M") + episodes("L")
+    for episode, log in zip(recorded, run_episodes(recorded)):
+        assert _outcome_bits(log) == _reference_bits(episode)
+    assert steps == [None] * 400 * 8
+    assert controller._STATES == held
+
+
+def test_a_flexed_hand_is_served_only_when_commanded_from_tick_0(monkeypatch, empty_engine_tables):
+    """A flexed hand moves before its first command. So an unrecorded lane of
+    it first commanded at tick 20 steps one tick that shows it not still
+    and then all its ticks from tick 0, on every call, and leaves no key.
+    The same hand commanded from tick 0 steps no stillness tick, is
+    remembered, and a repeat starts at its end."""
+    steps = _count_steps(monkeypatch)
+    later = Episode(_at((20, OPEN), (60, CLOSE)), 0.8, calibrate_rom("M"), plant=flexed_plant("M"))
+    at_once = replace(later, intents=_at((0, OPEN), (40, CLOSE)))
+    stepped = []
+    for episode in (later, later, at_once, at_once):
+        before = len(steps)
+        assert run_episodes([episode], record=False)[0].abort is None
+        stepped.append(len(steps) - before)
+        if episode is later:
+            assert controller._STATES == {}
+    assert stepped == [1 + 160, 1 + 160, 160, 0]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 40, 160, 160]
+    _assert_remembered_states_are_reached(at_once, empty_engine_tables)
 
 
 def test_an_unseen_still_hand_starts_at_its_first_command(monkeypatch, empty_engine_tables):
@@ -1179,7 +1248,8 @@ def test_a_still_hand_keeps_one_start_state(monkeypatch, empty_engine_tables):
     the same still hand first commanded at tick 100, as an SH stream is,
     count their changes' ticks alike, so they share every key: the state
     the hand starts in is kept once, and the later lane starts at its
-    second change, tick 300, in the state the first reached at tick 200."""
+    second change, tick 300, in the state the first reached at tick 200.
+    Each end is also kept under the key of its length."""
     steps = _count_steps(monkeypatch)
     rom = calibrate_rom("M")
     run_episodes([Episode(_at((0, OPEN), (200, CLOSE)), 2.0, rom)], record=False)
@@ -1190,41 +1260,41 @@ def test_a_still_hand_keeps_one_start_state(monkeypatch, empty_engine_tables):
     plant = default_plant("M")
     start = np.concatenate(([plant.cable_take_up_mm().max(), 0.0], plant.angles_deg), axis=None).tobytes()
     assert [state for _, state in controller._STATES.values()].count(start) == 1
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 200, 300]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 200, 300, 300, 400]
     _assert_remembered_states_are_reached(later, empty_engine_tables)
 
 
 def test_a_lane_started_late_takes_the_states_it_would_reach(empty_engine_tables):
     """A shifted schedule starts at tick 120 + 200, ten ticks before its own
     third change, holding CLOSE; the states it takes at its fourth change,
-    tick 380, and at its end, tick 400, are the ones its recorded log
-    reaches."""
+    tick 380, and at its end, tick 400, kept under two keys, are the ones
+    its recorded log reaches."""
     rom = calibrate_rom("M")
     run_episodes([Episode(_at((100, OPEN), (200, CLOSE), (300, OPEN)), 2.0, rom)], record=False)
     later = Episode(_at((120, OPEN), (220, CLOSE), (330, OPEN), (380, CLOSE)), 2.0, rom)
     assert run_episodes([later], record=False)[0].abort is None
-    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 260, 280, 300]
+    assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 100, 200, 260, 280, 280, 300, 300]
     _assert_remembered_states_are_reached(later, empty_engine_tables)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing angles run on as inf/NaN
 def test_a_resumed_lane_aborts_at_its_own_tick(monkeypatch, empty_engine_tables):
     """Without a flexion stop a huge torque overflows the angles on tick 25.
-    A 20-tick episode stops short of it, and a longer one of the same
+    A 20-tick episode commanded from tick 0, which the table serves though
+    its hand is not still, stops short of it, and a longer one of the same
     changes starts at its end, tick 20, and aborts on tick 25, as it does
     from empty tables. It leaves no end state, so a later call steps it
-    again from tick 20, to the same abort. Each call first steps one tick
-    that shows the hand is not still."""
-    longer = Episode(_at((5, OPEN), (10, CLOSE), (15, OPEN)), 0.3, calibrate_rom("M"), voluntary_nmm=1.7e308)
+    again from tick 20, to the same abort."""
+    longer = Episode(_at((0, OPEN), (5, CLOSE), (10, OPEN)), 0.3, calibrate_rom("M"), voluntary_nmm=1.7e308)
     steps = _count_steps(monkeypatch)
     with mock.patch.object(controller, "MAX_DEG", np.full((4, 2), math.inf)):
         assert run_episodes([replace(longer, duration_s=0.1)], record=False)[0].abort is None
-        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 15]
+        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 20, 20]
         (log,) = run_episodes([longer], record=False)
-        assert len(steps) == 1 + 20 + 1 + 6
+        assert len(steps) == 20 + 6
         (again,) = run_episodes([longer], record=False)
-        assert len(steps) == 28 + 1 + 6
-        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 15]
+        assert len(steps) == 26 + 6
+        assert sorted(tick for tick, _ in controller._STATES.values()) == [0, 5, 10, 20, 20]
         with empty_engine_tables():
             (cold,) = run_episodes([longer], record=False)
     assert log.abort == again.abort == cold.abort == "non-finite state at t=0.125"
@@ -1292,7 +1362,10 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
     included, is the one the same call gives from empty tables, and costs
     no more lane-steps. Then every remembered state that an episode alone
     takes under the same key, at that tick or later, is the one its
-    recorded log reaches."""
+    recorded log reaches. And each episode the table serves that an
+    unrecorded call ran to its end, run again alone and unrecorded, steps
+    at most the tick that shows its hand still: a longer twin of a shorter
+    input included, as the ``same`` family with two tick counts makes."""
     contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
     first, *scripts = data.draw(_warm_table_schedules(), label="scripts")
 
@@ -1305,6 +1378,7 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
     calls = [(call, data.draw(st.booleans(), label="record"))
              for call in (episodes([first]), later[:cut], later[cut:]) if call]
     stops = controller.MAX_DEG if data.draw(st.booleans(), label="stopped") else np.full((4, 2), math.inf)
+    ended = []  # the episodes an unrecorded call ran to their end
     with mock.patch.object(controller, "MAX_DEG", stops), empty_engine_tables():
         for call, record in calls:
             before = len(engine_steps)
@@ -1313,6 +1387,7 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
                 for episode, log in zip(call, logs):
                     assert _outcome_bits(log) == _reference_bits(episode)
                 continue
+            ended += [episode for episode, log in zip(call, logs) if log.abort is None]
             warm, before = len(engine_steps) - before, len(engine_steps)
             with empty_engine_tables():
                 cold = run_episodes(call, record=False)
@@ -1320,6 +1395,28 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
             assert warm <= len(engine_steps) - before
         for episode in (episode for call, _ in calls for episode in call):
             _assert_remembered_states_are_reached(episode, empty_engine_tables)
+        for episode in filter(_is_served, ended):
+            before = len(engine_steps)
+            assert run_episodes([episode], record=False)[0].abort is None
+            assert len(engine_steps) - before <= 1
+
+
+def _is_served(episode):
+    """Whether the engine table serves the episode's unrecorded lane: its
+    torque is a constant and its start state holds until its first command,
+    since it is commanded from tick 0 or one uncommanded tick leaves its
+    state bit-identical."""
+    if callable(episode.voluntary_nmm):
+        return False
+    (log,) = run_episodes([replace(episode, duration_s=CONTROL_DT_S)])
+    cols = log.ticks
+    if cols.intent[0] != _LABELS.index(RELAX):
+        return True
+    plant = episode.plant if episode.plant is not None else default_plant()
+    motor = episode.initial_motor or MotorState(min(plant.cable_take_up_mm().max(), controller.TRAVEL_MM))
+    start = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None)
+    after = np.concatenate(([cols.excursion_mm[0], cols.velocity_mm_s[0]], cols.angles_deg[0]))
+    return after.tobytes() == start.tobytes()
 
 
 def _assert_remembered_states_are_reached(episode, empty_engine_tables):
@@ -1342,14 +1439,15 @@ def _assert_remembered_states_are_reached(episode, empty_engine_tables):
 
 
 def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypatch, empty_engine_tables):
-    """With room for 4, five still hands, one per ROM, each commanded once,
-    leave the newest four states, oldest first: the state each hand starts
-    in and its end. Each call steps one tick that shows its hand still, so
-    an evicted input is stepped again from its first change, a remembered
-    one not at all. A key keeps the earliest tick it is taken at, in its
-    place: a later first command ends the same changes sooner, and another
-    input's later change is taken under the same key as an end."""
-    monkeypatch.setattr(controller, "_STATES_MAX", 4)
+    """With room for 6, five still hands, one per ROM, each commanded once,
+    leave the newest six states, oldest first: the state each hand starts
+    in and its end, under two keys. Each call steps one tick that shows its
+    hand still, so an evicted input is stepped again from its first change,
+    a remembered one not at all. A key keeps the earliest tick it is taken
+    at, in its place: a later first command ends the same changes sooner,
+    and another input's later change is taken under the same key as an
+    end."""
+    monkeypatch.setattr(controller, "_STATES_MAX", 6)
     table = controller._STATES
     steps = _count_steps(monkeypatch)
 
@@ -1362,17 +1460,18 @@ def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypat
     keys = []
     for k in range(5):
         assert run(k, (10, OPEN)) == 1 + 90
-        keys.append(list(table)[-2:])
+        keys.append(list(table)[-3:])
     assert list(table) == [*keys[3], *keys[4]]
-    assert [tick for tick, _ in table.values()] == [0, 90, 0, 90]
+    assert [tick for tick, _ in table.values()] == [0, 90, 90, 0, 90, 90]
     assert run(0, (10, OPEN)) == 1 + 90
     assert run(0, (10, OPEN)) == 1
     assert list(table) == [*keys[4], *keys[0]]
     assert run(0, (12, OPEN)) == 1 + 88
-    assert list(table) == [*keys[4], *keys[0]] and table[keys[0][1]][0] == 88
-    assert run(4, (10, OPEN), (50, CLOSE)) == 1 + 90
-    *kept, end = table
-    assert kept == [keys[4][1], *keys[0]] and table[keys[4][1]][0] == 40 and table[end][0] == 90
+    *kept, shorter = table
+    assert kept == [*keys[4][1:], *keys[0]] and table[keys[0][1]][0] == table[shorter][0] == 88
+    assert run(0, (10, OPEN), (50, CLOSE)) == 1 + 90
+    *kept, end, twin = table
+    assert kept == [*keys[0], shorter] and table[keys[0][1]][0] == 40 and table[end][0] == table[twin][0] == 90
 
 
 def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tables):
@@ -1387,19 +1486,19 @@ def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tab
         for plan in protocol.build_session_plans("S"):
             protocol.run_session(plan, subject)
         stepped.append(len(steps) - before)
-    assert stepped == [4400, 16344]
-    assert len(controller._STATES) == 35
+    assert stepped == [4400, 16132]
+    assert len(controller._STATES) == 75
 
 
 def test_a_changed_constant_empties_the_table(empty_engine_tables):
     """A table filled under a softer tendon holds nothing after a call under
     the module's own constants but what that call would leave in an empty
     one."""
-    first = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("M"), plant=flexed_plant("M"))
-    second = Episode(_at((10, OPEN), (50, CLOSE)), 0.5, calibrate_rom("L"), plant=flexed_plant("L"))
+    first = Episode(_at((0, OPEN), (50, CLOSE)), 0.5, calibrate_rom("M"), plant=flexed_plant("M"))
+    second = Episode(_at((0, OPEN), (50, CLOSE)), 0.5, calibrate_rom("L"), plant=flexed_plant("L"))
     with mock.patch.object(controller, "TENDON_STIFFNESS_N_MM", 20.0):
         run_episodes([first], record=False)
-    assert len(controller._STATES) == 3
+    assert len(controller._STATES) == 4
     run_episodes([second], record=False)
     with empty_engine_tables():
         run_episodes([second], record=False)
