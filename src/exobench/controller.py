@@ -36,13 +36,16 @@ encode per tick of a row read from the columns. The scalar reference the
 engine matches bit for bit, one tick of proportional step, motor, plant and
 setpoint at a time, lives with the tests in ``tests/reference.py``.
 
-Every call steps each distinct input once, in one lane plan, and recorded
-columns are read-only, since episodes that share a lane share its rows. An
-unrecorded call, as a session makes, starts a hand that one uncommanded
-tick leaves bit-identical at its first command. It may start such a hand,
-or any commanded from tick 0, in a state an earlier unrecorded call
-reached on the same hand and schedule, kept in a module table whose rule
-``_resume`` and ``_remember`` state.
+Every call sets each episode up per event, not per tick: its intent stream
+becomes its label runs and the few ticks where its held command changes,
+placed on the call's one array of tick times. It steps each distinct input
+once, as one lane, whose recorded rows are one read-only array that the
+logs of the episodes sharing the lane view. An unrecorded call, as a
+session makes, holds no other per-tick array. It starts a hand that one
+uncommanded tick leaves bit-identical at its first command. It may start
+such a hand, or any commanded from tick 0, in a state an earlier
+unrecorded call reached on the same hand and schedule, kept in a module
+table whose rule ``_resume`` and ``_remember`` state.
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -69,6 +72,25 @@ TRAJECTORY_SCHEMA = "exobench/trajectory-v1"
 _DEG2RAD = math.pi / 180.0
 
 
+def _drive_param(name: str, value: float) -> float:
+    """A spool drive value, checked once at import: the speed derivation and
+    the motor lag divide by them, so a zero or NaN would only show as NaN state."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+# Spool drive: a 5400 rpm (no load) gearmotor through 47:1 turns the 2 mm
+# spool, which sets the peak cable speed (24.06 mm/s). The cable speed
+# follows effort * peak speed with a first-order lag, over 0-55 mm of travel.
+GEAR_RATIO = _drive_param("gear_ratio", 47.0)
+NO_LOAD_RPM = _drive_param("no_load_rpm", 5400.0)
+SPOOL_RADIUS_MM = _drive_param("spool_radius_mm", 2.0)
+MAX_SPEED_MM_S = NO_LOAD_RPM / GEAR_RATIO / 60.0 * 2.0 * math.pi * SPOOL_RADIUS_MM
+MOTOR_TIME_CONSTANT_S = _drive_param("time_constant_s", 0.025)
+TRAVEL_MM = _drive_param("travel_mm", 55.0)
+
+
 @dataclass(frozen=True)
 class RomCalibration:
     """Excursion setpoints from the per-session range-of-motion pass."""
@@ -79,8 +101,8 @@ class RomCalibration:
     def __post_init__(self) -> None:
         if not self.retracted_mm < self.extended_mm:
             raise ValueError("retracted setpoint must be below extended setpoint")
-        if self.retracted_mm < 0.0:
-            raise ValueError("excursion cannot be negative")
+        if not (self.retracted_mm >= 0.0 and self.extended_mm <= TRAVEL_MM):  # the motor stops there
+            raise ValueError(f"setpoints must lie within the 0-{TRAVEL_MM:g} mm travel, got {self!r}")
 
 
 #: By glove size: the excursion range and the base moment arm, mm, that
@@ -111,24 +133,6 @@ def calibrate_rom(hand_size: str) -> RomCalibration:
 # alone settles with zero steady-state error, and KP keeps the velocity-lag
 # pole pair at critical damping so the approach never overshoots.
 KP = 0.4
-
-def _drive_param(name: str, value: float) -> float:
-    """A spool drive value, checked once at import: the speed derivation and
-    the motor lag divide by them, so a zero or NaN would only show as NaN state."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-# Spool drive: a 5400 rpm (no load) gearmotor through 47:1 turns the 2 mm
-# spool, which sets the peak cable speed (24.06 mm/s). The cable speed
-# follows effort * peak speed with a first-order lag, over 0-55 mm of travel.
-GEAR_RATIO = _drive_param("gear_ratio", 47.0)
-NO_LOAD_RPM = _drive_param("no_load_rpm", 5400.0)
-SPOOL_RADIUS_MM = _drive_param("spool_radius_mm", 2.0)
-MAX_SPEED_MM_S = NO_LOAD_RPM / GEAR_RATIO / 60.0 * 2.0 * math.pi * SPOOL_RADIUS_MM
-MOTOR_TIME_CONSTANT_S = _drive_param("time_constant_s", 0.025)
-TRAVEL_MM = _drive_param("travel_mm", 55.0)
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,8 @@ class HandPlant:
             raise ValueError("joint angles outside [0, max]")
         if np.any(self.stiffness_nmm_deg < 0.0):
             raise ValueError("stiffness must be >= 0")
+        if np.any(self.moment_arm_mm <= 0.0):  # the cable would pull no joint open
+            raise ValueError("moment arms must be > 0")
 
     def cable_take_up_mm(self) -> np.ndarray:
         """Cable length absorbed by each digit's flexion."""
@@ -310,23 +316,25 @@ class Episode:
         object.__setattr__(self, "intents", (t, codes))
 
 
-def _commands(intents: tuple[np.ndarray, np.ndarray], t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per tick, the latest label with timestamp <= t; and the ticks where the
-    held command, the latest OPEN or CLOSE label so far, changes.
+def _commands(intents: tuple[np.ndarray, np.ndarray],
+              tick_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The label runs over the ticks at times ``tick_t``, as their first ticks
+    and labels; and the ticks and codes of the held command's changes, the
+    runs not RELAX whose code differs from the last such run's.
 
-    Events are put in time order by a stable sort, so events at the same
-    time apply in their stream order and the last of them holds. Labels are
-    RELAX before the first event, and the held command RELAX before the
-    first OPEN or CLOSE.
+    A tick's label is the latest event's with timestamp <= its time, RELAX
+    before the first. So each event, in time order by a stable sort, applies
+    from the first tick at or after it; of the events that share that tick
+    the last holds, and one at or after the end never applies.
     """
     event_t, event_codes = intents
     order = np.argsort(event_t, kind="stable")
-    times = np.concatenate(([-math.inf], event_t[order]))
-    codes = np.concatenate(([_RELAX], event_codes[order])).astype(np.int8)
-    labels = codes[np.searchsorted(times, t, side="right") - 1]
-    commanded = np.flatnonzero(labels != _RELAX)
-    # A change is a commanded tick whose label differs from the last commanded tick's.
-    return labels, commanded[labels[commanded] != np.concatenate(([_RELAX], labels[commanded[:-1]]))]
+    at = np.concatenate(([0], np.searchsorted(tick_t, event_t[order]), [len(tick_t)]))  # RELAX at 0, the end
+    holds = at[:-1] != at[1:]  # the last event of each tick before the end
+    starts, labels = at[:-1][holds], np.concatenate(([_RELAX], event_codes[order]), dtype=np.int8)[holds]
+    ticks, codes = starts[labels != _RELAX], labels[labels != _RELAX]
+    changed = codes != np.concatenate(([_RELAX], codes[:-1]))
+    return starts, labels, ticks[changed], codes[changed]
 
 
 #: The states that unrecorded ``run_episodes`` lanes the table serves have
@@ -403,7 +411,7 @@ def _remember(taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
 
 def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[float], float],
                moves: dict[int, tuple[float, int]], setpoint: float, start: int, n: int,
-               keep: bool, record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
+               record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
     """One lane from tick ``start``, in ``state`` (excursion, velocity and the
     eight angles in ``DIGITS`` x ``JOINTS`` order), to its end ``n`` or its
     abort, as one recurrence on Python floats: each tick the proportional
@@ -418,9 +426,9 @@ def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[f
     the invariants are checked exactly, in the reference's order, and a
     breach stops the lane on that tick. Returns the ticks it stepped, its
     diagnostic or None, its states at each change tick it reached and at
-    its end, with no invariant broken before them, if it is to ``keep``
-    them, and, when recording, 14 values per tick: the effort, velocity,
-    FSM code, setpoint, excursion, total tension and angles.
+    its end, with no invariant broken before them, and, when recording, 14
+    values per tick: the effort, velocity, FSM code, setpoint, excursion,
+    total tension and angles.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
@@ -437,8 +445,7 @@ def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[f
     sp, fsm, states, rows = setpoint, _IDLE, {}, []
     for tick in range(start, n + 1):
         if tick in moves or tick == n:  # a change, or the end
-            if keep:
-                states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
+            states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
             if tick == n:
                 break
             sp, fsm = moves[tick]
@@ -530,9 +537,11 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     -0.0 and 0.0 differ and a NaN matches only its own bits. The first
     episode of a key gets a lane and later ones in the call share it.
     ``record`` decides the rest. With it, every lane starts at tick 0, the
-    FSM settles and the columns are kept, read-only since episodes of one
-    key share a lane's rows, up to and including an abort's tick. Without
-    it every log has zero ticks and holds no label array, and the table
+    FSM settles and the columns are kept, up to and including an abort's
+    tick: the lane's rows as one read-only array that its logs view, the
+    call's tick times as ``t`` and each episode's label runs expanded as
+    ``intent``. Without it every log has zero ticks, shares one empty label
+    array with the call's other logs, and views no tick time; the table
     serves a keyed lane whose start state holds until its first command:
     one commanded from tick 0, or one whose context is still, as one
     uncommanded tick of ``_step_lane`` decides once per call for the first
@@ -558,18 +567,20 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     # and held-command schedule; a repeat of a key in the call shares its
     # lane. A lane starts at tick 0, or where ``_resume`` puts it, holding
     # the setpoint of its last change before then, and runs at once.
-    keyed: dict[bytes, int] = {}  # each key in the call, to its lane
-    still: dict[bytes, bool] = {}  # each context whose stillness the call decided
-    lane_of, labels, lanes = [], [], []  # lanes: each lane's (ticks stepped, diagnostic, recorded rows)
-    taken = []  # each served, stepped lane's (memo from _resume, states by tick)
-    for ep in episodes:
-        n = int(round(ep.duration_s / CONTROL_DT_S))
+    ns = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
+    tick_t = np.arange(max(ns)) * CONTROL_DT_S  # the call's one per-tick array, and its t column
+    no_labels = np.empty(0, np.int8)  # every unrecorded log's
+    # keyed: each key in the call, to its lane; still: each context whose
+    # stillness the call decided; lanes: each lane's diagnostic, (stepped, 14)
+    # rows and FSM codes; taken: each served, stepped lane's memo from
+    # ``_resume`` and states by tick.
+    keyed, still, lane_of, labels, lanes, taken = {}, {}, [], [], [], []
+    for ep, n in zip(episodes, ns):
         plant = ep.plant if ep.plant is not None else default_plant()
         motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
             excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
-        label, ticks = _commands(ep.intents, np.arange(n) * CONTROL_DT_S)
-        codes = label[ticks]
-        labels.append(label if record else label[:0].copy())  # a copy, so no unrecorded log holds a label
+        starts, runs, ticks, codes = _commands(ep.intents, tick_t[:n])
+        labels.append(np.repeat(runs, np.diff(starts, append=n)) if record else no_labels)
         torque = ep.voluntary_nmm
         context = key = None
         if not callable(torque):
@@ -586,44 +597,32 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         if key is not None:
             keyed[key] = len(lanes)
             if not record and 0 not in ticks and context not in still:  # still: one uncommanded tick changes no bit
-                _, _, after, _ = _step_lane(state.tolist(), plant, torque, {}, math.nan, 0, 1, True, False)
+                _, _, after, _ = _step_lane(state.tolist(), plant, torque, {}, math.nan, 0, 1, False)
                 still[context] = after.get(1) == state.tobytes()
             if not record and (0 in ticks or still[context]):
                 start, k, found, memo = _resume(context, ticks, codes, n)
                 state = state if found is None else found
         moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
-        stepped, abort, states, rows = _step_lane(
+        _, abort, states, rows = _step_lane(
             state.tolist(), plant, torque, dict(zip(ticks.tolist(), moves)), moves[k - 1][0] if k else math.nan,
-            start, n, memo is not None, record)
+            start, n, record)
         if memo is not None:
             taken.append((memo, states))
-        lanes.append((stepped, abort, rows))
+        rows = np.array(rows, dtype=float).reshape(-1, 14)
+        fsm = rows[:, 2].astype(np.int8)
+        rows.flags.writeable = fsm.flags.writeable = False  # before the logs' views, which inherit it
+        lanes.append((abort, rows, fsm))
     _remember(taken)
 
-    # Recorded, each lane's rows fill its row of one (lanes, ticks, 14)
-    # block, whose columns the logs view.
-    width = max(stepped for stepped, _, _ in lanes) if record else 0
-    block = np.zeros((len(lanes), width, 14))
-    for e, (stepped, _, rows) in enumerate(lanes):
-        if rows:
-            block[e, :stepped] = np.array(rows, dtype=float).reshape(stepped, 14)
-    t_col = np.arange(width) * CONTROL_DT_S
-    fsm_col = block[:, :, 2].astype(np.int8)
-    for col in (block, t_col, fsm_col, *labels):  # before the views are taken, which inherit it
+    # Each log views its lane's rows: episodes of one key share them.
+    t_col = tick_t if record else tick_t[:0].copy()  # so no unrecorded log holds the tick times
+    for col in (t_col, *labels):
         col.flags.writeable = False
-    effort_col, velocity_col, _, setpoint_col, x_col, tension_col = block.transpose(2, 0, 1)[:6]
     return [TrajectoryLog(TrajectoryColumns(
-        t=t_col[:m],
-        intent=label[:m],
-        fsm=fsm_col[lane, :m],
-        setpoint_mm=setpoint_col[lane, :m],
-        excursion_mm=x_col[lane, :m],
-        tension_n=tension_col[lane, :m],
-        angles_deg=block[lane, :m, 6:],
-        velocity_mm_s=velocity_col[lane, :m],
-        effort=effort_col[lane, :m],
-    ), lanes[lane][1]) for label, lane, m in zip(labels, lane_of, [min(lanes[lane][0], width) for lane in lane_of])]
+        t=t_col[:len(rows)], intent=label[:len(rows)], fsm=fsm, setpoint_mm=rows[:, 3], excursion_mm=rows[:, 4],
+        tension_n=rows[:, 5], angles_deg=rows[:, 6:], velocity_mm_s=rows[:, 1], effort=rows[:, 0],
+    ), abort) for label, (abort, rows, fsm) in zip(labels, (lanes[lane] for lane in lane_of))]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

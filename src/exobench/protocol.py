@@ -1,13 +1,14 @@
 """Training protocol: the task duration model, calibration and the session runner.
 
 The task inventory and the session plans are in ``tasks``, which imports no
-numpy. This module imports the inventory names that it and its callers use,
-so ``protocol.build_protocol``, ``protocol.build_session_plans`` and
-``protocol.TOTAL_SESSIONS`` resolve here too. Each session counts 30 minutes
-of active practice, where active time excludes setup, calibration, rests,
-and device adjustments. The session stops after the task during which the
-active-time budget is reached; if the protocol finishes early the remainder
-is free training, logged as a single aggregate event.
+numpy. This module imports the inventory names that it uses and the two
+plan builders that the bench's workloads read through it, so
+``protocol.build_protocol``, ``protocol.build_session_plans`` and
+``protocol.TOTAL_SESSIONS`` resolve here too. Each session counts 30
+minutes of active practice, where active time excludes setup, calibration,
+rests, and device adjustments. The session stops after the task during
+which the active-time budget is reached; if the protocol finishes early the
+remainder is free training, logged as a single aggregate event.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import numpy as np
 from exobench import TOTAL_SESSIONS, controller, intent as intent_mod, signals
 from exobench.signals import IntentLabel, ShoulderPosture
 from exobench.subject import Subject, derive_seed
-# The inventory names the runner uses, and those that callers reach through
-# this module (the bench's workloads and the protocol tests).
+# The inventory names the runner uses, and the plan builders that the bench's
+# workloads reach through this module.
 from exobench.tasks import (
-    ACTIVE_BUDGET_S,
     ProtocolPhase,
     SessionPlan,
     Support,
@@ -117,11 +117,7 @@ def session_calibration(subject: Subject, session_index: int) -> CalibrationBund
 
     if subject.group == "EMG":
         profile = subject.emg_profile(f"calibration:{session_index}")
-        script = []
-        for label in intent_mod.CLASS_ORDER:
-            script += [(label, 4.0), (IntentLabel.RELAX, 1.0)] if label is not IntentLabel.RELAX \
-                else [(label, 4.0)]
-        trace = signals.gen_emg_trace(profile, script)
+        trace = signals.gen_emg_trace(profile, list(_CALIBRATION_SCRIPT))
         try:
             clf = intent_mod.train_classifier(intent_mod.labeled_windows(trace))
         except ValueError as exc:
@@ -186,6 +182,11 @@ class SessionLog:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl())
 
+
+#: The EMG calibration recording: each class held for 4 s, and each command
+#: followed by 1 s of RELAX.
+_CALIBRATION_SCRIPT = ((IntentLabel.OPEN, 4.0), (IntentLabel.RELAX, 1.0), (IntentLabel.RELAX, 4.0),
+                       (IntentLabel.CLOSE, 4.0), (IntentLabel.RELAX, 1.0))
 
 _GRASP_SCRIPT = ((IntentLabel.OPEN, 1.5), (IntentLabel.CLOSE, 1.5),
                  (IntentLabel.RELAX, 1.0), (IntentLabel.OPEN, 1.5))

@@ -5,7 +5,9 @@ ran, kept so that property tests can check the array paths against it bit
 for bit. Nothing in ``src/`` imports this module.
 
 - Controller: the proportional step, motor, plant and setpoint primitives of
-  one tick, on a motor record that also keeps the last effort and tension.
+  one tick, on a motor record that also keeps the last effort and tension;
+  and an intent stream's label at every tick and the held-command changes
+  read from those labels, which the engine's per-event schedule must match.
 - Episode summaries: the time to open and the motor direction reversals,
   read from a recorded trajectory's columns, which ROADMAP item 1a's
   online summaries are to match.
@@ -183,6 +185,26 @@ def settle_fsm(state: ControllerState, motor: MotorRecord, rom: RomCalibration) 
         if state.setpoint_mm == rom.extended_mm and state.fsm == "RELEASING":
             return replace(state, fsm="HOLD_CLOSED")
     return state
+
+
+def tick_commands(intents: tuple[np.ndarray, np.ndarray],
+                  n_ticks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of ``n_ticks`` ticks' label, the latest event's with timestamp <=
+    the tick's time (RELAX before the first), events at one time in stream
+    order; and the ticks and codes where the held command, the latest OPEN or
+    CLOSE label so far, changes."""
+    relax = CLASS_ORDER.index(IntentLabel.RELAX)
+    event_t, event_codes = intents
+    order = np.argsort(event_t, kind="stable")
+    times = np.concatenate(([-math.inf], event_t[order]))
+    codes = np.concatenate(([relax], event_codes[order])).astype(np.int8)
+    labels = codes[np.searchsorted(times, np.arange(n_ticks) * CONTROL_DT_S, side="right") - 1]
+    changes, held = [], relax
+    for tick, label in enumerate(labels.tolist()):
+        if label not in (relax, held):
+            changes.append(tick)
+            held = label
+    return labels, np.array(changes, dtype=int), labels[changes]
 
 
 # ---------------------------------------------------------------------------

@@ -333,13 +333,13 @@ def test_criterion_8_protocol_fidelity():
     from exobench import cli
 
     from exobench.protocol import (
-        ACTIVE_BUDGET_S,
         ProtocolPhase,
         build_protocol,
         build_session_plans,
         run_session,
     )
     from exobench.subject import Subject
+    from exobench.tasks import ACTIVE_BUDGET_S
 
     tasks = build_protocol()
     drill = [t for t in tasks if t.phase is ProtocolPhase.REPETITIVE_DRILL]

@@ -48,6 +48,7 @@ from reference import (
     step_motor,
     step_plant,
     stream,
+    tick_commands,
     time_to_open,
 )
 
@@ -94,6 +95,16 @@ class TestRom:
         # config checks --hand-size and --mas against the numpy-free copies.
         assert tuple(controller.GLOVE_TABLE) == exobench.HAND_SIZES
         assert tuple(controller.MAS_STIFFNESS) == exobench.MAS_GRADES
+
+    @pytest.mark.parametrize("setpoints", [(0.0, math.inf), (0.0, 60.0), (-1.0, 40.0)])
+    def test_rejects_setpoints_beyond_the_travel(self, setpoints):
+        # The motor stops at TRAVEL_MM: a slack setpoint past it is never
+        # reached, so the move would never settle.
+        with pytest.raises(ValueError, match="within the 0-55 mm travel"):
+            RomCalibration(*setpoints)
+
+    def test_accepts_a_setpoint_at_the_end_of_the_travel(self):
+        assert RomCalibration(0.0, controller.TRAVEL_MM).extended_mm == 55.0
 
 
 class TestPid:
@@ -200,6 +211,15 @@ class TestPlant:
         arr[2, 1] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(plant, **{field: arr})
+
+    @pytest.mark.parametrize("arm", [0.0, -0.0, -13.0])
+    def test_rejects_a_moment_arm_that_is_not_positive(self, arm):
+        # A cable on a zero or negative arm pulls no joint open.
+        plant = default_plant("M")
+        arms = plant.moment_arm_mm.copy()
+        arms[1, 0] = arm
+        with pytest.raises(ValueError, match="moment arms must be > 0"):
+            replace(plant, moment_arm_mm=arms)
 
     def test_keeps_read_only_copies_of_the_arrays_it_checked(self):
         names = ("angles_deg", "stiffness_nmm_deg", "moment_arm_mm")
@@ -1098,6 +1118,28 @@ def _at(*ticks_and_labels):
     return stream([(tick * CONTROL_DT_S, label) for tick, label in ticks_and_labels])
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_label_runs_and_changes_match_the_per_tick_oracle(data):
+    """An episode's label runs, expanded to one label per tick, are the
+    per-tick labels of ``tick_commands``, and its held-command changes are
+    the ones those labels give, whatever the stream: events in any order,
+    tied in time, before tick 0, exactly on a tick or at or after the end,
+    RELAX only, or none, over 1 to 300 ticks."""
+    n = data.draw(st.integers(1, 300), label="ticks")
+    on_tick = st.integers(-3, n + 3).map(lambda k: k * CONTROL_DT_S)
+    times = data.draw(st.lists(on_tick | st.floats(-0.05, (n + 3) * CONTROL_DT_S), min_size=1, max_size=6),
+                      label="times")  # few, so events tie
+    labels = st.just(RELAX) if data.draw(st.booleans(), label="relax only") else st.sampled_from(_LABELS)
+    script = data.draw(st.lists(st.tuples(st.sampled_from(times), labels), max_size=12), label="script")
+    intents = Episode(stream(script), n * CONTROL_DT_S, calibrate_rom("M")).intents
+    starts, runs, ticks, codes = controller._commands(intents, np.arange(n) * CONTROL_DT_S)
+    want, want_ticks, want_codes = tick_commands(intents, n)
+    assert starts[0] == 0 and np.all(np.diff(starts, append=n) > 0)
+    assert runs.dtype == np.int8 and np.repeat(runs, np.diff(starts, append=n)).tolist() == want.tolist()
+    assert (ticks.tolist(), codes.tolist()) == (want_ticks.tolist(), want_codes.tolist())
+
+
 _NAN_STATE = np.full(10, math.nan).tobytes()
 
 
@@ -1355,17 +1397,21 @@ def _warm_table_schedules(draw):
 @given(st.data())
 def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data):
     """Episodes of 1-2 contexts, each running every schedule of a family
-    that shares starts or shifts, in 2-3 calls, each recorded or not, one
-    after the other from empty tables: the first script's episodes, then
-    all the scripts' in a drawn order, each with a drawn tick count. Each
-    recorded log is the scalar reference's; each unrecorded outcome, aborts
-    included, is the one the same call gives from empty tables, and costs
-    no more lane-steps. Then every remembered state that an episode alone
-    takes under the same key, at that tick or later, is the one its
-    recorded log reaches. And each episode the table serves that an
-    unrecorded call ran to its end, run again alone and unrecorded, steps
-    at most the tick that shows its hand still: a longer twin of a shorter
-    input included, as the ``same`` family with two tick counts makes."""
+    that shares starts or shifts, in 2-3 calls, each recorded or not and
+    each under the module's tendon stiffness or a softer one, one after the
+    other from empty tables of a drawn size (the default, or 2 or 6 keys,
+    which evict): the first script's episodes, then all the scripts' in a
+    drawn order, each with a drawn tick count. Each recorded log is the
+    scalar reference's; each unrecorded outcome, aborts included, is the one
+    the same call gives from empty tables, and costs no more lane-steps.
+    Then, under the last call's stiffness, every remembered state that an
+    episode alone takes under the same key, at that tick or later, is the
+    one its recorded log reaches. And with the default table size, each
+    episode the table serves that an unrecorded call ran to its end, run
+    again alone and unrecorded, steps at most the tick that shows its hand
+    still: a longer twin of a shorter input included, as the ``same``
+    family with two tick counts makes. A smaller table may have evicted
+    its states, so there a repeat may step again."""
     contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
     first, *scripts = data.draw(_warm_table_schedules(), label="scripts")
 
@@ -1375,30 +1421,38 @@ def test_a_warm_table_changes_no_outcome(engine_steps, empty_engine_tables, data
 
     later = data.draw(st.permutations(episodes([first, *scripts])), label="order")
     cut = data.draw(st.integers(0, len(later)), label="cut")
-    calls = [(call, data.draw(st.booleans(), label="record"))
+    tendons = st.sampled_from([controller.TENDON_STIFFNESS_N_MM, 20.0])
+    calls = [(call, data.draw(st.booleans(), label="record"), data.draw(tendons, label="tendon"))
              for call in (episodes([first]), later[:cut], later[cut:]) if call]
     stops = controller.MAX_DEG if data.draw(st.booleans(), label="stopped") else np.full((4, 2), math.inf)
-    ended = []  # the episodes an unrecorded call ran to their end
-    with mock.patch.object(controller, "MAX_DEG", stops), empty_engine_tables():
-        for call, record in calls:
-            before = len(engine_steps)
-            logs = run_episodes(call, record)
-            if record:
-                for episode, log in zip(call, logs):
-                    assert _outcome_bits(log) == _reference_bits(episode)
-                continue
-            ended += [episode for episode, log in zip(call, logs) if log.abort is None]
-            warm, before = len(engine_steps) - before, len(engine_steps)
-            with empty_engine_tables():
-                cold = run_episodes(call, record=False)
-            assert [log.abort for log in logs] == [log.abort for log in cold]
-            assert warm <= len(engine_steps) - before
-        for episode in (episode for call, _ in calls for episode in call):
-            _assert_remembered_states_are_reached(episode, empty_engine_tables)
-        for episode in filter(_is_served, ended):
-            before = len(engine_steps)
-            assert run_episodes([episode], record=False)[0].abort is None
-            assert len(engine_steps) - before <= 1
+    size = data.draw(st.sampled_from([controller._STATES_MAX, 2, 6]), label="table size")
+    repeats_cost_a_tick = size == controller._STATES_MAX
+    ended, under = [], None  # the episodes unrecorded calls ran to their end under the table's stiffness
+    with (mock.patch.object(controller, "MAX_DEG", stops), mock.patch.object(controller, "_STATES_MAX", size),
+          empty_engine_tables()):
+        for call, record, tendon in calls:
+            if tendon != under:  # the call empties the table
+                ended, under = [], tendon
+            with mock.patch.object(controller, "TENDON_STIFFNESS_N_MM", tendon):
+                before = len(engine_steps)
+                logs = run_episodes(call, record)
+                if record:
+                    for episode, log in zip(call, logs):
+                        assert _outcome_bits(log) == _reference_bits(episode)
+                    continue
+                ended += [episode for episode, log in zip(call, logs) if log.abort is None]
+                warm, before = len(engine_steps) - before, len(engine_steps)
+                with empty_engine_tables():
+                    cold = run_episodes(call, record=False)
+                assert [log.abort for log in logs] == [log.abort for log in cold]
+                assert warm <= len(engine_steps) - before
+        with mock.patch.object(controller, "TENDON_STIFFNESS_N_MM", under):
+            for episode in (episode for call, _, _ in calls for episode in call):
+                _assert_remembered_states_are_reached(episode, empty_engine_tables)
+            for episode in filter(_is_served, ended if repeats_cost_a_tick else []):
+                before = len(engine_steps)
+                assert run_episodes([episode], record=False)[0].abort is None
+                assert len(engine_steps) - before <= 1
 
 
 def _is_served(episode):
@@ -1427,6 +1481,7 @@ def _assert_remembered_states_are_reached(episode, empty_engine_tables):
     warm = controller._STATES
     with empty_engine_tables():
         (log,) = run_episodes([episode])
+        run_episodes([episode], record=False)  # a recorded call leaves no state
         own = dict(controller._STATES)
     commanded = np.flatnonzero(log.ticks.intent != _LABELS.index(RELAX))
     first = commanded[0] if len(commanded) else round(episode.duration_s / CONTROL_DT_S)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from exobench import HAND_SIZES, MAS_GRADES, TOTAL_SESSIONS, controller, protocol, tasks
 from exobench.protocol import (
-    ACTIVE_BUDGET_S,
     ProtocolPhase,
     SessionLog,
     Support,
@@ -27,6 +26,7 @@ from exobench.protocol import (
     task_intent_stream,
 )
 from exobench.subject import Subject, preset_subject
+from exobench.tasks import ACTIVE_BUDGET_S
 
 
 class TestInventory:
@@ -116,7 +116,7 @@ def test_inventory_names_are_defined_once_in_tasks():
     moved = _defined(tasks)
     assert not moved & _defined(protocol)
     reached = moved & _reached_through_protocol()
-    assert {"ACTIVE_BUDGET_S", "build_protocol", "build_session_plans"} <= reached
+    assert {"build_protocol", "build_session_plans"} <= reached
     for name in sorted(reached):
         assert getattr(protocol, name) is getattr(tasks, name), name
 
