@@ -38,14 +38,17 @@ setpoint at a time, lives with the tests in ``tests/reference.py``.
 
 Every call sets each episode up per event, not per tick: its intent stream
 becomes its label runs and the few ticks where its held command changes,
-placed on the call's one array of tick times. It steps each distinct input
-once, as one lane, whose recorded rows are one read-only array that the
-logs of the episodes sharing the lane view. An unrecorded call, as a
-session makes, holds no other per-tick array. It starts a hand that one
-uncommanded tick leaves bit-identical at its first command. It may start
-such a hand, or any commanded from tick 0, in a state an earlier
-unrecorded call reached on the same hand and schedule, kept in a module
-table whose rule ``_resume`` and ``_remember`` state.
+placed on the call's one array of tick times; its hand, motor and context
+are resolved once per call. It steps each distinct input once, as one
+lane, whose recorded rows are one read-only array that the logs of the
+episodes sharing the lane view. An unrecorded call, as a session makes,
+holds no other per-tick array, and its logs share one set of empty
+columns. It starts a hand that one uncommanded tick leaves bit-identical
+at its first command. It may start such a hand, or any commanded from
+tick 0, in a state an earlier unrecorded call reached on the same hand
+and schedule, kept in a module table whose rule ``_resume`` and
+``_remember`` state, or in a state an earlier lane of the call reached on
+the same hand and the same changes so far (``_shared``).
 
 An ``Episode`` keeps read-only copies of the intent stream it checked:
 finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
@@ -53,6 +56,7 @@ finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -354,11 +358,10 @@ _TABLES_UNDER = b""
 
 
 def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
-            n: int) -> tuple[int, int, np.ndarray | None, tuple | None]:
+            n: int) -> tuple[int, list[float] | None, tuple | None]:
     """Where an unrecorded lane that the table serves starts: its start tick,
-    its count of changes before that tick, the remembered state it starts
-    in (None for its own) and ``_remember``'s memo of it, None when it steps
-    no tick.
+    the remembered state it starts in (None for its own) and ``_remember``'s
+    memo of it, None when it steps no tick.
 
     The table serves a lane whose start state holds until its first change:
     a hand that one uncommanded tick leaves bit-identical, as it does one at
@@ -379,16 +382,16 @@ def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
     changes = np.column_stack((ticks - first, codes)).astype(float).tobytes()
     keys = [context + changes[:16 * k] for k in range(len(ticks) + 1)]
     keys.append(keys[-1] + np.float64(n - first).tobytes())
-    start, depth, state = first, 0, None
+    start, state = first, None
     for k in range(len(keys) - 1, -1, -1):
         found = _STATES.get(keys[k])
         if found is not None and first + found[0] <= schedule[k]:  # the end key's depth is all the changes
-            start, depth, state = first + found[0], min(k, len(ticks)), np.frombuffer(found[1])
+            start, state = first + found[0], np.frombuffer(found[1]).tolist()
             break
-    return start, depth, state, (schedule, keys) if start < n else None
+    return start, state, (schedule, keys) if start < n else None
 
 
-def _remember(taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
+def _remember(taken: Iterable[tuple[tuple, dict[int, tuple]]]) -> None:
     """Keep the states of a call's lanes that the table serves, each given as
     ``_resume``'s memo of it and its states by tick, taken with no invariant
     broken before them.
@@ -406,29 +409,44 @@ def _remember(taken: Iterable[tuple[tuple, dict[int, bytes]]]) -> None:
                 if held is None and len(_STATES) >= _STATES_MAX:
                     del _STATES[next(iter(_STATES))]  # the oldest
                 if held is None or a - first < held[0]:
-                    _STATES[key] = (a - first, by_tick[a])
+                    _STATES[key] = (a - first, np.array(by_tick[a]).tobytes())
 
 
-def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[float], float],
+def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """How long two lanes of one context and first command step alike from
+    their first change, given each one's change ticks and then its end,
+    counted from that change: up to the earlier tick of the first pair that
+    differs, or to the end of the one that is a prefix of the other. Their
+    held-command changes alternate from the first, so equal ticks are equal
+    changes."""
+    for x, y in zip(a, b):
+        if x != y:
+            return x if x < y else y
+    return a[-1] if len(a) <= len(b) else b[-1]
+
+
+def _step_lane(state: Sequence[float], plant: HandPlant, torque: float | Callable[[float], float],
                moves: dict[int, tuple[float, int]], setpoint: float, start: int, n: int,
-               record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
+               record: bool) -> tuple[int, str | None, dict[int, tuple], list]:
     """One lane from tick ``start``, in ``state`` (excursion, velocity and the
     eight angles in ``DIGITS`` x ``JOINTS`` order), to its end ``n`` or its
     abort, as one recurrence on Python floats: each tick the proportional
     step, the motor and the plant, in the scalar reference's float order.
 
     ``setpoint`` is the one held at ``start``, NaN before the first command,
-    when no effort is made; ``moves`` gives the (setpoint, FSM code) each
-    held-command change sets, by its tick. The hand constants are read when
-    the lane runs. Each tick is screened by scalar comparisons: the sum of
-    the excursion and the angles is finite, the total tension is within the
-    cap and the least angle is not below the block. When the screen fails,
-    the invariants are checked exactly, in the reference's order, and a
-    breach stops the lane on that tick. Returns the ticks it stepped, its
-    diagnostic or None, its states at each change tick it reached and at
-    its end, with no invariant broken before them, and, when recording, 14
-    values per tick: the effort, velocity, FSM code, setpoint, excursion,
-    total tension and angles.
+    when no effort is made; ``moves`` gives, by tick, the (setpoint, FSM
+    code) set there: each held-command change's, and on a tick that an
+    unrecorded lane keeps its state at for a later lane, the one it holds.
+    The hand constants are read when the lane runs. Each tick is screened
+    by scalar comparisons: the sum of the excursion and the angles is
+    finite, the total tension is within the cap and the least angle is not
+    below the block. When the screen fails, the invariants are checked
+    exactly, in the reference's order, and a breach stops the lane on that
+    tick. Returns the ticks it stepped, its diagnostic or None, its states
+    as ten floats at each tick of ``moves`` it reached and at its end, with
+    no invariant broken before them, and, when recording, 14 values per
+    tick: the effort, velocity, FSM code, setpoint, excursion, total
+    tension and angles.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
@@ -444,8 +462,8 @@ def _step_lane(state: list[float], plant: HandPlant, torque: float | Callable[[f
     w = 0.0 if disturbed else float(torque)
     sp, fsm, states, rows = setpoint, _IDLE, {}, []
     for tick in range(start, n + 1):
-        if tick in moves or tick == n:  # a change, or the end
-            states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
+        if tick in moves or tick == n:  # a change, a kept tick, or the end
+            states[tick] = (x, v, a0, a1, a2, a3, a4, a5, a6, a7)
             if tick == n:
                 break
             sp, fsm = moves[tick]
@@ -530,7 +548,9 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     that fails stops at that tick, with its diagnostic, which names the
     lane's own tick, as its log's ``abort``.
 
-    An episode whose ``voluntary_nmm`` is a constant is keyed by the float64
+    An episode's hand, motor and context are resolved once per call for
+    each distinct set of ROM, plant, initial motor and torque objects. An
+    episode whose ``voluntary_nmm`` is a constant is keyed by the float64
     bits of every input its outcome depends on: its context (the ROM's
     setpoints, the resolved plant's three arrays, the resolved initial
     motor and the torque), its tick count and its held-command schedule. So
@@ -540,17 +560,21 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
     FSM settles and the columns are kept, up to and including an abort's
     tick: the lane's rows as one read-only array that its logs view, the
     call's tick times as ``t`` and each episode's label runs expanded as
-    ``intent``. Without it every log has zero ticks, shares one empty label
-    array with the call's other logs, and views no tick time; the table
-    serves a keyed lane whose start state holds until its first command:
-    one commanded from tick 0, or one whose context is still, as one
-    uncommanded tick of ``_step_lane`` decides once per call for the first
-    such lane of the context. Such a lane starts where ``_resume`` puts it,
-    at a remembered state, at its first change, or parked at its end with
-    no tick and no abort, and leaves to ``_remember`` its states at its
-    changes and its end. Every other lane starts at tick 0 and leaves
-    nothing. The table is emptied first if the module constants it was
-    filled under have changed.
+    ``intent``. Without it every log of the call shares one read-only set
+    of empty columns, and the table serves a keyed lane whose start state
+    holds until its first command: one commanded from tick 0, or one whose
+    context is still, as one uncommanded tick of ``_step_lane`` decides
+    once per call for the first such lane of the context. Such a lane
+    starts where ``_resume`` puts it, at a remembered state, at its first
+    change, or parked at its end with no tick and no abort, and leaves to
+    ``_remember`` its states at its changes and its end. Two such lanes of
+    one context and first command step alike, counted from each one's
+    first change, for as long as ``_shared`` says, so an earlier one keeps
+    its state there for each later one, and a later one starts at the
+    latest such state an earlier one reached, when that comes after its
+    own start. Every other lane starts at tick 0 and leaves nothing. The
+    table is emptied first if the module constants it was filled under
+    have changed.
     """
     global _TABLES_UNDER
     if len(episodes) == 0:
@@ -563,66 +587,111 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         _STATES.clear()
         _TABLES_UNDER = under
 
-    # One pass over the episodes. Each resolves its hand, motor, tick count
-    # and held-command schedule; a repeat of a key in the call shares its
-    # lane. A lane starts at tick 0, or where ``_resume`` puts it, holding
-    # the setpoint of its last change before then, and runs at once.
+    # One pass over the episodes. Each resolves its tick count and
+    # held-command schedule, and its context once per call; a repeat of a
+    # key in the call shares its lane. A lane starts at tick 0, or where
+    # ``_resume`` puts it.
     ns = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
     tick_t = np.arange(max(ns)) * CONTROL_DT_S  # the call's one per-tick array, and its t column
-    no_labels = np.empty(0, np.int8)  # every unrecorded log's
-    # keyed: each key in the call, to its lane; still: each context whose
-    # stillness the call decided; lanes: each lane's diagnostic, (stepped, 14)
-    # rows and FSM codes; taken: each served, stepped lane's memo from
-    # ``_resume`` and states by tick.
-    keyed, still, lane_of, labels, lanes, taken = {}, {}, [], [], [], []
+    # contexts: by the identity of an episode's ROM, plant, motor and torque,
+    # its resolved plant, start state as floats and as bits, and context
+    # bytes (None for a torque that is a function of time); still: each
+    # context whose stillness the call decided; keyed: each key in the call,
+    # to its lane; lanes: each lane's plant, torque, start state, change
+    # ticks, moves by change, moves by tick, start tick, tick count, memo from
+    # ``_resume`` (None if it leaves nothing) and context.
+    contexts, still, keyed, lane_of, labels, lanes = {}, {}, {}, [], [], []
     for ep, n in zip(episodes, ns):
-        plant = ep.plant if ep.plant is not None else default_plant()
-        motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
-            excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
-        starts, runs, ticks, codes = _commands(ep.intents, tick_t[:n])
-        labels.append(np.repeat(runs, np.diff(starts, append=n)) if record else no_labels)
         torque = ep.voluntary_nmm
-        context = key = None
-        if not callable(torque):
-            context = np.concatenate((
+        ident = (id(ep.rom), id(ep.plant), id(ep.initial_motor), id(torque))
+        if ident not in contexts:
+            plant = ep.plant if ep.plant is not None else default_plant()
+            motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
+                excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
+            state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None,
+                                   dtype=float)
+            contexts[ident] = plant, state.tolist(), state.tobytes(), None if callable(torque) else np.concatenate((
                 [ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s, torque],
                 plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm), axis=None, dtype=float).tobytes()
-            key = context + np.concatenate(([n], ticks, codes), dtype=float).tobytes()
+        plant, state, bits, context = contexts[ident]
+        starts, runs, ticks, codes = _commands(ep.intents, tick_t[:n])
+        if record:
+            labels.append(np.repeat(runs, np.diff(starts, append=n)))
+        key = None if context is None else context + np.concatenate(([n], ticks, codes), dtype=float).tobytes()
         if key in keyed:
             lane_of.append(keyed[key])
             continue
         lane_of.append(len(lanes))
-        state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None, dtype=float)
-        start, k, memo = 0, 0, None
+        start, memo, changes = 0, None, ticks.tolist()
         if key is not None:
             keyed[key] = len(lanes)
-            if not record and 0 not in ticks and context not in still:  # still: one uncommanded tick changes no bit
-                _, _, after, _ = _step_lane(state.tolist(), plant, torque, {}, math.nan, 0, 1, False)
-                still[context] = after.get(1) == state.tobytes()
-            if not record and (0 in ticks or still[context]):
-                start, k, found, memo = _resume(context, ticks, codes, n)
+            if not record and 0 not in changes and context not in still:  # still: one uncommanded tick changes no bit
+                _, _, after, _ = _step_lane(state, plant, torque, {}, math.nan, 0, 1, False)
+                still[context] = 1 in after and np.array(after[1]).tobytes() == bits
+            if not record and (0 in changes or still[context]):
+                start, found, memo = _resume(context, ticks, codes, n)
                 state = state if found is None else found
         moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
                  for code in codes.tolist()]
-        _, abort, states, rows = _step_lane(
-            state.tolist(), plant, torque, dict(zip(ticks.tolist(), moves)), moves[k - 1][0] if k else math.nan,
-            start, n, record)
+        lanes.append((plant, torque, state, changes, moves, dict(zip(changes, moves)), start, n, memo, context))
+
+    # Each served lane that steps, against each earlier one of its context
+    # and first command: where they still step alike, the earlier one keeps
+    # its state (holding its move there) and the later one may start.
+    donors = [[] for _ in lanes]
+    if not record:
+        served = {}
+        for b, (_, _, _, changes, moves, by_tick, start, n, memo, context) in enumerate(lanes):
+            if memo is None:
+                continue
+            first = changes[0]
+            shape = (*(tick - first for tick in changes), n - first)
+            group = served.setdefault((context, moves[0]), [])
+            for a, a_first, a_shape, a_changes, a_moves, a_by_tick in group:
+                shared = _shared(a_shape, shape)
+                if first + shared > start:
+                    a_by_tick.setdefault(a_first + shared, a_moves[bisect.bisect_left(a_changes, a_first + shared) - 1])
+                    donors[b].append((a, a_first + shared, first + shared))
+            group.append((b, first, shape, changes, moves, by_tick))
+
+    # Each lane runs in turn, from its start or from the latest state an
+    # earlier lane kept for it, holding the setpoint of its last change
+    # before then.
+    taken, reached, outcomes = [], [], []
+    for lane, (plant, torque, state, changes, moves, by_tick, start, n, memo, _) in enumerate(lanes):
+        for a, at, to in donors[lane]:
+            if to > start and at in reached[a]:
+                start, state = to, reached[a][at]
+        k = bisect.bisect_left(changes, start)
+        _, abort, states, rows = _step_lane(state, plant, torque, by_tick, moves[k - 1][0] if k else math.nan,
+                                            start, n, record)
         if memo is not None:
             taken.append((memo, states))
+        reached.append(states)
+        outcomes.append((abort, rows))
+    _remember(taken)
+
+    if not record:
+        rows = np.empty((0, 14))
+        codes = np.empty(0, np.int8)
+        rows.flags.writeable = codes.flags.writeable = False
+        empty = TrajectoryColumns(t=rows[:, 0], intent=codes, fsm=codes, setpoint_mm=rows[:, 3],
+                                  excursion_mm=rows[:, 4], tension_n=rows[:, 5], angles_deg=rows[:, 6:],
+                                  velocity_mm_s=rows[:, 1], effort=rows[:, 0])
+        return [TrajectoryLog(empty, outcomes[lane][0]) for lane in lane_of]
+    # Each log views its lane's rows: episodes of one key share them.
+    for col in (tick_t, *labels):
+        col.flags.writeable = False
+    columns = []
+    for abort, rows in outcomes:
         rows = np.array(rows, dtype=float).reshape(-1, 14)
         fsm = rows[:, 2].astype(np.int8)
         rows.flags.writeable = fsm.flags.writeable = False  # before the logs' views, which inherit it
-        lanes.append((abort, rows, fsm))
-    _remember(taken)
-
-    # Each log views its lane's rows: episodes of one key share them.
-    t_col = tick_t if record else tick_t[:0].copy()  # so no unrecorded log holds the tick times
-    for col in (t_col, *labels):
-        col.flags.writeable = False
+        columns.append((abort, rows, fsm))
     return [TrajectoryLog(TrajectoryColumns(
-        t=t_col[:len(rows)], intent=label[:len(rows)], fsm=fsm, setpoint_mm=rows[:, 3], excursion_mm=rows[:, 4],
+        t=tick_t[:len(rows)], intent=label[:len(rows)], fsm=fsm, setpoint_mm=rows[:, 3], excursion_mm=rows[:, 4],
         tension_n=rows[:, 5], angles_deg=rows[:, 6:], velocity_mm_s=rows[:, 1], effort=rows[:, 0],
-    ), abort) for label, (abort, rows, fsm) in zip(labels, (lanes[lane] for lane in lane_of))]
+    ), abort) for label, (abort, rows, fsm) in zip(labels, (columns[lane] for lane in lane_of))]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

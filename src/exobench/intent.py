@@ -28,7 +28,6 @@ verdict from the holds; ``screening_bundle`` makes a subject's recordings.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -69,8 +68,8 @@ class EmgClassifier:
 
     ``means`` is ``(3, 8)``, one class centroid per row in CLASS_ORDER, and
     ``priors`` is ``(3,)`` in the same order. ``separable`` is derived: False
-    when the class centroids are all equal (``np.allclose``); such a classifier
-    runs but decides RELAX, the safe state, everywhere, whatever the priors.
+    when every pair of class centroids is close (``np.isclose`` on every
+    entry); such a classifier runs but decides RELAX, the safe state, everywhere, whatever the priors.
     """
 
     means: np.ndarray
@@ -87,8 +86,8 @@ class EmgClassifier:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "separable", any(
-            not np.allclose(a, b) for a, b in itertools.combinations(self.means, 2)))
+        # Not every pair of centroids is close: one comparison of the three pairs.
+        object.__setattr__(self, "separable", not np.isclose(self.means[[0, 0, 1]], self.means[[1, 2, 2]]).all())
         inv = np.linalg.inv(self.covariance)
         # One matrix-vector product per class: a single ``inv @ means.T``
         # takes a different float path.

@@ -227,11 +227,12 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     """Execute one session: calibration, ordered tasks, budget accounting.
 
     Each task runs one controller episode (a grasp-release cycle through
-    the subject's intent interface); the session's episodes run together in
-    one unrecorded ``controller.run_episodes`` call, which may start an
-    input in a state an earlier unrecorded call reached (see
-    ``controller._resume``). A safety abort is logged as a device
-    adjustment and the task resumes.
+    the subject's intent interface), given the starts of its stream's runs
+    of one code; the session's episodes run together in one unrecorded
+    ``controller.run_episodes`` call, which may start an input in a state
+    an earlier unrecorded call reached (see ``controller._resume``) or that
+    an earlier episode of the call reached on the same schedule. A safety
+    abort is logged as a device adjustment and the task resumes.
     Active time comes from the duration model. The session ends after the
     task during which the active budget is reached (overflow flag set), or,
     when the protocol finishes early, with one aggregate free-training event
@@ -267,10 +268,14 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
             break
     tasks = plan.tasks[:len(durations)]
 
+    # Each episode gets only the first event and each change of code of its
+    # stream, which is in time order: the label runs, and so the outcome,
+    # stay the same.
     episodes = []
     for task in tasks:
-        intents, duration_s = task_intent_stream(subject, bundle, plan.session_index, task)
-        episodes.append(controller.Episode(intents, duration_s, rom=bundle.rom, plant=plant))
+        (t, codes), duration_s = task_intent_stream(subject, bundle, plan.session_index, task)
+        runs = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        episodes.append(controller.Episode((t[runs], codes[runs]), duration_s, rom=bundle.rom, plant=plant))
     outcomes = controller.run_episodes(episodes, record=False)
 
     last = len(tasks) - 1

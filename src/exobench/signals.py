@@ -24,6 +24,7 @@ written with one string format and read back with one JSON parse. A file's
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -354,13 +355,13 @@ def _check_script(script: Sequence[tuple], enum_type) -> list[tuple]:
 
 
 def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Annotations of a checked script, the sample times, and each sample's segment.
+    """Annotations of a checked script at a checked rate, the sample times,
+    and each sample's segment.
 
     Sample n sits at t = n / rate_hz and belongs to the segment whose
     half-open interval contains it; samples past the last end stay in it.
     No sample, or more than ``MAX_SAMPLES``, is an error, raised before allocating.
     """
-    SETTINGS["rate_hz"].check(rate_hz)
     annotations = []
     t0 = 0.0
     for label, duration in segments:
@@ -378,6 +379,62 @@ def _timeline(segments: list[tuple], rate_hz: float) -> tuple[list[tuple], np.nd
     return annotations, times, segment
 
 
+#: The scripts whose read-only arrays ``gen_emg_trace`` and ``gen_load_trace``
+#: each keep: the newest 16 of at most 50,000 samples, so at most about 58 MB
+#: of EMG times and class-mean rows when full.
+_SCRIPTS_KEPT = 16
+_SCRIPT_SAMPLES_KEPT = 50_000
+
+
+def _script_arrays(build, segments: list[tuple], rate_hz: float, *under):
+    """``build``'s arrays of a checked script at a checked rate, under the
+    module constants it reads, ``MAX_SAMPLES`` and the bits of ``under``:
+    kept for the newest scripts that are small enough, built anew for others."""
+    SETTINGS["rate_hz"].check(rate_hz)
+    kept = sum(duration for _label, duration in segments) * rate_hz <= _SCRIPT_SAMPLES_KEPT
+    return (build if kept else build.__wrapped__)(tuple(segments), rate_hz, MAX_SAMPLES, *under)
+
+
+@functools.lru_cache(maxsize=_SCRIPTS_KEPT)
+def _emg_script(segments: tuple, rate_hz: float, *_under) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """An EMG script's annotations, sample times and each sample's class-mean
+    row, read-only."""
+    annotations, times, segment = _timeline(list(segments), rate_hz)
+    means = CLASS_MEANS[np.array([INTENT_CODE[label] for _t0, _t1, label in annotations])[segment]]
+    times.flags.writeable = means.flags.writeable = False
+    return tuple(annotations), times, means
+
+
+def _levels() -> dict[ShoulderPosture, float]:
+    """Each posture's nominal tension, the ``DEFAULT_*_TENSION_N`` it reads."""
+    return {
+        ShoulderPosture.REST: DEFAULT_REST_TENSION_N,
+        ShoulderPosture.ELEVATED: DEFAULT_ELEVATED_TENSION_N,
+        ShoulderPosture.DEPRESSED: DEFAULT_DEPRESSED_TENSION_N,
+    }
+
+
+@functools.lru_cache(maxsize=_SCRIPTS_KEPT)
+def _load_script(segments: tuple, rate_hz: float, *_under) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """A posture script's annotations, sample times and noise-free tension
+    profile, read-only: each posture's ``DEFAULT_*_TENSION_N`` level, reached
+    from the previous one's by a linear ramp over ``RAMP_S``, clipped to the
+    segment length."""
+    annotations, times, segment = _timeline(list(segments), rate_hz)
+    levels = _levels()
+    level = np.array([levels[posture] for _t0, _t1, posture in annotations])
+    start = np.array([t0 for t0, _t1, _posture in annotations])[segment]
+    ramp = np.array([min(RAMP_S, t1 - t0) for t0, t1, _posture in annotations])[segment]
+    prev = np.concatenate((level[:1], level[:-1]))[segment]
+    tension = level[segment]
+    since = times - start
+    on_ramp = since < ramp
+    lo, hi = prev[on_ramp], tension[on_ramp]
+    tension[on_ramp] = lo + (hi - lo) * (since[on_ramp] / ramp[on_ramp])
+    times.flags.writeable = tension.flags.writeable = False
+    return tuple(annotations), times, tension
+
+
 def gen_emg_trace(
     profile: SignalProfile,
     script: Sequence[tuple[IntentLabel, float]],
@@ -389,13 +446,14 @@ def gen_emg_trace(
     consecutive segments share a label, which lets callers mark repeated
     attempts of the same gesture. Sample n sits at t = n / rate_hz; a sample
     belongs to the segment whose half-open interval contains its timestamp.
+    The script's annotations, times and class-mean rows are built once per
+    script, rate and ``CLASS_MEANS`` bits and kept (``_emg_script``); only
+    the noise, drift and crosstalk are the profile's own.
     """
     segments = _check_script(script, IntentLabel)
-    annotations, times, segment = _timeline(segments, rate_hz)
+    annotations, times, means = _script_arrays(_emg_script, segments, rate_hz, CLASS_MEANS.tobytes())
     rng = np.random.default_rng(profile.seed)
 
-    rows = np.array([INTENT_CODE[label] for _t0, _t1, label in annotations])[segment]
-    means = CLASS_MEANS[rows]
     # The root of the variance the header records, not noise_std itself:
     # where the square underflows to 0, noise_std would still add tiny noise.
     std = math.sqrt(profile.noise_std * profile.noise_std)
@@ -411,7 +469,7 @@ def gen_emg_trace(
         kind="emg",
         rate_hz=rate_hz,
         samples=np.clip(x, 0.0, 1.0),
-        annotations=tuple(annotations),
+        annotations=annotations,
         meta={"profile": profile.to_meta(), "script": [[str(l), d] for l, d in segments]},
     )
 
@@ -430,7 +488,10 @@ def gen_load_trace(
     level over ``RAMP_S`` (clipped to the segment length) then holds. Optional
     sinusoidal dither and gaussian noise ride on top; output is clipped at
     zero. Every number must be finite, ``noise_std`` non-negative and
-    ``dither_hz`` at most the Nyquist rate, ``rate_hz / 2``, in size.
+    ``dither_hz`` at most the Nyquist rate, ``rate_hz / 2``, in size. The
+    script's annotations, times and noise-free profile are built once per
+    script, rate and bits of the levels and ``RAMP_S``, and kept
+    (``_load_script``).
     """
     _check_noise_std(noise_std)
     for name, value in (("dither_amp", dither_amp), ("dither_hz", dither_hz)):
@@ -442,23 +503,11 @@ def gen_load_trace(
         raise ValueError(f"dither_hz must be at most rate_hz / 2 = {rate_hz / 2.0!r} Hz "
                          f"in size, got {dither_hz!r}")
     segments = _check_script(script, ShoulderPosture)
-    annotations, times, segment = _timeline(segments, rate_hz)
-    levels = {
-        ShoulderPosture.REST: DEFAULT_REST_TENSION_N,
-        ShoulderPosture.ELEVATED: DEFAULT_ELEVATED_TENSION_N,
-        ShoulderPosture.DEPRESSED: DEFAULT_DEPRESSED_TENSION_N,
-    }
+    levels = _levels()
+    annotations, times, tension = _script_arrays(_load_script, segments, rate_hz,
+                                                 np.array([*levels.values(), RAMP_S], dtype=float).tobytes())
     rng = np.random.default_rng(seed)
 
-    level = np.array([levels[posture] for _t0, _t1, posture in annotations])
-    start = np.array([t0 for t0, _t1, _posture in annotations])[segment]
-    ramp = np.array([min(RAMP_S, t1 - t0) for t0, t1, _posture in annotations])[segment]
-    prev = np.concatenate((level[:1], level[:-1]))[segment]
-    tension = level[segment]
-    since = times - start
-    on_ramp = since < ramp
-    lo, hi = prev[on_ramp], tension[on_ramp]
-    tension[on_ramp] = lo + (hi - lo) * (since[on_ramp] / ramp[on_ramp])
     if dither_amp:
         tension = tension + dither_amp * np.sin(2.0 * math.pi * dither_hz * times)
     if noise_std:
@@ -468,7 +517,7 @@ def gen_load_trace(
         kind="load",
         rate_hz=rate_hz,
         samples=np.where(tension > 0.0, tension, 0.0),
-        annotations=tuple(annotations),
+        annotations=annotations,
         meta={
             "script": [[str(p), d] for p, d in segments],
             "levels": {str(posture): value for posture, value in levels.items()},

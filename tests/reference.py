@@ -11,8 +11,9 @@ for bit. Nothing in ``src/`` imports this module.
 - Episode summaries: the time to open and the motor direction reversals,
   read from a recorded trajectory's columns, which ROADMAP item 1a's
   online summaries are to match.
-- LDA: the fit from a list of labeled feature vectors, and the feature
-  vector, per-class scores and decision of one window.
+- LDA: the fit from a list of labeled feature vectors, whether its
+  centroids are separable, pair by pair, and the feature vector, per-class
+  scores and decision of one window.
 - Intent streams: the per-label vote smoother, the per-sample hysteresis
   detector and the per-frame hold-run scan, on ``(t, IntentLabel)`` events.
 - Signals: the ground-truth label at one time, and the trace JSONL writer
@@ -264,12 +265,14 @@ def fit_lda(labeled_features: Sequence[tuple[np.ndarray, IntentLabel]]):
     reg = RIDGE * np.trace(cov) / EMG_CHANNELS + 1e-9
     cov = cov + reg * np.eye(EMG_CHANNELS)
     priors = {label: len(by_class[label]) / n_total for label in CLASS_ORDER}
-    separable = any(
-        not np.allclose(means[a], means[b])
-        for i, a in enumerate(CLASS_ORDER)
-        for b in CLASS_ORDER[i + 1:]
-    )
-    return means, cov, priors, separable
+    return means, cov, priors, separable([means[label] for label in CLASS_ORDER])
+
+
+def separable(means: Sequence[np.ndarray]) -> bool:
+    """Whether some pair of class centroids, in ``CLASS_ORDER``, is not
+    ``np.allclose``: one call per pair."""
+    return any(not np.allclose(means[i], means[j])
+               for i in range(len(means)) for j in range(i + 1, len(means)))
 
 
 def scores(classifier: EmgClassifier, features: np.ndarray) -> dict[IntentLabel, float]:

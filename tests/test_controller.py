@@ -1529,10 +1529,18 @@ def test_the_state_table_keeps_the_newest_keys_at_their_earliest_ticks(monkeypat
     assert kept == [*keys[0], shorter] and table[keys[0][1]][0] == 40 and table[end][0] == table[twin][0] == 90
 
 
+def _no_donors():
+    """A block in which no lane of a call starts from a state an earlier
+    lane of the call kept for it: every pair of lanes steps alike for no
+    tick."""
+    return mock.patch.object(controller, "_shared", lambda _a, _b: 0)
+
+
 def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tables):
     """From an empty table, the twelve sessions of an EMG subject and then of
     its SH twin step these lane-steps and leave these keys. A change to
-    what the table remembers or resumes moves these figures on purpose."""
+    what the table remembers or resumes, or to what a lane takes from an
+    earlier lane of its call, moves these figures on purpose."""
     steps = _count_steps(monkeypatch)
     emg = Subject("S", "EMG", mas="2", seed=3)
     stepped = []
@@ -1541,8 +1549,82 @@ def test_a_month_of_sessions_pins_the_table_s_cost(monkeypatch, empty_engine_tab
         for plan in protocol.build_session_plans("S"):
             protocol.run_session(plan, subject)
         stepped.append(len(steps) - before)
-    assert stepped == [4400, 16132]
+    assert stepped == [2440, 7688]
     assert len(controller._STATES) == 75
+
+
+def test_three_still_hand_lanes_that_share_their_first_segment_step_it_once(monkeypatch, empty_engine_tables):
+    """Three lanes of one still hand, 400 ticks each, from an empty table:
+    OPEN at 100 and CLOSE at 200; OPEN at 100 and CLOSE at 250; and the
+    first shifted by 20 ticks. The first steps the tick that shows its hand
+    still and its 300 ticks from its OPEN. The second steps alike for 100
+    ticks from its OPEN, so it starts at 200 and steps 200. The third steps
+    as the first did for its 280 ticks from its OPEN, so it starts at its
+    end and steps none. Each lane stepped alone from its first change, 881
+    lane-steps, leaves the same table, in the same order."""
+    steps = _count_steps(monkeypatch)
+    rom = calibrate_rom("M")
+    call = [Episode(_at((100, OPEN), (200, CLOSE)), 2.0, rom), Episode(_at((100, OPEN), (250, CLOSE)), 2.0, rom),
+            Episode(_at((120, OPEN), (220, CLOSE)), 2.0, rom)]
+    assert [log.abort for log in run_episodes(call, record=False)] == [None] * 3
+    assert len(steps) == 1 + 300 + 200 + 0
+    shared = list(controller._STATES.items())
+    with empty_engine_tables(), _no_donors():
+        assert [log.abort for log in run_episodes(call, record=False)] == [None] * 3
+        assert len(steps) == 501 + 1 + 300 + 300 + 280
+        assert list(controller._STATES.items()) == shared
+    for episode in call:
+        _assert_remembered_states_are_reached(episode, empty_engine_tables)
+
+
+def test_a_lane_that_ends_on_an_earlier_lane_s_change_starts_at_its_end(monkeypatch, empty_engine_tables):
+    """A lane of a still hand whose schedule, OPEN at 100 for 200 ticks, is
+    the start of an earlier lane's, OPEN at 100 and CLOSE at 200 for 400
+    ticks, steps as that lane did until its own end, so it starts there and
+    steps none; and it leaves its end as it would alone."""
+    steps = _count_steps(monkeypatch)
+    rom = calibrate_rom("M")
+    longer, shorter = Episode(_at((100, OPEN), (200, CLOSE)), 2.0, rom), Episode(_at((100, OPEN)), 1.0, rom)
+    assert [log.abort for log in run_episodes([longer, shorter], record=False)] == [None, None]
+    assert len(steps) == 1 + 300
+    shared = list(controller._STATES.items())
+    with empty_engine_tables(), _no_donors():
+        run_episodes([longer, shorter], record=False)
+        assert list(controller._STATES.items()) == shared
+    _assert_remembered_states_are_reached(shorter, empty_engine_tables)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite and overflowing torques run on as inf/NaN
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_lanes_that_start_from_earlier_lanes_change_no_outcome(engine_steps, empty_engine_tables, data):
+    """Episodes of 1-2 contexts running a family of schedules that share
+    starts or shifts, in 1-3 unrecorded calls, run from an empty table of
+    the default size with each lane free to start from a state an earlier
+    lane of its call kept for it, and again with none: the two give the
+    same aborts and, after every call, the same table items in the same
+    order, and the first steps no more lane-steps than the second."""
+    contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
+    scripts = data.draw(_warm_table_schedules(), label="scripts")
+    episodes = data.draw(st.permutations([
+        Episode(_at(*script), data.draw(st.integers(20, 200), label="ticks") * CONTROL_DT_S, **context)
+        for context in contexts for script in scripts]), label="order")
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, len(episodes)), max_size=2), label="cuts")), len(episodes)]
+    calls = [episodes[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+    def run():
+        before, seen = len(engine_steps), []
+        with empty_engine_tables():
+            for call in calls:
+                seen.append(([log.abort for log in run_episodes(call, record=False)],
+                             list(controller._STATES.items())))
+        return seen, len(engine_steps) - before
+
+    shared, cost = run()
+    with _no_donors():
+        alone, alone_cost = run()
+    assert shared == alone
+    assert cost <= alone_cost
 
 
 def test_a_changed_constant_empties_the_table(empty_engine_tables):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference
 from exobench import intent, signals
@@ -71,6 +71,22 @@ def _identical_centroids(counts=(4, 4, 4)):
     """Training data whose three classes share one feature vector, with
     ``counts`` rows per class in CLASS_ORDER."""
     return np.full((sum(counts), 8), 0.5), np.repeat(np.arange(3), counts)
+
+
+_CENTROID_ENTRY = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _centroids(draw):
+    """Three class centroids, each the first again, the first 1e-9 apart (a
+    NaN or inf stays one), or a row of its own; entries may be NaN or inf."""
+    row = st.lists(_CENTROID_ENTRY, min_size=8, max_size=8).map(np.array)
+    first = draw(row)
+    rows = [first]
+    for _ in range(2):
+        kind = draw(st.sampled_from(["same", "near", "own"]))
+        rows.append(first if kind == "same" else first + 1e-9 if kind == "near" else draw(row))
+    return np.array(rows)
 
 
 class TestFeatures:
@@ -154,6 +170,17 @@ class TestClassifier:
         apart = near.copy()
         apart[2, 7] = 0.6
         assert dataclasses.replace(clf, means=apart).separable is True
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite centroids make non-finite biases
+    @example(means=np.full((3, 8), math.nan))
+    @example(means=np.full((3, 8), math.inf))
+    @example(means=np.array([[math.inf] * 8, [-math.inf] * 8, [math.inf] * 8]))
+    @example(means=np.full((3, 8), 0.5))
+    @example(means=np.full((3, 8), 0.5) + np.array([[0.0], [1e-9], [2e-9]]))
+    @given(means=_centroids())
+    def test_separable_is_the_pairwise_definition(self, means):
+        clf = EmgClassifier(means=means, covariance=np.eye(8), priors=np.full(3, 1 / 3))
+        assert clf.separable is reference.separable(means)
 
     @pytest.mark.parametrize("field, shape", [("means", (3, 7)), ("means", (8,)),
                                               ("covariance", (8, 7)), ("priors", (2,))])

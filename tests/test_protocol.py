@@ -420,3 +420,32 @@ def test_a_session_log_does_not_depend_on_the_sessions_run_before_it(subject, or
     plans = [replace(plan, tasks=plan.tasks[:n_tasks]) for plan in build_session_plans(subject.subject_id)]
     in_order = [run_session(plans[i], subject).to_jsonl() for i in order]
     assert in_order == [run_session(plans[i], subject).to_jsonl() for i in reversed(order)][::-1]
+
+
+@pytest.mark.parametrize("group", ["EMG", "SH"])
+def test_each_episode_holds_the_run_starts_of_its_task_s_stream(monkeypatch, group):
+    """A session hands each episode only the first event and each change of
+    code of its task's intent stream, in time order, so each has the same
+    label at every tick and the same held-command changes as the whole
+    stream."""
+    subject = Subject("S02", group, seed=5)
+    plan = replace(build_session_plans("S02")[0], tasks=build_session_plans("S02")[0].tasks[:4])
+    seen = []
+    run_episodes = controller.run_episodes
+    monkeypatch.setattr(controller, "run_episodes", lambda episodes, record: seen.extend(episodes) or
+                        run_episodes(episodes, record))
+    run_session(plan, subject)
+    bundle = session_calibration(subject, plan.session_index)
+    assert len(seen) == len(plan.tasks)
+    for episode, task in zip(seen, plan.tasks):
+        (t, codes), duration_s = task_intent_stream(subject, bundle, plan.session_index, task)
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        assert episode.intents[0].tolist() == t[starts].tolist()
+        assert episode.intents[1].tolist() == codes[starts].tolist()
+        assert len(starts) < len(codes)
+        n = round(duration_s / controller.CONTROL_DT_S)
+        tick_t = np.arange(n) * controller.CONTROL_DT_S
+        whole, kept = (controller._commands(intents, tick_t) for intents in ((t, codes), episode.intents))
+        per_tick = [np.repeat(labels, np.diff(first, append=n)).tolist() for first, labels, *_ in (whole, kept)]
+        assert per_tick[0] == per_tick[1]
+        assert [a.tolist() for a in kept[2:]] == [a.tolist() for a in whole[2:]]

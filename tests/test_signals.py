@@ -492,8 +492,9 @@ def _reference_emg(profile, script, rate_hz):
 
 
 def _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed):
-    levels = {ShoulderPosture.REST: 20.0, ShoulderPosture.ELEVATED: 40.0,
-              ShoulderPosture.DEPRESSED: 8.0}
+    levels = {ShoulderPosture.REST: signals.DEFAULT_REST_TENSION_N,
+              ShoulderPosture.ELEVATED: signals.DEFAULT_ELEVATED_TENSION_N,
+              ShoulderPosture.DEPRESSED: signals.DEFAULT_DEPRESSED_TENSION_N}
     rng = np.random.default_rng(seed)
     annotations, total = _script_annotations(script)
     times, tensions = [], []
@@ -508,7 +509,7 @@ def _reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed):
             seg_idx += 1
             seg_start = annotations[seg_idx][0]
             seg_level = levels[annotations[seg_idx][2]]
-        ramp = min(0.3, annotations[seg_idx][1] - seg_start)
+        ramp = min(signals.RAMP_S, annotations[seg_idx][1] - seg_start)
         if ramp > 0 and t - seg_start < ramp:
             base = prev_level + (seg_level - prev_level) * ((t - seg_start) / ramp)
         else:
@@ -571,6 +572,67 @@ class TestArrayGeneratorsMatchReference:
                                                        dither_amp=dither_amp, dither_hz=dither_hz,
                                                        seed=seed),
                         *_reference_load(script, rate_hz, noise_std, dither_amp, dither_hz, seed))
+
+
+class TestScriptMemo:
+    """The script arrays the generators keep: one build per script, rate and
+    constants, read-only, for a bounded number of scripts."""
+
+    _EMG_SCRIPT = [(IntentLabel.OPEN, 1.5), (IntentLabel.CLOSE, 1.5), (IntentLabel.RELAX, 1.0)]
+    _LOAD_SCRIPT = [(ShoulderPosture.REST, 0.5), (ShoulderPosture.DEPRESSED, 0.2), (ShoulderPosture.ELEVATED, 1.0)]
+    _PROFILE = signals.SignalProfile(noise_std=0.05, drift_rate=0.05, crosstalk=0.2, seed=4)
+
+    def _emg(self):
+        return signals.gen_emg_trace(self._PROFILE, self._EMG_SCRIPT)
+
+    def _load(self):
+        return signals.gen_load_trace(self._LOAD_SCRIPT, noise_std=0.6, dither_amp=1.0, seed=4)
+
+    @pytest.mark.parametrize("generate", ["_emg", "_load"])
+    def test_a_script_used_twice_gives_the_same_bits(self, generate):
+        signals._emg_script.cache_clear()
+        signals._load_script.cache_clear()
+        first = getattr(self, generate)()
+        second = getattr(self, generate)()
+        assert second.samples.tobytes() == first.samples.tobytes()
+        assert second.to_jsonl() == first.to_jsonl()
+
+    @pytest.mark.parametrize("build, labels", [(signals._emg_script, list(IntentLabel)),
+                                               (signals._load_script, list(ShoulderPosture))])
+    def test_the_kept_arrays_are_read_only_and_bounded(self, build, labels):
+        assert build.cache_info().maxsize == signals._SCRIPTS_KEPT
+        build.cache_clear()
+        for k in range(signals._SCRIPTS_KEPT + 4):
+            first = 0.5 + 0.02 * k
+            segments = [(labels[k % 3], first), (labels[(k + 1) % 3], 1.0)]
+            annotations, *arrays = signals._script_arrays(build, segments, 50.0, b"")
+            assert build.cache_info().currsize == min(k + 1, signals._SCRIPTS_KEPT)
+            assert annotations == ((0.0, first, labels[k % 3]), (first, first + 1.0, labels[(k + 1) % 3]))
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        build.cache_clear()
+        # 50,001 samples: over the most a kept script holds, so built anew.
+        signals._script_arrays(build, [(labels[0], 1000.02)], 50.0, b"")
+        assert build.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name, value", [("RAMP_S", 0.45), ("DEFAULT_ELEVATED_TENSION_N", 33.0),
+                                             ("DEFAULT_REST_TENSION_N", 21.5), ("DEFAULT_DEPRESSED_TENSION_N", 2.0)])
+    def test_a_patched_load_constant_changes_the_next_trace(self, monkeypatch, name, value):
+        before = self._load()
+        monkeypatch.setattr(signals, name, value)
+        after = self._load()
+        assert after.samples.tolist() != before.samples.tolist()
+        assert after.samples.tolist() == _reference_load(self._LOAD_SCRIPT, 50.0, 0.6, 1.0, 1.5, 4)[1]
+
+    def test_patched_class_means_change_the_next_trace(self, monkeypatch):
+        before = self._emg()
+        means = signals.CLASS_MEANS[::-1].copy()
+        means.flags.writeable = False
+        monkeypatch.setattr(signals, "CLASS_MEANS", means)
+        after = self._emg()
+        assert after.samples.tolist() != before.samples.tolist()
+        assert after.samples.tolist() == _reference_emg(self._PROFILE, self._EMG_SCRIPT, 50.0)[1]
 
 
 # ---------------------------------------------------------------------------
