@@ -13,45 +13,17 @@ motor excursion is millimeters of cable paid out (0 = fully retracted =
 fingers pulled open). Retracting the motor extends the fingers; releasing
 cable lets finger tone and voluntary flexion close the hand.
 
-One engine runs every episode, each an ``Episode`` checked when built.
-``run_episodes`` steps each distinct one as a lane, every ``CONTROL_DT_S``,
-and gives each its ``TrajectoryLog``, the one outcome record, which names
-the invariant an aborted episode broke; ``run_episode`` runs one. The gain,
-the drive and what every hand shares (rest pose, flexion stops, damping,
-tendon stiffness) are module constants, the drive's checked once at import.
-A ``HandPlant`` holds only what differs between hands, the pose, the tone
-and the glove's moment arms, validated once when it is built, never per
-tick. A lane runs on its own, from its start to its stop, as one recurrence
-on Python floats: the proportional step, the motor and the plant, with the
-eight joint angles held as locals, in the scalar reference's float order.
-So a lane-tick costs the same whatever the number of lanes, and a stopped
-lane costs nothing. A held command is its state, set on the few ticks where
-it changes. The safety invariants are checked on every tick of every lane:
-a screen of scalar comparisons passes on almost every tick, and otherwise
-the exact checks name the invariant broken, in the reference's order. A
-lane that breaks one stops alone, its tick count cut to the abort tick + 1.
-A trajectory is one set of columns, one array per quantity with a row per
-tick, recorded only when the caller asks for it; its JSONL form is one
-encode per tick of a row read from the columns. The scalar reference the
-engine matches bit for bit, one tick of proportional step, motor, plant and
-setpoint at a time, lives with the tests in ``tests/reference.py``.
-
-Every call sets each episode up per event, not per tick: its intent stream
-becomes its label runs and the few ticks where its held command changes,
-placed on the call's one array of tick times; its hand, motor and context
-are resolved once per call. It steps each distinct input once, as one
-lane, whose recorded rows are one read-only array that the logs of the
-episodes sharing the lane view. An unrecorded call, as a session makes,
-holds no other per-tick array, and its logs share one set of empty
-columns. It starts a hand that one uncommanded tick leaves bit-identical
-at its first command. It may start such a hand, or any commanded from
-tick 0, in a state an earlier unrecorded call reached on the same hand
-and schedule, kept in a module table whose rule ``_resume`` and
-``_remember`` state, or in a state an earlier lane of the call reached on
-the same hand and the same changes so far (``_shared``).
-
-An ``Episode`` keeps read-only copies of the intent stream it checked:
-finite float64 times, in any order, and int8 codes, indices into ``IntentLabel``.
+One engine runs every episode, each an ``Episode`` checked when built:
+``run_episodes`` steps each distinct one as a lane, one recurrence on Python
+floats every ``CONTROL_DT_S`` (``_step_lane``), so a lane-tick costs the
+same whatever the number of lanes, and gives each its ``TrajectoryLog``;
+``run_episode`` runs one. An unrecorded call, as a session makes, may start
+a lane where an earlier call left one in a module table (``_resume``) or
+where an earlier lane of the call reached (``_share``). The gain, the drive
+and what every hand shares (rest pose, flexion stops, damping, tendon
+stiffness) are module constants, the drive's checked once at import; a
+``HandPlant`` holds only what differs between hands. The scalar reference
+the engine matches bit for bit lives with the tests in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,7 +195,6 @@ FSM_STATES = ("IDLE", "EXTENDING", "HOLD_OPEN", "RELEASING", "HOLD_CLOSED")
 #: Excursion tolerance for declaring a setpoint reached, mm.
 SETPOINT_TOL_MM = 0.25
 
-
 _OPEN, _RELAX, _CLOSE = map(INTENT_CODE.get, (IntentLabel.OPEN, IntentLabel.RELAX, IntentLabel.CLOSE))
 # Each hold state follows its move state: settling adds 1 to the code, and
 # the move states are the odd codes.
@@ -284,8 +255,9 @@ class Episode:
     """One episode for ``run_episodes``: its intent stream, length (one to
     ``MAX_SAMPLES`` ticks) and hand.
 
-    ``intents`` is a ``(t, codes)`` stream: event times in seconds and their
-    indices into ``IntentLabel``. ``plant`` defaults to ``default_plant()``;
+    ``intents`` is a ``(t, codes)`` stream, kept as the read-only copies it
+    checked: finite float64 event times in seconds, in any order, and their
+    int8 indices into ``IntentLabel``. ``plant`` defaults to ``default_plant()``;
     ``initial_motor`` defaults to the motor parked at the plant's cable
     take-up (slack cable), clipped to the travel. ``voluntary_nmm`` is a
     joint torque, constant or a function of time.
@@ -347,21 +319,40 @@ def _commands(intents: tuple[np.ndarray, np.ndarray],
 #: the tick, counted from the lane's first change, and the float64 bits of
 #: the excursion, the velocity and the eight angles in ``DIGITS`` x
 #: ``JOINTS`` order. Only ``_resume`` reads it and only ``_remember`` writes
-#: it. A key keeps the earliest tick it was taken at, which serves every
-#: lane whose next change or end comes then or later; at most
-#: ``_STATES_MAX`` keys of about 550 B each, so about 2.2 MB when full.
+#: it; at most ``_STATES_MAX`` keys of about 550 B each, so about 2.2 MB.
+#: ``_TABLES_UNDER`` holds the bits of the module constants it was filled under.
 _STATES: dict[bytes, tuple[int, bytes]] = {}
 _STATES_MAX = 4096
-#: The bits of the module constants the table was filled under: a call
-#: under others empties it first.
 _TABLES_UNDER = b""
 
 
+@dataclass(slots=True, eq=False)
+class _Lane:
+    """One distinct input of a ``run_episodes`` call, from plan to outcome:
+    ``_step_lane``'s arguments and results, ``state`` as float64 bits; its
+    change ticks and context bits; ``_resume``'s memo, for a served lane that
+    steps; and ``donors`` from ``_share``: (lane, its keep tick, our start)."""
+
+    plant: HandPlant
+    torque: float | Callable[[float], float]
+    state: bytes
+    changes: list[int]
+    moves: dict[int, tuple[float, int] | None]
+    n: int
+    context: bytes | None
+    start: int = 0
+    memo: tuple | None = None
+    donors: list[tuple[_Lane, int, int]] = field(default_factory=list)
+    states: dict[int, bytes] = field(default_factory=dict)
+    abort: str | None = None
+    rows: list | np.ndarray | None = None
+
+
 def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
-            n: int) -> tuple[int, list[float] | None, tuple | None]:
+            n: int) -> tuple[int, bytes | None, tuple | None]:
     """Where an unrecorded lane that the table serves starts: its start tick,
-    the remembered state it starts in (None for its own) and ``_remember``'s
-    memo of it, None when it steps no tick.
+    the bits of the remembered state it starts in (None for its own) and
+    ``_remember``'s memo of it, None when it steps no tick.
 
     The table serves a lane whose start state holds until its first change:
     a hand that one uncommanded tick leaves bit-identical, as it does one at
@@ -374,8 +365,8 @@ def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
     remembered state that comes no later than its next change or its end:
     the state a lane stepped from tick 0 reaches there, bit for bit, with no
     invariant broken before it; failing that, at its first change. One that
-    starts at its end is parked; an aborted input left no end state, so it
-    is stepped again, to the same abort.
+    starts at its end is parked; an aborted input, with no end state, steps
+    again to the same abort.
     """
     schedule = [*ticks.tolist(), n, n]  # the ticks of its changes, then its end under two keys
     first = schedule[0]
@@ -386,48 +377,66 @@ def _resume(context: bytes, ticks: np.ndarray, codes: np.ndarray,
     for k in range(len(keys) - 1, -1, -1):
         found = _STATES.get(keys[k])
         if found is not None and first + found[0] <= schedule[k]:  # the end key's depth is all the changes
-            start, state = first + found[0], np.frombuffer(found[1]).tolist()
+            start, state = first + found[0], found[1]
             break
     return start, state, (schedule, keys) if start < n else None
 
 
-def _remember(taken: Iterable[tuple[tuple, dict[int, tuple]]]) -> None:
-    """Keep the states of a call's lanes that the table serves, each given as
-    ``_resume``'s memo of it and its states by tick, taken with no invariant
-    broken before them.
-
-    The state at each tick of a lane's schedule goes under the key of the
-    changes before it, at its tick from the first change, and its end state
-    under its end key too. A new key evicts the oldest once the table holds
-    ``_STATES_MAX``, and a key keeps the earliest tick it was taken at.
-    """
-    for (schedule, keys), by_tick in taken:
-        first = schedule[0]
+def _remember(served: Iterable[_Lane]) -> None:
+    """Keep the states that a call's served lanes reached, with no invariant
+    broken before them: the state at each tick of a lane's schedule, from
+    ``_resume``'s memo, under the key of the changes before it, at its tick
+    from the first change, and its end state under its end key too. A new
+    key evicts the oldest once the table holds ``_STATES_MAX``. A key keeps
+    the earliest tick it was taken at, which serves every lane whose next
+    change or end comes then or later."""
+    for lane in served:
+        schedule, keys = lane.memo
         for key, a in zip(keys, schedule):
-            if a in by_tick:
+            if a in lane.states:
                 held = _STATES.get(key)
                 if held is None and len(_STATES) >= _STATES_MAX:
                     del _STATES[next(iter(_STATES))]  # the oldest
-                if held is None or a - first < held[0]:
-                    _STATES[key] = (a - first, np.array(by_tick[a]).tobytes())
+                if held is None or a - schedule[0] < held[0]:
+                    _STATES[key] = (a - schedule[0], lane.states[a])
 
 
 def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """How long two lanes of one context and first command step alike from
     their first change, given each one's change ticks and then its end,
-    counted from that change: up to the earlier tick of the first pair that
-    differs, or to the end of the one that is a prefix of the other. Their
-    held-command changes alternate from the first, so equal ticks are equal
-    changes."""
+    counted from that change: to the earlier tick of the first pair that
+    differs, or to the end of the one that is a prefix of the other (their
+    changes alternate, so equal ticks are equal changes)."""
     for x, y in zip(a, b):
         if x != y:
             return x if x < y else y
     return a[-1] if len(a) <= len(b) else b[-1]
 
 
+def _share(served: Sequence[_Lane]) -> None:
+    """The share phase: a served lane that steps may start from an earlier
+    one of its context and first command. The two step alike, each counted
+    from its first change, for as long as ``_shared`` says; so the earlier
+    keeps its state at that tick, and the later starts at the latest such
+    state an earlier lane reached, when after the start ``_resume`` gave it.
+    Every table write this skips was offered, at the same key and tick, by
+    an earlier lane: with no eviction inside a call, the table is unchanged."""
+    groups: dict[tuple, list[tuple[_Lane, tuple[int, ...]]]] = {}
+    for lane in served:
+        first = lane.changes[0]
+        shape = (*(tick - first for tick in lane.changes), lane.n - first)
+        group = groups.setdefault((lane.context, lane.moves[first]), [])
+        for earlier, earlier_shape in group:
+            shared = _shared(earlier_shape, shape)
+            if first + shared > lane.start:
+                earlier.moves.setdefault(earlier.changes[0] + shared, None)
+                lane.donors.append((earlier, earlier.changes[0] + shared, first + shared))
+        group.append((lane, shape))
+
+
 def _step_lane(state: Sequence[float], plant: HandPlant, torque: float | Callable[[float], float],
-               moves: dict[int, tuple[float, int]], setpoint: float, start: int, n: int,
-               record: bool) -> tuple[int, str | None, dict[int, tuple], list]:
+               moves: dict[int, tuple[float, int] | None], setpoint: float, start: int, n: int,
+               record: bool) -> tuple[int, str | None, dict[int, bytes], list]:
     """One lane from tick ``start``, in ``state`` (excursion, velocity and the
     eight angles in ``DIGITS`` x ``JOINTS`` order), to its end ``n`` or its
     abort, as one recurrence on Python floats: each tick the proportional
@@ -435,18 +444,17 @@ def _step_lane(state: Sequence[float], plant: HandPlant, torque: float | Callabl
 
     ``setpoint`` is the one held at ``start``, NaN before the first command,
     when no effort is made; ``moves`` gives, by tick, the (setpoint, FSM
-    code) set there: each held-command change's, and on a tick that an
-    unrecorded lane keeps its state at for a later lane, the one it holds.
-    The hand constants are read when the lane runs. Each tick is screened
-    by scalar comparisons: the sum of the excursion and the angles is
-    finite, the total tension is within the cap and the least angle is not
-    below the block. When the screen fails, the invariants are checked
-    exactly, in the reference's order, and a breach stops the lane on that
-    tick. Returns the ticks it stepped, its diagnostic or None, its states
-    as ten floats at each tick of ``moves`` it reached and at its end, with
-    no invariant broken before them, and, when recording, 14 values per
-    tick: the effort, velocity, FSM code, setpoint, excursion, total
-    tension and angles.
+    code) each held-command change sets, or None on a tick where the lane
+    only keeps its state. The hand constants are read when the lane runs.
+    Each tick is screened by scalar comparisons: the sum of the excursion
+    and the angles is finite, the total tension is within the cap and the
+    least angle is not below the block. When the screen fails, the
+    invariants are checked exactly, in the reference's order, and a breach
+    stops the lane on that tick. Returns the ticks it stepped, its
+    diagnostic or None, the float64 bits of its state at each tick of
+    ``moves`` it reached and at its end, with no invariant broken before
+    them, and, when recording, 14 values per tick: the effort, velocity,
+    FSM code, setpoint, excursion, total tension and angles.
     """
     kp, speed, dt, tau, travel, tol = (KP, MAX_SPEED_MM_S, CONTROL_DT_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM,
                                        SETPOINT_TOL_MM)
@@ -463,10 +471,10 @@ def _step_lane(state: Sequence[float], plant: HandPlant, torque: float | Callabl
     sp, fsm, states, rows = setpoint, _IDLE, {}, []
     for tick in range(start, n + 1):
         if tick in moves or tick == n:  # a change, a kept tick, or the end
-            states[tick] = (x, v, a0, a1, a2, a3, a4, a5, a6, a7)
+            states[tick] = np.array((x, v, a0, a1, a2, a3, a4, a5, a6, a7)).tobytes()
             if tick == n:
                 break
-            sp, fsm = moves[tick]
+            sp, fsm = moves[tick] or (sp, fsm)
         if disturbed:
             w = float(torque(tick * dt))  # as a float64 array store casts it
         # The reference's min(max(e, -1.0), 1.0), comparison for comparison,
@@ -535,51 +543,41 @@ def _step_lane(state: Sequence[float], plant: HandPlant, torque: float | Callabl
     return n - start, None, states, rows
 
 
+def _columns(rows: np.ndarray, t: np.ndarray, intent: np.ndarray) -> TrajectoryColumns:
+    """A log's read-only columns: views of its lane's rows, and of ``t`` and ``intent`` cut to their length."""
+    fsm = rows[:, 2].astype(np.int8)
+    for col in (rows, t, intent, fsm):
+        col.flags.writeable = False  # before their views, which inherit it
+    t, intent = t[:len(rows)], intent[:len(rows)]
+    return TrajectoryColumns(t=t, intent=intent, fsm=fsm, setpoint_mm=rows[:, 3], excursion_mm=rows[:, 4],
+                             tension_n=rows[:, 5], angles_deg=rows[:, 6:], velocity_mm_s=rows[:, 1], effort=rows[:, 0])
+
+
 def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[TrajectoryLog]:
     """Run E episodes of the control loop; one ``TrajectoryLog`` per episode.
 
-    Each distinct input is one lane, run on its own by ``_step_lane`` from
-    its start tick to its end or its abort, so each matches the scalar
-    reference bit for bit. Its setpoint is state, NaN until the first
-    command, set on the few ticks where the held command changes, which
-    also start the FSM's move: OPEN retracts, CLOSE extends, RELAX holds
-    the last command. Every tick of a lane is checked for non-finite state,
-    the tension cap and the hyperextension block, in that order; a lane
-    that fails stops at that tick, with its diagnostic, which names the
-    lane's own tick, as its log's ``abort``.
+    Each distinct input is one lane, run on its own from its start tick to
+    its end or its abort, so each matches the scalar reference bit for bit.
+    Its setpoint is NaN until the first command and changes only where the
+    held command does, which also starts the FSM's move: OPEN retracts,
+    CLOSE extends, RELAX holds the last command. Every tick is checked for
+    non-finite state, the tension cap and the hyperextension block, in that
+    order; a lane that fails stops there, with a diagnostic naming its own
+    tick as its logs' ``abort``.
 
-    An episode's hand, motor and context are resolved once per call for
-    each distinct set of ROM, plant, initial motor and torque objects. An
-    episode whose ``voluntary_nmm`` is a constant is keyed by the float64
-    bits of every input its outcome depends on: its context (the ROM's
-    setpoints, the resolved plant's three arrays, the resolved initial
-    motor and the torque), its tick count and its held-command schedule. So
-    -0.0 and 0.0 differ and a NaN matches only its own bits. The first
-    episode of a key gets a lane and later ones in the call share it.
-    ``record`` decides the rest. With it, every lane starts at tick 0, the
-    FSM settles and the columns are kept, up to and including an abort's
-    tick: the lane's rows as one read-only array that its logs view, the
-    call's tick times as ``t`` and each episode's label runs expanded as
-    ``intent``. Without it every log of the call shares one read-only set
-    of empty columns, and the table serves a keyed lane whose start state
-    holds until its first command: one commanded from tick 0, or one whose
-    context is still, as one uncommanded tick of ``_step_lane`` decides
-    once per call for the first such lane of the context. Such a lane
-    starts where ``_resume`` puts it, at a remembered state, at its first
-    change, or parked at its end with no tick and no abort, and leaves to
-    ``_remember`` its states at its changes and its end. Two such lanes of
-    one context and first command step alike, counted from each one's
-    first change, for as long as ``_shared`` says, so an earlier one keeps
-    its state there for each later one, and a later one starts at the
-    latest such state an earlier one reached, when that comes after its
-    own start. Every other lane starts at tick 0 and leaves nothing. The
-    table is emptied first if the module constants it was filled under
-    have changed.
+    A constant ``voluntary_nmm`` keys an episode by the float64 bits of its
+    context (the ROM's setpoints, the resolved plant's arrays, initial motor
+    and torque), tick count and held-command schedule, every input its
+    outcome depends on, so -0.0 and 0.0 differ and a NaN matches only its
+    own bits; later episodes of a key share the first one's lane. With
+    ``record`` every lane starts at tick 0 and its logs view its rows, one
+    read-only array up to and including an abort's tick, with the call's
+    tick times as ``t`` and their own label runs as ``intent``. Without it
+    every log shares one set of empty columns, and a keyed lane may start
+    where ``_resume`` or ``_share`` puts it. The call runs in four phases,
+    plan, share, step and assemble, over one ``_Lane`` per lane.
     """
     global _TABLES_UNDER
-    if len(episodes) == 0:
-        return []
-    # The bits of the module constants the engine reads.
     scalars = (KP, MAX_SPEED_MM_S, MOTOR_TIME_CONSTANT_S, TRAVEL_MM, CONTROL_DT_S, _DEG2RAD,
                TENDON_STIFFNESS_N_MM, TENSION_CAP_N, SETPOINT_TOL_MM)
     under = np.concatenate((REST_DEG, MAX_DEG, DAMPING_NMM_S_DEG, scalars), axis=None).tobytes()
@@ -587,111 +585,64 @@ def run_episodes(episodes: Sequence[Episode], record: bool = True) -> list[Traje
         _STATES.clear()
         _TABLES_UNDER = under
 
-    # One pass over the episodes. Each resolves its tick count and
-    # held-command schedule, and its context once per call; a repeat of a
-    # key in the call shares its lane. A lane starts at tick 0, or where
-    # ``_resume`` puts it.
+    # Plan: per episode, its tick count, label runs and changes; per distinct
+    # ROM, plant, motor and torque objects, the resolved plant, start state
+    # bits and context bits (None for a callable torque); per key, its lane.
     ns = [int(round(ep.duration_s / CONTROL_DT_S)) for ep in episodes]
-    tick_t = np.arange(max(ns)) * CONTROL_DT_S  # the call's one per-tick array, and its t column
-    # contexts: by the identity of an episode's ROM, plant, motor and torque,
-    # its resolved plant, start state as floats and as bits, and context
-    # bytes (None for a torque that is a function of time); still: each
-    # context whose stillness the call decided; keyed: each key in the call,
-    # to its lane; lanes: each lane's plant, torque, start state, change
-    # ticks, moves by change, moves by tick, start tick, tick count, memo from
-    # ``_resume`` (None if it leaves nothing) and context.
-    contexts, still, keyed, lane_of, labels, lanes = {}, {}, {}, [], [], []
+    tick_t = np.arange(max(ns, default=0)) * CONTROL_DT_S
+    contexts, still, keyed, lane_of, labels = {}, {}, {}, [], []
     for ep, n in zip(episodes, ns):
         torque = ep.voluntary_nmm
         ident = (id(ep.rom), id(ep.plant), id(ep.initial_motor), id(torque))
         if ident not in contexts:
-            plant = ep.plant if ep.plant is not None else default_plant()
-            motor = ep.initial_motor if ep.initial_motor is not None else MotorState(
-                excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
+            plant = ep.plant or default_plant()
+            motor = ep.initial_motor or MotorState(excursion_mm=min(plant.cable_take_up_mm().max(), TRAVEL_MM))
             state = np.concatenate(([motor.excursion_mm, motor.velocity_mm_s], plant.angles_deg), axis=None,
                                    dtype=float)
-            contexts[ident] = plant, state.tolist(), state.tobytes(), None if callable(torque) else np.concatenate((
+            contexts[ident] = plant, state.tobytes(), None if callable(torque) else np.concatenate((
                 [ep.rom.retracted_mm, ep.rom.extended_mm, motor.excursion_mm, motor.velocity_mm_s, torque],
                 plant.angles_deg, plant.stiffness_nmm_deg, plant.moment_arm_mm), axis=None, dtype=float).tobytes()
-        plant, state, bits, context = contexts[ident]
+        plant, bits, context = contexts[ident]
         starts, runs, ticks, codes = _commands(ep.intents, tick_t[:n])
         if record:
             labels.append(np.repeat(runs, np.diff(starts, append=n)))
-        key = None if context is None else context + np.concatenate(([n], ticks, codes), dtype=float).tobytes()
-        if key in keyed:
-            lane_of.append(keyed[key])
-            continue
-        lane_of.append(len(lanes))
-        start, memo, changes = 0, None, ticks.tolist()
-        if key is not None:
-            keyed[key] = len(lanes)
-            if not record and 0 not in changes and context not in still:  # still: one uncommanded tick changes no bit
-                _, _, after, _ = _step_lane(state, plant, torque, {}, math.nan, 0, 1, False)
-                still[context] = 1 in after and np.array(after[1]).tobytes() == bits
-            if not record and (0 in changes or still[context]):
-                start, found, memo = _resume(context, ticks, codes, n)
-                state = state if found is None else found
-        moves = [(float(ep.rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(ep.rom.extended_mm), _RELEASING)
-                 for code in codes.tolist()]
-        lanes.append((plant, torque, state, changes, moves, dict(zip(changes, moves)), start, n, memo, context))
+        key = object() if context is None else context + np.concatenate(([n], ticks, codes), dtype=float).tobytes()
+        if key not in keyed:  # a torque that is a function of time keys no other episode
+            changes, rom = ticks.tolist(), ep.rom
+            keyed[key] = lane = _Lane(plant, torque, bits, changes, {
+                tick: (float(rom.retracted_mm), _EXTENDING) if code == _OPEN else (float(rom.extended_mm), _RELEASING)
+                for tick, code in zip(changes, codes.tolist())}, n, context)
+            if not record and context is not None:
+                if 0 not in changes and context not in still:  # once per context: does a tick change no bit?
+                    still[context] = _step_lane(np.frombuffer(bits).tolist(), plant, torque, {}, math.nan, 0, 1,
+                                                False)[2].get(1) == bits
+                if 0 in changes or still[context]:
+                    lane.start, found, lane.memo = _resume(context, ticks, codes, n)
+                    lane.state = bits if found is None else found
+        lane_of.append(keyed[key])
+    lanes = list(keyed.values())
+    served = [lane for lane in lanes if lane.memo is not None]
+    _share(served)
 
-    # Each served lane that steps, against each earlier one of its context
-    # and first command: where they still step alike, the earlier one keeps
-    # its state (holding its move there) and the later one may start.
-    donors = [[] for _ in lanes]
+    # Step: each lane in turn, from its start or the latest state a donor
+    # kept for it, holding the setpoint of its last change before then.
+    for lane in lanes:
+        for earlier, at, to in lane.donors:
+            if to > lane.start and at in earlier.states:
+                lane.start, lane.state = to, earlier.states[at]
+        k = bisect.bisect_left(lane.changes, lane.start)  # the changes before its start
+        setpoint = lane.moves[lane.changes[k - 1]][0] if k else math.nan
+        _, lane.abort, lane.states, lane.rows = _step_lane(np.frombuffer(lane.state).tolist(), lane.plant,
+                                                          lane.torque, lane.moves, setpoint, lane.start, lane.n, record)
+    _remember(served)
+
+    # Assemble: each episode's log from its lane's outcome.
     if not record:
-        served = {}
-        for b, (_, _, _, changes, moves, by_tick, start, n, memo, context) in enumerate(lanes):
-            if memo is None:
-                continue
-            first = changes[0]
-            shape = (*(tick - first for tick in changes), n - first)
-            group = served.setdefault((context, moves[0]), [])
-            for a, a_first, a_shape, a_changes, a_moves, a_by_tick in group:
-                shared = _shared(a_shape, shape)
-                if first + shared > start:
-                    a_by_tick.setdefault(a_first + shared, a_moves[bisect.bisect_left(a_changes, a_first + shared) - 1])
-                    donors[b].append((a, a_first + shared, first + shared))
-            group.append((b, first, shape, changes, moves, by_tick))
-
-    # Each lane runs in turn, from its start or from the latest state an
-    # earlier lane kept for it, holding the setpoint of its last change
-    # before then.
-    taken, reached, outcomes = [], [], []
-    for lane, (plant, torque, state, changes, moves, by_tick, start, n, memo, _) in enumerate(lanes):
-        for a, at, to in donors[lane]:
-            if to > start and at in reached[a]:
-                start, state = to, reached[a][at]
-        k = bisect.bisect_left(changes, start)
-        _, abort, states, rows = _step_lane(state, plant, torque, by_tick, moves[k - 1][0] if k else math.nan,
-                                            start, n, record)
-        if memo is not None:
-            taken.append((memo, states))
-        reached.append(states)
-        outcomes.append((abort, rows))
-    _remember(taken)
-
-    if not record:
-        rows = np.empty((0, 14))
-        codes = np.empty(0, np.int8)
-        rows.flags.writeable = codes.flags.writeable = False
-        empty = TrajectoryColumns(t=rows[:, 0], intent=codes, fsm=codes, setpoint_mm=rows[:, 3],
-                                  excursion_mm=rows[:, 4], tension_n=rows[:, 5], angles_deg=rows[:, 6:],
-                                  velocity_mm_s=rows[:, 1], effort=rows[:, 0])
-        return [TrajectoryLog(empty, outcomes[lane][0]) for lane in lane_of]
-    # Each log views its lane's rows: episodes of one key share them.
-    for col in (tick_t, *labels):
-        col.flags.writeable = False
-    columns = []
-    for abort, rows in outcomes:
-        rows = np.array(rows, dtype=float).reshape(-1, 14)
-        fsm = rows[:, 2].astype(np.int8)
-        rows.flags.writeable = fsm.flags.writeable = False  # before the logs' views, which inherit it
-        columns.append((abort, rows, fsm))
-    return [TrajectoryLog(TrajectoryColumns(
-        t=tick_t[:len(rows)], intent=label[:len(rows)], fsm=fsm, setpoint_mm=rows[:, 3], excursion_mm=rows[:, 4],
-        tension_n=rows[:, 5], angles_deg=rows[:, 6:], velocity_mm_s=rows[:, 1], effort=rows[:, 0],
-    ), abort) for label, (abort, rows, fsm) in zip(labels, (columns[lane] for lane in lane_of))]
+        empty = _columns(np.empty((0, 14)), np.empty(0), np.empty(0, np.int8))
+        return [TrajectoryLog(empty, lane.abort) for lane in lane_of]
+    for lane in lanes:
+        lane.rows = np.array(lane.rows, dtype=float).reshape(-1, 14)
+    return [TrajectoryLog(_columns(lane.rows, tick_t, label), lane.abort) for lane, label in zip(lane_of, labels)]
 
 
 def run_episode(episode: Episode) -> TrajectoryLog:

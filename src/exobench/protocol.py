@@ -229,10 +229,9 @@ def run_session(plan: SessionPlan, subject: Subject) -> SessionLog:
     Each task runs one controller episode (a grasp-release cycle through
     the subject's intent interface), given the starts of its stream's runs
     of one code; the session's episodes run together in one unrecorded
-    ``controller.run_episodes`` call, which may start an input in a state
-    an earlier unrecorded call reached (see ``controller._resume``) or that
-    an earlier episode of the call reached on the same schedule. A safety
-    abort is logged as a device adjustment and the task resumes.
+    ``controller.run_episodes`` call, whose docstring says what such a call
+    shares. A safety abort is logged as a device adjustment and the task
+    resumes.
     Active time comes from the duration model. The session ends after the
     task during which the active budget is reached (overflow flag set), or,
     when the protocol finishes early, with one aggregate free-training event

@@ -1603,11 +1603,15 @@ def test_lanes_that_start_from_earlier_lanes_change_no_outcome(engine_steps, emp
     the default size with each lane free to start from a state an earlier
     lane of its call kept for it, and again with none: the two give the
     same aborts and, after every call, the same table items in the same
-    order, and the first steps no more lane-steps than the second."""
+    order, and the first steps no more lane-steps than the second. A tick
+    count may be a script's change tick after its first, so that one lane
+    can end on another's change."""
     contexts = data.draw(st.lists(_warm_table_contexts(), min_size=1, max_size=2), label="contexts")
     scripts = data.draw(_warm_table_schedules(), label="scripts")
+    ends = sorted({tick for script in scripts for tick in tick_commands(_at(*script), 250)[1][1:].tolist()})
+    ticks = st.sampled_from(ends or [20]) | st.integers(20, 200)
     episodes = data.draw(st.permutations([
-        Episode(_at(*script), data.draw(st.integers(20, 200), label="ticks") * CONTROL_DT_S, **context)
+        Episode(_at(*script), data.draw(ticks, label="ticks") * CONTROL_DT_S, **context)
         for context in contexts for script in scripts]), label="order")
     bounds = [0, *sorted(data.draw(st.lists(st.integers(0, len(episodes)), max_size=2), label="cuts")), len(episodes)]
     calls = [episodes[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
